@@ -7,13 +7,11 @@
 //! any panic fails the whole run with a non-zero exit.
 //!
 //! ```text
-//! run_experiments [--list] [--only a,b,c] [--json PATH] [--quiet]
-//!                 [--cache-dir PATH]
+//! run_experiments [--list] [--only a,b,c] [--quiet] [--cache-dir PATH]
 //! ```
 //!
 //! * `--list`      — print registry names and exit.
 //! * `--only`      — run a comma-separated subset (unknown names fail).
-//! * `--json`      — also write machine-readable suite timings.
 //! * `--quiet`     — suppress experiment output, keep the timing table.
 //! * `--cache-dir` — memoise results across runs: each experiment's
 //!   output is keyed by the canonical digest of its config
@@ -26,15 +24,16 @@
 //!   config, which the determinism suite enforces.
 //!
 //! Experiment *outputs* are deterministic at any `RAYON_NUM_THREADS`
-//! (see DESIGN.md on the parallel determinism model); the wall-clock
-//! table is measurement, not simulation, and varies run to run. A
-//! worker that finishes its experiment steals queued work from others,
-//! so per-experiment times under contention can exceed their solo
-//! cost — the suite total is the honest number.
+//! (see DESIGN.md on the parallel determinism model) and are all that
+//! goes to stdout, so `--only X` prints exactly `docs/experiments/X.md`.
+//! The wall-clock table is measurement, not simulation, varies run to
+//! run, and goes to stderr. A worker that finishes its experiment
+//! steals queued work from others, so per-experiment times under
+//! contention can exceed their solo cost — the suite total is the
+//! honest number.
 
 #![forbid(unsafe_code)]
 
-use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -84,16 +83,12 @@ fn cache_key(name: &str) -> u64 {
 }
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: run_experiments [--list] [--only a,b,c] [--json PATH] [--quiet] \
-         [--cache-dir PATH]"
-    );
+    eprintln!("usage: run_experiments [--list] [--only a,b,c] [--quiet] [--cache-dir PATH]");
     std::process::exit(2);
 }
 
 fn main() {
     let mut only: Option<Vec<String>> = None;
-    let mut json_path: Option<String> = None;
     let mut cache_dir: Option<String> = None;
     let mut quiet = false;
     let mut args = std::env::args().skip(1);
@@ -109,7 +104,6 @@ fn main() {
                 let names = args.next().unwrap_or_else(|| usage());
                 only = Some(names.split(',').map(str::to_string).collect());
             }
-            "--json" => json_path = Some(args.next().unwrap_or_else(|| usage())),
             "--cache-dir" => cache_dir = Some(args.next().unwrap_or_else(|| usage())),
             "--quiet" => quiet = true,
             _ => usage(),
@@ -236,23 +230,7 @@ fn main() {
         format!("{suite_wall:.3}"),
         format!("{}/{} ok", outcomes.len() - failures, outcomes.len()),
     ]);
-    t.print();
-
-    if let Some(path) = json_path {
-        let mut j = String::from("{\n");
-        let _ = writeln!(j, "  \"threads\": {threads},");
-        let _ = writeln!(j, "  \"suite_wall_seconds\": {suite_wall:.6},");
-        let _ = writeln!(j, "  \"failures\": {failures},");
-        let _ = writeln!(j, "  \"experiments\": {{");
-        for (i, o) in outcomes.iter().enumerate() {
-            let comma = if i + 1 < outcomes.len() { "," } else { "" };
-            let _ = writeln!(j, "    \"{}\": {:.6}{comma}", o.name, o.seconds);
-        }
-        let _ = writeln!(j, "  }}");
-        j.push_str("}\n");
-        std::fs::write(&path, &j).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-        eprintln!("wrote {path}");
-    }
+    eprintln!("{}", t.to_markdown());
 
     if failures > 0 {
         eprintln!("{failures} experiment(s) failed");

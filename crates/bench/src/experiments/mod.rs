@@ -1,17 +1,13 @@
 //! Experiment registry: every figure-regeneration experiment as a
 //! library function rendering into a caller-owned buffer.
 //!
-//! Each module holds the logic that used to live in the matching
-//! `src/bin/` binary; the binary is now a thin wrapper over
-//! [`run_to_string`]. Rendering into a `String` (instead of straight to
-//! stdout) is what lets the `run_experiments` driver execute many
-//! experiments concurrently without interleaving their output — each
-//! run owns its buffer, and the driver prints buffers in registry
-//! order.
+//! Rendering into a `String` (instead of straight to stdout) is what
+//! lets the `run_experiments` driver execute many experiments
+//! concurrently without interleaving their output — each run owns its
+//! buffer, and the driver prints buffers in registry order.
 //!
 //! [`ALL`] is the single source of truth for "every experiment": the
-//! driver iterates it, and a test checks it stays in sync with the
-//! binaries on disk.
+//! driver, the daemon and the benchmark all iterate it.
 
 pub mod a30_scheduler_ablation;
 pub mod a31_bi_selection;
@@ -42,7 +38,7 @@ pub mod f29_global_mpi;
 
 /// One registered experiment.
 pub struct Experiment {
-    /// Binary / module name (e.g. `"er03_fault_sweep"`).
+    /// Module name (e.g. `"er03_fault_sweep"`).
     pub name: &'static str,
     /// Render the experiment's full stdout into `out`.
     pub run: fn(&mut String),
@@ -207,25 +203,6 @@ pub fn run_to_string(name: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The registry and the binaries on disk must agree, so
-    /// `run_experiments` cannot silently skip an experiment the way the
-    /// old shell loop did.
-    #[test]
-    fn registry_matches_binaries_on_disk() {
-        let bin_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/src/bin");
-        let mut on_disk: Vec<String> = std::fs::read_dir(bin_dir)
-            .expect("src/bin exists")
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .filter_map(|f| f.strip_suffix(".rs").map(str::to_string))
-            // Drivers, report tooling, and wall-clock benchmarks — not
-            // experiments (their output is not deterministic tables).
-            .filter(|n| n != "bench_report" && n != "run_experiments" && n != "des_scaling_bench")
-            .collect();
-        on_disk.sort();
-        let registered: Vec<&str> = ALL.iter().map(|e| e.name).collect();
-        assert_eq!(registered, on_disk, "registry out of sync with src/bin");
-    }
 
     #[test]
     fn registry_is_sorted_and_unique() {

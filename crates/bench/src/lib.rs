@@ -1,11 +1,12 @@
-//! # deep-bench — shared measurement helpers for the figure-regeneration
-//! binaries (`src/bin/f*.rs`) and the criterion benches.
+//! # deep-bench — the experiment registry and the measurement helpers
+//! its experiments share.
 //!
-//! Each binary regenerates one figure / quantitative claim of the paper
-//! (see DESIGN.md's experiment index) and prints a Markdown table plus a
-//! short interpretation. Nothing here depends on wall-clock time: every
-//! number is virtual time out of the deterministic simulator, so reruns
-//! reproduce the tables bit-for-bit.
+//! Each module under [`experiments`] regenerates one figure /
+//! quantitative claim of the paper (see DESIGN.md's experiment index)
+//! and renders a Markdown table plus a short interpretation;
+//! `run_experiments --only <id>` prints it. Nothing here depends on
+//! wall-clock time: every number is virtual time out of the
+//! deterministic simulator, so reruns reproduce the tables bit-for-bit.
 
 #![forbid(unsafe_code)]
 
@@ -158,15 +159,6 @@ pub fn run_ib_ranks(
     });
     sim.run().assert_completed();
     (out.get(), sim.now().as_secs_f64())
-}
-
-/// Entry point for the thin experiment binaries: run the named
-/// experiment and print its buffer. Panics (→ non-zero exit) on an
-/// unknown name, which the registry test makes unreachable.
-pub fn run_experiment_main(name: &str) {
-    let out = experiments::run_to_string(name)
-        .unwrap_or_else(|| panic!("experiment {name} is not in the registry"));
-    print!("{out}");
 }
 
 /// Pretty size label.

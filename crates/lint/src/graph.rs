@@ -534,7 +534,7 @@ impl Graph {
         .to_json_pretty()
     }
 
-    /// The committed `docs/lint-graph.md` summary: per-crate counts and
+    /// The `--graph-md` summary: per-crate counts and
     /// the top fan-in functions among sim-scope files (`is_sim` decides
     /// which files count as simulation scope).
     pub fn to_markdown(&self, is_sim: &dyn Fn(&str) -> bool) -> String {
@@ -544,9 +544,8 @@ impl Graph {
         let _ = writeln!(out);
         let _ = writeln!(
             out,
-            "Generated by `cargo run -p deep-lint -- --graph-md docs/lint-graph.md` \
-             (DESIGN.md §17). Regenerate after structural changes; CI's lint job \
-             checks the committed copy is current."
+            "Generated by `cargo run -p deep-lint -- --graph-md PATH` (DESIGN.md §17); \
+             an on-demand dump, not a committed file."
         );
         let _ = writeln!(out);
         let _ = writeln!(

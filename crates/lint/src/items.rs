@@ -16,7 +16,7 @@
 //! focused on shipping paths.
 
 use crate::lexer::{lex, LexFile, TokKind, Token};
-use crate::rules::{pragma_allows, Finding, Rule};
+use crate::rules::{pragma_allows, Rule};
 
 /// One extracted function item.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,9 +101,7 @@ pub struct SinkRef {
     pub guarded: bool,
 }
 
-/// Everything the interprocedural pass needs from one file. This is
-/// also the unit of the incremental cache: a digest-keyed summary that
-/// replays without re-lexing (see `cache` in lib.rs).
+/// Everything the interprocedural pass needs from one file.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FileSummary {
     /// Workspace-relative `/`-separated path.
@@ -121,10 +119,6 @@ pub struct FileSummary {
     /// Pragma-covered lines: (line, allowed rules) — applied to the
     /// workspace-level findings, which `lint_source` never sees.
     pub allows: Vec<(u32, Vec<Rule>)>,
-    /// File-local findings at the file's full path mask (cached so a
-    /// warm run skips `lint_source` entirely; filtered by the enabled
-    /// set at reporting time).
-    pub local_findings: Vec<Finding>,
 }
 
 /// Crate import name for a workspace-relative path.

@@ -36,7 +36,6 @@
 //! (`src/lib.rs`, `src/main.rs`, `src/bin/*.rs`) of every non-vendor
 //! package; test and example targets inherit scrutiny from S1 instead.
 
-pub mod cache;
 pub mod graph;
 pub mod items;
 pub mod lexer;
@@ -45,8 +44,7 @@ pub mod taint;
 
 pub use rules::{check_crate_root, lint_source, Finding, Rule, RuleSet};
 
-use items::FileSummary;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -74,147 +72,64 @@ pub fn rules_for_path(rel: &str) -> RuleSet {
     all
 }
 
-/// A full scan's output: findings plus the call graph and cache stats
-/// (for `--graph` and the CI cold/warm speedup gate).
+/// A full scan's output: findings plus the call graph (for `--graph`
+/// and `--graph-md`).
 pub struct ScanResult {
     pub findings: Vec<Finding>,
     pub graph: graph::Graph,
-    /// `.rs` files scanned.
-    pub files: usize,
-    /// How many came straight from the incremental cache.
-    pub cache_hits: usize,
 }
 
 /// Walk the workspace at `root` and apply every enabled rule. Findings
 /// come back sorted by path, line, rule. `enabled` masks rules globally
 /// on top of the per-path scope policy.
-pub fn scan_workspace(root: &Path, enabled: &RuleSet) -> io::Result<Vec<Finding>> {
-    Ok(scan_workspace_cached(root, enabled, None, false)?.findings)
-}
-
-/// Like [`scan_workspace`], but with an optional incremental cache
-/// directory and the full [`ScanResult`]. A warm cache skips the
-/// lex + extract + file-local-rules work per unchanged file (the
-/// dominant cost), and when *no* file changed, the memoized
-/// interprocedural findings skip the graph + taint pass too — any
-/// single changed file can re-route the whole graph, so the memo is
-/// keyed by the fold of every per-file digest. `want_graph` forces the
-/// graph to be built even on a full memo hit (for `--graph` /
-/// `--graph-md`); without it, a memo-hit result carries an empty graph.
-pub fn scan_workspace_cached(
-    root: &Path,
-    enabled: &RuleSet,
-    cache_dir: Option<&Path>,
-    want_graph: bool,
-) -> io::Result<ScanResult> {
+pub fn scan_workspace(root: &Path, enabled: &RuleSet) -> io::Result<ScanResult> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
-    let cache_path = cache_dir.map(|d| d.join(format!("summaries.v{}.txt", cache::SCHEMA_VERSION)));
-    let (cached, ws_memo) = match cache_path.as_ref().and_then(|p| cache::load(p)) {
-        Some(doc) => (
-            doc.entries
-                .into_iter()
-                .map(|(d, s)| (s.rel.clone(), (d, s)))
-                .collect::<BTreeMap<String, (u64, FileSummary)>>(),
-            doc.workspace,
-        ),
-        None => (BTreeMap::new(), None),
-    };
-    let mut entries: Vec<(u64, FileSummary)> = Vec::with_capacity(files.len());
-    let mut hits = 0usize;
-    let mut dirty = cached.len() != files.len();
-    // Crate-root inventory for S2, computed lazily: a fully-warm run
-    // never needs it (S2 findings are cached like any local finding).
-    let mut roots_set: Option<BTreeSet<String>> = None;
-    for (abs, rel) in &files {
-        let source = fs::read_to_string(abs)?;
-        let dg = cache::digest(rel, &source);
-        if let Some((cd, cs)) = cached.get(rel) {
-            if *cd == dg {
-                entries.push((dg, cs.clone()));
-                hits += 1;
-                continue;
-            }
-        }
-        dirty = true;
-        let mut s = items::extract(rel, &source);
-        // Local findings are cached at the file's full path mask; the
-        // `enabled` filter is applied at report time below, so one
-        // cache serves every --only/--skip combination.
-        s.local_findings = lint_source(rel, &source, &rules_for_path(rel));
-        let roots = match &roots_set {
-            Some(r) => r,
-            None => roots_set.insert(crate_roots(root)?.into_iter().collect()),
-        };
-        if roots.contains(rel) {
-            s.local_findings.extend(check_crate_root(rel, &source));
-        }
-        entries.push((dg, s));
-    }
-    let ws_digest = cache::workspace_digest(&entries);
-    let memo_hit = !dirty && ws_memo.as_ref().is_some_and(|(d, _)| *d == ws_digest);
-
-    let mut findings: Vec<Finding> = entries
+    let sources = files
         .iter()
-        .flat_map(|(_, s)| {
-            s.local_findings
-                .iter()
-                .filter(|f| enabled.has(f.rule))
-                .cloned()
-        })
+        .map(|(abs, _)| fs::read_to_string(abs))
+        .collect::<io::Result<Vec<String>>>()?;
+    let files: Vec<(&str, &str)> = files
+        .iter()
+        .zip(&sources)
+        .map(|((_, rel), source)| (rel.as_str(), source.as_str()))
         .collect();
-    let (g, ws_all) = if memo_hit && !want_graph {
-        let memoized = ws_memo.map(|(_, f)| f).unwrap_or_default();
-        (graph::Graph::default(), memoized)
-    } else {
-        let deps = workspace_deps(root)?;
-        let summaries: Vec<FileSummary> = entries.iter().map(|(_, s)| s.clone()).collect();
-        let g = graph::build(&summaries, &deps);
-        // Memoized at the full rule set, filtered below — same policy
-        // as the per-file local findings.
-        let ws = taint::workspace_findings(&g, &summaries, &RuleSet::all());
-        (g, ws)
-    };
-    if !memo_hit {
-        if let Some(p) = &cache_path {
-            if let Some(parent) = p.parent() {
-                fs::create_dir_all(parent)?;
-            }
-            cache::save(p, &entries, &ws_all)?;
-        }
-    }
-    findings.extend(ws_all.into_iter().filter(|f| enabled.has(f.rule)));
-    findings.sort();
-    findings.dedup();
-    Ok(ScanResult {
-        findings,
-        graph: g,
-        files: entries.len(),
-        cache_hits: hits,
-    })
+    let roots = crate_roots(root)?.into_iter().collect();
+    Ok(analyze(&files, &roots, &workspace_deps(root)?, enabled))
 }
 
 /// In-memory analysis of a set of `(rel path, source)` files — the
 /// interprocedural analogue of [`lint_source`], used by the fixture
-/// corpus for cross-file cases. Applies the per-path scope policy, an
-/// empty (permissive) dependency map, and no cache.
+/// corpus for cross-file cases. Applies the per-path scope policy, no
+/// crate-root checks, and an empty (permissive) dependency map.
 pub fn analyze_sources(files: &[(&str, &str)], enabled: &RuleSet) -> Vec<Finding> {
+    analyze(files, &BTreeSet::new(), &graph::Deps::new(), enabled).findings
+}
+
+/// The one analysis path: file-local rules at each file's path mask,
+/// S2 on the files named in `roots`, then the interprocedural rules
+/// over the call graph resolved against `deps`.
+fn analyze(
+    files: &[(&str, &str)],
+    roots: &BTreeSet<String>,
+    deps: &graph::Deps,
+    enabled: &RuleSet,
+) -> ScanResult {
     let mut summaries = Vec::with_capacity(files.len());
     let mut findings = Vec::new();
     for (rel, source) in files {
-        let mask = rules_for_path(rel);
-        let effective = Rule::ALL
-            .into_iter()
-            .filter(|r| mask.has(*r) && enabled.has(*r))
-            .fold(RuleSet::none(), RuleSet::with);
-        findings.extend(lint_source(rel, source, &effective));
+        findings.extend(lint_source(rel, source, &rules_for_path(rel)));
+        if roots.contains(*rel) {
+            findings.extend(check_crate_root(rel, source));
+        }
         summaries.push(items::extract(rel, source));
     }
-    let g = graph::build(&summaries, &graph::Deps::new());
-    findings.extend(taint::workspace_findings(&g, &summaries, enabled));
+    findings.retain(|f| enabled.has(f.rule));
+    let graph = graph::build(&summaries, deps);
+    findings.extend(taint::workspace_findings(&graph, &summaries, enabled));
     findings.sort();
     findings.dedup();
-    findings
+    ScanResult { findings, graph }
 }
 
 /// Parse the workspace's `Cargo.toml` manifests into a crate-import-name
@@ -409,45 +324,6 @@ mod tests {
             !rules_for_path("crates/scenario/src/bin/run_scenario.rs").has(Rule::AmbientAuthority)
         );
         assert!(rules_for_path("crates/scenario/src/schema.rs").has(Rule::AmbientAuthority));
-    }
-
-    #[test]
-    fn incremental_cache_tracks_edits_and_memoizes_clean_runs() {
-        let root = std::env::temp_dir().join("deep-lint-incr-test");
-        let _ = fs::remove_dir_all(&root);
-        fs::create_dir_all(root.join("crates/core/src")).unwrap();
-        fs::create_dir_all(root.join("crates/lint/src")).unwrap();
-        fs::write(
-            root.join("crates/lint/src/timing.rs"),
-            "pub fn stamp() -> u64 { 0 }\n",
-        )
-        .unwrap();
-        fs::write(
-            root.join("crates/core/src/resilience.rs"),
-            "pub fn f(seed: u64) -> u64 { seed ^ deep_lint::timing::stamp() }\n",
-        )
-        .unwrap();
-        let cache = root.join("cache");
-        let all = RuleSet::all();
-        let cold = scan_workspace_cached(&root, &all, Some(&cache), false).unwrap();
-        assert_eq!(cold.cache_hits, 0);
-        assert!(cold.findings.is_empty(), "{:?}", cold.findings);
-        let warm = scan_workspace_cached(&root, &all, Some(&cache), false).unwrap();
-        assert_eq!(warm.cache_hits, 2);
-        assert!(warm.findings.is_empty(), "{:?}", warm.findings);
-        // Edit the helper to read the wall clock: the edited file must
-        // re-lex, the workspace memo must invalidate, and the
-        // *cross-file* D4 finding must appear in the unchanged caller.
-        fs::write(
-            root.join("crates/lint/src/timing.rs"),
-            "pub fn stamp() -> u64 { Instant::now().elapsed().as_nanos() as u64 }\n",
-        )
-        .unwrap();
-        let edited = scan_workspace_cached(&root, &all, Some(&cache), false).unwrap();
-        assert_eq!(edited.cache_hits, 1, "only the edited file re-lexes");
-        assert_eq!(edited.findings.len(), 1, "{:?}", edited.findings);
-        assert_eq!(edited.findings[0].rule, Rule::DeterminismTaint);
-        assert_eq!(edited.findings[0].path, "crates/core/src/resilience.rs");
     }
 
     #[test]

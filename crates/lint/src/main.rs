@@ -3,26 +3,17 @@
 //!
 //! ```text
 //! deep-lint [--root PATH] [--json [PATH|-]] [--only R1,R2] [--skip R1]
-//!           [--graph [PATH|-]] [--graph-md PATH] [--cache-dir PATH]
-//!           [--bench-cache PATH [--min-warm-speedup N]]
-//!           [--list-rules] [--quiet]
+//!           [--graph [PATH|-]] [--graph-md PATH] [--list-rules] [--quiet]
 //! ```
 //!
 //! With no `--root`, the workspace root is found by walking up from the
 //! current directory to the first `Cargo.toml` containing `[workspace]`
 //! — so the binary works from any subdirectory, including under
 //! `cargo run -p deep-lint`.
-//!
-//! `--cache-dir` enables the incremental summary cache (DESIGN.md §17).
-//! `--bench-cache PATH` runs the scan twice — cold (fresh cache) then
-//! warm — asserts the findings are identical, and writes a `lint`
-//! timing block for `bench_report --lint`; `--min-warm-speedup N` turns
-//! the measured speedup into a hard gate.
 
-use deep_lint::{findings_to_json, scan_workspace_cached, Rule, RuleSet};
+use deep_lint::{findings_to_json, scan_workspace, Rule, RuleSet};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 struct Cli {
     root: Option<PathBuf>,
@@ -31,9 +22,6 @@ struct Cli {
     skip: Vec<Rule>,
     graph: Option<String>,
     graph_md: Option<String>,
-    cache_dir: Option<PathBuf>,
-    bench_cache: Option<String>,
-    min_warm_speedup: Option<f64>,
     list_rules: bool,
     quiet: bool,
 }
@@ -61,9 +49,6 @@ fn parse_cli() -> Result<Cli, String> {
         skip: Vec::new(),
         graph: None,
         graph_md: None,
-        cache_dir: None,
-        bench_cache: None,
-        min_warm_speedup: None,
         list_rules: false,
         quiet: false,
     };
@@ -96,18 +81,6 @@ fn parse_cli() -> Result<Cli, String> {
                 let v = operand(&mut i).ok_or("--graph-md needs a path")?;
                 cli.graph_md = Some(v);
             }
-            "--cache-dir" => {
-                let v = operand(&mut i).ok_or("--cache-dir needs a path")?;
-                cli.cache_dir = Some(PathBuf::from(v));
-            }
-            "--bench-cache" => {
-                let v = operand(&mut i).ok_or("--bench-cache needs an output path")?;
-                cli.bench_cache = Some(v);
-            }
-            "--min-warm-speedup" => {
-                let v = operand(&mut i).ok_or("--min-warm-speedup needs a number")?;
-                cli.min_warm_speedup = Some(v.parse().map_err(|_| format!("bad speedup `{v}`"))?);
-            }
             "--only" => {
                 let v = operand(&mut i).ok_or("--only needs a rule list")?;
                 cli.only = Some(parse_rules(&v)?);
@@ -123,9 +96,7 @@ fn parse_cli() -> Result<Cli, String> {
                     "deep-lint: workspace determinism & unsafe-hygiene checks\n\n\
                      USAGE: deep-lint [--root PATH] [--json [PATH|-]] \
                      [--only R1,R2] [--skip R1] [--graph [PATH|-]] \
-                     [--graph-md PATH] [--cache-dir PATH] \
-                     [--bench-cache PATH [--min-warm-speedup N]] \
-                     [--list-rules] [--quiet]\n\n\
+                     [--graph-md PATH] [--list-rules] [--quiet]\n\n\
                      Rules (suppress a site with \
                      `// deep-lint: allow(<rule>) — <why>`):"
                 );
@@ -137,9 +108,6 @@ fn parse_cli() -> Result<Cli, String> {
             other => return Err(format!("unknown argument `{other}` (see --help)")),
         }
         i += 1;
-    }
-    if cli.bench_cache.is_some() && cli.cache_dir.is_none() {
-        return Err("--bench-cache needs --cache-dir (the cache being measured)".to_string());
     }
     Ok(cli)
 }
@@ -163,34 +131,6 @@ fn find_workspace_root() -> Result<PathBuf, String> {
             );
         }
     }
-}
-
-/// The `--bench-cache` timing document, consumed by `bench_report
-/// --lint` (which enforces the ≥5× warm gate in BENCH_engine.json).
-fn lint_times_json(
-    files: usize,
-    cold_s: f64,
-    warm_s: f64,
-    warm_hits: usize,
-    findings: usize,
-) -> String {
-    use deep_json::Value;
-    let speedup = if warm_s > 0.0 { cold_s / warm_s } else { 0.0 };
-    Value::Object(vec![(
-        "lint".to_string(),
-        Value::Object(vec![
-            ("files".to_string(), Value::Number(files as f64)),
-            ("cold_wall_s".to_string(), Value::Number(cold_s)),
-            ("warm_wall_s".to_string(), Value::Number(warm_s)),
-            (
-                "warm_cache_hits".to_string(),
-                Value::Number(warm_hits as f64),
-            ),
-            ("warm_speedup".to_string(), Value::Number(speedup)),
-            ("findings".to_string(), Value::Number(findings as f64)),
-        ]),
-    )])
-    .to_json_pretty()
 }
 
 fn main() -> ExitCode {
@@ -222,73 +162,11 @@ fn main() -> ExitCode {
         enabled = enabled.without(*r);
     }
 
-    // --bench-cache: cold run on a wiped cache, then warm; assert the
-    // findings agree (a cache must never change the answer), emit the
-    // timing block, optionally gate the speedup.
-    let want_graph = cli.graph.is_some() || cli.graph_md.is_some();
-    let result = if let Some(bench_out) = &cli.bench_cache {
-        let cache_dir = cli.cache_dir.as_ref().expect("validated in parse_cli");
-        let _ = std::fs::remove_dir_all(cache_dir);
-        let t0 = Instant::now();
-        let cold = match scan_workspace_cached(&root, &enabled, Some(cache_dir), want_graph) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("deep-lint: scanning {}: {e}", root.display());
-                return ExitCode::from(2);
-            }
-        };
-        let cold_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let warm = match scan_workspace_cached(&root, &enabled, Some(cache_dir), want_graph) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("deep-lint: warm rescan: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let warm_s = t1.elapsed().as_secs_f64();
-        if cold.findings != warm.findings {
-            eprintln!(
-                "deep-lint: BUG — warm cache changed the findings ({} cold vs {} warm)",
-                cold.findings.len(),
-                warm.findings.len()
-            );
+    let result = match scan_workspace(&root, &enabled) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("deep-lint: scanning {}: {e}", root.display());
             return ExitCode::from(2);
-        }
-        let doc = lint_times_json(
-            warm.files,
-            cold_s,
-            warm_s,
-            warm.cache_hits,
-            warm.findings.len(),
-        );
-        if let Err(e) = std::fs::write(bench_out, doc + "\n") {
-            eprintln!("deep-lint: writing {bench_out}: {e}");
-            return ExitCode::from(2);
-        }
-        let speedup = if warm_s > 0.0 { cold_s / warm_s } else { 0.0 };
-        if !cli.quiet {
-            println!(
-                "deep-lint: cold {cold_s:.3}s, warm {warm_s:.3}s ({}/{} cache hits, {speedup:.1}x)",
-                warm.cache_hits, warm.files
-            );
-        }
-        if let Some(min) = cli.min_warm_speedup {
-            if speedup < min {
-                eprintln!(
-                    "deep-lint: warm speedup {speedup:.2}x below the required {min:.1}x gate"
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        warm
-    } else {
-        match scan_workspace_cached(&root, &enabled, cli.cache_dir.as_deref(), want_graph) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("deep-lint: scanning {}: {e}", root.display());
-                return ExitCode::from(2);
-            }
         }
     };
 

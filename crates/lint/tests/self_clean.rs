@@ -17,7 +17,9 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn workspace_lints_clean() {
-    let findings = scan_workspace(&workspace_root(), &RuleSet::all()).expect("scan");
+    let findings = scan_workspace(&workspace_root(), &RuleSet::all())
+        .expect("scan")
+        .findings;
     assert!(
         findings.is_empty(),
         "deep-lint found {} violation(s) in the workspace:\n{}",
@@ -50,8 +52,8 @@ fn scan_covers_the_known_terrain() {
         );
     }
     assert!(
-        roots.len() >= 40,
-        "expected ≥40 crate roots, got {}",
+        roots.len() >= 22,
+        "expected ≥22 crate roots, got {}",
         roots.len()
     );
     assert!(rules_for_path("vendor/rayon/src/pool.rs").has(Rule::UndocumentedUnsafe));

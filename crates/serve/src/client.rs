@@ -1,5 +1,5 @@
 //! Minimal HTTP client for talking to a `deep-serve` daemon — used by
-//! the `deep-submit` binary, the `serve_bench` throughput driver, and
+//! the `deep-submit` binary, the `benchmark/` `serve_mix` workload, and
 //! the end-to-end tests. One connection per [`ServeClient`],
 //! keep-alive across calls.
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Repo-wide hygiene gate: formatting, lints (deny warnings), the
-# deep-lint static-analysis pass, and tests. Run from the workspace
-# root before sending a PR. Each step is timed so slow regressions in
-# the gate itself are visible.
+# deep-lint static-analysis pass, and tests, then a lines-of-Rust table
+# per crate. Run from the workspace root before sending a PR. Each step
+# is timed so slow regressions in the gate itself are visible.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,10 +25,26 @@ step "cargo clippy (deny warnings)" \
 # Determinism & unsafe-hygiene static analysis, including the
 # interprocedural passes (DESIGN.md §17). Must be clean: a violation
 # needs a fix or an explicit `deep-lint: allow(...)` pragma with a
-# justification (see CONTRIBUTING.md). The summary cache makes
-# repeated local runs near-instant.
-step "deep-lint" cargo run -q -p deep-lint -- --cache-dir target/lint-cache
+# justification (see CONTRIBUTING.md).
+step "deep-lint" cargo run -q -p deep-lint
 
 step "cargo test (workspace)" cargo test -q --workspace
+
+# Lines of Rust per crate (the root package is src/ + tests/ +
+# examples/), so a PR's growth or shrinkage shows up in its own gate
+# output.
+loc() {
+    find "$@" -name '*.rs' -print0 | xargs -0 cat | wc -l
+}
+echo "==> lines of Rust by crate"
+total=0
+for dir in crates/* vendor/*; do
+    n=$(loc "$dir")
+    printf '    %-18s %6d\n' "$dir" "$n"
+    total=$((total + n))
+done
+n=$(loc src tests examples)
+printf '    %-18s %6d\n' "(root package)" "$n"
+printf '    %-18s %6d\n' "total" "$((total + n))"
 
 echo "All checks passed."
