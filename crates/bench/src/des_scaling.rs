@@ -135,10 +135,9 @@ async fn segment(
     for _ in 0..iters {
         ctx.sleep(COMPUTE).await;
         {
-            // deep-lint: allow(partition-safety) — every access to
-            // `shared` sits between barrier.wait() pairs: the phases
-            // are globally sequenced, so no two partitions touch it at
-            // the same (at,seq).
+            // Every access to `shared` sits between barrier.wait()
+            // pairs: the phases are globally sequenced, so no two
+            // partitions touch it at the same (at,seq).
             let sh = &mut *shared.borrow_mut();
             let now = ctx.now();
             for r in lo..hi {
@@ -212,9 +211,9 @@ async fn driver(
             barrier.wait().await; // segments merged
         }
         let t_end = {
-            // deep-lint: allow(partition-safety) — the collective
-            // rounds run after the "segments merged" barrier; only the
-            // driver is live until it sleeps to the iteration end.
+            // The collective rounds run after the "segments merged"
+            // barrier; only the driver is live until it sleeps to the
+            // iteration end.
             let sh = &mut *shared.borrow_mut();
             // Dot-product allreduce: recursive doubling, log2(n) rounds
             // of 8-byte exchanges. Each round is one batch; per-message
@@ -313,8 +312,6 @@ pub fn run(cfg: DesScalingConfig) -> DesScalingResult {
         ctx.spawn_in(0, "driver", fut);
     }
     sim.run().assert_completed();
-    // deep-lint: allow(partition-safety) — read-only snapshot after the
-    // kernel has drained; no partition can still be running.
     let sh = shared.borrow();
     let sim_s = sim.now().as_secs_f64();
     let digest = fnv_fold(sh.digest, sh.messages);

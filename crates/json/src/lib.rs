@@ -23,6 +23,9 @@
 //! store built on those digests.
 
 #![forbid(unsafe_code)]
+// Request path of the daemon: a malformed job must yield an error
+// response, not a panic (DESIGN.md §13).
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
 pub mod digest;

@@ -6,8 +6,7 @@
 //! at runtime by golden-digest tests — this crate enforces it at *check
 //! time*, before a stray `HashMap` iteration or wall-clock read ever
 //! reaches a digest. Like `vendor/*`, it is fully offline: its own
-//! lexer ([`lexer`]), its own rule engine ([`rules`]), no external
-//! dependencies beyond the workspace's `deep-json` for `--json` output.
+//! lexer ([`lexer`]), its own rule engine ([`rules`]), no dependencies.
 //!
 //! Rule catalogue, pragma grammar, and the policy for `allow` pragmas
 //! live in DESIGN.md §13 and CONTRIBUTING.md.
@@ -35,16 +34,16 @@
 //! S2 (`missing-forbid-unsafe`) is a per-crate check on root files
 //! (`src/lib.rs`, `src/main.rs`, `src/bin/*.rs`) of every non-vendor
 //! package; test and example targets inherit scrutiny from S1 instead.
+//!
+//! D4 (`exempt-dependency`) is a per-package check on the same packages'
+//! manifests (see [`check_manifest`]): it closes the one hole the
+//! path-scoped D2 leaves, a covered crate importing an exempt one.
 
-pub mod graph;
-pub mod items;
 pub mod lexer;
 pub mod rules;
-pub mod taint;
 
 pub use rules::{check_crate_root, lint_source, Finding, Rule, RuleSet};
 
-use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -72,123 +71,83 @@ pub fn rules_for_path(rel: &str) -> RuleSet {
     all
 }
 
-/// A full scan's output: findings plus the call graph (for `--graph`
-/// and `--graph-md`).
-pub struct ScanResult {
-    pub findings: Vec<Finding>,
-    pub graph: graph::Graph,
-}
-
-/// Walk the workspace at `root` and apply every enabled rule. Findings
-/// come back sorted by path, line, rule. `enabled` masks rules globally
-/// on top of the per-path scope policy.
-pub fn scan_workspace(root: &Path, enabled: &RuleSet) -> io::Result<ScanResult> {
+/// Walk the workspace at `root` and apply every enabled rule: the
+/// file-local rules at each file's path mask, S2 on every crate root,
+/// D4 on every package manifest. Findings come back sorted by path,
+/// line, rule. `enabled` masks rules globally on top of the per-path
+/// scope policy.
+pub fn scan_workspace(root: &Path, enabled: &RuleSet) -> io::Result<Vec<Finding>> {
     let mut files = Vec::new();
     collect_rs_files(root, root, &mut files)?;
-    let sources = files
-        .iter()
-        .map(|(abs, _)| fs::read_to_string(abs))
-        .collect::<io::Result<Vec<String>>>()?;
-    let files: Vec<(&str, &str)> = files
-        .iter()
-        .zip(&sources)
-        .map(|((_, rel), source)| (rel.as_str(), source.as_str()))
-        .collect();
-    let roots = crate_roots(root)?.into_iter().collect();
-    Ok(analyze(&files, &roots, &workspace_deps(root)?, enabled))
-}
-
-/// In-memory analysis of a set of `(rel path, source)` files — the
-/// interprocedural analogue of [`lint_source`], used by the fixture
-/// corpus for cross-file cases. Applies the per-path scope policy, no
-/// crate-root checks, and an empty (permissive) dependency map.
-pub fn analyze_sources(files: &[(&str, &str)], enabled: &RuleSet) -> Vec<Finding> {
-    analyze(files, &BTreeSet::new(), &graph::Deps::new(), enabled).findings
-}
-
-/// The one analysis path: file-local rules at each file's path mask,
-/// S2 on the files named in `roots`, then the interprocedural rules
-/// over the call graph resolved against `deps`.
-fn analyze(
-    files: &[(&str, &str)],
-    roots: &BTreeSet<String>,
-    deps: &graph::Deps,
-    enabled: &RuleSet,
-) -> ScanResult {
-    let mut summaries = Vec::with_capacity(files.len());
+    let roots = crate_roots(root)?;
     let mut findings = Vec::new();
-    for (rel, source) in files {
-        findings.extend(lint_source(rel, source, &rules_for_path(rel)));
-        if roots.contains(*rel) {
-            findings.extend(check_crate_root(rel, source));
+    for (abs, rel) in &files {
+        let source = fs::read_to_string(abs)?;
+        findings.extend(lint_source(rel, &source, &rules_for_path(rel)));
+        if roots.contains(rel) {
+            findings.extend(check_crate_root(rel, &source));
         }
-        summaries.push(items::extract(rel, source));
+    }
+    for dir in package_dirs(root)? {
+        let rel = format!("{dir}Cargo.toml");
+        findings.extend(check_manifest(&rel, &fs::read_to_string(root.join(&rel))?));
     }
     findings.retain(|f| enabled.has(f.rule));
-    let graph = graph::build(&summaries, deps);
-    findings.extend(taint::workspace_findings(&graph, &summaries, enabled));
     findings.sort();
     findings.dedup();
-    ScanResult { findings, graph }
+    Ok(findings)
 }
 
-/// Parse the workspace's `Cargo.toml` manifests into a crate-import-name
-/// dependency map, used to filter fuzzy method-call edges. Only the
-/// `[dependencies]` / `[dev-dependencies]` section headers are honoured
-/// (`[workspace.dependencies]` deliberately does not match: it lists
-/// everything).
-pub fn workspace_deps(root: &Path) -> io::Result<graph::Deps> {
-    let mut manifests: Vec<(String, PathBuf)> =
-        vec![("deep_repro".to_string(), root.join("Cargo.toml"))];
-    for dir in ["crates", "vendor"] {
-        let base = root.join(dir);
-        if !base.is_dir() {
-            continue;
-        }
-        let mut members: Vec<_> = fs::read_dir(&base)?
-            .collect::<Result<Vec<_>, _>>()?
-            .into_iter()
-            .map(|e| e.path())
-            .filter(|p| p.is_dir() && p.join("Cargo.toml").is_file())
-            .collect();
-        members.sort();
-        for m in members {
-            let name = m.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            let krate = if dir == "crates" {
-                format!("deep_{}", name.replace('-', "_"))
-            } else {
-                name.replace('-', "_")
-            };
-            manifests.push((krate, m.join("Cargo.toml")));
-        }
+/// D4: check one package manifest (`rel` is its workspace-relative
+/// path, `…/Cargo.toml`). A package whose library is D2-covered may not
+/// list a D2-exempt workspace library under `[dependencies]`: the
+/// exempt crate reads clocks and the environment by design, and a call
+/// into it would carry that into simulation results where file-local D2
+/// cannot see it. Both sides are read off [`rules_for_path`] through
+/// the `deep-<dir>` ↔ `crates/<dir>` naming convention.
+/// `[dev-dependencies]` are free (tests drive daemons legitimately),
+/// and cargo's acyclicity already keeps every crate an exempt library
+/// depends on from depending back on it.
+pub fn check_manifest(rel: &str, text: &str) -> Vec<Finding> {
+    let d2_covered =
+        |dir: &str| rules_for_path(&format!("{dir}src/lib.rs")).has(Rule::AmbientAuthority);
+    let mut findings = Vec::new();
+    if !d2_covered(rel.strip_suffix("Cargo.toml").unwrap_or(rel)) {
+        return findings;
     }
-    let mut deps = graph::Deps::new();
-    for (krate, path) in manifests {
-        let Ok(text) = fs::read_to_string(&path) else {
+    let mut in_deps = false;
+    for (i, line) in text.lines().enumerate() {
+        let t = line.split('#').next().unwrap_or("").trim();
+        // A dependency is named by a key under `[dependencies]` or by a
+        // `[dependencies.<name>]` table header.
+        let dep = if let Some(header) = t.strip_prefix('[') {
+            in_deps = t == "[dependencies]";
+            header
+                .strip_prefix("dependencies.")
+                .map(|name| name.trim_end_matches(']'))
+        } else if in_deps {
+            t.split(['.', '=', ' ', '\t']).next()
+        } else {
+            None
+        };
+        let Some(dir) = dep.and_then(|name| name.strip_prefix("deep-")) else {
             continue;
         };
-        let mut in_deps = false;
-        let mut set = std::collections::BTreeSet::new();
-        for line in text.lines() {
-            let t = line.trim();
-            if t.starts_with('[') {
-                in_deps = t == "[dependencies]" || t == "[dev-dependencies]";
-                continue;
-            }
-            if !in_deps || t.is_empty() || t.starts_with('#') {
-                continue;
-            }
-            let key: String = t
-                .chars()
-                .take_while(|c| !matches!(c, '.' | '=' | ' ' | '\t'))
-                .collect();
-            if !key.is_empty() {
-                set.insert(key.replace('-', "_"));
-            }
+        if !d2_covered(&format!("crates/{dir}/")) {
+            findings.push(Finding {
+                path: rel.to_string(),
+                line: i as u32 + 1,
+                rule: Rule::ExemptDependency,
+                message: format!(
+                    "simulation crate depends on `deep-{dir}`, which is exempt from \
+                     ambient-authority (it reads wall clocks / the environment by \
+                     design) — move the shared code into a covered crate, or make \
+                     it a dev-dependency if only tests need it"
+                ),
+            });
         }
-        deps.insert(krate, set);
     }
-    Ok(deps)
+    findings
 }
 
 /// Directories never descended into.
@@ -224,10 +183,10 @@ fn collect_rs_files(root: &Path, dir: &Path, out: &mut Vec<(PathBuf, String)>) -
     Ok(())
 }
 
-/// Crate-root files (workspace-relative) of every non-vendor package:
-/// the root package plus each `crates/*` member.
-pub fn crate_roots(root: &Path) -> io::Result<Vec<String>> {
-    let mut pkg_dirs = vec![String::new()];
+/// Workspace-relative directory prefixes (`""` for the root package,
+/// `crates/<name>/` for each member) of every non-vendor package.
+fn package_dirs(root: &Path) -> io::Result<Vec<String>> {
+    let mut dirs = vec![String::new()];
     let crates = root.join("crates");
     if crates.is_dir() {
         let mut members: Vec<_> = fs::read_dir(&crates)?
@@ -239,16 +198,16 @@ pub fn crate_roots(root: &Path) -> io::Result<Vec<String>> {
         members.sort();
         for m in members {
             let name = m.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            pkg_dirs.push(format!("crates/{name}"));
+            dirs.push(format!("crates/{name}/"));
         }
     }
+    Ok(dirs)
+}
+
+/// Crate-root files (workspace-relative) of every non-vendor package.
+pub fn crate_roots(root: &Path) -> io::Result<Vec<String>> {
     let mut roots = Vec::new();
-    for dir in pkg_dirs {
-        let prefix = if dir.is_empty() {
-            String::new()
-        } else {
-            format!("{dir}/")
-        };
+    for prefix in package_dirs(root)? {
         for candidate in ["src/lib.rs", "src/main.rs"] {
             if root.join(&prefix).join(candidate).is_file() {
                 roots.push(format!("{prefix}{candidate}"));
@@ -270,28 +229,6 @@ pub fn crate_roots(root: &Path) -> io::Result<Vec<String>> {
         }
     }
     Ok(roots)
-}
-
-/// Render findings as the stable JSON report consumed by CI.
-pub fn findings_to_json(findings: &[Finding]) -> String {
-    use deep_json::Value;
-    let items: Vec<Value> = findings
-        .iter()
-        .map(|f| {
-            Value::Object(vec![
-                ("rule".to_string(), Value::String(f.rule.name().to_string())),
-                ("path".to_string(), Value::String(f.path.clone())),
-                ("line".to_string(), Value::Number(f.line as f64)),
-                ("message".to_string(), Value::String(f.message.clone())),
-            ])
-        })
-        .collect();
-    Value::Object(vec![
-        ("version".to_string(), Value::Number(1.0)),
-        ("count".to_string(), Value::Number(findings.len() as f64)),
-        ("findings".to_string(), Value::Array(items)),
-    ])
-    .to_json_pretty()
 }
 
 #[cfg(test)]
@@ -324,23 +261,5 @@ mod tests {
             !rules_for_path("crates/scenario/src/bin/run_scenario.rs").has(Rule::AmbientAuthority)
         );
         assert!(rules_for_path("crates/scenario/src/schema.rs").has(Rule::AmbientAuthority));
-    }
-
-    #[test]
-    fn json_report_shape_is_stable() {
-        let f = Finding {
-            path: "a.rs".into(),
-            line: 3,
-            rule: Rule::UnorderedIter,
-            message: "m".into(),
-        };
-        let doc = deep_json::from_str(&findings_to_json(&[f])).unwrap();
-        assert_eq!(doc.get("count").and_then(|v| v.as_u64()), Some(1));
-        let first = &doc.get("findings").unwrap().as_array().unwrap()[0];
-        assert_eq!(
-            first.get("rule").and_then(|v| v.as_str()),
-            Some("unordered-iter")
-        );
-        assert_eq!(first.get("line").and_then(|v| v.as_u64()), Some(3));
     }
 }

@@ -2,8 +2,7 @@
 //! CLI for `deep-lint`. Exit status: 0 clean, 1 findings, 2 usage/IO.
 //!
 //! ```text
-//! deep-lint [--root PATH] [--json [PATH|-]] [--only R1,R2] [--skip R1]
-//!           [--graph [PATH|-]] [--graph-md PATH] [--list-rules] [--quiet]
+//! deep-lint [--root PATH] [--only R1,R2] [--skip R1] [--list-rules] [--quiet]
 //! ```
 //!
 //! With no `--root`, the workspace root is found by walking up from the
@@ -11,17 +10,14 @@
 //! — so the binary works from any subdirectory, including under
 //! `cargo run -p deep-lint`.
 
-use deep_lint::{findings_to_json, scan_workspace, Rule, RuleSet};
+use deep_lint::{scan_workspace, Rule, RuleSet};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Cli {
     root: Option<PathBuf>,
-    json: Option<String>,
     only: Option<Vec<Rule>>,
     skip: Vec<Rule>,
-    graph: Option<String>,
-    graph_md: Option<String>,
     list_rules: bool,
     quiet: bool,
 }
@@ -44,11 +40,8 @@ fn parse_rules(arg: &str) -> Result<Vec<Rule>, String> {
 fn parse_cli() -> Result<Cli, String> {
     let mut cli = Cli {
         root: None,
-        json: None,
         only: None,
         skip: Vec::new(),
-        graph: None,
-        graph_md: None,
         list_rules: false,
         quiet: false,
     };
@@ -70,17 +63,6 @@ fn parse_cli() -> Result<Cli, String> {
                 let v = operand(&mut i).ok_or("--root needs a path")?;
                 cli.root = Some(PathBuf::from(v));
             }
-            "--json" => {
-                // Optional operand: a path, or `-` / absent for stdout.
-                cli.json = Some(operand(&mut i).unwrap_or_else(|| "-".to_string()));
-            }
-            "--graph" => {
-                cli.graph = Some(operand(&mut i).unwrap_or_else(|| "-".to_string()));
-            }
-            "--graph-md" => {
-                let v = operand(&mut i).ok_or("--graph-md needs a path")?;
-                cli.graph_md = Some(v);
-            }
             "--only" => {
                 let v = operand(&mut i).ok_or("--only needs a rule list")?;
                 cli.only = Some(parse_rules(&v)?);
@@ -94,9 +76,8 @@ fn parse_cli() -> Result<Cli, String> {
             "--help" | "-h" => {
                 println!(
                     "deep-lint: workspace determinism & unsafe-hygiene checks\n\n\
-                     USAGE: deep-lint [--root PATH] [--json [PATH|-]] \
-                     [--only R1,R2] [--skip R1] [--graph [PATH|-]] \
-                     [--graph-md PATH] [--list-rules] [--quiet]\n\n\
+                     USAGE: deep-lint [--root PATH] [--only R1,R2] [--skip R1] \
+                     [--list-rules] [--quiet]\n\n\
                      Rules (suppress a site with \
                      `// deep-lint: allow(<rule>) — <why>`):"
                 );
@@ -162,44 +143,16 @@ fn main() -> ExitCode {
         enabled = enabled.without(*r);
     }
 
-    let result = match scan_workspace(&root, &enabled) {
-        Ok(r) => r,
+    let findings = match scan_workspace(&root, &enabled) {
+        Ok(findings) => findings,
         Err(e) => {
             eprintln!("deep-lint: scanning {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
 
-    if let Some(dest) = &cli.graph {
-        let doc = result.graph.to_json();
-        if dest == "-" {
-            println!("{doc}");
-        } else if let Err(e) = std::fs::write(dest, doc + "\n") {
-            eprintln!("deep-lint: writing {dest}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    if let Some(dest) = &cli.graph_md {
-        let md = result
-            .graph
-            .to_markdown(&|rel| deep_lint::rules_for_path(rel).has(Rule::AmbientAuthority));
-        if let Err(e) = std::fs::write(dest, md) {
-            eprintln!("deep-lint: writing {dest}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    let findings = &result.findings;
-    if let Some(dest) = &cli.json {
-        let doc = findings_to_json(findings);
-        if dest == "-" {
-            println!("{doc}");
-        } else if let Err(e) = std::fs::write(dest, doc + "\n") {
-            eprintln!("deep-lint: writing {dest}: {e}");
-            return ExitCode::from(2);
-        }
-    }
-    if !cli.quiet && cli.json.as_deref() != Some("-") && cli.graph.as_deref() != Some("-") {
-        for f in findings {
+    if !cli.quiet {
+        for f in &findings {
             println!("{f}");
         }
         if findings.is_empty() {

@@ -1,14 +1,17 @@
 //! The rule catalogue and per-file analysis.
 //!
-//! Every rule is a pure function over a [`LexFile`] (plus raw source
-//! lines for S1's comment-block walk). Findings carry stable rule names
-//! so pragmas, CLI toggles, and CI output all speak the same ids:
+//! Every file-local rule is a pure function over a [`LexFile`] (plus raw
+//! source lines for S1's comment-block walk); D4 reads a manifest and
+//! lives with the scope policy it consults ([`crate::check_manifest`]).
+//! Findings carry stable rule names so pragmas, CLI toggles, and CI
+//! output all speak the same ids:
 //!
 //! | id                       | invariant                                              |
 //! |--------------------------|--------------------------------------------------------|
 //! | `unordered-iter`         | D1: no `HashMap`/`HashSet` iteration in sim code       |
 //! | `ambient-authority`      | D2: no wall clocks, `std::env`, or ambient RNG         |
 //! | `unordered-float-reduce` | D3: no unordered reduction over parallel iterators     |
+//! | `exempt-dependency`      | D4: no sim crate depends on a D2-exempt library crate  |
 //! | `undocumented-unsafe`    | S1: every `unsafe` site carries a `// SAFETY:` comment |
 //! | `missing-forbid-unsafe`  | S2: non-vendor crate roots `#![forbid(unsafe_code)]`   |
 //! | `malformed-pragma`       | the pragma grammar itself (unknown rule, no reason)    |
@@ -31,35 +34,27 @@ pub enum Rule {
     AmbientAuthority,
     /// D3 — unordered float reduction over a parallel iterator.
     UnorderedFloatReduce,
+    /// D4 — a D2-covered package lists a D2-exempt library crate under
+    /// `[dependencies]`.
+    ExemptDependency,
     /// S1 — `unsafe` without a `// SAFETY:` comment.
     UndocumentedUnsafe,
     /// S2 — crate root missing `#![forbid(unsafe_code)]`.
     MissingForbidUnsafe,
     /// A `deep-lint:` pragma that does not parse or lacks a reason.
     MalformedPragma,
-    /// D4 — interprocedural: a sim-scope call transitively reaches an
-    /// ambient-authority source outside D2's file scope.
-    DeterminismTaint,
-    /// D5 — interprocedural: un-partitioned `spawn` or shared-mutable
-    /// access reachable from partitioned des_scaling code.
-    PartitionSafety,
-    /// P1 — interprocedural: panic sink reachable from deep-serve
-    /// request handling.
-    PanicPath,
 }
 
 impl Rule {
     /// Every rule, in catalogue order.
-    pub const ALL: [Rule; 9] = [
+    pub const ALL: [Rule; 7] = [
         Rule::UnorderedIter,
         Rule::AmbientAuthority,
         Rule::UnorderedFloatReduce,
+        Rule::ExemptDependency,
         Rule::UndocumentedUnsafe,
         Rule::MissingForbidUnsafe,
         Rule::MalformedPragma,
-        Rule::DeterminismTaint,
-        Rule::PartitionSafety,
-        Rule::PanicPath,
     ];
 
     /// The stable textual id (used by pragmas and `--only`/`--skip`).
@@ -68,12 +63,10 @@ impl Rule {
             Rule::UnorderedIter => "unordered-iter",
             Rule::AmbientAuthority => "ambient-authority",
             Rule::UnorderedFloatReduce => "unordered-float-reduce",
+            Rule::ExemptDependency => "exempt-dependency",
             Rule::UndocumentedUnsafe => "undocumented-unsafe",
             Rule::MissingForbidUnsafe => "missing-forbid-unsafe",
             Rule::MalformedPragma => "malformed-pragma",
-            Rule::DeterminismTaint => "determinism-taint",
-            Rule::PartitionSafety => "partition-safety",
-            Rule::PanicPath => "panic-path",
         }
     }
 
@@ -93,6 +86,12 @@ impl Rule {
                  reduction order depends on work-stealing; collect then fold in \
                  index order (the par_sweep pattern)"
             }
+            Rule::ExemptDependency => {
+                "a package whose src/ is ambient-authority-covered lists an \
+                 ambient-authority-exempt workspace library under \
+                 [dependencies]: a call into it could carry clock/env reads \
+                 into simulation results"
+            }
             Rule::UndocumentedUnsafe => {
                 "unsafe block/fn/impl without a // SAFETY: comment immediately \
                  above (or a # Safety doc section)"
@@ -101,21 +100,6 @@ impl Rule {
             Rule::MalformedPragma => {
                 "a deep-lint pragma that does not parse, names an unknown rule, \
                  or lacks the mandatory justification"
-            }
-            Rule::DeterminismTaint => {
-                "interprocedural: a call in sim-scope code transitively reaches \
-                 a wall-clock/env/RNG source defined in a D2-exempt file — the \
-                 cross-file blind spot of ambient-authority"
-            }
-            Rule::PartitionSafety => {
-                "interprocedural: code reachable from the partitioned des_scaling \
-                 path uses un-partitioned Sim::spawn or shared-mutable (RefCell) \
-                 state, which would break the (at,seq) merge-order proof"
-            }
-            Rule::PanicPath => {
-                "interprocedural: unwrap/expect/map-index reachable from \
-                 deep-serve request handling — a malformed job must yield an \
-                 error response, not abort the daemon"
             }
         }
     }
@@ -198,21 +182,6 @@ fn collect_pragmas(file: &LexFile, path: &str) -> (Vec<Pragma>, Vec<Finding>) {
     (pragmas, findings)
 }
 
-/// Well-formed pragma coverage, for the interprocedural passes (which
-/// run long after `lint_source` and need to honour the same grammar):
-/// (covered line, allowed rules). Malformed pragmas are reported by
-/// `lint_source`, not here.
-pub(crate) fn pragma_allows(file: &LexFile) -> Vec<(u32, Vec<Rule>)> {
-    let (pragmas, _) = collect_pragmas(file, "");
-    pragmas
-        .into_iter()
-        .filter_map(|p| {
-            p.covers
-                .map(|line| (line, p.rules.into_iter().collect::<Vec<_>>()))
-        })
-        .collect()
-}
-
 /// A comment is a pragma *attempt* only when its content (after the
 /// comment marker) starts with `deep-lint:` — prose that merely mentions
 /// the tool mid-sentence is not parsed. This is what makes a typo'd
@@ -280,8 +249,8 @@ fn parse_pragma(text: &str) -> Result<BTreeSet<Rule>, String> {
 // ---------------------------------------------------------------------
 // Per-file entry point.
 
-/// Which rules to run (file-scoped rules only; S2 is per crate root —
-/// see [`check_crate_root`]).
+/// Which rules to run (S2 and D4 are not file-scoped: see
+/// [`check_crate_root`] and [`crate::check_manifest`]).
 #[derive(Debug, Clone)]
 pub struct RuleSet {
     enabled: BTreeSet<Rule>,

@@ -3,7 +3,7 @@
 //! good twin (true negatives). This is the linter's own golden test —
 //! a rule change that widens or narrows a rule shows up here first.
 
-use deep_lint::{check_crate_root, lint_source, Rule, RuleSet};
+use deep_lint::{check_crate_root, check_manifest, lint_source, Rule, RuleSet};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
@@ -86,6 +86,22 @@ fn s2_root_check_distinguishes_fixtures() {
         check_crate_root("s2_good_root.rs", &fixture("s2_good_root.rs")).is_none(),
         "present attribute must satisfy S2"
     );
+}
+
+#[test]
+fn d4_manifest_check_distinguishes_fixtures() {
+    let bad = fixture("exempt_dep_bad/Cargo.toml");
+    let findings = check_manifest("crates/core/Cargo.toml", &bad);
+    assert_eq!(findings.len(), 2, "key spelling + table-header spelling");
+    for f in &findings {
+        assert_eq!(f.rule, Rule::ExemptDependency);
+        let line = bad.lines().nth(f.line as usize - 1).unwrap_or("");
+        assert!(line.contains("FIRE"), "finding at unmarked line: {f}");
+    }
+    // The same imports are fine from a crate that is itself exempt.
+    assert!(check_manifest("crates/serve/Cargo.toml", &bad).is_empty());
+    let good = fixture("exempt_dep_good/Cargo.toml");
+    assert!(check_manifest("crates/core/Cargo.toml", &good).is_empty());
 }
 
 #[test]

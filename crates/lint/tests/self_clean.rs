@@ -1,7 +1,7 @@
 //! The self-run gate: the full workspace must lint clean. This is the
-//! same scan `scripts/check.sh` and the CI `lint` job run — keeping it
-//! as a cargo test means `cargo test --workspace` alone catches a new
-//! violation even without the shell gate.
+//! same scan `scripts/check.sh` runs — keeping it as a cargo test means
+//! `cargo test --workspace` alone catches a new violation even without
+//! the shell gate.
 
 use deep_lint::{crate_roots, rules_for_path, scan_workspace, Rule, RuleSet};
 use std::path::PathBuf;
@@ -17,9 +17,7 @@ fn workspace_root() -> PathBuf {
 
 #[test]
 fn workspace_lints_clean() {
-    let findings = scan_workspace(&workspace_root(), &RuleSet::all())
-        .expect("scan")
-        .findings;
+    let findings = scan_workspace(&workspace_root(), &RuleSet::all()).expect("scan");
     assert!(
         findings.is_empty(),
         "deep-lint found {} violation(s) in the workspace:\n{}",
@@ -57,4 +55,29 @@ fn scan_covers_the_known_terrain() {
         roots.len()
     );
     assert!(rules_for_path("vendor/rayon/src/pool.rs").has(Rule::UndocumentedUnsafe));
+}
+
+#[test]
+fn cli_lists_exactly_the_seven_rules() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_deep-lint"))
+        .arg("--list-rules")
+        .output()
+        .expect("run deep-lint --list-rules");
+    assert!(out.status.success());
+    let listed: Vec<String> = String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter_map(|l| l.split_whitespace().next().map(str::to_string))
+        .collect();
+    assert_eq!(
+        listed,
+        [
+            "unordered-iter",
+            "ambient-authority",
+            "unordered-float-reduce",
+            "exempt-dependency",
+            "undocumented-unsafe",
+            "missing-forbid-unsafe",
+            "malformed-pragma",
+        ]
+    );
 }

@@ -366,7 +366,6 @@ impl MpiCtx {
 const TAG_RING_RS: u32 = TAG_INTERNAL_BASE + 9;
 const TAG_RING_AG: u32 = TAG_INTERNAL_BASE + 10;
 const TAG_SCAN: u32 = TAG_INTERNAL_BASE + 11;
-const TAG_RSCAT: u32 = TAG_INTERNAL_BASE + 12;
 
 /// Split `v` into `n` nearly-equal chunks (first `len % n` chunks one
 /// element longer).
@@ -478,7 +477,6 @@ impl MpiCtx {
     ) -> Value {
         let n = comm.size();
         assert_eq!(contribs.len(), n as usize, "one contribution per rank");
-        let _ = TAG_RSCAT;
         let mine = self.alltoall(comm, contribs, bytes_each).await;
         let mut it = mine.into_iter();
         let mut acc = it.next().expect("group is non-empty");

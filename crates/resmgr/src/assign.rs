@@ -21,6 +21,10 @@
 //! 3. nothing is granted beyond a job's demand — the freed surplus is
 //!    what makes dynamic beat static in F22.
 
+// deep-serve's scheduler calls this on its request path, where a panic
+// would abort the daemon (DESIGN.md §13).
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
+
 /// Apportion `total` pool slots across jobs by demand, dynamically.
 ///
 /// Returns one grant per demand, in input order, with

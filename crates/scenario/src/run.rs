@@ -48,8 +48,8 @@ pub fn execute(sc: &Scenario) -> Value {
         ),
     ];
 
-    if sc.app.is_some() {
-        members.push(("sweep".to_string(), run_sweep(sc)));
+    if let Some(app) = &sc.app {
+        members.push(("sweep".to_string(), run_sweep(sc, app)));
     }
 
     let plan = sc.fault_plan();
@@ -73,8 +73,8 @@ pub fn execute(sc: &Scenario) -> Value {
 }
 
 /// Evaluate the app skeleton over its sweep points.
-fn run_sweep(sc: &Scenario) -> Value {
-    match sc.app.as_ref().expect("run_sweep requires an app block") {
+fn run_sweep(sc: &Scenario, app: &AppSpec) -> Value {
+    match app {
         AppSpec::Resilience(app) => run_resilience_sweep(sc, app),
         AppSpec::Scalability(app) => run_scalability_sweep(sc, app),
     }
@@ -118,6 +118,11 @@ fn run_scalability_sweep(sc: &Scenario, app: &ScalabilityApp) -> Value {
 /// Evaluate the resilience skeleton over the sweep cross-product ×
 /// intervals.
 fn run_resilience_sweep(sc: &Scenario, app: &ResilienceApp) -> Value {
+    #[expect(
+        clippy::expect_used,
+        reason = "Scenario::from_value rejects a document whose sweep_points() fails, and \
+                  the daemon evaluates scenarios inside catch_unwind"
+    )]
     let points = sc
         .sweep_points()
         .expect("sweep points validated at parse time");

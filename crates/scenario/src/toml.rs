@@ -48,9 +48,12 @@ pub fn parse(input: &str) -> Result<Value, String> {
                 p.expect_byte(b']')?;
             }
             let joined = path.join(".");
+            let Some((leaf, parents)) = path.split_last() else {
+                return Err(format!("line {}: empty table header", p.line));
+            };
             if array_table {
-                let arr = descend(&mut root, &path[..path.len() - 1], p.line)?;
-                let table = ensure_entry(arr, path.last().unwrap());
+                let arr = descend(&mut root, parents, p.line)?;
+                let table = ensure_entry(arr, leaf);
                 match table {
                     Value::Array(items) if items.iter().all(|v| matches!(v, Value::Object(_))) => {
                         items.push(Value::Object(Vec::new()));
@@ -75,8 +78,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
                     return Err(format!("line {}: duplicate table '{}'", p.line, joined));
                 }
                 let table = {
-                    let parent = descend(&mut root, &path[..path.len() - 1], p.line)?;
-                    ensure_entry(parent, path.last().unwrap())
+                    let parent = descend(&mut root, parents, p.line)?;
+                    ensure_entry(parent, leaf)
                 };
                 if !matches!(table, Value::Object(_)) {
                     return Err(format!("line {}: key '{}' is not a table", p.line, joined));
@@ -147,11 +150,11 @@ fn ensure_entry<'v>(node: &'v mut Value, key: &str) -> &'v mut Value {
     let Value::Object(kv) = node else {
         unreachable!("ensure_entry caller guarantees an object")
     };
-    if let Some(idx) = kv.iter().position(|(k, _)| k == key) {
-        return &mut kv[idx].1;
-    }
-    kv.push((key.to_string(), Value::Object(Vec::new())));
-    &mut kv.last_mut().unwrap().1
+    let idx = kv.iter().position(|(k, _)| k == key).unwrap_or_else(|| {
+        kv.push((key.to_string(), Value::Object(Vec::new())));
+        kv.len() - 1
+    });
+    &mut kv[idx].1
 }
 
 struct Parser<'a> {

@@ -21,6 +21,9 @@
 //! for the architecture.
 
 #![forbid(unsafe_code)]
+// Request path of the daemon: a malformed job must yield an error
+// response, not a panic (DESIGN.md §13).
+#![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -33,7 +33,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -285,7 +285,7 @@ impl Scheduler {
                 deep_json::digest::digest_hex(&spec_json),
             )
         });
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = unpoisoned(self.inner.state.lock());
         if st.draining || st.shutdown {
             st.counters.rejected_drain += 1;
             return Err(Rejection::Draining);
@@ -373,7 +373,7 @@ impl Scheduler {
 
     /// Full JSON status of one job; `None` for unknown ids.
     pub fn job_json(&self, id: u64) -> Option<Value> {
-        let st = self.inner.state.lock().unwrap();
+        let st = unpoisoned(self.inner.state.lock());
         st.jobs.get(&id).map(Job::to_json)
     }
 
@@ -385,7 +385,7 @@ impl Scheduler {
         after: usize,
         wait: Duration,
     ) -> Option<(Vec<Value>, bool)> {
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = unpoisoned(self.inner.state.lock());
         loop {
             let job = st.jobs.get(&id)?;
             let terminal = job.state.terminal();
@@ -393,7 +393,7 @@ impl Scheduler {
                 let fresh = job.events.iter().skip(after).cloned().collect();
                 return Some((fresh, terminal));
             }
-            let (guard, timeout) = self.inner.update.wait_timeout(st, wait).unwrap();
+            let (guard, timeout) = unpoisoned(self.inner.update.wait_timeout(st, wait));
             st = guard;
             if timeout.timed_out() {
                 let job = st.jobs.get(&id)?;
@@ -405,13 +405,13 @@ impl Scheduler {
 
     /// Queue/run gauges: `(queued, running, draining)`.
     pub fn load(&self) -> (usize, usize, bool) {
-        let st = self.inner.state.lock().unwrap();
+        let st = unpoisoned(self.inner.state.lock());
         (st.queued, st.running, st.draining)
     }
 
     /// Render the `/metrics` exposition text.
     pub fn metrics_text(&self) -> String {
-        let st = self.inner.state.lock().unwrap();
+        let st = unpoisoned(self.inner.state.lock());
         let c = st.counters;
         let cache = st.cache.stats();
         let mut out = String::new();
@@ -439,7 +439,7 @@ impl Scheduler {
 
     /// Stop admitting jobs; everything already admitted still runs.
     pub fn drain(&self) {
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = unpoisoned(self.inner.state.lock());
         st.draining = true;
         self.inner.work.notify_all();
         self.inner.update.notify_all();
@@ -447,16 +447,16 @@ impl Scheduler {
 
     /// True once draining and no queued or running work remains.
     pub fn drained(&self) -> bool {
-        let st = self.inner.state.lock().unwrap();
+        let st = unpoisoned(self.inner.state.lock());
         st.draining && st.queued == 0 && st.running == 0
     }
 
     /// Block until every admitted job reached a terminal state (used
     /// by SIGTERM handling after [`Scheduler::drain`]).
     pub fn wait_idle(&self) {
-        let mut st = self.inner.state.lock().unwrap();
+        let mut st = unpoisoned(self.inner.state.lock());
         while st.queued > 0 || st.running > 0 {
-            st = self.inner.update.wait(st).unwrap();
+            st = unpoisoned(self.inner.update.wait(st));
         }
     }
 
@@ -465,7 +465,7 @@ impl Scheduler {
         self.drain();
         self.wait_idle();
         {
-            let mut st = self.inner.state.lock().unwrap();
+            let mut st = unpoisoned(self.inner.state.lock());
             st.shutdown = true;
             self.inner.work.notify_all();
         }
@@ -491,7 +491,7 @@ struct Batch {
 fn worker_loop(inner: &Inner) {
     loop {
         let batch = {
-            let mut st = inner.state.lock().unwrap();
+            let mut st = unpoisoned(inner.state.lock());
             loop {
                 if st.shutdown {
                     return;
@@ -499,7 +499,7 @@ fn worker_loop(inner: &Inner) {
                 if let Some(batch) = claim_batch(inner, &mut st) {
                     break batch;
                 }
-                st = inner.work.wait(st).unwrap();
+                st = unpoisoned(inner.work.wait(st));
             }
         };
         execute_batch(inner, batch);
@@ -625,6 +625,27 @@ fn claim_batch(inner: &Inner, st: &mut State) -> Option<Batch> {
     })
 }
 
+/// The one place this module unwraps a lock or condvar result. Job
+/// evaluation runs outside the lock, inside `catch_unwind`, so poison
+/// can only come from a panic in the scheduler's own bookkeeping.
+#[expect(
+    clippy::expect_used,
+    reason = "poison means a thread panicked while updating the scheduler state: the queue \
+              invariants are gone, so every thread touching it fails too (fail-stop)"
+)]
+fn unpoisoned<T>(result: LockResult<T>) -> T {
+    result.expect("scheduler state poisoned: a thread panicked while holding it")
+}
+
+/// A dedicated pool for one batch's thread share. Call it inside
+/// `catch_unwind`: a failed OS thread spawn panics inside the pool.
+fn build_pool(threads: u32) -> Result<rayon::ThreadPool, String> {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(threads as usize)
+        .build()
+        .map_err(|e| format!("worker pool: {e}"))
+}
+
 fn execute_batch(inner: &Inner, batch: Batch) {
     match &batch.lead_spec {
         JobSpec::Sweep(_) => execute_sweep_batch(inner, &batch),
@@ -633,23 +654,21 @@ fn execute_batch(inner: &Inner, batch: Batch) {
             let threads = batch.threads;
             let name = name.clone();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads as usize)
-                    .build()
-                    .expect("pool construction cannot fail for small widths");
-                pool.install(|| deep_bench::experiments::run_to_string(&name))
+                build_pool(threads)
+                    .map(|pool| pool.install(|| deep_bench::experiments::run_to_string(&name)))
             }));
             match outcome {
-                Ok(Some(output)) => {
+                Ok(Ok(Some(output))) => {
                     let result = object([
                         ("experiment", name.as_str().into()),
                         ("output", output.into()),
                     ]);
                     finish_job(inner, id, Ok(result));
                 }
-                Ok(None) => {
+                Ok(Ok(None)) => {
                     finish_job(inner, id, Err(format!("unknown experiment '{name}'")));
                 }
+                Ok(Err(e)) => finish_job(inner, id, Err(e)),
                 Err(_) => {
                     finish_job(inner, id, Err(format!("experiment '{name}' panicked")));
                 }
@@ -662,17 +681,13 @@ fn execute_batch(inner: &Inner, batch: Batch) {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 // Admission already validated the document; re-parse
                 // to obtain the typed form (cheap next to evaluation).
-                deep_scenario::Scenario::from_value(&doc).map(|sc| {
-                    let pool = rayon::ThreadPoolBuilder::new()
-                        .num_threads(threads as usize)
-                        .build()
-                        .expect("pool construction cannot fail for small widths");
-                    pool.install(|| deep_scenario::execute(&sc))
-                })
+                let sc = deep_scenario::Scenario::from_value(&doc)
+                    .map_err(|e| format!("scenario: {e}"))?;
+                let pool = build_pool(threads)?;
+                Ok(pool.install(|| deep_scenario::execute(&sc)))
             }));
             match outcome {
-                Ok(Ok(result)) => finish_job(inner, id, Ok(result)),
-                Ok(Err(e)) => finish_job(inner, id, Err(format!("scenario: {e}"))),
+                Ok(result) => finish_job(inner, id, result),
                 Err(_) => finish_job(inner, id, Err("scenario evaluation panicked".to_string())),
             }
         }
@@ -683,7 +698,7 @@ fn execute_batch(inner: &Inner, batch: Batch) {
         }
     }
     // This batch no longer holds its thread share.
-    let mut st = inner.state.lock().unwrap();
+    let mut st = unpoisoned(inner.state.lock());
     let lead = batch.members[0].0;
     st.running_demands.retain(|&(id, _)| id != lead);
 }
@@ -704,16 +719,13 @@ fn execute_sweep_batch(inner: &Inner, batch: &Batch) {
     let replicas = batch.replicas;
     let threads = batch.threads;
 
-    let pool = match catch_unwind(AssertUnwindSafe(|| {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(threads as usize)
-            .build()
-            .expect("pool construction cannot fail for small widths")
-    })) {
+    let pool = match catch_unwind(AssertUnwindSafe(|| build_pool(threads)))
+        .unwrap_or_else(|_| Err("worker pool construction panicked".to_string()))
+    {
         Ok(pool) => pool,
-        Err(_) => {
+        Err(e) => {
             for &(id, _) in &batch.members {
-                finish_job(inner, id, Err("worker pool construction panicked".into()));
+                finish_job(inner, id, Err(e.clone()));
             }
             return;
         }
@@ -736,7 +748,7 @@ fn execute_sweep_batch(inner: &Inner, batch: &Batch) {
             failed = true;
             break;
         };
-        let mut st = inner.state.lock().unwrap();
+        let mut st = unpoisoned(inner.state.lock());
         for (&(member, _), (eff, trunc)) in chunk.iter().zip(results) {
             per_member[member].push(object([
                 ("efficiency", eff.into()),
@@ -780,7 +792,7 @@ fn execute_sweep_batch(inner: &Inner, batch: &Batch) {
 
 /// Record a terminal state, cache the result, and wake watchers.
 fn finish_job(inner: &Inner, id: u64, outcome: Result<Value, String>) {
-    let mut st = inner.state.lock().unwrap();
+    let mut st = unpoisoned(inner.state.lock());
     // Finishing an id with no job record is a bookkeeping bug; drop the
     // result rather than abort the worker that holds the state mutex.
     let Some(job) = st.jobs.get_mut(&id) else {

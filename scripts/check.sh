@@ -22,10 +22,9 @@ step "cargo fmt --check" cargo fmt --check
 step "cargo clippy (deny warnings)" \
     cargo clippy --workspace --all-targets -- -D warnings
 
-# Determinism & unsafe-hygiene static analysis, including the
-# interprocedural passes (DESIGN.md §17). Must be clean: a violation
-# needs a fix or an explicit `deep-lint: allow(...)` pragma with a
-# justification (see CONTRIBUTING.md).
+# Determinism & unsafe-hygiene static analysis (DESIGN.md §13). Must be
+# clean: a violation needs a fix or an explicit `deep-lint: allow(...)`
+# pragma with a justification (see CONTRIBUTING.md).
 step "deep-lint" cargo run -q -p deep-lint
 
 step "cargo test (workspace)" cargo test -q --workspace

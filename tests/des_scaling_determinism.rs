@@ -61,10 +61,8 @@ fn run_partitioned(ranks: usize, partitions: u32) -> Vec<TraceEvent> {
                 ctx2.emit("rank", "step", || format!("r={r} step={step}"));
                 if step == 1 {
                     let ctx3 = ctx2.clone();
-                    // deep-lint: allow(partition-safety) — deliberate:
-                    // this test asserts children *inherit* the
-                    // spawner's partition, so the un-pinned spawn is
-                    // the behaviour under test.
+                    // Un-pinned on purpose: inheriting the spawner's
+                    // partition is the behaviour under test.
                     ctx2.spawn_fmt(format_args!("child-{r}"), async move {
                         ctx3.sleep(SimDuration::nanos(900 + r as u64)).await;
                         ctx3.emit("rank", "child", || format!("r={r}"));
