@@ -73,7 +73,7 @@ fn local_spmv(
 /// Exchange stripe boundary rows with the neighbours. `active` is the
 /// number of ranks that actually own rows (ranks beyond it sit out —
 /// they exist when the grid has fewer rows than the communicator has
-/// ranks).
+/// ranks). Returns the neighbours' rows as received, to be borrowed.
 async fn halo_exchange(
     m: &MpiCtx,
     comm: &Comm,
@@ -81,7 +81,7 @@ async fn halo_exchange(
     nx: usize,
     rows: usize,
     active: u32,
-) -> (Option<Vec<f64>>, Option<Vec<f64>>) {
+) -> (Option<Value>, Option<Value>) {
     let rank = comm.rank();
     if rows == 0 {
         return (None, None);
@@ -116,10 +116,10 @@ async fn halo_exchange(
         .await;
     }
     if let Some(r) = recv_up {
-        up = Some(r.wait().await.value.as_vec().to_vec());
+        up = Some(r.wait().await.value);
     }
     if let Some(r) = recv_down {
-        down = Some(r.wait().await.value.as_vec().to_vec());
+        down = Some(r.wait().await.value);
     }
     (up, down)
 }
@@ -160,7 +160,11 @@ pub async fn cg_solve(
 
     while iters < max_iters && rr.sqrt() > tol {
         let (up, down) = halo_exchange(m, comm, &p, nx, rows, active).await;
-        local_spmv(&p, up.as_deref(), down.as_deref(), nx, rows, &mut ap);
+        let (up, down) = (
+            up.as_ref().map(Value::as_vec),
+            down.as_ref().map(Value::as_vec),
+        );
+        local_spmv(&p, up, down, nx, rows, &mut ap);
         let pap = dot(m, comm, &p, &ap).await;
         let alpha = rr / pap;
         for i in 0..n_local {

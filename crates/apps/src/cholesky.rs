@@ -15,15 +15,24 @@ use deep_ompss::{Access, RegionId, TaskCost, TaskGraph};
 /// A shared square tile of size `ts × ts`, row-major.
 pub type Tile = Rc<RefCell<Vec<f64>>>;
 
-/// A symmetric positive-definite test matrix of order `n`:
-/// `a[i][j] = 1/(1+|i−j|)` plus `n` on the diagonal (diagonally dominant).
+/// Entry `(i, j)` of the symmetric positive-definite test matrix of order
+/// `n`: `1/(1+|i−j|)`, plus `n` on the diagonal (diagonally dominant).
+pub fn spd_entry(i: usize, j: usize, n: usize) -> f64 {
+    let off = 1.0 / (1.0 + (i as f64 - j as f64).abs());
+    if i == j {
+        off + n as f64
+    } else {
+        off
+    }
+}
+
+/// The dense test matrix of [`spd_entry`], row-major.
 pub fn spd_matrix(n: usize) -> Vec<f64> {
     let mut a = vec![0.0; n * n];
     for i in 0..n {
         for j in 0..n {
-            a[i * n + j] = 1.0 / (1.0 + (i as f64 - j as f64).abs());
+            a[i * n + j] = spd_entry(i, j, n);
         }
-        a[i * n + i] += n as f64;
     }
     a
 }
@@ -79,42 +88,99 @@ pub fn potrf(a: &mut [f64], ts: usize) {
     }
 }
 
+/// `N` accumulation chains over one shared vector, side by side: lane `k`
+/// folds `x[p]·y[k][p]` for `p` in `0..len` into `acc[k]` with `step`, in
+/// index order — bit for bit what `N` scalar loops compute. The tile
+/// kernels are bound by the latency of that dependent add chain, not by
+/// throughput, so they keep four independent chains in flight (about 3×
+/// faster) and finish what four does not divide with `N = 1`.
+#[inline(always)]
+fn dots<const N: usize>(
+    mut acc: [f64; N],
+    x: &[f64],
+    y: [&[f64]; N],
+    len: usize,
+    step: impl Fn(f64, f64) -> f64,
+) -> [f64; N] {
+    let x = &x[..len];
+    let y = y.map(|row| &row[..len]);
+    for (p, &xp) in x.iter().enumerate() {
+        for k in 0..N {
+            acc[k] = step(acc[k], xp * y[k][p]);
+        }
+    }
+    acc
+}
+
+/// Rows `r..r+N` of a row-major matrix with `ts` columns.
+#[inline(always)]
+fn rows<const N: usize>(m: &[f64], r: usize, ts: usize) -> [&[f64]; N] {
+    std::array::from_fn(|k| &m[(r + k) * ts..(r + k + 1) * ts])
+}
+
+/// Rows `r..r+N` of the solve `B ← B · L⁻ᵀ`; rows are independent.
+#[inline(always)]
+fn trsm_rows<const N: usize>(l: &[f64], b: &mut [f64], r: usize, ts: usize) {
+    for c in 0..ts {
+        let lc = &l[c * ts..(c + 1) * ts];
+        let init = std::array::from_fn(|k| b[(r + k) * ts + c]);
+        let s = dots::<N>(init, lc, rows(b, r, ts), c, |s, t| s - t);
+        for k in 0..N {
+            b[(r + k) * ts + c] = s[k] / lc[c];
+        }
+    }
+}
+
 /// Triangular solve `B ← B · L⁻ᵀ` where `l` is the lower factor tile.
 pub fn trsm(l: &[f64], b: &mut [f64], ts: usize) {
-    for r in 0..ts {
-        for c in 0..ts {
-            let mut s = b[r * ts + c];
-            for p in 0..c {
-                s -= b[r * ts + p] * l[c * ts + p];
-            }
-            b[r * ts + c] = s / l[c * ts + c];
-        }
+    let mut r = 0;
+    while r + 4 <= ts {
+        trsm_rows::<4>(l, b, r, ts);
+        r += 4;
+    }
+    while r < ts {
+        trsm_rows::<1>(l, b, r, ts);
+        r += 1;
+    }
+}
+
+/// `C[r, s..s+N] ← C[r, s..s+N] − A[r]·B[s..s+N]ᵀ`.
+#[inline(always)]
+fn update_cols<const N: usize>(ar: &[f64], b: &[f64], cr: &mut [f64], s: usize, ts: usize) {
+    let acc = dots::<N>([0.0; N], ar, rows(b, s, ts), ts, |s, t| s + t);
+    for k in 0..N {
+        cr[s + k] -= acc[k];
+    }
+}
+
+/// `C[r, ..to] ← C[r, ..to] − A[r]·B[..to]ᵀ`: one output row of the
+/// rank-`ts` updates.
+#[inline(always)]
+fn update_row(ar: &[f64], b: &[f64], cr: &mut [f64], to: usize, ts: usize) {
+    let mut s = 0;
+    while s + 4 <= to {
+        update_cols::<4>(ar, b, cr, s, ts);
+        s += 4;
+    }
+    while s < to {
+        update_cols::<1>(ar, b, cr, s, ts);
+        s += 1;
     }
 }
 
 /// `C ← C − A·Bᵀ`.
 pub fn gemm_nt(a: &[f64], b: &[f64], c: &mut [f64], ts: usize) {
     for r in 0..ts {
-        for s in 0..ts {
-            let mut acc = 0.0;
-            for p in 0..ts {
-                acc += a[r * ts + p] * b[s * ts + p];
-            }
-            c[r * ts + s] -= acc;
-        }
+        let row = r * ts..(r + 1) * ts;
+        update_row(&a[row.clone()], b, &mut c[row], ts, ts);
     }
 }
 
 /// Symmetric rank-k update `C ← C − A·Aᵀ` (lower part only).
 pub fn syrk(a: &[f64], c: &mut [f64], ts: usize) {
     for r in 0..ts {
-        for s in 0..=r {
-            let mut acc = 0.0;
-            for p in 0..ts {
-                acc += a[r * ts + p] * a[s * ts + p];
-            }
-            c[r * ts + s] -= acc;
-        }
+        let row = r * ts..(r + 1) * ts;
+        update_row(&a[row.clone()], a, &mut c[row], r + 1, ts);
     }
 }
 
@@ -263,16 +329,35 @@ pub fn cholesky_graph(m: &TiledMatrix) -> TaskGraph {
     g
 }
 
+/// Max `|(L·Lᵀ − A)[i, j..j+N]|`. The `N` sums share the terms
+/// `p ≤ j`; lane `k` then runs on to `p = j + k`.
+#[inline(always)]
+fn row_error<const N: usize>(l: &[f64], a: &[f64], i: usize, j: usize, n: usize) -> f64 {
+    let li = &l[i * n..(i + 1) * n];
+    let lj = rows::<N>(l, j, n);
+    let mut s = dots([0.0; N], li, lj, j + 1, |s, t| s + t);
+    let mut worst = 0.0f64;
+    for k in 0..N {
+        for p in j + 1..=j + k {
+            s[k] += li[p] * lj[k][p];
+        }
+        worst = worst.max((s[k] - a[i * n + j + k]).abs());
+    }
+    worst
+}
+
 /// Max absolute error of `L·Lᵀ` against `a` (lower triangle).
 pub fn factorisation_error(l: &[f64], a: &[f64], n: usize) -> f64 {
     let mut worst = 0.0f64;
     for i in 0..n {
-        for j in 0..=i {
-            let mut s = 0.0;
-            for p in 0..=j {
-                s += l[i * n + p] * l[j * n + p];
-            }
-            worst = worst.max((s - a[i * n + j]).abs());
+        let mut j = 0;
+        while j + 4 <= i + 1 {
+            worst = worst.max(row_error::<4>(l, a, i, j, n));
+            j += 4;
+        }
+        while j <= i {
+            worst = worst.max(row_error::<1>(l, a, i, j, n));
+            j += 1;
         }
     }
     worst
@@ -281,6 +366,137 @@ pub fn factorisation_error(l: &[f64], a: &[f64], n: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // The plain scalar loops the register-blocked kernels replaced, kept
+    // as the reference every output element must match bit for bit.
+
+    fn trsm_ref(l: &[f64], b: &mut [f64], ts: usize) {
+        for r in 0..ts {
+            for c in 0..ts {
+                let mut s = b[r * ts + c];
+                for p in 0..c {
+                    s -= b[r * ts + p] * l[c * ts + p];
+                }
+                b[r * ts + c] = s / l[c * ts + c];
+            }
+        }
+    }
+
+    fn gemm_nt_ref(a: &[f64], b: &[f64], c: &mut [f64], ts: usize) {
+        for r in 0..ts {
+            for s in 0..ts {
+                let mut acc = 0.0;
+                for p in 0..ts {
+                    acc += a[r * ts + p] * b[s * ts + p];
+                }
+                c[r * ts + s] -= acc;
+            }
+        }
+    }
+
+    fn syrk_ref(a: &[f64], c: &mut [f64], ts: usize) {
+        for r in 0..ts {
+            for s in 0..=r {
+                let mut acc = 0.0;
+                for p in 0..ts {
+                    acc += a[r * ts + p] * a[s * ts + p];
+                }
+                c[r * ts + s] -= acc;
+            }
+        }
+    }
+
+    /// Lower triangle of `L·Lᵀ`, each entry summed in index order.
+    fn llt_ref(l: &[f64], n: usize) -> Vec<f64> {
+        let mut out = vec![0.0; n * n];
+        for i in 0..n {
+            for j in 0..=i {
+                let mut s = 0.0;
+                for p in 0..=j {
+                    s += l[i * n + p] * l[j * n + p];
+                }
+                out[i * n + j] = s;
+            }
+        }
+        out
+    }
+
+    fn factorisation_error_ref(l: &[f64], a: &[f64], n: usize) -> f64 {
+        let llt = llt_ref(l, n);
+        let mut worst = 0.0f64;
+        for i in 0..n {
+            for j in 0..=i {
+                worst = worst.max((llt[i * n + j] - a[i * n + j]).abs());
+            }
+        }
+        worst
+    }
+
+    /// Deterministic full-mantissa values in ±[0.5, 1.5), so any change
+    /// of summation order shows in the low bits.
+    fn noise(len: usize, seed: u64) -> Vec<f64> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let v = 0.5 + (x >> 11) as f64 / (1u64 << 53) as f64;
+                if x & 1 == 0 {
+                    v
+                } else {
+                    -v
+                }
+            })
+            .collect()
+    }
+
+    fn assert_bits_eq(got: &[f64], want: &[f64], what: &str, ts: usize) {
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what} ts={ts} element {i}");
+        }
+    }
+
+    /// Sizes that cover whole blocks of four, every remainder, and (for
+    /// the triangular kernels) rows whose last block crosses the diagonal.
+    const SIZES: [usize; 8] = [1, 2, 3, 4, 5, 7, 16, 64];
+
+    #[test]
+    fn blocked_tile_kernels_are_bit_identical_to_the_scalar_loops() {
+        for ts in SIZES {
+            let (a, b, c) = (noise(ts * ts, 1), noise(ts * ts, 2), noise(ts * ts, 3));
+
+            let (mut got, mut want) = (c.clone(), c.clone());
+            gemm_nt(&a, &b, &mut got, ts);
+            gemm_nt_ref(&a, &b, &mut want, ts);
+            assert_bits_eq(&got, &want, "gemm_nt", ts);
+
+            let (mut got, mut want) = (c.clone(), c.clone());
+            syrk(&a, &mut got, ts);
+            syrk_ref(&a, &mut want, ts);
+            assert_bits_eq(&got, &want, "syrk", ts);
+
+            let (mut got, mut want) = (c.clone(), c.clone());
+            trsm(&a, &mut got, ts);
+            trsm_ref(&a, &mut want, ts);
+            assert_bits_eq(&got, &want, "trsm", ts);
+        }
+    }
+
+    #[test]
+    fn blocked_factorisation_error_is_bit_identical_to_the_scalar_loop() {
+        for n in SIZES {
+            let (l, a) = (noise(n * n, 4), noise(n * n, 5));
+            assert_eq!(
+                factorisation_error(&l, &a, n).to_bits(),
+                factorisation_error_ref(&l, &a, n).to_bits(),
+                "n={n}"
+            );
+            // Against the reference's own sums the error is exactly zero
+            // only if every entry of the triangle matches bit for bit.
+            assert_eq!(factorisation_error(&l, &llt_ref(&l, n), n), 0.0, "n={n}");
+        }
+    }
 
     #[test]
     fn reference_cholesky_factors_spd() {

@@ -73,7 +73,12 @@ pub const ALL: &[Experiment] = &[
     Experiment {
         name: "a33_allreduce_algorithms",
         run: a33_allreduce_algorithms::run,
-        weight: 3400,
+        // Measures ≈ 20 since its payloads became cost-only. Held at
+        // 100 because the benchmark harness takes `weight < 100` as
+        // "light" — its set-up warm-up and smoke set — and moving a33
+        // in there would change what `setup_s` measures; a benchmark
+        // PR re-baselines that, then this becomes 20.
+        weight: 100,
     },
     Experiment {
         name: "er01_checkpoint_levels",
@@ -173,7 +178,7 @@ pub const ALL: &[Experiment] = &[
     Experiment {
         name: "f23b_dcholesky",
         run: f23b_dcholesky::run,
-        weight: 1000,
+        weight: 350,
     },
     Experiment {
         name: "f25_offload",
@@ -218,9 +223,11 @@ mod tests {
         }
         // The known suite tail must outrank every sub-ms experiment, or
         // LPT ordering degenerates back to alphabetical.
-        for heavy in ["a33_allreduce_algorithms", "f09b_fft", "f23b_dcholesky"] {
+        for heavy in ["f09_scalability", "f09b_fft"] {
             assert!(find(heavy).unwrap().weight >= 1000, "{heavy} is the tail");
         }
+        // The benchmark's warm-up set is `weight < 100`; a33 stays out.
+        assert!(find("a33_allreduce_algorithms").unwrap().weight >= 100);
     }
 
     #[test]

@@ -4,15 +4,17 @@
 //! * barrier — dissemination (⌈log₂ n⌉ rounds)
 //! * bcast — binomial tree
 //! * reduce — binomial tree (commutative ops)
-//! * allreduce — recursive doubling for power-of-two groups, otherwise
+//! * allreduce — ring (reduce-scatter + allgather) for large splittable
+//!   payloads, recursive doubling for power-of-two groups, otherwise
 //!   reduce + bcast
 //! * gather / scatter — linear to/from root
 //! * allgather — ring (n−1 steps)
 //! * alltoall — pairwise rounds
 //!
-//! All collectives carry real [`Value`] payloads so tests can check
-//! numerical correctness, and real byte counts so the fabric charges
-//! realistic time.
+//! Every collective takes a [`Value`] and a byte count. The messages it
+//! books — and so the simulated time — depend on the byte count alone:
+//! pass real content where a test or a caller reads the result, and
+//! [`Value::Unit`] with the same `bytes` where only the time is wanted.
 
 use crate::comm::{Comm, Message, MpiCtx, TAG_INTERNAL_BASE};
 use crate::value::{ReduceOp, Value};
@@ -130,7 +132,7 @@ impl MpiCtx {
 
     /// Allreduce with size-adaptive algorithm selection, as in real
     /// ParaStation MPI: ring (bandwidth-optimal) for large splittable
-    /// vectors, recursive doubling for power-of-two groups, and
+    /// payloads, recursive doubling for power-of-two groups, and
     /// reduce-then-broadcast otherwise. Every rank returns the result.
     pub async fn allreduce(&self, comm: &Comm, op: ReduceOp, contrib: Value, bytes: u64) -> Value {
         let n = comm.size();
@@ -138,13 +140,17 @@ impl MpiCtx {
             return contrib;
         }
         // Ring pays 2(n−1) latencies to move only 2·len/n data per step:
-        // worth it for big payloads that can actually be split.
-        if bytes >= self.universe().params().allreduce_ring_threshold {
-            if let Value::VecF64(v) = &contrib {
-                if v.len() >= n as usize {
-                    return self.allreduce_ring(comm, op, v.as_ref().clone()).await;
-                }
-            }
+        // worth it for big payloads that can actually be split, i.e. hold
+        // at least one double per rank. A cost-only contribution stands
+        // for `bytes / 8` doubles.
+        let ring_bytes = match &contrib {
+            Value::VecF64(v) => 8 * v.len() as u64,
+            Value::Unit => bytes,
+            _ => 0,
+        };
+        if bytes >= self.universe().params().allreduce_ring_threshold && ring_bytes / 8 >= n as u64
+        {
+            return self.ring(comm, op, contrib, ring_bytes).await;
         }
         if n.is_power_of_two() {
             let rank = comm.rank();
@@ -367,16 +373,16 @@ const TAG_RING_RS: u32 = TAG_INTERNAL_BASE + 9;
 const TAG_RING_AG: u32 = TAG_INTERNAL_BASE + 10;
 const TAG_SCAN: u32 = TAG_INTERNAL_BASE + 11;
 
-/// Split `v` into `n` nearly-equal chunks (first `len % n` chunks one
+/// Split `v` into `n` nearly-equal blocks (first `len % n` blocks one
 /// element longer).
-fn split_blocks(v: &[f64], n: usize) -> Vec<Vec<f64>> {
+fn split_blocks(v: &[f64], n: usize) -> Vec<Value> {
     let per = v.len() / n;
     let extra = v.len() % n;
     let mut out = Vec::with_capacity(n);
     let mut off = 0;
     for i in 0..n {
         let len = per + usize::from(i < extra);
-        out.push(v[off..off + len].to_vec());
+        out.push(Value::vec(v[off..off + len].to_vec()));
         off += len;
     }
     out
@@ -386,18 +392,32 @@ impl MpiCtx {
     /// Ring allreduce (reduce-scatter + allgather): bandwidth-optimal for
     /// large vectors, `2(n−1)` steps of `len/n` elements. Chosen
     /// automatically by [`MpiCtx::allreduce`] above the universe's
-    /// `allreduce_ring_threshold` when the payload is a `VecF64`.
+    /// `allreduce_ring_threshold` when the payload holds at least one
+    /// double per rank; this entry forces it for a real vector.
     pub async fn allreduce_ring(&self, comm: &Comm, op: ReduceOp, contrib: Vec<f64>) -> Value {
+        let bytes = 8 * contrib.len() as u64;
+        self.ring(comm, op, Value::vec(contrib), bytes).await
+    }
+
+    /// The one ring schedule. `contrib` is a vector, split into one block
+    /// per rank, or `Value::Unit`, whose blocks are cost-only: either way
+    /// the same `2(n−1)` `sendrecv`s of `(bytes / n).max(1)` bytes are
+    /// booked. Blocks are `Rc`-shared, so a send is a refcount bump and
+    /// the receiver folds the incoming block into the one it owns.
+    async fn ring(&self, comm: &Comm, op: ReduceOp, contrib: Value, bytes: u64) -> Value {
         let n = comm.size() as usize;
         let rank = comm.rank() as usize;
         if n <= 1 {
-            return Value::vec(contrib);
+            return contrib;
         }
-        let total_len = contrib.len();
-        let mut blocks = split_blocks(&contrib, n);
+        let mut blocks = match contrib {
+            Value::Unit => vec![Value::Unit; n],
+            Value::VecF64(v) => split_blocks(&v, n),
+            other => panic!("ring allreduce expects a vector or Unit, got {other}"),
+        };
         let right = ((rank + 1) % n) as u32;
         let left = ((rank + n - 1) % n) as u32;
-        let block_bytes = (8 * total_len / n).max(1) as u64;
+        let block_bytes = (bytes / n as u64).max(1);
 
         // Phase 1: reduce-scatter. After n-1 steps, block (rank+1)%n is
         // fully reduced at this rank.
@@ -409,19 +429,15 @@ impl MpiCtx {
                     comm,
                     right,
                     TAG_RING_RS,
-                    Value::vec(blocks[send_idx].clone()),
+                    blocks[send_idx].clone(),
                     block_bytes,
                     Some(left),
                     Some(TAG_RING_RS),
                 )
                 .await;
-            let incoming = msg.value;
             // Deterministic order: combine in ascending origin-rank order.
             // The incoming partial already aggregates lower-origin ranks.
-            blocks[recv_idx] = match op.combine(&incoming, &Value::vec(blocks[recv_idx].clone())) {
-                Value::VecF64(v) => v.as_ref().clone(),
-                other => panic!("ring allreduce expects vectors, got {other}"),
-            };
+            op.combine_into(&msg.value, &mut blocks[recv_idx]);
         }
         // Phase 2: allgather of the reduced blocks.
         for s in 0..n - 1 {
@@ -432,17 +448,20 @@ impl MpiCtx {
                     comm,
                     right,
                     TAG_RING_AG,
-                    Value::vec(blocks[send_idx].clone()),
+                    blocks[send_idx].clone(),
                     block_bytes,
                     Some(left),
                     Some(TAG_RING_AG),
                 )
                 .await;
-            blocks[recv_idx] = msg.value.as_vec().to_vec();
+            blocks[recv_idx] = msg.value;
         }
-        let mut out = Vec::with_capacity(total_len);
-        for b in blocks {
-            out.extend_from_slice(&b);
+        if matches!(blocks[0], Value::Unit) {
+            return Value::Unit;
+        }
+        let mut out = Vec::with_capacity((bytes / 8) as usize);
+        for b in &blocks {
+            out.extend_from_slice(b.as_vec());
         }
         Value::vec(out)
     }

@@ -99,7 +99,8 @@ pub struct MpiParams {
     pub spawn_base: SimDuration,
     /// Allreduce payloads at or above this size use the ring
     /// (reduce-scatter + allgather) algorithm instead of recursive
-    /// doubling, when the payload is a splittable vector.
+    /// doubling, when the payload holds at least one double per rank
+    /// (a `VecF64`, or `Value::Unit` standing for `bytes / 8` doubles).
     pub allreduce_ring_threshold: u64,
 }
 

@@ -1,9 +1,14 @@
 //! Message payloads and reduction operators.
 //!
 //! The simulator separates *cost* (the byte count a message charges to the
-//! fabric) from *content* (a [`Value`]). Carrying real values lets the
-//! test suite verify that collectives and offloaded kernels compute
-//! correct results, not just plausible timings.
+//! fabric) from *content* (a [`Value`]). Simulated time depends on the
+//! byte count alone, so every point-to-point call and every collective
+//! accepts [`Value::Unit`] with an explicit `bytes` and then books exactly
+//! the messages a real payload of that size would (pinned by
+//! `tests/proptest_collectives.rs`). Carry content only where printed
+//! output or control flow reads it — a convergence test, a residual, a
+//! checksum — and in the tests that verify collectives and offloaded
+//! kernels compute correct results, not just plausible timings.
 
 use std::fmt;
 use std::rc::Rc;
@@ -139,6 +144,21 @@ impl ReduceOp {
             (p, q) => panic!("cannot reduce {p:?} with {q:?}"),
         }
     }
+
+    /// `acc ← combine(left, acc)`, folding a vector into `acc`'s own
+    /// storage (copied first only if `acc` is shared). Same operand order
+    /// as [`ReduceOp::combine`], so the result is bit-identical to it.
+    pub fn combine_into(self, left: &Value, acc: &mut Value) {
+        match (left, acc) {
+            (Value::VecF64(x), Value::VecF64(y)) => {
+                assert_eq!(x.len(), y.len(), "reduce on mismatched vector lengths");
+                for (q, &p) in Rc::make_mut(y).iter_mut().zip(x.iter()) {
+                    *q = self.fold_f64(p, *q);
+                }
+            }
+            (left, acc) => *acc = self.combine(left, acc),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -173,6 +193,21 @@ mod tests {
             ReduceOp::Sum.combine(&a, &b),
             Value::vec(vec![11.0, 22.0, 33.0])
         );
+    }
+
+    #[test]
+    fn combine_into_matches_combine_and_leaves_shared_storage_alone() {
+        let left = Value::vec(vec![0.1, -2.0, 3.5]);
+        let shared = Value::vec(vec![0.2, 7.0, -1.5]);
+        for op in [ReduceOp::Sum, ReduceOp::Max, ReduceOp::Min, ReduceOp::Prod] {
+            let mut acc = shared.clone();
+            op.combine_into(&left, &mut acc);
+            assert_eq!(acc, op.combine(&left, &shared));
+            let mut unit = Value::Unit;
+            op.combine_into(&Value::Unit, &mut unit);
+            assert_eq!(unit, Value::Unit);
+        }
+        assert_eq!(shared, Value::vec(vec![0.2, 7.0, -1.5]));
     }
 
     #[test]

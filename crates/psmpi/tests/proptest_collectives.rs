@@ -1,6 +1,7 @@
 //! Property-based tests: every collective must compute exactly what a
 //! sequential reference computes, for arbitrary group sizes, roots and
-//! payloads.
+//! payloads — and must book exactly the same messages at the same
+//! simulated times whether it carries that payload or only its size.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -9,14 +10,26 @@ use deep_psmpi::{launch_world, EpId, IdealWire, MpiCtx, MpiParams, ReduceOp, Uni
 use deep_simkit::{SimDuration, Simulation};
 use proptest::prelude::*;
 
-fn run_ranks<T: Clone + 'static>(
+type RankFuture<T> = std::pin::Pin<Box<dyn std::future::Future<Output = T>>>;
+
+fn run_ranks<T: Clone + 'static>(n: u32, f: impl Fn(MpiCtx) -> RankFuture<T> + 'static) -> Vec<T> {
+    run_ranks_with(n, MpiParams::default(), f).0
+}
+
+/// Simulated end time in ns, then `Universe::traffic()`'s messages, bytes
+/// and rendezvous handshakes.
+type Cost = [u64; 4];
+
+/// Per-rank results and what the run cost.
+fn run_ranks_with<T: Clone + 'static>(
     n: u32,
-    f: impl Fn(MpiCtx) -> std::pin::Pin<Box<dyn std::future::Future<Output = T>>> + 'static,
-) -> Vec<T> {
+    params: MpiParams,
+    f: impl Fn(MpiCtx) -> RankFuture<T> + 'static,
+) -> (Vec<T>, Cost) {
     let mut sim = Simulation::new(9);
     let ctx = sim.handle();
     let wire = Rc::new(IdealWire::new(&ctx, SimDuration::micros(1), 5e9));
-    let uni = Universe::new(&ctx, wire, n as usize, MpiParams::default());
+    let uni = Universe::new(&ctx, wire, n as usize, params);
     let results: Rc<RefCell<Vec<Option<T>>>> = Rc::new(RefCell::new(vec![None; n as usize]));
     let r2 = results.clone();
     let f = Rc::new(f);
@@ -35,11 +48,117 @@ fn run_ranks<T: Clone + 'static>(
         .iter_mut()
         .map(|v| v.take().unwrap())
         .collect();
-    out
+    let t = uni.traffic();
+    let cost = [sim.now().as_nanos(), t.messages, t.bytes, t.rendezvous];
+    (out, cost)
+}
+
+/// The collectives whose timing must depend on `bytes` alone.
+#[derive(Debug, Clone, Copy)]
+enum Collective {
+    /// Adaptive allreduce, ring disabled: recursive doubling for
+    /// power-of-two groups, reduce + bcast otherwise.
+    AllreduceNoRing,
+    /// Adaptive allreduce with the ring threshold at zero: the ring
+    /// whenever there is an element per rank, else as above.
+    AllreduceRingFirst,
+    /// The forced ring entry, which takes a real vector of any length,
+    /// against a cost-only contribution routed by the adaptive rule.
+    AllreduceRing,
+    Reduce,
+    Bcast,
+    Alltoall,
+    Allgather,
+}
+
+const COLLECTIVES: [Collective; 7] = [
+    Collective::AllreduceNoRing,
+    Collective::AllreduceRingFirst,
+    Collective::AllreduceRing,
+    Collective::Reduce,
+    Collective::Bcast,
+    Collective::Alltoall,
+    Collective::Allgather,
+];
+
+/// Run `which` over `n` ranks with `len` doubles per contribution —
+/// real vectors, or `Value::Unit` standing for them.
+fn cost_of(which: Collective, n: u32, len: usize, content: bool) -> Cost {
+    let params = MpiParams {
+        allreduce_ring_threshold: match which {
+            Collective::AllreduceNoRing => u64::MAX,
+            _ => 0,
+        },
+        ..MpiParams::default()
+    };
+    let (_, cost) = run_ranks_with(n, params, move |m| {
+        Box::pin(async move {
+            let world = m.world().clone();
+            let bytes = 8 * len as u64;
+            let root = n / 2;
+            let payload = || {
+                if content {
+                    Value::vec(vec![m.rank() as f64 + 0.25; len])
+                } else {
+                    Value::Unit
+                }
+            };
+            match which {
+                Collective::AllreduceNoRing | Collective::AllreduceRingFirst => {
+                    m.allreduce(&world, ReduceOp::Sum, payload(), bytes).await;
+                }
+                Collective::AllreduceRing if content => {
+                    m.allreduce_ring(&world, ReduceOp::Sum, vec![1.5; len])
+                        .await;
+                }
+                Collective::AllreduceRing => {
+                    m.allreduce(&world, ReduceOp::Sum, Value::Unit, bytes).await;
+                }
+                Collective::Reduce => {
+                    m.reduce(&world, root, ReduceOp::Sum, payload(), bytes)
+                        .await;
+                }
+                Collective::Bcast => {
+                    m.bcast(&world, root, payload(), bytes).await;
+                }
+                Collective::Alltoall => {
+                    let blocks = (0..n).map(|_| payload()).collect();
+                    m.alltoall(&world, blocks, bytes).await;
+                }
+                Collective::Allgather => {
+                    m.allgather(&world, payload(), bytes).await;
+                }
+            }
+        })
+    });
+    cost
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Simulated time and traffic depend on the byte count alone: a
+    /// collective carrying real vectors and one carrying `Value::Unit`
+    /// with the same `bytes` end at the same instant having booked the
+    /// same messages. `len` ranges below `n` (too short to split, so the
+    /// adaptive allreduce must fall back for both payload kinds alike),
+    /// over lengths `n` does not divide, and across the eager/rendezvous
+    /// switch at 2048 doubles.
+    #[test]
+    fn timing_depends_on_bytes_alone(n in 1u32..12, short in 1usize..40, scale in 0usize..3) {
+        let len = short + 2030 * scale;
+        for which in COLLECTIVES {
+            // Below one element per rank the adaptive rule leaves the
+            // ring, which only the forced entry would still take.
+            if matches!(which, Collective::AllreduceRing) && len < n as usize {
+                continue;
+            }
+            prop_assert_eq!(
+                cost_of(which, n, len, true), cost_of(which, n, len, false),
+                "{:?} n={} len={}", which, n, len
+            );
+        }
+    }
 
     /// allreduce(Sum) of random per-rank vectors equals the elementwise sum.
     #[test]
