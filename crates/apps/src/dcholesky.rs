@@ -63,7 +63,7 @@ pub async fn cholesky_distributed(
     // My tiles: (i, j) → ts×ts data, for owned columns j (lower triangle).
     // Ordered map: tiles are addressed by key in the factorisation loops,
     // but the verification gather walks columns — an ordered container
-    // keeps any iteration deterministic (deep-lint rule D1).
+    // keeps any iteration deterministic.
     let mut tiles = Tiles::new();
     for j in 0..nt {
         if column_owner(j, p) != rank {

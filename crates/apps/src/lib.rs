@@ -17,7 +17,6 @@
 //!   state sizes and progress marks consumed by the `deep-io`
 //!   checkpoint/resilience stack.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cg;

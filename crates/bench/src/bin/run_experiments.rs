@@ -32,10 +32,7 @@
 //! contention can exceed their solo cost — the suite total is the
 //! honest number.
 
-#![forbid(unsafe_code)]
-
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Instant;
 
 use deep_bench::experiments::{self, Experiment};
 use deep_core::Table;
@@ -61,7 +58,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 fn run_one(e: &Experiment) -> Outcome {
-    let t0 = Instant::now();
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "times the run for the stderr SUITE table; never reaches the experiment"
+    )]
+    let t0 = std::time::Instant::now();
     let result = catch_unwind(AssertUnwindSafe(|| {
         let mut out = String::new();
         (e.run)(&mut out);
@@ -91,6 +93,10 @@ fn main() {
     let mut only: Option<Vec<String>> = None;
     let mut cache_dir: Option<String> = None;
     let mut quiet = false;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the driver owns the command line; experiments take no arguments"
+    )]
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -152,7 +158,12 @@ fn main() {
     let mut order: Vec<usize> = (0..selected.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(selected[i].weight));
     let threads = rayon::current_num_threads();
-    let t0 = Instant::now();
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "suite wall for the stderr SUITE table; never reaches an experiment"
+    )]
+    let t0 = std::time::Instant::now();
     let by_order: Vec<Outcome> = order
         .par_iter()
         .with_max_len(1)

@@ -8,8 +8,6 @@
 //! wall-clock time: every number is virtual time out of the
 //! deterministic simulator, so reruns reproduce the tables bit-for-bit.
 
-#![forbid(unsafe_code)]
-
 pub mod des_scaling;
 pub mod experiments;
 pub mod sweep;

@@ -16,7 +16,6 @@
 //!   with flow-hashed BI selection, optional striping of bulk transfers
 //!   across every BI, and credit-based BI buffering (back-pressure).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::cell::RefCell;

@@ -47,7 +47,6 @@
 //! sim.run().assert_completed();
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baselines;

@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn distinct_destinations_use_multiple_spines() {
         let t = tree(32);
-        let mut spines = std::collections::HashSet::new();
+        let mut spines = std::collections::BTreeSet::new();
         for d in 4..32u32 {
             spines.insert(t.spine_for(NodeId(0), NodeId(d)));
         }

@@ -13,7 +13,6 @@
 //! * [`extoll::ExtollFabric`] / [`ib::IbFabric`] — NIC front-ends adding
 //!   the per-message engine overheads (VELO, RMA, SMFU, verbs).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod extoll;

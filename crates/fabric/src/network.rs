@@ -442,20 +442,25 @@ impl Network {
     /// instants in slice order, minus what the batch path deliberately
     /// does not model — endpoint overheads (fold them into `earliest`
     /// and onto the returned completion) and fault injection (the batch
-    /// path is for clean bulk phases; debug builds assert no fault model
-    /// or node fault is active).
+    /// path is for clean bulk phases).
+    ///
+    /// # Panics
+    ///
+    /// In every build profile, if a fault model or a node fault is
+    /// active: a batch booked on a faulted fabric would otherwise return
+    /// clean timings. The two checks run once per batch, not per message.
     ///
     /// Messages may depend on the future (`earliest >= now` is
     /// required); loopback messages cost the node-local copy time and
     /// touch no links.
     pub fn schedule_batch(&self, msgs: &[BatchMsg], completions: &mut Vec<SimTime>) -> SimTime {
         let now = self.sim.now();
-        debug_assert_eq!(
+        assert_eq!(
             self.fault.get().segment_error_rate,
             0.0,
             "schedule_batch does not sample the fault model"
         );
-        debug_assert_eq!(
+        assert_eq!(
             self.node_faults.borrow().active,
             0,
             "schedule_batch does not model node faults"
@@ -856,6 +861,27 @@ mod tests {
             assert_eq!(done[2].as_nanos(), 1_000); // 8 kB at 8 GB/s
         });
         sim.run().assert_completed();
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule_batch does not sample the fault model")]
+    fn batch_refuses_an_active_fault_model() {
+        let sim = Simulation::new(1);
+        let net = mk(&sim.handle(), 2, 1e9, 0);
+        net.set_fault_model(FaultModel {
+            segment_error_rate: 1e-3,
+            ..FaultModel::default()
+        });
+        net.schedule_batch(&[], &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule_batch does not model node faults")]
+    fn batch_refuses_an_active_node_fault() {
+        let sim = Simulation::new(1);
+        let net = mk(&sim.handle(), 2, 1e9, 0);
+        net.set_node_down(NodeId(1), true);
+        net.schedule_batch(&[], &mut Vec::new());
     }
 
     #[test]

@@ -72,7 +72,7 @@ mod tests {
                 latency: SimDuration::nanos(100),
             },
         );
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut path = Vec::new();
         for s in 0..4u32 {
             for d in 0..4u32 {

@@ -24,7 +24,6 @@
 //! manager's commit log); this crate supplies the failures and the
 //! end-to-end proofs that the stack rides them out.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod inject;

@@ -14,7 +14,6 @@
 //! reproduction depend on peak/sustained throughput ratios and power, not
 //! on cycle-accurate microarchitecture.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod energy;

@@ -17,7 +17,6 @@
 //!   checkpoint + restore engine over NVM, EXTOLL buddies, and the PFS;
 //! * [`config::StorageConfig`] — static description, JSON round-trip.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;

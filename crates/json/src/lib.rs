@@ -22,7 +22,6 @@
 //! hashes it with FNV-1a; [`cache`] is the content-addressed result
 //! store built on those digests.
 
-#![forbid(unsafe_code)]
 // Request path of the daemon: a malformed job must yield an error
 // response, not a panic (DESIGN.md §13).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]

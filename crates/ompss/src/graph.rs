@@ -87,7 +87,7 @@ pub struct TaskGraph {
     // BTreeMap rather than HashMap: today these are only read by key,
     // but region bookkeeping sits directly upstream of dependence-edge
     // creation — ordered maps make any future iteration deterministic
-    // by construction (deep-lint rule D1).
+    // by construction.
     last_writer: BTreeMap<RegionId, TaskId>,
     readers_since_write: BTreeMap<RegionId, Vec<TaskId>>,
     n_edges: usize,

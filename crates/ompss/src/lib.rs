@@ -14,7 +14,6 @@
 //!   [`offload::offload_server`] via global MPI, shipping data before and
 //!   after each offloaded parallel kernel (experiments F10, F25).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod gantt;

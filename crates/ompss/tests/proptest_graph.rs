@@ -31,7 +31,7 @@ fn rand_task() -> impl Strategy<Value = RandTask> {
 /// Sequentially execute the access semantics: regions hold the id of
 /// their last writer; reads observe that id.
 fn sequential_reads(tasks: &[RandTask]) -> Vec<Vec<(u64, i64)>> {
-    let mut region_val: std::collections::HashMap<u64, i64> = std::collections::HashMap::new();
+    let mut region_val: std::collections::BTreeMap<u64, i64> = std::collections::BTreeMap::new();
     let mut observed = Vec::with_capacity(tasks.len());
     for (i, t) in tasks.iter().enumerate() {
         let mut mine = Vec::new();
@@ -53,7 +53,7 @@ type Observed = Rc<RefCell<Vec<Vec<(u64, i64)>>>>;
 fn build_graph(
     tasks: &[RandTask],
     observed: Observed,
-    region_val: Rc<RefCell<std::collections::HashMap<u64, i64>>>,
+    region_val: Rc<RefCell<std::collections::BTreeMap<u64, i64>>>,
 ) -> TaskGraph {
     let mut g = TaskGraph::new();
     for (i, t) in tasks.iter().enumerate() {
@@ -109,7 +109,7 @@ proptest! {
     ) {
         let expect = sequential_reads(&tasks);
         let observed = Rc::new(RefCell::new(vec![Vec::new(); tasks.len()]));
-        let region_val = Rc::new(RefCell::new(std::collections::HashMap::new()));
+        let region_val = Rc::new(RefCell::new(std::collections::BTreeMap::new()));
         let g = build_graph(&tasks, observed.clone(), region_val);
 
         let mut sim = Simulation::new(3);

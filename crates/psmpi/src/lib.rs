@@ -19,7 +19,6 @@
 //! cluster-booster bridge (`deep-cbp`) slots underneath unchanged MPI
 //! code — mirroring how ParaStation MPI gained a booster port.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analytic;

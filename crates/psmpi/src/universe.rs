@@ -133,7 +133,7 @@ pub(crate) struct UniverseInner {
     mailboxes: Vec<Mailbox>,
     // Ordered maps: app names are registered and looked up by key only,
     // but spawn/pool bookkeeping feeds trace-visible behaviour — keep
-    // any future iteration deterministic (deep-lint rule D1).
+    // any future iteration deterministic.
     pub(crate) registry: BTreeMap<String, AppFn>,
     pub(crate) pools: BTreeMap<String, Vec<EpId>>,
     next_context: u64,

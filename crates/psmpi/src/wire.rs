@@ -104,7 +104,7 @@ pub struct IdealWire {
     sim: deep_simkit::Sim,
     latency: deep_simkit::SimDuration,
     bandwidth_bps: f64,
-    last_delivery: std::cell::RefCell<std::collections::HashMap<(u32, u32), deep_simkit::SimTime>>,
+    last_delivery: std::cell::RefCell<std::collections::BTreeMap<(u32, u32), deep_simkit::SimTime>>,
 }
 
 impl IdealWire {
@@ -118,7 +118,7 @@ impl IdealWire {
             sim: sim.clone(),
             latency,
             bandwidth_bps,
-            last_delivery: std::cell::RefCell::new(std::collections::HashMap::new()),
+            last_delivery: std::cell::RefCell::new(std::collections::BTreeMap::new()),
         }
     }
 }

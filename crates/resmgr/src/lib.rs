@@ -8,7 +8,6 @@
 //! job mixes; an EASY-style backfill option exercises the paper's
 //! "resources managed statically or dynamically" claim further.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod assign;

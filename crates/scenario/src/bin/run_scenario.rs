@@ -21,8 +21,6 @@
 //!
 //! Exit codes: 0 ok, 1 runtime error, 2 bad usage or invalid scenario.
 
-#![forbid(unsafe_code)]
-
 use deep_json::cache::ResultCache;
 use deep_json::object;
 use deep_scenario::Scenario;
@@ -38,6 +36,10 @@ fn main() {
     let mut check = false;
     let mut quiet = false;
     let mut cache_dir: Option<String> = None;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the driver owns the command line; the library takes a parsed Scenario"
+    )]
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {

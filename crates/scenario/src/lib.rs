@@ -39,7 +39,6 @@
 //! formatting, so reformatted copies of a scenario hit the same cache
 //! entry. See `docs/scenario.md` for the full grammar.
 
-#![forbid(unsafe_code)]
 // Request path of the daemon: a malformed job must yield an error
 // response, not a panic (DESIGN.md §13).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]

@@ -18,8 +18,6 @@
 //! new submissions get 503 + `Retry-After`, admitted jobs finish,
 //! then the process exits 0.
 
-#![forbid(unsafe_code)]
-
 use deep_serve::scheduler::SchedulerConfig;
 use deep_serve::server::Server;
 use std::io::Write as _;

@@ -25,8 +25,6 @@
 //! Exit codes: 0 job done, 1 job failed or daemon unreachable,
 //! 2 usage, 3 gave up on backpressure.
 
-#![forbid(unsafe_code)]
-
 use deep_serve::client::{ServeClient, Submitted};
 
 fn usage() -> ! {

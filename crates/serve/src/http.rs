@@ -56,6 +56,12 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
+/// A well-formed request whose declared body exceeds [`MAX_BODY`]; the
+/// server answers it 413 where [`bad`] input gets 400.
+fn too_large(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::FileTooLarge, msg.to_string())
+}
+
 /// Read one CRLF- (or LF-) terminated line, bounded by [`MAX_LINE`].
 fn read_line_limited(r: &mut impl BufRead) -> io::Result<Option<String>> {
     let mut buf = Vec::new();
@@ -90,6 +96,9 @@ fn read_line_limited(r: &mut impl BufRead) -> io::Result<Option<String>> {
 
 /// Parse one request off the wire. `Ok(None)` means the peer closed
 /// the connection cleanly between requests (normal keep-alive end).
+/// `InvalidData` is a malformed request (400), `FileTooLarge` a body
+/// over [`MAX_BODY`] (413); after either the framing is unknown and the
+/// connection must close.
 pub fn read_request(r: &mut impl BufRead) -> io::Result<Option<Request>> {
     let Some(line) = read_line_limited(r)? else {
         return Ok(None);
@@ -122,19 +131,24 @@ pub fn read_request(r: &mut impl BufRead) -> io::Result<Option<Request>> {
         headers,
         body: Vec::new(),
     };
-    if let Some(len) = req.header("content-length") {
-        let len: usize = len.parse().map_err(|_| bad("bad content-length"))?;
-        if len > MAX_BODY {
-            return Err(bad("body too large"));
-        }
-        let mut body = vec![0u8; len];
-        r.read_exact(&mut body)?;
-        req.body = body;
-    } else if req.header("transfer-encoding").is_some() {
-        // The API never needs chunked *requests*; reject rather than
-        // desync the framing.
+    // Framing: exactly one way to delimit the body. A second
+    // `Content-Length`, or a `Transfer-Encoding` (the API never needs
+    // chunked *requests*) with or without one, is a request another
+    // HTTP hop could frame differently — reject rather than desync.
+    if req.header("transfer-encoding").is_some() {
         return Err(bad("chunked requests not supported"));
     }
+    let mut lengths = req.headers.iter().filter(|(k, _)| k == "content-length");
+    let len = match (lengths.next(), lengths.next()) {
+        (_, Some(_)) => return Err(bad("multiple content-length headers")),
+        (Some((_, v)), None) => v.parse().map_err(|_| bad("bad content-length"))?,
+        (None, _) => 0usize,
+    };
+    if len > MAX_BODY {
+        return Err(too_large("body too large"));
+    }
+    req.body = vec![0u8; len];
+    r.read_exact(&mut req.body)?;
     Ok(Some(req))
 }
 
@@ -409,15 +423,36 @@ mod tests {
         let long = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE + 1));
         assert!(read_request(&mut Cursor::new(long.as_bytes())).is_err());
         assert!(read_request(&mut Cursor::new(&b"NOT-HTTP\r\n\r\n"[..])).is_err());
-        let big = format!(
-            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
-            MAX_BODY + 1
-        );
-        assert!(read_request(&mut Cursor::new(big.as_bytes())).is_err());
         assert!(read_request(&mut Cursor::new(
             &b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"[..]
         ))
         .is_err());
+    }
+
+    fn request_error_kind(raw: &str) -> io::ErrorKind {
+        read_request(&mut Cursor::new(raw.as_bytes()))
+            .expect_err("request must be rejected")
+            .kind()
+    }
+
+    #[test]
+    fn ambiguous_framing_is_malformed() {
+        // Either could be framed differently by another HTTP hop; on a
+        // keep-alive connection the leftover bytes would be read as the
+        // next request.
+        let both = "POST / HTTP/1.1\r\nContent-Length: 4\r\nTransfer-Encoding: chunked\r\n\r\nabcd";
+        assert_eq!(request_error_kind(both), io::ErrorKind::InvalidData);
+        let twice = "POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 0\r\n\r\nabcd";
+        assert_eq!(request_error_kind(twice), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn oversized_body_is_too_large_not_malformed() {
+        let big = format!(
+            "POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY + 1
+        );
+        assert_eq!(request_error_kind(&big), io::ErrorKind::FileTooLarge);
     }
 
     #[test]

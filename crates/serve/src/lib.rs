@@ -20,7 +20,6 @@
 //! `sigshim`. See `docs/serve.md` for the wire API and DESIGN.md §14
 //! for the architecture.
 
-#![forbid(unsafe_code)]
 // Request path of the daemon: a malformed job must yield an error
 // response, not a panic (DESIGN.md §13).
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]

@@ -143,14 +143,19 @@ fn serve_connection(
         let req = match read_request(&mut reader) {
             Ok(Some(req)) => req,
             Ok(None) => return Ok(()), // clean close between requests
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                // Malformed request: answer 400 and drop the
-                // connection (framing may be desynchronised).
+            Err(e) => {
+                // Malformed (400) or oversized (413) request: answer
+                // and drop the connection (framing may be
+                // desynchronised).
+                let status = match e.kind() {
+                    io::ErrorKind::InvalidData => 400,
+                    io::ErrorKind::FileTooLarge => 413,
+                    _ => return Err(e),
+                };
                 let body = object([("error", e.to_string().as_str().into())]);
-                Response::json(400, &body).write_to(&mut writer, false)?;
+                Response::json(status, &body).write_to(&mut writer, false)?;
                 return Ok(());
             }
-            Err(e) => return Err(e),
         };
         let keep_alive = !req.wants_close();
         match route(&req, scheduler, draining) {

@@ -261,6 +261,53 @@ fn health_metrics_and_errors_speak_http() {
     daemon.stop();
 }
 
+/// Send a raw request head on a fresh connection; return the status
+/// line and whether the daemon closed the connection after answering
+/// (a kept-alive connection runs into the read timeout instead).
+fn raw_exchange(addr: &str, request: &str) -> (String, bool) {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    stream.write_all(request.as_bytes()).expect("send");
+    let mut reply = String::new();
+    let closed = stream.read_to_string(&mut reply).is_ok();
+    (reply.lines().next().unwrap_or_default().to_string(), closed)
+}
+
+#[test]
+fn ambiguous_or_oversized_framing_is_refused_and_the_daemon_survives() {
+    let daemon = boot(SchedulerConfig::default());
+    let big = deep_serve::http::MAX_BODY + 1;
+    for (request, status) in [
+        (
+            "POST /jobs HTTP/1.1\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n"
+                .to_string(),
+            "HTTP/1.1 400 Bad Request",
+        ),
+        (
+            "POST /jobs HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 0\r\n\r\n".to_string(),
+            "HTTP/1.1 400 Bad Request",
+        ),
+        (
+            format!("POST /jobs HTTP/1.1\r\nContent-Length: {big}\r\n\r\n"),
+            "HTTP/1.1 413 Payload Too Large",
+        ),
+    ] {
+        let (line, closed) = raw_exchange(&daemon.addr, &request);
+        assert_eq!(line, status, "{request:?}");
+        assert!(closed, "connection must close after {request:?}");
+    }
+    // The next connection is served normally.
+    let mut client = ServeClient::connect(&daemon.addr).expect("connect");
+    assert_eq!(
+        client.healthz().expect("healthz")["status"].as_str(),
+        Some("ok")
+    );
+    daemon.stop();
+}
+
 #[test]
 fn event_stream_narrates_the_job_lifecycle() {
     let daemon = boot(SchedulerConfig {

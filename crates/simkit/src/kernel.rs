@@ -38,13 +38,20 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::HashSet;
 use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 
 use crate::time::SimTime;
+
+/// Tokens of cancelled timers. Only ever probed by key (`insert`,
+/// `remove`, `is_empty`), on the timer-pop path.
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed access only, never iterated: hash order cannot reach an event"
+)]
+type CancelledSet = std::collections::HashSet<u64>;
 
 /// Identifier of a simulated process. Dense, never reused within one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -193,7 +200,7 @@ impl TimerWheel {
     /// Drop cancelled entries from the slot due at `at`; returns true if
     /// the slot still has live entries. Only called on the rare path
     /// where the cancelled set is non-empty.
-    fn purge(&mut self, at: SimTime, cancelled: &mut HashSet<u64>) -> bool {
+    fn purge(&mut self, at: SimTime, cancelled: &mut CancelledSet) -> bool {
         let s = Self::slot_of(at);
         let slot = &mut self.slots[s];
         let before = slot.len();
@@ -243,7 +250,7 @@ pub(crate) struct Kernel {
     fire_scratch: Vec<(u64, ProcId)>,
     /// Tokens of cancelled (not yet surfaced) timers. Almost always empty;
     /// the `is_empty` fast path keeps the per-event cost at one branch.
-    cancelled: HashSet<u64>,
+    cancelled: CancelledSet,
     pub(crate) ready: VecDeque<ProcId>,
     /// Hot process slab: one 24-byte slot per process.
     pub(crate) procs: Vec<ProcSlot>,
@@ -273,7 +280,7 @@ impl Kernel {
             heap_len: 0,
             part_of: Vec::with_capacity(256),
             fire_scratch: Vec::new(),
-            cancelled: HashSet::new(),
+            cancelled: CancelledSet::new(),
             ready: VecDeque::with_capacity(256),
             procs: Vec::with_capacity(256),
             names: Vec::with_capacity(256),

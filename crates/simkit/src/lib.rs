@@ -44,7 +44,6 @@
 //! assert_eq!(sim.now().as_micros(), 30);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod channel;

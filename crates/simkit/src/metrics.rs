@@ -4,7 +4,7 @@
 //! returned dense ids is allocation-free (hot path), following the
 //! integer-ids-over-strings idiom from the performance guides.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::time::{SimDuration, SimTime};
 
@@ -119,16 +119,16 @@ impl Histogram {
 
 /// Registry of named metrics for one simulation.
 ///
-/// Export helpers (`all_counters`, `all_histograms`, `all_series`) return
-/// name-sorted tables, so two identical runs print identical reports —
-/// `HashMap` iteration order never leaks into output.
+/// Names live in `BTreeMap`s, so the export helpers (`all_counters`,
+/// `all_histograms`, `all_series`) walk them in name order and two
+/// identical runs print identical reports.
 #[derive(Default)]
 pub struct Metrics {
-    counter_names: HashMap<String, CounterId>,
+    counter_names: BTreeMap<String, CounterId>,
     counters: Vec<u64>,
-    histogram_names: HashMap<String, HistogramId>,
+    histogram_names: BTreeMap<String, HistogramId>,
     histograms: Vec<Histogram>,
-    series_names: HashMap<String, SeriesId>,
+    series_names: BTreeMap<String, SeriesId>,
     series: Vec<Vec<(SimTime, f64)>>,
 }
 
@@ -247,38 +247,26 @@ impl Metrics {
 
     /// Iterate all counters as `(name, value)`, sorted by name.
     pub fn all_counters(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = self
-            .counter_names
-            // deep-lint: allow(unordered-iter) — collected then sorted by name before exposure
+        self.counter_names
             .iter()
             .map(|(n, &id)| (n.clone(), self.counters[id.0]))
-            .collect();
-        v.sort();
-        v
+            .collect()
     }
 
     /// Iterate all histograms as `(name, histogram)`, sorted by name.
     pub fn all_histograms(&self) -> Vec<(String, &Histogram)> {
-        let mut v: Vec<(String, &Histogram)> = self
-            .histogram_names
-            // deep-lint: allow(unordered-iter) — collected then sorted by name before exposure
+        self.histogram_names
             .iter()
             .map(|(n, &id)| (n.clone(), &self.histograms[id.0]))
-            .collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
+            .collect()
     }
 
     /// Iterate all series as `(name, points)`, sorted by name.
     pub fn all_series(&self) -> Vec<(String, &[(SimTime, f64)])> {
-        let mut v: Vec<(String, &[(SimTime, f64)])> = self
-            .series_names
-            // deep-lint: allow(unordered-iter) — collected then sorted by name before exposure
+        self.series_names
             .iter()
             .map(|(n, &id)| (n.clone(), self.series[id.0].as_slice()))
-            .collect();
-        v.sort_by(|a, b| a.0.cmp(&b.0));
-        v
+            .collect()
     }
 }
 
@@ -411,7 +399,7 @@ mod tests {
     #[test]
     fn export_order_is_stable_across_insertion_orders() {
         // Two registries populated in opposite orders must export
-        // identical tables — HashMap iteration order must not leak.
+        // identical, name-sorted tables.
         let build = |names: &[&str]| {
             let mut m = Metrics::new();
             for n in names {

@@ -16,9 +16,9 @@
 //! [`Tracer::take`]. Recording an event therefore allocates nothing
 //! beyond the payload the caller already built. Hot call sites can go
 //! one step further and pre-intern a [`TraceKey`] to skip even the name
-//! hash lookups.
+//! lookups.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::time::SimTime;
 
@@ -67,7 +67,7 @@ pub(crate) struct Tracer {
     events: Vec<RawEvent>,
     /// Interned name table; `TraceKey` ids index into this.
     names: Vec<String>,
-    ids: HashMap<String, u16>,
+    ids: BTreeMap<String, u16>,
 }
 
 impl Tracer {
@@ -76,7 +76,7 @@ impl Tracer {
             enabled: false,
             events: Vec::new(),
             names: Vec::new(),
-            ids: HashMap::new(),
+            ids: BTreeMap::new(),
         }
     }
 
@@ -119,7 +119,7 @@ impl Tracer {
         self.events.push(RawEvent { at, key, payload });
     }
 
-    /// Record an event through a pre-interned key (no hashing at all).
+    /// Record an event through a pre-interned key (no name lookup at all).
     #[inline]
     pub(crate) fn record_key(&mut self, at: SimTime, key: TraceKey, payload: String) {
         debug_assert!(

@@ -1,4 +1,3 @@
 //! Umbrella crate for integration tests and examples of the deep-rs workspace.
 
-#![forbid(unsafe_code)]
 pub use deep_core as core;

@@ -2,9 +2,9 @@
 //! `tests/scenario_fixtures/` is either `valid_*.toml` (must parse,
 //! validate, and round-trip through the serializer) or
 //! `invalid_*.toml` (must fail with the exact error named on its
-//! `# expect-error:` first line). Mirrors the deep-lint fixture-corpus
-//! pattern: the corpus is the executable specification of the DSL's
-//! error surface — any wording change must touch the fixture too.
+//! `# expect-error:` first line). The corpus is the executable
+//! specification of the DSL's error surface — any wording change must
+//! touch the fixture too.
 
 use std::path::PathBuf;
 
