@@ -7,21 +7,12 @@
 //! any panic fails the whole run with a non-zero exit.
 //!
 //! ```text
-//! run_experiments [--list] [--only a,b,c] [--quiet] [--cache-dir PATH]
+//! run_experiments [--list] [--only a,b,c] [--quiet]
 //! ```
 //!
 //! * `--list`      — print registry names and exit.
 //! * `--only`      — run a comma-separated subset (unknown names fail).
 //! * `--quiet`     — suppress experiment output, keep the timing table.
-//! * `--cache-dir` — memoise results across runs: each experiment's
-//!   output is keyed by the canonical digest of its config
-//!   (`deep_json::digest` over `{"experiment": name}`) and spilled to
-//!   PATH; a later run with the same digest replays the stored bytes
-//!   instead of simulating. The keying and spill format are shared
-//!   with the `deep-serve` daemon, so a daemon pointed at the same
-//!   directory serves these entries as cache hits (and vice versa) —
-//!   sound only because experiment output is a pure function of the
-//!   config, which the determinism suite enforces.
 //!
 //! Experiment *outputs* are deterministic at any `RAYON_NUM_THREADS`
 //! (see DESIGN.md on the parallel determinism model) and are all that
@@ -43,18 +34,6 @@ struct Outcome {
     /// Rendered output, or the panic message.
     result: Result<String, String>,
     seconds: f64,
-    /// Replayed from the digest cache instead of simulated.
-    cached: bool,
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 fn run_one(e: &Experiment) -> Outcome {
@@ -69,29 +48,21 @@ fn run_one(e: &Experiment) -> Outcome {
         (e.run)(&mut out);
         out
     }))
-    .map_err(panic_message);
+    .map_err(|payload| experiments::panic_message(&*payload).to_string());
     Outcome {
         name: e.name,
         result,
         seconds: t0.elapsed().as_secs_f64(),
-        cached: false,
     }
 }
 
-/// The cache key for an experiment: canonical digest of the same spec
-/// JSON a `deep-serve` submission would carry.
-fn cache_key(name: &str) -> u64 {
-    deep_json::digest::digest(&deep_json::object([("experiment", name.into())]))
-}
-
 fn usage() -> ! {
-    eprintln!("usage: run_experiments [--list] [--only a,b,c] [--quiet] [--cache-dir PATH]");
+    eprintln!("usage: run_experiments [--list] [--only a,b,c] [--quiet]");
     std::process::exit(2);
 }
 
 fn main() {
     let mut only: Option<Vec<String>> = None;
-    let mut cache_dir: Option<String> = None;
     let mut quiet = false;
     #[expect(
         clippy::disallowed_methods,
@@ -110,7 +81,6 @@ fn main() {
                 let names = args.next().unwrap_or_else(|| usage());
                 only = Some(names.split(',').map(str::to_string).collect());
             }
-            "--cache-dir" => cache_dir = Some(args.next().unwrap_or_else(|| usage())),
             "--quiet" => quiet = true,
             _ => usage(),
         }
@@ -125,25 +95,6 @@ fn main() {
                     eprintln!("unknown experiment: {n} (see --list)");
                     std::process::exit(2);
                 })
-            })
-            .collect(),
-    };
-
-    // Cross-run memoisation: look every selected experiment up in the
-    // digest cache first (sequential — the cache is &mut), run only
-    // the misses in parallel, then spill the fresh results back.
-    let mut cache = cache_dir.as_ref().map(|dir| {
-        deep_json::cache::ResultCache::with_spill_dir(1024, std::path::Path::new(dir))
-            .unwrap_or_else(|e| panic!("cannot open cache dir {dir}: {e}"))
-    });
-    let cached: Vec<Option<String>> = match cache.as_mut() {
-        None => vec![None; selected.len()],
-        Some(cache) => selected
-            .iter()
-            .map(|e| {
-                cache
-                    .get(cache_key(e.name))
-                    .and_then(|v| v["output"].as_str().map(str::to_string))
             })
             .collect(),
     };
@@ -167,15 +118,7 @@ fn main() {
     let by_order: Vec<Outcome> = order
         .par_iter()
         .with_max_len(1)
-        .map(|&i| match &cached[i] {
-            Some(output) => Outcome {
-                name: selected[i].name,
-                result: Ok(output.clone()),
-                seconds: 0.0,
-                cached: true,
-            },
-            None => run_one(selected[i]),
-        })
+        .map(|&i| run_one(selected[i]))
         .collect();
     let suite_wall = t0.elapsed().as_secs_f64();
     let mut slots: Vec<Option<Outcome>> = (0..selected.len()).map(|_| None).collect();
@@ -186,22 +129,6 @@ fn main() {
         .into_iter()
         .map(|s| s.expect("every slot ran"))
         .collect();
-
-    if let Some(cache) = cache.as_mut() {
-        for o in outcomes.iter().filter(|o| !o.cached) {
-            if let Ok(output) = &o.result {
-                // Same value shape as a deep-serve experiment result,
-                // so daemon and driver can share the directory.
-                let value = deep_json::object([
-                    ("experiment", o.name.into()),
-                    ("output", output.as_str().into()),
-                ]);
-                if let Err(e) = cache.insert(cache_key(o.name), value) {
-                    eprintln!("warning: cache spill failed for {}: {e}", o.name);
-                }
-            }
-        }
-    }
 
     // Buffers print in registry order, regardless of completion order.
     let mut failures = 0usize;
@@ -228,12 +155,7 @@ fn main() {
         t.row(&[
             o.name.to_string(),
             format!("{:.3}", o.seconds),
-            match (&o.result, o.cached) {
-                (Ok(_), true) => "ok (cached)",
-                (Ok(_), false) => "ok",
-                (Err(_), _) => "FAILED",
-            }
-            .to_string(),
+            if o.result.is_ok() { "ok" } else { "FAILED" }.to_string(),
         ]);
     }
     t.row(&[

@@ -205,6 +205,18 @@ pub fn run_to_string(name: &str) -> Option<String> {
     Some(out)
 }
 
+/// The message of a caught panic (`catch_unwind`'s payload), for the
+/// drivers that turn an experiment's panic into a reported failure.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string panic payload"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

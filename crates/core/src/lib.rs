@@ -66,7 +66,7 @@ pub use machine::{DeepMachine, BOOSTER_POOL, OFFLOAD_SERVER};
 pub use report::{fmt_bytes, fmt_f, Table};
 pub use resilience::{
     daly_optimum, mark_of, mean_efficiency, mean_efficiency_batch, mean_multilevel_efficiency,
-    mean_multilevel_efficiency_batch, reduce_outcomes, simulate_multilevel, simulate_run,
-    LevelCost, MeanEfficiency, MultiLevelParams, ResilienceOutcome, ResilienceParams,
+    mean_multilevel_efficiency_batch, mean_multilevel_over_replicas, simulate_multilevel,
+    simulate_run, LevelCost, MeanEfficiency, MultiLevelParams, ResilienceOutcome, ResilienceParams,
 };
 pub use storage::measure_level_costs;

@@ -129,6 +129,83 @@ pub fn simulate_run(p: &ResilienceParams, interval_s: f64, rng: &mut SimRng) -> 
     }
 }
 
+/// Stream base of the single-level replicas: replica `r` draws from
+/// `SINGLE_LEVEL_STREAM + r`.
+const SINGLE_LEVEL_STREAM: u64 = 0xC4E0;
+/// Stream base of the multi-level replicas, analytic and DES alike:
+/// the two pair draw for draw, so both go through this module.
+const MULTILEVEL_STREAM: u64 = 0xE401;
+
+/// Most work units in flight at once. Case lists reach this module
+/// from daemon peers (4096 sweep points × 64 intervals × 1024
+/// replicas is a valid scenario), so the outcome buffer is bounded
+/// here, for every caller, rather than by `cases.len()`.
+const MAX_GRID_UNITS: usize = 1 << 16;
+
+/// The one replica loop: `cases × replicas` work units on a flat
+/// index-slotted grid (taken [`MAX_GRID_UNITS`] at a time), unit `u`
+/// running case `u / replicas` on stream `base_stream + u % replicas`,
+/// each case's chunk folded in replica order after the barrier.
+///
+/// A replica's stream depends only on its replica index, never on its
+/// case, and results land in index-ordered slots, so every mean is
+/// bit-identical at any thread count, for any `max_leaf`, and whether
+/// a case is evaluated alone or inside a larger batch. One flat grid
+/// (not `cases` nested drives of `replicas` tiny jobs each) is the
+/// nested-parallelism rule of DESIGN.md §12. `max_leaf` caps the split
+/// tree's leaf size: scheduling only.
+fn drive<C: Sync>(
+    cases: &[C],
+    base_stream: u64,
+    replicas: u32,
+    max_leaf: usize,
+    run: impl Fn(&C, u64) -> ResilienceOutcome + Sync + Send,
+) -> Vec<MeanEfficiency> {
+    assert!(replicas > 0, "at least one replica per case");
+    let rep = replicas as usize;
+    // Not reserved up front: a small allocation that outlives the grid's
+    // churn left the heap fragmented, measured as ≈ +100 MB `peak_rss_mb`
+    // on every later workload of the one-process benchmark.
+    let mut means = Vec::new();
+    for block in cases.chunks((MAX_GRID_UNITS / rep).max(1)) {
+        let outcomes: Vec<ResilienceOutcome> = (0..block.len() * rep)
+            .into_par_iter()
+            .with_max_len(max_leaf)
+            .map(|u| run(&block[u / rep], base_stream.wrapping_add((u % rep) as u64)))
+            .collect();
+        means.extend(outcomes.chunks_exact(rep).map(reduce_outcomes));
+    }
+    means
+}
+
+/// Fold one case's outcomes into a mean, in replica-index order.
+fn reduce_outcomes(outcomes: &[ResilienceOutcome]) -> MeanEfficiency {
+    let mut total = 0.0;
+    let mut truncated_runs = 0;
+    for out in outcomes {
+        total += out.efficiency;
+        truncated_runs += u32::from(out.truncated);
+    }
+    MeanEfficiency {
+        efficiency: total / outcomes.len() as f64,
+        truncated_runs,
+    }
+}
+
+/// Mean over `replicas` runs of a caller-supplied multi-level replica
+/// body, per case: `run(case, stream)` is one whole replica, handed the
+/// stream [`mean_multilevel_efficiency_batch`] gives that replica index.
+/// Such bodies are whole simulations (the DES replicas of
+/// `deep-faults`), so every unit is its own leaf and individually
+/// stealable.
+pub fn mean_multilevel_over_replicas(
+    cases: &[MultiLevelParams],
+    replicas: u32,
+    run: impl Fn(&MultiLevelParams, u64) -> ResilienceOutcome + Sync + Send,
+) -> Vec<MeanEfficiency> {
+    drive(cases, MULTILEVEL_STREAM, replicas, 1, run)
+}
+
 /// Mean efficiency over `replicas` independent runs (deterministic in
 /// `seed`).
 pub fn mean_efficiency(
@@ -137,93 +214,41 @@ pub fn mean_efficiency(
     seed: u64,
     replicas: u32,
 ) -> MeanEfficiency {
-    // Each replica draws from its own index-derived RNG stream, so the
-    // draws are independent of execution order. The parallel collect
-    // fills index-ordered slots and the fold below runs sequentially
-    // after the barrier — the mean is bit-identical to the serial loop
-    // at any thread count.
-    let outcomes: Vec<ResilienceOutcome> = (0..replicas)
-        .into_par_iter()
-        .map(|r| {
-            let mut rng = SimRng::from_seed_stream(seed, 0xC4E0 + r as u64);
-            simulate_run(p, interval_s, &mut rng)
-        })
-        .collect();
-    reduce_outcomes(&outcomes, replicas)
+    mean_efficiency_batch(&[(*p, interval_s)], seed, replicas)[0]
 }
 
-/// Fold per-replica outcomes into a mean, in replica-index order.
-///
-/// Public so flattened (case × replica) drivers (e.g.
-/// `deep_faults::sweep::fault_sweep`) can reduce their own replica
-/// chunks with bitwise the same accumulation this module uses.
-pub fn reduce_outcomes(outcomes: &[ResilienceOutcome], replicas: u32) -> MeanEfficiency {
-    let mut total = 0.0;
-    let mut truncated_runs = 0;
-    for out in outcomes {
-        total += out.efficiency;
-        truncated_runs += u32::from(out.truncated);
-    }
-    MeanEfficiency {
-        efficiency: total / replicas as f64,
-        truncated_runs,
-    }
-}
-
-/// Mean efficiency for a whole batch of `(params, interval)` cases,
-/// flattened onto one (case × replica) work-unit grid.
-///
-/// Bit-identical to calling [`mean_efficiency`] per case: replica `r`'s
-/// RNG stream (`0xC4E0 + r`) depends only on `r`, never on the case
-/// index, and each case's chunk is reduced in replica order with the
-/// same fold. What changes is *scheduling*: one flat grid of
-/// `cases × replicas` units gives the pool real grain to steal instead
-/// of `cases` nested drives each fanning out `replicas` tiny jobs —
-/// this is the nested-parallelism rule of DESIGN.md §12.
+/// Mean efficiency for a whole batch of `(params, interval)` cases;
+/// element `i` is bit-identical to [`mean_efficiency`] of case `i`.
 pub fn mean_efficiency_batch(
     cases: &[(ResilienceParams, f64)],
     seed: u64,
     replicas: u32,
 ) -> Vec<MeanEfficiency> {
-    assert!(replicas > 0, "at least one replica per case");
-    let rep = replicas as usize;
-    let outcomes: Vec<ResilienceOutcome> = (0..cases.len() * rep)
-        .into_par_iter()
-        .map(|u| {
-            let (p, interval_s) = &cases[u / rep];
-            let r = (u % rep) as u64;
-            let mut rng = SimRng::from_seed_stream(seed, 0xC4E0 + r);
-            simulate_run(p, *interval_s, &mut rng)
-        })
-        .collect();
-    outcomes
-        .chunks_exact(rep)
-        .map(|chunk| reduce_outcomes(chunk, replicas))
-        .collect()
+    drive(
+        cases,
+        SINGLE_LEVEL_STREAM,
+        replicas,
+        usize::MAX,
+        |(p, interval_s), stream| {
+            simulate_run(p, *interval_s, &mut SimRng::from_seed_stream(seed, stream))
+        },
+    )
 }
 
-/// Batch form of [`mean_multilevel_efficiency`] over one flattened
-/// (case × replica) grid; see [`mean_efficiency_batch`] for why this is
-/// bit-identical to the per-case calls.
+/// Batch form of [`mean_multilevel_efficiency`]; element `i` is
+/// bit-identical to the single-case call on case `i`.
 pub fn mean_multilevel_efficiency_batch(
     cases: &[MultiLevelParams],
     seed: u64,
     replicas: u32,
 ) -> Vec<MeanEfficiency> {
-    assert!(replicas > 0, "at least one replica per case");
-    let rep = replicas as usize;
-    let outcomes: Vec<ResilienceOutcome> = (0..cases.len() * rep)
-        .into_par_iter()
-        .map(|u| {
-            let r = (u % rep) as u64;
-            let mut rng = SimRng::from_seed_stream(seed, 0xE401 + r);
-            simulate_multilevel(&cases[u / rep], &mut rng)
-        })
-        .collect();
-    outcomes
-        .chunks_exact(rep)
-        .map(|chunk| reduce_outcomes(chunk, replicas))
-        .collect()
+    drive(
+        cases,
+        MULTILEVEL_STREAM,
+        replicas,
+        usize::MAX,
+        |p, stream| simulate_multilevel(p, &mut SimRng::from_seed_stream(seed, stream)),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -388,17 +413,7 @@ pub fn mean_multilevel_efficiency(
     seed: u64,
     replicas: u32,
 ) -> MeanEfficiency {
-    // Same construction as [`mean_efficiency`]: per-replica streams
-    // (0xE401 + r — the DES replica in `deep-faults` pairs with these
-    // draw-for-draw), ordered collect, reduce after the barrier.
-    let outcomes: Vec<ResilienceOutcome> = (0..replicas)
-        .into_par_iter()
-        .map(|r| {
-            let mut rng = SimRng::from_seed_stream(seed, 0xE401 + r as u64);
-            simulate_multilevel(p, &mut rng)
-        })
-        .collect();
-    reduce_outcomes(&outcomes, replicas)
+    mean_multilevel_efficiency_batch(&[*p], seed, replicas)[0]
 }
 
 #[cfg(test)]
@@ -514,6 +529,25 @@ mod tests {
             mean_multilevel_efficiency(&m, 9, 4).efficiency,
             mean_multilevel_efficiency(&m, 9, 4).efficiency
         );
+    }
+
+    #[test]
+    fn a_batch_larger_than_one_grid_block_keeps_cases_in_order() {
+        // 70 cases × 1024 replicas crosses MAX_GRID_UNITS after case 63.
+        let cases: Vec<(ResilienceParams, f64)> = (0..70)
+            .map(|i| {
+                let mut p = base();
+                p.work_s = 1000.0;
+                p.checkpoint_s = 1.0 + i as f64;
+                (p, 100.0)
+            })
+            .collect();
+        let batch = mean_efficiency_batch(&cases, 3, 1024);
+        assert_eq!(batch.len(), 70);
+        for i in [0, 63, 64, 69] {
+            let alone = mean_efficiency(&cases[i].0, 100.0, 3, 1024);
+            assert_eq!(batch[i].efficiency.to_bits(), alone.efficiency.to_bits());
+        }
     }
 
     #[test]

@@ -16,11 +16,10 @@
 //! range of node MTBFs — experiment ER03.
 
 use deep_core::{
-    mark_of, measure_level_costs, DeepConfig, DeepMachine, MeanEfficiency, MultiLevelParams,
-    ResilienceOutcome,
+    mark_of, mean_multilevel_over_replicas, measure_level_costs, DeepConfig, DeepMachine,
+    MeanEfficiency, MultiLevelParams, ResilienceOutcome,
 };
 use deep_simkit::{Either, SimDuration, SimRng, Simulation};
-use rayon::prelude::*;
 
 /// One DES replica of the multi-level scenario. Deterministic in
 /// `(config, ranks, bytes_per_rank, p, seed, stream)`; pair it with the
@@ -118,8 +117,9 @@ pub fn des_multilevel_run(
     }
 }
 
-/// Mean DES efficiency over `replicas` runs, drawing from the same
-/// streams as [`deep_core::mean_multilevel_efficiency`] (`0xE401 + r`).
+/// Mean DES efficiency over `replicas` runs, through the one replica
+/// driver and on the streams [`deep_core::mean_multilevel_efficiency`]
+/// draws from.
 pub fn des_mean_multilevel_efficiency(
     config: &DeepConfig,
     ranks: u32,
@@ -128,24 +128,9 @@ pub fn des_mean_multilevel_efficiency(
     seed: u64,
     replicas: u32,
 ) -> MeanEfficiency {
-    // Replicas are independent simulations on index-derived streams, so
-    // they fan out across the pool; the ordered collect plus the
-    // sequential fold below keep the mean bit-identical to the serial
-    // loop at any thread count.
-    let outcomes: Vec<ResilienceOutcome> = (0..replicas)
-        .into_par_iter()
-        .map(|r| des_multilevel_run(config, ranks, bytes_per_rank, p, seed, 0xE401 + r as u64))
-        .collect();
-    let mut total = 0.0;
-    let mut truncated_runs = 0;
-    for out in &outcomes {
-        total += out.efficiency;
-        truncated_runs += u32::from(out.truncated);
-    }
-    MeanEfficiency {
-        efficiency: total / replicas as f64,
-        truncated_runs,
-    }
+    mean_multilevel_over_replicas(&[*p], replicas, |p, stream| {
+        des_multilevel_run(config, ranks, bytes_per_rank, p, seed, stream)
+    })[0]
 }
 
 /// One point of the ER03 sweep.
@@ -173,7 +158,6 @@ pub fn fault_sweep(
     seed: u64,
     replicas: u32,
 ) -> Vec<SweepPoint> {
-    assert!(replicas > 0, "at least one replica per sweep point");
     let costs = measure_level_costs(config, ranks, bytes_per_rank, seed);
     let params: Vec<MultiLevelParams> = mtbfs_node_s
         .iter()
@@ -185,41 +169,19 @@ pub fn fault_sweep(
         })
         .collect();
 
-    // One flat (point × replica) grid of whole-DES work units instead
-    // of nested drives (points outside, replicas inside): every unit is
-    // an independent simulation and, with the leaf cap at 1, is
-    // individually stealable — no point can become a serial tail while
-    // other workers idle. Bit-identity with the nested form is by
-    // construction: replica `r`'s stream is `0xE401 + r` regardless of
-    // its point, results land in index-ordered slots, and each point's
-    // chunk is reduced in replica order below with the same fold
-    // (`deep_core::reduce_outcomes`) the per-point mean uses.
-    let rep = replicas as usize;
-    let des_outcomes: Vec<ResilienceOutcome> = (0..params.len() * rep)
-        .into_par_iter()
-        .with_max_len(1)
-        .map(|u| {
-            let r = (u % rep) as u64;
-            des_multilevel_run(
-                config,
-                ranks,
-                bytes_per_rank,
-                &params[u / rep],
-                seed,
-                0xE401 + r,
-            )
-        })
-        .collect();
-    // The analytic side flattens the same way inside the batch API.
+    // Both sides flatten (point × replica) onto the one replica driver;
+    // replica `r` of either side draws from stream `0xE401 + r`.
+    let des = mean_multilevel_over_replicas(&params, replicas, |p, stream| {
+        des_multilevel_run(config, ranks, bytes_per_rank, p, seed, stream)
+    });
     let mc = deep_core::mean_multilevel_efficiency_batch(&params, seed, replicas);
-
     params
         .iter()
-        .zip(des_outcomes.chunks_exact(rep))
+        .zip(des)
         .zip(mc)
-        .map(|((p, des_chunk), mc)| SweepPoint {
+        .map(|((p, des), mc)| SweepPoint {
             mtbf_node_s: p.mtbf_node_s,
-            des: deep_core::reduce_outcomes(des_chunk, replicas),
+            des,
             mc,
         })
         .collect()

@@ -3,28 +3,23 @@
 //! The cache memoizes expensive computations (simulation sweeps,
 //! experiment renders) whose inputs are canonicalised JSON configs:
 //! the key is [`crate::digest::digest`] of the config, the value is
-//! the result as a [`Value`]. Storage is a bounded in-memory LRU with
-//! an optional on-disk spill directory — evicted or cold entries are
-//! still served from disk, so repeated sweeps across *process* runs
-//! are free too (ROADMAP item 1's cross-run memoization).
+//! the result as a [`Value`]. Storage is a bounded in-memory LRU; it
+//! lives and dies with the process, because the key names the config
+//! only — not the code that computed the result.
 //!
 //! Recency is a logical access counter, not wall-clock time, so
 //! eviction order is a pure function of the access sequence — the
 //! LRU tests can assert exact eviction victims.
 
 use std::collections::BTreeMap;
-use std::io;
-use std::path::{Path, PathBuf};
 
-use crate::{from_str, Value};
+use crate::Value;
 
 /// Running totals; `hits`/`misses` count [`ResultCache::get`] calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from memory.
     pub hits: u64,
-    /// Lookups answered by loading a spill file.
-    pub disk_hits: u64,
     /// Lookups that found nothing.
     pub misses: u64,
     /// Entries pushed out of memory by the LRU bound.
@@ -37,12 +32,11 @@ struct Slot {
     stamp: u64,
 }
 
-/// Bounded LRU of digest → result, with optional disk spill.
+/// Bounded LRU of digest → result.
 pub struct ResultCache {
     capacity: usize,
     slots: BTreeMap<u64, Slot>,
     clock: u64,
-    spill_dir: Option<PathBuf>,
     stats: CacheStats,
 }
 
@@ -53,29 +47,11 @@ impl ResultCache {
             capacity: capacity.max(1),
             slots: BTreeMap::new(),
             clock: 0,
-            spill_dir: None,
             stats: CacheStats::default(),
         }
     }
 
-    /// Like [`ResultCache::new`], plus a spill directory (created if
-    /// missing): inserts are persisted as `<digest>.json`, and misses
-    /// fall back to loading from it.
-    pub fn with_spill_dir(capacity: usize, dir: &Path) -> io::Result<ResultCache> {
-        std::fs::create_dir_all(dir)?;
-        let mut c = ResultCache::new(capacity);
-        c.spill_dir = Some(dir.to_path_buf());
-        Ok(c)
-    }
-
-    fn spill_path(&self, digest: u64) -> Option<PathBuf> {
-        self.spill_dir
-            .as_ref()
-            .map(|d| d.join(format!("{digest:016x}.json")))
-    }
-
-    /// Look up a digest; memory first, then the spill directory (a
-    /// disk hit is promoted back into memory).
+    /// Look up a digest; a hit refreshes the entry's recency.
     pub fn get(&mut self, digest: u64) -> Option<Value> {
         self.clock += 1;
         if let Some(slot) = self.slots.get_mut(&digest) {
@@ -83,38 +59,14 @@ impl ResultCache {
             self.stats.hits += 1;
             return Some(slot.value.clone());
         }
-        if let Some(path) = self.spill_path(digest) {
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                if let Ok(v) = from_str(&text) {
-                    self.stats.disk_hits += 1;
-                    self.place(digest, v.clone());
-                    return Some(v);
-                }
-            }
-        }
         self.stats.misses += 1;
         None
     }
 
-    /// Insert (or refresh) an entry, spilling to disk when configured.
-    /// Disk write failures are reported; the memory insert stands
-    /// regardless.
-    pub fn insert(&mut self, digest: u64, value: Value) -> io::Result<()> {
+    /// Insert (or refresh) an entry, evicting the coldest entries
+    /// beyond the capacity.
+    pub fn insert(&mut self, digest: u64, value: Value) {
         self.clock += 1;
-        let mut spill_result = Ok(());
-        if let Some(path) = self.spill_path(digest) {
-            // Write-then-rename so a concurrent reader never sees a
-            // torn file.
-            let tmp = path.with_extension("tmp");
-            spill_result =
-                std::fs::write(&tmp, value.to_json()).and_then(|()| std::fs::rename(&tmp, &path));
-        }
-        self.place(digest, value);
-        spill_result
-    }
-
-    /// Memory insert + LRU eviction, recency stamped from the clock.
-    fn place(&mut self, digest: u64, value: Value) {
         self.slots.insert(
             digest,
             Slot {
@@ -165,10 +117,10 @@ mod tests {
     #[test]
     fn lru_evicts_the_coldest_entry() {
         let mut c = ResultCache::new(2);
-        c.insert(1, v(1)).unwrap();
-        c.insert(2, v(2)).unwrap();
+        c.insert(1, v(1));
+        c.insert(2, v(2));
         assert!(c.get(1).is_some()); // 1 is now warmer than 2
-        c.insert(3, v(3)).unwrap(); // evicts 2
+        c.insert(3, v(3)); // evicts 2
         assert_eq!(c.len(), 2);
         assert!(c.get(2).is_none(), "coldest entry must be the victim");
         assert!(c.get(1).is_some());
@@ -180,7 +132,7 @@ mod tests {
     fn bound_holds_under_churn() {
         let mut c = ResultCache::new(4);
         for i in 0..100 {
-            c.insert(i, v(i)).unwrap();
+            c.insert(i, v(i));
             assert!(c.len() <= 4);
         }
         assert_eq!(c.stats().evictions, 96);
@@ -194,7 +146,7 @@ mod tests {
     fn hit_returns_the_exact_value() {
         let mut c = ResultCache::new(8);
         let val = crate::from_str(r#"{"rows":[1,2,3],"eff":0.96}"#).unwrap();
-        c.insert(42, val.clone()).unwrap();
+        c.insert(42, val.clone());
         assert_eq!(c.get(42), Some(val));
         assert_eq!(
             c.stats(),

@@ -7,8 +7,8 @@
 //! separators, the workspace's deterministic number formatting) and
 //! [`digest`] hashes those bytes with FNV-1a 64. The digest is a pure
 //! function of the value: no ambient time, no randomized hashing, so
-//! it is stable across thread counts, process runs, and machines —
-//! exactly what a cross-run result cache needs as a key.
+//! it is stable across thread counts, process runs, and machines — a
+//! client can compute the key its daemon will use.
 
 use crate::Value;
 
@@ -72,8 +72,7 @@ pub fn digest(v: &Value) -> u64 {
     fnv1a_64(canonical_json(v).as_bytes())
 }
 
-/// [`digest`] as the 16-hex-digit form used for spill-file names and
-/// wire metadata.
+/// [`digest`] as the 16-hex-digit form used in wire metadata.
 pub fn digest_hex(v: &Value) -> String {
     format!("{:016x}", digest(v))
 }
@@ -108,7 +107,7 @@ mod tests {
     #[test]
     fn digest_is_pinned_across_process_runs() {
         // A constant expectation: if this digest ever changes, every
-        // on-disk cache entry silently invalidates — that must be a
+        // digest a client recorded stops matching — that must be a
         // deliberate, visible decision, not drift.
         let v = object([
             ("experiment", "f03b_resilience".into()),

@@ -209,16 +209,60 @@ impl Offloader {
 // the kernel over global MPI).
 // ---------------------------------------------------------------------------
 
-use crate::graph::{Device, TaskGraph, TaskId};
-use crate::runtime::{task_time, RunReport};
+use crate::graph::{Device, TaskCost, TaskGraph};
+use crate::runtime::{dataflow, HostExec, RunReport, SchedPolicy, TaskExec};
+
+/// Host tasks sleep on the host node; `Device::Booster` tasks are one
+/// offload invocation on `block`.
+struct HybridExec {
+    host: HostExec,
+    m: MpiCtx,
+    offloader: Rc<Offloader>,
+    block: Range<u32>,
+}
+
+impl TaskExec for HybridExec {
+    async fn exec(&self, sim: &deep_simkit::Sim, cost: TaskCost, device: Device) {
+        let Device::Booster {
+            in_bytes,
+            out_bytes,
+        } = device
+        else {
+            return self.host.exec(sim, cost, device).await;
+        };
+        let kernel = match cost {
+            TaskCost::Kernel { profile, .. } => profile,
+            // Fixed-cost booster tasks: model as a pure
+            // communication+wait of that duration.
+            TaskCost::Fixed(_) => KernelProfile {
+                flops: 0.0,
+                bytes: 0.0,
+                compute_efficiency: 1.0,
+                bandwidth_efficiency: 1.0,
+            },
+        };
+        let spec = OffloadSpec {
+            in_bytes,
+            out_bytes,
+            kernel,
+            cores: u32::MAX,
+            iters: 1,
+            internal_msg_bytes: 0,
+        };
+        self.offloader.run(&self.m, &spec, self.block.clone()).await;
+        if let TaskCost::Fixed(d) = cost {
+            sim.sleep(d).await;
+        }
+    }
+}
 
 /// Execute `graph` with dependence-driven scheduling where host tasks run
 /// on `host_workers` local cores of `host_node` and booster-annotated
 /// tasks are offloaded through `offloader` onto `block`.
 ///
-/// Host workers and offload "slots" draw from the same ready queue: while
-/// one worker blocks on a booster invocation, the others keep executing
-/// host tasks — the overlap the offload model is designed for.
+/// Host workers and offload "slots" draw from the same FIFO ready queue:
+/// while one worker blocks on a booster invocation, the others keep
+/// executing host tasks — the overlap the offload model is designed for.
 pub async fn run_hybrid_dataflow(
     m: &MpiCtx,
     offloader: Rc<Offloader>,
@@ -227,149 +271,21 @@ pub async fn run_hybrid_dataflow(
     host_node: &NodeModel,
     host_workers: u32,
 ) -> RunReport {
-    use deep_simkit::channel;
-    use std::cell::RefCell;
-
-    assert!(host_workers >= 1);
-    let sim = m.sim().clone();
-    let host_node = host_node.clone();
-    let n_tasks = graph.len();
-    let total_work = graph.total_work(|t| task_time(&host_node, &graph.tasks[t.0 as usize].cost));
-    let critical_path =
-        graph.critical_path(|t| task_time(&host_node, &graph.tasks[t.0 as usize].cost));
-    let start = sim.now();
-    if n_tasks == 0 {
-        return RunReport {
-            makespan: deep_simkit::SimDuration::ZERO,
-            tasks: 0,
-            total_work,
-            critical_path,
-            workers: host_workers,
-            trace: Vec::new(),
-        };
-    }
-
-    enum Msg {
-        Run(TaskId),
-        Stop,
-    }
-    let (tx, rx) = channel::<Msg>(&sim);
-    let roots = graph.roots();
-    struct St {
-        graph: TaskGraph,
-        remaining: Vec<u32>,
-        completed: usize,
-        trace: Vec<(SimTime, SimTime, u32)>,
-    }
-    let remaining = graph.tasks.iter().map(|t| t.n_preds).collect();
-    let state = Rc::new(RefCell::new(St {
+    let exec = HybridExec {
+        host: HostExec(host_node.clone()),
+        m: m.clone(),
+        offloader,
+        block,
+    };
+    dataflow(
+        m.sim(),
         graph,
-        remaining,
-        completed: 0,
-        trace: vec![(SimTime::ZERO, SimTime::ZERO, 0); n_tasks],
-    }));
-    for t in roots {
-        tx.try_send(Msg::Run(t)).ok();
-    }
-
-    let mut workers = Vec::with_capacity(host_workers as usize);
-    for w in 0..host_workers {
-        let rx = rx.clone();
-        let tx = tx.clone();
-        let state = state.clone();
-        let sim2 = sim.clone();
-        let node = host_node.clone();
-        let m2 = m.clone();
-        let off = offloader.clone();
-        let block = block.clone();
-        workers.push(sim.spawn(format!("hybrid-worker{w}"), async move {
-            while let Ok(Msg::Run(t)) = rx.recv().await {
-                let (cost, device, body) = {
-                    let mut st = state.borrow_mut();
-                    let n = &mut st.graph.tasks[t.0 as usize];
-                    (n.cost, n.device, n.body.take())
-                };
-                let t_start = sim2.now();
-                match device {
-                    Device::Host => {
-                        sim2.sleep(task_time(&node, &cost)).await;
-                    }
-                    Device::Booster {
-                        in_bytes,
-                        out_bytes,
-                    } => {
-                        let kernel = match cost {
-                            crate::graph::TaskCost::Kernel { profile, .. } => profile,
-                            crate::graph::TaskCost::Fixed(_) => {
-                                // Fixed-cost booster tasks: model as a pure
-                                // communication+wait of that duration.
-                                deep_hw::KernelProfile {
-                                    flops: 0.0,
-                                    bytes: 0.0,
-                                    compute_efficiency: 1.0,
-                                    bandwidth_efficiency: 1.0,
-                                }
-                            }
-                        };
-                        let spec = OffloadSpec {
-                            in_bytes,
-                            out_bytes,
-                            kernel,
-                            cores: u32::MAX,
-                            iters: 1,
-                            internal_msg_bytes: 0,
-                        };
-                        off.run(&m2, &spec, block.clone()).await;
-                        if let crate::graph::TaskCost::Fixed(d) = cost {
-                            sim2.sleep(d).await;
-                        }
-                    }
-                }
-                if let Some(b) = body {
-                    b();
-                }
-                let t_end = sim2.now();
-                let mut newly = Vec::new();
-                let all_done = {
-                    let mut st = state.borrow_mut();
-                    st.trace[t.0 as usize] = (t_start, t_end, w);
-                    st.completed += 1;
-                    let succs = st.graph.tasks[t.0 as usize].successors.clone();
-                    for s in succs {
-                        st.remaining[s.0 as usize] -= 1;
-                        if st.remaining[s.0 as usize] == 0 {
-                            newly.push(s);
-                        }
-                    }
-                    st.completed == n_tasks
-                };
-                for s in newly {
-                    tx.try_send(Msg::Run(s)).ok();
-                }
-                if all_done {
-                    for _ in 0..host_workers {
-                        tx.try_send(Msg::Stop).ok();
-                    }
-                }
-            }
-        }));
-    }
-    drop(tx);
-    drop(rx);
-    deep_simkit::join_all(workers).await;
-
-    let st = Rc::try_unwrap(state)
-        .ok()
-        .expect("workers done")
-        .into_inner();
-    RunReport {
-        makespan: sim.now() - start,
-        tasks: n_tasks,
-        total_work,
-        critical_path,
-        workers: host_workers,
-        trace: st.trace,
-    }
+        host_node,
+        host_workers,
+        SchedPolicy::Fifo,
+        exec,
+    )
+    .await
 }
 
 #[cfg(test)]
@@ -471,6 +387,63 @@ mod tests {
             big > small * 5.0,
             "64 MiB vs 1 KiB transfers: {small} vs {big}"
         );
+    }
+
+    #[test]
+    fn all_host_graph_traces_identically_through_both_dataflow_entries() {
+        use crate::graph::{Access, RegionId};
+        use crate::runtime::run_dataflow;
+        use std::cell::RefCell;
+
+        // Chains of uneven length over four regions plus independent
+        // fillers: enough contention on 3 workers that any difference
+        // in pop order would move a task to another worker or time.
+        fn graph() -> TaskGraph {
+            let mut g = TaskGraph::new();
+            for i in 0..24u64 {
+                let region = if i % 5 == 4 { 100 + i } else { i % 4 };
+                let cost = TaskCost::Fixed(SimDuration::micros(10 + 7 * (i % 6)));
+                g.add_task("t", &[(RegionId(region), Access::InOut)], cost, 0, None);
+            }
+            g
+        }
+
+        let mut sim = Simulation::new(5);
+        let ctx = sim.handle();
+        let wire = Rc::new(IdealWire::new(&ctx, SimDuration::micros(1), 6e9));
+        let uni = Universe::new(&ctx, wire, 3, MpiParams::default());
+        uni.add_pool("booster", vec![EpId(1), EpId(2)]);
+        uni.register_app("server", offload_server(knc()));
+        let hybrid = Rc::new(RefCell::new(None));
+        let out = hybrid.clone();
+        launch_world(&uni, "cluster", vec![EpId(0)], move |m| {
+            let out = out.clone();
+            Box::pin(async move {
+                let world = m.world().clone();
+                let inter = m
+                    .comm_spawn(&world, "server", 2, "booster", 0)
+                    .await
+                    .unwrap();
+                let off = Rc::new(Offloader::new(inter));
+                let started = m.sim().now();
+                let report = run_hybrid_dataflow(&m, off.clone(), 0..2, graph(), &knc(), 3).await;
+                *out.borrow_mut() = Some((started, report));
+                off.shutdown(&m, 0..2).await;
+            })
+        });
+        sim.run().assert_completed();
+        let (started, hybrid) = hybrid.borrow_mut().take().expect("cluster rank ran");
+
+        let mut sim = Simulation::new(5);
+        let ctx = sim.handle();
+        let h = sim.spawn("run", async move {
+            ctx.sleep_until(started).await;
+            run_dataflow(&ctx, graph(), &knc(), 3).await
+        });
+        sim.run().assert_completed();
+        let direct = h.try_result().unwrap();
+        assert_eq!(hybrid.trace, direct.trace);
+        assert_eq!(hybrid.makespan, direct.makespan);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //!
 //! * [`run_dataflow`] — the OmpSs model: a task becomes runnable the
 //!   moment its dependences are satisfied; idle workers pull from a FIFO
-//!   ready queue.
+//!   ready queue. Its worker loop is generic over how a popped task
+//!   executes ([`TaskExec`]), which is all that tells it apart from the
+//!   hybrid entry [`crate::offload::run_hybrid_dataflow`].
 //! * [`run_fork_join`] — the conventional barrier model: tasks execute
 //!   phase by phase (parallel-for within a phase, global barrier between
 //!   phases), as a loop-parallel Cholesky would.
@@ -15,7 +17,7 @@ use std::rc::Rc;
 use deep_hw::{roofline, NodeModel};
 use deep_simkit::{channel, join_all, Receiver, Sender, Sim, SimDuration, SimTime};
 
-use crate::graph::{TaskCost, TaskGraph, TaskId};
+use crate::graph::{Device, TaskCost, TaskGraph, TaskId};
 
 /// Execution report of one scheduled run.
 #[derive(Debug, Clone)]
@@ -123,6 +125,24 @@ struct ExecState {
     trace: Vec<(SimTime, SimTime, u32)>,
 }
 
+/// How a worker carries out one popped task — the single point where
+/// the dataflow entries differ. Monomorphised into the worker loop:
+/// no boxed future, no allocation per task.
+pub(crate) trait TaskExec {
+    /// Spend the task's execution time (the body runs afterwards).
+    async fn exec(&self, sim: &Sim, cost: TaskCost, device: Device);
+}
+
+/// Every task sleeps its roofline time on the host node, whatever its
+/// device annotation.
+pub(crate) struct HostExec(pub(crate) NodeModel);
+
+impl TaskExec for HostExec {
+    async fn exec(&self, sim: &Sim, cost: TaskCost, _device: Device) {
+        sim.sleep(task_time(&self.0, &cost)).await;
+    }
+}
+
 /// Execute `graph` with dependence-driven (OmpSs) scheduling on
 /// `n_workers` cores of `node`, FIFO ready queue. Consumes the graph.
 pub async fn run_dataflow(
@@ -142,11 +162,24 @@ pub async fn run_dataflow_policy(
     n_workers: u32,
     policy: SchedPolicy,
 ) -> RunReport {
+    dataflow(sim, graph, node, n_workers, policy, HostExec(node.clone())).await
+}
+
+/// The one dataflow worker loop: `n_workers` simulated workers pull
+/// ready tasks under `policy` and run each through `exec`; `node`
+/// prices the work/critical-path summary and the priority levels.
+pub(crate) async fn dataflow<E: TaskExec + 'static>(
+    sim: &Sim,
+    graph: TaskGraph,
+    node: &NodeModel,
+    n_workers: u32,
+    policy: SchedPolicy,
+    exec: E,
+) -> RunReport {
     assert!(n_workers >= 1);
-    let node = node.clone();
     let n_tasks = graph.len();
-    let total_work = graph.total_work(|t| task_time(&node, &graph.tasks[t.0 as usize].cost));
-    let critical_path = graph.critical_path(|t| task_time(&node, &graph.tasks[t.0 as usize].cost));
+    let total_work = graph.total_work(|t| task_time(node, &graph.tasks[t.0 as usize].cost));
+    let critical_path = graph.critical_path(|t| task_time(node, &graph.tasks[t.0 as usize].cost));
     let start = sim.now();
     if n_tasks == 0 {
         return RunReport {
@@ -167,7 +200,7 @@ pub async fn run_dataflow_policy(
         let order = graph.topo_order();
         let mut bl = vec![0u64; n_tasks];
         for &t in order.iter().rev() {
-            let own = task_time(&node, &graph.tasks[t.0 as usize].cost).as_nanos();
+            let own = task_time(node, &graph.tasks[t.0 as usize].cost).as_nanos();
             let best_succ = graph.tasks[t.0 as usize]
                 .successors
                 .iter()
@@ -191,6 +224,7 @@ pub async fn run_dataflow_policy(
         tx.try_send(WorkerMsg::Token).ok();
     }
 
+    let exec = Rc::new(exec);
     let mut workers = Vec::with_capacity(n_workers as usize);
     for w in 0..n_workers {
         let rx = rx.clone();
@@ -198,7 +232,7 @@ pub async fn run_dataflow_policy(
         let state = state.clone();
         let ready = ready.clone();
         let sim2 = sim.clone();
-        let node = node.clone();
+        let exec = exec.clone();
         workers.push(sim.spawn(format!("ompss-worker{w}"), async move {
             while let Ok(msg) = rx.recv().await {
                 let t = match msg {
@@ -208,13 +242,13 @@ pub async fn run_dataflow_policy(
                         .expect("a token always has a matching ready task"),
                     WorkerMsg::Stop => break,
                 };
-                let (cost, body) = {
+                let (cost, device, body) = {
                     let mut st = state.borrow_mut();
                     let node_t = &mut st.graph.tasks[t.0 as usize];
-                    (node_t.cost, node_t.body.take())
+                    (node_t.cost, node_t.device, node_t.body.take())
                 };
                 let t_start = sim2.now();
-                sim2.sleep(task_time(&node, &cost)).await;
+                exec.exec(&sim2, cost, device).await;
                 if let Some(b) = body {
                     b();
                 }

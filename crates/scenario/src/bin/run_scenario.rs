@@ -1,7 +1,7 @@
 //! `run_scenario`: evaluate a declarative scenario file.
 //!
 //! ```text
-//! run_scenario --scenario FILE [--json] [--check] [--cache-dir DIR] [--quiet]
+//! run_scenario --scenario FILE [--json] [--check] [--quiet]
 //! ```
 //!
 //! * `--scenario FILE` — the TOML scenario document (required).
@@ -9,11 +9,7 @@
 //!   stdout; the default prints a short human summary.
 //! * `--check`         — validate only: print `ok <digest>` and exit
 //!   without evaluating (exit 2 on an invalid document).
-//! * `--cache-dir DIR` — digest-keyed result cache shared with
-//!   `deep-serve --cache-dir` and `run_experiments --cache-dir`: a
-//!   scenario already evaluated by the daemon is a cache hit here and
-//!   vice versa.
-//! * `--quiet`         — suppress the cache status line on stderr.
+//! * `--quiet`         — accepted and ignored (it silenced a removed status line).
 //!
 //! The result is a pure function of the document: byte-identical
 //! output at any `RAYON_NUM_THREADS`, and invariant under key
@@ -21,12 +17,11 @@
 //!
 //! Exit codes: 0 ok, 1 runtime error, 2 bad usage or invalid scenario.
 
-use deep_json::cache::ResultCache;
 use deep_json::object;
 use deep_scenario::Scenario;
 
 fn usage() -> ! {
-    eprintln!("usage: run_scenario --scenario FILE [--json] [--check] [--cache-dir DIR] [--quiet]");
+    eprintln!("usage: run_scenario --scenario FILE [--json] [--check] [--quiet]");
     std::process::exit(2);
 }
 
@@ -34,8 +29,6 @@ fn main() {
     let mut file: Option<String> = None;
     let mut json = false;
     let mut check = false;
-    let mut quiet = false;
-    let mut cache_dir: Option<String> = None;
     #[expect(
         clippy::disallowed_methods,
         reason = "the driver owns the command line; the library takes a parsed Scenario"
@@ -44,10 +37,9 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scenario" => file = Some(args.next().unwrap_or_else(|| usage())),
-            "--cache-dir" => cache_dir = Some(args.next().unwrap_or_else(|| usage())),
             "--json" => json = true,
             "--check" => check = true,
-            "--quiet" => quiet = true,
+            "--quiet" => {}
             _ => usage(),
         }
     }
@@ -66,36 +58,7 @@ fn main() {
         return;
     }
 
-    // Same key shape as the deep-serve job digest for {"scenario": doc},
-    // so daemon and CLI share cache entries.
-    let key = deep_scenario::cache_key(&scenario);
-    let mut cache = cache_dir.as_ref().map(|dir| {
-        ResultCache::with_spill_dir(1024, std::path::Path::new(dir)).unwrap_or_else(|e| {
-            eprintln!("run_scenario: cache dir {dir}: {e}");
-            std::process::exit(1);
-        })
-    });
-
-    let (result, cached) = match cache.as_mut().and_then(|c| c.get(key)) {
-        Some(hit) => (hit, true),
-        None => {
-            let value = deep_scenario::execute(&scenario);
-            if let Some(c) = cache.as_mut() {
-                if let Err(e) = c.insert(key, value.clone()) {
-                    eprintln!("run_scenario: cache write failed: {e}");
-                }
-            }
-            (value, false)
-        }
-    };
-    if !quiet && cache_dir.is_some() {
-        eprintln!(
-            "run_scenario: {} ({})",
-            scenario.name,
-            if cached { "cache hit" } else { "evaluated" }
-        );
-    }
-
+    let result = deep_scenario::execute(&scenario);
     if json {
         println!("{}", result.to_json_pretty());
     } else {
@@ -105,7 +68,6 @@ fn main() {
             ("digest", digest.as_str().into()),
             ("sweep_points", points.into()),
             ("trace", result.get("trace").is_some().into()),
-            ("cache_hit", cached.into()),
         ]);
         println!("{}", summary.to_json_pretty());
     }

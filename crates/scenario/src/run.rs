@@ -5,20 +5,19 @@
 //! binary and the `deep-serve` `{"scenario": ...}` job type, so both
 //! paths produce byte-identical JSON for the same document. The result
 //! is a pure function of the scenario — no wall clock, no ambient RNG,
-//! and sweep points are evaluated with `par_sweep` (input-order
-//! results), so output is bit-identical at any `RAYON_NUM_THREADS`.
+//! and sweep points are evaluated on index-slotted grids (`par_sweep`,
+//! the replica driver of `deep_core::resilience`), so output is
+//! bit-identical at any `RAYON_NUM_THREADS`.
 
 use deep_bench::des_scaling::{self, DesScalingConfig};
-use deep_core::resilience::{daly_optimum, mean_efficiency, ResilienceParams};
+use deep_core::resilience::{daly_optimum, mean_efficiency_batch, ResilienceParams};
 use deep_faults::plan::{Domain, FaultEvent, FaultKind};
 use deep_json::{object, Value};
 
-use crate::schema::{AppSpec, IntervalSpec, ResilienceApp, ScalabilityApp, Scenario};
+use crate::schema::{AppSpec, ResilienceApp, ScalabilityApp, Scenario};
 
-/// The cache key shared by `run_scenario --cache-dir` and the
-/// `deep-serve` result cache: the digest of `{"scenario": <doc>}`,
-/// which matches the daemon's job-spec digest so both populate the
-/// same entries.
+/// The key under which `deep-serve` caches this scenario's result: the
+/// digest of `{"scenario": <doc>}`, i.e. the daemon's job-spec digest.
 pub fn cache_key(sc: &Scenario) -> u64 {
     deep_json::digest::digest(&object([("scenario", sc.doc.clone())]))
 }
@@ -126,29 +125,35 @@ fn run_resilience_sweep(sc: &Scenario, app: &ResilienceApp) -> Value {
     let points = sc
         .sweep_points()
         .expect("sweep points validated at parse time");
-    // Flatten (point, interval) pairs; `par_sweep` keeps input order,
-    // so rows land grouped by point with intervals in declaration
-    // order — the same nesting the registry experiments use.
-    let units: Vec<(ResilienceParams, IntervalSpec)> = points
+    // Flatten (point, interval) pairs: rows land grouped by point with
+    // intervals in declaration order — the same nesting the registry
+    // experiments use — and the batch driver adds the replica axis to
+    // the same grid.
+    let cases: Vec<(ResilienceParams, f64)> = points
         .iter()
-        .flat_map(|p| app.intervals.iter().map(move |iv| (*p, *iv)))
+        .flat_map(|p| {
+            let daly = daly_optimum(p);
+            app.intervals.iter().map(move |iv| (*p, iv.resolve(daly)))
+        })
         .collect();
-    let rows = deep_bench::sweep::par_sweep(&units, |_, (p, iv)| {
-        let daly = daly_optimum(p);
-        let interval_s = iv.resolve(daly);
-        let me = mean_efficiency(p, interval_s, sc.seed, sc.replicas);
-        object([
-            ("n_nodes", p.n_nodes.into()),
-            ("work_s", p.work_s.into()),
-            ("mtbf_node_s", p.mtbf_node_s.into()),
-            ("checkpoint_s", p.checkpoint_s.into()),
-            ("restart_s", p.restart_s.into()),
-            ("daly_s", daly.into()),
-            ("interval_s", interval_s.into()),
-            ("efficiency", me.efficiency.into()),
-            ("truncated_runs", u64::from(me.truncated_runs).into()),
-        ])
-    });
+    let means = mean_efficiency_batch(&cases, sc.seed, sc.replicas);
+    let rows = cases
+        .iter()
+        .zip(means)
+        .map(|((p, interval_s), me)| {
+            object([
+                ("n_nodes", p.n_nodes.into()),
+                ("work_s", p.work_s.into()),
+                ("mtbf_node_s", p.mtbf_node_s.into()),
+                ("checkpoint_s", p.checkpoint_s.into()),
+                ("restart_s", p.restart_s.into()),
+                ("daly_s", daly_optimum(p).into()),
+                ("interval_s", (*interval_s).into()),
+                ("efficiency", me.efficiency.into()),
+                ("truncated_runs", u64::from(me.truncated_runs).into()),
+            ])
+        })
+        .collect();
     object([
         ("skeleton", "resilience".into()),
         ("replicas", u64::from(sc.replicas).into()),
@@ -268,7 +273,7 @@ values = [64, 256]
             restart_s: 300.0,
         };
         let daly = daly_optimum(&p);
-        let expect = mean_efficiency(&p, daly, 7, 4);
+        let expect = deep_core::mean_efficiency(&p, daly, 7, 4);
         assert_eq!(rows[4]["efficiency"].as_f64(), Some(expect.efficiency));
         assert_eq!(rows[4]["interval_s"].as_f64(), Some(daly));
     }
@@ -286,7 +291,7 @@ values = [64, 256]
         assert_eq!(
             cache_key(&sc),
             deep_json::digest::digest(&spec_json),
-            "run_scenario and deep-serve must share cache entries"
+            "a scenario's key is the daemon's spec digest"
         );
     }
 }

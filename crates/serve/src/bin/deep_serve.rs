@@ -2,16 +2,15 @@
 //!
 //! ```text
 //! deep-serve [--addr HOST:PORT] [--threads N] [--workers N]
-//!            [--queue-bound N] [--cache-capacity N] [--cache-dir PATH]
+//!            [--queue-bound N] [--cache-capacity N]
 //! ```
 //!
 //! * `--addr`           — bind address (default `127.0.0.1:8723`;
 //!   port 0 picks a free port, printed on startup).
 //! * `--threads`        — simulation pool width (default: rayon's).
-//! * `--workers`        — concurrent batch executors (default 2).
+//! * `--workers`        — jobs executing concurrently (default 2).
 //! * `--queue-bound`    — admission queue depth (default 32).
 //! * `--cache-capacity` — in-memory result-cache entries (default 256).
-//! * `--cache-dir`      — spill results to disk, surviving restarts.
 //!
 //! The first stdout line is `deep-serve listening on <addr>` so
 //! scripts can scrape the bound address. SIGTERM (or SIGINT) drains:
@@ -25,7 +24,7 @@ use std::io::Write as _;
 fn usage() -> ! {
     eprintln!(
         "usage: deep-serve [--addr HOST:PORT] [--threads N] [--workers N] \
-         [--queue-bound N] [--cache-capacity N] [--cache-dir PATH]"
+         [--queue-bound N] [--cache-capacity N]"
     );
     std::process::exit(2);
 }
@@ -50,7 +49,6 @@ fn main() {
             "--workers" => cfg.workers = parse(&next("count")),
             "--queue-bound" => cfg.queue_bound = parse(&next("count")),
             "--cache-capacity" => cfg.cache_capacity = parse(&next("count")),
-            "--cache-dir" => cfg.cache_dir = Some(next("PATH").into()),
             _ => usage(),
         }
     }

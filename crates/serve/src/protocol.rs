@@ -8,7 +8,7 @@
 //!   `deep_bench::experiments::ALL`; result is its rendered stdout.
 //! * `{"sweep": {"seed": …, "replicas": …, "points": [{…}, …]}}` — an
 //!   explicit resilience-efficiency sweep over
-//!   [`deep_core::resilience::mean_efficiency`]; each point names the
+//!   [`deep_core::resilience::mean_efficiency_batch`]; each point names the
 //!   full `ResilienceParams` plus the checkpoint interval.
 //! * `{"scenario": {...}}` — a declarative scenario document (the
 //!   JSON image of a `deep_scenario` TOML file), validated against the
@@ -161,15 +161,6 @@ impl SweepConfig {
                 .map(SweepPoint::from_json)
                 .collect::<Result<_, _>>()?,
         })
-    }
-
-    /// Two sweeps are batchable into one `par_sweep` call when their
-    /// RNG configuration matches: replica streams derive only from
-    /// `(seed, replica index)`, never from the point's position in the
-    /// merged list, so concatenating point lists cannot change any
-    /// per-point result.
-    pub fn compatible_with(&self, other: &SweepConfig) -> bool {
-        self.seed == other.seed && self.replicas == other.replicas
     }
 }
 
@@ -381,21 +372,5 @@ mod tests {
                 "body {body}: error {err:?} lacks {want:?}"
             );
         }
-    }
-
-    #[test]
-    fn compatibility_is_seed_and_replicas() {
-        let a = SweepConfig {
-            seed: 7,
-            replicas: 4,
-            points: vec![],
-        };
-        let mut b = a.clone();
-        assert!(a.compatible_with(&b));
-        b.seed = 8;
-        assert!(!a.compatible_with(&b));
-        b.seed = 7;
-        b.replicas = 5;
-        assert!(!a.compatible_with(&b));
     }
 }

@@ -1,5 +1,5 @@
 //! Job scheduler: bounded admission, per-client round-robin fairness,
-//! compatible-sweep batching, and resmgr-style thread apportionment.
+//! and resmgr-style thread apportionment around one job entry point.
 //!
 //! The daemon is a tiny cluster in itself, so it reuses the paper's
 //! resource-management ideas at host scale:
@@ -12,15 +12,13 @@
 //!   has its own FIFO and workers take the front job of the next
 //!   client in rotation, so one tenant flooding the queue cannot
 //!   starve another (the resmgr's fair time-slicing, one level up).
-//! * **Batching**: compatible sweep jobs (same seed + replicas — see
-//!   [`SweepConfig::compatible_with`]) claimed together merge into a
-//!   single [`par_sweep`] invocation. Per-point results are pure
-//!   functions of the point, so batching is invisible in the results
-//!   and only visible in throughput.
-//! * **Apportionment**: each running batch gets a slice of the
-//!   machine's threads from [`deep_resmgr::assign::dynamic_shares`] —
-//!   the booster's dynamic assignment policy deciding pool widths
-//!   instead of booster nodes.
+//! * **One way to run a job**: a worker claims one job and runs
+//!   [`evaluate`] on a pool of the job's thread share, inside the only
+//!   `catch_unwind` of this module. Every job kind takes that path.
+//! * **Apportionment**: each running job gets a slice of the machine's
+//!   threads from [`deep_resmgr::assign::dynamic_shares`] — the
+//!   booster's dynamic assignment policy deciding pool widths instead
+//!   of booster nodes.
 //! * **Memoisation**: results of cacheable specs land in a
 //!   [`deep_json::cache::ResultCache`] keyed by the canonical config
 //!   digest; a resubmission is served from memory without touching a
@@ -32,23 +30,20 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::{Arc, Condvar, LockResult, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use deep_bench::sweep::par_sweep;
-use deep_core::resilience::mean_efficiency;
+use deep_bench::experiments::panic_message;
+use deep_core::resilience::mean_efficiency_batch;
 use deep_json::cache::ResultCache;
 use deep_json::{object, Value};
 use deep_resmgr::assign::dynamic_shares;
 
-use crate::protocol::{JobRequest, JobSpec, SweepPoint};
+use crate::protocol::{JobRequest, JobSpec};
 
 /// Sweep points evaluated between two progress events.
 const PROGRESS_CHUNK: usize = 64;
-/// Most sweep jobs merged into one batch.
-const MAX_BATCH_JOBS: usize = 8;
 
 /// Why a submission was not admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +62,7 @@ pub enum Rejection {
 pub enum JobState {
     /// Admitted, waiting for a worker.
     Queued,
-    /// Executing (possibly inside a merged batch).
+    /// Executing on a worker.
     Running,
     /// Finished successfully; `result` is set.
     Done,
@@ -96,12 +91,12 @@ struct Job {
     id: u64,
     client: String,
     spec: JobSpec,
-    digest_hex: Option<String>,
+    /// Canonical digest of the spec (`None` for uncacheable specs),
+    /// computed once at admission.
+    cache_key: Option<u64>,
     state: JobState,
     cache_hit: bool,
-    /// Other jobs merged into the same batch (0 = ran alone).
-    batched_with: u32,
-    /// Pool threads the batch executed on (0 until started).
+    /// Pool threads the job executed on (0 until started).
     threads: u32,
     submitted_at: Instant,
     service_micros: Option<u64>,
@@ -123,6 +118,20 @@ impl Job {
         self.events.push(Value::Object(members));
     }
 
+    /// Enter `Done` with `result`, `micros` after submission.
+    fn complete(&mut self, result: Value, micros: u64) {
+        self.state = JobState::Done;
+        self.service_micros = Some(micros);
+        self.result = Some(result);
+        self.push_event(
+            "done",
+            vec![
+                ("cache_hit", self.cache_hit.into()),
+                ("service_micros", micros.into()),
+            ],
+        );
+    }
+
     fn to_json(&self) -> Value {
         object([
             ("id", self.id.into()),
@@ -131,12 +140,10 @@ impl Job {
             ("spec", self.spec.to_json()),
             (
                 "digest",
-                self.digest_hex
-                    .as_ref()
-                    .map_or(Value::Null, |d| d.as_str().into()),
+                self.cache_key
+                    .map_or(Value::Null, |key| format!("{key:016x}").into()),
             ),
             ("cache_hit", self.cache_hit.into()),
-            ("batched_with", self.batched_with.into()),
             ("threads", self.threads.into()),
             (
                 "service_micros",
@@ -162,8 +169,6 @@ struct Counters {
     cache_hits: u64,
     rejected_full: u64,
     rejected_drain: u64,
-    batches: u64,
-    batched_jobs: u64,
 }
 
 struct State {
@@ -175,7 +180,7 @@ struct State {
     rotation: VecDeque<String>,
     queued: usize,
     running: usize,
-    /// `(lead job id, thread demand)` of every executing batch.
+    /// `(job id, thread demand)` of every executing job.
     running_demands: Vec<(u64, u32)>,
     draining: bool,
     shutdown: bool,
@@ -219,9 +224,7 @@ pub struct SchedulerConfig {
     pub queue_bound: usize,
     /// In-memory result-cache capacity (entries).
     pub cache_capacity: usize,
-    /// Optional on-disk spill directory for the cache.
-    pub cache_dir: Option<PathBuf>,
-    /// Worker threads draining the queue (batches run concurrently).
+    /// Worker threads draining the queue (jobs run concurrently).
     pub workers: usize,
 }
 
@@ -231,19 +234,23 @@ impl Default for SchedulerConfig {
             pool_threads: 2,
             queue_bound: 32,
             cache_capacity: 256,
-            cache_dir: None,
             workers: 2,
         }
     }
 }
 
+/// Progress callback of [`evaluate`]: `(units done, units total)`.
+type OnProgress<'a> = &'a mut (dyn FnMut(usize, usize) + Send);
+/// What a worker runs on a claimed job; [`evaluate`] outside tests.
+type Evaluator = fn(&JobSpec, OnProgress<'_>) -> Result<Value, String>;
+
 impl Scheduler {
     /// Start the scheduler and its worker threads.
     pub fn new(cfg: SchedulerConfig) -> std::io::Result<Scheduler> {
-        let cache = match &cfg.cache_dir {
-            Some(dir) => ResultCache::with_spill_dir(cfg.cache_capacity, dir)?,
-            None => ResultCache::new(cfg.cache_capacity),
-        };
+        Scheduler::with_evaluator(cfg, evaluate)
+    }
+
+    fn with_evaluator(cfg: SchedulerConfig, evaluator: Evaluator) -> std::io::Result<Scheduler> {
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
                 next_id: 1,
@@ -255,7 +262,7 @@ impl Scheduler {
                 running_demands: Vec::new(),
                 draining: false,
                 shutdown: false,
-                cache,
+                cache: ResultCache::new(cfg.cache_capacity),
                 counters: Counters::default(),
             }),
             work: Condvar::new(),
@@ -268,7 +275,7 @@ impl Scheduler {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("deep-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&inner))
+                    .spawn(move || worker_loop(&inner, evaluator))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
         Ok(Scheduler { inner, workers })
@@ -278,13 +285,10 @@ impl Scheduler {
     /// without occupying a worker.
     pub fn submit(&self, req: JobRequest) -> Result<Admitted, Rejection> {
         let started = Instant::now();
-        let digest_key = req.spec.cacheable().then(|| {
-            let spec_json = req.spec.to_json();
-            (
-                deep_json::digest::digest(&spec_json),
-                deep_json::digest::digest_hex(&spec_json),
-            )
-        });
+        let cache_key = req
+            .spec
+            .cacheable()
+            .then(|| deep_json::digest::digest(&req.spec.to_json()));
         let mut st = unpoisoned(self.inner.state.lock());
         if st.draining || st.shutdown {
             st.counters.rejected_drain += 1;
@@ -292,62 +296,21 @@ impl Scheduler {
         }
         // Serve from cache before consuming queue capacity: a hit is
         // not load, so it must not be subject to backpressure.
-        if let Some((key, hex)) = &digest_key {
-            if let Some(result) = st.cache.get(*key) {
-                let id = st.next_id;
-                st.next_id += 1;
-                let mut job = Job {
-                    id,
-                    client: req.client,
-                    spec: req.spec,
-                    digest_hex: Some(hex.clone()),
-                    state: JobState::Done,
-                    cache_hit: true,
-                    batched_with: 0,
-                    threads: 0,
-                    submitted_at: started,
-                    service_micros: Some(started.elapsed().as_micros() as u64),
-                    result: Some(result),
-                    error: None,
-                    events: Vec::new(),
-                };
-                job.push_event("queued", vec![]);
-                job.push_event(
-                    "done",
-                    vec![
-                        ("cache_hit", true.into()),
-                        (
-                            "service_micros",
-                            Value::from(job.service_micros.unwrap_or(0)),
-                        ),
-                    ],
-                );
-                st.jobs.insert(id, job);
-                st.counters.submitted += 1;
-                st.counters.completed += 1;
-                st.counters.cache_hits += 1;
-                self.inner.update.notify_all();
-                return Ok(Admitted {
-                    job_id: id,
-                    cached: true,
-                });
-            }
-        }
-        if st.queued >= self.inner.queue_bound {
+        let hit = cache_key.and_then(|key| st.cache.get(key));
+        if hit.is_none() && st.queued >= self.inner.queue_bound {
             st.counters.rejected_full += 1;
             return Err(Rejection::QueueFull { retry_after_s: 1 });
         }
+        let cached = hit.is_some();
         let id = st.next_id;
         st.next_id += 1;
-        let client = req.client.clone();
         let mut job = Job {
             id,
-            client: client.clone(),
+            client: req.client,
             spec: req.spec,
-            digest_hex: digest_key.map(|(_, hex)| hex),
+            cache_key,
             state: JobState::Queued,
-            cache_hit: false,
-            batched_with: 0,
+            cache_hit: cached,
             threads: 0,
             submitted_at: started,
             service_micros: None,
@@ -356,19 +319,28 @@ impl Scheduler {
             events: Vec::new(),
         };
         job.push_event("queued", vec![]);
-        st.jobs.insert(id, job);
         st.counters.submitted += 1;
-        st.queued += 1;
-        if !st.queues.contains_key(&client) {
-            st.rotation.push_back(client.clone());
+        match hit {
+            Some(result) => {
+                job.complete(result, started.elapsed().as_micros() as u64);
+                st.counters.completed += 1;
+                st.counters.cache_hits += 1;
+            }
+            None => {
+                st.queued += 1;
+                if !st.queues.contains_key(&job.client) {
+                    st.rotation.push_back(job.client.clone());
+                }
+                st.queues
+                    .entry(job.client.clone())
+                    .or_default()
+                    .push_back(id);
+                self.inner.work.notify_one();
+            }
         }
-        st.queues.entry(client).or_default().push_back(id);
-        self.inner.work.notify_one();
+        st.jobs.insert(id, job);
         self.inner.update.notify_all();
-        Ok(Admitted {
-            job_id: id,
-            cached: false,
-        })
+        Ok(Admitted { job_id: id, cached })
     }
 
     /// Full JSON status of one job; `None` for unknown ids.
@@ -424,14 +396,11 @@ impl Scheduler {
         put("jobs_cache_hits_total", c.cache_hits);
         put("jobs_rejected_queue_full_total", c.rejected_full);
         put("jobs_rejected_draining_total", c.rejected_drain);
-        put("batches_total", c.batches);
-        put("batched_jobs_total", c.batched_jobs);
         put("queue_depth", st.queued as u64);
         put("jobs_running", st.running as u64);
         put("draining", u64::from(st.draining));
         put("cache_entries", st.cache.len() as u64);
         put("cache_memory_hits_total", cache.hits);
-        put("cache_disk_hits_total", cache.disk_hits);
         put("cache_misses_total", cache.misses);
         put("cache_evictions_total", cache.evictions);
         out
@@ -475,44 +444,37 @@ impl Scheduler {
     }
 }
 
-/// One unit of worker execution: the lead job plus any sweep jobs
-/// merged with it.
-struct Batch {
-    /// `(job id, points)` — non-sweep leads carry an empty point list.
-    members: Vec<(u64, Vec<SweepPoint>)>,
-    lead_spec: JobSpec,
-    /// Shared sweep seed/replicas (sweep batches only).
-    seed: u64,
-    replicas: u32,
-    /// Pool threads granted by the apportionment policy.
-    threads: u32,
-}
-
-fn worker_loop(inner: &Inner) {
+fn worker_loop(inner: &Inner, evaluator: Evaluator) {
     loop {
-        let batch = {
+        let (id, spec, threads) = {
             let mut st = unpoisoned(inner.state.lock());
             loop {
                 if st.shutdown {
                     return;
                 }
-                if let Some(batch) = claim_batch(inner, &mut st) {
-                    break batch;
+                if let Some(claimed) = claim(inner, &mut st) {
+                    break claimed;
                 }
                 st = unpoisoned(inner.work.wait(st));
             }
         };
-        execute_batch(inner, batch);
+        // The one way a job runs: on a dedicated pool of its thread
+        // share, with every panic below this frame (a failed OS thread
+        // spawn inside the pool included) turned into a `failed` job.
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let mut on_progress = |done, total| progress(inner, id, done, total);
+            build_pool(threads)?.install(|| evaluator(&spec, &mut on_progress))
+        }))
+        .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_message(&*payload))));
+        finish_job(inner, id, outcome);
     }
 }
 
-/// Take the next batch off the queues: round-robin over clients for
-/// the lead job, then merge compatible queued sweeps (any client —
-/// merging shortens everyone's wait, so it does not undercut
-/// fairness).
-fn claim_batch(inner: &Inner, st: &mut State) -> Option<Batch> {
+/// Take the next job off the queues, round-robin over clients, and
+/// grant it a thread share: `(job id, spec, pool threads)`.
+fn claim(inner: &Inner, st: &mut State) -> Option<(u64, JobSpec, u32)> {
     // Rotate to the next client that still has queued work.
-    let lead_id = loop {
+    let id = loop {
         let client = st.rotation.pop_front()?;
         match st.queues.get_mut(&client).and_then(VecDeque::pop_front) {
             Some(id) => {
@@ -531,58 +493,16 @@ fn claim_batch(inner: &Inner, st: &mut State) -> Option<Batch> {
     };
     // A queued id with no job record is an admission bug; skip the
     // claim rather than abort every worker behind this mutex.
-    let lead_spec = st.jobs.get(&lead_id)?.spec.clone();
-    let mut members = Vec::new();
-    let (seed, replicas) = match &lead_spec {
-        JobSpec::Sweep(cfg) => {
-            members.push((lead_id, cfg.points.clone()));
-            (cfg.seed, cfg.replicas)
-        }
-        _ => {
-            members.push((lead_id, Vec::new()));
-            (0, 0)
-        }
-    };
-    // Merge: claim other queued sweeps with the same RNG configuration.
-    if let JobSpec::Sweep(lead_cfg) = &lead_spec {
-        let mut claimed: Vec<(String, u64)> = Vec::new();
-        'scan: for (client, q) in st.queues.iter() {
-            for &id in q.iter() {
-                if members.len() >= MAX_BATCH_JOBS {
-                    break 'scan;
-                }
-                if let Some(JobSpec::Sweep(cfg)) = st.jobs.get(&id).map(|j| &j.spec) {
-                    if lead_cfg.compatible_with(cfg) {
-                        claimed.push((client.clone(), id));
-                        members.push((id, cfg.points.clone()));
-                    }
-                }
-            }
-        }
-        for (client, id) in claimed {
-            if let Some(q) = st.queues.get_mut(&client) {
-                q.retain(|&j| j != id);
-                if q.is_empty() {
-                    st.queues.remove(&client);
-                    st.rotation.retain(|c| c != &client);
-                }
-            }
-        }
-    }
+    let spec = st.jobs.get(&id)?.spec.clone();
 
-    // Apportion pool threads across the batches now running, via the
+    // Apportion pool threads across the jobs now running, via the
     // booster-assignment policy. Our demand is the work width; clamp
     // the grant to ≥ 1 so a saturated machine degrades to time-slicing
     // instead of starvation.
-    let demand = match &lead_spec {
-        JobSpec::Sweep(_) => {
-            let points: usize = members.iter().map(|(_, p)| p.len()).sum();
-            (points as u32).clamp(1, inner.pool_threads)
-        }
-        JobSpec::Experiment(_) => inner.pool_threads,
-        // Scenario sweeps parallelise across their points with the
-        // batch's pool, like experiments.
-        JobSpec::Scenario(_) => inner.pool_threads,
+    let demand = match &spec {
+        JobSpec::Sweep(cfg) => (cfg.points.len() as u32).clamp(1, inner.pool_threads),
+        // Experiments and scenario sweeps parallelise internally.
+        JobSpec::Experiment(_) | JobSpec::Scenario(_) => inner.pool_threads,
         JobSpec::SleepMs(_) => 1,
     };
     let mut demands: Vec<u32> = st.running_demands.iter().map(|&(_, d)| d).collect();
@@ -591,38 +511,17 @@ fn claim_batch(inner: &Inner, st: &mut State) -> Option<Batch> {
         .pop()
         .unwrap_or(1)
         .max(1);
-    st.running_demands.push((lead_id, demand));
+    st.running_demands.push((id, demand));
 
-    let batch_size = members.len();
-    for &(id, _) in &members {
-        let Some(job) = st.jobs.get_mut(&id) else {
-            continue;
-        };
-        st.queued -= 1;
-        st.running += 1;
+    st.queued -= 1;
+    st.running += 1;
+    if let Some(job) = st.jobs.get_mut(&id) {
         job.state = JobState::Running;
-        job.batched_with = (batch_size - 1) as u32;
         job.threads = threads;
-        job.push_event(
-            "started",
-            vec![
-                ("batched_with", ((batch_size - 1) as u64).into()),
-                ("threads", threads.into()),
-            ],
-        );
+        job.push_event("started", vec![("threads", threads.into())]);
     }
-    if batch_size > 1 {
-        st.counters.batched_jobs += batch_size as u64;
-    }
-    st.counters.batches += 1;
     inner.update.notify_all();
-    Some(Batch {
-        members,
-        lead_spec,
-        seed,
-        replicas,
-        threads,
-    })
+    Some((id, spec, threads))
 }
 
 /// The one place this module unwraps a lock or condvar result. Job
@@ -637,7 +536,7 @@ fn unpoisoned<T>(result: LockResult<T>) -> T {
     result.expect("scheduler state poisoned: a thread panicked while holding it")
 }
 
-/// A dedicated pool for one batch's thread share. Call it inside
+/// A dedicated pool for one job's thread share. Call it inside
 /// `catch_unwind`: a failed OS thread spawn panics inside the pool.
 fn build_pool(threads: u32) -> Result<rayon::ThreadPool, String> {
     rayon::ThreadPoolBuilder::new()
@@ -646,194 +545,93 @@ fn build_pool(threads: u32) -> Result<rayon::ThreadPool, String> {
         .map_err(|e| format!("worker pool: {e}"))
 }
 
-fn execute_batch(inner: &Inner, batch: Batch) {
-    match &batch.lead_spec {
-        JobSpec::Sweep(_) => execute_sweep_batch(inner, &batch),
-        JobSpec::Experiment(name) => {
-            let id = batch.members[0].0;
-            let threads = batch.threads;
-            let name = name.clone();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                build_pool(threads)
-                    .map(|pool| pool.install(|| deep_bench::experiments::run_to_string(&name)))
-            }));
-            match outcome {
-                Ok(Ok(Some(output))) => {
-                    let result = object([
-                        ("experiment", name.as_str().into()),
-                        ("output", output.into()),
-                    ]);
-                    finish_job(inner, id, Ok(result));
+/// Evaluate one job spec to its result JSON — a pure function of the
+/// spec, on whatever pool the caller installed. `on_progress(done,
+/// total)` is called between the chunks of a multi-chunk sweep.
+fn evaluate(spec: &JobSpec, on_progress: OnProgress<'_>) -> Result<Value, String> {
+    match spec {
+        JobSpec::Experiment(name) => deep_bench::experiments::run_to_string(name)
+            .map(|output| {
+                object([
+                    ("experiment", name.as_str().into()),
+                    ("output", output.into()),
+                ])
+            })
+            .ok_or_else(|| format!("unknown experiment '{name}'")),
+        JobSpec::Sweep(cfg) => {
+            let total = cfg.points.len();
+            let mut points = Vec::with_capacity(total);
+            for chunk in cfg.points.chunks(PROGRESS_CHUNK) {
+                let cases: Vec<_> = chunk.iter().map(|p| (p.params(), p.interval_s)).collect();
+                for mean in mean_efficiency_batch(&cases, cfg.seed, cfg.replicas) {
+                    points.push(object([
+                        ("efficiency", mean.efficiency.into()),
+                        ("truncated_runs", mean.truncated_runs.into()),
+                    ]));
                 }
-                Ok(Ok(None)) => {
-                    finish_job(inner, id, Err(format!("unknown experiment '{name}'")));
-                }
-                Ok(Err(e)) => finish_job(inner, id, Err(e)),
-                Err(_) => {
-                    finish_job(inner, id, Err(format!("experiment '{name}' panicked")));
+                if points.len() < total {
+                    on_progress(points.len(), total);
                 }
             }
+            Ok(object([("points", Value::Array(points))]))
         }
         JobSpec::Scenario(doc) => {
-            let id = batch.members[0].0;
-            let threads = batch.threads;
-            let doc = doc.clone();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                // Admission already validated the document; re-parse
-                // to obtain the typed form (cheap next to evaluation).
-                let sc = deep_scenario::Scenario::from_value(&doc)
-                    .map_err(|e| format!("scenario: {e}"))?;
-                let pool = build_pool(threads)?;
-                Ok(pool.install(|| deep_scenario::execute(&sc)))
-            }));
-            match outcome {
-                Ok(result) => finish_job(inner, id, result),
-                Err(_) => finish_job(inner, id, Err("scenario evaluation panicked".to_string())),
-            }
+            // Admission already validated the document; re-parse to
+            // obtain the typed form (cheap next to evaluation).
+            let sc =
+                deep_scenario::Scenario::from_value(doc).map_err(|e| format!("scenario: {e}"))?;
+            Ok(deep_scenario::execute(&sc))
         }
         JobSpec::SleepMs(ms) => {
-            let id = batch.members[0].0;
             std::thread::sleep(Duration::from_millis(*ms));
-            finish_job(inner, id, Ok(object([("slept_ms", (*ms).into())])));
+            Ok(object([("slept_ms", (*ms).into())]))
         }
     }
-    // This batch no longer holds its thread share.
+}
+
+/// Append a `progress` event to a running job and wake its watchers.
+fn progress(inner: &Inner, id: u64, done: usize, total: usize) {
     let mut st = unpoisoned(inner.state.lock());
-    let lead = batch.members[0].0;
-    st.running_demands.retain(|&(id, _)| id != lead);
+    if let Some(job) = st.jobs.get_mut(&id) {
+        job.push_event(
+            "progress",
+            vec![
+                ("done", (done as u64).into()),
+                ("total", (total as u64).into()),
+            ],
+        );
+    }
+    inner.update.notify_all();
 }
 
-/// Evaluate a merged sweep batch: one flat point list, one pool,
-/// chunked for progress events. Each point is a pure function of
-/// `(params, interval, seed, replicas)`, so neither merging nor
-/// chunking can change any result.
-fn execute_sweep_batch(inner: &Inner, batch: &Batch) {
-    let flat: Vec<(usize, SweepPoint)> = batch
-        .members
-        .iter()
-        .enumerate()
-        .flat_map(|(m, (_, points))| points.iter().map(move |&p| (m, p)))
-        .collect();
-    let totals: Vec<usize> = batch.members.iter().map(|(_, p)| p.len()).collect();
-    let seed = batch.seed;
-    let replicas = batch.replicas;
-    let threads = batch.threads;
-
-    let pool = match catch_unwind(AssertUnwindSafe(|| build_pool(threads)))
-        .unwrap_or_else(|_| Err("worker pool construction panicked".to_string()))
-    {
-        Ok(pool) => pool,
-        Err(e) => {
-            for &(id, _) in &batch.members {
-                finish_job(inner, id, Err(e.clone()));
-            }
-            return;
-        }
-    };
-
-    // Per-member accumulators, filled chunk by chunk in point order.
-    let mut per_member: Vec<Vec<Value>> = totals.iter().map(|&n| Vec::with_capacity(n)).collect();
-    let mut done: Vec<usize> = vec![0; batch.members.len()];
-    let mut failed = false;
-    for chunk in flat.chunks(PROGRESS_CHUNK) {
-        let evaluated = catch_unwind(AssertUnwindSafe(|| {
-            pool.install(|| {
-                par_sweep(chunk, |_, &(_, point)| {
-                    let mean = mean_efficiency(&point.params(), point.interval_s, seed, replicas);
-                    (mean.efficiency, mean.truncated_runs)
-                })
-            })
-        }));
-        let Ok(results) = evaluated else {
-            failed = true;
-            break;
-        };
-        let mut st = unpoisoned(inner.state.lock());
-        for (&(member, _), (eff, trunc)) in chunk.iter().zip(results) {
-            per_member[member].push(object([
-                ("efficiency", eff.into()),
-                ("truncated_runs", trunc.into()),
-            ]));
-            done[member] += 1;
-        }
-        for (m, &(id, _)) in batch.members.iter().enumerate() {
-            if done[m] > 0 && done[m] < totals[m] {
-                let Some(job) = st.jobs.get_mut(&id) else {
-                    continue;
-                };
-                job.push_event(
-                    "progress",
-                    vec![
-                        ("done", (done[m] as u64).into()),
-                        ("total", (totals[m] as u64).into()),
-                    ],
-                );
-            }
-        }
-        inner.update.notify_all();
-        drop(st);
-        // Members whose points are all evaluated finish immediately —
-        // they do not wait for the rest of the batch.
-        for (m, &(id, _)) in batch.members.iter().enumerate() {
-            if done[m] == totals[m] && !per_member[m].is_empty() {
-                let points = std::mem::take(&mut per_member[m]);
-                finish_job(inner, id, Ok(object([("points", Value::Array(points))])));
-            }
-        }
-    }
-    if failed {
-        for (m, &(id, _)) in batch.members.iter().enumerate() {
-            if done[m] < totals[m] || !per_member[m].is_empty() {
-                finish_job(inner, id, Err("sweep evaluation panicked".into()));
-            }
-        }
-    }
-}
-
-/// Record a terminal state, cache the result, and wake watchers.
+/// Record a terminal state, release the job's thread share, cache the
+/// result, and wake watchers.
 fn finish_job(inner: &Inner, id: u64, outcome: Result<Value, String>) {
-    let mut st = unpoisoned(inner.state.lock());
+    let mut guard = unpoisoned(inner.state.lock());
+    let st = &mut *guard;
+    st.running_demands.retain(|&(job, _)| job != id);
     // Finishing an id with no job record is a bookkeeping bug; drop the
     // result rather than abort the worker that holds the state mutex.
     let Some(job) = st.jobs.get_mut(&id) else {
         return;
     };
     let micros = job.submitted_at.elapsed().as_micros() as u64;
-    job.service_micros = Some(micros);
-    let cache_insert = match outcome {
+    st.running -= 1;
+    match outcome {
         Ok(result) => {
-            job.state = JobState::Done;
-            job.result = Some(result.clone());
-            job.push_event(
-                "done",
-                vec![
-                    ("cache_hit", false.into()),
-                    ("service_micros", micros.into()),
-                ],
-            );
-            job.spec.cacheable().then(|| {
-                let key = deep_json::digest::digest(&job.spec.to_json());
-                (key, result)
-            })
+            if let Some(key) = job.cache_key {
+                st.cache.insert(key, result.clone());
+            }
+            job.complete(result, micros);
+            st.counters.completed += 1;
         }
         Err(error) => {
             job.state = JobState::Failed;
-            job.error = Some(error.clone());
-            job.push_event("failed", vec![("error", error.into())]);
-            None
+            job.service_micros = Some(micros);
+            job.push_event("failed", vec![("error", error.as_str().into())]);
+            job.error = Some(error);
+            st.counters.failed += 1;
         }
-    };
-    let succeeded = job.state == JobState::Done;
-    st.running -= 1;
-    if succeeded {
-        st.counters.completed += 1;
-    } else {
-        st.counters.failed += 1;
-    }
-    if let Some((key, result)) = cache_insert {
-        // Spill failures must not fail the job; the in-memory insert
-        // always stands.
-        let _ = st.cache.insert(key, result);
     }
     inner.update.notify_all();
     inner.work.notify_all();
@@ -842,11 +640,20 @@ fn finish_job(inner: &Inner, id: u64, outcome: Result<Value, String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::{SweepConfig, SweepPoint};
+    use deep_core::resilience::mean_efficiency;
 
     fn experiment(client: &str, name: &str) -> JobRequest {
         JobRequest {
             client: client.to_string(),
             spec: JobSpec::Experiment(name.to_string()),
+        }
+    }
+
+    fn sleep(client: &str, ms: u64) -> JobRequest {
+        JobRequest {
+            client: client.to_string(),
+            spec: JobSpec::SleepMs(ms),
         }
     }
 
@@ -901,19 +708,11 @@ mod tests {
         })
         .unwrap();
         // One slow job occupies the worker; fill the queue behind it.
-        let _running = s
-            .submit(JobRequest {
-                client: "t".into(),
-                spec: JobSpec::SleepMs(300),
-            })
-            .unwrap();
+        let _running = s.submit(sleep("t", 300)).unwrap();
         let mut admitted = 0;
         let mut rejected = None;
         for _ in 0..8 {
-            match s.submit(JobRequest {
-                client: "t".into(),
-                spec: JobSpec::SleepMs(1),
-            }) {
+            match s.submit(sleep("t", 1)) {
                 Ok(_) => admitted += 1,
                 Err(r) => {
                     rejected = Some(r);
@@ -957,28 +756,11 @@ mod tests {
         })
         .unwrap();
         // Park the worker so submissions below queue deterministically.
-        s.submit(JobRequest {
-            client: "warm".into(),
-            spec: JobSpec::SleepMs(200),
-        })
-        .unwrap();
+        s.submit(sleep("warm", 200)).unwrap();
         let greedy: Vec<u64> = (0..3)
-            .map(|_| {
-                s.submit(JobRequest {
-                    client: "greedy".into(),
-                    spec: JobSpec::SleepMs(1),
-                })
-                .unwrap()
-                .job_id
-            })
+            .map(|_| s.submit(sleep("greedy", 1)).unwrap().job_id)
             .collect();
-        let modest = s
-            .submit(JobRequest {
-                client: "modest".into(),
-                spec: JobSpec::SleepMs(1),
-            })
-            .unwrap()
-            .job_id;
+        let modest = s.submit(sleep("modest", 1)).unwrap().job_id;
         for id in greedy.iter().chain([&modest]) {
             wait_terminal(&s, *id);
         }
@@ -997,7 +779,7 @@ mod tests {
     }
 
     #[test]
-    fn compatible_sweeps_batch_and_results_match_direct_evaluation() {
+    fn queued_same_seed_sweeps_each_match_direct_evaluation() {
         let point = SweepPoint {
             work_s: 10_000.0,
             n_nodes: 640,
@@ -1010,7 +792,7 @@ mod tests {
         p2.interval_s = 1800.0;
         let sweep = |points: Vec<SweepPoint>| JobRequest {
             client: "t".into(),
-            spec: JobSpec::Sweep(crate::protocol::SweepConfig {
+            spec: JobSpec::Sweep(SweepConfig {
                 seed: 7,
                 replicas: 3,
                 points,
@@ -1021,28 +803,61 @@ mod tests {
             ..SchedulerConfig::default()
         })
         .unwrap();
-        // Park the worker so both sweeps are queued simultaneously and
-        // the claim merges them into one batch.
-        s.submit(JobRequest {
-            client: "warm".into(),
-            spec: JobSpec::SleepMs(200),
-        })
-        .unwrap();
+        // Park the worker so both sweeps wait in the queue together.
+        s.submit(sleep("warm", 200)).unwrap();
         let a = s.submit(sweep(vec![point])).unwrap().job_id;
         let b = s.submit(sweep(vec![p2])).unwrap().job_id;
-        let ja = wait_terminal(&s, a);
-        let jb = wait_terminal(&s, b);
-        assert_eq!(ja["batched_with"].as_u64(), Some(1), "sweeps must merge");
-        assert_eq!(jb["batched_with"].as_u64(), Some(1));
-        // Batched results must equal direct evaluation bit-for-bit.
-        for (j, pt) in [(&ja, &point), (&jb, &p2)] {
+        for (id, pt) in [(a, &point), (b, &p2)] {
+            let job = wait_terminal(&s, id);
+            assert_eq!(job["state"], "done");
             let direct = mean_efficiency(&pt.params(), pt.interval_s, 7, 3);
             assert_eq!(
-                j["result"]["points"][0]["efficiency"].as_f64().unwrap(),
-                direct.efficiency,
-                "batching changed a result"
+                job["result"]["points"][0]["efficiency"]
+                    .as_f64()
+                    .unwrap()
+                    .to_bits(),
+                direct.efficiency.to_bits(),
+                "a queued neighbour changed a result"
             );
         }
+        let metrics = s.metrics_text();
+        assert!(!metrics.contains("batch"), "{metrics}");
+        s.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_evaluation_fails_the_job_and_frees_the_worker() {
+        fn flaky(spec: &JobSpec, on_progress: OnProgress<'_>) -> Result<Value, String> {
+            if *spec == JobSpec::SleepMs(13) {
+                panic!("unlucky {}", 13);
+            }
+            evaluate(spec, on_progress)
+        }
+        let s = Scheduler::with_evaluator(
+            SchedulerConfig {
+                workers: 1,
+                ..SchedulerConfig::default()
+            },
+            flaky,
+        )
+        .unwrap();
+        let bad = s.submit(sleep("t", 13)).unwrap().job_id;
+        let failed = wait_terminal(&s, bad);
+        assert_eq!(failed["state"], "failed");
+        assert_eq!(failed["error"], "job panicked: unlucky 13");
+        assert_eq!(
+            s.load(),
+            (0, 0, false),
+            "the failed job still counts as load"
+        );
+        // The only worker survived the unwind and takes the next job.
+        let good = s.submit(sleep("t", 1)).unwrap().job_id;
+        assert_eq!(wait_terminal(&s, good)["state"], "done");
+        let metrics = s.metrics_text();
+        assert!(
+            metrics.contains("deep_serve_jobs_failed_total 1"),
+            "{metrics}"
+        );
         s.shutdown();
     }
 

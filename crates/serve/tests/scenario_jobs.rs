@@ -127,6 +127,6 @@ fn scenario_spec_digest_matches_run_scenario_cache_key() {
     assert_eq!(
         req.spec.digest_hex(),
         format!("{:016x}", deep_scenario::cache_key(&sc)),
-        "daemon and run_scenario must share cache entries"
+        "a scenario job is cached under deep_scenario::cache_key"
     );
 }

@@ -5,74 +5,7 @@
 //!
 //! Run with: `cargo run --release --example fabric_explorer`
 
-use std::rc::Rc;
-
-use deep_fabric::{pcie, EndpointOverhead, ExtollFabric, IbFabric, Network, NodeId, PcieBus};
-use deep_simkit::{SimDuration, Simulation};
-
-/// One probed transfer: returns elapsed seconds.
-fn probe(fabric: &str, bytes: u64) -> f64 {
-    let mut sim = Simulation::new(1);
-    let ctx = sim.handle();
-    match fabric {
-        "extoll" => {
-            let f = Rc::new(ExtollFabric::new(&ctx, (4, 4, 4)));
-            let h = sim.spawn("p", async move {
-                f.send_auto(NodeId(0), NodeId(1), bytes)
-                    .await
-                    .unwrap()
-                    .elapsed
-                    .as_secs_f64()
-            });
-            sim.run().assert_completed();
-            h.try_result().unwrap()
-        }
-        "ib" => {
-            let f = Rc::new(IbFabric::new(&ctx, 16));
-            let h = sim.spawn("p", async move {
-                f.send(NodeId(0), NodeId(8), bytes)
-                    .await
-                    .unwrap()
-                    .elapsed
-                    .as_secs_f64()
-            });
-            sim.run().assert_completed();
-            h.try_result().unwrap()
-        }
-        "pcie" => {
-            let net = Rc::new(Network::new(
-                &ctx,
-                Box::new(PcieBus::new(
-                    1,
-                    pcie::root_complex_spec(),
-                    pcie::pcie2_x16_spec(),
-                )),
-                4096,
-                1,
-            ));
-            let h = sim.spawn("p", async move {
-                net.transfer(
-                    PcieBus::host(),
-                    PcieBus::device(0),
-                    bytes,
-                    // Bare DMA doorbell path (no driver stack): this is the
-                    // "PCIe besides latency" reference point of slide 8.
-                    EndpointOverhead {
-                        send: SimDuration::nanos(300),
-                        recv: SimDuration::nanos(100),
-                    },
-                )
-                .await
-                .unwrap()
-                .elapsed
-                .as_secs_f64()
-            });
-            sim.run().assert_completed();
-            h.try_result().unwrap()
-        }
-        other => panic!("unknown fabric {other}"),
-    }
-}
+use deep_bench::probe_fabric;
 
 fn main() {
     println!("fabric microbenchmarks (one-directional transfer, uncontended)\n");
@@ -84,9 +17,11 @@ fn main() {
     let mut crossover_reported = false;
     for shift in [3u32, 6, 9, 12, 14, 16, 18, 20, 22, 24, 26] {
         let bytes = 1u64 << shift;
-        let te = probe("extoll", bytes);
-        let ti = probe("ib", bytes);
-        let tp = probe("pcie", bytes);
+        let te = probe_fabric("extoll", bytes);
+        let ti = probe_fabric("ib", bytes);
+        // Bare DMA doorbell path (no driver stack): the "PCIe besides
+        // latency" reference point of slide 8.
+        let tp = probe_fabric("pcie-dma", bytes);
         let gb = |t: f64| bytes as f64 / t / 1e9;
         println!(
             "{:>10} | {:>10.2}us {:>10.2}us {:>10.2}us | {:>9.2} {:>9.2} {:>9.2}",

@@ -12,11 +12,13 @@
 //! against yesterday's plain `for` loops.
 
 use deep_core::{
-    mean_efficiency, mean_multilevel_efficiency, simulate_multilevel, simulate_run,
+    mean_efficiency, mean_efficiency_batch, mean_multilevel_efficiency,
+    mean_multilevel_efficiency_batch, simulate_multilevel, simulate_run, MultiLevelParams,
     ResilienceParams,
 };
 use deep_faults::er03_params;
 use deep_simkit::SimRng;
+use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 
 /// FNV-1a over a byte string (same digest the trace-equivalence golden
@@ -116,5 +118,71 @@ fn parallelized_experiments_match_across_widths() {
         let narrow = with_pool(1, || deep_bench::experiments::run_to_string(name).unwrap());
         let wide = with_pool(8, || deep_bench::experiments::run_to_string(name).unwrap());
         assert_eq!(narrow, wide, "{name} output depends on the thread count");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A case's mean never depends on its batch neighbours or on the
+    /// pool: every element of both batch forms equals the single-case
+    /// call bit for bit. (The vendored proptest derives its stream from
+    /// the test's name, so the inputs are fixed by this file.)
+    #[test]
+    fn batch_elements_equal_single_case_calls_at_any_width(
+        draws in prop::collection::vec(
+            (1u64..2000, 1e5..1e8f64, 1.0..300.0f64, 100.0..5000.0f64, 0u32..5, 0u32..9),
+            1..7,
+        ),
+        replicas in 1u32..=9,
+        seed in 0u64..1000,
+    ) {
+        let single: Vec<(ResilienceParams, f64)> = draws
+            .iter()
+            .map(|&(n_nodes, mtbf_node_s, checkpoint_s, interval_s, _, _)| {
+                let p = ResilienceParams {
+                    work_s: 20_000.0,
+                    n_nodes,
+                    mtbf_node_s,
+                    checkpoint_s,
+                    restart_s: 60.0,
+                };
+                (p, interval_s)
+            })
+            .collect();
+        let (_, _, _, base) = er03_params();
+        let multi: Vec<MultiLevelParams> = draws
+            .iter()
+            .map(|&(n_nodes, mtbf_node_s, _, interval_s, l2_every, l3_every)| MultiLevelParams {
+                work_s: 20_000.0,
+                n_nodes,
+                mtbf_node_s,
+                interval_s,
+                l2_every,
+                l3_every,
+                ..base
+            })
+            .collect();
+        let bits = |m: deep_core::MeanEfficiency| (m.efficiency.to_bits(), m.truncated_runs);
+        let single_ref: Vec<_> = single
+            .iter()
+            .map(|(p, interval_s)| bits(mean_efficiency(p, *interval_s, seed, replicas)))
+            .collect();
+        let multi_ref: Vec<_> = multi
+            .iter()
+            .map(|p| bits(mean_multilevel_efficiency(p, seed, replicas)))
+            .collect();
+        for threads in [1usize, 2, 4] {
+            let (sl, ml) = with_pool(threads, || {
+                (
+                    mean_efficiency_batch(&single, seed, replicas),
+                    mean_multilevel_efficiency_batch(&multi, seed, replicas),
+                )
+            });
+            let sl: Vec<_> = sl.into_iter().map(bits).collect();
+            let ml: Vec<_> = ml.into_iter().map(bits).collect();
+            prop_assert_eq!(&sl, &single_ref, "single-level batch at {} threads", threads);
+            prop_assert_eq!(&ml, &multi_ref, "multi-level batch at {} threads", threads);
+        }
     }
 }
