@@ -21,39 +21,99 @@
 //! ## State layout
 //!
 //! Per-link and per-node dynamic state is stored **SoA** (one parallel
-//! array per field, indexed by `LinkId`/`NodeId`) rather than as arrays
-//! of structs. At fabric scale — a 262 144-host fat tree has ~1.6 M
-//! directed links — the transfer hot loop touches only `busy_until`
-//! (and `busy_accum`), so the SoA split keeps the contention horizon
-//! array dense in cache instead of dragging the accounting fields along
-//! at 32 bytes per link. Node-fault state keeps an active-fault count so
-//! the fault-free fast path is one integer test, not two array reads per
-//! transfer.
+//! array per field, indexed by `LinkId`/`NodeId`). Static link
+//! description is **interned**: a fat tree has two distinct
+//! [`LinkSpec`]s (host, trunk), a torus or crossbar one, so the fabric
+//! keeps the distinct specs as *classes* plus one byte of class index per
+//! link — 1.6 MB at 262 144 hosts (~1.6 M directed links) where a
+//! 16-byte spec per link was 25 MB holding two values.
+//!
+//! Booking one hop (`occupy_route`, the kernel under both
+//! [`Network::transfer`] and [`Network::schedule_batch`]) is then: class
+//! index load → per-class serialization memo (one compare on a hit; a
+//! miss evaluates `LinkSpec::serialization` and stores it, so the f64
+//! divide and rounding run once per (class, size) run instead of once
+//! per hop) → read-modify-write of **all four** link arrays
+//! (`busy_until`, `busy_accum`, `bytes_carried`, `messages`). The memo
+//! caches a pure function, so timings and counters are bit-identical to
+//! recomputing it.
+//!
+//! Tried and rejected (PR 17, measured on `des_spmv_262k` /
+//! `des_a2a_4k`): a 32-byte AoS link record — one cache line per hop —
+//! was slower on the 262k ring in 4 of 4 pairs (its four streams are
+//! sequential and prefetch well as SoA) though faster on the 4k
+//! all-to-all; a per-host `leaf_of` table in `FatTree::route` moved
+//! nothing resolvable.
+//!
+//! Node-fault state keeps an active-fault count so the fault-free fast
+//! path is one integer test, not two array reads per transfer.
 
 use std::cell::{Cell, RefCell};
 
 use deep_simkit::{Sim, SimDuration, SimRng, SimTime, TraceKey};
 
 use crate::topology::Topology;
-use crate::types::{EndpointOverhead, LinkId, NodeId, TransferStats};
+use crate::types::{EndpointOverhead, LinkId, LinkSpec, NodeId, TransferStats};
+
+/// Static link description, interned: the distinct [`LinkSpec`]s of a
+/// topology and, per link, which of them it is.
+struct LinkClasses {
+    specs: Vec<LinkSpec>,
+    of: Vec<u8>,
+}
+
+impl LinkClasses {
+    /// Two specs share a class only if they are bit-identical, so a
+    /// class stands for exactly the function its links' specs computed.
+    /// Works run by run: topologies lay equal links out contiguously.
+    fn intern(per_link: &[LinkSpec]) -> Self {
+        let mut specs: Vec<LinkSpec> = Vec::new();
+        let mut of = Vec::with_capacity(per_link.len());
+        let mut rest = per_link;
+        while let Some(&first) = rest.first() {
+            let same = |k: &LinkSpec| {
+                k.bandwidth_bps.to_bits() == first.bandwidth_bps.to_bits()
+                    && k.latency == first.latency
+            };
+            let run = rest.iter().take_while(|k| same(k)).count();
+            let class = specs.iter().position(same).unwrap_or_else(|| {
+                specs.push(first);
+                specs.len() - 1
+            });
+            assert!(class <= usize::from(u8::MAX), "more than 256 link classes");
+            of.resize(of.len() + run, class as u8);
+            rest = &rest[run..];
+        }
+        LinkClasses { specs, of }
+    }
+
+    #[inline]
+    fn latency(&self, link: LinkId) -> SimDuration {
+        self.specs[usize::from(self.of[link.0 as usize])].latency
+    }
+}
 
 /// Per-link dynamic state, SoA: `busy_until[l]` is the contention
-/// horizon the hot loop reads and writes; the other arrays are
-/// accounting, read only by diagnostics.
+/// horizon, the other three arrays are accounting; booking a hop
+/// updates all four.
 struct LinkStates {
     busy_until: Vec<SimTime>,
     busy_accum: Vec<SimDuration>,
     bytes_carried: Vec<u64>,
     messages: Vec<u64>,
+    /// Per class, the last `(bytes, serialization(bytes))` a booking
+    /// asked for. Starts at zero bytes, which take zero time on any link.
+    ser_memo: Vec<(u64, SimDuration)>,
 }
 
 impl LinkStates {
-    fn new(n: usize) -> Self {
+    fn new(links: usize, classes: usize) -> Self {
         LinkStates {
-            busy_until: vec![SimTime::ZERO; n],
-            busy_accum: vec![SimDuration::ZERO; n],
-            bytes_carried: vec![0; n],
-            messages: vec![0; n],
+            busy_until: vec![SimTime::ZERO; links],
+            busy_accum: vec![SimDuration::ZERO; links],
+            bytes_carried: vec![0; links],
+            messages: vec![0; links],
+            ser_memo: vec![(0, SimDuration::ZERO); classes],
         }
     }
 }
@@ -144,14 +204,14 @@ pub struct Network {
     rng: RefCell<SimRng>,
     fault: Cell<FaultModel>,
     node_faults: RefCell<NodeFaults>,
-    /// Reused route buffer for the batch path (one allocation per
-    /// fabric, not one per message).
+    /// Reused route buffer (one allocation per fabric, not one per
+    /// message); never borrowed across an `await`.
     route_scratch: RefCell<Vec<LinkId>>,
     /// Maximum transmission unit for segmentation (bytes).
     mtu: u64,
     /// Bandwidth for node-local (src == dst) copies.
     loopback_bps: f64,
-    specs: Vec<crate::types::LinkSpec>,
+    classes: LinkClasses,
     /// Pre-interned trace keys for the per-transfer fault paths, so a
     /// retry storm records events without name lookups.
     k_drop: TraceKey,
@@ -161,11 +221,13 @@ pub struct Network {
 impl Network {
     /// Wrap a topology. `rng_stream` keys this fabric's fault randomness.
     pub fn new(sim: &Sim, topo: Box<dyn Topology>, mtu: u64, rng_stream: u64) -> Self {
-        let specs = topo.link_specs();
+        // The per-link spec table is dropped before the link state is
+        // allocated, so the two never coexist at fabric scale.
+        let classes = LinkClasses::intern(&topo.link_specs());
         let n_nodes = topo.num_nodes();
         Network {
             sim: sim.clone(),
-            links: RefCell::new(LinkStates::new(specs.len())),
+            links: RefCell::new(LinkStates::new(classes.of.len(), classes.specs.len())),
             topo,
             rng: RefCell::new(sim.fork_rng(rng_stream)),
             fault: Cell::new(FaultModel::default()),
@@ -173,7 +235,7 @@ impl Network {
             route_scratch: RefCell::new(Vec::with_capacity(8)),
             mtu: mtu.max(64),
             loopback_bps: 8e9, // a memcpy-grade intra-node path
-            specs,
+            classes,
             k_drop: sim.trace_key("net", "drop"),
             k_link_fail: sim.trace_key("net", "link-fail"),
         }
@@ -312,75 +374,61 @@ impl Network {
             });
         }
 
-        let mut path = Vec::with_capacity(8);
-        self.topo.route(src, dst, &mut path);
-        debug_assert!(!path.is_empty(), "route for distinct nodes is non-empty");
-
-        if down {
-            // The message dies at the first hop: charge one hop latency
-            // (the time the NIC spends discovering nothing answers).
-            self.sim.sleep(self.specs[path[0].0 as usize].latency).await;
-            self.sim.emit_key(self.k_drop, || {
-                format!("node down on route {} -> {}", src.0, dst.0)
-            });
-            return Err(LinkFailure { link: path[0] });
-        }
-        if drop_prob > 0.0 && self.rng.borrow_mut().gen_bool(drop_prob) {
-            // NIC drop: the message traverses the route (charging hop
-            // latencies, not occupancy) and silently vanishes.
-            let lat: SimDuration = path.iter().map(|&l| self.specs[l.0 as usize].latency).sum();
-            self.sim.sleep(lat).await;
-            self.sim.emit_key(self.k_drop, || {
-                format!("nic drop on route {} -> {}", src.0, dst.0)
-            });
-            return Err(LinkFailure { link: path[0] });
-        }
-
-        // Segment the payload by MTU; segments pipeline, so we model the
-        // whole train as one occupancy of length S/B per link but charge
-        // retransmissions per segment.
-        let fault = self.fault.get();
-        let segments = bytes.div_ceil(self.mtu).max(1);
-        let mut retrans_total: u32 = 0;
-        let mut effective_bytes = bytes.max(1);
-        if fault.segment_error_rate > 0.0 {
-            let mut rng = self.rng.borrow_mut();
-            // Per traversal (segment × link) sample geometric retries.
-            // For large segment counts sample the binomial mean instead of
-            // per-segment draws to keep the event count bounded.
-            let traversals = segments as f64 * path.len() as f64;
-            let p = fault.segment_error_rate;
-            let expected_failures = traversals * p / (1.0 - p);
-            let sampled = if traversals <= 1024.0 {
-                let mut n = 0u64;
-                for _ in 0..(segments * path.len() as u64) {
-                    let mut tries = 0u32;
-                    while rng.gen_bool(p) {
-                        tries += 1;
-                        if tries > fault.max_retries {
-                            self.sim.emit_key(self.k_link_fail, || {
-                                format!("retries exhausted on link {}", path[0].0)
-                            });
-                            return Err(LinkFailure { link: path[0] });
-                        }
-                    }
-                    n += tries as u64;
-                }
-                n as f64
+        // Route, sample faults and book the links in one synchronous step
+        // under the shared route buffer; only the first link, the hop
+        // count and the outcome are carried across the awaits below.
+        let (first, hops, outcome) = {
+            let mut path = self.route_scratch.borrow_mut();
+            path.clear();
+            self.topo.route(src, dst, &mut path);
+            debug_assert!(!path.is_empty(), "route for distinct nodes is non-empty");
+            let first = path[0];
+            let outcome = if down {
+                // The message dies at the first hop: charge one hop latency
+                // (the time the NIC spends discovering nothing answers).
+                Err((self.classes.latency(first), "node down"))
+            } else if drop_prob > 0.0 && self.rng.borrow_mut().gen_bool(drop_prob) {
+                // NIC drop: the message traverses the route (charging hop
+                // latencies, not occupancy) and silently vanishes.
+                let lat: SimDuration = path.iter().map(|&l| self.classes.latency(l)).sum();
+                Err((lat, "nic drop"))
             } else {
-                // Gaussian approximation of the retransmission count.
-                let std = expected_failures.sqrt();
-                (expected_failures + std * (rng.gen_f64() * 2.0 - 1.0)).max(0.0)
+                // Segment the payload by MTU; segments pipeline, so we model
+                // the whole train as one occupancy of length S/B per link but
+                // charge retransmissions per segment.
+                let fault = self.fault.get();
+                let segments = bytes.div_ceil(self.mtu).max(1);
+                let mut retrans_total: u32 = 0;
+                let mut effective_bytes = bytes.max(1);
+                if fault.segment_error_rate > 0.0 {
+                    let Some(sampled) = self.sample_retransmissions(fault, segments, path.len())
+                    else {
+                        self.sim.emit_key(self.k_link_fail, || {
+                            format!("retries exhausted on link {}", first.0)
+                        });
+                        return Err(LinkFailure { link: first });
+                    };
+                    retrans_total = sampled as u32;
+                    effective_bytes += (sampled as u64).saturating_mul(self.mtu.min(bytes));
+                }
+                // Analytic cut-through schedule over the route.
+                let mut links = self.links.borrow_mut();
+                let now = self.sim.now();
+                let completion =
+                    Self::occupy_route(&mut links, &self.classes, &path, effective_bytes, now);
+                Ok((completion, retrans_total))
             };
-            retrans_total = sampled as u32;
-            effective_bytes += (sampled as u64).saturating_mul(self.mtu.min(bytes));
-        }
-
-        // Analytic cut-through schedule over the route.
-        let completion = {
-            let now = self.sim.now();
-            let mut links = self.links.borrow_mut();
-            Self::occupy_route(&mut links, &self.specs, &path, effective_bytes, now)
+            (first, path.len() as u32, outcome)
+        };
+        let (completion, retransmissions) = match outcome {
+            Ok(booked) => booked,
+            Err((lost_after, why)) => {
+                self.sim.sleep(lost_after).await;
+                self.sim.emit_key(self.k_drop, || {
+                    format!("{why} on route {} -> {}", src.0, dst.0)
+                });
+                return Err(LinkFailure { link: first });
+            }
         };
 
         self.sim.sleep_until(completion).await;
@@ -390,21 +438,52 @@ impl Network {
 
         Ok(TransferStats {
             elapsed: self.sim.now() - start,
-            hops: path.len() as u32,
+            hops,
             bytes,
-            retransmissions: retrans_total,
+            retransmissions,
         })
+    }
+
+    /// Sample how many segment retransmissions a message of `segments`
+    /// segments suffers over `hops` links: geometric retries per traversal
+    /// (segment × link), or — for large counts, to keep the draw count
+    /// bounded — the binomial mean with a Gaussian-like spread. `None`
+    /// when one traversal exhausts the retry budget.
+    fn sample_retransmissions(&self, fault: FaultModel, segments: u64, hops: usize) -> Option<f64> {
+        let mut rng = self.rng.borrow_mut();
+        let traversals = segments as f64 * hops as f64;
+        let p = fault.segment_error_rate;
+        if traversals <= 1024.0 {
+            let mut n = 0u64;
+            for _ in 0..(segments * hops as u64) {
+                let mut tries = 0u32;
+                while rng.gen_bool(p) {
+                    tries += 1;
+                    if tries > fault.max_retries {
+                        return None;
+                    }
+                }
+                n += tries as u64;
+            }
+            Some(n as f64)
+        } else {
+            let expected_failures = traversals * p / (1.0 - p);
+            let std = expected_failures.sqrt();
+            Some((expected_failures + std * (rng.gen_f64() * 2.0 - 1.0)).max(0.0))
+        }
     }
 
     /// Advance the cut-through occupancy of every link on `route` for one
     /// message of `bytes`, first byte entering no earlier than `head`.
     /// Returns the last-byte arrival at the destination. Pure function of
     /// the link horizons — shared by the per-message path and the batch
-    /// path so both produce identical timings.
+    /// path so both produce identical timings. The serialization memo
+    /// only skips re-evaluating `LinkSpec::serialization` for the size it
+    /// last saw on that class, so mixed sizes merely miss.
     #[inline]
     fn occupy_route(
         links: &mut LinkStates,
-        specs: &[crate::types::LinkSpec],
+        classes: &LinkClasses,
         route: &[LinkId],
         bytes: u64,
         head: SimTime,
@@ -413,9 +492,14 @@ impl Network {
         let mut completion = head;
         for &lid in route {
             let i = lid.0 as usize;
-            let spec = specs[i];
+            let class = usize::from(classes.of[i]);
+            let spec = &classes.specs[class];
+            let memo = &mut links.ser_memo[class];
+            if memo.0 != bytes {
+                *memo = (bytes, spec.serialization(bytes));
+            }
+            let ser = memo.1;
             let occupancy_start = head.max(links.busy_until[i]);
-            let ser = spec.serialization(bytes);
             links.busy_until[i] = occupancy_start + ser;
             links.busy_accum[i] += ser;
             links.bytes_carried[i] += bytes;
@@ -478,7 +562,7 @@ impl Network {
             } else {
                 route.clear();
                 self.topo.route(m.src, m.dst, &mut route);
-                Self::occupy_route(&mut links, &self.specs, &route, m.bytes.max(1), head)
+                Self::occupy_route(&mut links, &self.classes, &route, m.bytes.max(1), head)
             };
             completions.push(done);
             overall = overall.max(done);
@@ -530,7 +614,7 @@ impl Network {
 
     /// Number of directed links in the fabric.
     pub fn num_links(&self) -> usize {
-        self.specs.len()
+        self.classes.of.len()
     }
 
     /// Total messages carried across all links.
@@ -542,10 +626,194 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fattree::{ib_fdr_host_spec, ib_fdr_trunk_spec, FatTree};
     use crate::topology::Crossbar;
-    use crate::types::LinkSpec;
+    use crate::torus::{extoll_link_spec, Torus3D};
     use deep_simkit::Simulation;
+    use proptest::prelude::*;
     use std::rc::Rc;
+
+    /// The booking kernel as it was before link classes and the memo,
+    /// verbatim: one `LinkSpec` per link, its serialization recomputed at
+    /// every hop.
+    struct Reference {
+        topo: Box<dyn Topology>,
+        specs: Vec<LinkSpec>,
+        links: LinkStates,
+        route: Vec<LinkId>,
+    }
+
+    impl Reference {
+        fn new(topo: Box<dyn Topology>) -> Self {
+            let specs = topo.link_specs();
+            Reference {
+                links: LinkStates::new(specs.len(), 0),
+                topo,
+                specs,
+                route: Vec::new(),
+            }
+        }
+
+        /// Book `src → dst`; returns the last-byte arrival and the hops.
+        fn book(&mut self, src: NodeId, dst: NodeId, bytes: u64, head: SimTime) -> (SimTime, u32) {
+            self.route.clear();
+            self.topo.route(src, dst, &mut self.route);
+            let links = &mut self.links;
+            let mut head = head;
+            let mut completion = head;
+            for &lid in &self.route {
+                let i = lid.0 as usize;
+                let spec = self.specs[i];
+                let occupancy_start = head.max(links.busy_until[i]);
+                let ser = spec.serialization(bytes);
+                links.busy_until[i] = occupancy_start + ser;
+                links.busy_accum[i] += ser;
+                links.bytes_carried[i] += bytes;
+                links.messages[i] += 1;
+                let last_byte_arrival = occupancy_start + ser + spec.latency;
+                completion = completion.max(last_byte_arrival);
+                head = occupancy_start + spec.latency;
+            }
+            (completion, self.route.len() as u32)
+        }
+    }
+
+    /// A one-way ring whose links cycle through three specs, so a route
+    /// of three or more hops books every class.
+    struct ThreeClassRing(u32);
+
+    impl Topology for ThreeClassRing {
+        fn num_nodes(&self) -> usize {
+            self.0 as usize
+        }
+
+        fn link_specs(&self) -> Vec<LinkSpec> {
+            (0..self.0 as usize)
+                .map(|i| LinkSpec {
+                    bandwidth_bps: [6.8e9, 3.0e9, 1.25e9][i % 3],
+                    latency: SimDuration::nanos([100, 35, 7][i % 3]),
+                })
+                .collect()
+        }
+
+        fn route(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
+            let mut at = src.0;
+            while at != dst.0 {
+                out.push(LinkId(at));
+                at = (at + 1) % self.0;
+            }
+        }
+
+        fn name(&self) -> &str {
+            "three-class ring"
+        }
+    }
+
+    fn topo_of(kind: u32) -> Box<dyn Topology> {
+        match kind {
+            0 => Box::new(FatTree::new(
+                40,
+                4,
+                4,
+                ib_fdr_host_spec(),
+                ib_fdr_trunk_spec(),
+            )),
+            1 => Box::new(Torus3D::new((3, 3, 2), extoll_link_spec())),
+            2 => Box::new(Crossbar::new(6, ib_fdr_host_spec())),
+            _ => Box::new(ThreeClassRing(7)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Batches of mixed sizes (0 → `max(1)`, runs of one size, two
+        /// sizes alternating, random draws) interleaved with awaited
+        /// transfers leave every completion and all four per-link arrays
+        /// exactly as the un-memoized per-link-spec kernel does.
+        #[test]
+        fn memoized_booking_matches_the_per_link_reference(kind in 0u32..4, seed in 0u64..=u64::MAX) {
+            const SIZES: [u64; 6] = [0, 1, 64, 4_097, 65_536, 1_000_003];
+            let mut sim = Simulation::new(seed);
+            let ctx = sim.handle();
+            let net = Rc::new(Network::new(&ctx, topo_of(kind), 4096, 1));
+            let n = net.clone();
+            let ops = sim.spawn("ops", async move {
+                let mut rng = n.sim().fork_rng(7);
+                let mut reference = Reference::new(topo_of(kind));
+                let nodes = n.num_nodes() as u32;
+                let (mut msgs, mut done) = (Vec::new(), Vec::new());
+                for _ in 0..24 {
+                    let now = n.sim().now();
+                    let (a, b) = (SIZES[rng.gen_range(0..6usize)], SIZES[rng.gen_range(0..6usize)]);
+                    let (src, dst) = (NodeId(rng.gen_range(0..nodes)), NodeId(rng.gen_range(0..nodes)));
+                    if rng.gen_bool(0.6) {
+                        let shape = rng.gen_range(0..3u32);
+                        msgs.clear();
+                        for k in 0..rng.gen_range(1..48u32) {
+                            msgs.push(BatchMsg {
+                                src: NodeId((src.0 + k * (1 + shape)) % nodes),
+                                dst: NodeId(rng.gen_range(0..nodes)),
+                                bytes: match shape {
+                                    0 => a,
+                                    1 => [a, b][k as usize % 2],
+                                    _ => SIZES[rng.gen_range(0..6usize)],
+                                },
+                                earliest: now + SimDuration::nanos(rng.gen_range(0..3_000u64)),
+                            });
+                        }
+                        let overall = n.schedule_batch(&msgs, &mut done);
+                        for (m, &got) in msgs.iter().zip(&done) {
+                            let want = if m.src == m.dst {
+                                m.earliest + SimDuration::from_secs_f64(m.bytes as f64 / 8e9)
+                            } else {
+                                reference.book(m.src, m.dst, m.bytes.max(1), m.earliest).0
+                            };
+                            assert_eq!(got, want, "batch completion");
+                        }
+                        assert_eq!(Some(overall), done.iter().copied().max());
+                        n.sim().sleep(SimDuration::nanos(rng.gen_range(0..20_000u64))).await;
+                    } else if src != dst {
+                        let overhead = EndpointOverhead {
+                            send: SimDuration::nanos(rng.gen_range(0..2u64) * 600),
+                            recv: SimDuration::nanos(rng.gen_range(0..2u64) * 300),
+                        };
+                        let (arrival, hops) = reference.book(src, dst, a.max(1), now + overhead.send);
+                        let st = n.transfer(src, dst, a, overhead).await.unwrap();
+                        assert_eq!(st.elapsed, arrival + overhead.recv - now, "awaited transfer");
+                        assert_eq!(st.hops, hops);
+                        // Routed in the fabric's buffer, not a per-call `Vec`.
+                        assert_eq!(n.route_scratch.borrow().len() as u32, hops);
+                    }
+                }
+                reference.links
+            });
+            sim.run().assert_completed();
+            let want = ops.try_result().unwrap();
+            let got = net.links.borrow();
+            prop_assert_eq!(&got.busy_until, &want.busy_until);
+            prop_assert_eq!(&got.busy_accum, &want.busy_accum);
+            prop_assert_eq!(&got.bytes_carried, &want.bytes_carried);
+            prop_assert_eq!(&got.messages, &want.messages);
+        }
+    }
+
+    #[test]
+    fn link_specs_intern_to_their_distinct_values() {
+        let sim = Simulation::new(1);
+        let ib = crate::IbFabric::new(&sim.handle(), 262_144);
+        let net = ib.network();
+        assert_eq!(net.classes.specs, [ib_fdr_host_spec(), ib_fdr_trunk_spec()]);
+        assert_eq!(net.links.borrow().ser_memo.len(), 2);
+        let torus = Network::new(
+            &sim.handle(),
+            Box::new(Torus3D::new((8, 8, 8), extoll_link_spec())),
+            4096,
+            1,
+        );
+        assert_eq!(torus.classes.specs, [extoll_link_spec()]);
+        assert_eq!(LinkClasses::intern(&topo_of(3).link_specs()).specs.len(), 3);
+    }
 
     fn mk(sim: &Sim, nodes: usize, bw: f64, lat_ns: u64) -> Rc<Network> {
         Rc::new(Network::new(

@@ -220,13 +220,14 @@ impl MpiCtx {
                 kind: EnvKind::Eager,
             };
             let src_ep = self.ep;
-            self.sim().spawn("eager-xfer", async move {
-                uni.wire
-                    .transfer(src_ep, dst_ep, wire_bytes)
-                    .await
-                    .expect("fabric failure in eager transfer");
-                uni.deposit(dst_ep, env);
-            });
+            self.sim()
+                .spawn_fmt(format_args!("eager-xfer"), async move {
+                    uni.wire
+                        .transfer(src_ep, dst_ep, wire_bytes)
+                        .await
+                        .expect("fabric failure in eager transfer");
+                    uni.deposit(dst_ep, env);
+                });
         } else {
             // Rendezvous: RTS → CTS → data.
             self.uni.stats.borrow_mut().rendezvous += 1;
@@ -323,7 +324,7 @@ impl MpiCtx {
         let me = self.clone();
         let comm = comm.clone();
         Request {
-            handle: self.sim().spawn("isend", async move {
+            handle: self.sim().spawn_fmt(format_args!("isend"), async move {
                 me.send(&comm, dst, tag, value, bytes).await;
             }),
         }
@@ -334,9 +335,9 @@ impl MpiCtx {
         let me = self.clone();
         let comm = comm.clone();
         Request {
-            handle: self
-                .sim()
-                .spawn("irecv", async move { me.recv(&comm, src, tag).await }),
+            handle: self.sim().spawn_fmt(format_args!("irecv"), async move {
+                me.recv(&comm, src, tag).await
+            }),
         }
     }
 

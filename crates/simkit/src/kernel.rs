@@ -600,13 +600,12 @@ impl Kernel {
         fut
     }
 
-    /// Move a finished slot's name into the spawn pool (bounded).
+    /// Free a finished slot's name: into the spawn pool while that has
+    /// room, dropped otherwise — a finished slot never keeps storage.
     fn recycle_name(&mut self, idx: usize) {
-        if self.name_pool.len() < 64 {
-            let name = std::mem::take(&mut self.names[idx]);
-            if name.capacity() > 0 {
-                self.name_pool.push(name);
-            }
+        let name = std::mem::take(&mut self.names[idx]);
+        if name.capacity() > 0 && self.name_pool.len() < 64 {
+            self.name_pool.push(name);
         }
     }
 
@@ -631,5 +630,41 @@ impl Kernel {
             .map(|(_, n)| n.clone())
             .take(cap)
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Simulation;
+
+    #[test]
+    fn finished_processes_hold_no_name_storage() {
+        let mut sim = Simulation::new(1);
+        let ctx = sim.handle();
+        sim.spawn("stuck-a", std::future::pending::<()>());
+        let c = ctx.clone();
+        sim.spawn("driver", async move {
+            // `spawn` (not `spawn_fmt`) never drains the name pool, so
+            // all but the first 64 finish against a full pool.
+            for i in 0..1_000u32 {
+                assert_eq!(
+                    c.spawn(format!("helper-{i}"), async move { i }).await,
+                    Some(i)
+                );
+            }
+        });
+        sim.spawn("stuck-b", std::future::pending::<()>());
+        assert_eq!(
+            sim.run(),
+            RunOutcome::Deadlock(vec!["stuck-a".into(), "stuck-b".into()])
+        );
+        let k = ctx.kernel.borrow();
+        assert_eq!(k.procs.len(), 1_003);
+        for (slot, name) in k.procs.iter().zip(&k.names) {
+            let finished = slot.status != ProcStatus::Alive;
+            assert_eq!(finished, name.capacity() == 0, "slot name {name:?}");
+        }
+        assert!(k.name_pool.len() <= 64);
     }
 }

@@ -83,7 +83,7 @@ impl SimDuration {
     #[inline]
     pub fn from_secs_f64(s: f64) -> SimDuration {
         assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
-        SimDuration((s * 1e9).round() as u64)
+        SimDuration(round_nanos(s * 1e9))
     }
 
     /// Nanoseconds in this span.
@@ -198,6 +198,23 @@ impl fmt::Display for SimDuration {
     }
 }
 
+/// `x.round() as u64` for non-negative `x`, without the libm call
+/// `f64::round` compiles to on baseline x86-64 (no `roundsd`). Below 2⁵³
+/// the truncation `t` converts back exactly and `x - t` is exact
+/// (Sterbenz: `t <= x < 2t`, or `t` is zero), so comparing the fraction
+/// with one half *is* round-half-away-from-zero. From 2⁵³ up (and for
+/// +∞) `round` itself runs; no simulated duration gets there.
+#[inline]
+fn round_nanos(x: f64) -> u64 {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    if x < EXACT {
+        let t = x as u64;
+        t + u64::from(x - t as f64 >= 0.5)
+    } else {
+        x.round() as u64
+    }
+}
+
 /// Render a nanosecond count with a human-friendly unit.
 fn fmt_nanos(ns: u64) -> String {
     if ns >= 10_000_000_000 {
@@ -241,6 +258,50 @@ mod tests {
         assert_eq!(SimDuration::from_secs_f64(0.4e-9), SimDuration::ZERO);
         // Negative zero is still zero, not a validation failure.
         assert_eq!(SimDuration::from_secs_f64(-0.0), SimDuration::ZERO);
+    }
+
+    #[test]
+    fn round_nanos_edges_match_f64_round() {
+        let p52 = (1u64 << 52) as f64;
+        let p53 = (1u64 << 53) as f64;
+        for x in [
+            0.0,
+            0.49999999999999994,
+            0.5,
+            1.5,
+            2.5,
+            p52 - 0.5,
+            p52 + 1.0,
+            p53,
+            p53 + 2.0,
+            1.8e19,
+            p53 * 2048.0, // 2⁶⁴: saturates
+        ] {
+            assert_eq!(round_nanos(x), x.round() as u64, "x = {x:e}");
+        }
+        assert_eq!(round_nanos(0.49999999999999994), 0);
+        assert_eq!(round_nanos(p52 - 0.5), 1 << 52);
+        assert_eq!(round_nanos(p53 * 2048.0), u64::MAX);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4096))]
+
+        /// The libm-free rounding is the old `(s * 1e9).round() as u64`
+        /// on every non-negative finite input; `quarters` aims a second
+        /// probe at the .25/.5/.75 fractions below and around 2⁵³.
+        #[test]
+        fn from_secs_f64_equals_f64_round(bits in 0u64..=u64::MAX, quarters in 0u64..(1u64 << 56)) {
+            let s = f64::from_bits(bits >> 1); // sign bit clear
+            proptest::prop_assume!(s.is_finite());
+            proptest::prop_assert_eq!(
+                SimDuration::from_secs_f64(s).as_nanos(),
+                (s * 1e9).round() as u64,
+                "s = {:e}", s
+            );
+            let x = quarters as f64 * 0.25;
+            proptest::prop_assert_eq!(round_nanos(x), x.round() as u64, "x = {:e}", x);
+        }
     }
 
     #[test]
