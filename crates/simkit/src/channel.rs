@@ -96,7 +96,7 @@ impl<T> Drop for Sender<T> {
             // state, so waking under the state borrow is safe and
             // allocation-free.
             while let Some(w) = st.recv_waiters.pop_front() {
-                self.sim.make_ready(w);
+                self.sim.kernel().make_ready(w);
             }
         }
     }
@@ -118,7 +118,7 @@ impl<T> Drop for Receiver<T> {
         st.receivers -= 1;
         if st.receivers == 0 {
             while let Some(w) = st.send_waiters.pop_front() {
-                self.sim.make_ready(w);
+                self.sim.kernel().make_ready(w);
             }
         }
     }
@@ -134,7 +134,7 @@ impl<T> Sender<T> {
         }
         st.queue.push_back(value);
         if let Some(w) = st.recv_waiters.pop_front() {
-            self.sim.make_ready(w);
+            self.sim.kernel().make_ready(w);
         }
         Ok(())
     }
@@ -165,7 +165,7 @@ impl<T> Receiver<T> {
         let v = st.queue.pop_front();
         if v.is_some() {
             if let Some(w) = st.send_waiters.pop_front() {
-                self.sim.make_ready(w);
+                self.sim.kernel().make_ready(w);
             }
         }
         v
@@ -213,7 +213,7 @@ impl<T> Future for SendFut<'_, T> {
             st.queue
                 .push_back(this.value.take().expect("SendFut polled after ready"));
             if let Some(w) = st.recv_waiters.pop_front() {
-                this.chan.sim.make_ready(w);
+                this.chan.sim.kernel().make_ready(w);
             }
             Poll::Ready(Ok(()))
         } else {
@@ -238,7 +238,7 @@ impl<T> Future for RecvFut<'_, T> {
         let mut st = self.chan.state.borrow_mut();
         if let Some(v) = st.queue.pop_front() {
             if let Some(w) = st.send_waiters.pop_front() {
-                self.chan.sim.make_ready(w);
+                self.chan.sim.kernel().make_ready(w);
             }
             return Poll::Ready(Ok(v));
         }

@@ -8,12 +8,16 @@
 //!
 //! ## Hot-path layout
 //!
-//! The process table is split into a *hot* slab (`procs`: the future slot
-//! plus run-state flags, 24 bytes per process) and *cold* side tables
-//! (`names`, `join_waiters`) touched only at spawn, join and exit. The
-//! event loop touches one hot slot per event, so a simulation with
-//! thousands of processes keeps its working set in L1 instead of dragging
-//! 80-byte slots (with inline `String`s) through the cache.
+//! The process table is split into a *hot* slab (`procs`: future, slot
+//! generation, run-state flag — 24 bytes) and a *cold* side table (`meta`)
+//! touched only at spawn, join and exit. The event loop touches one hot
+//! slot per event, so thousands of processes stay in L1.
+//!
+//! Both cost memory per *live* process: a process that ends bumps its
+//! slot's generation and frees the slot for the next spawn. A [`ProcId`]
+//! carries the generation, and a stale id is dropped wherever it arrives
+//! late, exactly as a wake of a finished process always was; slot order
+//! never feeds scheduling, so reuse cannot move a trace (DESIGN §4).
 //!
 //! Timers use lazy deletion: a cancelled sleep (future dropped before its
 //! deadline) marks its token dead and the heap entry is discarded when it
@@ -53,37 +57,83 @@ use crate::time::SimTime;
 )]
 type CancelledSet = std::collections::HashSet<u64>;
 
-/// Identifier of a simulated process. Dense, never reused within one run.
+/// Identifier of a simulated process: its slot in the process table plus
+/// the slot's generation at spawn. The slot is reused once the process
+/// has finished; an id held past that is *stale* and names a finished
+/// process (waking or killing it is a no-op, joining it resolves at
+/// once). The generation wraps after 2³² reuses of one slot: an id kept
+/// across exactly that many would be taken for the new occupant (ABA).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ProcId(pub u32);
+pub struct ProcId {
+    index: u32,
+    generation: u32,
+}
 
 impl fmt::Display for ProcId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "P{}", self.0)
+        write!(f, "P{}.{}", self.index, self.generation)
     }
 }
 
 /// A future pinned on the heap, as stored in the process table.
 pub(crate) type BoxedProc = Pin<Box<dyn Future<Output = ()>>>;
 
-/// Lifecycle of a process slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ProcStatus {
-    /// Runnable or blocked.
-    Alive,
-    /// Ran to completion.
-    Done,
-    /// Killed before completion (fault injection, job abort).
-    Killed,
+/// Hot per-slot state: exactly what the event loop touches per poll.
+#[derive(Default)]
+pub(crate) struct ProcSlot {
+    /// The occupant's future, except while being polled; `None` if free.
+    fut: Option<BoxedProc>,
+    /// Bumped when the occupant ends: its ids go stale before any reuse.
+    generation: u32,
+    /// Set while the process is in the ready list to avoid duplicate polls.
+    queued: bool,
 }
 
-/// Hot per-process state: exactly what the event loop touches per poll.
-pub(crate) struct ProcSlot {
-    /// The future lives here except while being polled.
-    pub(crate) fut: Option<BoxedProc>,
-    pub(crate) status: ProcStatus,
-    /// Set while the process is in the ready list to avoid duplicate polls.
-    pub(crate) queued: bool,
+/// Cold per-slot state, parallel to the hot slab.
+#[derive(Default)]
+struct ProcMeta {
+    /// Empty in a free slot; the buffer is kept for the next occupant.
+    name: String,
+    /// Processes waiting on the occupant's completion.
+    joiners: Waiters,
+    /// Far-horizon timer partition of the occupant.
+    part: u32,
+    /// Spawn order of the occupant, which slot order no longer is.
+    spawned: u64,
+}
+
+/// How a spawn names its process.
+pub(crate) enum ProcName<'a> {
+    /// Moved into the slot: no copy, and no second allocation when the
+    /// slot is new.
+    Owned(String),
+    /// Formatted into the buffer the slot kept.
+    Fmt(fmt::Arguments<'a>),
+}
+
+/// An arrival-ordered wait list with its first entry inline: a join or a
+/// posted receive has one waiter and allocates nothing; more spill over.
+#[derive(Default)]
+pub(crate) struct Waiters {
+    /// `None` only while `rest` is empty.
+    first: Option<ProcId>,
+    rest: Vec<ProcId>,
+}
+
+impl Waiters {
+    /// Add `id` unless it waits already (a re-polled waiter re-registers).
+    pub(crate) fn insert(&mut self, id: ProcId) {
+        match self.first {
+            None => self.first = Some(id),
+            Some(first) if first == id || self.rest.contains(&id) => {}
+            Some(_) => self.rest.push(id),
+        }
+    }
+
+    /// Remove every waiter, yielding them in arrival order.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = ProcId> + '_ {
+        self.first.take().into_iter().chain(self.rest.drain(..))
+    }
 }
 
 /// A far-horizon timer entry in the overflow heap. Ordered by `(at, seq)`
@@ -243,8 +293,6 @@ pub(crate) struct Kernel {
     /// cancelled ones); lets `next_timer_at` skip the partition scan
     /// entirely when every pending timer is on the wheel.
     heap_len: usize,
-    /// Partition of each process, parallel to `procs`.
-    part_of: Vec<u32>,
     /// Scratch buffer for draining due timers while waking their owners;
     /// capacity is recycled so firing allocates nothing in steady state.
     fire_scratch: Vec<(u64, ProcId)>,
@@ -252,18 +300,21 @@ pub(crate) struct Kernel {
     /// the `is_empty` fast path keeps the per-event cost at one branch.
     cancelled: CancelledSet,
     pub(crate) ready: VecDeque<ProcId>,
-    /// Hot process slab: one 24-byte slot per process.
+    /// Hot process slab; as long as the peak number of live processes.
     pub(crate) procs: Vec<ProcSlot>,
-    /// Cold: process names, only read at spawn/deadlock/diagnostics time.
-    names: Vec<String>,
-    /// Cold: processes waiting on each slot's completion.
-    join_waiters: Vec<Vec<ProcId>>,
-    /// Recycled name storage for `add_proc_fmt` (slab reuse: finished
-    /// processes donate their `String` allocation to future spawns).
-    name_pool: Vec<String>,
+    /// Cold side table, parallel to `procs`.
+    meta: Vec<ProcMeta>,
+    /// Free slots, reused last-freed-first (likeliest still in cache).
+    free: Vec<u32>,
+    /// Processes spawned so far.
+    spawned: u64,
+    /// Test reference: free slots are not reused, so ids stay dense and
+    /// a stale id can never meet a new occupant.
+    #[cfg(test)]
+    pub(crate) never_reuse: bool,
     /// Currently polled process; valid only during a poll.
     pub(crate) current: Option<ProcId>,
-    /// Number of slots still `Alive`.
+    /// Number of live processes.
     pub(crate) live: usize,
     /// Total process polls performed — the kernel's event counter, used
     /// for events/s reporting by the scaling benchmarks.
@@ -278,71 +329,60 @@ impl Kernel {
             wheel: TimerWheel::new(),
             parts: vec![BinaryHeap::with_capacity(256)],
             heap_len: 0,
-            part_of: Vec::with_capacity(256),
             fire_scratch: Vec::new(),
             cancelled: CancelledSet::new(),
             ready: VecDeque::with_capacity(256),
             procs: Vec::with_capacity(256),
-            names: Vec::with_capacity(256),
-            join_waiters: Vec::with_capacity(256),
-            name_pool: Vec::new(),
+            meta: Vec::with_capacity(256),
+            free: Vec::new(),
+            spawned: 0,
+            #[cfg(test)]
+            never_reuse: false,
             current: None,
             live: 0,
             events: 0,
         }
     }
 
-    /// Register a new process; it becomes runnable immediately. The
-    /// process inherits the partition of its spawner (partition 0 when
-    /// spawned from outside the event loop).
-    pub(crate) fn add_proc(&mut self, name: String, fut: BoxedProc) -> ProcId {
-        let part = self.current.map_or(0, |p| self.part_of[p.0 as usize]);
-        self.add_proc_in(part, name, fut)
-    }
-
-    /// Register a new process in an explicit partition, growing the
-    /// partition table as needed (empty heaps cost one pointer-triple).
-    pub(crate) fn add_proc_in(&mut self, part: u32, name: String, fut: BoxedProc) -> ProcId {
-        if part as usize >= self.parts.len() {
-            self.parts.resize_with(part as usize + 1, BinaryHeap::new);
-        }
-        let id = ProcId(self.procs.len() as u32);
-        self.procs.push(ProcSlot {
-            fut: Some(fut),
-            status: ProcStatus::Alive,
-            queued: true,
-        });
-        self.part_of.push(part);
-        self.names.push(name);
-        self.join_waiters.push(Vec::new());
-        self.live += 1;
-        self.ready.push_back(id);
-        id
-    }
-
-    /// Like [`Kernel::add_proc`], but formats the name into a recycled
-    /// `String` from the name pool, so spawn-heavy loops do not allocate
-    /// a fresh name per process.
-    pub(crate) fn add_proc_fmt(&mut self, name: fmt::Arguments<'_>, fut: BoxedProc) -> ProcId {
-        use fmt::Write as _;
-        let mut s = self.name_pool.pop().unwrap_or_default();
-        s.clear();
-        let _ = s.write_fmt(name);
-        self.add_proc(s, fut)
-    }
-
-    /// Like [`Kernel::add_proc_in`], with a pool-recycled formatted name.
-    pub(crate) fn add_proc_fmt_in(
+    /// Register a new process in the most recently freed slot (or a new
+    /// one); it becomes runnable immediately. Without a partition it
+    /// inherits its spawner's (0 outside the event loop); an explicit one
+    /// grows the partition table as needed (an empty heap is three words).
+    pub(crate) fn add_proc(
         &mut self,
-        part: u32,
-        name: fmt::Arguments<'_>,
+        part: Option<u32>,
+        name: ProcName<'_>,
         fut: BoxedProc,
     ) -> ProcId {
         use fmt::Write as _;
-        let mut s = self.name_pool.pop().unwrap_or_default();
-        s.clear();
-        let _ = s.write_fmt(name);
-        self.add_proc_in(part, s, fut)
+        let part =
+            part.unwrap_or_else(|| self.current.map_or(0, |p| self.meta[p.index as usize].part));
+        if part as usize >= self.parts.len() {
+            self.parts.resize_with(part as usize + 1, BinaryHeap::new);
+        }
+        let index = self.free.pop().unwrap_or_else(|| {
+            self.procs.push(ProcSlot::default());
+            self.meta.push(ProcMeta::default());
+            u32::try_from(self.procs.len() - 1).expect("over u32::MAX processes live at once")
+        });
+        let slot = &mut self.procs[index as usize];
+        slot.fut = Some(fut);
+        slot.queued = true;
+        let id = ProcId {
+            index,
+            generation: slot.generation,
+        };
+        let meta = &mut self.meta[index as usize];
+        match name {
+            ProcName::Owned(name) => meta.name = name,
+            ProcName::Fmt(args) => drop(meta.name.write_fmt(args)),
+        }
+        meta.part = part;
+        meta.spawned = self.spawned;
+        self.spawned += 1;
+        self.live += 1;
+        self.ready.push_back(id);
+        id
     }
 
     /// Number of partitions currently backing the far-horizon queue.
@@ -359,13 +399,23 @@ impl Kernel {
             .expect("simkit future polled outside a simulation process")
     }
 
-    /// Mark a process runnable (idempotent while already queued).
+    /// Mark a process runnable (idempotent while queued; no-op if stale).
     #[inline]
     pub(crate) fn make_ready(&mut self, id: ProcId) {
-        let slot = &mut self.procs[id.0 as usize];
-        if slot.status == ProcStatus::Alive && !slot.queued {
+        let slot = &mut self.procs[id.index as usize];
+        if slot.generation == id.generation && !slot.queued {
             slot.queued = true;
             self.ready.push_back(id);
+        }
+    }
+
+    /// `yield_now`: queue the process being polled once more, even if a
+    /// wake during this poll already queued it.
+    pub(crate) fn requeue_current(&mut self) {
+        let me = self.current_proc();
+        if !self.is_finished(me) {
+            self.procs[me.index as usize].queued = false;
+            self.make_ready(me);
         }
     }
 
@@ -375,11 +425,11 @@ impl Kernel {
     #[inline]
     pub(crate) fn take_ready(&mut self) -> Option<(ProcId, BoxedProc)> {
         while let Some(pid) = self.ready.pop_front() {
-            let slot = &mut self.procs[pid.0 as usize];
-            slot.queued = false;
-            if slot.status != ProcStatus::Alive {
-                continue; // stale wake of a finished/killed process
+            let slot = &mut self.procs[pid.index as usize];
+            if slot.generation != pid.generation {
+                continue; // stale wake; `queued` is the new occupant's
             }
+            slot.queued = false;
             if let Some(fut) = slot.fut.take() {
                 self.current = Some(pid);
                 self.events += 1;
@@ -390,18 +440,20 @@ impl Kernel {
     }
 
     /// Store the future back after a pending poll (single kernel borrow).
-    /// Completed futures are instead reported via [`Kernel::finish_proc`];
-    /// the caller drops them *outside* the kernel borrow, because dropping
-    /// a future can re-enter the kernel (e.g. `Sleep` cancels its timer).
+    /// Completed futures are instead reported via [`Kernel::finish_proc`].
+    /// If the process killed itself during the poll the future comes back:
+    /// like a completed one, the caller drops it *outside* the kernel
+    /// borrow, because dropping a future can re-enter the kernel (e.g.
+    /// `Sleep` cancels its timer).
     #[inline]
-    pub(crate) fn finish_poll(&mut self, pid: ProcId, fut: BoxedProc) {
+    #[must_use = "drop the returned future outside the kernel borrow"]
+    pub(crate) fn finish_poll(&mut self, pid: ProcId, fut: BoxedProc) -> Option<BoxedProc> {
         self.current = None;
-        let slot = &mut self.procs[pid.0 as usize];
-        if slot.status == ProcStatus::Alive {
-            slot.fut = Some(fut);
+        if self.is_finished(pid) {
+            return Some(fut);
         }
-        // If the process was killed while polling (cannot kill itself
-        // mid-poll in this design) the caller drops the future.
+        self.procs[pid.index as usize].fut = Some(fut);
+        None
     }
 
     /// Schedule a wake-up for `proc` at absolute time `at`.
@@ -417,7 +469,7 @@ impl Kernel {
         if at.as_nanos() - self.now.as_nanos() < WHEEL_SLOTS as u64 {
             self.wheel.push(at, self.seq, proc);
         } else {
-            let part = self.part_of[proc.0 as usize] as usize;
+            let part = self.meta[proc.index as usize].part as usize;
             self.parts[part].push(Timer {
                 at,
                 seq: self.seq,
@@ -561,82 +613,77 @@ impl Kernel {
         self.fire_scratch = batch;
     }
 
-    /// Mark `id` finished and wake its joiners. The future has already
-    /// been taken out by the poll loop; the slot's name allocation is
-    /// recycled into the spawn pool.
+    /// The poll returned `Ready`: end the process, unless it killed itself
+    /// during that poll and has ended already.
     pub(crate) fn finish_proc(&mut self, id: ProcId) {
-        let idx = id.0 as usize;
-        let slot = &mut self.procs[idx];
-        slot.status = ProcStatus::Done;
-        slot.fut = None;
         self.current = None;
-        self.live -= 1;
-        self.recycle_name(idx);
-        let waiters = std::mem::take(&mut self.join_waiters[idx]);
-        for w in waiters {
-            self.make_ready(w);
-        }
+        let _ = self.kill_proc(id); // `None`: the poll loop holds the future
     }
 
-    /// Forcibly terminate a process. No-op if finished. Returns the
-    /// process's future so the *caller* can drop it outside the kernel
-    /// borrow (dropping it may re-enter the kernel, e.g. to cancel a
-    /// pending sleep timer).
+    /// End a process, forcibly unless called by [`Kernel::finish_proc`];
+    /// no-op if it has ended. Its ids go stale, its joiners wake, its slot
+    /// is free and nameless. Returns the process's future so the *caller*
+    /// can drop it outside the kernel borrow (dropping it may re-enter
+    /// the kernel, e.g. to cancel a pending sleep timer).
     #[must_use = "drop the returned future outside the kernel borrow"]
     pub(crate) fn kill_proc(&mut self, id: ProcId) -> Option<BoxedProc> {
-        let idx = id.0 as usize;
-        let slot = &mut self.procs[idx];
-        if slot.status != ProcStatus::Alive {
+        if self.is_finished(id) {
             return None;
         }
-        slot.status = ProcStatus::Killed;
+        let slot = &mut self.procs[id.index as usize];
         let fut = slot.fut.take();
+        slot.generation = slot.generation.wrapping_add(1);
+        slot.queued = false;
         self.live -= 1;
-        self.recycle_name(idx);
-        let waiters = std::mem::take(&mut self.join_waiters[idx]);
-        for w in waiters {
+        let meta = &mut self.meta[id.index as usize];
+        meta.name.clear();
+        let mut joiners = std::mem::take(&mut meta.joiners);
+        for w in joiners.drain() {
             self.make_ready(w);
         }
+        self.meta[id.index as usize].joiners = joiners;
+        #[cfg(test)]
+        if self.never_reuse {
+            return fut;
+        }
+        self.free.push(id.index);
         fut
     }
 
-    /// Free a finished slot's name: into the spawn pool while that has
-    /// room, dropped otherwise — a finished slot never keeps storage.
-    fn recycle_name(&mut self, idx: usize) {
-        let name = std::mem::take(&mut self.names[idx]);
-        if name.capacity() > 0 && self.name_pool.len() < 64 {
-            self.name_pool.push(name);
-        }
-    }
-
-    /// Register `waiter` to be woken when `id` finishes.
+    /// True if `id` has finished; else it wakes the polled process when it does.
     #[inline]
-    pub(crate) fn add_join_waiter(&mut self, id: ProcId, waiter: ProcId) {
-        self.join_waiters[id.0 as usize].push(waiter);
+    pub(crate) fn join(&mut self, id: ProcId) -> bool {
+        let finished = self.is_finished(id);
+        if !finished {
+            let me = self.current_proc();
+            self.meta[id.index as usize].joiners.insert(me);
+        }
+        finished
     }
 
     /// True if the process has terminated (normally or by kill).
     #[inline]
     pub(crate) fn is_finished(&self, id: ProcId) -> bool {
-        self.procs[id.0 as usize].status != ProcStatus::Alive
+        self.procs[id.index as usize].generation != id.generation
     }
 
-    /// Names of processes that are alive but not runnable — the deadlock set.
+    /// Names of processes that are alive but not runnable — the deadlock
+    /// set, in spawn order. Called between polls: occupied = holds a future.
     pub(crate) fn blocked_proc_names(&self, cap: usize) -> Vec<String> {
-        self.procs
-            .iter()
-            .zip(self.names.iter())
-            .filter(|(s, _)| s.status == ProcStatus::Alive && !s.queued)
-            .map(|(_, n)| n.clone())
-            .take(cap)
-            .collect()
+        let slots = self.procs.iter().zip(&self.meta);
+        let mut blocked: Vec<&ProcMeta> = slots
+            .filter_map(|(s, m)| (s.fut.is_some() && !s.queued).then_some(m))
+            .collect();
+        blocked.sort_unstable_by_key(|m| m.spawned);
+        blocked.truncate(cap);
+        blocked.into_iter().map(|m| m.name.clone()).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Simulation;
+    use crate::{SimDuration, Simulation};
 
     #[test]
     fn finished_processes_hold_no_name_storage() {
@@ -645,8 +692,6 @@ mod tests {
         sim.spawn("stuck-a", std::future::pending::<()>());
         let c = ctx.clone();
         sim.spawn("driver", async move {
-            // `spawn` (not `spawn_fmt`) never drains the name pool, so
-            // all but the first 64 finish against a full pool.
             for i in 0..1_000u32 {
                 assert_eq!(
                     c.spawn(format!("helper-{i}"), async move { i }).await,
@@ -659,12 +704,103 @@ mod tests {
             sim.run(),
             RunOutcome::Deadlock(vec!["stuck-a".into(), "stuck-b".into()])
         );
-        let k = ctx.kernel.borrow();
-        assert_eq!(k.procs.len(), 1_003);
-        for (slot, name) in k.procs.iter().zip(&k.names) {
-            let finished = slot.status != ProcStatus::Alive;
-            assert_eq!(finished, name.capacity() == 0, "slot name {name:?}");
+        // Two stuck processes, the driver, and one slot all 1 000
+        // helpers took turns in.
+        assert_eq!(sim.process_slots(), 4);
+        let k = ctx.kernel();
+        for (slot, meta) in k.procs.iter().zip(&k.meta) {
+            assert_eq!(slot.fut.is_some(), !meta.name.is_empty(), "{}", meta.name);
         }
-        assert!(k.name_pool.len() <= 64);
+    }
+
+    #[test]
+    fn a_recycled_slot_reports_only_its_occupants_name() {
+        // Owned, formatted and literal names take turns in one slot; the
+        // longer name of an earlier occupant must never show through.
+        let mut sim = Simulation::new(1);
+        let ctx = sim.handle();
+        sim.spawn("driver", async move {
+            let n = ctx.seed(); // a run-time value: really formatted
+            ctx.spawn(String::from("an-owned-name-that-is-long"), async {})
+                .await;
+            ctx.spawn_fmt(format_args!("formatted-and-long-{n}"), async {})
+                .await;
+            ctx.spawn_fmt(format_args!("literal"), async {}).await;
+            ctx.spawn_fmt(format_args!("f{n}"), std::future::pending::<()>())
+                .await;
+        });
+        assert_eq!(
+            sim.run(),
+            RunOutcome::Deadlock(vec!["driver".into(), "f1".into()])
+        );
+        assert_eq!(sim.process_slots(), 2);
+    }
+
+    #[test]
+    fn deadlock_report_is_in_spawn_order_under_reuse() {
+        let mut sim = Simulation::new(1);
+        let ctx = sim.handle();
+        sim.spawn("driver", async move {
+            // Three helpers retire in order, so the free list hands
+            // their slots out last-retired-first: "first" lands in the
+            // highest slot, "third" in the lowest.
+            let helpers: Vec<_> = (0..3).map(|_| ctx.spawn("helper", async {})).collect();
+            crate::join_all(helpers).await;
+            for name in ["first", "second", "third"] {
+                ctx.spawn(name, std::future::pending::<()>());
+            }
+            std::future::pending::<()>().await;
+        });
+        assert_eq!(
+            sim.run(),
+            RunOutcome::Deadlock(vec![
+                "driver".into(),
+                "first".into(),
+                "second".into(),
+                "third".into()
+            ])
+        );
+        assert_eq!(sim.process_slots(), 4);
+    }
+
+    #[test]
+    fn self_kill_then_return_completes() {
+        let mut sim = Simulation::new(1);
+        let ctx = sim.handle();
+        let c = ctx.clone();
+        let suicide = sim.spawn("suicide", async move {
+            c.kill(c.current_proc());
+            7u32
+        });
+        sim.spawn("sleeper", async move {
+            ctx.sleep(SimDuration::micros(1)).await;
+        });
+        let joined = sim.spawn("joiner", suicide);
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        assert_eq!(joined.try_result(), Some(None), "killed means no result");
+        assert_eq!(sim.now().as_micros(), 1);
+    }
+
+    #[test]
+    fn self_kill_then_await_ends_the_process_at_the_kill() {
+        let mut sim = Simulation::new(1);
+        let ctx = sim.handle();
+        let suicide = sim.spawn("suicide", async move {
+            ctx.kill(ctx.current_proc());
+            // The slot is free already: the child takes it over while
+            // its previous occupant is still inside its last poll.
+            let c = ctx.clone();
+            ctx.spawn("heir", async move {
+                c.sleep(SimDuration::micros(2)).await;
+            });
+            // An armed timer at the moment the future is dropped.
+            ctx.sleep(SimDuration::secs(1)).await;
+            unreachable!("a killed process is never polled again");
+        });
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        assert!(suicide.is_finished());
+        assert_eq!(suicide.try_result(), None);
+        assert_eq!(sim.now().as_micros(), 2, "the 1 s timer was cancelled");
+        assert_eq!(sim.process_slots(), 1);
     }
 }

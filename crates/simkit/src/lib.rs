@@ -50,6 +50,8 @@ mod channel;
 mod kernel;
 mod metrics;
 mod race;
+#[cfg(test)]
+mod reuse_proptest;
 mod rng;
 mod sim;
 mod sync;

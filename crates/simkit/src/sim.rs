@@ -1,13 +1,13 @@
 //! Public simulation API: [`Simulation`] owns a run, [`Sim`] is the cheap
 //! cloneable handle processes use to talk to the kernel.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::kernel::{Kernel, ProcId, RunOutcome};
+use crate::kernel::{Kernel, ProcId, ProcName, RunOutcome};
 use crate::metrics::Metrics;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -31,13 +31,17 @@ pub struct Simulation {
     sim: Sim,
 }
 
-/// Cheap, cloneable handle to the simulation kernel. All simulated
-/// components hold one of these.
+/// Cheap, cloneable handle to the simulation kernel: one `Rc`, because
+/// every channel end, event, semaphore and process handle holds one.
 #[derive(Clone)]
 pub struct Sim {
-    pub(crate) kernel: Rc<RefCell<Kernel>>,
-    metrics: Rc<RefCell<Metrics>>,
-    tracer: Rc<RefCell<Tracer>>,
+    inner: Rc<SimInner>,
+}
+
+struct SimInner {
+    kernel: RefCell<Kernel>,
+    metrics: RefCell<Metrics>,
+    tracer: RefCell<Tracer>,
     seed: u64,
 }
 
@@ -47,10 +51,12 @@ impl Simulation {
     pub fn new(seed: u64) -> Self {
         Simulation {
             sim: Sim {
-                kernel: Rc::new(RefCell::new(Kernel::new())),
-                metrics: Rc::new(RefCell::new(Metrics::new())),
-                tracer: Rc::new(RefCell::new(Tracer::disabled())),
-                seed,
+                inner: Rc::new(SimInner {
+                    kernel: RefCell::new(Kernel::new()),
+                    metrics: RefCell::new(Metrics::new()),
+                    tracer: RefCell::new(Tracer::disabled()),
+                    seed,
+                }),
             },
         }
     }
@@ -58,7 +64,7 @@ impl Simulation {
     /// Enable the event tracer (records `trace!`-style strings with
     /// timestamps; useful in tests and when debugging protocol issues).
     pub fn enable_tracing(&mut self) {
-        self.sim.tracer.borrow_mut().enable();
+        self.sim.inner.tracer.borrow_mut().enable();
     }
 
     /// Get a handle usable inside and outside processes.
@@ -95,13 +101,19 @@ impl Simulation {
     /// delivery, a timer firing); scaling benchmarks divide this by wall
     /// time for an events/s figure.
     pub fn events_processed(&self) -> u64 {
-        self.sim.kernel.borrow().events
+        self.sim.kernel().events
     }
 
     /// Number of event-loop partitions currently backing the simulation
     /// (1 unless [`Sim::spawn_in`] was used).
     pub fn partitions(&self) -> usize {
-        self.sim.kernel.borrow().partitions()
+        self.sim.kernel().partitions()
+    }
+
+    /// Length of the kernel's process table: the peak number of
+    /// concurrently live processes so far (finished ones free their slot).
+    pub fn process_slots(&self) -> usize {
+        self.sim.kernel().procs.len()
     }
 
     /// Run until every process finished (or deadlock).
@@ -117,19 +129,20 @@ impl Simulation {
             // Drain the ready list at the current instant. Each poll costs
             // exactly two kernel borrows: take the future out, put it back.
             loop {
-                let Some((pid, mut fut)) = self.sim.kernel.borrow_mut().take_ready() else {
+                let Some((pid, mut fut)) = self.sim.kernel().take_ready() else {
                     break;
                 };
                 if fut.as_mut().poll(&mut cx).is_ready() {
-                    self.sim.kernel.borrow_mut().finish_proc(pid);
+                    self.sim.kernel().finish_proc(pid);
                     // `fut` dropped here, outside the kernel borrow.
                 } else {
-                    self.sim.kernel.borrow_mut().finish_poll(pid, fut);
+                    let killed = self.sim.kernel().finish_poll(pid, fut);
+                    drop(killed); // likewise outside the borrow
                 }
             }
 
             // Advance to the next timer.
-            let mut k = self.sim.kernel.borrow_mut();
+            let mut k = self.sim.kernel();
             match k.next_timer_at() {
                 None => {
                     return if k.live == 0 {
@@ -154,7 +167,7 @@ impl Simulation {
 
     /// Access collected metrics after (or during) a run.
     pub fn metrics(&self) -> std::cell::Ref<'_, Metrics> {
-        self.sim.metrics.borrow()
+        self.sim.inner.metrics.borrow()
     }
 
     /// Drain the trace log as rendered lines (empty unless tracing was
@@ -172,7 +185,19 @@ impl Simulation {
     /// enabled). Component/kind names are stored interned during the run
     /// and resolved to strings here, at export.
     pub fn take_events(&self) -> Vec<TraceEvent> {
-        self.sim.tracer.borrow_mut().take()
+        self.sim.inner.tracer.borrow_mut().take()
+    }
+}
+
+#[cfg(test)]
+impl Simulation {
+    /// The reference the slot-reuse tests compare against: the same
+    /// kernel with its free list switched off, so process ids are dense
+    /// and a stale id can never meet a new occupant of its slot.
+    pub(crate) fn new_never_reusing(seed: u64) -> Self {
+        let sim = Simulation::new(seed);
+        sim.sim.kernel().never_reuse = true;
+        sim
     }
 }
 
@@ -180,20 +205,20 @@ impl Sim {
     /// Current virtual time.
     #[inline]
     pub fn now(&self) -> SimTime {
-        self.kernel.borrow().now
+        self.kernel().now
     }
 
     /// Master seed of this simulation.
     #[inline]
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.inner.seed
     }
 
     /// Derive an independent, deterministic RNG stream. Components should
     /// fork one stream each (keyed by a stable identifier) so adding a
     /// component never perturbs another's randomness.
     pub fn fork_rng(&self, stream: u64) -> SimRng {
-        SimRng::from_seed_stream(self.seed, stream)
+        SimRng::from_seed_stream(self.inner.seed, stream)
     }
 
     /// Spawn a process; returns a handle that can be awaited for the result.
@@ -202,13 +227,7 @@ impl Sim {
         F: Future<Output = T> + 'static,
         T: 'static,
     {
-        let (wrapped, result) = wrap_proc(fut);
-        let id = self.kernel.borrow_mut().add_proc(name.into(), wrapped);
-        ProcHandle {
-            sim: self.clone(),
-            id,
-            result,
-        }
+        self.spawn_named(None, ProcName::Owned(name.into()), fut)
     }
 
     /// Spawn a process into an explicit event-loop partition. Far-horizon
@@ -227,19 +246,10 @@ impl Sim {
         F: Future<Output = T> + 'static,
         T: 'static,
     {
-        let (wrapped, result) = wrap_proc(fut);
-        let id = self
-            .kernel
-            .borrow_mut()
-            .add_proc_in(partition, name.into(), wrapped);
-        ProcHandle {
-            sim: self.clone(),
-            id,
-            result,
-        }
+        self.spawn_named(Some(partition), ProcName::Owned(name.into()), fut)
     }
 
-    /// [`Sim::spawn_in`] with a pool-recycled formatted name (see
+    /// [`Sim::spawn_in`] with a name formatted into kept storage (see
     /// [`Sim::spawn_fmt`]). Use in spawn-heavy partitioned loops.
     pub fn spawn_in_fmt<F, T>(
         &self,
@@ -251,28 +261,38 @@ impl Sim {
         F: Future<Output = T> + 'static,
         T: 'static,
     {
-        let (wrapped, result) = wrap_proc(fut);
-        let id = self
-            .kernel
-            .borrow_mut()
-            .add_proc_fmt_in(partition, name, wrapped);
-        ProcHandle {
-            sim: self.clone(),
-            id,
-            result,
-        }
+        self.spawn_named(Some(partition), ProcName::Fmt(name), fut)
     }
 
-    /// Spawn with a name formatted straight into recycled kernel storage:
-    /// `sim.spawn_fmt(format_args!("rank-{r}"), fut)` builds no fresh
-    /// `String` once the name pool is warm. Use in spawn-heavy loops.
+    /// Spawn with a name formatted straight into the buffer the process's
+    /// slot kept from its previous occupant: `sim.spawn_fmt(format_args!(
+    /// "rank-{r}"), fut)` builds no `String`. Use in spawn-heavy loops.
     pub fn spawn_fmt<F, T>(&self, name: std::fmt::Arguments<'_>, fut: F) -> ProcHandle<T>
     where
         F: Future<Output = T> + 'static,
         T: 'static,
     {
-        let (wrapped, result) = wrap_proc(fut);
-        let id = self.kernel.borrow_mut().add_proc_fmt(name, wrapped);
+        self.spawn_named(None, ProcName::Fmt(name), fut)
+    }
+
+    /// The one spawn path: box the future so that its output lands in a
+    /// cell shared with the handle — unless the process killed itself
+    /// during its last poll: killed means `None`, however it ended.
+    fn spawn_named<F, T>(&self, part: Option<u32>, name: ProcName<'_>, fut: F) -> ProcHandle<T>
+    where
+        F: Future<Output = T> + 'static,
+        T: 'static,
+    {
+        let result: Rc<RefCell<Option<T>>> = Rc::new(RefCell::new(None));
+        let (cell, sim) = (result.clone(), self.clone());
+        let wrapped = Box::pin(async move {
+            let v = fut.await;
+            let me = sim.current_proc();
+            if !sim.kernel().is_finished(me) {
+                *cell.borrow_mut() = Some(v);
+            }
+        });
+        let id = self.kernel().add_proc(part, name, wrapped);
         ProcHandle {
             sim: self.clone(),
             id,
@@ -284,7 +304,7 @@ impl Sim {
     #[inline]
     pub fn sleep(&self, d: SimDuration) -> Sleep {
         Sleep {
-            kernel: self.kernel.clone(),
+            sim: self.clone(),
             until: self.now() + d,
             token: None,
         }
@@ -294,7 +314,7 @@ impl Sim {
     #[inline]
     pub fn sleep_until(&self, at: SimTime) -> Sleep {
         Sleep {
-            kernel: self.kernel.clone(),
+            sim: self.clone(),
             until: at,
             token: None,
         }
@@ -305,7 +325,7 @@ impl Sim {
     /// caller at the back of the ready list exactly once.
     pub fn yield_now(&self) -> YieldNow {
         YieldNow {
-            kernel: self.kernel.clone(),
+            sim: self.clone(),
             yielded: false,
         }
     }
@@ -313,7 +333,7 @@ impl Sim {
     /// Forcibly terminate a process. Joiners are woken; the handle reports
     /// `None` as its result.
     pub fn kill(&self, id: ProcId) {
-        let fut = self.kernel.borrow_mut().kill_proc(id);
+        let fut = self.kernel().kill_proc(id);
         // Drop outside the borrow: the future's destructors may re-enter
         // the kernel (e.g. a pending `Sleep` cancels its timer).
         drop(fut);
@@ -331,7 +351,7 @@ impl Sim {
     /// loops should pre-intern with [`Sim::trace_key`] and use
     /// [`Sim::emit_key`] to skip the name lookups entirely.
     pub fn emit(&self, component: &str, kind: &str, payload: impl FnOnce() -> String) {
-        let mut t = self.tracer.borrow_mut();
+        let mut t = self.inner.tracer.borrow_mut();
         if t.is_enabled() {
             let at = self.now();
             t.record_named(at, component, kind, payload());
@@ -343,7 +363,7 @@ impl Sim {
     /// ids, stable for the lifetime of the run, and valid whether or not
     /// tracing is currently enabled.
     pub fn trace_key(&self, component: &str, kind: &str) -> TraceKey {
-        self.tracer.borrow_mut().intern_key(component, kind)
+        self.inner.tracer.borrow_mut().intern_key(component, kind)
     }
 
     /// Record a typed trace event through a pre-interned [`TraceKey`]
@@ -351,7 +371,7 @@ impl Sim {
     /// evaluated when tracing is on.
     #[inline]
     pub fn emit_key(&self, key: TraceKey, payload: impl FnOnce() -> String) {
-        let mut t = self.tracer.borrow_mut();
+        let mut t = self.inner.tracer.borrow_mut();
         if t.is_enabled() {
             let at = self.now();
             t.record_key(at, key, payload());
@@ -360,33 +380,19 @@ impl Sim {
 
     /// Mutate the metrics registry.
     pub fn with_metrics<R>(&self, f: impl FnOnce(&mut Metrics) -> R) -> R {
-        f(&mut self.metrics.borrow_mut())
+        f(&mut self.inner.metrics.borrow_mut())
     }
 
     /// The id of the process currently being polled. Panics outside a poll.
     pub fn current_proc(&self) -> ProcId {
-        self.kernel.borrow().current_proc()
+        self.kernel().current_proc()
     }
 
+    /// Borrow the kernel. Never held across a poll or a user callback.
     #[inline]
-    pub(crate) fn make_ready(&self, id: ProcId) {
-        self.kernel.borrow_mut().make_ready(id);
+    pub(crate) fn kernel(&self) -> RefMut<'_, Kernel> {
+        self.inner.kernel.borrow_mut()
     }
-}
-
-/// Box a user future, capturing its output into a shared result cell.
-fn wrap_proc<F, T>(fut: F) -> (crate::kernel::BoxedProc, Rc<RefCell<Option<T>>>)
-where
-    F: Future<Output = T> + 'static,
-    T: 'static,
-{
-    let result: Rc<RefCell<Option<T>>> = Rc::new(RefCell::new(None));
-    let r2 = result.clone();
-    let wrapped = Box::pin(async move {
-        let v = fut.await;
-        *r2.borrow_mut() = Some(v);
-    });
-    (wrapped, result)
 }
 
 /// Handle to a spawned process; awaiting it yields `Some(result)` or
@@ -405,7 +411,7 @@ impl<T> ProcHandle<T> {
 
     /// True once the process has terminated.
     pub fn is_finished(&self) -> bool {
-        self.sim.kernel.borrow().is_finished(self.id)
+        self.sim.kernel().is_finished(self.id)
     }
 
     /// Take the result without awaiting (None if still running or killed).
@@ -418,13 +424,9 @@ impl<T> Future for ProcHandle<T> {
     type Output = Option<T>;
 
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut k = self.sim.kernel.borrow_mut();
-        if k.is_finished(self.id) {
-            drop(k);
+        if self.sim.kernel().join(self.id) {
             Poll::Ready(self.result.borrow_mut().take())
         } else {
-            let me = k.current_proc();
-            k.add_join_waiter(self.id, me);
             Poll::Pending
         }
     }
@@ -432,14 +434,13 @@ impl<T> Future for ProcHandle<T> {
 
 /// Future returned by [`Sim::sleep`].
 ///
-/// Holds only the kernel handle (one `Rc`, not a whole [`Sim`] clone) and
-/// arms exactly one timer. A spurious wake (e.g. by a channel during a
+/// Arms exactly one timer. A spurious wake (e.g. by a channel during a
 /// race) does **not** re-push a duplicate timer — the original entry is
 /// still pending. Dropping an armed `Sleep` before its deadline lazily
 /// cancels the timer, so lost races and timeouts leave no dead heap
 /// entries behind.
 pub struct Sleep {
-    kernel: Rc<RefCell<Kernel>>,
+    sim: Sim,
     until: SimTime,
     /// Token of the armed timer; `None` before arming and after firing.
     token: Option<u64>,
@@ -450,7 +451,7 @@ impl Future for Sleep {
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let this = &mut *self;
-        let mut k = this.kernel.borrow_mut();
+        let mut k = this.sim.kernel();
         if k.now >= this.until {
             // The timer (if armed) fired to get us here; nothing to cancel.
             this.token = None;
@@ -469,7 +470,7 @@ impl Future for Sleep {
 impl Drop for Sleep {
     fn drop(&mut self) {
         if let Some(token) = self.token {
-            let mut k = self.kernel.borrow_mut();
+            let mut k = self.sim.kernel();
             // Before the deadline the timer cannot have fired yet (time
             // only advances through pending timers); after it, it has.
             if k.now < self.until {
@@ -481,7 +482,7 @@ impl Drop for Sleep {
 
 /// Future returned by [`Sim::yield_now`].
 pub struct YieldNow {
-    kernel: Rc<RefCell<Kernel>>,
+    sim: Sim,
     yielded: bool,
 }
 
@@ -493,11 +494,8 @@ impl Future for YieldNow {
             return Poll::Ready(());
         }
         self.yielded = true;
-        let mut k = self.kernel.borrow_mut();
-        let me = k.current_proc();
         // Re-queue ourselves behind everything already runnable.
-        k.procs[me.0 as usize].queued = false; // currently being polled
-        k.make_ready(me);
+        self.sim.kernel().requeue_current();
         Poll::Pending
     }
 }
@@ -632,6 +630,63 @@ mod tests {
             assert!(ctx.now().as_secs_f64() < 1.0);
         });
         sim.run().assert_completed();
+    }
+
+    #[test]
+    fn a_handle_outlives_its_slot() {
+        // Results live in the handle's cell, not in the slot: a handle
+        // awaited after its slot went to another process still yields
+        // its own process's result, `None` if that one was killed.
+        let mut sim = Simulation::new(1);
+        let ctx = sim.handle();
+        sim.spawn("driver", async move {
+            let done = ctx.spawn("done", async { 1u32 });
+            let victim = ctx.spawn("victim", std::future::pending::<u32>());
+            ctx.yield_now().await; // "done" runs to completion
+            ctx.kill(victim.id());
+            // Both slots are free; the next two spawns take them over.
+            let c = ctx.clone();
+            let heir_a = ctx.spawn("heir-a", async move {
+                c.sleep(SimDuration::micros(3)).await;
+                2u32
+            });
+            let heir_b = ctx.spawn("heir-b", async { 3u32 });
+            ctx.sleep(SimDuration::micros(1)).await;
+            assert!(done.is_finished() && victim.is_finished() && heir_b.is_finished());
+            assert!(!heir_a.is_finished());
+            assert_eq!(done.await, Some(1));
+            assert_eq!(victim.await, None);
+            assert_eq!(heir_b.await, Some(3));
+            assert_eq!(heir_a.await, Some(2));
+            assert_eq!(ctx.now().as_micros(), 3);
+        });
+        sim.run().assert_completed();
+        assert_eq!(sim.process_slots(), 3, "driver + two recycled slots");
+    }
+
+    #[test]
+    fn killing_a_stale_id_is_a_no_op() {
+        let mut sim = Simulation::new(1);
+        let ctx = sim.handle();
+        sim.spawn("driver", async move {
+            let stale = ctx.spawn("short-lived", async {}).id();
+            ctx.yield_now().await;
+            let c = ctx.clone();
+            let heir = ctx.spawn("heir", async move {
+                c.sleep(SimDuration::micros(1)).await;
+                9u8
+            });
+            assert_ne!(heir.id(), stale);
+            ctx.kill(stale); // names a finished process, not the heir
+            ctx.kill(stale);
+            assert_eq!(heir.await, Some(9));
+        });
+        sim.run().assert_completed();
+        assert_eq!(
+            sim.process_slots(),
+            2,
+            "the heir did take the stale id's slot"
+        );
     }
 
     #[test]

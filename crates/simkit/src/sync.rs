@@ -12,7 +12,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
 
-use crate::kernel::ProcId;
+use crate::kernel::{ProcId, Waiters};
 use crate::sim::Sim;
 
 // ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ impl Semaphore {
             if st.permits >= want {
                 st.permits -= want;
                 st.waiters.pop_front();
-                self.sim.make_ready(pid);
+                self.sim.kernel().make_ready(pid);
             } else {
                 break;
             }
@@ -200,7 +200,7 @@ impl Drop for AcquireFut<'_> {
 struct OneShotState<T> {
     value: Option<T>,
     fired: bool,
-    waiters: Vec<ProcId>,
+    waiters: Waiters,
 }
 
 /// A one-shot event carrying a value. Multiple processes may wait; the
@@ -227,21 +227,19 @@ impl<T: Clone> OneShot<T> {
             state: Rc::new(RefCell::new(OneShotState {
                 value: None,
                 fired: false,
-                waiters: Vec::new(),
+                waiters: Waiters::default(),
             })),
         }
     }
 
-    /// Fire the event, waking all waiters.
+    /// Fire the event, waking all waiters in arrival order.
     pub fn set(&self, value: T) {
         let mut st = self.state.borrow_mut();
         assert!(!st.fired, "OneShot::set called twice");
         st.fired = true;
         st.value = Some(value);
-        // Drain in place: keeps the waiter Vec's capacity for reuse and
-        // allocates nothing.
-        for w in st.waiters.drain(..) {
-            self.sim.make_ready(w);
+        for w in st.waiters.drain() {
+            self.sim.kernel().make_ready(w);
         }
     }
 
@@ -269,10 +267,7 @@ impl<T: Clone> Future for OneShotWait<'_, T> {
         if st.fired {
             Poll::Ready(st.value.clone().expect("fired OneShot holds a value"))
         } else {
-            let me = self.event.sim.current_proc();
-            if !st.waiters.contains(&me) {
-                st.waiters.push(me);
-            }
+            st.waiters.insert(self.event.sim.current_proc());
             Poll::Pending
         }
     }
@@ -339,7 +334,7 @@ impl Future for BarrierWait {
                     st.arrived = 0;
                     st.generation += 1;
                     for w in st.waiters.drain(..) {
-                        this.barrier.sim.make_ready(w);
+                        this.barrier.sim.kernel().make_ready(w);
                     }
                     Poll::Ready(())
                 } else {
@@ -458,6 +453,82 @@ mod tests {
         for h in handles {
             assert_eq!(h.try_result(), Some(77));
         }
+    }
+
+    #[test]
+    fn oneshot_wakes_waiters_in_arrival_order() {
+        // The first waiter is stored inline, the rest spill to a Vec;
+        // the seam must not reorder them.
+        let mut sim = Simulation::new(1);
+        let ctx = sim.handle();
+        let ev: OneShot<()> = OneShot::new(&ctx);
+        let woken: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+        // Arrival order 3, 1, 4, 0, 2 — not spawn order.
+        for (i, arrives_at) in [4u64, 2, 5, 1, 3].into_iter().enumerate() {
+            let (ctx, ev, woken) = (ctx.clone(), ev.clone(), woken.clone());
+            sim.spawn(format!("w{i}"), async move {
+                ctx.sleep(SimDuration::nanos(arrives_at)).await;
+                ev.wait().await;
+                woken.borrow_mut().push(arrives_at);
+            });
+        }
+        sim.spawn("setter", async move {
+            ctx.sleep(SimDuration::micros(1)).await;
+            ev.set(());
+        });
+        sim.run().assert_completed();
+        assert_eq!(*woken.borrow(), vec![1, 2, 3, 4, 5]);
+    }
+
+    /// A victim blocks in `blocked`, is killed, and an heir that sleeps
+    /// 10 µs takes over its slot; `release` then wakes whoever the wait
+    /// list still names. Returns (polls, table length).
+    fn wake_after_the_waiter_died(
+        mut sim: Simulation,
+        blocked: impl Future<Output = ()> + 'static,
+        release: impl FnOnce() + 'static,
+    ) -> (u64, usize) {
+        let ctx = sim.handle();
+        sim.spawn("driver", async move {
+            let victim = ctx.spawn("victim", blocked);
+            ctx.sleep(SimDuration::micros(1)).await;
+            ctx.kill(victim.id());
+            let c = ctx.clone();
+            let heir = ctx.spawn("heir", async move {
+                c.sleep(SimDuration::micros(10)).await;
+            });
+            ctx.sleep(SimDuration::micros(1)).await;
+            release();
+            heir.await;
+        });
+        sim.run().assert_completed();
+        (sim.events_processed(), sim.process_slots())
+    }
+
+    #[test]
+    fn a_dead_waiters_id_does_not_wake_its_slots_new_occupant() {
+        // driver ×4 (start, kill + respawn, release + join, joined),
+        // victim ×1, heir ×2 (arm its sleep, wake at 11 µs): a wake that
+        // reached the heir through the victim's id would be an 8th poll.
+        let oneshot = |sim: Simulation| {
+            let ev: OneShot<()> = OneShot::new(&sim.handle());
+            let ev2 = ev.clone();
+            wake_after_the_waiter_died(sim, async move { ev2.wait().await }, move || ev.set(()))
+        };
+        assert_eq!(oneshot(Simulation::new(1)), (7, 2));
+        assert_eq!(oneshot(Simulation::new_never_reusing(1)), (7, 3));
+
+        // A killed acquirer withdraws from the queue when its future is
+        // dropped; the release must find neither it nor the heir.
+        let semaphore = |sim: Simulation| {
+            let sem = Semaphore::new(&sim.handle(), 0);
+            let sem2 = sem.clone();
+            wake_after_the_waiter_died(sim, async move { drop(sem2.acquire().await) }, move || {
+                sem.release_many(1)
+            })
+        };
+        assert_eq!(semaphore(Simulation::new(1)), (7, 2));
+        assert_eq!(semaphore(Simulation::new_never_reusing(1)), (7, 3));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Repo-wide hygiene gate: formatting, lints (deny warnings; the
 # determinism and unsafe policy of DESIGN.md §13 lives in the
-# clippy.toml files and the [lints] tables), and tests, then a
-# lines-of-Rust table per crate. Run from the workspace root before
-# sending a PR. Each step is timed so slow regressions in the gate
-# itself are visible.
+# clippy.toml files and the [lints] tables), tests and the benchmark's
+# reference checks, then a lines-of-Rust table per crate. Run from the
+# workspace root before sending a PR. Each step is timed so slow
+# regressions in the gate itself are visible.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,6 +25,25 @@ step "cargo clippy (deny warnings)" \
     cargo clippy --workspace --all-targets -- -D warnings
 
 step "cargo test (workspace)" cargo test -q --workspace
+
+# The benchmark checks every output against benchmark/golden.json and
+# exits non-zero on a miss; message and poll counts are equality pins,
+# so a change that moves one fails here and not in the pipeline. All
+# five workloads at toy size, then one full-size repetition of
+# mpi_rank_1k, whose 12 455 027-poll pin every per-message change is
+# judged by (a few seconds once the harness is built; it shares
+# target/). A passing run shows only its result line.
+bench() {
+    local out
+    if out=$(bash benchmark/run.sh "$@"); then
+        tail -n 1 <<<"$out"
+    else
+        echo "$out"
+        return 1
+    fi
+}
+step "benchmark --smoke" bench --smoke
+step "benchmark mpi_rank_1k (full size)" bench --workload mpi_rank_1k --seconds 1
 
 # Lines of Rust per crate (the root package is src/ + tests/ +
 # examples/), so a PR's growth or shrinkage shows up in its own gate
