@@ -3,17 +3,18 @@
 //! The cache memoizes expensive computations (simulation sweeps,
 //! experiment renders) whose inputs are canonicalised JSON configs:
 //! the key is [`crate::digest::digest`] of the config, the value is
-//! the result as a [`Value`]. Storage is a bounded in-memory LRU; it
-//! lives and dies with the process, because the key names the config
-//! only — not the code that computed the result.
+//! the result's rendered text behind an `Arc`, so a hit hands out a
+//! reference count, never a copy — every holder of a result shares the
+//! one allocation its first computation made. Storage is a bounded
+//! in-memory LRU; it lives and dies with the process, because the key
+//! names the config only — not the code that computed the result.
 //!
 //! Recency is a logical access counter, not wall-clock time, so
 //! eviction order is a pure function of the access sequence — the
 //! LRU tests can assert exact eviction victims.
 
 use std::collections::BTreeMap;
-
-use crate::Value;
+use std::sync::Arc;
 
 /// Running totals; `hits`/`misses` count [`ResultCache::get`] calls.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -27,7 +28,7 @@ pub struct CacheStats {
 }
 
 struct Slot {
-    value: Value,
+    value: Arc<str>,
     /// Logical last-access stamp (monotone counter, not time).
     stamp: u64,
 }
@@ -51,13 +52,14 @@ impl ResultCache {
         }
     }
 
-    /// Look up a digest; a hit refreshes the entry's recency.
-    pub fn get(&mut self, digest: u64) -> Option<Value> {
+    /// Look up a digest; a hit refreshes the entry's recency and
+    /// shares the stored text.
+    pub fn get(&mut self, digest: u64) -> Option<Arc<str>> {
         self.clock += 1;
         if let Some(slot) = self.slots.get_mut(&digest) {
             slot.stamp = self.clock;
             self.stats.hits += 1;
-            return Some(slot.value.clone());
+            return Some(Arc::clone(&slot.value));
         }
         self.stats.misses += 1;
         None
@@ -65,7 +67,7 @@ impl ResultCache {
 
     /// Insert (or refresh) an entry, evicting the coldest entries
     /// beyond the capacity.
-    pub fn insert(&mut self, digest: u64, value: Value) {
+    pub fn insert(&mut self, digest: u64, value: Arc<str>) {
         self.clock += 1;
         self.slots.insert(
             digest,
@@ -110,8 +112,8 @@ impl ResultCache {
 mod tests {
     use super::*;
 
-    fn v(n: u64) -> Value {
-        Value::Object(vec![("n".to_string(), Value::Number(n as f64))])
+    fn v(n: u64) -> Arc<str> {
+        format!("{{\"n\":{n}}}").into()
     }
 
     #[test]
@@ -145,9 +147,10 @@ mod tests {
     #[test]
     fn hit_returns_the_exact_value() {
         let mut c = ResultCache::new(8);
-        let val = crate::from_str(r#"{"rows":[1,2,3],"eff":0.96}"#).unwrap();
-        c.insert(42, val.clone());
-        assert_eq!(c.get(42), Some(val));
+        let val: Arc<str> = r#"{"rows":[1,2,3],"eff":0.96}"#.into();
+        c.insert(42, Arc::clone(&val));
+        let hit = c.get(42).expect("hit");
+        assert!(Arc::ptr_eq(&hit, &val));
         assert_eq!(
             c.stats(),
             CacheStats {

@@ -122,8 +122,16 @@ impl Value {
 
     /// Pretty rendering with two-space indentation.
     pub fn to_json_pretty(&self) -> String {
+        self.to_json_pretty_at(0)
+    }
+
+    /// Pretty rendering as it reads `depth` containers deep inside a
+    /// pretty-printed document: the text [`Value::to_json_pretty`]
+    /// puts after the `": "` of a member nested that deep, so a value
+    /// rendered once can be spliced into many enclosing documents.
+    pub fn to_json_pretty_at(&self, depth: usize) -> String {
         let mut s = String::new();
-        self.write(&mut s, Some(2), 0);
+        self.write(&mut s, Some(2), depth);
         s
     }
 
@@ -600,6 +608,17 @@ mod tests {
             assert_eq!(back, v);
         }
         assert!(v.to_json_pretty().contains("\"F01\""));
+    }
+
+    #[test]
+    fn pretty_at_a_depth_is_the_nested_rendering() {
+        let inner = from_str(r#"{"a":[1,[],{}],"b":{"c":"x\ny"},"d":[[2]]}"#).unwrap();
+        for v in [inner, Value::Null, Value::Array(vec![]), "s".into()] {
+            let one = object([("k", v.clone())]).to_json_pretty();
+            assert_eq!(one, format!("{{\n  \"k\": {}\n}}", v.to_json_pretty_at(1)));
+            let two = object([("o", object([("k", v.clone())]))]).to_json_pretty();
+            assert!(two.contains(&format!("\"k\": {}\n", v.to_json_pretty_at(2))));
+        }
     }
 
     #[test]

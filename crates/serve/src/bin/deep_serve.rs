@@ -53,6 +53,9 @@ fn main() {
         }
     }
 
+    // Handlers first: once the address is announced a supervisor may
+    // signal, and an unhandled SIGTERM kills instead of draining.
+    let terminate = sigshim::terminate_flag();
     let server = match Server::bind(&addr, cfg) {
         Ok(s) => s,
         Err(e) => {
@@ -62,7 +65,7 @@ fn main() {
     };
     println!("deep-serve listening on {}", server.addr);
     let _ = std::io::stdout().flush();
-    if let Err(e) = server.run(sigshim::terminate_flag()) {
+    if let Err(e) = server.run(terminate) {
         eprintln!("deep-serve: {e}");
         std::process::exit(1);
     }

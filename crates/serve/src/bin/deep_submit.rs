@@ -25,7 +25,7 @@
 //! Exit codes: 0 job done, 1 job failed or daemon unreachable,
 //! 2 usage, 3 gave up on backpressure.
 
-use deep_serve::client::{ServeClient, Submitted};
+use deep_serve::client::ServeClient;
 
 fn usage() -> ! {
     eprintln!(
@@ -111,32 +111,21 @@ fn main() {
     let mut client = ServeClient::connect(&addr)
         .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
 
-    let job = if watch {
-        // Submit, then hold a second connection open for the event
-        // stream while the first polls for the terminal state.
-        let submitted = submit_with_backoff(&mut client, &body, retries);
-        let id = submitted["id"]
-            .as_u64()
-            .unwrap_or_else(|| fail("job without id"));
-        if submitted["state"].as_str() != Some("done") {
-            let watcher = ServeClient::connect(&addr)
-                .unwrap_or_else(|e| fail(&format!("cannot connect watcher: {e}")));
-            watcher
-                .watch_events(id, |ev| eprintln!("{}", ev.to_json()))
-                .unwrap_or_else(|e| fail(&format!("event stream: {e}")));
-        }
-        client
-            .job(id)
-            .unwrap_or_else(|e| fail(&format!("fetching job {id}: {e}")))
-    } else {
-        client.submit_and_wait(&body, retries).unwrap_or_else(|e| {
+    // A job not answered from the cache is followed on a second
+    // connection; `--watch` prints what arrives there.
+    let job = client
+        .submit_and_watch(&body, retries, |ev| {
+            if watch {
+                eprintln!("{}", ev.to_json());
+            }
+        })
+        .unwrap_or_else(|e| {
             if e.to_string().contains("gave up") {
                 eprintln!("deep-submit: {e}");
                 std::process::exit(3);
             }
             fail(&e.to_string())
-        })
-    };
+        });
 
     match job["state"].as_str() {
         Some("done") => {
@@ -155,31 +144,6 @@ fn main() {
                 job["error"].as_str().unwrap_or("unknown error")
             );
             std::process::exit(1);
-        }
-    }
-}
-
-/// Submit with bounded 429/503 back-off; returns the submission-time
-/// job JSON (may already be terminal on a cache hit).
-fn submit_with_backoff(client: &mut ServeClient, body: &str, max_retries: u32) -> deep_json::Value {
-    let mut attempts = 0;
-    loop {
-        match client.submit_raw(body) {
-            Ok(Submitted::Job(job)) => return job,
-            Ok(Submitted::Backoff {
-                status,
-                retry_after_s,
-            }) => {
-                if attempts >= max_retries {
-                    eprintln!("deep-submit: gave up after {attempts} retries (HTTP {status})");
-                    std::process::exit(3);
-                }
-                attempts += 1;
-                std::thread::sleep(std::time::Duration::from_millis(
-                    u64::from(retry_after_s) * 200,
-                ));
-            }
-            Err(e) => fail(&format!("submit: {e}")),
         }
     }
 }

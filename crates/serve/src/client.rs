@@ -1,7 +1,9 @@
 //! Minimal HTTP client for talking to a `deep-serve` daemon — used by
 //! the `deep-submit` binary, the `benchmark/` `serve_mix` workload, and
 //! the end-to-end tests. One connection per [`ServeClient`],
-//! keep-alive across calls.
+//! keep-alive across calls; the daemon closes a connection that stays
+//! quiet for its idle timeout, so a request that finds its connection
+//! gone is sent once more on a fresh one.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
@@ -47,7 +49,26 @@ impl ServeClient {
         })
     }
 
+    /// One exchange, repeated once on a fresh connection when this one
+    /// turns out to be stale: the send failed, or the peer had closed
+    /// before a single byte of a reply. (A job submitted twice that way
+    /// is harmless — results are a pure function of the spec.)
     fn request(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+    ) -> io::Result<ClientResponse> {
+        match self.exchange(method, path, body) {
+            Err(e) if stale(&e) => {
+                *self = ServeClient::connect(&self.host)?;
+                self.exchange(method, path, body)
+            }
+            outcome => outcome,
+        }
+    }
+
+    fn exchange(
         &mut self,
         method: &str,
         path: &str,
@@ -145,14 +166,14 @@ impl ServeClient {
         Ok(())
     }
 
-    /// Submit and wait for a terminal state, backing off on 429/503 as
-    /// the server instructs (up to `max_retries` times). Returns the
-    /// terminal job JSON.
-    pub fn submit_and_wait(&mut self, body: &str, max_retries: u32) -> io::Result<Value> {
+    /// Submit, backing off on 429/503 as the server instructs (up to
+    /// `max_retries` times). Returns the job JSON as admitted, which is
+    /// already terminal on a cache hit.
+    fn submit_with_backoff(&mut self, body: &str, max_retries: u32) -> io::Result<Value> {
         let mut retries = 0;
-        let job = loop {
+        loop {
             match self.submit_raw(body)? {
-                Submitted::Job(job) => break job,
+                Submitted::Job(job) => return Ok(job),
                 Submitted::Backoff {
                     status,
                     retry_after_s,
@@ -163,22 +184,55 @@ impl ServeClient {
                         )));
                     }
                     retries += 1;
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "backing off is what the daemon asked for; no request waits on it"
+                    )]
                     std::thread::sleep(std::time::Duration::from_millis(
                         u64::from(retry_after_s) * 200,
                     ));
                 }
             }
-        };
-        let id = job["id"].as_u64().ok_or_else(|| bad("job without id"))?;
-        let mut state = job["state"].as_str().unwrap_or("").to_string();
-        let mut latest = job;
-        while state != "done" && state != "failed" {
-            std::thread::sleep(std::time::Duration::from_millis(25));
-            latest = self.job(id)?;
-            state = latest["state"].as_str().unwrap_or("").to_string();
         }
-        Ok(latest)
     }
+
+    /// Submit and wait for a terminal state, backing off on 429/503 as
+    /// the server instructs (up to `max_retries` times). Returns the
+    /// terminal job JSON.
+    pub fn submit_and_wait(&mut self, body: &str, max_retries: u32) -> io::Result<Value> {
+        self.submit_and_watch(body, max_retries, |_| {})
+    }
+
+    /// [`ServeClient::submit_and_wait`], handing every event of the job
+    /// to `on_event` as it arrives: a job that is not answered from the
+    /// cache is followed on a second connection to the end of its event
+    /// stream, then fetched over this one. Nothing polls.
+    pub fn submit_and_watch(
+        &mut self,
+        body: &str,
+        max_retries: u32,
+        on_event: impl FnMut(&Value),
+    ) -> io::Result<Value> {
+        let job = self.submit_with_backoff(body, max_retries)?;
+        if matches!(job["state"].as_str(), Some("done" | "failed")) {
+            return Ok(job);
+        }
+        let id = job["id"].as_u64().ok_or_else(|| bad("job without id"))?;
+        ServeClient::connect(&self.host)?.watch_events(id, on_event)?;
+        self.job(id)
+    }
+}
+
+/// True for the errors of a connection the daemon closed while it was
+/// idle: nothing of the request can have been answered.
+fn stale(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::BrokenPipe
+            | io::ErrorKind::ConnectionReset
+            | io::ErrorKind::ConnectionAborted
+            | io::ErrorKind::UnexpectedEof
+    )
 }
 
 fn parse_json_body(resp: &ClientResponse) -> io::Result<Value> {

@@ -13,6 +13,7 @@
 //! submit client can iterate NDJSON lines as they arrive.
 
 use std::io::{self, BufRead, Read, Write};
+use std::sync::Arc;
 
 /// Longest accepted request line or header line, bytes.
 pub const MAX_LINE: usize = 8 * 1024;
@@ -152,12 +153,17 @@ pub fn read_request(r: &mut impl BufRead) -> io::Result<Option<Request>> {
     Ok(Some(req))
 }
 
-/// One reply under construction.
+/// One reply under construction. The body on the wire is `body`, then
+/// `shared`, then `tail`: a text many replies carry (a job's rendered
+/// result) is written from the allocation they share instead of being
+/// copied into each.
 #[derive(Debug)]
 pub struct Response {
     status: u16,
     headers: Vec<(String, String)>,
     body: Vec<u8>,
+    shared: Option<Arc<str>>,
+    tail: Vec<u8>,
 }
 
 impl Response {
@@ -167,16 +173,31 @@ impl Response {
             status,
             headers: Vec::new(),
             body: Vec::new(),
+            shared: None,
+            tail: Vec::new(),
         }
     }
 
     /// JSON reply: sets the body and `Content-Type`.
     pub fn json(status: u16, v: &deep_json::Value) -> Response {
+        Response::json_spliced(status, v.to_json_pretty(), None, String::new())
+    }
+
+    /// JSON reply whose document is `head`, `shared`, `tail` in a row,
+    /// already rendered.
+    pub fn json_spliced(
+        status: u16,
+        head: String,
+        shared: Option<Arc<str>>,
+        tail: String,
+    ) -> Response {
         let mut resp = Response::new(status);
         resp.headers
             .push(("Content-Type".into(), "application/json".into()));
-        resp.body = v.to_json_pretty().into_bytes();
-        resp.body.push(b'\n');
+        resp.body = head.into_bytes();
+        resp.shared = shared;
+        resp.tail = tail.into_bytes();
+        resp.tail.push(b'\n');
         resp
     }
 
@@ -217,13 +238,17 @@ impl Response {
         for (k, v) in &self.headers {
             write!(w, "{k}: {v}\r\n")?;
         }
-        write!(w, "Content-Length: {}\r\n", self.body.len())?;
+        let shared = self.shared.as_deref().unwrap_or("").as_bytes();
+        let length = self.body.len() + shared.len() + self.tail.len();
+        write!(w, "Content-Length: {length}\r\n")?;
         write!(
             w,
             "Connection: {}\r\n\r\n",
             if keep_alive { "keep-alive" } else { "close" }
         )?;
         w.write_all(&self.body)?;
+        w.write_all(shared)?;
+        w.write_all(&self.tail)?;
         w.flush()
     }
 }
@@ -290,7 +315,10 @@ impl ClientResponse {
 /// Read the status line + headers of a reply; body handling is up to
 /// the caller (fixed-length, chunked, or streamed).
 pub fn read_response_head(r: &mut impl BufRead) -> io::Result<(u16, Vec<(String, String)>)> {
-    let line = read_line_limited(r)?.ok_or_else(|| bad("no response"))?;
+    // The peer closed before a single byte of a reply: `UnexpectedEof`,
+    // which the client takes as the mark of a stale connection.
+    let line = read_line_limited(r)?
+        .ok_or_else(|| io::Error::new(io::ErrorKind::UnexpectedEof, "no response"))?;
     let status = line
         .split_whitespace()
         .nth(1)
@@ -468,6 +496,17 @@ mod tests {
         assert_eq!(resp.header("retry-after"), Some("1"));
         let body = deep_json::from_slice(&resp.body).unwrap();
         assert_eq!(body["ok"].as_bool(), Some(true));
+    }
+
+    #[test]
+    fn spliced_response_frames_all_three_pieces() {
+        let mut wire = Vec::new();
+        Response::json_spliced(200, "{\"r\": ".into(), Some("[1, 2]".into()), "}".into())
+            .write_to(&mut wire, false)
+            .unwrap();
+        let resp = read_response(&mut Cursor::new(&wire[..])).unwrap();
+        assert_eq!(resp.header("content-length"), Some("14"));
+        assert_eq!(resp.body, b"{\"r\": [1, 2]}\n");
     }
 
     #[test]

@@ -23,12 +23,21 @@
 //!   [`deep_json::cache::ResultCache`] keyed by the canonical config
 //!   digest; a resubmission is served from memory without touching a
 //!   worker.
+//! * **A result is rendered once and stored once**: the worker prints
+//!   the finished `Value` — outside the state mutex — to the exact
+//!   text a response carries, and that one `Arc<str>` is what the cache
+//!   entry, the job record, every later hit's record and every response
+//!   body hold ([`JobJson`]).
+//! * **Bounded history**: every queued or running job is kept, plus the
+//!   [`JOB_HISTORY`] most recently finished ones; a record that falls
+//!   out is dropped and its id answers 404.
 //!
 //! Wall-clock is used only for service-time *metadata* (never inside
 //! job execution or digests), which is why `crates/serve` sits in the
 //! same lint scope class as the bench binaries.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, LockResult, Mutex};
 use std::thread::JoinHandle;
@@ -44,6 +53,11 @@ use crate::protocol::{JobRequest, JobSpec};
 
 /// Sweep points evaluated between two progress events.
 const PROGRESS_CHUNK: usize = 64;
+
+/// Finished job records kept for `GET /jobs/:id`. Queued and running
+/// jobs are kept on top of it, so the table holds at most this many
+/// plus the queue bound plus the workers.
+pub const JOB_HISTORY: usize = 4096;
 
 /// Why a submission was not admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,9 +114,39 @@ struct Job {
     threads: u32,
     submitted_at: Instant,
     service_micros: Option<u64>,
-    result: Option<Value>,
+    /// The result as a response carries it — pretty-printed, nested
+    /// one level — in the allocation its cache entry and every hit on
+    /// it share.
+    result: Option<Arc<str>>,
     error: Option<String>,
     events: Vec<Value>,
+}
+
+/// A job's status document in three pieces that concatenate to the
+/// pretty-printed job object, so that a response carries the result
+/// without copying it.
+pub struct JobJson {
+    /// Everything up to and including `"result": `, and the `null` of
+    /// a job that has no result.
+    pub head: String,
+    /// The rendered result, shared with the job record and the cache.
+    pub result: Option<Arc<str>>,
+    /// The `error` member and the closing brace.
+    pub tail: String,
+}
+
+impl fmt::Display for JobJson {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.head)?;
+        f.write_str(self.result.as_deref().unwrap_or(""))?;
+        f.write_str(&self.tail)
+    }
+}
+
+/// Render a finished result the way it reads as the `result` member of
+/// the job object. Called without the state mutex.
+fn render_result(result: &Value) -> Arc<str> {
+    result.to_json_pretty_at(1).into()
 }
 
 impl Job {
@@ -119,7 +163,7 @@ impl Job {
     }
 
     /// Enter `Done` with `result`, `micros` after submission.
-    fn complete(&mut self, result: Value, micros: u64) {
+    fn complete(&mut self, result: Arc<str>, micros: u64) {
         self.state = JobState::Done;
         self.service_micros = Some(micros);
         self.result = Some(result);
@@ -132,8 +176,9 @@ impl Job {
         );
     }
 
-    fn to_json(&self) -> Value {
-        object([
+    /// The members before `result`, which are small.
+    fn head_members(&self) -> Vec<(String, Value)> {
+        let members = [
             ("id", self.id.into()),
             ("client", self.client.as_str().into()),
             ("state", self.state.as_str().into()),
@@ -149,14 +194,43 @@ impl Job {
                 "service_micros",
                 self.service_micros.map_or(Value::Null, Value::from),
             ),
-            ("result", self.result.clone().unwrap_or(Value::Null)),
-            (
-                "error",
-                self.error
-                    .as_ref()
-                    .map_or(Value::Null, |e| e.as_str().into()),
-            ),
-        ])
+        ];
+        members.map(|(k, v)| (k.to_string(), v)).into()
+    }
+
+    fn error_json(&self) -> Value {
+        self.error
+            .as_ref()
+            .map_or(Value::Null, |e| e.as_str().into())
+    }
+
+    /// The job object with the rendered result spliced in, not copied:
+    /// the text is what printing the whole object as one tree gives
+    /// (`tests::spliced_job_json_is_the_printed_tree`).
+    fn json(&self) -> JobJson {
+        let mut head = Value::Object(self.head_members()).to_json_pretty();
+        // The head object closes with "\n}"; the document goes on.
+        head.truncate(head.len() - 2);
+        head.push_str(",\n  \"result\": ");
+        if self.result.is_none() {
+            head.push_str("null");
+        }
+        JobJson {
+            head,
+            result: self.result.clone(),
+            tail: format!(",\n  \"error\": {}\n}}", self.error_json().to_json()),
+        }
+    }
+
+    /// The job object as one tree, printed by the one printer — what
+    /// the daemon sent before results were rendered once; [`Job::json`]
+    /// must equal it byte for byte.
+    #[cfg(test)]
+    fn reference_json(&self, result: Option<&Value>) -> Value {
+        let mut members = self.head_members();
+        members.push(("result".into(), result.cloned().unwrap_or(Value::Null)));
+        members.push(("error".into(), self.error_json()));
+        Value::Object(members)
     }
 }
 
@@ -169,11 +243,14 @@ struct Counters {
     cache_hits: u64,
     rejected_full: u64,
     rejected_drain: u64,
+    evicted: u64,
 }
 
 struct State {
     next_id: u64,
     jobs: BTreeMap<u64, Job>,
+    /// Ids of the finished jobs in `jobs`, oldest finish first.
+    finished: VecDeque<u64>,
     /// Per-client FIFO of queued job ids.
     queues: BTreeMap<String, VecDeque<u64>>,
     /// Round-robin rotation of client names.
@@ -184,8 +261,31 @@ struct State {
     running_demands: Vec<(u64, u32)>,
     draining: bool,
     shutdown: bool,
+    /// Event streams attached right now ([`Watch`]).
+    watchers: usize,
     cache: ResultCache,
     counters: Counters,
+}
+
+impl State {
+    /// Draining, every admitted job terminal, and every attached event
+    /// stream told so.
+    fn drained(&self) -> bool {
+        self.draining && self.queued == 0 && self.running == 0 && self.watchers == 0
+    }
+
+    /// Enter the just-finished job `id` into the history of `cap`
+    /// finished jobs. Returns the record that fell out of it, for the
+    /// caller to free once the mutex is released.
+    fn retire(&mut self, id: u64, cap: usize) -> Option<Job> {
+        self.finished.push_back(id);
+        if self.finished.len() <= cap {
+            return None;
+        }
+        self.counters.evicted += 1;
+        let oldest = self.finished.pop_front()?;
+        self.jobs.remove(&oldest)
+    }
 }
 
 struct Inner {
@@ -198,6 +298,8 @@ struct Inner {
     pool_threads: u32,
     /// Most jobs allowed to wait in the queue.
     queue_bound: usize,
+    /// Finished job records kept; [`JOB_HISTORY`] outside tests.
+    job_history: usize,
 }
 
 /// What `submit` tells the HTTP layer.
@@ -214,6 +316,30 @@ pub struct Admitted {
 pub struct Scheduler {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
+}
+
+/// An attached event stream. The daemon is not drained while one is
+/// open, so a watcher reads how its job ended before the process exits.
+pub struct Watch<'a> {
+    scheduler: &'a Scheduler,
+    id: u64,
+}
+
+impl Watch<'_> {
+    /// [`Scheduler::events_after`] of the watched job.
+    pub fn events_after(&self, after: usize, wait: Duration) -> Option<(Vec<Value>, bool)> {
+        self.scheduler.events_after(self.id, after, wait)
+    }
+}
+
+impl Drop for Watch<'_> {
+    fn drop(&mut self) {
+        // `Drop` must not panic; a count is valid in a poisoned state.
+        let inner = &self.scheduler.inner;
+        let mut st = inner.state.lock().unwrap_or_else(|p| p.into_inner());
+        st.watchers -= 1;
+        inner.update.notify_all();
+    }
 }
 
 /// Everything `Scheduler::new` needs to know.
@@ -247,14 +373,19 @@ type Evaluator = fn(&JobSpec, OnProgress<'_>) -> Result<Value, String>;
 impl Scheduler {
     /// Start the scheduler and its worker threads.
     pub fn new(cfg: SchedulerConfig) -> std::io::Result<Scheduler> {
-        Scheduler::with_evaluator(cfg, evaluate)
+        Scheduler::with_evaluator(cfg, evaluate, JOB_HISTORY)
     }
 
-    fn with_evaluator(cfg: SchedulerConfig, evaluator: Evaluator) -> std::io::Result<Scheduler> {
+    fn with_evaluator(
+        cfg: SchedulerConfig,
+        evaluator: Evaluator,
+        job_history: usize,
+    ) -> std::io::Result<Scheduler> {
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
                 next_id: 1,
                 jobs: BTreeMap::new(),
+                finished: VecDeque::new(),
                 queues: BTreeMap::new(),
                 rotation: VecDeque::new(),
                 queued: 0,
@@ -262,6 +393,7 @@ impl Scheduler {
                 running_demands: Vec::new(),
                 draining: false,
                 shutdown: false,
+                watchers: 0,
                 cache: ResultCache::new(cfg.cache_capacity),
                 counters: Counters::default(),
             }),
@@ -269,6 +401,7 @@ impl Scheduler {
             update: Condvar::new(),
             pool_threads: cfg.pool_threads.max(1),
             queue_bound: cfg.queue_bound.max(1),
+            job_history,
         });
         let workers = (0..cfg.workers.max(1))
             .map(|i| {
@@ -339,14 +472,32 @@ impl Scheduler {
             }
         }
         st.jobs.insert(id, job);
+        let evicted = cached.then(|| st.retire(id, self.inner.job_history));
         self.inner.update.notify_all();
+        // The record that left the history is freed without the mutex.
+        drop(st);
+        drop(evicted);
         Ok(Admitted { job_id: id, cached })
     }
 
-    /// Full JSON status of one job; `None` for unknown ids.
-    pub fn job_json(&self, id: u64) -> Option<Value> {
+    /// Status document of one job; `None` for an id that was never
+    /// issued or whose record left the history. The result is shared,
+    /// not copied: the state mutex is held for the small members only.
+    pub fn job_json(&self, id: u64) -> Option<JobJson> {
         let st = unpoisoned(self.inner.state.lock());
-        st.jobs.get(&id).map(Job::to_json)
+        st.jobs.get(&id).map(Job::json)
+    }
+
+    /// Attach an event stream to job `id`; `None` for unknown ids.
+    pub fn watch(&self, id: u64) -> Option<Watch<'_>> {
+        let mut st = unpoisoned(self.inner.state.lock());
+        st.jobs.contains_key(&id).then(|| {
+            st.watchers += 1;
+            Watch {
+                scheduler: self,
+                id,
+            }
+        })
     }
 
     /// Events of job `id` with `seq >= after`, plus whether the job is
@@ -396,6 +547,7 @@ impl Scheduler {
         put("jobs_cache_hits_total", c.cache_hits);
         put("jobs_rejected_queue_full_total", c.rejected_full);
         put("jobs_rejected_draining_total", c.rejected_drain);
+        put("jobs_evicted_total", c.evicted);
         put("queue_depth", st.queued as u64);
         put("jobs_running", st.running as u64);
         put("draining", u64::from(st.draining));
@@ -414,10 +566,19 @@ impl Scheduler {
         self.inner.update.notify_all();
     }
 
-    /// True once draining and no queued or running work remains.
-    pub fn drained(&self) -> bool {
+    /// Park until the daemon is drained — draining, no queued or running
+    /// work left and no event stream still attached — or until `wait`
+    /// has passed; returns whether it is drained. Every change that can
+    /// drain the daemon notifies, so the timeout bounds only how long
+    /// the caller goes without looking at something else.
+    pub fn wait_drained(&self, wait: Duration) -> bool {
         let st = unpoisoned(self.inner.state.lock());
-        st.draining && st.queued == 0 && st.running == 0
+        let (st, _) = unpoisoned(
+            self.inner
+                .update
+                .wait_timeout_while(st, wait, |st| !st.drained()),
+        );
+        st.drained()
     }
 
     /// Block until every admitted job reached a terminal state (used
@@ -583,6 +744,10 @@ fn evaluate(spec: &JobSpec, on_progress: OnProgress<'_>) -> Result<Value, String
             Ok(deep_scenario::execute(&sc))
         }
         JobSpec::SleepMs(ms) => {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the diagnostic job's work is to occupy a worker for this long"
+            )]
             std::thread::sleep(Duration::from_millis(*ms));
             Ok(object([("slept_ms", (*ms).into())]))
         }
@@ -607,6 +772,8 @@ fn progress(inner: &Inner, id: u64, done: usize, total: usize) {
 /// Record a terminal state, release the job's thread share, cache the
 /// result, and wake watchers.
 fn finish_job(inner: &Inner, id: u64, outcome: Result<Value, String>) {
+    // Print the result, and free its tree, before taking the mutex.
+    let outcome = outcome.map(|result| render_result(&result));
     let mut guard = unpoisoned(inner.state.lock());
     let st = &mut *guard;
     st.running_demands.retain(|&(job, _)| job != id);
@@ -620,7 +787,7 @@ fn finish_job(inner: &Inner, id: u64, outcome: Result<Value, String>) {
     match outcome {
         Ok(result) => {
             if let Some(key) = job.cache_key {
-                st.cache.insert(key, result.clone());
+                st.cache.insert(key, Arc::clone(&result));
             }
             job.complete(result, micros);
             st.counters.completed += 1;
@@ -633,8 +800,12 @@ fn finish_job(inner: &Inner, id: u64, outcome: Result<Value, String>) {
             st.counters.failed += 1;
         }
     }
+    let evicted = st.retire(id, inner.job_history);
     inner.update.notify_all();
     inner.work.notify_all();
+    // The record that left the history is freed without the mutex.
+    drop(guard);
+    drop(evicted);
 }
 
 #[cfg(test)]
@@ -657,6 +828,11 @@ mod tests {
         }
     }
 
+    /// The job document a client would parse.
+    fn job(s: &Scheduler, id: u64) -> Value {
+        deep_json::from_str(&s.job_json(id).unwrap().to_string()).unwrap()
+    }
+
     fn wait_terminal(s: &Scheduler, id: u64) -> Value {
         let mut seen = 0;
         loop {
@@ -665,7 +841,7 @@ mod tests {
                 .unwrap();
             seen += fresh.len();
             if terminal {
-                return s.job_json(id).unwrap();
+                return job(s, id);
             }
         }
     }
@@ -688,7 +864,7 @@ mod tests {
         // Resubmission: cache hit, terminal immediately, same bytes.
         let b = s.submit(experiment("other", "f02_evolution")).unwrap();
         assert!(b.cached);
-        let hit = s.job_json(b.job_id).unwrap();
+        let hit = job(&s, b.job_id);
         assert_eq!(hit["state"], "done");
         assert_eq!(hit["cache_hit"].as_bool(), Some(true));
         assert_eq!(
@@ -739,8 +915,8 @@ mod tests {
             Err(Rejection::Draining)
         );
         s.wait_idle();
-        assert_eq!(s.job_json(a.job_id).unwrap()["state"], "done");
-        assert!(s.drained());
+        assert_eq!(job(&s, a.job_id)["state"], "done");
+        assert!(s.wait_drained(Duration::ZERO));
         s.shutdown();
     }
 
@@ -765,7 +941,7 @@ mod tests {
             wait_terminal(&s, *id);
         }
         let finish_micros = |id: u64| {
-            s.job_json(id).unwrap()["service_micros"]
+            job(&s, id)["service_micros"]
                 .as_u64()
                 .expect("terminal job has service time")
         };
@@ -839,6 +1015,7 @@ mod tests {
                 ..SchedulerConfig::default()
             },
             flaky,
+            JOB_HISTORY,
         )
         .unwrap();
         let bad = s.submit(sleep("t", 13)).unwrap().job_id;
@@ -858,6 +1035,174 @@ mod tests {
             metrics.contains("deep_serve_jobs_failed_total 1"),
             "{metrics}"
         );
+        s.shutdown();
+    }
+
+    #[test]
+    fn spliced_job_json_is_the_printed_tree() {
+        let nested = deep_json::from_str(
+            r#"{"points":[{"a":[1,[2,[]],{}],"f":0.5}],"empty":{},"none":null,
+                "s":"quote\" back\\ nl\n tab\t ctl\u0001 é","deep":{"x":{"y":[[],[{}]]}}}"#,
+        )
+        .unwrap();
+        let sweep = JobSpec::Sweep(SweepConfig {
+            seed: 3,
+            replicas: 2,
+            points: vec![SweepPoint {
+                work_s: 1e4,
+                n_nodes: 64,
+                mtbf_node_s: 1e6,
+                checkpoint_s: 60.0,
+                restart_s: 120.0,
+                interval_s: 600.5,
+            }],
+        });
+        let job = |state, spec: JobSpec| Job {
+            id: 7,
+            client: "al\"ice".into(),
+            cache_key: spec.cacheable().then_some(0x6cee_10c2_8ca5_af51),
+            spec,
+            state,
+            cache_hit: false,
+            threads: 0,
+            submitted_at: Instant::now(),
+            service_micros: None,
+            result: None,
+            error: None,
+            events: Vec::new(),
+        };
+        let done = |result: &Value, cache_hit| {
+            let mut j = job(JobState::Queued, sweep.clone());
+            j.threads = 2;
+            j.cache_hit = cache_hit;
+            j.complete(render_result(result), 18_234);
+            (j, Some(result.clone()))
+        };
+        let mut running = job(
+            JobState::Running,
+            JobSpec::Experiment("f02_evolution".into()),
+        );
+        running.threads = 4;
+        let mut failed = job(JobState::Failed, JobSpec::SleepMs(13));
+        failed.service_micros = Some(5);
+        failed.error = Some("job panicked: \"unlucky\"\n\t13 \\ \u{1}".into());
+        let cases = [
+            (job(JobState::Queued, JobSpec::SleepMs(0)), None),
+            (running, None),
+            done(&nested, false),
+            done(&nested, true),
+            done(&Value::Null, false),
+            done(&Value::Array(vec![]), false),
+            done(&"just a string".into(), false),
+            (failed, None),
+        ];
+        for (job, result) in &cases {
+            let reference = job.reference_json(result.as_ref());
+            let spliced = job.json();
+            assert_eq!(spliced.to_string(), reference.to_json_pretty());
+            // And on the wire, headers and framing included.
+            let wire = |resp: crate::http::Response| {
+                let mut bytes = Vec::new();
+                resp.write_to(&mut bytes, true).unwrap();
+                bytes
+            };
+            assert_eq!(
+                wire(crate::http::Response::json_spliced(
+                    200,
+                    spliced.head,
+                    spliced.result,
+                    spliced.tail
+                )),
+                wire(crate::http::Response::json(200, &reference)),
+            );
+        }
+    }
+
+    #[test]
+    fn a_hit_shares_the_cold_runs_rendered_result() {
+        let s = Scheduler::new(SchedulerConfig::default()).unwrap();
+        let cold = s.submit(experiment("t", "f02_evolution")).unwrap().job_id;
+        wait_terminal(&s, cold);
+        let hit = s.submit(experiment("u", "f02_evolution")).unwrap();
+        assert!(hit.cached);
+        let cold = s.job_json(cold).unwrap().result.unwrap();
+        let hit = s.job_json(hit.job_id).unwrap().result.unwrap();
+        assert!(
+            Arc::ptr_eq(&cold, &hit),
+            "a hit must hold the cold run's allocation, not a copy"
+        );
+        // Cache entry, two records, two views: one text.
+        assert_eq!(Arc::strong_count(&cold), 5);
+        s.shutdown();
+    }
+
+    #[test]
+    fn job_history_is_bounded_and_spares_live_jobs() {
+        const CAP: usize = 8;
+        let s = Scheduler::with_evaluator(
+            SchedulerConfig {
+                workers: 1,
+                queue_bound: 4 * CAP,
+                ..SchedulerConfig::default()
+            },
+            evaluate,
+            CAP,
+        )
+        .unwrap();
+        let ids = |s: &Scheduler| -> Vec<u64> {
+            let st = unpoisoned(s.inner.state.lock());
+            st.jobs.keys().copied().collect()
+        };
+        // 3 × the cap of finished jobs leave the cap, the newest ids.
+        let mut last = 0;
+        for _ in 0..3 * CAP {
+            last = s.submit(sleep("t", 0)).unwrap().job_id;
+            wait_terminal(&s, last);
+        }
+        let newest: Vec<u64> = (last + 1 - CAP as u64..=last).collect();
+        assert_eq!(ids(&s), newest);
+        assert!(s.job_json(1).is_none(), "an evicted id is unknown");
+        assert!(s.watch(1).is_none());
+
+        // A running and a queued job outlive any number of newer
+        // finished ones (cache hits are finished at admission).
+        let cached = s.submit(experiment("t", "f02_evolution")).unwrap().job_id;
+        wait_terminal(&s, cached);
+        let running = s.submit(sleep("t", 300)).unwrap().job_id;
+        let queued = s.submit(sleep("t", 0)).unwrap().job_id;
+        let mut hits = Vec::new();
+        for _ in 0..3 * CAP {
+            let hit = s.submit(experiment("t", "f02_evolution")).unwrap();
+            assert!(hit.cached);
+            hits.push(hit.job_id);
+            let now = ids(&s);
+            assert!(now.contains(&running) && now.contains(&queued), "{now:?}");
+            assert!(now.len() <= CAP + 2, "{now:?}");
+        }
+        let mut expect = vec![running, queued];
+        expect.extend(&hits[2 * CAP..]);
+        assert_eq!(ids(&s), expect);
+        assert_eq!(wait_terminal(&s, running)["state"], "done");
+        assert_eq!(wait_terminal(&s, queued)["state"], "done");
+        let metrics = s.metrics_text();
+        let evicted = 5 * CAP + 3;
+        assert!(
+            metrics.contains(&format!("deep_serve_jobs_evicted_total {evicted}\n")),
+            "{metrics}"
+        );
+        s.shutdown();
+    }
+
+    #[test]
+    fn an_attached_event_stream_holds_the_drain_open() {
+        let s = Scheduler::new(SchedulerConfig::default()).unwrap();
+        let id = s.submit(sleep("t", 0)).unwrap().job_id;
+        wait_terminal(&s, id);
+        let watch = s.watch(id).expect("known job");
+        s.drain();
+        assert!(!s.wait_drained(Duration::from_millis(20)));
+        drop(watch);
+        assert!(s.wait_drained(Duration::ZERO));
         s.shutdown();
     }
 

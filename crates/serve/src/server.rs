@@ -1,12 +1,26 @@
 //! HTTP front end: accept loop, request router, and graceful drain.
 //!
-//! One thread per connection (connections are few and long-lived —
-//! this serves a CI fleet, not the internet), keep-alive per
-//! HTTP/1.1, and a non-blocking accept loop so the daemon can notice
-//! a termination request between connections. On SIGTERM (or
-//! [`ServerHandle::begin_drain`]) the daemon stops admitting jobs
-//! (503 + `Retry-After`), finishes everything already admitted, then
-//! exits the accept loop.
+//! One thread per connection, at most [`MAX_CONNECTIONS`] of them
+//! (connections are few and long-lived — this serves a CI fleet, not
+//! the internet), keep-alive per HTTP/1.1. The listener *blocks* in
+//! `accept`, so a fresh connection is served in the time of a
+//! `connect`; nothing on the way from `connect` to the first response
+//! byte sleeps, polls or waits on a timer. What ends the daemon wakes
+//! the listener instead: a side thread parks on the scheduler's condvar
+//! (looking at the SIGTERM flag between waits) and, the moment the
+//! daemon is drained, connects to the listener's own address.
+//!
+//! On SIGTERM (or [`ServerHandle::begin_drain`]) the daemon stops
+//! admitting jobs (503 + `Retry-After`), finishes everything already
+//! admitted, lets attached event streams read their terminal event,
+//! then leaves the accept loop.
+//!
+//! Every accepted socket has read and write timeouts: a peer that
+//! stalls inside a request or stops reading a response loses its slot
+//! after [`IO_TIMEOUT`]; one that is merely quiet *between* requests —
+//! a client following a long job on a second connection — keeps it for
+//! [`IDLE_TIMEOUT`] ([`crate::client::ServeClient`] reconnects once if
+//! it comes back later than that).
 //!
 //! Routes:
 //!
@@ -17,52 +31,88 @@
 //! | GET    | `/jobs/<id>/events` | chunked NDJSON event stream until terminal |
 //! | GET    | `/healthz`        | liveness + load gauges |
 //! | GET    | `/metrics`        | plain-text counters |
+//!
+//! Any connection beyond the cap is answered `503` + `Retry-After` by
+//! the accept thread itself.
 
-use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use deep_json::{object, Value};
 
 use crate::http::{read_request, ChunkedWriter, Request, Response};
-use crate::scheduler::{JobState, Rejection, Scheduler, SchedulerConfig};
+use crate::scheduler::{JobJson, JobState, Rejection, Scheduler, SchedulerConfig, Watch};
 
-/// How long the accept loop sleeps when no connection is pending.
-const ACCEPT_IDLE: Duration = Duration::from_millis(20);
+/// Connections served at once, one thread each.
+pub const MAX_CONNECTIONS: usize = 64;
+/// How long a kept-alive connection may stay quiet between requests.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(60);
+/// Longest stall inside a request or a response before the peer loses
+/// its connection.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+/// How often the drain watcher looks at the termination flag, which a
+/// signal handler can set but cannot notify. Not on any request's path.
+const TERMINATE_POLL: Duration = Duration::from_millis(20);
 /// Poll interval for event streams waiting on job news.
 const EVENT_WAIT: Duration = Duration::from_millis(100);
+
+/// The two socket timeouts of a connection; arguments, so that a test
+/// can use milliseconds.
+#[derive(Clone, Copy)]
+struct Timeouts {
+    /// Wait for the first byte of the next request.
+    idle: Duration,
+    /// Any later read of the request, and every write.
+    io: Duration,
+}
+
+/// What the accept thread, every connection thread and the control
+/// handles share.
+struct Shared {
+    scheduler: Scheduler,
+    draining: AtomicBool,
+    /// Connection threads alive; the accept thread alone adds to it, so
+    /// it never exceeds [`MAX_CONNECTIONS`].
+    connections_active: AtomicUsize,
+    connections_rejected: AtomicU64,
+}
+
+impl Shared {
+    fn begin_drain(&self) {
+        self.draining.store(true, Ordering::Relaxed);
+        self.scheduler.drain();
+    }
+}
 
 /// A running daemon: the scheduler plus drain plumbing shared with
 /// connection threads.
 pub struct Server {
-    scheduler: Arc<Scheduler>,
-    draining: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     listener: TcpListener,
     /// Local address actually bound (useful with port 0).
-    pub addr: std::net::SocketAddr,
+    pub addr: SocketAddr,
 }
 
 /// Cloneable handle for controlling a server from another thread
 /// (tests use this where production uses SIGTERM).
 #[derive(Clone)]
 pub struct ServerHandle {
-    scheduler: Arc<Scheduler>,
-    draining: Arc<AtomicBool>,
-    addr: std::net::SocketAddr,
+    shared: Arc<Shared>,
+    addr: SocketAddr,
 }
 
 impl ServerHandle {
     /// Stop admitting jobs; the run loop exits once admitted work is
     /// done.
     pub fn begin_drain(&self) {
-        self.draining.store(true, Ordering::Relaxed);
-        self.scheduler.drain();
+        self.shared.begin_drain();
     }
 
     /// The bound address.
-    pub fn addr(&self) -> std::net::SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 }
@@ -70,13 +120,16 @@ impl ServerHandle {
 impl Server {
     /// Bind `addr` (e.g. `"127.0.0.1:0"`) and start the scheduler.
     pub fn bind(addr: &str, cfg: SchedulerConfig) -> io::Result<Server> {
-        let scheduler = Arc::new(Scheduler::new(cfg)?);
+        let scheduler = Scheduler::new(cfg)?;
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         Ok(Server {
-            scheduler,
-            draining: Arc::new(AtomicBool::new(false)),
+            shared: Arc::new(Shared {
+                scheduler,
+                draining: AtomicBool::new(false),
+                connections_active: AtomicUsize::new(0),
+                connections_rejected: AtomicU64::new(0),
+            }),
             listener,
             addr,
         })
@@ -85,8 +138,7 @@ impl Server {
     /// A control handle usable from other threads.
     pub fn handle(&self) -> ServerHandle {
         ServerHandle {
-            scheduler: Arc::clone(&self.scheduler),
-            draining: Arc::clone(&self.draining),
+            shared: Arc::clone(&self.shared),
             addr: self.addr,
         }
     }
@@ -95,51 +147,173 @@ impl Server {
     /// admitted jobs and return. Pass `sigshim::terminate_flag()` in
     /// production; tests pass their own flag.
     pub fn run(self, terminate: &AtomicBool) -> io::Result<()> {
-        loop {
-            if terminate.load(Ordering::Relaxed) {
-                self.draining.store(true, Ordering::Relaxed);
-                self.scheduler.drain();
-            }
-            if self.draining.load(Ordering::Relaxed) && self.scheduler.drained() {
-                break;
-            }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let scheduler = Arc::clone(&self.scheduler);
-                    let draining = Arc::clone(&self.draining);
-                    std::thread::spawn(move || {
-                        // Peer disconnects are routine, not errors.
-                        let _ = serve_connection(stream, &scheduler, &draining);
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_IDLE);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
+        let Server {
+            shared,
+            listener,
+            addr,
+        } = self;
+        // Set by whichever of the two threads ends first, for the other.
+        let stop = AtomicBool::new(false);
+        let served = std::thread::scope(|scope| {
+            std::thread::Builder::new()
+                .name("deep-serve-drain".into())
+                .spawn_scoped(scope, || watch_for_drain(&shared, terminate, &stop, addr))?;
+            let served = accept_loop(&listener, &shared, &stop);
+            // After a failed `accept` nothing else would end the watcher.
+            stop.store(true, Ordering::SeqCst);
+            served
+        });
+        // Workers are idle by now (the daemon is drained); stop them.
+        // If a handle or a connection thread still holds a reference,
+        // leaving workers parked is safe — every job is terminal and
+        // the process is about to exit anyway.
+        if let Ok(shared) = Arc::try_unwrap(shared) {
+            shared.scheduler.shutdown();
         }
-        // Workers are idle by now (drained() held); stop them. If a
-        // connection thread still holds a reference, leaving workers
-        // parked is safe — every job is terminal and the process is
-        // about to exit anyway.
-        if let Ok(s) = Arc::try_unwrap(self.scheduler) {
-            s.shutdown();
-        }
-        Ok(())
+        served
     }
 }
 
-/// Handle one keep-alive connection until the peer closes or errors.
-fn serve_connection(
-    stream: TcpStream,
-    scheduler: &Scheduler,
-    draining: &AtomicBool,
-) -> io::Result<()> {
+/// The side thread of [`Server::run`]: turn a raised `terminate` flag
+/// into a drain, and the end of the drain into a connection that wakes
+/// the blocked `accept`. It parks on the scheduler's condvar, which a
+/// drain request and every finishing job notify.
+fn watch_for_drain(shared: &Shared, terminate: &AtomicBool, stop: &AtomicBool, addr: SocketAddr) {
+    while !stop.load(Ordering::SeqCst) {
+        if terminate.load(Ordering::Relaxed) {
+            shared.begin_drain();
+        }
+        if shared.scheduler.wait_drained(TERMINATE_POLL) {
+            stop.store(true, Ordering::SeqCst);
+            wake(addr);
+            return;
+        }
+    }
+}
+
+/// Make the listener's blocked `accept` return by connecting to it. A
+/// wildcard bind is reached over loopback. One successful connect is
+/// enough — it sits in the backlog until accepted — and a failed one
+/// (no descriptor left, say) is tried again.
+fn wake(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    while TcpStream::connect(addr).is_err() {
+        std::thread::park_timeout(TERMINATE_POLL);
+    }
+}
+
+/// Block in `accept` and hand each connection to [`admit`] until the
+/// drain watcher says stop.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, stop: &AtomicBool) -> io::Result<()> {
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            // A peer that gave up between its connect and our accept
+            // says nothing about the listener.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::Interrupted
+                        | io::ErrorKind::ConnectionAborted
+                        | io::ErrorKind::ConnectionReset
+                ) =>
+            {
+                continue
+            }
+            Err(e) => return Err(e),
+        };
+        if stop.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        admit(stream, shared);
+    }
+}
+
+/// Give the connection a thread if a slot is free, otherwise refuse it.
+fn admit(stream: TcpStream, shared: &Arc<Shared>) {
+    if shared.connections_active.load(Ordering::Relaxed) >= MAX_CONNECTIONS {
+        return refuse(&stream, shared);
+    }
+    shared.connections_active.fetch_add(1, Ordering::Relaxed);
+    let slot = Slot(Arc::clone(shared));
+    // Shared with the thread so that this one can still answer when the
+    // OS refuses the spawn, which drops the closure.
+    let stream = Arc::new(stream);
+    let theirs = Arc::clone(&stream);
+    let spawned = std::thread::Builder::new()
+        .name("deep-serve-conn".into())
+        .spawn(move || {
+            let timeouts = Timeouts {
+                idle: IDLE_TIMEOUT,
+                io: IO_TIMEOUT,
+            };
+            // Peer disconnects and timeouts are routine, not errors.
+            let _ = serve_connection(&theirs, &slot.0, timeouts);
+        });
+    if spawned.is_err() {
+        refuse(&stream, shared);
+    }
+}
+
+/// One occupied connection slot, released when its thread ends.
+struct Slot(Arc<Shared>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.connections_active.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Answer `503` on the accept thread and close. The reply is a few
+/// hundred bytes into the empty send buffer of a fresh socket, so the
+/// write cannot block the listener.
+fn refuse(stream: &TcpStream, shared: &Shared) {
+    shared.connections_rejected.fetch_add(1, Ordering::Relaxed);
+    let body = object([("error", "too many connections".into())]);
+    let _ = Response::json(503, &body)
+        .header("Retry-After", "1")
+        .write_to(&mut BufWriter::new(stream), false);
+}
+
+/// Wait for the first byte of the next request. `Ok(false)` when the
+/// peer closed the connection or stayed quiet for the read timeout.
+fn next_request_began(reader: &mut BufReader<&TcpStream>) -> io::Result<bool> {
+    loop {
+        return match reader.fill_buf() {
+            Ok(buffered) => Ok(!buffered.is_empty()),
+            // A read with a timeout set is not restarted after a signal.
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                Ok(false)
+            }
+            Err(e) => Err(e),
+        };
+    }
+}
+
+/// Handle one keep-alive connection until the peer closes, errors or
+/// runs into a timeout.
+fn serve_connection(stream: &TcpStream, shared: &Shared, timeouts: Timeouts) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
+    stream.set_write_timeout(Some(timeouts.io))?;
+    let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(stream);
     loop {
+        stream.set_read_timeout(Some(timeouts.idle))?;
+        if !next_request_began(&mut reader)? {
+            return Ok(());
+        }
+        stream.set_read_timeout(Some(timeouts.io))?;
         let req = match read_request(&mut reader) {
             Ok(Some(req)) => req,
             Ok(None) => return Ok(()), // clean close between requests
@@ -158,12 +332,12 @@ fn serve_connection(
             }
         };
         let keep_alive = !req.wants_close();
-        match route(&req, scheduler, draining) {
+        match route(&req, shared) {
             Routed::Plain(resp) => resp.write_to(&mut writer, keep_alive)?,
-            Routed::EventStream(id) => {
+            Routed::EventStream(watch) => {
                 // Streaming takes over the connection; it ends with
                 // the terminal event and closes.
-                stream_events(&mut writer, scheduler, id)?;
+                stream_events(&mut writer, &watch)?;
                 return Ok(());
             }
         }
@@ -174,24 +348,31 @@ fn serve_connection(
 }
 
 /// Either an ordinary response or a switch to event streaming.
-enum Routed {
+enum Routed<'a> {
     Plain(Response),
-    EventStream(u64),
+    EventStream(Watch<'a>),
 }
 
-fn route(req: &Request, scheduler: &Scheduler, draining: &AtomicBool) -> Routed {
+/// A job document as a reply: the rendered result goes out from the
+/// allocation the job record holds.
+fn job_response(status: u16, job: JobJson) -> Response {
+    Response::json_spliced(status, job.head, job.result, job.tail)
+}
+
+fn route<'a>(req: &Request, shared: &'a Shared) -> Routed<'a> {
+    let scheduler = &shared.scheduler;
     let path = req.path.split('?').next().unwrap_or("");
     let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
     let plain = |r: Response| Routed::Plain(r);
     match (req.method.as_str(), segments.as_slice()) {
-        ("POST", ["jobs"]) => plain(submit(req, scheduler, draining)),
+        ("POST", ["jobs"]) => plain(submit(req, shared)),
         ("GET", ["jobs", id]) => match parse_id(id).and_then(|id| scheduler.job_json(id)) {
-            Some(job) => plain(Response::json(200, &job)),
+            Some(job) => plain(job_response(200, job)),
             None => plain(not_found()),
         },
-        ("GET", ["jobs", id, "events"]) => match parse_id(id) {
-            Some(id) if scheduler.job_json(id).is_some() => Routed::EventStream(id),
-            _ => plain(not_found()),
+        ("GET", ["jobs", id, "events"]) => match parse_id(id).and_then(|id| scheduler.watch(id)) {
+            Some(watch) => Routed::EventStream(watch),
+            None => plain(not_found()),
         },
         ("GET", ["healthz"]) => {
             let (queued, running, drain_flag) = scheduler.load();
@@ -199,14 +380,23 @@ fn route(req: &Request, scheduler: &Scheduler, draining: &AtomicBool) -> Routed 
                 ("status", "ok".into()),
                 (
                     "draining",
-                    (drain_flag || draining.load(Ordering::Relaxed)).into(),
+                    (drain_flag || shared.draining.load(Ordering::Relaxed)).into(),
                 ),
                 ("jobs_queued", queued.into()),
                 ("jobs_running", running.into()),
             ]);
             plain(Response::json(200, &body))
         }
-        ("GET", ["metrics"]) => plain(Response::text(200, &scheduler.metrics_text())),
+        ("GET", ["metrics"]) => {
+            let mut text = scheduler.metrics_text();
+            let active = shared.connections_active.load(Ordering::Relaxed);
+            let rejected = shared.connections_rejected.load(Ordering::Relaxed);
+            text.push_str(&format!("deep_serve_connections_active {active}\n"));
+            text.push_str(&format!(
+                "deep_serve_connections_rejected_total {rejected}\n"
+            ));
+            plain(Response::text(200, &text))
+        }
         (_, ["jobs"]) | (_, ["jobs", ..]) | (_, ["healthz"]) | (_, ["metrics"]) => plain(
             Response::json(405, &object([("error", "method not allowed".into())])),
         ),
@@ -222,8 +412,9 @@ fn not_found() -> Response {
     Response::json(404, &object([("error", "not found".into())]))
 }
 
-fn submit(req: &Request, scheduler: &Scheduler, draining: &AtomicBool) -> Response {
-    if draining.load(Ordering::Relaxed) {
+fn submit(req: &Request, shared: &Shared) -> Response {
+    let scheduler = &shared.scheduler;
+    if shared.draining.load(Ordering::Relaxed) {
         return Response::json(503, &object([("error", "draining for shutdown".into())]))
             .header("Retry-After", "5");
     }
@@ -238,7 +429,7 @@ fn submit(req: &Request, scheduler: &Scheduler, draining: &AtomicBool) -> Respon
     match scheduler.submit(job_req) {
         Ok(admitted) => match scheduler.job_json(admitted.job_id) {
             // 200 when the answer is already in hand, 202 when queued.
-            Some(job) => Response::json(if admitted.cached { 200 } else { 202 }, &job),
+            Some(job) => job_response(if admitted.cached { 200 } else { 202 }, job),
             None => Response::json(
                 500,
                 &object([("error", "job record vanished after admission".into())]),
@@ -256,10 +447,10 @@ fn submit(req: &Request, scheduler: &Scheduler, draining: &AtomicBool) -> Respon
 }
 
 /// Stream a job's events as chunked NDJSON until it is terminal.
-fn stream_events<W: Write>(writer: W, scheduler: &Scheduler, id: u64) -> io::Result<()> {
+fn stream_events<W: Write>(writer: W, watch: &Watch<'_>) -> io::Result<()> {
     let mut out = ChunkedWriter::start(writer, 200, "application/x-ndjson")?;
     let mut seen = 0usize;
-    while let Some((fresh, terminal)) = scheduler.events_after(id, seen, EVENT_WAIT) {
+    while let Some((fresh, terminal)) = watch.events_after(seen, EVENT_WAIT) {
         if !fresh.is_empty() {
             let mut payload = String::new();
             for ev in &fresh {
@@ -285,5 +476,91 @@ pub fn job_state(job: &Value) -> Option<JobState> {
         "done" => Some(JobState::Done),
         "failed" => Some(JobState::Failed),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::time::Instant;
+
+    const SHORT: Duration = Duration::from_millis(60);
+    const LONG: Duration = Duration::from_secs(20);
+
+    /// A connected socket pair, the daemon's end being served with
+    /// `timeouts` on a thread that reports how long it held its slot.
+    fn serve(timeouts: Timeouts) -> (TcpStream, std::thread::JoinHandle<Duration>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let shared = Shared {
+            scheduler: Scheduler::new(SchedulerConfig::default()).unwrap(),
+            draining: AtomicBool::new(false),
+            connections_active: AtomicUsize::new(0),
+            connections_rejected: AtomicU64::new(0),
+        };
+        let served = std::thread::spawn(move || {
+            let t0 = Instant::now();
+            let _ = serve_connection(&stream, &shared, timeouts);
+            let held = t0.elapsed();
+            shared.scheduler.shutdown();
+            held
+        });
+        (peer, served)
+    }
+
+    const HEALTHZ: &[u8] = b"GET /healthz HTTP/1.1\r\nContent-Length: 0\r\n\r\n";
+
+    /// Read one reply; its status.
+    fn read_reply(peer: &mut TcpStream) -> u16 {
+        crate::http::read_response(&mut BufReader::new(peer))
+            .unwrap()
+            .status
+    }
+
+    #[test]
+    fn a_silent_peer_loses_its_slot_after_the_idle_timeout() {
+        let (peer, served) = serve(Timeouts {
+            idle: SHORT,
+            io: LONG,
+        });
+        let held = served.join().unwrap();
+        assert!(held >= SHORT && held < LONG, "{held:?}");
+        drop(peer);
+    }
+
+    #[test]
+    fn a_peer_stalling_inside_a_request_loses_its_slot_after_the_io_timeout() {
+        let (mut peer, served) = serve(Timeouts {
+            idle: LONG,
+            io: SHORT,
+        });
+        peer.write_all(b"POST /jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\n{\"sl")
+            .unwrap();
+        let held = served.join().unwrap();
+        assert!(held >= SHORT && held < LONG, "{held:?}");
+    }
+
+    #[test]
+    fn quiet_between_requests_is_exempt_from_the_io_timeout() {
+        let (mut peer, served) = serve(Timeouts {
+            idle: LONG,
+            io: SHORT,
+        });
+        peer.write_all(HEALTHZ).unwrap();
+        assert_eq!(read_reply(&mut peer), 200);
+        // Stay quiet for three io timeouts: a read that times out on
+        // our side of the idle connection is the clock.
+        peer.set_read_timeout(Some(3 * SHORT)).unwrap();
+        let quiet = peer.read(&mut [0u8; 1]).unwrap_err();
+        assert!(matches!(
+            quiet.kind(),
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+        ));
+        peer.write_all(HEALTHZ).unwrap();
+        assert_eq!(read_reply(&mut peer), 200);
+        drop(peer);
+        assert!(served.join().unwrap() >= 3 * SHORT);
     }
 }

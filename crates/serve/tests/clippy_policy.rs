@@ -8,4 +8,6 @@ fn every_serve_clippy_toml_entry_fires() {
     let _: Option<std::collections::HashMap<u8, u8>> = None;
     #[expect(clippy::disallowed_types, reason = "canary")]
     let _: Option<std::collections::HashSet<u8>> = None;
+    #[expect(clippy::disallowed_methods, reason = "canary")]
+    std::thread::sleep(std::time::Duration::ZERO);
 }

@@ -6,14 +6,17 @@
 //! so tests drive drain through [`ServerHandle::begin_drain`]
 //! instead).
 
-use std::sync::atomic::AtomicBool;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use deep_json::Value;
 use deep_serve::client::{ServeClient, Submitted};
 use deep_serve::scheduler::SchedulerConfig;
-use deep_serve::server::{Server, ServerHandle};
+use deep_serve::server::{Server, ServerHandle, MAX_CONNECTIONS};
 
 /// A daemon under test: drain + join on drop-by-hand.
 struct Daemon {
@@ -23,12 +26,15 @@ struct Daemon {
 }
 
 fn boot(cfg: SchedulerConfig) -> Daemon {
+    // Leak one flag per daemon: `run` borrows it for the daemon's
+    // lifetime, which outlives this stack frame.
+    boot_with_flag(cfg, Box::leak(Box::new(AtomicBool::new(false))))
+}
+
+fn boot_with_flag(cfg: SchedulerConfig, flag: &'static AtomicBool) -> Daemon {
     let server = Server::bind("127.0.0.1:0", cfg).expect("bind loopback");
     let handle = server.handle();
     let addr = server.addr.to_string();
-    // Leak one flag per daemon: `run` borrows it for the daemon's
-    // lifetime, which outlives this stack frame.
-    let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
     let thread = std::thread::spawn(move || server.run(flag));
     Daemon {
         handle,
@@ -45,6 +51,18 @@ impl Daemon {
             .expect("daemon thread")
             .expect("daemon exits cleanly");
     }
+}
+
+/// Follow job `id` on a fresh connection to the end of its event
+/// stream, then fetch the finished job over `client`.
+fn wait_done(addr: &str, client: &mut ServeClient, id: u64) -> Value {
+    ServeClient::connect(addr)
+        .expect("watcher connect")
+        .watch_events(id, |_| {})
+        .expect("event stream");
+    let job = client.job(id).expect("status");
+    assert_eq!(job["state"].as_str(), Some("done"), "{}", job.to_json());
+    job
 }
 
 fn experiment_body(client: &str, name: &str) -> String {
@@ -164,13 +182,7 @@ fn full_queue_rejects_with_retry_after_and_recovers() {
 
     // Admitted jobs still finish, and capacity comes back.
     for id in admitted {
-        loop {
-            let job = client.job(id).expect("status");
-            if job["state"].as_str() == Some("done") {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
+        wait_done(&daemon.addr, &mut client, id);
     }
     match client
         .submit_raw(r#"{"client":"flood","sleep_ms":1}"#)
@@ -212,15 +224,10 @@ fn drain_rejects_with_503_and_finishes_inflight_jobs() {
         Submitted::Job(job) => panic!("draining daemon admitted a job: {}", job.to_json()),
     }
 
-    // Watch the in-flight job to its terminal state over the still-
-    // open connection: drain must let it finish, not kill it.
-    let job = loop {
-        let job = client.job(inflight).expect("status during drain");
-        if job["state"].as_str() == Some("done") {
-            break job;
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    };
+    // Watch the in-flight job to its terminal state — a draining
+    // daemon still accepts connections — and fetch it over the still-
+    // open one: drain must let it finish, not kill it.
+    let job = wait_done(&daemon.addr, &mut client, inflight);
     assert_eq!(job["result"]["slept_ms"].as_u64(), Some(300));
     // And the daemon exits cleanly only after that.
     daemon
@@ -265,8 +272,7 @@ fn health_metrics_and_errors_speak_http() {
 /// line and whether the daemon closed the connection after answering
 /// (a kept-alive connection runs into the read timeout instead).
 fn raw_exchange(addr: &str, request: &str) -> (String, bool) {
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    let mut stream = TcpStream::connect(addr).expect("connect");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .expect("timeout");
@@ -417,17 +423,8 @@ fn fairness_round_robins_between_clients_under_contention() {
         other => panic!("expected admission, got {other:?}"),
     };
 
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let wait_done = |client: &mut ServeClient, id: u64| loop {
-        let job = client.job(id).expect("status");
-        if job["state"].as_str() == Some("done") {
-            break job;
-        }
-        assert!(Instant::now() < deadline, "job {id} never finished");
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    let modest = wait_done(&mut submitter, modest_id);
-    let greedy_last = wait_done(&mut submitter, *greedy_ids.last().unwrap());
+    let modest = wait_done(&daemon.addr, &mut submitter, modest_id);
+    let greedy_last = wait_done(&daemon.addr, &mut submitter, *greedy_ids.last().unwrap());
     // Round-robin: the modest client's only job (submitted last) must
     // not wait behind the greedy client's whole backlog.
     assert!(
@@ -436,6 +433,130 @@ fn fairness_round_robins_between_clients_under_contention() {
         "modest {} vs greedy-last {}",
         modest.to_json(),
         greedy_last.to_json()
+    );
+    daemon.stop();
+}
+
+#[test]
+fn fresh_connections_wait_for_no_accept_tick() {
+    let daemon = boot(SchedulerConfig::default());
+    // 50 round trips, each on a connection of its own, are 50 connects'
+    // worth of time; a listener that naps between polls made each wait
+    // out the nap. Best of three, so that a neighbour test hogging the
+    // cores for a moment does not decide it.
+    let best = (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..50 {
+                let mut client = ServeClient::connect(&daemon.addr).expect("connect");
+                assert_eq!(
+                    client.healthz().expect("healthz")["status"].as_str(),
+                    Some("ok")
+                );
+            }
+            t0.elapsed()
+        })
+        .min()
+        .expect("three attempts");
+    assert!(
+        best < Duration::from_millis(250),
+        "50 fresh-connection round trips took {best:?}"
+    );
+    daemon.stop();
+}
+
+#[test]
+fn the_terminate_flag_ends_an_idle_daemon_at_once() {
+    let flag: &'static AtomicBool = Box::leak(Box::new(AtomicBool::new(false)));
+    let daemon = boot_with_flag(SchedulerConfig::default(), flag);
+    // One exchange proves the accept loop is up; afterwards nothing is
+    // connected or pending, so only a wake-up can end the `accept`.
+    ServeClient::connect(&daemon.addr)
+        .expect("connect")
+        .healthz()
+        .expect("healthz");
+    let t0 = Instant::now();
+    flag.store(true, Ordering::Relaxed);
+    daemon
+        .thread
+        .join()
+        .expect("daemon thread")
+        .expect("clean exit");
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_millis(200),
+        "run returned after {took:?}"
+    );
+    // `run` left no thread holding the listener: the port is closed.
+    assert!(TcpStream::connect(&daemon.addr).is_err());
+}
+
+#[test]
+fn connections_beyond_the_cap_get_503_and_slots_come_back() {
+    let daemon = boot(SchedulerConfig::default());
+    let mut early = ServeClient::connect(&daemon.addr).expect("connect");
+    early.healthz().expect("healthz before the flood");
+    // With `early`, exactly the cap. Connections are accepted in the
+    // order they were made, so by the time the daemon sees the probe
+    // below it has given every holder its slot.
+    let holders: Vec<TcpStream> = (1..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(&daemon.addr).expect("holder connect"))
+        .collect();
+
+    let t0 = Instant::now();
+    let mut probe = TcpStream::connect(&daemon.addr).expect("probe connect");
+    probe
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("timeout");
+    let mut reply = String::new();
+    probe
+        .read_to_string(&mut reply)
+        .expect("a refusal, then end of stream");
+    assert!(t0.elapsed() < Duration::from_secs(1));
+    assert!(
+        reply.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+        "{reply}"
+    );
+    assert!(reply.contains("\r\nRetry-After: 1\r\n"), "{reply}");
+
+    // A request over a refused connection reads as back-pressure.
+    let mut late = ServeClient::connect(&daemon.addr).expect("tcp connect still succeeds");
+    match late.submit_raw(r#"{"sleep_ms":0}"#).expect("an HTTP reply") {
+        Submitted::Backoff { status, .. } => assert_eq!(status, 503),
+        Submitted::Job(job) => panic!("served beyond the cap: {}", job.to_json()),
+    }
+
+    // The client that was there before the flood is still served.
+    let gauge = |metrics: &str, name: &str| -> u64 {
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("no {name} in {metrics}"))
+    };
+    let metrics = early.metrics().expect("metrics during the flood");
+    assert_eq!(
+        gauge(&metrics, "deep_serve_connections_active "),
+        MAX_CONNECTIONS as u64
+    );
+    assert_eq!(gauge(&metrics, "deep_serve_connections_rejected_total "), 2);
+
+    // Closing the holders gives the slots back (a holder that stays
+    // silent loses its slot to the idle timeout instead — the unit
+    // tests of `server` cover that with millisecond timeouts).
+    drop(holders);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while gauge(
+        &early.metrics().expect("metrics"),
+        "deep_serve_connections_active ",
+    ) > 1
+    {
+        assert!(Instant::now() < deadline, "slots never came back");
+    }
+    // `late` holds the connection the daemon closed after the 503 — as
+    // stale as one the idle timeout closed — and reconnects by itself.
+    assert_eq!(
+        late.healthz().expect("served again")["status"].as_str(),
+        Some("ok")
     );
     daemon.stop();
 }

@@ -37,6 +37,11 @@ fn scenario_request(client: &str, toml: &str) -> JobRequest {
     JobRequest::from_json(&body).unwrap()
 }
 
+/// The job document as a client parses it.
+fn job(s: &Scheduler, id: u64) -> Value {
+    deep_json::from_str(&s.job_json(id).unwrap().to_string()).unwrap()
+}
+
 fn wait_terminal(s: &Scheduler, id: u64) -> Value {
     let mut seen = 0;
     loop {
@@ -45,7 +50,7 @@ fn wait_terminal(s: &Scheduler, id: u64) -> Value {
             .unwrap();
         seen += fresh.len();
         if terminal {
-            return s.job_json(id).unwrap();
+            return job(s, id);
         }
     }
 }
@@ -97,7 +102,7 @@ param = \"n_nodes\"
 ";
     let b = s.submit(scenario_request("other", reformatted)).unwrap();
     assert!(b.cached, "reordered document must hit the same cache entry");
-    let hit = s.job_json(b.job_id).unwrap();
+    let hit = job(&s, b.job_id);
     assert_eq!(hit["cache_hit"].as_bool(), Some(true));
     assert_eq!(hit["result"].to_json(), done["result"].to_json());
     s.shutdown();
