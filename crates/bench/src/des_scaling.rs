@@ -8,10 +8,9 @@
 //! that feasible where a naive one-process-per-rank, one-event-per-
 //! message simulation is not:
 //!
-//! * **One process per fabric segment** (leaf switch), spawned into its
-//!   own event-loop partition (`Sim::spawn_in`): 2¹⁸ ranks become
-//!   ~14.5 k processes whose far-horizon compute timers live in private
-//!   per-partition heaps instead of one shared `BinaryHeap`.
+//! * **One process per fabric segment** (leaf switch): 2¹⁸ ranks become
+//!   ~14.5 k processes, so an iteration's compute phase is ~14.5 k
+//!   far-horizon timers and not 2¹⁸.
 //! * **SoA per-rank state**: rank readiness, inbox arrival and send
 //!   completion times are three flat `Vec<SimTime>`s shared by every
 //!   segment — no per-rank objects, no per-rank futures.
@@ -43,8 +42,7 @@ pub const COMPUTE: SimDuration = SimDuration::micros(2_000);
 pub const HALO_BYTES: u64 = 64 << 10;
 /// Per-pair block of the complex class's all-to-all phase.
 pub const A2A_BLOCK: u64 = 4 << 10;
-/// Hosts per leaf switch — one simulated process (and one event-loop
-/// partition) per leaf.
+/// Hosts per leaf switch — one simulated process per leaf.
 const NODES_PER_LEAF: u32 = 18;
 
 /// Configuration of one skeleton run.
@@ -67,7 +65,7 @@ pub struct DesScalingConfig {
 pub struct DesScalingResult {
     pub ranks: u32,
     pub iters: u32,
-    /// Fabric segments (= leaf switches = extra event-loop partitions).
+    /// Fabric segments (= leaf switches = segment processes).
     pub segments: u32,
     /// Simulated seconds per iteration.
     pub iter_s: f64,
@@ -75,7 +73,7 @@ pub struct DesScalingResult {
     pub sim_s: f64,
     /// Logical point-to-point messages carried by the fabric.
     pub messages: u64,
-    /// Kernel events (process polls) the partitioned loop executed.
+    /// Kernel events (process polls) the run executed.
     pub kernel_events: u64,
     /// FNV-1a 64 over the run's virtual-time trajectory (per-iteration
     /// end instants + message count) — the cross-thread golden.
@@ -137,7 +135,7 @@ async fn segment(
         {
             // Every access to `shared` sits between barrier.wait()
             // pairs: the phases are globally sequenced, so no two
-            // partitions touch it at the same (at,seq).
+            // segments touch it at the same (at,seq).
             let sh = &mut *shared.borrow_mut();
             let now = ctx.now();
             for r in lo..hi {
@@ -301,8 +299,7 @@ fn run_on_fabric(cfg: DesScalingConfig) -> (DesScalingResult, Rc<IbFabric>) {
             n,
             cfg.iters,
         );
-        // One partition per leaf switch; partition 0 stays the driver's.
-        ctx.spawn_in_fmt(s + 1, format_args!("leaf-{s}"), fut);
+        ctx.spawn_fmt(format_args!("leaf-{s}"), fut);
     }
     {
         let fut = driver(
@@ -314,8 +311,7 @@ fn run_on_fabric(cfg: DesScalingConfig) -> (DesScalingResult, Rc<IbFabric>) {
             cfg.iters,
             cfg.complex,
         );
-        // Partition 0 is the driver's home, matching the leaf layout.
-        ctx.spawn_in(0, "driver", fut);
+        ctx.spawn("driver", fut);
     }
     sim.run().assert_completed();
     let sh = shared.borrow();

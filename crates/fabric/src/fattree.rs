@@ -24,7 +24,6 @@ pub struct FatTree {
     spines: u32,
     host_spec: LinkSpec,
     trunk_spec: LinkSpec,
-    name: String,
 }
 
 impl FatTree {
@@ -48,7 +47,6 @@ impl FatTree {
             spines,
             host_spec,
             trunk_spec,
-            name: format!("fattree-{hosts}h-{leaves}l-{spines}s"),
         }
     }
 
@@ -123,10 +121,6 @@ impl Topology for FatTree {
             out.push(self.leaf_down(ld, spine));
         }
         out.push(self.host_down(dst.0));
-    }
-
-    fn name(&self) -> &str {
-        &self.name
     }
 }
 

@@ -196,6 +196,10 @@ pub struct BatchMsg {
     pub earliest: SimTime,
 }
 
+/// Bandwidth of a node-local (src == dst) copy: a memcpy-grade
+/// intra-node path.
+const LOOPBACK_BPS: f64 = 8e9;
+
 /// A live fabric: topology + per-link dynamic state.
 pub struct Network {
     sim: Sim,
@@ -209,8 +213,6 @@ pub struct Network {
     route_scratch: RefCell<Vec<LinkId>>,
     /// Maximum transmission unit for segmentation (bytes).
     mtu: u64,
-    /// Bandwidth for node-local (src == dst) copies.
-    loopback_bps: f64,
     classes: LinkClasses,
     /// Pre-interned trace keys for the per-transfer fault paths, so a
     /// retry storm records events without name lookups.
@@ -234,7 +236,6 @@ impl Network {
             node_faults: RefCell::new(NodeFaults::new(n_nodes)),
             route_scratch: RefCell::new(Vec::with_capacity(8)),
             mtu: mtu.max(64),
-            loopback_bps: 8e9, // a memcpy-grade intra-node path
             classes,
             k_drop: sim.trace_key("net", "drop"),
             k_link_fail: sim.trace_key("net", "link-fail"),
@@ -287,11 +288,6 @@ impl Network {
         nf.active = nf.active + usize::from(is && !was) - usize::from(was && !is);
     }
 
-    /// Override the loopback (intra-node) copy bandwidth.
-    pub fn set_loopback_bps(&mut self, bps: f64) {
-        self.loopback_bps = bps;
-    }
-
     /// The simulation handle this network runs on.
     pub fn sim(&self) -> &Sim {
         &self.sim
@@ -300,11 +296,6 @@ impl Network {
     /// Number of endpoints in the underlying topology.
     pub fn num_nodes(&self) -> usize {
         self.topo.num_nodes()
-    }
-
-    /// Topology name, for reports.
-    pub fn topology_name(&self) -> &str {
-        self.topo.name()
     }
 
     /// Route length in hops between two endpoints.
@@ -361,7 +352,7 @@ impl Network {
                 });
             }
             // Loopback: a memory copy, no fabric involvement.
-            let copy = SimDuration::from_secs_f64(bytes as f64 / self.loopback_bps);
+            let copy = SimDuration::from_secs_f64(bytes as f64 / LOOPBACK_BPS);
             self.sim.sleep(copy).await;
             if overhead.recv > SimDuration::ZERO {
                 self.sim.sleep(overhead.recv).await;
@@ -558,7 +549,7 @@ impl Network {
             debug_assert!(m.earliest >= now, "batch message scheduled in the past");
             let head = m.earliest.max(now);
             let done = if m.src == m.dst {
-                head + SimDuration::from_secs_f64(m.bytes as f64 / self.loopback_bps)
+                head + SimDuration::from_secs_f64(m.bytes as f64 / LOOPBACK_BPS)
             } else {
                 route.clear();
                 self.topo.route(m.src, m.dst, &mut route);
@@ -586,16 +577,8 @@ impl Network {
         out.extend_from_slice(&self.links.borrow().bytes_carried);
     }
 
-    /// Busy-time fraction of each link relative to `elapsed`. Allocates;
-    /// prefer [`Network::link_utilization_into`] in loops.
-    pub fn link_utilization(&self, elapsed: SimDuration) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.link_utilization_into(elapsed, &mut out);
-        out
-    }
-
-    /// Write per-link busy fractions into a caller-owned buffer
-    /// (cleared first).
+    /// Write each link's busy-time fraction of `elapsed` into a
+    /// caller-owned buffer (cleared first).
     pub fn link_utilization_into(&self, elapsed: SimDuration, out: &mut Vec<f64>) {
         let e = elapsed.as_secs_f64();
         let links = self.links.borrow();
@@ -610,11 +593,6 @@ impl Network {
                 }
             },
         ));
-    }
-
-    /// Number of directed links in the fabric.
-    pub fn num_links(&self) -> usize {
-        self.classes.of.len()
     }
 
     /// Total messages carried across all links.
@@ -702,10 +680,6 @@ mod tests {
                 out.push(LinkId(at));
                 at = (at + 1) % self.0;
             }
-        }
-
-        fn name(&self) -> &str {
-            "three-class ring"
         }
     }
 

@@ -22,7 +22,6 @@ pub struct PcieBus {
     devices: u32,
     rc_spec: LinkSpec,
     lane_spec: LinkSpec,
-    name: String,
 }
 
 impl PcieBus {
@@ -33,7 +32,6 @@ impl PcieBus {
             devices,
             rc_spec,
             lane_spec,
-            name: format!("pcie-{devices}dev"),
         }
     }
 
@@ -98,10 +96,6 @@ impl Topology for PcieBus {
                 out.push(self.down(b));
             }
         }
-    }
-
-    fn name(&self) -> &str {
-        &self.name
     }
 }
 

@@ -17,9 +17,6 @@ pub trait Topology {
     /// Append the directed links of the route `src → dst` to `out`.
     /// Must be empty iff `src == dst`. Deterministic.
     fn route(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>);
-
-    /// Human-readable topology name.
-    fn name(&self) -> &str;
 }
 
 /// An ideal full crossbar: every ordered pair gets a dedicated link.
@@ -51,10 +48,6 @@ impl Topology for Crossbar {
             return;
         }
         out.push(LinkId(src.0 * self.nodes as u32 + dst.0));
-    }
-
-    fn name(&self) -> &str {
-        "crossbar"
     }
 }
 

@@ -32,18 +32,13 @@ pub enum TorusDir {
 pub struct Torus3D {
     dims: (u32, u32, u32),
     spec: LinkSpec,
-    name: String,
 }
 
 impl Torus3D {
     /// Build a torus; every link has the same spec.
     pub fn new(dims: (u32, u32, u32), spec: LinkSpec) -> Self {
         assert!(dims.0 >= 1 && dims.1 >= 1 && dims.2 >= 1);
-        Torus3D {
-            dims,
-            spec,
-            name: format!("torus3d-{}x{}x{}", dims.0, dims.1, dims.2),
-        }
+        Torus3D { dims, spec }
     }
 
     /// Torus dimensions.
@@ -148,10 +143,6 @@ impl Topology for Torus3D {
             }
         }
         debug_assert_eq!((x, y, z), (tx, ty, tz), "DOR must land on target");
-    }
-
-    fn name(&self) -> &str {
-        &self.name
     }
 }
 

@@ -105,14 +105,6 @@ impl Value {
         }
     }
 
-    /// The member list, if this is an `Object`.
-    pub fn as_object(&self) -> Option<&Vec<(String, Value)>> {
-        match self {
-            Value::Object(kv) => Some(kv),
-            _ => None,
-        }
-    }
-
     /// Compact single-line rendering.
     pub fn to_json(&self) -> String {
         let mut s = String::new();

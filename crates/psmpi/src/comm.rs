@@ -376,11 +376,6 @@ impl<T: 'static> Request<T> {
     pub async fn wait(self) -> T {
         self.handle.await.expect("request process was killed")
     }
-
-    /// Completion test (`MPI_Test`).
-    pub fn is_complete(&self) -> bool {
-        self.handle.is_finished()
-    }
 }
 
 /// Wait for all requests (`MPI_Waitall`).

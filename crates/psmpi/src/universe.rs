@@ -256,16 +256,6 @@ impl Universe {
         }
         slot.wait().await
     }
-
-    /// Number of messages sitting in unexpected queues (diagnostics).
-    pub fn unexpected_backlog(&self) -> usize {
-        self.inner
-            .borrow()
-            .mailboxes
-            .iter()
-            .map(|m| m.unexpected.len())
-            .sum()
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! `run_scenario`: evaluate a declarative scenario file.
 //!
 //! ```text
-//! run_scenario --scenario FILE [--json] [--check] [--quiet]
+//! run_scenario --scenario FILE [--json] [--check]
 //! ```
 //!
 //! * `--scenario FILE` — the TOML scenario document (required).
@@ -9,7 +9,6 @@
 //!   stdout; the default prints a short human summary.
 //! * `--check`         — validate only: print `ok <digest>` and exit
 //!   without evaluating (exit 2 on an invalid document).
-//! * `--quiet`         — accepted and ignored (it silenced a removed status line).
 //!
 //! The result is a pure function of the document: byte-identical
 //! output at any `RAYON_NUM_THREADS`, and invariant under key
@@ -21,7 +20,7 @@ use deep_json::object;
 use deep_scenario::Scenario;
 
 fn usage() -> ! {
-    eprintln!("usage: run_scenario --scenario FILE [--json] [--check] [--quiet]");
+    eprintln!("usage: run_scenario --scenario FILE [--json] [--check]");
     std::process::exit(2);
 }
 
@@ -39,7 +38,6 @@ fn main() {
             "--scenario" => file = Some(args.next().unwrap_or_else(|| usage())),
             "--json" => json = true,
             "--check" => check = true,
-            "--quiet" => {}
             _ => usage(),
         }
     }

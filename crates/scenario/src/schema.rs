@@ -83,7 +83,7 @@ impl MachineSpec {
 pub enum AppSpec {
     /// `skeleton = "resilience"` — checkpoint/restart efficiency.
     Resilience(ResilienceApp),
-    /// `skeleton = "scalability"` — the partitioned full-DES
+    /// `skeleton = "scalability"` — the full-DES
     /// weak-scaling skeleton (`deep_bench::des_scaling`).
     Scalability(ScalabilityApp),
 }

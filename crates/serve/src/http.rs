@@ -261,11 +261,11 @@ pub struct ChunkedWriter<W: Write> {
 }
 
 impl<W: Write> ChunkedWriter<W> {
-    /// Emit the response head announcing a chunked NDJSON body.
-    pub fn start(mut w: W, status: u16, content_type: &str) -> io::Result<ChunkedWriter<W>> {
+    /// Emit the `200 OK` response head announcing a chunked body.
+    pub fn start(mut w: W, content_type: &str) -> io::Result<ChunkedWriter<W>> {
         write!(
             w,
-            "HTTP/1.1 {status} OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
+            "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
         )?;
         w.flush()?;
         Ok(ChunkedWriter { w, finished: false })
@@ -513,7 +513,7 @@ mod tests {
     fn chunked_stream_round_trips() {
         let mut wire = Vec::new();
         {
-            let mut cw = ChunkedWriter::start(&mut wire, 200, "application/x-ndjson").unwrap();
+            let mut cw = ChunkedWriter::start(&mut wire, "application/x-ndjson").unwrap();
             cw.write_chunk(b"{\"seq\":0}\n").unwrap();
             cw.write_chunk(b"{\"seq\":1}\n{\"se").unwrap();
             cw.write_chunk(b"q\":2}\n").unwrap();

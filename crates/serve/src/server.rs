@@ -41,10 +41,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use deep_json::{object, Value};
+use deep_json::object;
 
 use crate::http::{read_request, ChunkedWriter, Request, Response};
-use crate::scheduler::{JobJson, JobState, Rejection, Scheduler, SchedulerConfig, Watch};
+use crate::scheduler::{JobJson, Rejection, Scheduler, SchedulerConfig, Watch};
 
 /// Connections served at once, one thread each.
 pub const MAX_CONNECTIONS: usize = 64;
@@ -448,7 +448,7 @@ fn submit(req: &Request, shared: &Shared) -> Response {
 
 /// Stream a job's events as chunked NDJSON until it is terminal.
 fn stream_events<W: Write>(writer: W, watch: &Watch<'_>) -> io::Result<()> {
-    let mut out = ChunkedWriter::start(writer, 200, "application/x-ndjson")?;
+    let mut out = ChunkedWriter::start(writer, "application/x-ndjson")?;
     let mut seen = 0usize;
     while let Some((fresh, terminal)) = watch.events_after(seen, EVENT_WAIT) {
         if !fresh.is_empty() {
@@ -465,18 +465,6 @@ fn stream_events<W: Write>(writer: W, watch: &Watch<'_>) -> io::Result<()> {
         }
     }
     out.finish()
-}
-
-/// Convenience for bins and tests: a terminal state string from job
-/// JSON.
-pub fn job_state(job: &Value) -> Option<JobState> {
-    match job["state"].as_str()? {
-        "queued" => Some(JobState::Queued),
-        "running" => Some(JobState::Running),
-        "done" => Some(JobState::Done),
-        "failed" => Some(JobState::Failed),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

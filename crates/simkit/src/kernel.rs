@@ -19,26 +19,15 @@
 //! late, exactly as a wake of a finished process always was; slot order
 //! never feeds scheduling, so reuse cannot move a trace (DESIGN §4).
 //!
+//! Timers live in two structures: a 1 024-slot wheel for deadlines under
+//! a microsecond away and one overflow `BinaryHeap` for everything
+//! further out. [`Kernel::fire_timers_at`] drains both in `(at, seq)` order.
+//!
 //! Timers use lazy deletion: a cancelled sleep (future dropped before its
 //! deadline) marks its token dead and the heap entry is discarded when it
 //! surfaces, so timeout- and race-heavy workloads no longer accumulate
 //! dead entries that must be popped, re-heapified and filtered at the
 //! worst possible moment.
-//!
-//! ## Partitioned far-horizon queue
-//!
-//! The overflow heap is *partitioned*: every process belongs to a
-//! partition (inherited from its spawner, or chosen explicitly via
-//! `Sim::spawn_in`), and its far-horizon timers live in that partition's
-//! own `BinaryHeap`. A fabric-scale simulation assigns one partition per
-//! fabric segment (leaf switch / module), so 10⁴–10⁵ concurrent compute
-//! sleeps push into thousands of tiny heaps (O(1) when a heap holds one
-//! entry) instead of contending on one shared heap with log₂(n) sift
-//! depth. Firing merges partitions back into the exact global `(at, seq)`
-//! order — see [`Kernel::fire_timers_at`] — so partitioning is invisible
-//! in traces: a run with any partition assignment is bit-identical to the
-//! same program on a single queue. The default is one partition; nothing
-//! changes for existing simulations.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -96,8 +85,6 @@ struct ProcMeta {
     name: String,
     /// Processes waiting on the occupant's completion.
     joiners: Waiters,
-    /// Far-horizon timer partition of the occupant.
-    part: u32,
     /// Spawn order of the occupant, which slot order no longer is.
     spawned: u64,
 }
@@ -281,21 +268,9 @@ pub(crate) struct Kernel {
     pub(crate) now: SimTime,
     seq: u64,
     /// O(1) queue for deadlines within the wheel horizon (the hot path).
-    /// Shared across partitions: wheel ops are O(1) regardless of
-    /// occupancy, and one wheel costs ~24 KiB — per-partition wheels
-    /// would waste megabytes at fabric scale for no algorithmic gain.
     wheel: TimerWheel,
-    /// Partitioned overflow heaps for far-horizon deadlines; a timer
-    /// lives in the heap of its owner process's partition. Index 0
-    /// always exists (the default partition).
-    parts: Vec<BinaryHeap<Timer>>,
-    /// Total entries across all partition heaps (including lazily
-    /// cancelled ones); lets `next_timer_at` skip the partition scan
-    /// entirely when every pending timer is on the wheel.
-    heap_len: usize,
-    /// Scratch buffer for draining due timers while waking their owners;
-    /// capacity is recycled so firing allocates nothing in steady state.
-    fire_scratch: Vec<(u64, ProcId)>,
+    /// Overflow heap for far-horizon deadlines.
+    heap: BinaryHeap<Timer>,
     /// Tokens of cancelled (not yet surfaced) timers. Almost always empty;
     /// the `is_empty` fast path keeps the per-event cost at one branch.
     cancelled: CancelledSet,
@@ -327,9 +302,7 @@ impl Kernel {
             now: SimTime::ZERO,
             seq: 0,
             wheel: TimerWheel::new(),
-            parts: vec![BinaryHeap::with_capacity(256)],
-            heap_len: 0,
-            fire_scratch: Vec::new(),
+            heap: BinaryHeap::with_capacity(256),
             cancelled: CancelledSet::new(),
             ready: VecDeque::with_capacity(256),
             procs: Vec::with_capacity(256),
@@ -345,21 +318,9 @@ impl Kernel {
     }
 
     /// Register a new process in the most recently freed slot (or a new
-    /// one); it becomes runnable immediately. Without a partition it
-    /// inherits its spawner's (0 outside the event loop); an explicit one
-    /// grows the partition table as needed (an empty heap is three words).
-    pub(crate) fn add_proc(
-        &mut self,
-        part: Option<u32>,
-        name: ProcName<'_>,
-        fut: BoxedProc,
-    ) -> ProcId {
+    /// one); it becomes runnable immediately.
+    pub(crate) fn add_proc(&mut self, name: ProcName<'_>, fut: BoxedProc) -> ProcId {
         use fmt::Write as _;
-        let part =
-            part.unwrap_or_else(|| self.current.map_or(0, |p| self.meta[p.index as usize].part));
-        if part as usize >= self.parts.len() {
-            self.parts.resize_with(part as usize + 1, BinaryHeap::new);
-        }
         let index = self.free.pop().unwrap_or_else(|| {
             self.procs.push(ProcSlot::default());
             self.meta.push(ProcMeta::default());
@@ -377,18 +338,11 @@ impl Kernel {
             ProcName::Owned(name) => meta.name = name,
             ProcName::Fmt(args) => drop(meta.name.write_fmt(args)),
         }
-        meta.part = part;
         meta.spawned = self.spawned;
         self.spawned += 1;
         self.live += 1;
         self.ready.push_back(id);
         id
-    }
-
-    /// Number of partitions currently backing the far-horizon queue.
-    #[inline]
-    pub(crate) fn partitions(&self) -> usize {
-        self.parts.len()
     }
 
     /// The process being polled right now. Panics outside a poll: kernel
@@ -458,10 +412,6 @@ impl Kernel {
 
     /// Schedule a wake-up for `proc` at absolute time `at`.
     /// Returns the token (the timer's unique `seq`) guarding this timer.
-    ///
-    /// Near deadlines go to the shared wheel; far deadlines go to the
-    /// heap of `proc`'s partition, so independent fabric segments never
-    /// sift through each other's timers.
     #[inline]
     pub(crate) fn schedule_wake(&mut self, at: SimTime, proc: ProcId) -> u64 {
         debug_assert!(at >= self.now, "cannot schedule in the past");
@@ -469,13 +419,11 @@ impl Kernel {
         if at.as_nanos() - self.now.as_nanos() < WHEEL_SLOTS as u64 {
             self.wheel.push(at, self.seq, proc);
         } else {
-            let part = self.meta[proc.index as usize].part as usize;
-            self.parts[part].push(Timer {
+            self.heap.push(Timer {
                 at,
                 seq: self.seq,
                 proc,
             });
-            self.heap_len += 1;
         }
         self.seq
     }
@@ -489,33 +437,20 @@ impl Kernel {
     }
 
     /// Time of the earliest *live* pending timer, if any. Purges dead
-    /// (cancelled) entries from the tops of the partition heaps as a
-    /// side effect. The heap candidate is the minimum over all partition
-    /// heads — skipped entirely (one integer test) when every pending
-    /// timer is on the wheel, which is the common case for latency-scale
-    /// workloads.
+    /// (cancelled) entries from the top of the heap as a side effect.
     #[inline]
     pub(crate) fn next_timer_at(&mut self) -> Option<SimTime> {
-        let mut heap_at: Option<SimTime> = None;
-        if self.heap_len > 0 {
-            for part in self.parts.iter_mut() {
-                let head = loop {
-                    match part.peek() {
-                        None => break None,
-                        Some(t) => {
-                            if self.cancelled.is_empty() || !self.cancelled.remove(&t.seq) {
-                                break Some(t.at);
-                            }
-                            part.pop();
-                            self.heap_len -= 1;
-                        }
+        let heap_at = loop {
+            match self.heap.peek() {
+                None => break None,
+                Some(t) => {
+                    if self.cancelled.is_empty() || !self.cancelled.remove(&t.seq) {
+                        break Some(t.at);
                     }
-                };
-                if let Some(at) = head {
-                    heap_at = Some(heap_at.map_or(at, |h: SimTime| h.min(at)));
+                    self.heap.pop();
                 }
             }
-        }
+        };
         let wheel_at = loop {
             match self.wheel.next_at(self.now) {
                 None => break None,
@@ -538,79 +473,41 @@ impl Kernel {
     /// obtained from [`Kernel::next_timer_at`] — advancing `now` and
     /// waking the owners in schedule order.
     ///
-    /// Cross-queue merge: due entries from every partition heap and from
-    /// the wheel slot are collected into one scratch batch and woken in
-    /// ascending `seq` — i.e. exact global `(at, seq)` order, identical
-    /// to a single shared queue, which is what makes partitioning
-    /// invisible in traces. Two properties keep the merge cheap:
-    ///
-    /// * *within* one heap, pops at equal `at` come out seq-sorted, and
-    ///   a wheel slot is seq-sorted by construction (append-only, `seq`
-    ///   monotone) — so each source is already sorted;
-    /// * *across* the heap/wheel boundary, every heap-resident timer for
-    ///   this instant was scheduled when the deadline was a full
-    ///   wheel-horizon away, i.e. strictly earlier in virtual time than
-    ///   any wheel-resident timer for the same instant — so all heap
-    ///   seqs precede all wheel seqs, and the wheel batch can be
-    ///   appended unsorted.
-    ///
-    /// The only case needing a sort is two or more *partition heaps*
-    /// contributing at one instant, and then only the heap prefix of the
-    /// batch is sorted. With one partition (the default) that never
-    /// happens and this reduces to the old heap-then-wheel drain.
+    /// The heap's timers wake before the wheel's, and that is `(at, seq)`
+    /// order: pops at equal `at` come out of the heap seq-sorted, a wheel
+    /// slot is seq-sorted by construction (append-only, `seq` monotone),
+    /// and every heap-resident timer for this instant was scheduled when
+    /// the deadline was a full wheel horizon away — strictly earlier in
+    /// virtual time than any wheel-resident timer for the same instant —
+    /// so all heap seqs precede all wheel seqs.
     #[inline]
     pub(crate) fn fire_timers_at(&mut self, at: SimTime) {
         self.now = at;
-        let mut batch = std::mem::take(&mut self.fire_scratch);
-        debug_assert!(batch.is_empty());
-        let mut heap_sources = 0usize;
-        if self.heap_len > 0 {
-            for part in self.parts.iter_mut() {
-                let mut contributed = false;
-                while let Some(t) = part.peek() {
-                    if t.at != at {
-                        break;
-                    }
-                    let t = part.pop().unwrap();
-                    self.heap_len -= 1;
-                    if !self.cancelled.is_empty() && self.cancelled.remove(&t.seq) {
-                        continue; // cancelled while queued at this instant
-                    }
-                    batch.push((t.seq, t.proc));
-                    contributed = true;
-                }
-                if contributed {
-                    heap_sources += 1;
-                }
+        while let Some(&Timer { at: due, seq, proc }) = self.heap.peek() {
+            if due != at {
+                break;
+            }
+            self.heap.pop();
+            // Skip a timer cancelled while queued at this instant.
+            if self.cancelled.is_empty() || !self.cancelled.remove(&seq) {
+                self.make_ready(proc);
             }
         }
-        if heap_sources > 1 {
-            // Interleaved partitions: restore global schedule order.
-            batch.sort_unstable_by_key(|&(seq, _)| seq);
-        }
-        if self.wheel.len > 0 {
-            let s = TimerWheel::slot_of(at);
-            if !self.wheel.slots[s].is_empty() {
-                // Take the slot out so waking owners cannot alias the
-                // wheel; its capacity is handed straight back.
-                let mut slot = std::mem::take(&mut self.wheel.slots[s]);
-                self.wheel.occupied[s / 64] &= !(1 << (s % 64));
-                self.wheel.len -= slot.len();
-                for &(seq, proc) in &slot {
-                    if !self.cancelled.is_empty() && self.cancelled.remove(&seq) {
-                        continue;
-                    }
-                    batch.push((seq, proc));
+        let s = TimerWheel::slot_of(at);
+        if !self.wheel.slots[s].is_empty() {
+            // Take the slot out so waking owners cannot alias the
+            // wheel; its capacity is handed straight back.
+            let mut slot = std::mem::take(&mut self.wheel.slots[s]);
+            self.wheel.occupied[s / 64] &= !(1 << (s % 64));
+            self.wheel.len -= slot.len();
+            for &(seq, proc) in &slot {
+                if self.cancelled.is_empty() || !self.cancelled.remove(&seq) {
+                    self.make_ready(proc);
                 }
-                slot.clear();
-                self.wheel.slots[s] = slot;
             }
+            slot.clear();
+            self.wheel.slots[s] = slot;
         }
-        for &(_, proc) in &batch {
-            self.make_ready(proc);
-        }
-        batch.clear();
-        self.fire_scratch = batch;
     }
 
     /// The poll returned `Ready`: end the process, unless it killed itself
@@ -761,6 +658,51 @@ mod tests {
             ])
         );
         assert_eq!(sim.process_slots(), 4);
+    }
+
+    #[test]
+    fn one_instant_fires_heap_then_wheel_in_seq_order_without_cancelled_timers() {
+        // Six processes arm a timer for the same instant, `due`: the
+        // "h" ones from ≥ 1 024 ns away (heap), the "w" ones from closer
+        // (wheel), neither side in spawn order; one of each side drops
+        // its armed sleep again. Ascending `seq` is: h1, h0, w1, w0.
+        let at = |ns| SimTime::ZERO + SimDuration::nanos(ns);
+        let due = at(5_000);
+        let mut sim = Simulation::new(1);
+        let woken = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        // (name, instant to arm at, does it drop the armed sleep?)
+        for (name, arm_at, cancels) in [
+            ("w0", 4_700, false),
+            ("w-cancelled", 4_600, true),
+            ("w1", 4_400, false),
+            ("h0", 1, false),
+            ("h1", 0, false),
+            ("h-cancelled", 0, true),
+        ] {
+            let (ctx, woken) = (sim.handle(), woken.clone());
+            sim.spawn(name, async move {
+                ctx.sleep_until(at(arm_at)).await;
+                if !cancels {
+                    ctx.sleep_until(due).await;
+                    woken.borrow_mut().push((name, ctx.now()));
+                    return;
+                }
+                // Polled once (armed), then dropped: the ready side wins.
+                assert!(!ctx.race(ctx.sleep_until(due), async {}).await.is_left());
+                let mut later = std::pin::pin!(ctx.sleep_until(at(5_001)));
+                let mut polls = 0;
+                std::future::poll_fn(|cx| {
+                    polls += 1;
+                    later.as_mut().poll(cx)
+                })
+                .await;
+                assert_eq!(polls, 2, "{name}: its cancelled timer fired at {due}");
+            });
+        }
+        assert_eq!(sim.run(), RunOutcome::Completed);
+        let order = ["h1", "h0", "w1", "w0"].map(|name| (name, due));
+        assert_eq!(*woken.borrow(), order);
+        assert_eq!(sim.now(), at(5_001));
     }
 
     #[test]

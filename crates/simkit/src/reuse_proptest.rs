@@ -110,14 +110,10 @@ impl World {
     fn spawn(self: &Rc<Self>, body: Vec<Op>) -> ProcHandle<u64> {
         let n = self.ids.borrow().len() as u32;
         let fut = run_ops(self.clone(), format!("p{n}"), body);
-        let h = match n % 5 {
+        let h = match n % 3 {
             0 => self.sim.spawn(format!("owned-{n}"), fut),
             1 => self.sim.spawn_fmt(format_args!("formatted-{n}"), fut),
-            2 => self.sim.spawn_fmt(format_args!("literal"), fut),
-            3 => self.sim.spawn_in(n % 3, format!("owned-in-{n}"), fut),
-            _ => self
-                .sim
-                .spawn_in_fmt(n % 4, format_args!("formatted-in-{n}"), fut),
+            _ => self.sim.spawn_fmt(format_args!("literal"), fut),
         };
         self.ids.borrow_mut().push(h.id());
         h

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Repo-wide hygiene gate: formatting, lints (deny warnings; the
 # determinism and unsafe policy of DESIGN.md §13 lives in the
-# clippy.toml files and the [lints] tables), tests and the benchmark's
-# reference checks, then a lines-of-Rust table per crate. Run from the
-# workspace root before sending a PR. Each step is timed so slow
-# regressions in the gate itself are visible.
+# clippy.toml files and the [lints] tables), tests, the benchmark's
+# reference checks and every experiment's committed output, then a
+# lines-of-Rust table per crate. Run from the workspace root before
+# sending a PR. Each step is timed so slow regressions in the gate
+# itself are visible.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -44,6 +45,30 @@ bench() {
 }
 step "benchmark --smoke" bench --smoke
 step "benchmark mpi_rank_1k (full size)" bench --workload mpi_rank_1k --seconds 1
+
+# Every registry experiment against its committed table: `cargo test`
+# compares none of the six heavy ones and the benchmark's --smoke only
+# those of weight < 100.
+experiment_outputs() {
+    local target="${CARGO_TARGET_DIR:-target}"
+    cargo build -q --release -p deep-bench --bin run_experiments
+    local run="$target/release/run_experiments" out="$target/experiment_output.md"
+    local id doc
+    for id in $("$run" --list); do
+        doc="docs/experiments/$id.md"
+        "$run" --only "$id" >"$out" 2>/dev/null
+        if [ "$id" = er03_fault_sweep ]; then
+            # Its document may carry a `regenerate:` trailer after the
+            # output (benchmark/src/suite.rs reads it the same way).
+            test -s "$out"
+            head -c "$(wc -c <"$out")" "$doc" | cmp "$out" -
+        else
+            cmp "$out" "$doc"
+        fi
+    done
+    rm -f "$out"
+}
+step "26 experiment outputs vs docs/experiments" experiment_outputs
 
 # Lines of Rust per crate (the root package is src/ + tests/ +
 # examples/), so a PR's growth or shrinkage shows up in its own gate

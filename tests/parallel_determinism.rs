@@ -17,20 +17,10 @@ use deep_core::{
     ResilienceParams,
 };
 use deep_faults::er03_params;
+use deep_json::digest::fnv1a_64;
 use deep_simkit::SimRng;
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
-
-/// FNV-1a over a byte string (same digest the trace-equivalence golden
-/// uses).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn with_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
     ThreadPoolBuilder::new()
@@ -51,7 +41,7 @@ fn er03_table_is_byte_identical_at_any_width_and_matches_serial_golden() {
         let out = with_pool(threads, || {
             deep_bench::experiments::run_to_string("er03_fault_sweep").unwrap()
         });
-        digests.push((threads, fnv1a(out.as_bytes())));
+        digests.push((threads, fnv1a_64(out.as_bytes())));
     }
     for &(threads, d) in &digests {
         assert_eq!(

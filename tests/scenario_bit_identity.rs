@@ -8,17 +8,9 @@
 //! asserted byte-identical there).
 
 use deep_core::{mean_efficiency, ResilienceParams};
+use deep_json::digest::fnv1a_64;
 use deep_scenario::Scenario;
 use rayon::ThreadPoolBuilder;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn with_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
     ThreadPoolBuilder::new()
@@ -87,7 +79,7 @@ fn dsl_rows_are_bitwise_equal_to_registry_math_at_1_and_4_threads() {
         "scenario JSON must be byte-identical at 1 and 4 threads"
     );
     assert_eq!(
-        fnv1a(outputs[0].1.as_bytes()),
+        fnv1a_64(outputs[0].1.as_bytes()),
         BIT_IDENTITY_GOLDEN,
         "scenario result drifted from the pinned golden digest"
     );

@@ -6,17 +6,9 @@
 //! against a golden digest. Part of the CI determinism matrix
 //! (`RAYON_NUM_THREADS` 1 and 4).
 
+use deep_json::digest::fnv1a_64;
 use deep_scenario::Scenario;
 use rayon::ThreadPoolBuilder;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn with_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
     ThreadPoolBuilder::new()
@@ -53,7 +45,7 @@ fn utilisation_series_is_identical_across_thread_widths() {
             "trace series diverged between 1 and {threads} threads"
         );
         assert_eq!(
-            fnv1a(json.as_bytes()),
+            fnv1a_64(json.as_bytes()),
             TRACE_FAILURES_GOLDEN,
             "trace result drifted from the pinned golden at {threads} threads"
         );
