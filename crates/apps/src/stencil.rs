@@ -26,14 +26,10 @@ pub struct StencilResult {
     pub checksum: f64,
 }
 
-/// Boundary condition: temperature at grid edges.
-fn boundary(c: usize, nx: usize) -> (f64, f64) {
-    // Left edge 1.0, right edge 0.0, linear is the fixed point.
-    let left = 1.0;
-    let right = 0.0;
-    let _ = (c, nx);
-    (left, right)
-}
+/// Fixed temperature at the left and right grid edges; a linear profile
+/// between them is the fixed point.
+const LEFT_EDGE: f64 = 1.0;
+const RIGHT_EDGE: f64 = 0.0;
 
 /// Run `max_sweeps` Jacobi sweeps (or stop when the update drops below
 /// `tol`). Collective over `comm`.
@@ -82,33 +78,41 @@ pub async fn jacobi(
             )
             .await;
         }
+        // The neighbours' rows as received, borrowed for the sweep.
         let halo_up = match recv_up {
-            Some(r) => Some(r.wait().await.value.as_vec().to_vec()),
+            Some(r) => Some(r.wait().await.value),
             None => None,
         };
         let halo_down = match recv_down {
-            Some(r) => Some(r.wait().await.value.as_vec().to_vec()),
+            Some(r) => Some(r.wait().await.value),
             None => None,
         };
+        let (halo_up, halo_down) = (
+            halo_up.as_ref().map(Value::as_vec),
+            halo_down.as_ref().map(Value::as_vec),
+        );
 
         // Sweep.
         let mut local_delta = 0.0f64;
         for r in 0..rows {
             for c in 0..nx {
                 let idx = r * nx + c;
-                let (lbc, rbc) = boundary(c, nx);
-                let west = if c > 0 { field[idx - 1] } else { lbc };
-                let east = if c + 1 < nx { field[idx + 1] } else { rbc };
+                let west = if c > 0 { field[idx - 1] } else { LEFT_EDGE };
+                let east = if c + 1 < nx {
+                    field[idx + 1]
+                } else {
+                    RIGHT_EDGE
+                };
                 let north = if r > 0 {
                     field[idx - nx]
-                } else if let Some(h) = &halo_up {
+                } else if let Some(h) = halo_up {
                     h[c]
                 } else {
                     field[idx] // insulated top boundary
                 };
                 let south = if r + 1 < rows {
                     field[idx + nx]
-                } else if let Some(h) = &halo_down {
+                } else if let Some(h) = halo_down {
                     h[c]
                 } else {
                     field[idx] // insulated bottom boundary

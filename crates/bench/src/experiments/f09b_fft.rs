@@ -17,11 +17,31 @@ use deep_apps::{run_cg_ideal, run_fft_ideal};
 use deep_core::{fmt_f, Table};
 use deep_hw::{exec_time, KernelProfile, NodeModel};
 
-pub fn run(out: &mut String) {
+/// One rank count of the strong-scaling table: the printed columns,
+/// totals in seconds.
+#[derive(Debug, Clone, Copy)]
+pub struct Row {
+    pub ranks: u32,
+    pub fft_total_s: f64,
+    pub fft_comm_share: f64,
+    /// One-rank FFT total over this one.
+    pub fft_speedup: f64,
+    pub cg_total_s: f64,
+    pub cg_comm_share: f64,
+    /// One-rank CG total over this one.
+    pub cg_speedup: f64,
+}
+
+/// Rank counts of the table's rows.
+const RANK_COUNTS: [u32; 5] = [1, 2, 4, 8, 16];
+
+/// The table's rows: a `cg_n × cg_n` CG of `cg_iters` iterations and an
+/// `fft_n × fft_n` pencil FFT on each of [`RANK_COUNTS`]. The
+/// registered experiment runs 1024 / 256 / 60;
+/// `tests/experiment_shapes.rs` asserts the shape at a size a debug
+/// build affords.
+pub fn rows(cg_n: usize, fft_n: usize, cg_iters: u32) -> [Row; RANK_COUNTS.len()] {
     let node = NodeModel::xeon_phi_knc();
-    let fft_n = 256usize; // transpose: 2 MiB over p^2 messages per step
-    let cg_n = 1024usize; // halo: 8 KiB rows + 8 B allreduces
-    let cg_iters = 60u32;
 
     // Roofline compute of the whole problem (split over ranks).
     // FFT: two batches of n size-n FFTs -> ~ 2 * n * 5 n log2 n flops.
@@ -38,6 +58,43 @@ pub fn run(out: &mut String) {
         exec_time(&node, &k, node.cores).time.as_secs_f64()
     };
 
+    // The ten single-threaded DES kernel runs (5 rank counts × {FFT,
+    // CG}) are this experiment's entire cost — run them as one flat
+    // work-unit grid (EXPERIMENTS.md convention) instead of a serial
+    // loop, then assemble rows (and the ranks=1 speedup baselines)
+    // sequentially from the index-ordered results.
+    let units: Vec<(u32, bool)> = RANK_COUNTS
+        .iter()
+        .flat_map(|&ranks| [(ranks, false), (ranks, true)])
+        .collect();
+    let comm_ns = crate::sweep::par_sweep(&units, |_, &(ranks, cg)| {
+        if cg {
+            run_cg_ideal(1, ranks, cg_n, cg_n, cg_iters, 1e-12).1
+        } else {
+            run_fft_ideal(1, ranks, fft_n).1
+        }
+    });
+    let mut fft_base = None;
+    let mut cg_base = None;
+    std::array::from_fn(|i| {
+        let ranks = RANK_COUNTS[i];
+        let fft_comm_s = comm_ns[i * 2] as f64 / 1e9;
+        let cg_comm_s = comm_ns[i * 2 + 1] as f64 / 1e9;
+        let fft_total_s = compute_s(fft_flops, ranks) + fft_comm_s;
+        let cg_total_s = compute_s(cg_flops, ranks) + cg_comm_s;
+        Row {
+            ranks,
+            fft_total_s,
+            fft_comm_share: fft_comm_s / fft_total_s,
+            fft_speedup: *fft_base.get_or_insert(fft_total_s) / fft_total_s,
+            cg_total_s,
+            cg_comm_share: cg_comm_s / cg_total_s,
+            cg_speedup: *cg_base.get_or_insert(cg_total_s) / cg_total_s,
+        }
+    })
+}
+
+pub fn run(out: &mut String) {
     let mut t = Table::new(
         "F09b",
         "strong scaling with real kernels on KNC nodes: FFT (alltoall) vs CG (halo)",
@@ -51,39 +108,17 @@ pub fn run(out: &mut String) {
             "CG speedup",
         ],
     );
-    // The ten single-threaded DES kernel runs (5 rank counts × {FFT,
-    // CG}) are this experiment's entire cost — run them as one flat
-    // work-unit grid (EXPERIMENTS.md convention) instead of a serial
-    // loop, then assemble rows (and the ranks=1 speedup baselines)
-    // sequentially from the index-ordered results.
-    let rank_counts = [1u32, 2, 4, 8, 16];
-    let units: Vec<(u32, bool)> = rank_counts
-        .iter()
-        .flat_map(|&ranks| [(ranks, false), (ranks, true)])
-        .collect();
-    let comm_ns = crate::sweep::par_sweep(&units, |_, &(ranks, cg)| {
-        if cg {
-            run_cg_ideal(1, ranks, cg_n, cg_n, cg_iters, 1e-12).1
-        } else {
-            run_fft_ideal(1, ranks, fft_n).1
-        }
-    });
-    let mut fft_base = None;
-    let mut cg_base = None;
-    for (i, &ranks) in rank_counts.iter().enumerate() {
-        let (fft_comm_ns, cg_comm_ns) = (comm_ns[i * 2], comm_ns[i * 2 + 1]);
-        let fft_total = compute_s(fft_flops, ranks) + fft_comm_ns as f64 / 1e9;
-        let cg_total = compute_s(cg_flops, ranks) + cg_comm_ns as f64 / 1e9;
-        let fb = *fft_base.get_or_insert(fft_total);
-        let cb = *cg_base.get_or_insert(cg_total);
+    // FFT transpose: 2 MiB over p^2 messages per step; CG halo: 8 KiB
+    // rows + 8 B allreduces.
+    for r in rows(1024, 256, 60) {
         t.row(&[
-            ranks.to_string(),
-            fmt_f(fft_total * 1e6),
-            fmt_f(fft_comm_ns as f64 / 1e9 / fft_total),
-            format!("{:.2}x", fb / fft_total),
-            fmt_f(cg_total * 1e3),
-            fmt_f(cg_comm_ns as f64 / 1e9 / cg_total),
-            format!("{:.2}x", cb / cg_total),
+            r.ranks.to_string(),
+            fmt_f(r.fft_total_s * 1e6),
+            fmt_f(r.fft_comm_share),
+            format!("{:.2}x", r.fft_speedup),
+            fmt_f(r.cg_total_s * 1e3),
+            fmt_f(r.cg_comm_share),
+            format!("{:.2}x", r.cg_speedup),
         ]);
     }
     t.write_into(out);

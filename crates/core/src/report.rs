@@ -76,6 +76,13 @@ impl Table {
     /// experiments can render into per-run buffers when driven in
     /// parallel.
     pub fn write_into(&self, out: &mut String) {
+        // A page up front: an experiment's whole report (0.5–1.5 kB)
+        // then lands in one allocation, and that allocation is too big
+        // for glibc's per-thread cache. The drivers free the buffer on
+        // another thread than the pool worker that filled it; a cached
+        // chunk would pin that worker's arena (76 MB after a suite pass)
+        // for the rest of the process.
+        out.reserve(4096);
         out.push_str(&self.to_markdown());
         out.push('\n');
     }

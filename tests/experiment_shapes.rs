@@ -129,6 +129,54 @@ fn f09_des_matches_analytic_tail() {
     );
 }
 
+/// F09b (slide 9 on real kernels): the regular class scales, the
+/// "complex" class does not. CG on a 1024² grid keeps speeding up over
+/// 1 → 16 ranks; the pencil FFT's transpose makes its communication
+/// share grow with every doubling, above CG's at every rank count, and
+/// two ranks are slower than one. (The registered experiment prints the
+/// same rows at 60 CG iterations and a 256² FFT; the iteration count
+/// scales CG's compute and communication alike, the 128² FFT keeps a
+/// debug build under a second.)
+#[test]
+fn f09b_regular_scales_complex_does_not() {
+    let rows = deep_bench::experiments::f09b_fft::rows(1024, 128, 4);
+    assert_eq!(
+        rows.iter().map(|r| r.ranks).collect::<Vec<_>>(),
+        [1, 2, 4, 8, 16]
+    );
+    for w in rows.windows(2) {
+        let (a, b) = (&w[0], &w[1]);
+        assert!(
+            b.cg_speedup > a.cg_speedup,
+            "CG speedup {} -> {} ranks: {} -> {}",
+            a.ranks,
+            b.ranks,
+            a.cg_speedup,
+            b.cg_speedup
+        );
+        assert!(
+            b.fft_comm_share > a.fft_comm_share,
+            "FFT comm share {} -> {} ranks: {} -> {}",
+            a.ranks,
+            b.ranks,
+            a.fft_comm_share,
+            b.fft_comm_share
+        );
+        assert!(
+            b.fft_comm_share > b.cg_comm_share,
+            "{} ranks: FFT comm share {} vs CG {}",
+            b.ranks,
+            b.fft_comm_share,
+            b.cg_comm_share
+        );
+    }
+    assert!(
+        rows[1].fft_speedup < 1.0,
+        "FFT on 2 ranks: {}x",
+        rows[1].fft_speedup
+    );
+}
+
 /// F10: on the coupled proxy the cluster-booster wins time and energy
 /// against both baselines and cuts CPU<->accelerator messages per unit.
 #[test]
