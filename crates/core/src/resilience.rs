@@ -80,6 +80,25 @@ pub fn daly_optimum(p: &ResilienceParams) -> f64 {
     (2.0 * p.checkpoint_s * p.mtbf_node_s / p.n_nodes as f64).sqrt()
 }
 
+/// Largest `work_s / interval_s` a single-level run may ask for: 2²⁴
+/// segments. A failure-free run walks every segment, so the ratio is a
+/// lower bound on the work of *one* replica, and beyond 2⁵³ the `done`
+/// chain stops moving altogether (`done + interval == done`) and the
+/// run never ends. Sweep points and scenarios arrive from daemon peers
+/// with each of the two only required to be finite and positive, so
+/// both trust boundaries reject a point over the bound
+/// ([`segments_within_bound`]) and the simulator asserts it. The
+/// largest ratio any registered experiment, fixture or benchmark shape
+/// uses is ≈ 7 300 (F03b at Daly/4 on a million parts); `serve_mix`
+/// sweeps are at 500.
+pub const MAX_SEGMENTS: f64 = (1u64 << 24) as f64;
+
+/// True when a run of `work_s` checkpointed every `interval_s` stays
+/// within [`MAX_SEGMENTS`] (false for a NaN or overflowing ratio).
+pub fn segments_within_bound(work_s: f64, interval_s: f64) -> bool {
+    work_s / interval_s <= MAX_SEGMENTS
+}
+
 /// Simulate one run with checkpoints every `interval_s`.
 ///
 /// If the machine cannot make progress (interval + checkpoint far above
@@ -88,44 +107,205 @@ pub fn daly_optimum(p: &ResilienceParams) -> f64 {
 /// efficiency achieved by then — the honest "this configuration does not
 /// work" answer instead of a non-terminating simulation.
 pub fn simulate_run(p: &ResilienceParams, interval_s: f64, rng: &mut SimRng) -> ResilienceOutcome {
-    assert!(interval_s > 0.0 && p.work_s > 0.0);
-    let wall_cap = 1000.0 * p.work_s;
-    let system_mtbf = p.mtbf_node_s / p.n_nodes as f64;
-    let mut wall = 0.0f64;
-    let mut done = 0.0f64; // checkpointed work
-    let mut failures = 0u64;
-    let mut checkpoints = 0u64;
-    let mut next_failure = rng.gen_exp(system_mtbf);
+    SegmentSchedule::new(p, interval_s).run(rng)
+}
 
-    while done < p.work_s && wall < wall_cap {
-        // Attempt one segment: work until the next checkpoint (or the end).
-        let segment = interval_s.min(p.work_s - done);
-        let attempt = segment
-            + if done + segment < p.work_s {
-                p.checkpoint_s
-            } else {
-                0.0 // no checkpoint needed after the last segment
-            };
-        if wall + attempt <= next_failure {
-            // Segment (and its checkpoint) completes.
-            wall += attempt;
-            done += segment;
-            if done < p.work_s {
-                checkpoints += 1;
-            }
-        } else {
-            // Failure mid-segment: lose everything since the checkpoint.
-            failures += 1;
-            wall = next_failure + p.restart_s;
-            next_failure = wall + rng.gen_exp(system_mtbf);
+/// Where a replica's failure times come from: `ln(u)` of successive
+/// uniform draws, floored at `MIN_POSITIVE` as [`SimRng::gen_exp`]
+/// floors them. The caller scales by `-mean`, `gen_exp`'s operation
+/// order, so a draw has the same bits whichever source produced it.
+trait LnDraws {
+    fn next_ln(&mut self) -> f64;
+}
+
+impl LnDraws for SimRng {
+    fn next_ln(&mut self) -> f64 {
+        self.gen_f64().max(f64::MIN_POSITIVE).ln()
+    }
+}
+
+/// Entries an [`ExpTape`] records at most (64 KiB of `f64`). A replica
+/// that finishes its work draws once per failure — hundreds to a few
+/// thousand times; only hopeless configurations (F03b's truncated
+/// cells, millions of draws each) run past the cap, on a live
+/// generator.
+const TAPE_CAP: usize = 8192;
+
+/// One replica's draws, recorded as they are first asked for, so every
+/// case a work unit runs on that replica's stream pays for the
+/// generator and the logarithm once.
+struct ExpTape {
+    ln: Vec<f64>,
+    /// Positioned after the last recorded draw.
+    rng: SimRng,
+}
+
+impl ExpTape {
+    fn new(seed: u64, stream: u64) -> ExpTape {
+        ExpTape {
+            ln: Vec::with_capacity(TAPE_CAP),
+            rng: SimRng::from_seed_stream(seed, stream),
         }
     }
-    ResilienceOutcome {
-        wall_s: wall,
-        efficiency: ResilienceOutcome::compute_efficiency(done.min(p.work_s), wall),
-        failures,
-        checkpoints,
-        truncated: done < p.work_s,
+
+    /// A reader at the start of the stream.
+    fn cursor(&mut self) -> TapeCursor<'_> {
+        TapeCursor {
+            tape: self,
+            pos: 0,
+            live: None,
+        }
+    }
+}
+
+/// One case's pass over an [`ExpTape`]: recorded draws first, then new
+/// ones appended to the tape, then — past [`TAPE_CAP`] — a private copy
+/// of the generator, which the full tape left positioned at the cap.
+struct TapeCursor<'t> {
+    tape: &'t mut ExpTape,
+    pos: usize,
+    live: Option<SimRng>,
+}
+
+impl TapeCursor<'_> {
+    fn next_unrecorded(&mut self) -> f64 {
+        if let Some(live) = &mut self.live {
+            return live.next_ln();
+        }
+        if self.tape.ln.len() == TAPE_CAP {
+            return self.live.insert(self.tape.rng.clone()).next_ln();
+        }
+        let l = self.tape.rng.next_ln();
+        self.tape.ln.push(l);
+        self.pos += 1;
+        l
+    }
+}
+
+impl LnDraws for TapeCursor<'_> {
+    #[inline]
+    fn next_ln(&mut self) -> f64 {
+        match self.tape.ln.get(self.pos) {
+            Some(&l) => {
+                self.pos += 1;
+                l
+            }
+            None => self.next_unrecorded(),
+        }
+    }
+}
+
+/// Everything about a run that depends on the case and not on the
+/// replica: the `done` trajectory, walked once. `done` only moves when
+/// a segment completes, so all replicas of a case attempt the same
+/// segments in the same order and differ only in how often.
+///
+/// Stored run-length: `full` segments of `interval_s` each followed by
+/// a checkpoint — one attempt value — then the one segment that
+/// reaches `work_s` and needs no checkpoint. O(1) memory for any
+/// `work_s / interval_s`.
+#[derive(Debug, Clone, Copy)]
+struct SegmentSchedule {
+    work_s: f64,
+    interval_s: f64,
+    restart_s: f64,
+    /// `-(mtbf_node_s / n_nodes)`: a failure gap is this times `ln(u)`.
+    neg_system_mtbf: f64,
+    full: u64,
+    /// `interval_s + checkpoint_s`.
+    full_attempt: f64,
+    last_segment: f64,
+}
+
+impl SegmentSchedule {
+    /// Walk the `done` chain of the single-level loop — `done +=
+    /// interval.min(work − done)` while `done < work`, a checkpoint
+    /// after every segment that leaves work to do — in its exact
+    /// floating-point order.
+    fn new(p: &ResilienceParams, interval_s: f64) -> SegmentSchedule {
+        assert!(interval_s > 0.0 && p.work_s > 0.0);
+        assert!(
+            segments_within_bound(p.work_s, interval_s),
+            "work_s / interval_s exceeds MAX_SEGMENTS"
+        );
+        let work = p.work_s;
+        let mut done = 0.0f64;
+        let mut full = 0u64;
+        while interval_s <= work - done && done + interval_s < work {
+            done += interval_s;
+            full += 1;
+        }
+        let last_segment = interval_s.min(work - done);
+        // Either a whole interval that no longer leaves work to do, or
+        // `work − done` clipped — and then exact: `done` is a sum of
+        // intervals (or zero, with `interval >= work`) and the rest is
+        // shorter than one, so `done > work / 2` and the subtraction
+        // does not round.
+        assert!(
+            done + last_segment >= work,
+            "the segment after the full ones reaches work_s"
+        );
+        SegmentSchedule {
+            work_s: work,
+            interval_s,
+            restart_s: p.restart_s,
+            neg_system_mtbf: -(p.mtbf_node_s / p.n_nodes as f64),
+            full,
+            full_attempt: interval_s + p.checkpoint_s,
+            last_segment,
+        }
+    }
+
+    /// Checkpointed work after `full_done` full segments: the chain
+    /// replayed, for a run that stops part-way.
+    fn done_after(&self, full_done: u64) -> f64 {
+        let mut done = 0.0f64;
+        for _ in 0..full_done {
+            done += self.interval_s;
+        }
+        done
+    }
+
+    /// One replica. The loop carries `wall` and nothing else.
+    fn run(&self, draws: &mut impl LnDraws) -> ResilienceOutcome {
+        let wall_cap = 1000.0 * self.work_s;
+        let mut wall = 0.0f64;
+        let mut failures = 0u64;
+        let mut next_failure = self.neg_system_mtbf * draws.next_ln();
+        // Complete up to `count` segments of `attempt` seconds each;
+        // returns how many completed before the wall cap.
+        let mut complete = |attempt: f64, count: u64| {
+            let mut completed = 0u64;
+            while completed < count && wall < wall_cap {
+                let end = wall + attempt;
+                if end <= next_failure {
+                    // Segment (and its checkpoint) completes.
+                    wall = end;
+                    completed += 1;
+                } else {
+                    // Failure mid-segment: lose everything since the
+                    // checkpoint.
+                    failures += 1;
+                    wall = next_failure + self.restart_s;
+                    next_failure = wall + self.neg_system_mtbf * draws.next_ln();
+                }
+            }
+            completed
+        };
+        let full_done = complete(self.full_attempt, self.full);
+        let finished = full_done == self.full && complete(self.last_segment, 1) == 1;
+        let done = if finished {
+            self.work_s
+        } else {
+            self.done_after(full_done)
+        };
+        ResilienceOutcome {
+            wall_s: wall,
+            efficiency: ResilienceOutcome::compute_efficiency(done, wall),
+            failures,
+            checkpoints: full_done,
+            truncated: !finished,
+        }
     }
 }
 
@@ -136,58 +316,90 @@ const SINGLE_LEVEL_STREAM: u64 = 0xC4E0;
 /// the two pair draw for draw, so both go through this module.
 const MULTILEVEL_STREAM: u64 = 0xE401;
 
-/// Most work units in flight at once. Case lists reach this module
+/// Most outcome slots in flight at once (plus at most one unit's worth
+/// of cases per replica, see [`drive`]). Case lists reach this module
 /// from daemon peers (4096 sweep points × 64 intervals × 1024
 /// replicas is a valid scenario), so the outcome buffer is bounded
 /// here, for every caller, rather than by `cases.len()`.
 const MAX_GRID_UNITS: usize = 1 << 16;
 
-/// The one replica loop: `cases × replicas` work units on a flat
-/// index-slotted grid (taken [`MAX_GRID_UNITS`] at a time), unit `u`
-/// running case `u / replicas` on stream `base_stream + u % replicas`,
-/// each case's chunk folded in replica order after the barrier.
+/// Cases a single-level work unit runs against one [`ExpTape`]: the
+/// tape's cost is shared `K` ways, the grid keeps `cases / K × replicas`
+/// stealable units. Scheduling only — no result depends on it.
+const SINGLE_LEVEL_CASES_PER_UNIT: usize = 16;
+
+/// The one replica grid: a work unit is (chunk of up to `K` cases,
+/// replica) on a flat index-slotted grid (blocks of about
+/// [`MAX_GRID_UNITS`] outcomes at a time). Unit `u` hands chunk
+/// `u / replicas` and stream `base_stream + u % replicas` to `run`,
+/// which fills one outcome per case; after the barrier each case's
+/// outcomes are folded in replica order.
 ///
 /// A replica's stream depends only on its replica index, never on its
 /// case, and results land in index-ordered slots, so every mean is
-/// bit-identical at any thread count, for any `max_leaf`, and whether
-/// a case is evaluated alone or inside a larger batch. One flat grid
-/// (not `cases` nested drives of `replicas` tiny jobs each) is the
-/// nested-parallelism rule of DESIGN.md §12. `max_leaf` caps the split
-/// tree's leaf size: scheduling only.
-fn drive<C: Sync>(
+/// bit-identical at any thread count, for any `K` and `max_leaf`, and
+/// whether a case is evaluated alone or inside a larger batch. One
+/// flat grid (not `cases` nested drives of `replicas` tiny jobs each)
+/// is the nested-parallelism rule of DESIGN.md §12. `K > 1` lets `run`
+/// share per-replica state between the cases of a chunk; `max_leaf`
+/// caps the split tree's leaf size. Both are scheduling only.
+fn drive<C: Sync, const K: usize>(
     cases: &[C],
     base_stream: u64,
     replicas: u32,
     max_leaf: usize,
-    run: impl Fn(&C, u64) -> ResilienceOutcome + Sync + Send,
+    run: impl Fn(&[C], u64, &mut [ResilienceOutcome]) + Sync + Send,
 ) -> Vec<MeanEfficiency> {
+    const UNUSED: ResilienceOutcome = ResilienceOutcome {
+        wall_s: 0.0,
+        efficiency: 0.0,
+        failures: 0,
+        checkpoints: 0,
+        truncated: false,
+    };
     assert!(replicas > 0, "at least one replica per case");
     let rep = replicas as usize;
     // Not reserved up front: a small allocation that outlives the grid's
     // churn left the heap fragmented, measured as ≈ +100 MB `peak_rss_mb`
     // on every later workload of the one-process benchmark.
     let mut means = Vec::new();
-    for block in cases.chunks((MAX_GRID_UNITS / rep).max(1)) {
-        let outcomes: Vec<ResilienceOutcome> = (0..block.len() * rep)
+    for block in cases.chunks((MAX_GRID_UNITS / rep).max(1).next_multiple_of(K)) {
+        let units: Vec<[ResilienceOutcome; K]> = (0..block.len().div_ceil(K) * rep)
             .into_par_iter()
             .with_max_len(max_leaf)
-            .map(|u| run(&block[u / rep], base_stream.wrapping_add((u % rep) as u64)))
+            .map(|u| {
+                let first = u / rep * K;
+                let chunk = &block[first..block.len().min(first + K)];
+                let mut outcomes = [UNUSED; K];
+                run(
+                    chunk,
+                    base_stream.wrapping_add((u % rep) as u64),
+                    &mut outcomes[..chunk.len()],
+                );
+                outcomes
+            })
             .collect();
-        means.extend(outcomes.chunks_exact(rep).map(reduce_outcomes));
+        means.extend(
+            (0..block.len()).map(|i| {
+                reduce_outcomes(units[i / K * rep..][..rep].iter().map(|unit| &unit[i % K]))
+            }),
+        );
     }
     means
 }
 
 /// Fold one case's outcomes into a mean, in replica-index order.
-fn reduce_outcomes(outcomes: &[ResilienceOutcome]) -> MeanEfficiency {
+fn reduce_outcomes<'a>(outcomes: impl Iterator<Item = &'a ResilienceOutcome>) -> MeanEfficiency {
     let mut total = 0.0;
     let mut truncated_runs = 0;
+    let mut replicas = 0u32;
     for out in outcomes {
         total += out.efficiency;
         truncated_runs += u32::from(out.truncated);
+        replicas += 1;
     }
     MeanEfficiency {
-        efficiency: total / outcomes.len() as f64,
+        efficiency: total / replicas as f64,
         truncated_runs,
     }
 }
@@ -203,7 +415,15 @@ pub fn mean_multilevel_over_replicas(
     replicas: u32,
     run: impl Fn(&MultiLevelParams, u64) -> ResilienceOutcome + Sync + Send,
 ) -> Vec<MeanEfficiency> {
-    drive(cases, MULTILEVEL_STREAM, replicas, 1, run)
+    drive::<_, 1>(
+        cases,
+        MULTILEVEL_STREAM,
+        replicas,
+        1,
+        |case, stream, out| {
+            out[0] = run(&case[0], stream);
+        },
+    )
 }
 
 /// Mean efficiency over `replicas` independent runs (deterministic in
@@ -219,18 +439,29 @@ pub fn mean_efficiency(
 
 /// Mean efficiency for a whole batch of `(params, interval)` cases;
 /// element `i` is bit-identical to [`mean_efficiency`] of case `i`.
+///
+/// Schedules are built up front, in parallel (56 B per case, beside
+/// the 48 B per case the caller already holds); a work unit then makes
+/// one allocation, its tape, reserved once at [`TAPE_CAP`].
 pub fn mean_efficiency_batch(
     cases: &[(ResilienceParams, f64)],
     seed: u64,
     replicas: u32,
 ) -> Vec<MeanEfficiency> {
-    drive(
-        cases,
+    let schedules: Vec<SegmentSchedule> = cases
+        .par_iter()
+        .map(|(p, interval_s)| SegmentSchedule::new(p, *interval_s))
+        .collect();
+    drive::<_, SINGLE_LEVEL_CASES_PER_UNIT>(
+        &schedules,
         SINGLE_LEVEL_STREAM,
         replicas,
         usize::MAX,
-        |(p, interval_s), stream| {
-            simulate_run(p, *interval_s, &mut SimRng::from_seed_stream(seed, stream))
+        |chunk, stream, out| {
+            let mut tape = ExpTape::new(seed, stream);
+            for (schedule, slot) in chunk.iter().zip(out) {
+                *slot = schedule.run(&mut tape.cursor());
+            }
         },
     )
 }
@@ -242,12 +473,14 @@ pub fn mean_multilevel_efficiency_batch(
     seed: u64,
     replicas: u32,
 ) -> Vec<MeanEfficiency> {
-    drive(
+    drive::<_, 1>(
         cases,
         MULTILEVEL_STREAM,
         replicas,
         usize::MAX,
-        |p, stream| simulate_multilevel(p, &mut SimRng::from_seed_stream(seed, stream)),
+        |case, stream, out| {
+            out[0] = simulate_multilevel(&case[0], &mut SimRng::from_seed_stream(seed, stream));
+        },
     )
 }
 
@@ -547,6 +780,301 @@ mod tests {
         for i in [0, 63, 64, 69] {
             let alone = mean_efficiency(&cases[i].0, 100.0, 3, 1024);
             assert_eq!(batch[i].efficiency.to_bits(), alone.efficiency.to_bits());
+        }
+    }
+
+    /// The single-level loop as it stood before PR 24 split it into a
+    /// [`SegmentSchedule`] and a draw source, verbatim: the reference
+    /// the proptests below compare against. The PR after 24 that next
+    /// changes the kernel may delete it once its own reference exists.
+    fn simulate_run_reference(
+        p: &ResilienceParams,
+        interval_s: f64,
+        rng: &mut SimRng,
+    ) -> ResilienceOutcome {
+        assert!(interval_s > 0.0 && p.work_s > 0.0);
+        let wall_cap = 1000.0 * p.work_s;
+        let system_mtbf = p.mtbf_node_s / p.n_nodes as f64;
+        let mut wall = 0.0f64;
+        let mut done = 0.0f64; // checkpointed work
+        let mut failures = 0u64;
+        let mut checkpoints = 0u64;
+        let mut next_failure = rng.gen_exp(system_mtbf);
+
+        while done < p.work_s && wall < wall_cap {
+            // Attempt one segment: work until the next checkpoint (or the end).
+            let segment = interval_s.min(p.work_s - done);
+            let attempt = segment
+                + if done + segment < p.work_s {
+                    p.checkpoint_s
+                } else {
+                    0.0 // no checkpoint needed after the last segment
+                };
+            if wall + attempt <= next_failure {
+                // Segment (and its checkpoint) completes.
+                wall += attempt;
+                done += segment;
+                if done < p.work_s {
+                    checkpoints += 1;
+                }
+            } else {
+                // Failure mid-segment: lose everything since the checkpoint.
+                failures += 1;
+                wall = next_failure + p.restart_s;
+                next_failure = wall + rng.gen_exp(system_mtbf);
+            }
+        }
+        ResilienceOutcome {
+            wall_s: wall,
+            efficiency: ResilienceOutcome::compute_efficiency(done.min(p.work_s), wall),
+            failures,
+            checkpoints,
+            truncated: done < p.work_s,
+        }
+    }
+
+    fn assert_same_bits(got: &ResilienceOutcome, want: &ResilienceOutcome, what: &str) {
+        assert_eq!(
+            got.wall_s.to_bits(),
+            want.wall_s.to_bits(),
+            "{what}: wall_s"
+        );
+        assert_eq!(
+            got.efficiency.to_bits(),
+            want.efficiency.to_bits(),
+            "{what}: efficiency"
+        );
+        assert_eq!(got.failures, want.failures, "{what}: failures");
+        assert_eq!(got.checkpoints, want.checkpoints, "{what}: checkpoints");
+        assert_eq!(got.truncated, want.truncated, "{what}: truncated");
+    }
+
+    /// Reference against the kernel on a live generator
+    /// ([`simulate_run`]) and on a tape: one that `warm_up` has already
+    /// part-filled (recorded draws, then appended ones, then — past the
+    /// cap — the live copy), and the same tape once more with
+    /// everything the case needs already recorded.
+    fn assert_kernel_matches_reference(
+        p: &ResilienceParams,
+        interval_s: f64,
+        warm_up: &(ResilienceParams, f64),
+        seed: u64,
+        stream: u64,
+    ) -> ResilienceOutcome {
+        let want =
+            simulate_run_reference(p, interval_s, &mut SimRng::from_seed_stream(seed, stream));
+        let live = simulate_run(p, interval_s, &mut SimRng::from_seed_stream(seed, stream));
+        assert_same_bits(&live, &want, "live generator");
+
+        let schedule = SegmentSchedule::new(p, interval_s);
+        let mut tape = ExpTape::new(seed, stream);
+        let reserved = tape.ln.capacity();
+        SegmentSchedule::new(&warm_up.0, warm_up.1).run(&mut tape.cursor());
+        assert_same_bits(&schedule.run(&mut tape.cursor()), &want, "part-filled tape");
+        assert_same_bits(&schedule.run(&mut tape.cursor()), &want, "recorded tape");
+        assert!(tape.ln.len() <= TAPE_CAP && tape.ln.capacity() == reserved);
+        want
+    }
+
+    /// A case every replica of which finishes after a few hundred draws.
+    fn serve_mix_point(n_nodes: u64) -> (ResilienceParams, f64) {
+        let p = ResilienceParams {
+            work_s: 200_000.0,
+            n_nodes,
+            mtbf_node_s: 157_680_000.0,
+            checkpoint_s: 60.0,
+            restart_s: 120.0,
+        };
+        (p, 400.000_017)
+    }
+
+    #[test]
+    fn kernel_matches_reference_on_the_edges_of_the_schedule() {
+        let warm_up = serve_mix_point(200_000);
+        let mut p = base();
+        // interval >= work: one segment, no checkpoint.
+        let out = assert_kernel_matches_reference(&p, 2.5 * p.work_s, &warm_up, 3, 1);
+        assert_eq!(out.checkpoints, 0);
+        let out = assert_kernel_matches_reference(&p, p.work_s, &warm_up, 3, 2);
+        assert_eq!(out.checkpoints, 0);
+        // interval divides work exactly: the last segment is a whole
+        // interval, without its checkpoint.
+        let schedule = SegmentSchedule::new(&p, 3125.0);
+        assert_eq!((schedule.full, schedule.last_segment), (31, 3125.0));
+        let out = assert_kernel_matches_reference(&p, 3125.0, &warm_up, 3, 3);
+        assert_eq!(out.checkpoints, 31);
+        // Ten times a tenth accumulates to an ulp short of work: ten
+        // full segments, ten checkpoints, and a last segment of one ulp.
+        p.work_s = 1.0;
+        (p.checkpoint_s, p.restart_s, p.mtbf_node_s) = (0.01, 0.02, 640.0);
+        let schedule = SegmentSchedule::new(&p, 0.1);
+        assert_eq!(schedule.full, 10);
+        assert!(schedule.last_segment < p.work_s * f64::EPSILON);
+        let out = assert_kernel_matches_reference(&p, 0.1, &warm_up, 3, 4);
+        assert_eq!(out.checkpoints, 10);
+    }
+
+    /// A configuration that fails `factor` system MTBFs into every
+    /// full attempt: it draws tens of thousands of times before the
+    /// wall cap.
+    fn hopeless(factor: f64) -> (ResilienceParams, f64) {
+        let (work_s, interval_s, checkpoint_s) = (100.0, 1.0, 0.5);
+        let p = ResilienceParams {
+            work_s,
+            n_nodes: 1000,
+            mtbf_node_s: 1000.0 * (interval_s + checkpoint_s) / factor,
+            checkpoint_s,
+            restart_s: 4.0,
+        };
+        (p, interval_s)
+    }
+
+    #[test]
+    fn kernel_matches_reference_past_the_tape_cap_and_into_the_wall_cap() {
+        let warm_up = serve_mix_point(200_000);
+        // Segments complete now and then; the run is cut off part-way
+        // with checkpoints written and `done` replayed from them.
+        let (p, interval) = hopeless(6.0);
+        let out = assert_kernel_matches_reference(&p, interval, &warm_up, 11, 0);
+        assert!(out.truncated && out.wall_s >= 1000.0 * p.work_s);
+        assert!(out.failures > TAPE_CAP as u64);
+        assert!(out.checkpoints > 0 && out.checkpoints < 99);
+        assert_eq!(
+            out.efficiency.to_bits(),
+            (out.checkpoints as f64 / out.wall_s).to_bits(),
+            "done is one interval of 1.0 per checkpoint"
+        );
+        // Nothing ever completes.
+        let (p, interval) = hopeless(40.0);
+        let out = assert_kernel_matches_reference(&p, interval, &warm_up, 11, 1);
+        assert!(out.truncated && out.checkpoints == 0 && out.efficiency == 0.0);
+        // Completes, but only after crossing the cap mid-case — also
+        // when the tape was left full by a hopeless case before it.
+        let (p, interval) = hopeless(5.0);
+        let out = assert_kernel_matches_reference(&p, interval, &warm_up, 11, 2);
+        assert!(!out.truncated && out.failures > TAPE_CAP as u64);
+        assert_kernel_matches_reference(&p, interval, &hopeless(40.0), 11, 2);
+    }
+
+    #[test]
+    fn a_schedule_at_the_segment_bound_is_constant_size() {
+        fn owns_no_heap<T: Copy>(_: &T) {}
+        let mut p = base();
+        p.work_s = MAX_SEGMENTS;
+        assert!(segments_within_bound(p.work_s, 1.0));
+        assert!(!segments_within_bound(p.work_s, 1.0 - f64::EPSILON));
+        assert!(!segments_within_bound(1e18, 1.0));
+        assert!(!segments_within_bound(f64::MAX, f64::MIN_POSITIVE));
+        let schedule = SegmentSchedule::new(&p, 1.0);
+        owns_no_heap(&schedule);
+        assert_eq!((schedule.full, schedule.last_segment), ((1 << 24) - 1, 1.0));
+        assert_eq!(schedule.done_after(schedule.full), MAX_SEGMENTS - 1.0);
+        assert!(std::mem::size_of::<SegmentSchedule>() <= 56);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_SEGMENTS")]
+    fn a_run_over_the_segment_bound_panics_instead_of_hanging() {
+        let mut p = base();
+        p.work_s = 1e18;
+        simulate_run(&p, 1.0, &mut SimRng::from_seed_stream(1, 1));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(320))]
+
+        /// All five outcome fields, bit for bit, over random cases. `kind`
+        /// steers `(work, interval)` into the schedule's corners and the
+        /// failure rate into the tape's.
+        #[test]
+        fn kernel_matches_reference_bit_for_bit(
+            kind in 0u32..8,
+            work_s in 1.0f64..1e6,
+            ratio in 0.0f64..1.0,
+            divisor in 1u32..3000,
+            n_nodes in 1u64..2_000_000,
+            fail_factor in 0.0f64..1.0,
+            checkpoint_share in 0.0f64..0.5,
+            restart_share in 0.0f64..2.0,
+            seed in 0u64..=u64::MAX,
+            stream in 0u64..=u64::MAX,
+        ) {
+            let whole = 1.0 + (ratio * 999.0).floor();
+            let (work_s, interval_s) = match kind {
+                // interval >= work.
+                0 => (work_s, work_s * (1.0 + 3.0 * ratio)),
+                // interval divides work exactly (small integers).
+                1 => (f64::from(divisor) * whole, whole),
+                // work / k: the chain lands an ulp or two either side of work.
+                2 => (work_s, work_s / f64::from(divisor)),
+                3 => (work_s, work_s / f64::from(10 + divisor % 11)),
+                7 => (work_s, work_s * (0.05 + 0.05 * ratio)),
+                _ => (work_s, work_s * (1.0 / 3000.0 + ratio * ratio)),
+            };
+            let checkpoint_s = interval_s * checkpoint_share;
+            let attempt = interval_s + checkpoint_s;
+            // Failures per attempt, and the restart in attempts. Kinds 3
+            // and 7 are hopeless on 10–20 segments: 11–57 k draws take
+            // them past the tape cap, and most into the wall cap.
+            let (per_attempt, restart_share) = match kind {
+                3 | 7 => (3.0 + 40.0 * fail_factor, 0.25 + 0.125 * restart_share),
+                _ => (3.0 * fail_factor * fail_factor, restart_share),
+            };
+            let p = ResilienceParams {
+                work_s,
+                n_nodes,
+                mtbf_node_s: n_nodes as f64 * attempt / per_attempt,
+                checkpoint_s,
+                restart_s: attempt * restart_share,
+            };
+            let warm_up = if seed % 2 == 0 { serve_mix_point(200_000) } else { hopeless(40.0) };
+            assert_kernel_matches_reference(&p, interval_s, &warm_up, seed, stream);
+        }
+
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Every element of a shuffled batch equals its single-case call
+        /// at pool widths 1, 2 and 4, for chunk-of-16 tails, and (one
+        /// case in four) across the `MAX_GRID_UNITS` block boundary.
+        #[test]
+        fn shuffled_batches_equal_single_case_means_at_any_width(
+            shape in 0usize..4,
+            n in 0usize..80,
+            seed in 0u64..=u64::MAX,
+        ) {
+            let (replicas, n_cases) = match shape {
+                3 => (1024u32, MAX_GRID_UNITS / 1024 + 1 + n % 12),
+                _ => ([1u32, 5, 33][shape], 1 + n),
+            };
+            let mut cases: Vec<(ResilienceParams, f64)> = (0..n_cases)
+                .map(|i| {
+                    let mut p = base();
+                    p.work_s = 1000.0 + i as f64;
+                    p.n_nodes = 100_000 * (1 + i as u64 % 7);
+                    p.checkpoint_s = 1.0 + (i % 5) as f64;
+                    (p, 90.0 + (i % 3) as f64 * 500.0)
+                })
+                .collect();
+            SimRng::from_seed_stream(seed, 0).shuffle(&mut cases);
+            let alone: Vec<MeanEfficiency> = cases
+                .iter()
+                .map(|(p, interval_s)| mean_efficiency(p, *interval_s, seed, replicas))
+                .collect();
+            for threads in [1usize, 2, 4] {
+                let batch = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("pool builds")
+                    .install(|| mean_efficiency_batch(&cases, seed, replicas));
+                assert_eq!(batch.len(), alone.len());
+                for (i, (b, a)) in batch.iter().zip(&alone).enumerate() {
+                    assert_eq!(b.efficiency.to_bits(), a.efficiency.to_bits(), "case {i}, {threads} threads");
+                    assert_eq!(b.truncated_runs, a.truncated_runs, "case {i}, {threads} threads");
+                }
+            }
         }
     }
 

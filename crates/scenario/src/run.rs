@@ -129,13 +129,7 @@ fn run_resilience_sweep(sc: &Scenario, app: &ResilienceApp) -> Value {
     // intervals in declaration order — the same nesting the registry
     // experiments use — and the batch driver adds the replica axis to
     // the same grid.
-    let cases: Vec<(ResilienceParams, f64)> = points
-        .iter()
-        .flat_map(|p| {
-            let daly = daly_optimum(p);
-            app.intervals.iter().map(move |iv| (*p, iv.resolve(daly)))
-        })
-        .collect();
+    let cases: Vec<(ResilienceParams, f64)> = app.cases(&points).collect();
     let means = mean_efficiency_batch(&cases, sc.seed, sc.replicas);
     let rows = cases
         .iter()

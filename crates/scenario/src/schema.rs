@@ -8,7 +8,7 @@
 //! `<table>.<key>: <what>` or `<table>: <what>`.
 
 use deep_core::config::DeepConfig;
-use deep_core::resilience::ResilienceParams;
+use deep_core::resilience::{daly_optimum, segments_within_bound, ResilienceParams, MAX_SEGMENTS};
 use deep_faults::plan::{Domain, FaultEvent, FaultKind, FaultPlan};
 use deep_io::ckptlog::FailureSeverity;
 use deep_json::Value;
@@ -136,6 +136,20 @@ pub enum IntervalSpec {
     /// `DalyTimes` so `daly/4` is bitwise `daly / 4.0`, exactly as the
     /// registry experiment computes it).
     DalyOver(f64),
+}
+
+impl ResilienceApp {
+    /// The `(point, resolved interval)` cases the skeleton evaluates:
+    /// grouped by point, intervals in declaration order.
+    pub fn cases<'a>(
+        &'a self,
+        points: &'a [ResilienceParams],
+    ) -> impl Iterator<Item = (ResilienceParams, f64)> + 'a {
+        points.iter().flat_map(move |p| {
+            let daly = daly_optimum(p);
+            self.intervals.iter().map(move |iv| (*p, iv.resolve(daly)))
+        })
+    }
 }
 
 impl IntervalSpec {
@@ -293,9 +307,29 @@ impl Scenario {
             trace,
             doc: doc.clone(),
         };
-        sc.sweep_points()?; // surface point-count errors at validation time
+        let points = sc.sweep_points()?; // surface point-count errors at validation time
+        sc.check_segment_bound(&points)?;
         sc.check_scalability_budget()?;
         Ok(sc)
+    }
+
+    /// Reject a resilience sweep in which some (point, interval) pair
+    /// asks for more than [`MAX_SEGMENTS`] checkpoint segments — checked
+    /// on the resolved intervals, since `daly/N` is only known per point.
+    fn check_segment_bound(&self, points: &[ResilienceParams]) -> Result<(), String> {
+        let Some(AppSpec::Resilience(app)) = &self.app else {
+            return Ok(());
+        };
+        for (p, interval_s) in app.cases(points) {
+            if !segments_within_bound(p.work_s, interval_s) {
+                return Err(format!(
+                    "app: work_s / interval must not exceed {MAX_SEGMENTS} segments \
+                     (work_s = {}, interval = {interval_s} s)",
+                    p.work_s
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Reject scalability runs whose simulated message count would be

@@ -24,7 +24,7 @@
 //! formatting) is `deep_json::digest`'s business; this module only
 //! decides which bytes participate.
 
-use deep_core::resilience::ResilienceParams;
+use deep_core::resilience::{segments_within_bound, ResilienceParams, MAX_SEGMENTS};
 use deep_json::{object, Value};
 
 /// Upper bound on `sleep_ms` jobs, so a typo cannot wedge a worker.
@@ -80,7 +80,9 @@ impl SweepPoint {
     /// Parse one point; every member is required and must be finite
     /// and positive (zero nodes or non-positive work would panic deep
     /// in the simulator, so it is rejected here at the trust
-    /// boundary).
+    /// boundary), and the point may not ask for more than
+    /// [`MAX_SEGMENTS`] checkpoint segments: a replica walks every one,
+    /// and a job has no deadline.
     pub fn from_json(v: &Value) -> Result<SweepPoint, String> {
         let num = |key: &str| -> Result<f64, String> {
             let n = v
@@ -97,14 +99,20 @@ impl SweepPoint {
             .and_then(Value::as_u64)
             .filter(|&n| n > 0)
             .ok_or("sweep point: 'n_nodes' must be a positive integer")?;
-        Ok(SweepPoint {
+        let point = SweepPoint {
             work_s: num("work_s")?,
             n_nodes,
             mtbf_node_s: num("mtbf_node_s")?,
             checkpoint_s: num("checkpoint_s")?,
             restart_s: num("restart_s")?,
             interval_s: num("interval_s")?,
-        })
+        };
+        if !segments_within_bound(point.work_s, point.interval_s) {
+            return Err(format!(
+                "sweep point: 'work_s' / 'interval_s' must not exceed {MAX_SEGMENTS} segments"
+            ));
+        }
+        Ok(point)
     }
 }
 
@@ -323,6 +331,15 @@ mod tests {
     }
 
     #[test]
+    fn ci_sweep_fixture_is_the_serve_mix_shape() {
+        let v = deep_json::from_str(include_str!("../tests/fixtures/sweep_16x128.json")).unwrap();
+        let JobSpec::Sweep(cfg) = JobRequest::from_json(&v).unwrap().spec else {
+            panic!("expected sweep");
+        };
+        assert_eq!((cfg.points.len(), cfg.replicas), (16, 128));
+    }
+
+    #[test]
     fn digest_ignores_the_client_member() {
         let a = JobRequest::from_json(
             &deep_json::from_str(r#"{"client":"alice","experiment":"f03b_resilience"}"#).unwrap(),
@@ -362,6 +379,18 @@ mod tests {
                 r#"{"sweep":{"seed":1,"replicas":2,"points":[{"work_s":0,"n_nodes":4,
                    "mtbf_node_s":1,"checkpoint_s":1,"restart_s":1,"interval_s":1}]}}"#,
                 "work_s",
+            ),
+            // Valid members, unbounded work: 10^12 segments per replica,
+            // and a `done` chain that stops moving at 2^53.
+            (
+                r#"{"sweep":{"seed":1,"replicas":2,"points":[{"work_s":1e9,"n_nodes":4,
+                   "mtbf_node_s":1,"checkpoint_s":1,"restart_s":1,"interval_s":1e-3}]}}"#,
+                "segments",
+            ),
+            (
+                r#"{"sweep":{"seed":1,"replicas":2,"points":[{"work_s":1e18,"n_nodes":4,
+                   "mtbf_node_s":1,"checkpoint_s":1,"restart_s":1,"interval_s":1}]}}"#,
+                "segments",
             ),
         ];
         for (body, want) in cases {

@@ -12,7 +12,9 @@
 
 use std::ops::{Range, RangeInclusive};
 
-/// A deterministic RNG stream (xoshiro256++ under the hood).
+/// A deterministic RNG stream (xoshiro256++ under the hood). A clone
+/// continues the sequence from the same position, independently.
+#[derive(Clone)]
 pub struct SimRng {
     s: [u64; 4],
 }

@@ -177,6 +177,45 @@ fn f09b_regular_scales_complex_does_not() {
     );
 }
 
+/// F03b (slide 3, "Resiliency"): checkpoint/restart is nearly free on
+/// the 640-node prototype, burns 60 % of a 100 k-part machine even at
+/// the best interval and all of a 1 M-part one; Daly's interval beats
+/// a quarter and four times itself up to 100 k parts, and daily
+/// checkpointing cannot finish its work from 100 k parts up.
+#[test]
+fn f03b_resilience_collapses_towards_exascale() {
+    let rows = deep_bench::experiments::f03b_resilience::rows();
+    assert_eq!(
+        rows.iter().map(|r| r.nodes).collect::<Vec<_>>(),
+        [640, 10_000, 100_000, 1_000_000]
+    );
+    let at_daly = |i: usize| rows[i].eff[1].efficiency;
+    assert!(at_daly(0) >= 0.95, "640 nodes at Daly: {}", at_daly(0));
+    assert!(
+        (at_daly(2) - 0.40).abs() <= 0.02,
+        "100k parts at Daly: {}",
+        at_daly(2)
+    );
+    assert!(at_daly(3) < 0.02, "1M parts at Daly: {}", at_daly(3));
+    for r in &rows[..3] {
+        let [quarter, daly, four_times, _] = r.eff.map(|m| m.efficiency);
+        assert!(
+            daly >= quarter && daly >= four_times,
+            "{} nodes: Daly {daly} vs Daly/4 {quarter}, 4x Daly {four_times}",
+            r.nodes
+        );
+    }
+    for r in &rows {
+        let daily = r.eff[3];
+        assert_eq!(
+            daily.truncated_runs > 0,
+            r.nodes >= 100_000,
+            "{} nodes, daily checkpoints: {daily:?}",
+            r.nodes
+        );
+    }
+}
+
 /// F10: on the coupled proxy the cluster-booster wins time and energy
 /// against both baselines and cuts CPU<->accelerator messages per unit.
 #[test]
