@@ -20,6 +20,10 @@
 //!   times carry each rank's skew through the phases, so virtual time
 //!   only needs to advance once per iteration.
 //!
+//! What an iteration exchanges is [`Skeleton`], the one definition that
+//! the driver runs, [`analytic_iter`] prices, `f18` and the scenario
+//! message budget read.
+//!
 //! The protocol is barrier-sequenced: every segment schedules its own
 //! ranks' messages into the fabric, a zero-time barrier separates
 //! "everyone has scheduled" from "everyone reads the arrivals", and the
@@ -33,6 +37,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use deep_fabric::{BatchMsg, IbFabric, NodeId};
+use deep_psmpi::schedule::{book_round, Kind, Peer, Round, Schedule};
+use deep_psmpi::NetModel;
 use deep_simkit::{Barrier, Sim, SimDuration, SimTime, Simulation};
 
 /// Fixed per-rank compute per iteration under weak scaling (shared with
@@ -44,6 +50,53 @@ pub const HALO_BYTES: u64 = 64 << 10;
 pub const A2A_BLOCK: u64 = 4 << 10;
 /// Hosts per leaf switch — one simulated process per leaf.
 const NODES_PER_LEAF: u32 = 18;
+
+/// The F09 per-iteration communication skeleton at `n` ranks.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Skeleton {
+    /// Rank count.
+    pub n: u32,
+    /// Ring halo shifts of [`HALO_BYTES`], right then left; booked per
+    /// segment.
+    pub halos: [Round; 2],
+    /// Booked globally, one round at a time: the 8-byte dot-product
+    /// allreduce and, for the complex class, the pairwise all-to-all of
+    /// [`A2A_BLOCK`] — the linear-in-ranks phase that collapses it.
+    pub collectives: Vec<Schedule>,
+}
+
+impl Skeleton {
+    /// The skeleton of the SpMV (`complex == false`) or complex class.
+    pub fn new(n: u32, complex: bool) -> Skeleton {
+        let halo = |peer| Round {
+            peer,
+            bytes: HALO_BYTES,
+        };
+        let mut collectives = vec![Schedule::new(Kind::RecursiveDoubling, n, 8)];
+        if complex {
+            collectives.push(Schedule::new(Kind::PairwiseXor, n, A2A_BLOCK));
+        }
+        Skeleton {
+            n,
+            halos: [halo(Peer::Shift(1)), halo(Peer::Shift(n - 1))],
+            collectives,
+        }
+    }
+
+    /// Messages per iteration, in O(1).
+    pub fn messages_per_iter(&self) -> u64 {
+        let rounds: u64 = self.collectives.iter().map(Schedule::round_count).sum();
+        u64::from(self.n) * (self.halos.len() as u64 + rounds)
+    }
+
+    /// Contention-free communication time of one iteration.
+    pub fn comm_time(&self, m: &NetModel) -> SimDuration {
+        let halos = self.halos.iter().map(|h| m.p2p(h.bytes));
+        halos
+            .chain(self.collectives.iter().map(|s| m.time(s)))
+            .sum()
+    }
+}
 
 /// Configuration of one skeleton run.
 #[derive(Debug, Clone, Copy)]
@@ -71,7 +124,9 @@ pub struct DesScalingResult {
     pub iter_s: f64,
     /// Total simulated seconds.
     pub sim_s: f64,
-    /// Logical point-to-point messages carried by the fabric.
+    /// Logical point-to-point messages booked into the fabric, counted
+    /// as they are booked (the run asserts it equals
+    /// [`Skeleton::messages_per_iter`] × iterations).
     pub messages: u64,
     /// Kernel events (process polls) the run executed.
     pub kernel_events: u64,
@@ -95,7 +150,7 @@ struct Shared {
     msgs: Vec<BatchMsg>,
     /// Completion scratch for [`deep_fabric::Network::schedule_batch`].
     done: Vec<SimTime>,
-    /// Logical messages simulated.
+    /// Logical messages booked.
     messages: u64,
     /// Running FNV-1a 64 digest of the virtual-time trajectory.
     digest: u64,
@@ -125,7 +180,7 @@ async fn segment(
     barrier: Barrier,
     lo: usize,
     hi: usize,
-    ranks: usize,
+    skeleton: Rc<Skeleton>,
     iters: u32,
 ) {
     let send_ov = ib.params().send_overhead;
@@ -142,17 +197,16 @@ async fn segment(
                 sh.ready[r] = now;
             }
         }
-        // Two halo directions: send right, then send left (the ring
-        // sendrecv pair of the SpMV skeleton).
-        for dir in [1usize, ranks - 1] {
+        // The ring sendrecv pair: send right, then send left.
+        for halo in &skeleton.halos {
             {
                 let sh = &mut *shared.borrow_mut();
                 sh.msgs.clear();
                 for r in lo..hi {
                     sh.msgs.push(BatchMsg {
                         src: NodeId(r as u32),
-                        dst: NodeId(((r + dir) % ranks) as u32),
-                        bytes: HALO_BYTES,
+                        dst: NodeId(halo.peer.dst(r as u32, skeleton.n)),
+                        bytes: halo.bytes,
                         earliest: sh.ready[r] + send_ov,
                     });
                 }
@@ -160,13 +214,13 @@ async fn segment(
                 ib.network().schedule_batch(msgs, done);
                 for (i, r) in (lo..hi).enumerate() {
                     sh.send_done[r] = sh.done[i];
-                    let dst = (r + dir) % ranks;
+                    let dst = halo.peer.dst(r as u32, skeleton.n) as usize;
                     let arrival = sh.done[i] + recv_ov;
                     if arrival > sh.inbox[dst] {
                         sh.inbox[dst] = arrival;
                     }
                 }
-                sh.messages += (hi - lo) as u64;
+                sh.messages += sh.msgs.len() as u64;
             }
             // Everyone has scheduled; arrivals are final.
             barrier.wait().await;
@@ -187,64 +241,32 @@ async fn segment(
 }
 
 /// The driver: lockstep with the segments through the halo phases, then
-/// runs the collective rounds (allreduce, plus the pairwise all-to-all
-/// for the complex class) as global batches and carries virtual time to
-/// the iteration end.
+/// books the skeleton's collective rounds as global batches and carries
+/// virtual time to the iteration end.
 async fn driver(
     ctx: Sim,
     ib: Rc<IbFabric>,
     shared: Rc<RefCell<Shared>>,
     barrier: Barrier,
-    ranks: u32,
+    skeleton: Rc<Skeleton>,
     iters: u32,
-    complex: bool,
 ) {
-    let send_ov = ib.params().send_overhead;
-    let recv_ov = ib.params().recv_overhead;
-    let n = ranks as usize;
     for _ in 0..iters {
         ctx.sleep(COMPUTE).await;
-        for _halo_dir in 0..2 {
+        for _ in &skeleton.halos {
             barrier.wait().await; // segments scheduled
             barrier.wait().await; // segments merged
         }
         let t_end = {
             // The collective rounds run after the "segments merged"
             // barrier; only the driver is live until it sleeps to the
-            // iteration end.
+            // iteration end. Per-message `earliest` times carry every
+            // rank's skew, so no virtual time passes while the rounds
+            // are laid into the fabric.
             let sh = &mut *shared.borrow_mut();
-            // Dot-product allreduce: recursive doubling, log2(n) rounds
-            // of 8-byte exchanges. Each round is one batch; per-message
-            // `earliest` times carry every rank's skew, so no virtual
-            // time passes while the rounds are laid into the fabric.
-            let round_partners = |sh: &mut Shared, xor: usize, bytes: u64| {
-                sh.msgs.clear();
-                for r in 0..n {
-                    sh.msgs.push(BatchMsg {
-                        src: NodeId(r as u32),
-                        dst: NodeId((r ^ xor) as u32),
-                        bytes,
-                        earliest: sh.ready[r] + send_ov,
-                    });
-                }
-                let (msgs, done) = (&sh.msgs, &mut sh.done);
-                ib.network().schedule_batch(msgs, done);
-                for r in 0..n {
-                    let p = r ^ xor;
-                    sh.ready[r] = sh.done[r].max(sh.done[p] + recv_ov);
-                }
-                sh.messages += n as u64;
-            };
-            for k in 0..ranks.trailing_zeros() {
-                round_partners(sh, 1usize << k, 8);
-            }
-            if complex {
-                // Pairwise-exchange all-to-all: n-1 XOR rounds of one
-                // block per rank — the linear-in-ranks phase that
-                // collapses the complex class.
-                for round in 1..n {
-                    round_partners(sh, round, A2A_BLOCK);
-                }
+            for round in skeleton.collectives.iter().flat_map(|s| s.rounds()) {
+                book_round(&ib, round, &mut sh.ready, &mut sh.msgs, &mut sh.done);
+                sh.messages += sh.msgs.len() as u64;
             }
             let t_end = sh.ready.iter().copied().max().unwrap_or_else(|| ctx.now());
             sh.digest = fnv_fold(sh.digest, t_end.as_nanos());
@@ -286,6 +308,8 @@ fn run_on_fabric(cfg: DesScalingConfig) -> (DesScalingResult, Rc<IbFabric>) {
         digest: fnv_fold(FNV_OFFSET, cfg.ranks as u64),
     }));
     let barrier = Barrier::new(&ctx, segments as usize + 1);
+    let skeleton = Rc::new(Skeleton::new(cfg.ranks, cfg.complex));
+    let expected_messages = skeleton.messages_per_iter() * u64::from(cfg.iters);
     for s in 0..segments {
         let lo = (s * NODES_PER_LEAF) as usize;
         let hi = (((s + 1) * NODES_PER_LEAF).min(cfg.ranks)) as usize;
@@ -296,7 +320,7 @@ fn run_on_fabric(cfg: DesScalingConfig) -> (DesScalingResult, Rc<IbFabric>) {
             barrier.clone(),
             lo,
             hi,
-            n,
+            skeleton.clone(),
             cfg.iters,
         );
         ctx.spawn_fmt(format_args!("leaf-{s}"), fut);
@@ -307,14 +331,17 @@ fn run_on_fabric(cfg: DesScalingConfig) -> (DesScalingResult, Rc<IbFabric>) {
             ib.clone(),
             shared.clone(),
             barrier.clone(),
-            cfg.ranks,
+            skeleton,
             cfg.iters,
-            cfg.complex,
         );
         ctx.spawn("driver", fut);
     }
     sim.run().assert_completed();
     let sh = shared.borrow();
+    assert_eq!(
+        sh.messages, expected_messages,
+        "the run must book exactly the skeleton's messages"
+    );
     let sim_s = sim.now().as_secs_f64();
     let digest = fnv_fold(sh.digest, sh.messages);
     let result = DesScalingResult {
@@ -335,19 +362,14 @@ fn run_on_fabric(cfg: DesScalingConfig) -> (DesScalingResult, Rc<IbFabric>) {
 /// within the documented tolerance of this for the SpMV class; for the
 /// complex class the DES sits *above* it, because the pairwise
 /// all-to-all sees spine contention the contention-free model ignores.
-pub fn analytic_iter(m: &deep_psmpi::NetModel, ranks: u64, complex: bool) -> SimDuration {
-    let spmv = COMPUTE + m.p2p(HALO_BYTES) * 2 + m.allreduce(ranks, 8);
-    if complex {
-        spmv + m.alltoall(ranks, A2A_BLOCK)
-    } else {
-        spmv
-    }
+pub fn analytic_iter(m: &NetModel, ranks: u64, complex: bool) -> SimDuration {
+    let ranks = u32::try_from(ranks).expect("rank count fits in u32");
+    COMPUTE + Skeleton::new(ranks, complex).comm_time(m)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deep_psmpi::NetModel;
 
     #[test]
     fn spmv_des_tracks_the_analytic_model_at_small_scale() {
@@ -365,7 +387,9 @@ mod tests {
             r.iter_s
         );
         assert_eq!(r.segments, 4); // ceil(64 / 18)
-        assert!(r.messages > 0 && r.kernel_events > 0);
+        assert!(r.kernel_events > 0);
+        // 3 iterations × 64 ranks × (2 halos + 6 allreduce rounds).
+        assert_eq!(r.messages, 3 * 64 * (2 + 6));
     }
 
     #[test]
@@ -435,5 +459,7 @@ mod tests {
         // And the DES never beats the contention-free analytic bound.
         let model = analytic_iter(&NetModel::ib_fdr(), 64, true).as_secs_f64();
         assert!(cplx.iter_s >= model * 0.999);
+        // 2 iterations × 64 ranks × (2 halos + 6 allreduce + 63 all-to-all).
+        assert_eq!(cplx.messages, 2 * 64 * (2 + 6 + 63));
     }
 }

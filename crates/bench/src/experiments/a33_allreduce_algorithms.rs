@@ -52,6 +52,35 @@ fn run_case(algo: Algo, ranks: u32, doubles: usize) -> f64 {
     sim.now().as_secs_f64() / 5.0
 }
 
+/// One payload: seconds per operation by recursive doubling, ring and
+/// reduce+bcast, in that order.
+pub struct Row {
+    pub bytes: u64,
+    pub secs: [f64; 3],
+}
+
+/// The five payloads, 128 B to 8 MiB, at 16 ranks.
+pub fn rows() -> Vec<Row> {
+    // The 5×3 (payload × algorithm) grid is the heaviest sweep in the
+    // suite; flatten it so all 15 simulations fan out, then fold each
+    // payload's three timings back in algorithm order.
+    let payloads = [16usize, 1024, 32_768, 262_144, 1_048_576];
+    let algos = [Algo::RecursiveDoubling, Algo::Ring, Algo::ReduceBcast];
+    let grid: Vec<(usize, Algo)> = payloads
+        .iter()
+        .flat_map(|&doubles| algos.map(|algo| (doubles, algo)))
+        .collect();
+    let times = crate::sweep::par_sweep(&grid, |_, &(doubles, algo)| run_case(algo, 16, doubles));
+    payloads
+        .iter()
+        .zip(times.chunks(3))
+        .map(|(&doubles, t)| Row {
+            bytes: 8 * doubles as u64,
+            secs: [t[0], t[1], t[2]],
+        })
+        .collect()
+}
+
 pub fn run(out: &mut String) {
     let mut t = Table::new(
         "A33",
@@ -64,33 +93,13 @@ pub fn run(out: &mut String) {
             "best",
         ],
     );
-    // The 5×3 (payload × algorithm) grid is the heaviest sweep in the
-    // suite; flatten it so all 15 simulations fan out, then fold each
-    // payload's three timings back in algorithm order.
-    let payloads = [16usize, 1024, 32_768, 262_144, 1_048_576];
-    let mut grid: Vec<(usize, Algo)> = Vec::new();
-    for doubles in payloads {
-        for algo in [Algo::RecursiveDoubling, Algo::Ring, Algo::ReduceBcast] {
-            grid.push((doubles, algo));
-        }
-    }
-    let times = crate::sweep::par_sweep(&grid, |_, &(doubles, algo)| run_case(algo, 16, doubles));
-    for (i, doubles) in payloads.iter().enumerate() {
-        let (rd, ring, rb) = (times[3 * i], times[3 * i + 1], times[3 * i + 2]);
-        let best = if rd <= ring && rd <= rb {
-            "rec-doubling"
-        } else if ring <= rb {
-            "ring"
-        } else {
-            "reduce+bcast"
-        };
-        t.row(&[
-            fmt_bytes(8 * *doubles as u64),
-            fmt_f(rd * 1e6),
-            fmt_f(ring * 1e6),
-            fmt_f(rb * 1e6),
-            best.into(),
-        ]);
+    for r in rows() {
+        // The first of the fastest.
+        let best = (1..3).fold(0, |b, i| if r.secs[i] < r.secs[b] { i } else { b });
+        let mut cells = vec![fmt_bytes(r.bytes)];
+        cells.extend(r.secs.map(|s| fmt_f(s * 1e6)));
+        cells.push(["rec-doubling", "ring", "reduce+bcast"][best].into());
+        t.row(&cells);
     }
     t.write_into(out);
     let _ = writeln!(

@@ -29,7 +29,7 @@ use std::fmt::Write as _;
 use deep_core::{fmt_f, Table};
 use deep_psmpi::{NetModel, ReduceOp, Value};
 
-use crate::des_scaling::{self, DesScalingConfig, A2A_BLOCK, COMPUTE, HALO_BYTES};
+use crate::des_scaling::{self, DesScalingConfig, Skeleton, A2A_BLOCK, COMPUTE};
 
 /// Measure one iteration of the skeleton rank-per-process through the
 /// MPI stack (small rank counts only).
@@ -39,32 +39,11 @@ fn mpi_iter(n: u32, complex: bool) -> f64 {
         Box::pin(async move {
             let world = m.world().clone();
             let size = world.size();
+            let halos = Skeleton::new(size, complex).halos;
             for _ in 0..iters {
                 m.sim().sleep(COMPUTE).await;
-                // halo with ring neighbours
-                let right = (m.rank() + 1) % size;
-                let left = (m.rank() + size - 1) % size;
-                if size > 1 {
-                    m.sendrecv(
-                        &world,
-                        right,
-                        7,
-                        Value::Unit,
-                        HALO_BYTES,
-                        Some(left),
-                        Some(7),
-                    )
-                    .await;
-                    m.sendrecv(
-                        &world,
-                        left,
-                        8,
-                        Value::Unit,
-                        HALO_BYTES,
-                        Some(right),
-                        Some(8),
-                    )
-                    .await;
+                for (tag, halo) in [7, 8].into_iter().zip(halos) {
+                    m.exchange(&world, halo, tag, Value::Unit).await;
                 }
                 m.allreduce(&world, ReduceOp::Sum, Value::F64(1.0), 8).await;
                 if complex {

@@ -13,38 +13,40 @@ use deep_core::{fmt_f, Table};
 use deep_hw::{exec_time, exec_time_with_mode, KernelProfile, NodeModel};
 use deep_psmpi::NetModel;
 
+use crate::des_scaling::Skeleton;
+
 struct AppClass {
     name: &'static str,
     /// Per-node kernel (weak-scaled work unit).
     kernel: KernelProfile,
     /// Vectorises well?
     vectorised: bool,
-    /// Communication fraction multiplier on a cluster-class network at
-    /// scale (complex patterns hurt much more).
-    comm_model: fn(&NetModel, u64) -> f64,
+    /// Communicates like F09's complex class (all-to-all) rather than
+    /// its regular one.
+    complex: bool,
 }
 
-fn regular_comm(m: &NetModel, n: u64) -> f64 {
-    (m.p2p(64 << 10) * 2 + m.allreduce(n, 8)).as_secs_f64()
+/// One application class: sustained TFlop/s per MW on the BG/Q-like
+/// machine, the Xeon cluster and DEEP, in that order.
+pub struct Row {
+    pub class: &'static str,
+    pub tf_per_mw: [f64; 3],
 }
 
-fn complex_comm(m: &NetModel, n: u64) -> f64 {
-    (m.alltoall(n, 4 << 10) + m.p2p(64 << 10) * 2).as_secs_f64()
-}
-
-pub fn run(out: &mut String) {
+/// The table's rows: regular sparse, dense vector, complex multiphysics.
+pub fn rows() -> Vec<Row> {
     let apps = [
         AppClass {
             name: "regular sparse (HSCP)",
             kernel: KernelProfile::spmv(40_000_000),
             vectorised: true,
-            comm_model: regular_comm,
+            complex: false,
         },
         AppClass {
             name: "dense vector kernel",
             kernel: KernelProfile::dgemm(2048),
             vectorised: true,
-            comm_model: regular_comm,
+            complex: false,
         },
         AppClass {
             name: "complex multiphysics",
@@ -55,7 +57,7 @@ pub fn run(out: &mut String) {
                 bandwidth_efficiency: 0.5,
             },
             vectorised: false,
-            comm_model: complex_comm,
+            complex: true,
         },
     ];
 
@@ -78,14 +80,8 @@ pub fn run(out: &mut String) {
         ),
     ];
 
-    let mut t = Table::new(
-        "F18",
-        "sustained Gflop/s per MW by application class (weak-scaled to ~1 MW)",
-        &["application class", "BG/Q-like", "Xeon cluster", "DEEP"],
-    );
-
-    for app in &apps {
-        let mut cells = vec![app.name.to_string()];
+    let class_row = |app: &AppClass| {
+        let mut tf_per_mw = [0.0; 3];
         for (mi, (_, node, net)) in machines.iter().enumerate() {
             // DEEP runs complex code on its Xeon side, regular on booster.
             let (node, net) = if mi == 2 && !app.vectorised {
@@ -100,11 +96,30 @@ pub fn run(out: &mut String) {
                 exec_time_with_mode(&node, &app.kernel, node.cores, false)
             };
             let t_comp = p.time.as_secs_f64();
-            let t_comm = (app.comm_model)(&net, nodes_per_mw);
+            let t_comm = Skeleton::new(nodes_per_mw as u32, app.complex)
+                .comm_time(&net)
+                .as_secs_f64();
             let eff = t_comp / (t_comp + t_comm);
             let sustained_per_mw = p.sustained_flops * eff * nodes_per_mw as f64 / 1e9;
-            cells.push(fmt_f(sustained_per_mw / 1e3)); // in TF/MW
+            tf_per_mw[mi] = sustained_per_mw / 1e3;
         }
+        Row {
+            class: app.name,
+            tf_per_mw,
+        }
+    };
+    apps.iter().map(class_row).collect()
+}
+
+pub fn run(out: &mut String) {
+    let mut t = Table::new(
+        "F18",
+        "sustained Gflop/s per MW by application class (weak-scaled to ~1 MW)",
+        &["application class", "BG/Q-like", "Xeon cluster", "DEEP"],
+    );
+    for r in rows() {
+        let mut cells = vec![r.class.to_string()];
+        cells.extend(r.tf_per_mw.map(fmt_f));
         t.row(&cells);
     }
     t.write_into(out);

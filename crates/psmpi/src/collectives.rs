@@ -1,5 +1,8 @@
 //! Collective operations, implemented over the point-to-point layer with
-//! the classic algorithms ParaStation MPI uses:
+//! the classic algorithms ParaStation MPI uses. The exchange algorithms
+//! are [`crate::schedule`]s, run here round by round through
+//! [`MpiCtx::exchange`]; this module adds only their value logic
+//! (combine order, block indices, output slots).
 //!
 //! * barrier — dissemination (⌈log₂ n⌉ rounds)
 //! * bcast — binomial tree
@@ -16,7 +19,8 @@
 //! pass real content where a test or a caller reads the result, and
 //! [`Value::Unit`] with the same `bytes` where only the time is wanted.
 
-use crate::comm::{Comm, Message, MpiCtx, TAG_INTERNAL_BASE};
+use crate::comm::{Comm, MpiCtx, TAG_INTERNAL_BASE};
+use crate::schedule::{Kind, Schedule};
 use crate::value::{ReduceOp, Value};
 
 const TAG_BARRIER: u32 = TAG_INTERNAL_BASE + 1;
@@ -31,26 +35,8 @@ const TAG_ALLTOALL: u32 = TAG_INTERNAL_BASE + 8;
 impl MpiCtx {
     /// Dissemination barrier over an intra-communicator.
     pub async fn barrier(&self, comm: &Comm) {
-        let n = comm.size();
-        if n <= 1 {
-            return;
-        }
-        let rank = comm.rank();
-        let mut k: u32 = 1;
-        while k < n {
-            let dst = (rank + k) % n;
-            let src = (rank + n - k) % n;
-            self.sendrecv(
-                comm,
-                dst,
-                TAG_BARRIER,
-                Value::Unit,
-                0,
-                Some(src),
-                Some(TAG_BARRIER),
-            )
-            .await;
-            k <<= 1;
+        for round in Schedule::new(Kind::Barrier, comm.size(), 0).rounds() {
+            self.exchange(comm, round, TAG_BARRIER, Value::Unit).await;
         }
     }
 
@@ -153,29 +139,15 @@ impl MpiCtx {
             return self.ring(comm, op, contrib, ring_bytes).await;
         }
         if n.is_power_of_two() {
-            let rank = comm.rank();
             let mut acc = contrib;
-            let mut mask: u32 = 1;
-            while mask < n {
-                let partner = rank ^ mask;
-                let msg = self
-                    .sendrecv(
-                        comm,
-                        partner,
-                        TAG_ALLREDUCE,
-                        acc.clone(),
-                        bytes,
-                        Some(partner),
-                        Some(TAG_ALLREDUCE),
-                    )
-                    .await;
+            for round in Schedule::new(Kind::RecursiveDoubling, n, bytes).rounds() {
+                let msg = self.exchange(comm, round, TAG_ALLREDUCE, acc.clone()).await;
                 // Deterministic order: lower rank's value on the left.
-                acc = if rank < partner {
+                acc = if comm.rank() < msg.src {
                     op.combine(&acc, &msg.value)
                 } else {
                     op.combine(&msg.value, &acc)
                 };
-                mask <<= 1;
             }
             acc
         } else {
@@ -254,24 +226,10 @@ impl MpiCtx {
         let rank = comm.rank();
         let mut out: Vec<Option<Value>> = vec![None; n as usize];
         out[rank as usize] = Some(contrib.clone());
-        if n == 1 {
-            return vec![contrib];
-        }
-        let right = (rank + 1) % n;
-        let left = (rank + n - 1) % n;
         let mut carry = contrib;
-        for step in 0..n - 1 {
-            let msg: Message = self
-                .sendrecv(
-                    comm,
-                    right,
-                    TAG_ALLGATHER,
-                    carry,
-                    bytes,
-                    Some(left),
-                    Some(TAG_ALLGATHER),
-                )
-                .await;
+        let rounds = Schedule::new(Kind::RingAllgather, n, bytes).rounds();
+        for (step, round) in (0..).zip(rounds) {
+            let msg = self.exchange(comm, round, TAG_ALLGATHER, carry).await;
             let origin = (rank + n - 1 - step) % n;
             out[origin as usize] = Some(msg.value.clone());
             carry = msg.value;
@@ -289,21 +247,10 @@ impl MpiCtx {
         assert_eq!(values.len(), n as usize, "one block per destination");
         let mut out: Vec<Option<Value>> = vec![None; n as usize];
         out[rank as usize] = Some(values[rank as usize].clone());
-        for round in 1..n {
-            let dst = (rank + round) % n;
-            let src = (rank + n - round) % n;
-            let msg = self
-                .sendrecv(
-                    comm,
-                    dst,
-                    TAG_ALLTOALL,
-                    values[dst as usize].clone(),
-                    bytes_each,
-                    Some(src),
-                    Some(TAG_ALLTOALL),
-                )
-                .await;
-            out[src as usize] = Some(msg.value);
+        for round in Schedule::new(Kind::PairwiseShift, n, bytes_each).rounds() {
+            let block = values[round.peer.dst(rank, n) as usize].clone();
+            let msg = self.exchange(comm, round, TAG_ALLTOALL, block).await;
+            out[msg.src as usize] = Some(msg.value);
         }
         out.into_iter()
             .map(|v| v.expect("all rounds completed"))
@@ -399,11 +346,11 @@ impl MpiCtx {
         self.ring(comm, op, Value::vec(contrib), bytes).await
     }
 
-    /// The one ring schedule. `contrib` is a vector, split into one block
-    /// per rank, or `Value::Unit`, whose blocks are cost-only: either way
-    /// the same `2(n−1)` `sendrecv`s of `(bytes / n).max(1)` bytes are
-    /// booked. Blocks are `Rc`-shared, so a send is a refcount bump and
-    /// the receiver folds the incoming block into the one it owns.
+    /// The ring allreduce's value logic. `contrib` is a vector, split into
+    /// one block per rank, or `Value::Unit`, whose blocks are cost-only:
+    /// either way the same [`Kind::RingAllreduce`] rounds are booked.
+    /// Blocks are `Rc`-shared, so a send is a refcount bump and the
+    /// receiver folds the incoming block into the one it owns.
     async fn ring(&self, comm: &Comm, op: ReduceOp, contrib: Value, bytes: u64) -> Value {
         let n = comm.size() as usize;
         let rank = comm.rank() as usize;
@@ -415,44 +362,26 @@ impl MpiCtx {
             Value::VecF64(v) => split_blocks(&v, n),
             other => panic!("ring allreduce expects a vector or Unit, got {other}"),
         };
-        let right = ((rank + 1) % n) as u32;
-        let left = ((rank + n - 1) % n) as u32;
-        let block_bytes = (bytes / n as u64).max(1);
+        let mut rounds = Schedule::new(Kind::RingAllreduce, n as u32, bytes).rounds();
 
         // Phase 1: reduce-scatter. After n-1 steps, block (rank+1)%n is
         // fully reduced at this rank.
-        for s in 0..n - 1 {
+        for (s, round) in (0..n - 1).zip(&mut rounds) {
             let send_idx = (rank + n - s) % n;
             let recv_idx = (rank + n - s - 1) % n;
             let msg = self
-                .sendrecv(
-                    comm,
-                    right,
-                    TAG_RING_RS,
-                    blocks[send_idx].clone(),
-                    block_bytes,
-                    Some(left),
-                    Some(TAG_RING_RS),
-                )
+                .exchange(comm, round, TAG_RING_RS, blocks[send_idx].clone())
                 .await;
             // Deterministic order: combine in ascending origin-rank order.
             // The incoming partial already aggregates lower-origin ranks.
             op.combine_into(&msg.value, &mut blocks[recv_idx]);
         }
         // Phase 2: allgather of the reduced blocks.
-        for s in 0..n - 1 {
+        for (s, round) in (0..n - 1).zip(&mut rounds) {
             let send_idx = (rank + 1 + n - s) % n;
             let recv_idx = (rank + n - s) % n;
             let msg = self
-                .sendrecv(
-                    comm,
-                    right,
-                    TAG_RING_AG,
-                    blocks[send_idx].clone(),
-                    block_bytes,
-                    Some(left),
-                    Some(TAG_RING_AG),
-                )
+                .exchange(comm, round, TAG_RING_AG, blocks[send_idx].clone())
                 .await;
             blocks[recv_idx] = msg.value;
         }

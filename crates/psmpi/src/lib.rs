@@ -12,8 +12,9 @@
 //! * **`comm_spawn`** — the paper's global-MPI mechanism: a parent world
 //!   collectively spawns a child world from a named endpoint pool and
 //!   receives an inter-communicator to it (slides 21, 26–29);
-//! * analytic LogGP models of the same collectives for rank counts beyond
-//!   direct simulation (experiment F09).
+//! * [`schedule`]: the exchange algorithms as data, run per rank here,
+//!   booked in batches by `deep-bench`'s `des_scaling` and priced in
+//!   closed form for rank counts beyond direct simulation (F09, F18).
 //!
 //! The fabric is abstracted behind [`wire::Wire`], which is how the
 //! cluster-booster bridge (`deep-cbp`) slots underneath unchanged MPI
@@ -21,16 +22,16 @@
 
 #![warn(missing_docs)]
 
-pub mod analytic;
 pub mod collectives;
 pub mod comm;
+pub mod schedule;
 pub mod spawn;
 pub mod universe;
 pub mod value;
 pub mod wire;
 
-pub use analytic::NetModel;
 pub use comm::{wait_all, Comm, Message, MpiCtx, Request};
+pub use schedule::NetModel;
 pub use spawn::{launch_world, SpawnError};
 pub use universe::{Envelope, MpiParams, Pattern, TrafficStats, Universe};
 pub use value::{ReduceOp, Value};

@@ -7,6 +7,7 @@
 //! (asserted verbatim by `tests/scenario_fixtures/`), of the form
 //! `<table>.<key>: <what>` or `<table>: <what>`.
 
+use deep_bench::des_scaling::Skeleton;
 use deep_core::config::DeepConfig;
 use deep_core::resilience::{daly_optimum, segments_within_bound, ResilienceParams, MAX_SEGMENTS};
 use deep_faults::plan::{Domain, FaultEvent, FaultKind, FaultPlan};
@@ -341,12 +342,8 @@ impl Scenario {
         };
         let mut est: u128 = 0;
         for &r in &self.scalability_points() {
-            let (r, log2) = (r as u128, r.trailing_zeros() as u128);
-            let mut per_iter = (2 + log2) * r; // two halo dirs + allreduce rounds
-            if app.complex {
-                per_iter += r * (r - 1); // pairwise all-to-all rounds
-            }
-            est += per_iter * app.iters as u128;
+            let per_iter = Skeleton::new(r, app.complex).messages_per_iter();
+            est += u128::from(per_iter) * u128::from(app.iters);
         }
         if est > 1 << 28 {
             return Err(

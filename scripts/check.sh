@@ -30,9 +30,11 @@ step "cargo test (workspace)" cargo test -q --workspace
 # The benchmark checks every output against benchmark/golden.json and
 # exits non-zero on a miss; message and poll counts are equality pins,
 # so a change that moves one fails here and not in the pipeline. All
-# five workloads at toy size, then one full-size repetition of
+# five workloads at toy size, then one full-size repetition each of
 # mpi_rank_1k, whose 12 455 027-poll pin every per-message change is
-# judged by (a few seconds once the harness is built; it shares
+# judged by, and des_a2a_4k, the only full-size pin of the batched
+# irregular (all-to-all) path — `cargo test` pins only the 262k SpMV
+# digest (a few seconds each once the harness is built; it shares
 # target/). A passing run shows only its result line.
 bench() {
     local out
@@ -45,6 +47,7 @@ bench() {
 }
 step "benchmark --smoke" bench --smoke
 step "benchmark mpi_rank_1k (full size)" bench --workload mpi_rank_1k --seconds 1
+step "benchmark des_a2a_4k (full size)" bench --workload des_a2a_4k --seconds 1
 
 # Every registry experiment against its committed table: `cargo test`
 # compares none of the six heavy ones and the benchmark's --smoke only

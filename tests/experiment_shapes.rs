@@ -65,16 +65,11 @@ fn f08_fabric_matches_pcie_for_bulk() {
 /// ranks; the alltoall-bearing skeleton collapses below 4k.
 #[test]
 fn f09_scalability_classes() {
+    use deep_bench::des_scaling::{analytic_iter, COMPUTE};
     let m = NetModel::ib_fdr();
-    let compute = deep_simkit::SimDuration::micros(2000);
-    let spmv = |n: u64| {
-        let t = compute + m.p2p(64 << 10) * 2 + m.allreduce(n, 8);
-        compute.as_secs_f64() / t.as_secs_f64()
-    };
-    let complex = |n: u64| {
-        let t = compute + m.p2p(64 << 10) * 2 + m.allreduce(n, 8) + m.alltoall(n, 4 << 10);
-        compute.as_secs_f64() / t.as_secs_f64()
-    };
+    let eff = |n: u64, complex| COMPUTE.as_secs_f64() / analytic_iter(&m, n, complex).as_secs_f64();
+    let spmv = |n: u64| eff(n, false);
+    let complex = |n: u64| eff(n, true);
     assert!(spmv(1 << 18) > 0.6, "SpMV class at 262k: {}", spmv(1 << 18));
     assert!(
         complex(1 << 12) < 0.4,
@@ -214,6 +209,96 @@ fn f03b_resilience_collapses_towards_exascale() {
             r.nodes
         );
     }
+}
+
+/// F18 (slide 18, positioning): on regular and dense vector code the
+/// DEEP booster beats the BG/Q-like machine, which beats the Xeon
+/// cluster; on complex scalar code the cluster is at least as good as
+/// the BG/Q-like machine, and DEEP — which runs that code on its
+/// cluster side — matches the cluster exactly.
+#[test]
+fn f18_deep_spans_both_regions() {
+    let rows = deep_bench::experiments::f18_positioning::rows();
+    assert_eq!(rows.len(), 3);
+    for r in &rows[..2] {
+        let [bgq, xeon, deep] = r.tf_per_mw;
+        assert!(deep > bgq && bgq > xeon, "{}: {:?}", r.class, r.tf_per_mw);
+    }
+    let [bgq, xeon, deep] = rows[2].tf_per_mw;
+    assert!(xeon >= bgq, "complex: {:?}", rows[2].tf_per_mw);
+    assert_eq!(deep, xeon, "complex: DEEP runs it on the cluster side");
+}
+
+/// A33 (allreduce ablation, 16 ranks): recursive doubling wins below the
+/// ring threshold (128 B, 8 KiB), the ring wins from the threshold
+/// (256 KiB) up, and reduce+bcast — two binomial trees back to back —
+/// costs at least 1.9× recursive doubling at every payload.
+#[test]
+fn a33_allreduce_crossover_sits_at_the_ring_threshold() {
+    let threshold = deep_psmpi::MpiParams::default().allreduce_ring_threshold;
+    let rows = deep_bench::experiments::a33_allreduce_algorithms::rows();
+    assert_eq!(
+        rows.iter().map(|r| r.bytes).collect::<Vec<_>>(),
+        [128, 8 << 10, 256 << 10, 2 << 20, 8 << 20]
+    );
+    for r in &rows {
+        let [rd, ring, rb] = r.secs;
+        if r.bytes < threshold {
+            assert!(rd < ring && rd < rb, "{} B: {rd} {ring} {rb}", r.bytes);
+        } else {
+            assert!(ring < rd && ring < rb, "{} B: {rd} {ring} {rb}", r.bytes);
+        }
+        assert!(rb >= 1.9 * rd, "{} B: reduce+bcast {rb} vs {rd}", r.bytes);
+    }
+}
+
+/// Experiments with a shape assertion in this file.
+const ASSERTED: &[&str] = &[
+    "a33_allreduce_algorithms",
+    "er01_checkpoint_levels",
+    "er02_io_patterns",
+    "er03_fault_sweep",
+    "f02_evolution",
+    "f03b_resilience",
+    "f05_rationale",
+    "f06_accel_cluster",
+    "f08_direct_fabric",
+    "f09_scalability",
+    "f09b_fft",
+    "f10_cluster_booster",
+    "f15_energy",
+    "f16_extoll",
+    "f18_positioning",
+    "f21_spawn",
+    "f22_resmgr",
+    "f23_cholesky",
+    "f29_global_mpi",
+];
+
+/// Experiments pinned only byte for byte against
+/// `docs/experiments/<id>.md`. This list may only shrink: a new
+/// experiment comes with its assertion.
+const UNASSERTED: &[&str] = &[
+    "a30_scheduler_ablation",
+    "a31_bi_selection",
+    "a32_eager_threshold",
+    "f03_exascale",
+    "f14_architecture",
+    "f23b_dcholesky",
+    "f25_offload",
+];
+
+/// Every registered experiment is in exactly one of the two lists.
+#[test]
+fn every_experiment_is_asserted_or_listed_as_unasserted() {
+    let mut listed: Vec<&str> = ASSERTED.iter().chain(UNASSERTED).copied().collect();
+    listed.sort_unstable();
+    let registry: Vec<&str> = deep_bench::experiments::ALL
+        .iter()
+        .map(|e| e.name)
+        .collect();
+    assert_eq!(listed, registry, "each id once, in one of the two lists");
+    assert!(UNASSERTED.len() <= 7, "UNASSERTED may only shrink");
 }
 
 /// F10: on the coupled proxy the cluster-booster wins time and energy
