@@ -281,12 +281,6 @@ async fn driver(
 /// Run the skeleton. Single-threaded and deterministic: the result
 /// (including the digest) is a pure function of `cfg`.
 pub fn run(cfg: DesScalingConfig) -> DesScalingResult {
-    run_on_fabric(cfg).0
-}
-
-/// [`run`], also handing back the fabric it ran on so the tests can pin
-/// the per-link state a run leaves behind.
-fn run_on_fabric(cfg: DesScalingConfig) -> (DesScalingResult, Rc<IbFabric>) {
     assert!(
         cfg.ranks >= 2 && cfg.ranks.is_power_of_two(),
         "des_scaling needs a power-of-two rank count >= 2, got {}",
@@ -344,7 +338,7 @@ fn run_on_fabric(cfg: DesScalingConfig) -> (DesScalingResult, Rc<IbFabric>) {
     );
     let sim_s = sim.now().as_secs_f64();
     let digest = fnv_fold(sh.digest, sh.messages);
-    let result = DesScalingResult {
+    DesScalingResult {
         ranks: cfg.ranks,
         iters: cfg.iters,
         segments,
@@ -353,8 +347,7 @@ fn run_on_fabric(cfg: DesScalingConfig) -> (DesScalingResult, Rc<IbFabric>) {
         messages: sh.messages,
         kernel_events: sim.events_processed(),
         digest,
-    };
-    (result, ib)
+    }
 }
 
 /// The analytic (LogGP) per-iteration time of the same skeleton — what
@@ -409,35 +402,6 @@ mod tests {
             ..cfg
         });
         assert_ne!(a.digest, c.digest);
-    }
-
-    /// The summary digest folds only iteration end instants and the
-    /// message count; this folds what the booking kernel wrote per link.
-    fn link_state_fnv(cfg: DesScalingConfig) -> u64 {
-        let (_, ib) = run_on_fabric(cfg);
-        let mut bytes = Vec::new();
-        ib.network().link_bytes_into(&mut bytes);
-        let h = bytes.iter().fold(FNV_OFFSET, |h, &b| fnv_fold(h, b));
-        fnv_fold(h, ib.network().total_messages())
-    }
-
-    #[test]
-    fn per_link_state_matches_the_pre_memo_kernel() {
-        // Both values taken on commit 769bf39 (per-link specs, no memo).
-        let complex_128 = DesScalingConfig {
-            ranks: 128,
-            iters: 2,
-            complex: true,
-            seed: 9,
-        };
-        assert_eq!(link_state_fnv(complex_128), 0x22f5_7a42_a40c_e1fa);
-        let spmv_1k = DesScalingConfig {
-            ranks: 1024,
-            iters: 2,
-            complex: false,
-            seed: 1,
-        };
-        assert_eq!(link_state_fnv(spmv_1k), 0x6315_03c1_6465_2180);
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl ExtollFabric {
         &self.params
     }
 
-    /// Underlying network (for utilisation metrics).
+    /// Underlying contention engine (batched booking, fault injection).
     pub fn network(&self) -> &Rc<Network> {
         &self.net
     }

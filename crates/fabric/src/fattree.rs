@@ -7,9 +7,9 @@
 //! (src, dst) pair, spreading flows like static IB routing tables do.
 //!
 //! Link id layout (all directed):
-//! * `4·h + 0` — host `h` → its leaf (up)
-//! * `4·h + 1` — leaf → host `h` (down)
-//! * then per (leaf l, spine s) pair: up and down links.
+//! * `2·h` — host `h` → its leaf (up)
+//! * `2·h + 1` — leaf → host `h` (down)
+//! * then from `2·hosts`, per (leaf l, spine s) pair: up and down links.
 
 use deep_simkit::SimDuration;
 
@@ -56,15 +56,15 @@ impl FatTree {
     }
 
     fn host_up(&self, h: u32) -> LinkId {
-        LinkId(4 * h)
+        LinkId(2 * h)
     }
 
     fn host_down(&self, h: u32) -> LinkId {
-        LinkId(4 * h + 1)
+        LinkId(2 * h + 1)
     }
 
     fn trunk_base(&self) -> u32 {
-        4 * self.hosts
+        2 * self.hosts
     }
 
     fn leaf_up(&self, leaf: u32, spine: u32) -> LinkId {
@@ -93,18 +93,9 @@ impl Topology for FatTree {
     }
 
     fn link_specs(&self) -> Vec<LinkSpec> {
-        let mut v = Vec::with_capacity((4 * self.hosts + 2 * self.leaves * self.spines) as usize);
-        for _ in 0..self.hosts {
-            v.push(self.host_spec); // up
-            v.push(self.host_spec); // down
-                                    // Reserve two unused slots to keep host stride 4 (simplifies ids).
-            v.push(self.host_spec);
-            v.push(self.host_spec);
-        }
-        for _ in 0..(self.leaves * self.spines) {
-            v.push(self.trunk_spec); // up
-            v.push(self.trunk_spec); // down
-        }
+        let trunks = 2 * (self.leaves * self.spines) as usize;
+        let mut v = vec![self.host_spec; 2 * self.hosts as usize];
+        v.resize(v.len() + trunks, self.trunk_spec);
         v
     }
 
@@ -159,22 +150,27 @@ mod tests {
         assert_eq!(p.len(), 4, "cross-leaf adds leaf-up + leaf-down");
     }
 
+    /// Every route uses valid ids, and every id lies on some route: the
+    /// layout holds no link that nothing can book. The partial-leaf tree
+    /// has 2 spines: with 4, destination-based spine choice never sends
+    /// traffic down spine 3 into the 2-host leaf.
     #[test]
     fn routes_are_valid_link_ids() {
-        let t = tree(16);
-        let n_links = t.link_specs().len() as u32;
-        let mut p = Vec::new();
-        for a in 0..16u32 {
-            for b in 0..16u32 {
-                p.clear();
-                t.route(NodeId(a), NodeId(b), &mut p);
-                for l in &p {
-                    assert!(l.0 < n_links, "link id {l:?} out of range {n_links}");
-                }
-                if a != b {
-                    assert!(!p.is_empty());
+        let partial = FatTree::new(10, 4, 2, ib_fdr_host_spec(), ib_fdr_trunk_spec());
+        for t in [tree(16), partial] {
+            let mut routed = vec![false; t.link_specs().len()];
+            let mut p = Vec::new();
+            for a in 0..t.hosts {
+                for b in 0..t.hosts {
+                    p.clear();
+                    t.route(NodeId(a), NodeId(b), &mut p);
+                    // Indexing panics on an out-of-range id.
+                    p.iter().for_each(|l| routed[l.0 as usize] = true);
+                    assert_eq!(p.is_empty(), a == b);
                 }
             }
+            let unrouted = routed.iter().position(|&r| !r);
+            assert_eq!(unrouted, None, "{} hosts: a link no route uses", t.hosts);
         }
     }
 

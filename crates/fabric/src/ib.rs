@@ -64,7 +64,7 @@ impl IbFabric {
         }
     }
 
-    /// Underlying network (for utilisation metrics).
+    /// Underlying contention engine (batched booking, fault injection).
     pub fn network(&self) -> &Rc<Network> {
         &self.net
     }

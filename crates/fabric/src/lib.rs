@@ -29,6 +29,6 @@ pub use fattree::FatTree;
 pub use ib::{IbFabric, IbParams};
 pub use network::{BatchMsg, FaultModel, LinkFailure, Network};
 pub use pcie::PcieBus;
-pub use topology::{analyze, Crossbar, Topology, TopologyStats};
+pub use topology::{Crossbar, Topology};
 pub use torus::{Torus3D, TorusDir};
 pub use types::{EndpointOverhead, LinkId, LinkSpec, NodeId, TransferStats};

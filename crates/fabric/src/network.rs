@@ -21,22 +21,22 @@
 //! ## State layout
 //!
 //! Per-link and per-node dynamic state is stored **SoA** (one parallel
-//! array per field, indexed by `LinkId`/`NodeId`). Static link
-//! description is **interned**: a fat tree has two distinct
+//! array per field, indexed by `LinkId`/`NodeId`). A link's only dynamic
+//! state is its `busy_until` horizon, the one value booking prices with.
+//! Static link description is **interned**: a fat tree has two distinct
 //! [`LinkSpec`]s (host, trunk), a torus or crossbar one, so the fabric
 //! keeps the distinct specs as *classes* plus one byte of class index per
-//! link — 1.6 MB at 262 144 hosts (~1.6 M directed links) where a
-//! 16-byte spec per link was 25 MB holding two values.
+//! link. At 262 144 hosts (1 048 592 directed links) a link costs 9 B:
+//! 8 B of horizon and 1 B of class.
 //!
 //! Booking one hop (`occupy_route`, the kernel under both
 //! [`Network::transfer`] and [`Network::schedule_batch`]) is then: class
 //! index load → per-class serialization memo (one compare on a hit; a
 //! miss evaluates `LinkSpec::serialization` and stores it, so the f64
 //! divide and rounding run once per (class, size) run instead of once
-//! per hop) → read-modify-write of **all four** link arrays
-//! (`busy_until`, `busy_accum`, `bytes_carried`, `messages`). The memo
-//! caches a pure function, so timings and counters are bit-identical to
-//! recomputing it.
+//! per hop) → read-modify-write of the link's `busy_until`. The memo
+//! caches a pure function, so timings are bit-identical to recomputing
+//! it.
 //!
 //! Tried and rejected (PR 17, measured on `des_spmv_262k` /
 //! `des_a2a_4k`): a 32-byte AoS link record — one cache line per hop —
@@ -93,14 +93,10 @@ impl LinkClasses {
     }
 }
 
-/// Per-link dynamic state, SoA: `busy_until[l]` is the contention
-/// horizon, the other three arrays are accounting; booking a hop
-/// updates all four.
+/// Per-link dynamic state: `busy_until[l]` is link `l`'s contention
+/// horizon, the instant its last booked occupancy ends.
 struct LinkStates {
     busy_until: Vec<SimTime>,
-    busy_accum: Vec<SimDuration>,
-    bytes_carried: Vec<u64>,
-    messages: Vec<u64>,
     /// Per class, the last `(bytes, serialization(bytes))` a booking
     /// asked for. Starts at zero bytes, which take zero time on any link.
     ser_memo: Vec<(u64, SimDuration)>,
@@ -110,9 +106,6 @@ impl LinkStates {
     fn new(links: usize, classes: usize) -> Self {
         LinkStates {
             busy_until: vec![SimTime::ZERO; links],
-            busy_accum: vec![SimDuration::ZERO; links],
-            bytes_carried: vec![0; links],
-            messages: vec![0; links],
             ser_memo: vec![(0, SimDuration::ZERO); classes],
         }
     }
@@ -492,9 +485,6 @@ impl Network {
             let ser = memo.1;
             let occupancy_start = head.max(links.busy_until[i]);
             links.busy_until[i] = occupancy_start + ser;
-            links.busy_accum[i] += ser;
-            links.bytes_carried[i] += bytes;
-            links.messages[i] += 1;
             let last_byte_arrival = occupancy_start + ser + spec.latency;
             completion = completion.max(last_byte_arrival);
             head = occupancy_start + spec.latency;
@@ -560,45 +550,6 @@ impl Network {
         }
         overall
     }
-
-    /// Total bytes carried per link so far (diagnostics). Allocates;
-    /// prefer [`Network::link_bytes_into`] in loops.
-    pub fn link_bytes(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.link_bytes_into(&mut out);
-        out
-    }
-
-    /// Write the per-link byte counters into a caller-owned buffer
-    /// (cleared first), so periodic samplers reuse one allocation no
-    /// matter how many links the fabric has.
-    pub fn link_bytes_into(&self, out: &mut Vec<u64>) {
-        out.clear();
-        out.extend_from_slice(&self.links.borrow().bytes_carried);
-    }
-
-    /// Write each link's busy-time fraction of `elapsed` into a
-    /// caller-owned buffer (cleared first).
-    pub fn link_utilization_into(&self, elapsed: SimDuration, out: &mut Vec<f64>) {
-        let e = elapsed.as_secs_f64();
-        let links = self.links.borrow();
-        out.clear();
-        out.reserve(links.busy_accum.len());
-        out.extend(links.busy_accum.iter().map(
-            |b| {
-                if e > 0.0 {
-                    b.as_secs_f64() / e
-                } else {
-                    0.0
-                }
-            },
-        ));
-    }
-
-    /// Total messages carried across all links.
-    pub fn total_messages(&self) -> u64 {
-        self.links.borrow().messages.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -611,13 +562,12 @@ mod tests {
     use proptest::prelude::*;
     use std::rc::Rc;
 
-    /// The booking kernel as it was before link classes and the memo,
-    /// verbatim: one `LinkSpec` per link, its serialization recomputed at
-    /// every hop.
+    /// The booking kernel without link classes or the memo: one
+    /// `LinkSpec` per link, its serialization recomputed at every hop.
     struct Reference {
         topo: Box<dyn Topology>,
         specs: Vec<LinkSpec>,
-        links: LinkStates,
+        busy_until: Vec<SimTime>,
         route: Vec<LinkId>,
     }
 
@@ -625,7 +575,7 @@ mod tests {
         fn new(topo: Box<dyn Topology>) -> Self {
             let specs = topo.link_specs();
             Reference {
-                links: LinkStates::new(specs.len(), 0),
+                busy_until: vec![SimTime::ZERO; specs.len()],
                 topo,
                 specs,
                 route: Vec::new(),
@@ -636,18 +586,14 @@ mod tests {
         fn book(&mut self, src: NodeId, dst: NodeId, bytes: u64, head: SimTime) -> (SimTime, u32) {
             self.route.clear();
             self.topo.route(src, dst, &mut self.route);
-            let links = &mut self.links;
             let mut head = head;
             let mut completion = head;
             for &lid in &self.route {
                 let i = lid.0 as usize;
                 let spec = self.specs[i];
-                let occupancy_start = head.max(links.busy_until[i]);
+                let occupancy_start = head.max(self.busy_until[i]);
                 let ser = spec.serialization(bytes);
-                links.busy_until[i] = occupancy_start + ser;
-                links.busy_accum[i] += ser;
-                links.bytes_carried[i] += bytes;
-                links.messages[i] += 1;
+                self.busy_until[i] = occupancy_start + ser;
                 let last_byte_arrival = occupancy_start + ser + spec.latency;
                 completion = completion.max(last_byte_arrival);
                 head = occupancy_start + spec.latency;
@@ -703,7 +649,7 @@ mod tests {
 
         /// Batches of mixed sizes (0 → `max(1)`, runs of one size, two
         /// sizes alternating, random draws) interleaved with awaited
-        /// transfers leave every completion and all four per-link arrays
+        /// transfers leave every completion and every link horizon
         /// exactly as the un-memoized per-link-spec kernel does.
         #[test]
         fn memoized_booking_matches_the_per_link_reference(kind in 0u32..4, seed in 0u64..=u64::MAX) {
@@ -760,16 +706,79 @@ mod tests {
                         assert_eq!(n.route_scratch.borrow().len() as u32, hops);
                     }
                 }
-                reference.links
+                reference.busy_until
             });
             sim.run().assert_completed();
             let want = ops.try_result().unwrap();
-            let got = net.links.borrow();
-            prop_assert_eq!(&got.busy_until, &want.busy_until);
-            prop_assert_eq!(&got.busy_accum, &want.busy_accum);
-            prop_assert_eq!(&got.bytes_carried, &want.bytes_carried);
-            prop_assert_eq!(&got.messages, &want.messages);
+            prop_assert_eq!(&net.links.borrow().busy_until, &want);
         }
+    }
+
+    /// Book one round, every rank `r` sending `bytes` to `peer(r)` once
+    /// it is ready; both ends of a message are ready again at its
+    /// completion, which is appended to `log`.
+    fn book_round(
+        net: &Network,
+        ready: &mut [SimTime],
+        bytes: u64,
+        peer: impl Fn(u32) -> u32,
+        log: &mut Vec<SimTime>,
+    ) {
+        let msgs: Vec<BatchMsg> = (0..ready.len() as u32)
+            .map(|r| BatchMsg {
+                src: NodeId(r),
+                dst: NodeId(peer(r)),
+                bytes,
+                earliest: ready[r as usize],
+            })
+            .collect();
+        let mut done = Vec::new();
+        net.schedule_batch(&msgs, &mut done);
+        for (m, &t) in msgs.iter().zip(&done) {
+            for end in [m.src, m.dst] {
+                let r = &mut ready[end.0 as usize];
+                *r = (*r).max(t);
+            }
+        }
+        log.extend_from_slice(&done);
+    }
+
+    /// FNV-1a 64 over every booked horizon in link-id order, then over
+    /// `log`. Never-booked links (`ZERO`) are skipped.
+    fn horizon_fnv(net: &Network, log: &[SimTime]) -> u64 {
+        let links = net.links.borrow();
+        let booked = links.busy_until.iter().filter(|&&t| t != SimTime::ZERO);
+        booked.chain(log).fold(0xcbf2_9ce4_8422_2325, |h, t| {
+            t.as_nanos().to_le_bytes().iter().fold(h, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+        })
+    }
+
+    /// The per-link state F09's two skeletons leave behind: the SpMV
+    /// halos and allreduce at 1 024 hosts, the pairwise all-to-all at
+    /// 128. Both values were computed by this body on the fat-tree
+    /// layout that still carried two unrouted slots per host.
+    #[test]
+    fn f09_rounds_leave_the_pinned_fat_tree_horizons() {
+        let sim = Simulation::new(1);
+        let spmv = crate::IbFabric::new(&sim.handle(), 1024);
+        let net = spmv.network();
+        let (mut ready, mut log) = (vec![SimTime::ZERO; 1024], Vec::new());
+        for shift in [1, 1023] {
+            book_round(net, &mut ready, 64 << 10, |r| (r + shift) % 1024, &mut log);
+        }
+        for k in 0..10 {
+            book_round(net, &mut ready, 8, |r| r ^ (1 << k), &mut log);
+        }
+        assert_eq!(horizon_fnv(net, &log), 0xd0f8_e656_e1f8_bbbc);
+        let a2a = crate::IbFabric::new(&sim.handle(), 128);
+        let net = a2a.network();
+        let (mut ready, mut log) = (vec![SimTime::ZERO; 128], Vec::new());
+        for k in 1..128 {
+            book_round(net, &mut ready, 4 << 10, |r| r ^ k, &mut log);
+        }
+        assert_eq!(horizon_fnv(net, &log), 0x8826_8f2d_3080_943b);
     }
 
     #[test]
@@ -779,6 +788,8 @@ mod tests {
         let net = ib.network();
         assert_eq!(net.classes.specs, [ib_fdr_host_spec(), ib_fdr_trunk_spec()]);
         assert_eq!(net.links.borrow().ser_memo.len(), 2);
+        // 2 links per host, 2 per (leaf, spine) pair: 14 564 leaves × 18.
+        assert_eq!(net.links.borrow().busy_until.len(), 1_048_592);
         let torus = Network::new(
             &sim.handle(),
             Box::new(Torus3D::new((8, 8, 8), extoll_link_spec())),
@@ -827,25 +838,22 @@ mod tests {
         let ctx = sim.handle();
         let net = mk(&ctx, 2, 1e9, 0);
         // Two messages from 0 to 1 share the single directed link.
-        for i in 0..2 {
-            let net = net.clone();
-            sim.spawn(format!("m{i}"), async move {
-                let st = net
-                    .transfer(NodeId(0), NodeId(1), 1_000_000, EndpointOverhead::default())
-                    .await
-                    .unwrap();
-                st.elapsed.as_nanos()
-            });
-        }
-        let ctx2 = ctx.clone();
-        let check = sim.spawn("check", async move {
-            ctx2.sleep(SimDuration::millis(10)).await;
-        });
+        let done: Vec<_> = (0..2)
+            .map(|i| {
+                let net = net.clone();
+                sim.spawn(format!("m{i}"), async move {
+                    let st = net
+                        .transfer(NodeId(0), NodeId(1), 1_000_000, EndpointOverhead::default())
+                        .await
+                        .unwrap();
+                    st.elapsed.as_nanos()
+                })
+            })
+            .collect();
         sim.run().assert_completed();
-        drop(check);
-        // The link carried 2 MB; busy time must be 2 ms exactly.
-        let bytes: u64 = net.link_bytes().iter().sum();
-        assert_eq!(bytes, 2_000_000);
+        // 1 MB at 1 GB/s is 1 ms: the second waits out the first.
+        assert_eq!(done[0].try_result(), Some(1_000_000));
+        assert_eq!(done[1].try_result(), Some(2_000_000));
     }
 
     #[test]
@@ -891,7 +899,7 @@ mod tests {
             assert_eq!(st.elapsed.as_nanos(), 1_000);
         });
         sim.run().assert_completed();
-        assert_eq!(net.link_bytes().iter().sum::<u64>(), 0);
+        assert_eq!(net.links.borrow().busy_until, [SimTime::ZERO; 4]);
     }
 
     #[test]
@@ -1060,8 +1068,14 @@ mod tests {
             assert_eq!(done[0].as_nanos(), 1_000_000 + 500);
             assert_eq!(done[1].as_nanos(), 2_000_000 + 500);
             assert_eq!(overall, done[1]);
-            net.sim().sleep_until(overall).await;
-            assert_eq!(net.link_bytes().iter().sum::<u64>(), 2_000_000);
+            // Only the 0 → 1 link (crossbar id 1) advanced, by both.
+            let horizons = [
+                SimTime::ZERO,
+                SimTime(2_000_000),
+                SimTime::ZERO,
+                SimTime::ZERO,
+            ];
+            assert_eq!(net.links.borrow().busy_until, horizons);
         });
         sim.run().assert_completed();
     }
@@ -1124,29 +1138,6 @@ mod tests {
         let net = mk(&sim.handle(), 2, 1e9, 0);
         net.set_node_down(NodeId(1), true);
         net.schedule_batch(&[], &mut Vec::new());
-    }
-
-    #[test]
-    fn link_bytes_into_reuses_the_buffer() {
-        let mut sim = Simulation::new(1);
-        let ctx = sim.handle();
-        let net = mk(&ctx, 2, 1e9, 0);
-        let n = net.clone();
-        sim.spawn("xfer", async move {
-            n.transfer(NodeId(0), NodeId(1), 1_000, EndpointOverhead::default())
-                .await
-                .unwrap();
-        });
-        sim.run().assert_completed();
-        let mut buf = Vec::with_capacity(64);
-        let cap = buf.capacity();
-        net.link_bytes_into(&mut buf);
-        assert_eq!(buf.iter().sum::<u64>(), 1_000);
-        assert_eq!(buf.capacity(), cap, "sampler buffer must be reused");
-        let mut util = Vec::new();
-        net.link_utilization_into(SimDuration::micros(2), &mut util);
-        // 1 us of busy time over 2 us elapsed on the used link.
-        assert!(util.iter().any(|&u| (u - 0.5).abs() < 1e-9));
     }
 
     #[test]

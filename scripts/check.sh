@@ -32,9 +32,11 @@ step "cargo test (workspace)" cargo test -q --workspace
 # so a change that moves one fails here and not in the pipeline. All
 # five workloads at toy size, then one full-size repetition each of
 # mpi_rank_1k, whose 12 455 027-poll pin every per-message change is
-# judged by, and des_a2a_4k, the only full-size pin of the batched
-# irregular (all-to-all) path — `cargo test` pins only the 262k SpMV
-# digest (a few seconds each once the harness is built; it shares
+# judged by; des_a2a_4k, the only full-size pin of the batched
+# irregular (all-to-all) path; and des_spmv_262k, whose golden row
+# (digest, 20 971 520 messages, 364 109 kernel events) is the one a
+# fabric layout change must not move — `cargo test` pins a different
+# 262k digest (a few seconds each once the harness is built; it shares
 # target/). A passing run shows only its result line.
 bench() {
     local out
@@ -48,6 +50,7 @@ bench() {
 step "benchmark --smoke" bench --smoke
 step "benchmark mpi_rank_1k (full size)" bench --workload mpi_rank_1k --seconds 1
 step "benchmark des_a2a_4k (full size)" bench --workload des_a2a_4k --seconds 1
+step "benchmark des_spmv_262k (full size)" bench --workload des_spmv_262k --seconds 1
 
 # Every registry experiment against its committed table: `cargo test`
 # compares none of the six heavy ones and the benchmark's --smoke only
