@@ -49,10 +49,10 @@ pub mod schema;
 pub mod toml;
 pub mod trace;
 
-pub use run::{cache_key, execute};
+pub use run::execute;
 pub use schema::{
-    AppSpec, FaultSpec, FlapSpec, IntervalSpec, MachineSpec, PoissonSpec, ResilienceApp,
-    ScalabilityApp, Scenario, SweepAxis, TraceSpec,
+    AppSpec, FaultSpec, FlapSpec, IntervalSpec, PoissonSpec, ResilienceApp, ScalabilityApp,
+    Scenario, TraceSpec,
 };
 pub use toml::{parse as parse_toml, to_toml};
-pub use trace::{replay, TraceResult, UtilSample};
+pub use trace::replay;

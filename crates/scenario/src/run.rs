@@ -11,20 +11,14 @@
 
 use deep_bench::des_scaling::{self, DesScalingConfig};
 use deep_core::resilience::{daly_optimum, mean_efficiency_batch, ResilienceParams};
-use deep_faults::plan::{Domain, FaultEvent, FaultKind};
+use deep_faults::plan::{FaultEvent, FaultKind};
 use deep_json::{object, Value};
 
 use crate::schema::{AppSpec, ResilienceApp, ScalabilityApp, Scenario};
 
-/// The key under which `deep-serve` caches this scenario's result: the
-/// digest of `{"scenario": <doc>}`, i.e. the daemon's job-spec digest.
-pub fn cache_key(sc: &Scenario) -> u64 {
-    deep_json::digest::digest(&object([("scenario", sc.doc.clone())]))
-}
-
 /// Evaluate the scenario to its result JSON.
 pub fn execute(sc: &Scenario) -> Value {
-    let cfg = sc.machine.config();
+    let cfg = &sc.machine;
     let mut members: Vec<(String, Value)> = vec![
         ("scenario".to_string(), sc.name.as_str().into()),
         ("seed".to_string(), sc.seed.into()),
@@ -35,7 +29,7 @@ pub fn execute(sc: &Scenario) -> Value {
         (
             "machine".to_string(),
             object([
-                ("preset", sc.machine.preset.as_str().into()),
+                ("preset", sc.preset.into()),
                 ("n_cluster", u64::from(cfg.n_cluster).into()),
                 ("n_booster", u64::from(cfg.n_booster()).into()),
                 ("n_bi", u64::from(cfg.n_bi).into()),
@@ -48,7 +42,11 @@ pub fn execute(sc: &Scenario) -> Value {
     ];
 
     if let Some(app) = &sc.app {
-        members.push(("sweep".to_string(), run_sweep(sc, app)));
+        let sweep = match app {
+            AppSpec::Resilience(app) => run_resilience_sweep(sc, app),
+            AppSpec::Scalability(app) => run_scalability_sweep(sc, app),
+        };
+        members.push(("sweep".to_string(), sweep));
     }
 
     let plan = sc.fault_plan();
@@ -65,18 +63,10 @@ pub fn execute(sc: &Scenario) -> Value {
 
     if let Some(trace) = &sc.trace {
         let result = crate::trace::replay(sc.seed, cfg.n_cluster, cfg.n_booster(), trace, &plan);
-        members.push(("trace".to_string(), result.to_json()));
+        members.push(("trace".to_string(), result));
     }
 
     Value::Object(members)
-}
-
-/// Evaluate the app skeleton over its sweep points.
-fn run_sweep(sc: &Scenario, app: &AppSpec) -> Value {
-    match app {
-        AppSpec::Resilience(app) => run_resilience_sweep(sc, app),
-        AppSpec::Scalability(app) => run_scalability_sweep(sc, app),
-    }
 }
 
 /// The `scalability` skeleton: one full-DES weak-scaling run per rank
@@ -84,9 +74,8 @@ fn run_sweep(sc: &Scenario, app: &AppSpec) -> Value {
 /// beside the measurement and the run's summary digest (the value the
 /// determinism goldens pin).
 fn run_scalability_sweep(sc: &Scenario, app: &ScalabilityApp) -> Value {
-    let points = sc.scalability_points();
     let model = deep_psmpi::NetModel::ib_fdr();
-    let rows = deep_bench::sweep::par_sweep(&points, |_, &ranks| {
+    let rows = deep_bench::sweep::par_sweep(&app.ranks, |_, &ranks| {
         let r = des_scaling::run(DesScalingConfig {
             ranks,
             iters: app.iters,
@@ -109,7 +98,7 @@ fn run_scalability_sweep(sc: &Scenario, app: &ScalabilityApp) -> Value {
     object([
         ("skeleton", "scalability".into()),
         ("class", if app.complex { "complex" } else { "spmv" }.into()),
-        ("points", (points.len() as u64).into()),
+        ("points", (app.ranks.len() as u64).into()),
         ("rows", Value::Array(rows)),
     ])
 }
@@ -117,14 +106,7 @@ fn run_scalability_sweep(sc: &Scenario, app: &ScalabilityApp) -> Value {
 /// Evaluate the resilience skeleton over the sweep cross-product ×
 /// intervals.
 fn run_resilience_sweep(sc: &Scenario, app: &ResilienceApp) -> Value {
-    #[expect(
-        clippy::expect_used,
-        reason = "Scenario::from_value rejects a document whose sweep_points() fails, and \
-                  the daemon evaluates scenarios inside catch_unwind"
-    )]
-    let points = sc
-        .sweep_points()
-        .expect("sweep points validated at parse time");
+    let points = app.points();
     // Flatten (point, interval) pairs: rows land grouped by point with
     // intervals in declaration order — the same nesting the registry
     // experiments use — and the batch driver adds the replica axis to
@@ -156,13 +138,6 @@ fn run_resilience_sweep(sc: &Scenario, app: &ResilienceApp) -> Value {
     ])
 }
 
-fn domain_name(d: Domain) -> &'static str {
-    match d {
-        Domain::Cluster => "cluster",
-        Domain::Booster => "booster",
-    }
-}
-
 /// A deterministic JSON rendering of one fault event.
 fn fault_event_json(ev: &FaultEvent) -> Value {
     let at_s = ev.at.as_secs_f64();
@@ -174,7 +149,7 @@ fn fault_event_json(ev: &FaultEvent) -> Value {
         } => object([
             ("at_s", at_s.into()),
             ("kind", "link_degrade".into()),
-            ("domain", domain_name(*domain).into()),
+            ("domain", domain.name().into()),
             ("error_rate", (*error_rate).into()),
             ("duration_s", duration.as_secs_f64().into()),
         ]),
@@ -186,7 +161,7 @@ fn fault_event_json(ev: &FaultEvent) -> Value {
         } => object([
             ("at_s", at_s.into()),
             ("kind", "nic_drop".into()),
-            ("domain", domain_name(*domain).into()),
+            ("domain", domain.name().into()),
             ("node", u64::from(*node).into()),
             ("drop_prob", (*drop_prob).into()),
             ("duration_s", duration.as_secs_f64().into()),
@@ -198,7 +173,7 @@ fn fault_event_json(ev: &FaultEvent) -> Value {
         } => object([
             ("at_s", at_s.into()),
             ("kind", "node_crash".into()),
-            ("domain", domain_name(*domain).into()),
+            ("domain", domain.name().into()),
             ("node", u64::from(*node).into()),
             (
                 "severity",
@@ -270,22 +245,5 @@ values = [64, 256]
         let expect = deep_core::mean_efficiency(&p, daly, 7, 4);
         assert_eq!(rows[4]["efficiency"].as_f64(), Some(expect.efficiency));
         assert_eq!(rows[4]["interval_s"].as_f64(), Some(daly));
-    }
-
-    #[test]
-    fn execute_is_a_pure_function() {
-        let sc = Scenario::from_toml_str(SMALL_SWEEP).unwrap();
-        assert_eq!(execute(&sc).to_json(), execute(&sc).to_json());
-    }
-
-    #[test]
-    fn cache_key_matches_serve_spec_digest() {
-        let sc = Scenario::from_toml_str(SMALL_SWEEP).unwrap();
-        let spec_json = object([("scenario", sc.doc.clone())]);
-        assert_eq!(
-            cache_key(&sc),
-            deep_json::digest::digest(&spec_json),
-            "a scenario's key is the daemon's spec digest"
-        );
     }
 }

@@ -1,19 +1,90 @@
 //! Typed scenario schema: validation of the parsed TOML tree into
-//! strongly typed structs, and compilation into the same
-//! [`DeepConfig`] / experiment parameter structs the registry
-//! binaries use.
+//! resolved values — the [`DeepConfig`] the machine block denotes,
+//! every machine-dependent default filled in, every choice (axis
+//! parameter, trace policy) decided — which execution consumes as is.
 //!
 //! Every validation failure produces a stable, exact error message
 //! (asserted verbatim by `tests/scenario_fixtures/`), of the form
 //! `<table>.<key>: <what>` or `<table>: <what>`.
 
+use deep_apps::MixParams;
 use deep_bench::des_scaling::Skeleton;
 use deep_core::config::DeepConfig;
 use deep_core::resilience::{daly_optimum, segments_within_bound, ResilienceParams, MAX_SEGMENTS};
 use deep_faults::plan::{Domain, FaultEvent, FaultKind, FaultPlan};
 use deep_io::ckptlog::FailureSeverity;
 use deep_json::Value;
+use deep_resmgr::Policy;
 use deep_simkit::SimDuration;
+
+/// The keys each section accepts; `docs/scenario.md` lists exactly
+/// these (`tests/scenario_conformance.rs`).
+pub mod keys {
+    /// Top-level sections.
+    pub const SECTIONS: &[&str] = &["scenario", "machine", "app", "sweep", "faults", "trace"];
+    /// `[scenario]`.
+    pub const SCENARIO: &[&str] = &["name", "seed", "replicas"];
+    /// `[machine]`.
+    pub const MACHINE: &[&str] = &[
+        "preset",
+        "n_cluster",
+        "booster_dims",
+        "n_bi",
+        "booster_link_error_rate",
+    ];
+    /// `[app]` with `skeleton = "resilience"`.
+    pub const RESILIENCE_APP: &[&str] = &[
+        "skeleton",
+        "work_s",
+        "mtbf_node_s",
+        "checkpoint_s",
+        "restart_s",
+        "n_nodes",
+        "intervals",
+    ];
+    /// `[app]` with `skeleton = "scalability"`.
+    pub const SCALABILITY_APP: &[&str] = &["skeleton", "ranks", "iters", "complex"];
+    /// `[sweep]`.
+    pub const SWEEP: &[&str] = &["axes"];
+    /// One `[[sweep.axes]]` entry.
+    pub const AXIS: &[&str] = &["param", "values", "grid"];
+    /// An axis `grid` table.
+    pub const GRID: &[&str] = &["start", "step", "count"];
+    /// `[faults]`.
+    pub const FAULTS: &[&str] = &["events", "poisson", "link_flaps"];
+    /// `[faults.poisson]`.
+    pub const POISSON: &[&str] = &[
+        "domain",
+        "n_nodes",
+        "mtbf_node_s",
+        "horizon_s",
+        "weights",
+        "stream",
+    ];
+    /// `[faults.link_flaps]`.
+    pub const LINK_FLAPS: &[&str] = &[
+        "domain",
+        "first_s",
+        "period_s",
+        "error_rate",
+        "flap_s",
+        "count",
+    ];
+    /// `[trace]`.
+    pub const TRACE: &[&str] = &[
+        "jobs",
+        "mean_interarrival_s",
+        "max_cn",
+        "max_bn",
+        "mean_cn_time_s",
+        "mean_bn_time_s",
+        "max_phases",
+        "pure_cluster_fraction",
+        "policy",
+        "spares",
+        "sample_every_s",
+    ];
+}
 
 /// A fully validated scenario document.
 #[derive(Debug, Clone)]
@@ -24,13 +95,13 @@ pub struct Scenario {
     pub seed: u64,
     /// Replica count for app-skeleton evaluations.
     pub replicas: u32,
-    /// Machine shape (preset plus overrides).
-    pub machine: MachineSpec,
-    /// Optional application skeleton to evaluate.
+    /// Preset name (`small`, `medium` or `prototype`), echoed into the
+    /// result.
+    pub preset: &'static str,
+    /// The machine the preset plus overrides denote.
+    pub machine: DeepConfig,
+    /// Optional application skeleton to evaluate, with its sweep axes.
     pub app: Option<AppSpec>,
-    /// Sweep axes (cross product, declaration order, first axis
-    /// outermost).
-    pub sweep: Vec<SweepAxis>,
     /// Declarative fault plan sources.
     pub faults: FaultSpec,
     /// Optional synthetic job trace replayed through `deep_resmgr`.
@@ -39,42 +110,10 @@ pub struct Scenario {
     pub doc: Value,
 }
 
-/// Machine preset plus overrides, resolvable to a [`DeepConfig`].
-#[derive(Debug, Clone)]
-pub struct MachineSpec {
-    /// Preset name: `small`, `medium`, or `prototype`.
-    pub preset: String,
-    /// Override for `DeepConfig::n_cluster`.
-    pub n_cluster: Option<u32>,
-    /// Override for the Booster torus dimensions.
-    pub booster_dims: Option<(u32, u32, u32)>,
-    /// Override for the number of Booster interface nodes.
-    pub n_bi: Option<u32>,
-    /// Override for the Booster link error rate.
-    pub booster_link_error_rate: Option<f64>,
-}
-
-impl MachineSpec {
-    /// Resolve the preset and apply overrides.
-    pub fn config(&self) -> DeepConfig {
-        let mut cfg = match self.preset.as_str() {
-            "small" => DeepConfig::small(),
-            "medium" => DeepConfig::medium(),
-            _ => DeepConfig::prototype(),
-        };
-        if let Some(n) = self.n_cluster {
-            cfg.n_cluster = n;
-        }
-        if let Some(d) = self.booster_dims {
-            cfg.booster_dims = d;
-        }
-        if let Some(n) = self.n_bi {
-            cfg.n_bi = n;
-        }
-        if let Some(e) = self.booster_link_error_rate {
-            cfg.booster_link_error_rate = e;
-        }
-        cfg
+/// A scenario is a pure function of its document.
+impl PartialEq for Scenario {
+    fn eq(&self, other: &Scenario) -> bool {
+        self.doc == other.doc
     }
 }
 
@@ -97,9 +136,9 @@ pub enum AppSpec {
 /// sized from the rank count).
 #[derive(Debug, Clone)]
 pub struct ScalabilityApp {
-    /// Base rank count (power of two), used when no `ranks` sweep axis
-    /// is declared.
-    pub ranks: u32,
+    /// Rank counts to evaluate (powers of two): the `ranks` sweep axis
+    /// in declaration order, or the app's base rank count.
+    pub ranks: Vec<u32>,
     /// Iterations to simulate per point.
     pub iters: u32,
     /// Add the complex class's pairwise all-to-all phase.
@@ -111,18 +150,15 @@ pub struct ScalabilityApp {
 /// experiment.
 #[derive(Debug, Clone)]
 pub struct ResilienceApp {
-    /// Total useful work per run, seconds.
-    pub work_s: f64,
-    /// Per-node MTBF, seconds.
-    pub mtbf_node_s: f64,
-    /// Checkpoint write time, seconds.
-    pub checkpoint_s: f64,
-    /// Restart (rework setup) time, seconds.
-    pub restart_s: f64,
-    /// Node count; defaults to the machine total (cluster + booster).
-    pub n_nodes: Option<u64>,
+    /// The app block's point; `n_nodes` defaults to the machine total
+    /// (cluster + booster).
+    pub base: ResilienceParams,
     /// Checkpoint intervals to evaluate per sweep point.
     pub intervals: Vec<IntervalSpec>,
+    /// Sweep axes (cross product, declaration order, first axis
+    /// outermost); validation bounds them to 4096 points, which
+    /// [`ResilienceApp::points`] relies on.
+    pub(crate) axes: Vec<SweepAxis>,
 }
 
 /// A checkpoint interval: absolute seconds or relative to the Daly
@@ -140,6 +176,25 @@ pub enum IntervalSpec {
 }
 
 impl ResilienceApp {
+    /// The cross product of the sweep axes applied to the base point
+    /// (first axis outermost); with no axes, the base point alone.
+    pub fn points(&self) -> Vec<ResilienceParams> {
+        let mut points = vec![self.base];
+        for axis in &self.axes {
+            points = points
+                .iter()
+                .flat_map(|p| {
+                    axis.values.iter().map(move |v| {
+                        let mut q = *p;
+                        axis.param.set(&mut q, v);
+                        q
+                    })
+                })
+                .collect();
+        }
+        points
+    }
+
     /// The `(point, resolved interval)` cases the skeleton evaluates:
     /// grouped by point, intervals in declaration order.
     pub fn cases<'a>(
@@ -164,13 +219,85 @@ impl IntervalSpec {
     }
 }
 
-/// One sweep axis: a parameter name plus its values.
+/// One resilience sweep axis: a parameter plus its values.
 #[derive(Debug, Clone)]
-pub struct SweepAxis {
+pub(crate) struct SweepAxis {
     /// Which [`ResilienceParams`] field the axis varies.
-    pub param: String,
-    /// The concrete values, in evaluation order.
-    pub values: Vec<f64>,
+    param: AxisParam,
+    /// The values, in evaluation order.
+    values: AxisValues,
+}
+
+/// The [`ResilienceParams`] field a sweep axis varies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum AxisParam {
+    /// `n_nodes`.
+    NNodes,
+    /// `work_s`.
+    WorkS,
+    /// `mtbf_node_s`.
+    MtbfNodeS,
+    /// `checkpoint_s`.
+    CheckpointS,
+    /// `restart_s`.
+    RestartS,
+}
+
+impl AxisParam {
+    fn from_name(name: &str) -> Option<AxisParam> {
+        Some(match name {
+            "n_nodes" => AxisParam::NNodes,
+            "work_s" => AxisParam::WorkS,
+            "mtbf_node_s" => AxisParam::MtbfNodeS,
+            "checkpoint_s" => AxisParam::CheckpointS,
+            "restart_s" => AxisParam::RestartS,
+            _ => return None,
+        })
+    }
+
+    fn set(self, p: &mut ResilienceParams, v: f64) {
+        match self {
+            AxisParam::NNodes => p.n_nodes = v as u64,
+            AxisParam::WorkS => p.work_s = v,
+            AxisParam::MtbfNodeS => p.mtbf_node_s = v,
+            AxisParam::CheckpointS => p.checkpoint_s = v,
+            AxisParam::RestartS => p.restart_s = v,
+        }
+    }
+}
+
+/// An axis's values as written: a list, or a grid kept unexpanded so a
+/// validated scenario stays the size of its document.
+#[derive(Debug, Clone)]
+enum AxisValues {
+    /// `values = [..]`.
+    List(Vec<f64>),
+    /// `grid = { start, step, count }`: `start + step * i`, `i < count`.
+    Grid {
+        /// First value.
+        start: f64,
+        /// Increment.
+        step: f64,
+        /// Number of values, 1..=4096.
+        count: usize,
+    },
+}
+
+impl AxisValues {
+    fn count(&self) -> usize {
+        match self {
+            AxisValues::List(vs) => vs.len(),
+            AxisValues::Grid { count, .. } => *count,
+        }
+    }
+
+    /// The values in evaluation order.
+    fn iter(&self) -> impl Iterator<Item = f64> + '_ {
+        (0..self.count()).map(move |i| match self {
+            AxisValues::List(vs) => vs[i],
+            AxisValues::Grid { start, step, .. } => start + step * i as f64,
+        })
+    }
 }
 
 /// Declarative fault-plan sources, compiled by
@@ -191,7 +318,7 @@ pub struct PoissonSpec {
     /// Failure domain.
     pub domain: Domain,
     /// Node count; defaults to the domain's machine size.
-    pub n_nodes: Option<u32>,
+    pub n_nodes: u32,
     /// Per-node MTBF, seconds.
     pub mtbf_node_s: f64,
     /// Schedule horizon, seconds.
@@ -222,28 +349,15 @@ pub struct FlapSpec {
 /// `[trace]`: a synthetic job trace replayed through `deep_resmgr`.
 #[derive(Debug, Clone)]
 pub struct TraceSpec {
-    /// Number of jobs in the trace.
-    pub jobs: u32,
-    /// Mean job interarrival time, seconds.
-    pub mean_interarrival_s: f64,
-    /// Maximum cluster nodes a job may request.
-    pub max_cn: u32,
-    /// Maximum booster nodes a phase may request.
-    pub max_bn: u32,
-    /// Mean cluster compute time per phase, seconds.
-    pub mean_cn_time_s: f64,
-    /// Mean booster offload time per phase, seconds.
-    pub mean_bn_time_s: f64,
-    /// Maximum phases per job.
-    pub max_phases: u32,
-    /// Fraction of jobs that never offload.
-    pub pure_cluster_fraction: f64,
-    /// Allocation policy: `static`, `dynamic`, or `backfill`.
-    pub policy: String,
+    /// The generated workload; `max_cn` / `max_bn` are clamped to the
+    /// machine.
+    pub mix: MixParams,
+    /// Allocation policy.
+    pub policy: Policy,
     /// Spare booster nodes held for failure replacement.
     pub spares: u32,
-    /// Utilisation sampling period, seconds.
-    pub sample_every_s: f64,
+    /// Utilisation sampling period.
+    pub sample_every: SimDuration,
 }
 
 impl Scenario {
@@ -259,16 +373,13 @@ impl Scenario {
             return Err("scenario document must be a table".to_string());
         };
         for (key, _) in sections {
-            if !matches!(
-                key.as_str(),
-                "scenario" | "machine" | "app" | "sweep" | "faults" | "trace"
-            ) {
+            if !keys::SECTIONS.contains(&key.as_str()) {
                 return Err(format!("unknown section '{key}'"));
             }
         }
 
         let meta = require_table(doc, "scenario")?;
-        check_keys(meta, "scenario", &["name", "seed", "replicas"])?;
+        check_keys(meta, "scenario", keys::SCENARIO)?;
         let name = require_str(meta, "scenario", "name")?;
         if name.is_empty() || name.len() > 64 {
             return Err("scenario.name: must be 1..=64 characters".to_string());
@@ -279,157 +390,49 @@ impl Scenario {
             return Err("scenario.replicas: must be in 1..=1024".to_string());
         }
 
-        let machine = parse_machine(doc)?;
-        let app = match doc.get("app") {
+        let (preset, machine) = parse_machine(doc)?;
+        let mut app = match doc.get("app") {
             None => None,
-            Some(_) => Some(parse_app(require_table(doc, "app")?)?),
+            Some(_) => Some(parse_app(require_table(doc, "app")?, &machine)?),
         };
-        let sweep = parse_sweep(doc, app.as_ref())?;
-        if !sweep.is_empty() && app.is_none() {
+        if parse_sweep(doc, &mut app)? && app.is_none() {
             return Err("sweep requires an 'app' block".to_string());
         }
-        let faults = parse_faults(doc)?;
+        let faults = parse_faults(doc, &machine)?;
         let trace = match doc.get("trace") {
             None => None,
-            Some(_) => Some(parse_trace(require_table(doc, "trace")?)?),
+            Some(_) => Some(parse_trace(require_table(doc, "trace")?, &machine)?),
         };
         if app.is_none() && trace.is_none() {
             return Err("scenario must define an 'app' or a 'trace' block".to_string());
         }
+        match &app {
+            Some(AppSpec::Resilience(app)) => check_resilience_bounds(app)?,
+            Some(AppSpec::Scalability(app)) => check_scalability_budget(app)?,
+            None => {}
+        }
 
-        let sc = Scenario {
+        Ok(Scenario {
             name: name.to_string(),
             seed,
             replicas: replicas as u32,
+            preset,
             machine,
             app,
-            sweep,
             faults,
             trace,
             doc: doc.clone(),
-        };
-        let points = sc.sweep_points()?; // surface point-count errors at validation time
-        sc.check_segment_bound(&points)?;
-        sc.check_scalability_budget()?;
-        Ok(sc)
-    }
-
-    /// Reject a resilience sweep in which some (point, interval) pair
-    /// asks for more than [`MAX_SEGMENTS`] checkpoint segments — checked
-    /// on the resolved intervals, since `daly/N` is only known per point.
-    fn check_segment_bound(&self, points: &[ResilienceParams]) -> Result<(), String> {
-        let Some(AppSpec::Resilience(app)) = &self.app else {
-            return Ok(());
-        };
-        for (p, interval_s) in app.cases(points) {
-            if !segments_within_bound(p.work_s, interval_s) {
-                return Err(format!(
-                    "app: work_s / interval must not exceed {MAX_SEGMENTS} segments \
-                     (work_s = {}, interval = {interval_s} s)",
-                    p.work_s
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Reject scalability runs whose simulated message count would be
-    /// unreasonably large — scenario documents arrive from untrusted
-    /// daemon peers, and the complex class is quadratic in ranks.
-    fn check_scalability_budget(&self) -> Result<(), String> {
-        let Some(AppSpec::Scalability(app)) = &self.app else {
-            return Ok(());
-        };
-        let mut est: u128 = 0;
-        for &r in &self.scalability_points() {
-            let per_iter = Skeleton::new(r, app.complex).messages_per_iter();
-            est += u128::from(per_iter) * u128::from(app.iters);
-        }
-        if est > 1 << 28 {
-            return Err(
-                "app: scalability run too large (estimated messages exceed 2^28)".to_string(),
-            );
-        }
-        Ok(())
-    }
-
-    /// Rank counts the scalability skeleton evaluates: the `ranks`
-    /// sweep axis values in declaration order, or the app's base rank
-    /// count when no axis is declared. Empty for other skeletons.
-    pub fn scalability_points(&self) -> Vec<u32> {
-        let Some(AppSpec::Scalability(app)) = &self.app else {
-            return Vec::new();
-        };
-        match self.sweep.iter().find(|a| a.param == "ranks") {
-            Some(axis) => axis.values.iter().map(|&v| v as u32).collect(),
-            None => vec![app.ranks],
-        }
-    }
-
-    /// The cross product of all sweep axes as `ResilienceParams`
-    /// (first axis outermost). With no axes, a single point built from
-    /// the app block.
-    pub fn sweep_points(&self) -> Result<Vec<ResilienceParams>, String> {
-        let Some(AppSpec::Resilience(app)) = &self.app else {
-            return Ok(Vec::new());
-        };
-        let cfg = self.machine.config();
-        let base = ResilienceParams {
-            work_s: app.work_s,
-            n_nodes: app
-                .n_nodes
-                .unwrap_or(u64::from(cfg.n_cluster) + u64::from(cfg.n_booster())),
-            mtbf_node_s: app.mtbf_node_s,
-            checkpoint_s: app.checkpoint_s,
-            restart_s: app.restart_s,
-        };
-        // Bound the cross product from axis cardinalities alone,
-        // before any point vector is allocated: documents arrive from
-        // untrusted daemon peers, and a pair of large `values` axes
-        // must never drive the materialization below.
-        let mut total: usize = 1;
-        for axis in &self.sweep {
-            total = total
-                .checked_mul(axis.values.len())
-                .filter(|&t| t <= 4096)
-                .ok_or_else(|| "sweep: too many points (cross product exceeds 4096)".to_string())?;
-        }
-        let mut points = Vec::with_capacity(total);
-        points.push(base);
-        for axis in &self.sweep {
-            let mut next = Vec::with_capacity(points.len() * axis.values.len());
-            for p in &points {
-                for &v in &axis.values {
-                    let mut q = *p;
-                    match axis.param.as_str() {
-                        "n_nodes" => q.n_nodes = v as u64,
-                        "work_s" => q.work_s = v,
-                        "mtbf_node_s" => q.mtbf_node_s = v,
-                        "checkpoint_s" => q.checkpoint_s = v,
-                        "restart_s" => q.restart_s = v,
-                        _ => unreachable!("axis params validated in parse_sweep"),
-                    }
-                    next.push(q);
-                }
-            }
-            points = next;
-        }
-        Ok(points)
+        })
     }
 
     /// Compile the declarative fault sources into one merged, ordered
     /// [`FaultPlan`].
     pub fn fault_plan(&self) -> FaultPlan {
-        let cfg = self.machine.config();
         let mut plan = FaultPlan::new(self.faults.events.clone());
         if let Some(p) = &self.faults.poisson {
-            let n_nodes = p.n_nodes.unwrap_or(match p.domain {
-                Domain::Cluster => cfg.n_cluster,
-                Domain::Booster => cfg.n_booster(),
-            });
             plan = plan.merge(FaultPlan::poisson_crashes(
                 p.domain,
-                n_nodes,
+                p.n_nodes,
                 p.mtbf_node_s,
                 p.horizon_s,
                 p.weights,
@@ -451,6 +454,46 @@ impl Scenario {
     }
 }
 
+/// Bound a resilience sweep: the cross product from axis cardinalities
+/// alone — documents arrive from untrusted daemon peers, and a pair of
+/// large `values` axes must never be materialized — then every (point,
+/// interval) pair to [`MAX_SEGMENTS`] checkpoint segments, checked on
+/// the resolved intervals since `daly/N` is only known per point.
+fn check_resilience_bounds(app: &ResilienceApp) -> Result<(), String> {
+    let mut total: usize = 1;
+    for axis in &app.axes {
+        total = total
+            .checked_mul(axis.values.count())
+            .filter(|&t| t <= 4096)
+            .ok_or_else(|| "sweep: too many points (cross product exceeds 4096)".to_string())?;
+    }
+    for (p, interval_s) in app.cases(&app.points()) {
+        if !segments_within_bound(p.work_s, interval_s) {
+            return Err(format!(
+                "app: work_s / interval must not exceed {MAX_SEGMENTS} segments \
+                 (work_s = {}, interval = {interval_s} s)",
+                p.work_s
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Reject scalability runs whose simulated message count would be
+/// unreasonably large — scenario documents arrive from untrusted
+/// daemon peers, and the complex class is quadratic in ranks.
+fn check_scalability_budget(app: &ScalabilityApp) -> Result<(), String> {
+    let mut est: u128 = 0;
+    for &r in &app.ranks {
+        let per_iter = Skeleton::new(r, app.complex).messages_per_iter();
+        est += u128::from(per_iter) * u128::from(app.iters);
+    }
+    if est > 1 << 28 {
+        return Err("app: scalability run too large (estimated messages exceed 2^28)".to_string());
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------
 // field helpers (exact error strings live here)
 // ---------------------------------------------------------------
@@ -465,7 +508,7 @@ fn require_table<'v>(doc: &'v Value, name: &str) -> Result<&'v Value, String> {
 
 fn check_keys(table: &Value, section: &str, allowed: &[&str]) -> Result<(), String> {
     let Value::Object(kv) = table else {
-        unreachable!("check_keys is only called on tables")
+        return Err(format!("'{section}' must be a table"));
     };
     for (key, _) in kv {
         if !allowed.contains(&key.as_str()) {
@@ -537,6 +580,11 @@ fn range_u64(
     }
 }
 
+fn require_range(table: &Value, section: &str, key: &str, lo: u64, hi: u64) -> Result<u64, String> {
+    range_u64(table, section, key, lo, hi)?
+        .ok_or_else(|| format!("{section}: missing required key '{key}'"))
+}
+
 fn parse_domain(table: &Value, section: &str) -> Result<Domain, String> {
     match require_str(table, section, "domain")? {
         "cluster" => Ok(Domain::Cluster),
@@ -551,29 +599,27 @@ fn parse_domain(table: &Value, section: &str) -> Result<Domain, String> {
 // section parsers
 // ---------------------------------------------------------------
 
-fn parse_machine(doc: &Value) -> Result<MachineSpec, String> {
+fn parse_machine(doc: &Value) -> Result<(&'static str, DeepConfig), String> {
     let table = require_table(doc, "machine")?;
-    check_keys(
-        table,
-        "machine",
-        &[
-            "preset",
-            "n_cluster",
-            "booster_dims",
-            "n_bi",
-            "booster_link_error_rate",
-        ],
-    )?;
-    let preset = require_str(table, "machine", "preset")?;
-    if !matches!(preset, "small" | "medium" | "prototype") {
-        return Err(format!(
-            "machine: unknown preset '{preset}' (use 'small', 'medium', 'prototype')"
-        ));
+    check_keys(table, "machine", keys::MACHINE)?;
+    let (preset, mut cfg) = match require_str(table, "machine", "preset")? {
+        "small" => ("small", DeepConfig::small()),
+        "medium" => ("medium", DeepConfig::medium()),
+        "prototype" => ("prototype", DeepConfig::prototype()),
+        other => {
+            return Err(format!(
+                "machine: unknown preset '{other}' (use 'small', 'medium', 'prototype')"
+            ))
+        }
+    };
+    if let Some(n) = range_u64(table, "machine", "n_cluster", 1, 1_048_576)? {
+        cfg.n_cluster = n as u32;
     }
-    let n_cluster = range_u64(table, "machine", "n_cluster", 1, 1_048_576)?;
-    let n_bi = range_u64(table, "machine", "n_bi", 1, 4096)?;
-    let booster_dims = match table.get("booster_dims") {
-        None => None,
+    if let Some(n) = range_u64(table, "machine", "n_bi", 1, 4096)? {
+        cfg.n_bi = n as u32;
+    }
+    match table.get("booster_dims") {
+        None => {}
         Some(Value::Array(items)) if items.len() == 3 => {
             let mut dims = [0u32; 3];
             for (i, item) in items.iter().enumerate() {
@@ -586,27 +632,21 @@ fn parse_machine(doc: &Value) -> Result<MachineSpec, String> {
                     }
                 }
             }
-            Some((dims[0], dims[1], dims[2]))
+            cfg.booster_dims = (dims[0], dims[1], dims[2]);
         }
         Some(_) => return Err("machine.booster_dims: expected an array of 3 integers".to_string()),
-    };
-    let booster_link_error_rate = match opt_f64(table, "machine", "booster_link_error_rate")? {
-        None => None,
-        Some(v) if (0.0..=1.0).contains(&v) => Some(v),
+    }
+    match opt_f64(table, "machine", "booster_link_error_rate")? {
+        None => {}
+        Some(v) if (0.0..=1.0).contains(&v) => cfg.booster_link_error_rate = v,
         Some(_) => return Err("machine.booster_link_error_rate: must be in 0..=1".to_string()),
-    };
-    Ok(MachineSpec {
-        preset: preset.to_string(),
-        n_cluster: n_cluster.map(|v| v as u32),
-        booster_dims,
-        n_bi: n_bi.map(|v| v as u32),
-        booster_link_error_rate,
-    })
+    }
+    Ok((preset, cfg))
 }
 
-fn parse_app(table: &Value) -> Result<AppSpec, String> {
+fn parse_app(table: &Value, machine: &DeepConfig) -> Result<AppSpec, String> {
     match require_str(table, "app", "skeleton")? {
-        "resilience" => Ok(AppSpec::Resilience(parse_resilience_app(table)?)),
+        "resilience" => Ok(AppSpec::Resilience(parse_resilience_app(table, machine)?)),
         "scalability" => Ok(AppSpec::Scalability(parse_scalability_app(table)?)),
         skeleton => Err(format!(
             "app: unknown skeleton '{skeleton}' (use 'resilience' or 'scalability')"
@@ -615,7 +655,7 @@ fn parse_app(table: &Value) -> Result<AppSpec, String> {
 }
 
 fn parse_scalability_app(table: &Value) -> Result<ScalabilityApp, String> {
-    check_keys(table, "app", &["skeleton", "ranks", "iters", "complex"])?;
+    check_keys(table, "app", keys::SCALABILITY_APP)?;
     let ranks = match range_u64(table, "app", "ranks", 2, 262_144)? {
         None => 64,
         Some(r) if r.is_power_of_two() => r as u32,
@@ -628,26 +668,14 @@ fn parse_scalability_app(table: &Value) -> Result<ScalabilityApp, String> {
         Some(_) => return Err("app.complex: expected a boolean".to_string()),
     };
     Ok(ScalabilityApp {
-        ranks,
+        ranks: vec![ranks],
         iters,
         complex,
     })
 }
 
-fn parse_resilience_app(table: &Value) -> Result<ResilienceApp, String> {
-    check_keys(
-        table,
-        "app",
-        &[
-            "skeleton",
-            "work_s",
-            "mtbf_node_s",
-            "checkpoint_s",
-            "restart_s",
-            "n_nodes",
-            "intervals",
-        ],
-    )?;
+fn parse_resilience_app(table: &Value, machine: &DeepConfig) -> Result<ResilienceApp, String> {
+    check_keys(table, "app", keys::RESILIENCE_APP)?;
     let intervals = match table.get("intervals") {
         None => vec![IntervalSpec::DalyTimes(1.0)],
         Some(Value::Array(items)) if !items.is_empty() => {
@@ -656,11 +684,7 @@ fn parse_resilience_app(table: &Value) -> Result<ResilienceApp, String> {
             if items.len() > 64 {
                 return Err("app.intervals: must have at most 64 entries".to_string());
             }
-            let mut out = Vec::with_capacity(items.len());
-            for item in items {
-                out.push(parse_interval(item)?);
-            }
-            out
+            items.iter().map(parse_interval).collect::<Result<_, _>>()?
         }
         Some(Value::Array(_)) => {
             return Err("app.intervals: must not be empty".to_string());
@@ -668,12 +692,16 @@ fn parse_resilience_app(table: &Value) -> Result<ResilienceApp, String> {
         Some(_) => return Err("app.intervals: expected an array".to_string()),
     };
     Ok(ResilienceApp {
-        work_s: positive_f64(table, "app", "work_s")?,
-        mtbf_node_s: positive_f64(table, "app", "mtbf_node_s")?,
-        checkpoint_s: positive_f64(table, "app", "checkpoint_s")?,
-        restart_s: positive_f64(table, "app", "restart_s")?,
-        n_nodes: range_u64(table, "app", "n_nodes", 1, 100_000_000)?,
+        base: ResilienceParams {
+            work_s: positive_f64(table, "app", "work_s")?,
+            mtbf_node_s: positive_f64(table, "app", "mtbf_node_s")?,
+            checkpoint_s: positive_f64(table, "app", "checkpoint_s")?,
+            restart_s: positive_f64(table, "app", "restart_s")?,
+            n_nodes: range_u64(table, "app", "n_nodes", 1, 100_000_000)?
+                .unwrap_or(u64::from(machine.n_cluster) + u64::from(machine.n_booster())),
+        },
         intervals,
+        axes: Vec::new(),
     })
 }
 
@@ -685,104 +713,122 @@ fn parse_interval(item: &Value) -> Result<IntervalSpec, String> {
         Value::Number(n) if n.is_finite() && *n > 0.0 => Ok(IntervalSpec::Seconds(*n)),
         Value::Number(n) => Err(bad(&format!("{n}"))),
         Value::String(s) => {
+            let factor = |k: &str| k.parse::<f64>().ok().filter(|k| k.is_finite() && *k > 0.0);
             if s == "daly" {
-                return Ok(IntervalSpec::DalyTimes(1.0));
+                Ok(IntervalSpec::DalyTimes(1.0))
+            } else if let Some(k) = s.strip_prefix("daly*").and_then(factor) {
+                Ok(IntervalSpec::DalyTimes(k))
+            } else if let Some(k) = s.strip_prefix("daly/").and_then(factor) {
+                Ok(IntervalSpec::DalyOver(k))
+            } else {
+                Err(bad(s))
             }
-            if let Some(rest) = s.strip_prefix("daly*") {
-                if let Ok(k) = rest.parse::<f64>() {
-                    if k.is_finite() && k > 0.0 {
-                        return Ok(IntervalSpec::DalyTimes(k));
-                    }
-                }
-            }
-            if let Some(rest) = s.strip_prefix("daly/") {
-                if let Ok(k) = rest.parse::<f64>() {
-                    if k.is_finite() && k > 0.0 {
-                        return Ok(IntervalSpec::DalyOver(k));
-                    }
-                }
-            }
-            Err(bad(s))
         }
         _ => Err(bad("<non-scalar>")),
     }
 }
 
-fn parse_sweep(doc: &Value, app: Option<&AppSpec>) -> Result<Vec<SweepAxis>, String> {
+/// Parse `[sweep]` into the app's axes (a `ranks` axis replaces the
+/// scalability skeleton's rank list). Returns whether any axis was
+/// declared.
+fn parse_sweep(doc: &Value, app: &mut Option<AppSpec>) -> Result<bool, String> {
     let Some(sweep) = doc.get("sweep") else {
-        return Ok(Vec::new());
+        return Ok(false);
     };
-    check_keys(sweep, "sweep", &["axes"])?;
+    check_keys(sweep, "sweep", keys::SWEEP)?;
     let axes = match sweep.get("axes") {
-        None => return Ok(Vec::new()),
+        None => return Ok(false),
         Some(Value::Array(items)) => items,
         Some(_) => return Err("sweep.axes: expected an array of tables".to_string()),
     };
     let scalability = matches!(app, Some(AppSpec::Scalability(_)));
-    let mut out: Vec<SweepAxis> = Vec::with_capacity(axes.len());
+    let mut seen: Vec<&str> = Vec::with_capacity(axes.len());
     for axis in axes {
-        let param = require_str(axis, "sweep axis", "param")?;
-        let section = format!("sweep axis '{param}'");
-        check_keys(axis, &section, &["param", "values", "grid"])?;
-        if !matches!(
-            param,
-            "n_nodes" | "work_s" | "mtbf_node_s" | "checkpoint_s" | "restart_s" | "ranks"
-        ) {
-            return Err(format!("sweep axis '{param}': unknown parameter"));
+        let name = require_str(axis, "sweep axis", "param")?;
+        let section = format!("sweep axis '{name}'");
+        check_keys(axis, &section, keys::AXIS)?;
+        // `None` is the scalability skeleton's `ranks`.
+        let param = AxisParam::from_name(name);
+        if param.is_none() && name != "ranks" {
+            return Err(format!("sweep axis '{name}': unknown parameter"));
         }
-        if (param == "ranks") != scalability {
+        if param.is_none() != scalability {
             return Err(if scalability {
-                format!("sweep axis '{param}': the 'scalability' skeleton only sweeps 'ranks'")
+                format!("sweep axis '{name}': the 'scalability' skeleton only sweeps 'ranks'")
             } else {
                 "sweep axis 'ranks': requires the 'scalability' skeleton".to_string()
             });
         }
-        if out.iter().any(|a| a.param == param) {
-            return Err(format!("sweep: duplicate axis '{param}'"));
+        if seen.contains(&name) {
+            return Err(format!("sweep: duplicate axis '{name}'"));
         }
-        let has_values = axis.get("values").is_some();
-        let has_grid = axis.get("grid").is_some();
-        if has_values && has_grid {
-            return Err(format!(
-                "sweep axis '{param}': give either 'values' or 'grid', not both"
-            ));
-        }
-        let values = if has_values {
-            match axis.get("values") {
-                Some(Value::Array(items)) if !items.is_empty() => {
-                    let mut vs = Vec::with_capacity(items.len());
-                    for item in items {
-                        match item {
-                            Value::Number(n) if n.is_finite() => vs.push(*n),
-                            _ => {
-                                return Err(format!(
-                                    "sweep axis '{param}': values must be finite numbers"
-                                ))
-                            }
-                        }
+        seen.push(name);
+        let values = parse_axis_values(axis, name, &section)?;
+        match param {
+            None => {
+                for v in values.iter() {
+                    let ok = v.fract() == 0.0
+                        && (2.0..=262_144.0).contains(&v)
+                        && (v as u64).is_power_of_two();
+                    if !ok {
+                        return Err(
+                            "sweep axis 'ranks': values must be powers of two in 2..=262144"
+                                .to_string(),
+                        );
                     }
-                    vs
                 }
-                Some(Value::Array(_)) => {
-                    return Err(format!("sweep axis '{param}': 'values' must not be empty"))
+            }
+            Some(AxisParam::NNodes) => {
+                if values.iter().any(|v| v.fract() != 0.0 || v < 1.0) {
+                    return Err(
+                        "sweep axis 'n_nodes': values must be positive integers".to_string()
+                    );
                 }
-                _ => return Err(format!("sweep axis '{param}': 'values' must be an array")),
             }
-        } else if has_grid {
-            let grid = axis
-                .get("grid")
-                .ok_or_else(|| format!("sweep axis '{param}': 'grid' must be a table"))?;
-            if !matches!(grid, Value::Object(_)) {
-                return Err(format!("sweep axis '{param}': 'grid' must be a table"));
+            Some(_) => {
+                if values.iter().any(|v| v <= 0.0) {
+                    return Err(format!("sweep axis '{name}': values must be > 0"));
+                }
             }
-            check_keys(
-                grid,
-                &format!("{section}.grid"),
-                &["start", "step", "count"],
-            )?;
-            let start = require_f64(grid, &section, "start")?;
-            let step = require_f64(grid, &section, "step")?;
-            let count = require_u64(grid, &section, "count")?;
+        }
+        match (app.as_mut(), param) {
+            (Some(AppSpec::Resilience(app)), Some(param)) => {
+                app.axes.push(SweepAxis { param, values });
+            }
+            (Some(AppSpec::Scalability(app)), None) => {
+                app.ranks = values.iter().map(|v| v as u32).collect();
+            }
+            // No app block: `from_value` rejects the sweep.
+            _ => {}
+        }
+    }
+    Ok(!axes.is_empty())
+}
+
+fn parse_axis_values(axis: &Value, param: &str, section: &str) -> Result<AxisValues, String> {
+    match (axis.get("values"), axis.get("grid")) {
+        (Some(_), Some(_)) => Err(format!(
+            "sweep axis '{param}': give either 'values' or 'grid', not both"
+        )),
+        (Some(Value::Array(items)), None) if !items.is_empty() => items
+            .iter()
+            .map(|item| match item {
+                Value::Number(n) if n.is_finite() => Ok(*n),
+                _ => Err(format!(
+                    "sweep axis '{param}': values must be finite numbers"
+                )),
+            })
+            .collect::<Result<_, _>>()
+            .map(AxisValues::List),
+        (Some(Value::Array(_)), None) => {
+            Err(format!("sweep axis '{param}': 'values' must not be empty"))
+        }
+        (Some(_), None) => Err(format!("sweep axis '{param}': 'values' must be an array")),
+        (None, Some(grid @ Value::Object(_))) => {
+            check_keys(grid, &format!("{section}.grid"), keys::GRID)?;
+            let start = require_f64(grid, section, "start")?;
+            let step = require_f64(grid, section, "step")?;
+            let count = require_u64(grid, section, "count")?;
             if !start.is_finite() || !step.is_finite() {
                 return Err(format!("sweep axis '{param}': grid bounds must be finite"));
             }
@@ -796,50 +842,22 @@ fn parse_sweep(doc: &Value, app: Option<&AppSpec>) -> Result<Vec<SweepAxis>, Str
                     "sweep axis '{param}': grid 'count' must be in 1..=4096"
                 ));
             }
-            (0..count).map(|i| start + step * i as f64).collect()
-        } else {
-            return Err(format!("sweep axis '{param}': needs 'values' or 'grid'"));
-        };
-        if param == "ranks" {
-            for &v in &values {
-                let ok = v.fract() == 0.0
-                    && (2.0..=262_144.0).contains(&v)
-                    && (v as u64).is_power_of_two();
-                if !ok {
-                    return Err(
-                        "sweep axis 'ranks': values must be powers of two in 2..=262144"
-                            .to_string(),
-                    );
-                }
-            }
-        } else if param == "n_nodes" {
-            for &v in &values {
-                if v.fract() != 0.0 || v < 1.0 {
-                    return Err(
-                        "sweep axis 'n_nodes': values must be positive integers".to_string()
-                    );
-                }
-            }
-        } else {
-            for &v in &values {
-                if v <= 0.0 {
-                    return Err(format!("sweep axis '{param}': values must be > 0"));
-                }
-            }
+            Ok(AxisValues::Grid {
+                start,
+                step,
+                count: count as usize,
+            })
         }
-        out.push(SweepAxis {
-            param: param.to_string(),
-            values,
-        });
+        (None, Some(_)) => Err(format!("sweep axis '{param}': 'grid' must be a table")),
+        (None, None) => Err(format!("sweep axis '{param}': needs 'values' or 'grid'")),
     }
-    Ok(out)
 }
 
-fn parse_faults(doc: &Value) -> Result<FaultSpec, String> {
+fn parse_faults(doc: &Value, machine: &DeepConfig) -> Result<FaultSpec, String> {
     let Some(faults) = doc.get("faults") else {
         return Ok(FaultSpec::default());
     };
-    check_keys(faults, "faults", &["events", "poisson", "link_flaps"])?;
+    check_keys(faults, "faults", keys::FAULTS)?;
     let mut spec = FaultSpec::default();
     if let Some(events) = faults.get("events") {
         let Value::Array(items) = events else {
@@ -850,21 +868,7 @@ fn parse_faults(doc: &Value) -> Result<FaultSpec, String> {
         }
     }
     if let Some(p) = faults.get("poisson") {
-        if !matches!(p, Value::Object(_)) {
-            return Err("'faults.poisson' must be a table".to_string());
-        }
-        check_keys(
-            p,
-            "faults.poisson",
-            &[
-                "domain",
-                "n_nodes",
-                "mtbf_node_s",
-                "horizon_s",
-                "weights",
-                "stream",
-            ],
-        )?;
+        check_keys(p, "faults.poisson", keys::POISSON)?;
         let weights = match p.get("weights") {
             None => [0.7, 0.25, 0.05],
             Some(Value::Array(items)) if items.len() == 3 => {
@@ -884,9 +888,15 @@ fn parse_faults(doc: &Value) -> Result<FaultSpec, String> {
                 return Err("faults.poisson.weights: must be 3 non-negative numbers".to_string())
             }
         };
+        let domain = parse_domain(p, "faults.poisson")?;
+        let domain_nodes = match domain {
+            Domain::Cluster => machine.n_cluster,
+            Domain::Booster => machine.n_booster(),
+        };
         spec.poisson = Some(PoissonSpec {
-            domain: parse_domain(p, "faults.poisson")?,
-            n_nodes: range_u64(p, "faults.poisson", "n_nodes", 1, 10_000_000)?.map(|v| v as u32),
+            domain,
+            n_nodes: range_u64(p, "faults.poisson", "n_nodes", 1, 10_000_000)?
+                .map_or(domain_nodes, |v| v as u32),
             mtbf_node_s: positive_f64(p, "faults.poisson", "mtbf_node_s")?,
             horizon_s: positive_f64(p, "faults.poisson", "horizon_s")?,
             weights,
@@ -894,21 +904,7 @@ fn parse_faults(doc: &Value) -> Result<FaultSpec, String> {
         });
     }
     if let Some(f) = faults.get("link_flaps") {
-        if !matches!(f, Value::Object(_)) {
-            return Err("'faults.link_flaps' must be a table".to_string());
-        }
-        check_keys(
-            f,
-            "faults.link_flaps",
-            &[
-                "domain",
-                "first_s",
-                "period_s",
-                "error_rate",
-                "flap_s",
-                "count",
-            ],
-        )?;
+        check_keys(f, "faults.link_flaps", keys::LINK_FLAPS)?;
         let error_rate = require_f64(f, "faults.link_flaps", "error_rate")?;
         if !(0.0..=1.0).contains(&error_rate) {
             return Err("faults.link_flaps.error_rate: must be in 0..=1".to_string());
@@ -919,9 +915,7 @@ fn parse_faults(doc: &Value) -> Result<FaultSpec, String> {
             period_s: positive_f64(f, "faults.link_flaps", "period_s")?,
             error_rate,
             flap_s: positive_f64(f, "faults.link_flaps", "flap_s")?,
-            count: range_u64(f, "faults.link_flaps", "count", 1, 100_000)?
-                .ok_or_else(|| "faults.link_flaps: missing required key 'count'".to_string())?
-                as u32,
+            count: require_range(f, "faults.link_flaps", "count", 1, 100_000)? as u32,
         });
     }
     Ok(spec)
@@ -934,6 +928,7 @@ fn parse_fault_event(item: &Value) -> Result<FaultEvent, String> {
     let kind_name = require_str(item, "faults.events", "kind")?;
     let at_s = positive_f64(item, "faults.events", "at_s")?;
     let section = format!("faults.events[{kind_name}]");
+    let node = || require_range(item, &section, "node", 0, u64::from(u32::MAX)).map(|v| v as u32);
     let kind = match kind_name {
         "node_crash" => {
             check_keys(item, &section, &["kind", "at_s", "domain", "node", "severity"])?;
@@ -949,7 +944,7 @@ fn parse_fault_event(item: &Value) -> Result<FaultEvent, String> {
             };
             FaultKind::NodeCrash {
                 domain: parse_domain(item, &section)?,
-                node: require_u64(item, &section, "node")? as u32,
+                node: node()?,
                 severity,
             }
         }
@@ -981,7 +976,7 @@ fn parse_fault_event(item: &Value) -> Result<FaultEvent, String> {
             }
             FaultKind::NicDrop {
                 domain: parse_domain(item, &section)?,
-                node: require_u64(item, &section, "node")? as u32,
+                node: node()?,
                 drop_prob,
                 duration: SimDuration::from_secs_f64(positive_f64(item, &section, "duration_s")?),
             }
@@ -1012,55 +1007,46 @@ fn parse_fault_event(item: &Value) -> Result<FaultEvent, String> {
     })
 }
 
-fn parse_trace(table: &Value) -> Result<TraceSpec, String> {
-    check_keys(
-        table,
-        "trace",
-        &[
-            "jobs",
-            "mean_interarrival_s",
-            "max_cn",
-            "max_bn",
-            "mean_cn_time_s",
-            "mean_bn_time_s",
-            "max_phases",
-            "pure_cluster_fraction",
-            "policy",
-            "spares",
-            "sample_every_s",
-        ],
-    )?;
+fn parse_trace(table: &Value, machine: &DeepConfig) -> Result<TraceSpec, String> {
+    check_keys(table, "trace", keys::TRACE)?;
     let policy = match table.get("policy") {
-        None => "dynamic".to_string(),
-        Some(Value::String(s)) if matches!(s.as_str(), "static" | "dynamic" | "backfill") => {
-            s.clone()
-        }
-        Some(Value::String(s)) => {
-            return Err(format!(
-                "trace.policy: unknown policy '{s}' (use 'static', 'dynamic', 'backfill')"
-            ))
-        }
+        None => Policy::DynamicFcfs,
+        Some(Value::String(s)) => match s.as_str() {
+            "static" => Policy::StaticFcfs,
+            "dynamic" => Policy::DynamicFcfs,
+            "backfill" => Policy::DynamicBackfill,
+            _ => {
+                return Err(format!(
+                    "trace.policy: unknown policy '{s}' (use 'static', 'dynamic', 'backfill')"
+                ))
+            }
+        },
         Some(_) => return Err("trace.policy: expected a string".to_string()),
     };
     let pure_cluster_fraction = opt_f64(table, "trace", "pure_cluster_fraction")?.unwrap_or(0.3);
     if !(0.0..=1.0).contains(&pure_cluster_fraction) {
         return Err("trace.pure_cluster_fraction: must be in 0..=1".to_string());
     }
-    Ok(TraceSpec {
-        jobs: range_u64(table, "trace", "jobs", 1, 100_000)?
-            .ok_or_else(|| "trace: missing required key 'jobs'".to_string())? as u32,
-        mean_interarrival_s: positive_f64(table, "trace", "mean_interarrival_s")?,
-        max_cn: range_u64(table, "trace", "max_cn", 1, 1_048_576)?.unwrap_or(4) as u32,
-        max_bn: range_u64(table, "trace", "max_bn", 0, 1_048_576)?.unwrap_or(8) as u32,
-        mean_cn_time_s: positive_f64(table, "trace", "mean_cn_time_s")?,
-        mean_bn_time_s: positive_f64(table, "trace", "mean_bn_time_s")?,
+    let secs = |key| positive_f64(table, "trace", key).map(SimDuration::from_secs_f64);
+    let mix = MixParams {
+        n_jobs: require_range(table, "trace", "jobs", 1, 100_000)? as u32,
+        mean_interarrival: secs("mean_interarrival_s")?,
+        max_cn: (range_u64(table, "trace", "max_cn", 1, 1_048_576)?.unwrap_or(4) as u32)
+            .min(machine.n_cluster),
+        max_bn: (range_u64(table, "trace", "max_bn", 0, 1_048_576)?.unwrap_or(8) as u32)
+            .min(machine.n_booster()),
+        mean_cn_time: secs("mean_cn_time_s")?,
+        mean_bn_time: secs("mean_bn_time_s")?,
         max_phases: range_u64(table, "trace", "max_phases", 1, 64)?.unwrap_or(3) as u32,
         pure_cluster_fraction,
+    };
+    Ok(TraceSpec {
+        mix,
         policy,
         spares: range_u64(table, "trace", "spares", 0, 4096)?.unwrap_or(0) as u32,
-        sample_every_s: match opt_f64(table, "trace", "sample_every_s")? {
-            None => 60.0,
-            Some(v) if v.is_finite() && v > 0.0 => v,
+        sample_every: match opt_f64(table, "trace", "sample_every_s")? {
+            None => SimDuration::from_secs_f64(60.0),
+            Some(v) if v.is_finite() && v > 0.0 => SimDuration::from_secs_f64(v),
             Some(_) => return Err("trace.sample_every_s: must be finite and > 0".to_string()),
         },
     })
@@ -1069,7 +1055,6 @@ fn parse_trace(table: &Value) -> Result<TraceSpec, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deep_json::object;
 
     /// The daemon validates untrusted documents with
     /// [`Scenario::from_value`]; axes large enough that their cross
@@ -1077,65 +1062,16 @@ mod tests {
     /// from cardinalities alone, before any point vector exists.
     #[test]
     fn oversized_sweep_is_rejected_before_materialization() {
-        let values: Vec<Value> = (0..1_000_000)
-            .map(|i| Value::Number(i as f64 + 1.0))
-            .collect();
-        let axis = |param: &str| {
-            object([
-                ("param", param.into()),
-                ("values", Value::Array(values.clone())),
-            ])
-        };
-        let doc = object([
-            (
-                "scenario",
-                object([("name", "dos".into()), ("seed", 1u64.into())]),
-            ),
-            ("machine", object([("preset", "small".into())])),
-            (
-                "app",
-                object([
-                    ("skeleton", "resilience".into()),
-                    ("work_s", 1000.0.into()),
-                    ("mtbf_node_s", 100_000.0.into()),
-                    ("checkpoint_s", 10.0.into()),
-                    ("restart_s", 30.0.into()),
-                ]),
-            ),
-            (
-                "sweep",
-                object([(
-                    "axes",
-                    Value::Array(vec![axis("work_s"), axis("mtbf_node_s")]),
-                )]),
-            ),
-        ]);
+        let values = vec!["1"; 1_000_000].join(",");
+        let doc = deep_json::from_str(&format!(
+            r#"{{"scenario": {{"name": "dos", "seed": 1}}, "machine": {{"preset": "small"}},
+                "app": {{"skeleton": "resilience", "work_s": 1000, "mtbf_node_s": 100000,
+                         "checkpoint_s": 10, "restart_s": 30}},
+                "sweep": {{"axes": [{{"param": "work_s", "values": [{values}]}},
+                                    {{"param": "mtbf_node_s", "values": [{values}]}}]}}}}"#
+        ))
+        .unwrap();
         let err = Scenario::from_value(&doc).unwrap_err();
         assert_eq!(err, "sweep: too many points (cross product exceeds 4096)");
-    }
-
-    #[test]
-    fn intervals_are_capped() {
-        let intervals: Vec<Value> = (0..65).map(|i| Value::Number(i as f64 + 1.0)).collect();
-        let doc = object([
-            (
-                "scenario",
-                object([("name", "caps".into()), ("seed", 1u64.into())]),
-            ),
-            ("machine", object([("preset", "small".into())])),
-            (
-                "app",
-                object([
-                    ("skeleton", "resilience".into()),
-                    ("work_s", 1000.0.into()),
-                    ("mtbf_node_s", 100_000.0.into()),
-                    ("checkpoint_s", 10.0.into()),
-                    ("restart_s", 30.0.into()),
-                    ("intervals", Value::Array(intervals)),
-                ]),
-            ),
-        ]);
-        let err = Scenario::from_value(&doc).unwrap_err();
-        assert_eq!(err, "app.intervals: must have at most 64 entries");
     }
 }

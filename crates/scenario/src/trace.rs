@@ -13,76 +13,33 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use deep_apps::MixParams;
 use deep_faults::plan::{Domain, FaultKind, FaultPlan};
 use deep_json::{object, Value};
-use deep_resmgr::{Policy, ResMgr, WorkloadReport};
-use deep_simkit::{join_all, SimDuration, SimTime};
+use deep_resmgr::ResMgr;
+use deep_simkit::{join_all, SimTime};
 
 use crate::schema::TraceSpec;
 
-/// One point of the sampled utilisation series.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UtilSample {
-    /// Sample time, seconds.
-    pub t_s: f64,
-    /// Cluster nodes busy.
-    pub cn_busy: u32,
-    /// Booster nodes allocated.
-    pub bn_allocated: u32,
-    /// Booster nodes actively offloading.
-    pub bn_active: u32,
-    /// Cluster capacity at sample time (net of failures).
-    pub cn_total: u32,
-    /// Booster capacity at sample time (net of failures).
-    pub bn_total: u32,
-}
-
-/// Replay outcome: the final workload report plus the time series.
-#[derive(Debug, Clone)]
-pub struct TraceResult {
-    /// Aggregate report from the resource manager.
-    pub report: WorkloadReport,
-    /// Utilisation samples at the configured cadence, starting at t=0.
-    pub series: Vec<UtilSample>,
-    /// Booster crash faults injected from the plan.
-    pub bn_faults_injected: u32,
-    /// Cluster crash faults injected from the plan.
-    pub cn_faults_injected: u32,
-}
-
 /// Replay `spec` against a `cn_total`/`bn_total` machine, injecting
 /// the `NodeCrash` events of `plan` (other fault kinds are
-/// fabric/storage-level and do not reach the resource manager).
+/// fabric/storage-level and do not reach the resource manager), and
+/// render the outcome: the final workload report, the injected crash
+/// counts and the utilisation samples (member order is part of the
+/// byte-identity contract).
 pub fn replay(
     seed: u64,
     cn_total: u32,
     bn_total: u32,
     spec: &TraceSpec,
     plan: &FaultPlan,
-) -> TraceResult {
-    let params = MixParams {
-        n_jobs: spec.jobs,
-        mean_interarrival: SimDuration::from_secs_f64(spec.mean_interarrival_s),
-        max_cn: spec.max_cn.min(cn_total.max(1)),
-        max_bn: spec.max_bn.min(bn_total),
-        mean_cn_time: SimDuration::from_secs_f64(spec.mean_cn_time_s),
-        mean_bn_time: SimDuration::from_secs_f64(spec.mean_bn_time_s),
-        max_phases: spec.max_phases,
-        pure_cluster_fraction: spec.pure_cluster_fraction,
-    };
-    let jobs = deep_apps::generate_mix(seed, params);
-    let policy = match spec.policy.as_str() {
-        "static" => Policy::StaticFcfs,
-        "backfill" => Policy::DynamicBackfill,
-        _ => Policy::DynamicFcfs,
-    };
+) -> Value {
+    let jobs = deep_apps::generate_mix(seed, spec.mix);
 
     let mut sim = deep_simkit::Simulation::new(seed);
     let ctx = sim.handle();
-    let mgr = ResMgr::with_spares(&ctx, cn_total, bn_total, spec.spares, policy);
+    let mgr = ResMgr::with_spares(&ctx, cn_total, bn_total, spec.spares, spec.policy);
     let done = Rc::new(Cell::new(false));
-    let samples: Rc<RefCell<Vec<UtilSample>>> = Rc::new(RefCell::new(Vec::new()));
+    let samples: Rc<RefCell<Vec<Value>>> = Rc::new(RefCell::new(Vec::new()));
     let bn_injected = Rc::new(Cell::new(0u32));
     let cn_injected = Rc::new(Cell::new(0u32));
 
@@ -95,21 +52,21 @@ pub fn replay(
         let ctx2 = ctx.clone();
         let done = Rc::clone(&done);
         let samples = Rc::clone(&samples);
-        let every = SimDuration::from_secs_f64(spec.sample_every_s);
+        let every = spec.sample_every;
         sim.spawn("trace-sampler", async move {
             loop {
                 if done.get() {
                     break;
                 }
                 let g = mgr.gauges();
-                samples.borrow_mut().push(UtilSample {
-                    t_s: (ctx2.now() - SimTime::ZERO).as_secs_f64(),
-                    cn_busy: g.cn_busy,
-                    bn_allocated: g.bn_allocated,
-                    bn_active: g.bn_active,
-                    cn_total: g.cn_total,
-                    bn_total: g.bn_total,
-                });
+                samples.borrow_mut().push(object([
+                    ("t_s", (ctx2.now() - SimTime::ZERO).as_secs_f64().into()),
+                    ("cn_busy", u64::from(g.cn_busy).into()),
+                    ("bn_allocated", u64::from(g.bn_allocated).into()),
+                    ("bn_active", u64::from(g.bn_active).into()),
+                    ("cn_total", u64::from(g.cn_total).into()),
+                    ("bn_total", u64::from(g.bn_total).into()),
+                ]));
                 ctx2.sleep(every).await;
             }
         });
@@ -176,111 +133,79 @@ pub fn replay(
     }
 
     sim.run().assert_completed();
-    let report = mgr.report();
-    let series = samples.borrow().clone();
-    TraceResult {
-        report,
-        series,
-        bn_faults_injected: bn_injected.get(),
-        cn_faults_injected: cn_injected.get(),
-    }
-}
-
-impl TraceResult {
-    /// Render as a JSON value with a stable member layout (the member
-    /// order is part of the byte-identity contract).
-    pub fn to_json(&self) -> Value {
-        let r = &self.report;
-        let series: Vec<Value> = self
-            .series
-            .iter()
-            .map(|s| {
-                object([
-                    ("t_s", s.t_s.into()),
-                    ("cn_busy", u64::from(s.cn_busy).into()),
-                    ("bn_allocated", u64::from(s.bn_allocated).into()),
-                    ("bn_active", u64::from(s.bn_active).into()),
-                    ("cn_total", u64::from(s.cn_total).into()),
-                    ("bn_total", u64::from(s.bn_total).into()),
-                ])
-            })
-            .collect();
-        object([
-            ("jobs", (r.jobs.len() as u64).into()),
-            ("jobs_aborted", u64::from(r.jobs_aborted).into()),
-            ("makespan_s", r.makespan.as_secs_f64().into()),
-            ("cn_utilization", r.cn_utilization.into()),
-            ("bn_utilization", r.bn_utilization.into()),
-            ("bn_allocated", r.bn_allocated.into()),
-            ("bn_failures", u64::from(r.bn_failures).into()),
-            ("bn_replaced", u64::from(r.bn_replaced).into()),
-            ("requeues", u64::from(r.requeues).into()),
-            (
-                "bn_faults_injected",
-                u64::from(self.bn_faults_injected).into(),
-            ),
-            (
-                "cn_faults_injected",
-                u64::from(self.cn_faults_injected).into(),
-            ),
-            ("samples", Value::Array(series)),
-        ])
-    }
+    let r = mgr.report();
+    let samples = samples.take();
+    object([
+        ("jobs", (r.jobs.len() as u64).into()),
+        ("jobs_aborted", u64::from(r.jobs_aborted).into()),
+        ("makespan_s", r.makespan.as_secs_f64().into()),
+        ("cn_utilization", r.cn_utilization.into()),
+        ("bn_utilization", r.bn_utilization.into()),
+        ("bn_allocated", r.bn_allocated.into()),
+        ("bn_failures", u64::from(r.bn_failures).into()),
+        ("bn_replaced", u64::from(r.bn_replaced).into()),
+        ("requeues", u64::from(r.requeues).into()),
+        ("bn_faults_injected", u64::from(bn_injected.get()).into()),
+        ("cn_faults_injected", u64::from(cn_injected.get()).into()),
+        ("samples", Value::Array(samples)),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::Scenario;
+    use deep_resmgr::Policy;
 
-    fn trace_scenario(seed: u64) -> Scenario {
+    fn trace_scenario(seed: u64, policy: &str) -> Scenario {
         Scenario::from_toml_str(&format!(
             "[scenario]\nname = \"trace-test\"\nseed = {seed}\n\n\
              [machine]\npreset = \"small\"\n\n\
              [trace]\njobs = 16\nmean_interarrival_s = 15.0\n\
              mean_cn_time_s = 40.0\nmean_bn_time_s = 30.0\n\
-             sample_every_s = 25.0\n\n\
+             sample_every_s = 25.0\n{policy}\n\
              [faults.poisson]\ndomain = \"booster\"\nmtbf_node_s = 400.0\nhorizon_s = 600.0\n"
         ))
         .unwrap()
     }
 
+    fn run(sc: &Scenario) -> Value {
+        let (cn, bn) = (sc.machine.n_cluster, sc.machine.n_booster());
+        replay(
+            sc.seed,
+            cn,
+            bn,
+            sc.trace.as_ref().unwrap(),
+            &sc.fault_plan(),
+        )
+    }
+
     #[test]
     fn replay_is_deterministic_per_seed() {
-        let sc = trace_scenario(11);
-        let (cn, bn) = {
-            let cfg = sc.machine.config();
-            (cfg.n_cluster, cfg.n_booster())
-        };
-        let plan = sc.fault_plan();
-        let trace = sc.trace.as_ref().unwrap();
-        let a = replay(sc.seed, cn, bn, trace, &plan);
-        let b = replay(sc.seed, cn, bn, trace, &plan);
-        assert_eq!(a.to_json().to_json(), b.to_json().to_json());
-        assert!(!a.series.is_empty());
-        assert_eq!(a.report.jobs.len(), 16);
+        let sc = trace_scenario(11, "");
+        let a = run(&sc);
+        assert_eq!(a.to_json(), run(&sc).to_json());
+        assert!(!a["samples"].as_array().unwrap().is_empty());
+        assert_eq!(a["jobs"].as_u64(), Some(16));
     }
 
     #[test]
     fn different_seeds_differ() {
-        let sc1 = trace_scenario(11);
-        let sc2 = trace_scenario(12);
-        let cfg = sc1.machine.config();
-        let (cn, bn) = (cfg.n_cluster, cfg.n_booster());
-        let a = replay(
-            sc1.seed,
-            cn,
-            bn,
-            sc1.trace.as_ref().unwrap(),
-            &sc1.fault_plan(),
-        );
-        let b = replay(
-            sc2.seed,
-            cn,
-            bn,
-            sc2.trace.as_ref().unwrap(),
-            &sc2.fault_plan(),
-        );
-        assert_ne!(a.to_json().to_json(), b.to_json().to_json());
+        let json = |seed| run(&trace_scenario(seed, "")).to_json();
+        assert_ne!(json(11), json(12));
+    }
+
+    /// The one place a policy name becomes a [`Policy`] is validation.
+    #[test]
+    fn policy_names_map_to_resmgr_policies() {
+        for (line, want) in [
+            ("", Policy::DynamicFcfs),
+            ("policy = \"static\"", Policy::StaticFcfs),
+            ("policy = \"dynamic\"", Policy::DynamicFcfs),
+            ("policy = \"backfill\"", Policy::DynamicBackfill),
+        ] {
+            let sc = trace_scenario(11, line);
+            assert_eq!(sc.trace.unwrap().policy, want, "{line:?}");
+        }
     }
 }

@@ -26,6 +26,7 @@
 
 use deep_core::resilience::{segments_within_bound, ResilienceParams, MAX_SEGMENTS};
 use deep_json::{object, Value};
+use deep_scenario::Scenario;
 
 /// Upper bound on `sleep_ms` jobs, so a typo cannot wedge a worker.
 pub const MAX_SLEEP_MS: u64 = 10_000;
@@ -179,10 +180,9 @@ pub enum JobSpec {
     Experiment(String),
     /// An explicit resilience sweep.
     Sweep(SweepConfig),
-    /// A declarative scenario document (validated at admission; the
-    /// raw document is kept so the cache digest matches
-    /// `run_scenario`'s byte-for-byte).
-    Scenario(Value),
+    /// A declarative scenario, validated at admission and run as is;
+    /// its document keys the cache exactly as `run_scenario` digests it.
+    Scenario(Box<Scenario>),
     /// Sleep (test/ops workload; uncached).
     SleepMs(u64),
 }
@@ -193,7 +193,7 @@ impl JobSpec {
         match self {
             JobSpec::Experiment(name) => object([("experiment", name.as_str().into())]),
             JobSpec::Sweep(cfg) => object([("sweep", cfg.to_json())]),
-            JobSpec::Scenario(doc) => object([("scenario", doc.clone())]),
+            JobSpec::Scenario(sc) => object([("scenario", sc.doc.clone())]),
             JobSpec::SleepMs(ms) => object([("sleep_ms", (*ms).into())]),
         }
     }
@@ -225,13 +225,9 @@ impl JobSpec {
                 Ok(JobSpec::Experiment(name.to_string()))
             }
             ["sweep"] => Ok(JobSpec::Sweep(SweepConfig::from_json(&v["sweep"])?)),
-            ["scenario"] => {
-                let doc = &v["scenario"];
-                // Full schema validation at the trust boundary; the
-                // executor re-parses the (now known-good) document.
-                deep_scenario::Scenario::from_value(doc).map_err(|e| format!("scenario: {e}"))?;
-                Ok(JobSpec::Scenario(doc.clone()))
-            }
+            ["scenario"] => Scenario::from_value(&v["scenario"])
+                .map(|sc| JobSpec::Scenario(Box::new(sc)))
+                .map_err(|e| format!("scenario: {e}")),
             ["sleep_ms"] => {
                 let ms = v
                     .get("sleep_ms")

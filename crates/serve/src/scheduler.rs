@@ -736,13 +736,7 @@ fn evaluate(spec: &JobSpec, on_progress: OnProgress<'_>) -> Result<Value, String
             }
             Ok(object([("points", Value::Array(points))]))
         }
-        JobSpec::Scenario(doc) => {
-            // Admission already validated the document; re-parse to
-            // obtain the typed form (cheap next to evaluation).
-            let sc =
-                deep_scenario::Scenario::from_value(doc).map_err(|e| format!("scenario: {e}"))?;
-            Ok(deep_scenario::execute(&sc))
-        }
+        JobSpec::Scenario(sc) => Ok(deep_scenario::execute(sc)),
         JobSpec::SleepMs(ms) => {
             #[expect(
                 clippy::disallowed_methods,

@@ -6,7 +6,7 @@
 use std::time::Duration;
 
 use deep_json::{object, Value};
-use deep_serve::protocol::{JobRequest, JobSpec};
+use deep_serve::protocol::JobRequest;
 use deep_serve::scheduler::{Scheduler, SchedulerConfig};
 
 const SCENARIO_TOML: &str = "\
@@ -119,19 +119,5 @@ fn invalid_scenario_rejected_at_admission() {
     assert_eq!(
         err,
         "scenario: machine: unknown preset 'warehouse' (use 'small', 'medium', 'prototype')"
-    );
-}
-
-#[test]
-fn scenario_spec_digest_matches_run_scenario_cache_key() {
-    let req = scenario_request("anon", SCENARIO_TOML);
-    let JobSpec::Scenario(_) = &req.spec else {
-        panic!("expected scenario spec");
-    };
-    let sc = deep_scenario::Scenario::from_toml_str(SCENARIO_TOML).unwrap();
-    assert_eq!(
-        req.spec.digest_hex(),
-        format!("{:016x}", deep_scenario::cache_key(&sc)),
-        "a scenario job is cached under deep_scenario::cache_key"
     );
 }

@@ -9,7 +9,7 @@
 
 use deep_core::{mean_efficiency, ResilienceParams};
 use deep_json::digest::fnv1a_64;
-use deep_scenario::Scenario;
+use deep_scenario::{AppSpec, Scenario};
 use rayon::ThreadPoolBuilder;
 
 fn with_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
@@ -90,7 +90,10 @@ fn f03b_equivalent_fixture_compiles_to_the_registry_configuration() {
     let sc = fixture("valid_f03b_equivalent.toml");
     assert_eq!(sc.seed, 7);
     assert_eq!(sc.replicas, 8);
-    let points = sc.sweep_points().unwrap();
+    let Some(AppSpec::Resilience(app)) = &sc.app else {
+        panic!("resilience skeleton expected");
+    };
+    let points = app.points();
     // The registry experiment's node counts, in order.
     let nodes: Vec<u64> = points.iter().map(|p| p.n_nodes).collect();
     assert_eq!(nodes, vec![640, 10_000, 100_000, 1_000_000]);
@@ -102,6 +105,6 @@ fn f03b_equivalent_fixture_compiles_to_the_registry_configuration() {
     }
     // prototype machine total = 128 CN + 8×8×8 BN = 640 = the
     // registry's base fleet size.
-    let cfg = sc.machine.config();
+    let cfg = &sc.machine;
     assert_eq!(u64::from(cfg.n_cluster) + u64::from(cfg.n_booster()), 640);
 }

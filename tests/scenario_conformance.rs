@@ -99,3 +99,44 @@ fn reordered_document_digests_identically() {
         "digest must be invariant under key reordering and whitespace"
     );
 }
+
+/// Each key table in `docs/scenario.md` — in order `[scenario]`,
+/// `[machine]`, the resilience and scalability `[app]` skeletons and
+/// `[trace]` — lists exactly the keys its section accepts.
+#[test]
+fn docs_key_tables_match_the_schema() {
+    use deep_scenario::schema::keys;
+    let docs =
+        std::fs::read_to_string(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("docs/scenario.md"))
+            .expect("readable docs/scenario.md");
+    // A key table opens with a `| key |` header; each row names its key
+    // in the first cell.
+    let mut tables: Vec<Vec<&str>> = Vec::new();
+    let mut open = false;
+    for line in docs.lines() {
+        if line.starts_with("| key |") {
+            tables.push(Vec::new());
+            open = true;
+        } else if !line.starts_with('|') {
+            open = false;
+        } else if let (true, Some(row), Some(t)) =
+            (open, line.strip_prefix("| `"), tables.last_mut())
+        {
+            t.push(row.split('`').next().unwrap_or_default());
+        }
+    }
+    let want = [
+        keys::SCENARIO,
+        keys::MACHINE,
+        keys::RESILIENCE_APP,
+        keys::SCALABILITY_APP,
+        keys::TRACE,
+    ];
+    assert_eq!(tables.len(), want.len(), "key tables found: {tables:?}");
+    for (mut table, want) in tables.into_iter().zip(want) {
+        let mut want = want.to_vec();
+        table.sort();
+        want.sort();
+        assert_eq!(table, want);
+    }
+}

@@ -8,13 +8,20 @@
 //!    lines, indentation) — the property the daemon/`run_scenario`
 //!    shared result cache relies on.
 //!
-//! The generator builds random scenario-shaped documents: nested
-//! tables, arrays of tables, inline tables, quoted keys, escaped
+//! 3. `Scenario::from_value` returns `Ok` or `Err` and never panics
+//!    on documents built from the schema's own section and key names,
+//!    with mistyped, out-of-range, non-finite and huge values mixed in
+//!    — the daemon runs it on every untrusted `{"scenario": …}` job.
+//!
+//! The generator for 1–2 builds random scenario-shaped documents:
+//! nested tables, arrays of tables, inline tables, quoted keys, escaped
 //! strings, integer- and float-valued numbers.
 
 use deep_json::Value;
-use deep_scenario::{parse_toml, to_toml};
+use deep_scenario::schema::keys;
+use deep_scenario::{parse_toml, to_toml, Scenario};
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// Key palette: bare keys, keys the serializer must quote (spaces,
 /// quotes, empty), but no dots — a dotted key inside a quoted table
@@ -162,6 +169,141 @@ fn reformat(toml: &str, rng: &mut TestRng) -> String {
         out.push('\n');
     }
     out
+}
+
+/// Every `(key, value)` pair, nested ones included, of the valid
+/// fixtures: what a grammar walk may draw for a key name.
+fn corpus() -> &'static [(String, Value)] {
+    fn walk(v: &Value, out: &mut Vec<(String, Value)>) {
+        match v {
+            Value::Object(kv) => kv.iter().for_each(|(k, v)| {
+                out.push((k.clone(), v.clone()));
+                walk(v, out);
+            }),
+            Value::Array(items) => items.iter().for_each(|i| walk(i, out)),
+            _ => {}
+        }
+    }
+    static CORPUS: OnceLock<Vec<(String, Value)>> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/scenario_fixtures");
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .expect("fixture dir exists")
+            .map(|e| e.expect("readable dir entry").path())
+            .filter(|p| {
+                p.file_name()
+                    .is_some_and(|n| n.to_string_lossy().starts_with("valid_"))
+            })
+            .collect();
+        paths.sort();
+        let mut out = Vec::new();
+        for path in paths {
+            let text = std::fs::read_to_string(path).expect("readable fixture");
+            walk(&parse_toml(&text).expect("valid fixture parses"), &mut out);
+        }
+        out
+    })
+}
+
+/// Numbers past what the schema accepts: negative, fractional, huge,
+/// beyond u32::MAX and 2^53, non-finite.
+const EDGES: [f64; 7] = [
+    -1.0,
+    0.5,
+    1e300,
+    4_294_967_299.0,
+    9_007_199_254_740_993.0,
+    f64::NAN,
+    f64::INFINITY,
+];
+
+/// Recombines fixture values by key name; each member is dropped,
+/// redrawn, or replaced by a hostile value with probability `1 / noise`
+/// (never when `noise` is 0), and tables gain a corpus member as often.
+struct Gen<'r> {
+    rng: &'r mut TestRng,
+    noise: u64,
+}
+
+impl Gen<'_> {
+    fn noisy(&mut self) -> bool {
+        self.noise != 0 && self.rng.below(self.noise) == 0
+    }
+
+    /// A corpus value for `key`, mutated; a random one if it has none.
+    fn value(&mut self, key: &str) -> Value {
+        let seen: Vec<&Value> = corpus()
+            .iter()
+            .filter(|(k, _)| k == key)
+            .map(|(_, v)| v)
+            .collect();
+        if seen.is_empty() {
+            return gen_value(self.rng, 2);
+        }
+        let v = seen[self.rng.below(seen.len() as u64) as usize].clone();
+        self.mutate(v)
+    }
+
+    fn mutate(&mut self, v: Value) -> Value {
+        match v {
+            Value::Object(kv) => {
+                let mut out = Vec::new();
+                for (k, v) in kv {
+                    let v = match self.noisy().then(|| self.rng.below(4)) {
+                        None => self.mutate(v),
+                        Some(0) => continue,
+                        Some(1) => self.value(&k),
+                        Some(2) => {
+                            Value::Number(EDGES[self.rng.below(EDGES.len() as u64) as usize])
+                        }
+                        Some(_) => gen_value(self.rng, 2),
+                    };
+                    out.push((k, v));
+                }
+                if self.noisy() {
+                    let (k, v) = &corpus()[self.rng.below(corpus().len() as u64) as usize];
+                    if out.iter().all(|(have, _)| have != k) {
+                        out.push((k.clone(), v.clone()));
+                    }
+                }
+                Value::Object(out)
+            }
+            Value::Array(items) => {
+                Value::Array(items.into_iter().map(|i| self.mutate(i)).collect())
+            }
+            other => other,
+        }
+    }
+}
+
+/// Strategy over documents made of the fixture corpus's sections.
+struct ArbScenario;
+
+impl Strategy for ArbScenario {
+    type Value = Value;
+
+    fn sample(&self, rng: &mut TestRng) -> Value {
+        let noise = [0, 64, 16, 4][rng.below(4) as usize];
+        let mut g = Gen { rng, noise };
+        let mut doc = Vec::new();
+        for &name in keys::SECTIONS {
+            if matches!(name, "scenario" | "machine") || g.rng.below(2) == 0 {
+                let body = g.value(name);
+                doc.push((name.to_string(), body));
+            }
+        }
+        g.mutate(Value::Object(doc))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn validation_never_panics(doc in ArbScenario) {
+        let outcome = std::panic::catch_unwind(|| Scenario::from_value(&doc).map(drop));
+        prop_assert!(outcome.is_ok(), "from_value panicked on {}", doc.to_json());
+    }
 }
 
 proptest! {
