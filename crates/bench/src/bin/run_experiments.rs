@@ -18,10 +18,9 @@
 //! (see DESIGN.md on the parallel determinism model) and are all that
 //! goes to stdout, so `--only X` prints exactly `docs/experiments/X.md`.
 //! The wall-clock table is measurement, not simulation, varies run to
-//! run, and goes to stderr. A worker that finishes its experiment
-//! steals queued work from others, so per-experiment times under
-//! contention can exceed their solo cost — the suite total is the
-//! honest number.
+//! run, and goes to stderr. Experiments share the cores, so
+//! per-experiment times under contention can exceed their solo cost —
+//! the suite total is the honest number.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -100,10 +99,10 @@ fn main() {
     };
 
     // Execution order is heaviest-first (LPT list scheduling on the
-    // registry's static weights) and every experiment is its own leaf
+    // registry's static weights) and every experiment is its own chunk
     // (`with_max_len(1)`), so the expensive experiments are in flight
-    // from t=0 and individually stealable instead of queueing behind a
-    // leaf-mate or starting last and becoming the suite's Amdahl tail.
+    // from t=0 and claimed one at a time instead of queueing behind a
+    // chunk-mate or starting last and becoming the suite's Amdahl tail.
     // Output stays in registry order: results scatter back into
     // registry-indexed slots below.
     let mut order: Vec<usize> = (0..selected.len()).collect();

@@ -66,9 +66,9 @@ pub fn run(out: &mut String) {
         ],
     );
     // Flattened (case × policy) work-unit grid (EXPERIMENTS.md
-    // convention): 10 independent simulations, each individually
-    // stealable, instead of 5 cases that each hide an internal
-    // `rayon::join` fighting the outer sweep for workers. Each unit
+    // convention): 10 independent simulations, each claimed alone,
+    // instead of 5 cases that each hide an inner parallel pair
+    // fighting the outer sweep for threads. Each unit
     // builds its own graph, so `run_case` is a pure function of
     // `(workload, workers, policy)` and the rows — assembled
     // sequentially by pairing each case's two policy units — are

@@ -58,7 +58,7 @@ pub fn run(out: &mut String) {
     );
     // Fully flattened (BIs × policy × seed) work-unit grid
     // (EXPERIMENTS.md convention): every unit is one independent
-    // simulation, individually stealable, instead of 6 cases each
+    // simulation, claimed alone, instead of 6 cases each
     // hiding a serial 3-seed loop. The per-case seed average folds in
     // seed order afterwards, so the table is identical at any thread
     // count — and to the pre-flattening nested form, since `run_mix` is

@@ -104,7 +104,7 @@ pub fn run(out: &mut String) {
     let base_spmv = analytic(1, false);
     let base_cplx = analytic(1, true);
 
-    // All eight independent DES simulations on one stealable work-unit
+    // All eight independent DES simulations on one work-unit
     // grid (EXPERIMENTS.md convention), heavy full-scale units first;
     // results come back in input order, so the table bytes never depend
     // on the thread count.

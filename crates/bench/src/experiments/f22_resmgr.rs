@@ -39,7 +39,7 @@ pub fn run(out: &mut String) {
     // Every (seed, policy) replica is an independent deterministic
     // simulation: farm them out across host cores with rayon. The grid
     // is already flat; `with_max_len(1)` makes each whole-workload unit
-    // individually stealable (a leaf of 2–3 would serialize them).
+    // its own chunk (a chunk of 2–3 would serialize them).
     let cases: Vec<(u64, Policy)> = [1u64, 2, 3]
         .into_iter()
         .flat_map(|seed| {

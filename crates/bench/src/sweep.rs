@@ -8,8 +8,8 @@
 //! any `RAYON_NUM_THREADS`, including 1.
 //!
 //! Determinism is by construction, not by luck:
-//! * the split tree over the index range depends only on the length and
-//!   the pool width, never on thread timing (see `vendor/rayon`);
+//! * results come back in index order whichever thread claimed which
+//!   chunk (see `vendor/rayon`);
 //! * each point derives its RNG stream from its *index*
 //!   ([`index_stream`] + `SimRng::from_seed_stream`), so no draw depends
 //!   on which worker ran which point;
@@ -23,12 +23,12 @@ use rayon::prelude::*;
 /// can derive a per-point RNG stream.
 ///
 /// Sweep points are *coarse* work units — whole simulations or table
-/// rows, micro- to milliseconds each — so the leaf size is capped at 1:
-/// every point is individually stealable. Under the default adaptive
-/// threshold a short sweep (e.g. 26 experiments on 8 threads) would get
-/// leaves of 3–4 points, serializing heavy neighbours behind each other
-/// while other workers idle. The cap changes scheduling granularity
-/// only, never result order (see `vendor/rayon`'s `with_max_len`).
+/// rows, micro- to milliseconds each — so the chunk size is capped at 1:
+/// every point is claimed alone. Under the default chunk size a short
+/// sweep (e.g. 26 experiments on 8 threads) would get chunks of 3–4
+/// points, serializing heavy neighbours behind each other while other
+/// threads idle. The cap changes scheduling granularity only, never
+/// result order (see `vendor/rayon`'s `with_max_len`).
 pub fn par_sweep<P, R, F>(points: &[P], f: F) -> Vec<R>
 where
     P: Sync,

@@ -1,7 +1,5 @@
 //! Experiment reporting: small tables that print as Markdown (for
-//! EXPERIMENTS.md) and serialise as JSON (for machine consumption).
-
-use deep_json::{object, Value};
+//! EXPERIMENTS.md).
 
 /// A table of experiment results.
 #[derive(Debug, Clone)]
@@ -51,22 +49,7 @@ impl Table {
         s
     }
 
-    /// Render as a JSON object string.
-    pub fn to_json(&self) -> String {
-        object([
-            ("id", self.id.as_str().into()),
-            ("title", self.title.as_str().into()),
-            ("headers", self.headers.clone().into()),
-            (
-                "rows",
-                Value::Array(self.rows.iter().map(|r| r.clone().into()).collect()),
-            ),
-        ])
-        .to_json_pretty()
-    }
-
-    /// Print Markdown followed by a JSON trailer (the format the
-    /// figure-regeneration binaries emit).
+    /// Print the Markdown rendering and a blank line.
     pub fn print(&self) {
         println!("{}", self.to_markdown());
     }
@@ -134,15 +117,6 @@ mod tests {
     fn row_width_checked() {
         let mut t = Table::new("F00", "demo", &["a", "b"]);
         t.row(&["1".into()]);
-    }
-
-    #[test]
-    fn json_roundtrip_contains_rows() {
-        let mut t = Table::new("F01", "j", &["x"]);
-        t.row(&["42".into()]);
-        let j = t.to_json();
-        assert!(j.contains("\"F01\""));
-        assert!(j.contains("\"42\""));
     }
 
     #[test]

@@ -325,7 +325,7 @@ const MAX_GRID_UNITS: usize = 1 << 16;
 
 /// Cases a single-level work unit runs against one [`ExpTape`]: the
 /// tape's cost is shared `K` ways, the grid keeps `cases / K × replicas`
-/// stealable units. Scheduling only — no result depends on it.
+/// units to share out. Scheduling only — no result depends on it.
 const SINGLE_LEVEL_CASES_PER_UNIT: usize = 16;
 
 /// The one replica grid: a work unit is (chunk of up to `K` cases,
@@ -342,7 +342,7 @@ const SINGLE_LEVEL_CASES_PER_UNIT: usize = 16;
 /// flat grid (not `cases` nested drives of `replicas` tiny jobs each)
 /// is the nested-parallelism rule of DESIGN.md §12. `K > 1` lets `run`
 /// share per-replica state between the cases of a chunk; `max_leaf`
-/// caps the split tree's leaf size. Both are scheduling only.
+/// caps the units per claimed chunk. Both are scheduling only.
 fn drive<C: Sync, const K: usize>(
     cases: &[C],
     base_stream: u64,
@@ -408,8 +408,7 @@ fn reduce_outcomes<'a>(outcomes: impl Iterator<Item = &'a ResilienceOutcome>) ->
 /// body, per case: `run(case, stream)` is one whole replica, handed the
 /// stream [`mean_multilevel_efficiency_batch`] gives that replica index.
 /// Such bodies are whole simulations (the DES replicas of
-/// `deep-faults`), so every unit is its own leaf and individually
-/// stealable.
+/// `deep-faults`), so every unit is claimed alone.
 pub fn mean_multilevel_over_replicas(
     cases: &[MultiLevelParams],
     replicas: u32,

@@ -146,67 +146,3 @@ mod tests {
         assert_eq!(occupancy(&r), 0.0);
     }
 }
-
-/// Render the trace as Chrome trace-event JSON (open in
-/// `chrome://tracing` or Perfetto): one complete event per task, one
-/// "thread" per worker.
-pub fn to_chrome_trace(report: &RunReport, names: &[String]) -> String {
-    let mut out = String::from("[");
-    for (i, &(s, e, w)) in report.trace.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let name = names
-            .get(i)
-            .map(String::as_str)
-            .unwrap_or("task")
-            .replace('"', "'");
-        out.push_str(&format!(
-            "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}}}",
-            s.as_nanos() as f64 / 1e3,
-            (e - s).as_nanos() as f64 / 1e3,
-            w
-        ));
-    }
-    out.push(']');
-    out
-}
-
-#[cfg(test)]
-mod chrome_tests {
-    use super::*;
-    use crate::graph::{Access, RegionId, TaskCost, TaskGraph};
-    use crate::runtime::run_dataflow;
-    use deep_hw::NodeModel;
-    use deep_simkit::{SimDuration, Simulation};
-
-    #[test]
-    fn chrome_trace_is_valid_json_with_one_event_per_task() {
-        let mut g = TaskGraph::new();
-        let mut names = Vec::new();
-        for i in 0..5 {
-            names.push(format!("task\"{i}\"")); // quote to test escaping
-            g.add_task(
-                &names[i as usize],
-                &[(RegionId(i), Access::InOut)],
-                TaskCost::Fixed(SimDuration::micros(5)),
-                0,
-                None,
-            );
-        }
-        let mut sim = Simulation::new(1);
-        let ctx = sim.handle();
-        let node = NodeModel::xeon_cluster_node();
-        let h = sim.spawn("run", async move { run_dataflow(&ctx, g, &node, 2).await });
-        sim.run().assert_completed();
-        let r = h.try_result().unwrap();
-        let json = to_chrome_trace(&r, &names);
-        // Must parse as a JSON array of 5 objects.
-        let parsed: deep_json::Value = deep_json::from_str(&json).expect("valid JSON");
-        assert_eq!(parsed.as_array().unwrap().len(), 5);
-        for ev in parsed.as_array().unwrap() {
-            assert_eq!(ev["ph"], "X");
-            assert!(ev["dur"].as_f64().unwrap() > 0.0);
-        }
-    }
-}

@@ -21,7 +21,7 @@ pub mod graph;
 pub mod offload;
 pub mod runtime;
 
-pub use gantt::{occupancy, render_gantt, to_chrome_trace};
+pub use gantt::{occupancy, render_gantt};
 pub use graph::{Access, Device, RegionId, TaskBody, TaskCost, TaskGraph, TaskId};
 pub use offload::{
     booster_block, offload_server, run_hybrid_dataflow, OffloadReport, OffloadSpec, Offloader,

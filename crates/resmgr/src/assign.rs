@@ -3,8 +3,8 @@
 //! The simulated [`ResMgr`](crate::ResMgr) grants booster nodes to jobs
 //! *dynamically*: a job claims only what its current phase needs, and
 //! spare capacity flows to whoever can use it, FCFS. `deep-serve` eats
-//! that dogfood on the host: its scheduler apportions the work-stealing
-//! pool's threads across concurrently running jobs with the same
+//! that dogfood on the host: its scheduler apportions the host's
+//! threads across concurrently running jobs with the same
 //! policy. This module is the policy distilled to a pure function —
 //! no simulator, no clocks, no allocation beyond the output vector —
 //! so the daemon and the DES provably share one assignment rule and

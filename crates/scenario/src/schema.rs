@@ -893,7 +893,7 @@ fn parse_faults(doc: &Value, machine: &DeepConfig) -> Result<FaultSpec, String> 
             Domain::Cluster => machine.n_cluster,
             Domain::Booster => machine.n_booster(),
         };
-        spec.poisson = Some(PoissonSpec {
+        let poisson = PoissonSpec {
             domain,
             n_nodes: range_u64(p, "faults.poisson", "n_nodes", 1, 10_000_000)?
                 .map_or(domain_nodes, |v| v as u32),
@@ -901,7 +901,15 @@ fn parse_faults(doc: &Value, machine: &DeepConfig) -> Result<FaultSpec, String> 
             horizon_s: positive_f64(p, "faults.poisson", "horizon_s")?,
             weights,
             stream: opt_u64(p, "faults.poisson", "stream")?.unwrap_or(1),
-        });
+        };
+        // The plan holds every crash before the horizon.
+        let crashes = f64::from(poisson.n_nodes) * poisson.horizon_s / poisson.mtbf_node_s;
+        if crashes > f64::from(1u32 << 20) {
+            return Err("faults.poisson: too many expected crashes \
+                        (n_nodes * horizon_s / mtbf_node_s exceeds 2^20)"
+                .to_string());
+        }
+        spec.poisson = Some(poisson);
     }
     if let Some(f) = faults.get("link_flaps") {
         check_keys(f, "faults.link_flaps", keys::LINK_FLAPS)?;
@@ -1040,7 +1048,7 @@ fn parse_trace(table: &Value, machine: &DeepConfig) -> Result<TraceSpec, String>
         max_phases: range_u64(table, "trace", "max_phases", 1, 64)?.unwrap_or(3) as u32,
         pure_cluster_fraction,
     };
-    Ok(TraceSpec {
+    let spec = TraceSpec {
         mix,
         policy,
         spares: range_u64(table, "trace", "spares", 0, 4096)?.unwrap_or(0) as u32,
@@ -1049,7 +1057,27 @@ fn parse_trace(table: &Value, machine: &DeepConfig) -> Result<TraceSpec, String>
             Some(v) if v.is_finite() && v > 0.0 => SimDuration::from_secs_f64(v),
             Some(_) => return Err("trace.sample_every_s: must be finite and > 0".to_string()),
         },
-    })
+    };
+    // The replay's expected horizon bounds its simulated time (which must
+    // stay far from `SimTime` overflow) and its utilisation samples.
+    let m = &spec.mix;
+    let phase_s = m.mean_cn_time.as_secs_f64() + m.mean_bn_time.as_secs_f64();
+    let job_s = m.mean_interarrival.as_secs_f64() + f64::from(m.max_phases) * phase_s;
+    let horizon_s = f64::from(m.n_jobs) * job_s;
+    if horizon_s > 1e8 {
+        return Err(
+            "trace: expected horizon too long (jobs * (mean_interarrival_s + \
+             max_phases * (mean_cn_time_s + mean_bn_time_s)) exceeds 1e8 s)"
+                .to_string(),
+        );
+    }
+    if horizon_s / spec.sample_every.as_secs_f64() > f64::from(1u32 << 20) {
+        return Err(
+            "trace: too many utilisation samples (expected horizon / sample_every_s exceeds 2^20)"
+                .to_string(),
+        );
+    }
+    Ok(spec)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! the user — controls placement. This crate closes the same loop for
 //! the simulator: a dependency-free HTTP daemon ([`server`]) admits
 //! simulation jobs, a scheduler ([`scheduler`]) apportions the
-//! work-stealing pool between them with the booster-assignment policy
+//! host's threads between them with the booster-assignment policy
 //! from `deep-resmgr`, and a content-addressed cache (keyed by the
 //! canonical config digest from `deep_json::digest`) memoises results
 //! across submissions — possible *only because* every result is a

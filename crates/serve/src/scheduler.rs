@@ -620,8 +620,8 @@ fn worker_loop(inner: &Inner, evaluator: Evaluator) {
             }
         };
         // The one way a job runs: on a dedicated pool of its thread
-        // share, with every panic below this frame (a failed OS thread
-        // spawn inside the pool included) turned into a `failed` job.
+        // share, with every panic below this frame turned into a
+        // `failed` job.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let mut on_progress = |done, total| progress(inner, id, done, total);
             build_pool(threads)?.install(|| evaluator(&spec, &mut on_progress))
@@ -697,8 +697,8 @@ fn unpoisoned<T>(result: LockResult<T>) -> T {
     result.expect("scheduler state poisoned: a thread panicked while holding it")
 }
 
-/// A dedicated pool for one job's thread share. Call it inside
-/// `catch_unwind`: a failed OS thread spawn panics inside the pool.
+/// A dedicated pool for one job's thread share. It starts no thread: a
+/// loop inside it that cannot get a helper runs on the job's worker.
 fn build_pool(threads: u32) -> Result<rayon::ThreadPool, String> {
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads as usize)

@@ -3,7 +3,7 @@
 //!
 //! The rayon global pool reads `RAYON_NUM_THREADS` once per process, so
 //! these tests vary the width with explicit pools + `install` instead —
-//! nested `join`/`par_iter` calls resolve to the installed pool. The CI
+//! nested `par_iter` calls resolve to the installed pool. The CI
 //! matrix additionally runs the whole suite under
 //! `RAYON_NUM_THREADS=1` and `=4` and compares driver output.
 //!
@@ -31,7 +31,7 @@ fn with_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
 }
 
 /// FNV-1a digest of `er03_fault_sweep`'s full stdout, captured from the
-/// serial binary before the work-stealing pool existed.
+/// serial binary before any parallel pool existed.
 const ER03_GOLDEN_DIGEST: u64 = 0xa1ee_c3a4_84ed_8aef;
 
 #[test]
