@@ -25,7 +25,7 @@ pub struct Row {
 const NODE_COUNTS: [u64; 4] = [640, 10_000, 100_000, 1_000_000];
 const INTERVALS_PER_SIZE: usize = 4;
 
-/// The table's rows: the interval sweep at each of [`NODE_COUNTS`].
+/// The table's rows: the interval sweep at each of `NODE_COUNTS`.
 pub fn rows() -> [Row; NODE_COUNTS.len()] {
     let base = ResilienceParams {
         work_s: 500_000.0, // ~6 days of useful compute

@@ -36,7 +36,7 @@ pub struct Row {
 const RANK_COUNTS: [u32; 5] = [1, 2, 4, 8, 16];
 
 /// The table's rows: a `cg_n × cg_n` CG of `cg_iters` iterations and an
-/// `fft_n × fft_n` pencil FFT on each of [`RANK_COUNTS`]. The
+/// `fft_n × fft_n` pencil FFT on each of `RANK_COUNTS`. The
 /// registered experiment runs 1024 / 256 / 60;
 /// `tests/experiment_shapes.rs` asserts the shape at a size a debug
 /// build affords.

@@ -23,7 +23,7 @@ use std::rc::Rc;
 
 use deep_fabric::{ExtollFabric, IbFabric, LinkFailure, NodeId, TransferStats};
 use deep_psmpi::{EpId, LocalBoxFuture, Wire};
-use deep_simkit::{join_all, Semaphore, Sim, SimDuration, TraceKey};
+use deep_simkit::{join_all, Semaphore, Sim, SimDuration};
 
 /// How cross-side flows pick their booster interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,9 +139,6 @@ pub struct CbpWire {
     bis: Vec<Rc<BiState>>,
     bridged: RefCell<BiStats>,
     faults: RefCell<CbpFaultStats>,
-    /// Pre-interned trace keys for the per-chunk retry path.
-    k_retry: TraceKey,
-    k_timeout: TraceKey,
 }
 
 /// Which side an endpoint lives on.
@@ -194,8 +191,6 @@ impl CbpWire {
             bis,
             bridged: RefCell::new(BiStats::default()),
             faults: RefCell::new(CbpFaultStats::default()),
-            k_retry: sim.trace_key("cbp", "retry"),
-            k_timeout: sim.trace_key("cbp", "timeout"),
         })
     }
 
@@ -329,7 +324,7 @@ impl CbpWire {
                 if prev_idx.is_some_and(|p| p != idx) {
                     self.faults.borrow_mut().failovers += 1;
                 }
-                self.sim.emit_key(self.k_retry, || {
+                self.sim.emit("cbp", "retry", || {
                     format!("attempt {} via BI {idx} after {last_err:?}", attempt + 1)
                 });
             }
@@ -341,7 +336,7 @@ impl CbpWire {
                     Some(r) => r,
                     None => {
                         self.faults.borrow_mut().timeouts += 1;
-                        self.sim.emit_key(self.k_timeout, || {
+                        self.sim.emit("cbp", "timeout", || {
                             format!("chunk attempt {} via BI {idx} timed out", attempt + 1)
                         });
                         Err(LinkFailure {

@@ -441,7 +441,7 @@ pub fn mean_efficiency(
 ///
 /// Schedules are built up front, in parallel (56 B per case, beside
 /// the 48 B per case the caller already holds); a work unit then makes
-/// one allocation, its tape, reserved once at [`TAPE_CAP`].
+/// one allocation, its tape, reserved once at `TAPE_CAP`.
 pub fn mean_efficiency_batch(
     cases: &[(ResilienceParams, f64)],
     seed: u64,

@@ -50,7 +50,7 @@
 
 use std::cell::{Cell, RefCell};
 
-use deep_simkit::{Sim, SimDuration, SimRng, SimTime, TraceKey};
+use deep_simkit::{Sim, SimDuration, SimRng, SimTime};
 
 use crate::topology::Topology;
 use crate::types::{EndpointOverhead, LinkId, LinkSpec, NodeId, TransferStats};
@@ -207,10 +207,6 @@ pub struct Network {
     /// Maximum transmission unit for segmentation (bytes).
     mtu: u64,
     classes: LinkClasses,
-    /// Pre-interned trace keys for the per-transfer fault paths, so a
-    /// retry storm records events without name lookups.
-    k_drop: TraceKey,
-    k_link_fail: TraceKey,
 }
 
 impl Network {
@@ -230,8 +226,6 @@ impl Network {
             route_scratch: RefCell::new(Vec::with_capacity(8)),
             mtu: mtu.max(64),
             classes,
-            k_drop: sim.trace_key("net", "drop"),
-            k_link_fail: sim.trace_key("net", "link-fail"),
         }
     }
 
@@ -339,7 +333,7 @@ impl Network {
         if src == dst {
             if down {
                 self.sim
-                    .emit_key(self.k_drop, || format!("loopback on down node {}", src.0));
+                    .emit("net", "drop", || format!("loopback on down node {}", src.0));
                 return Err(LinkFailure {
                     link: LinkFailure::NO_LINK,
                 });
@@ -387,7 +381,7 @@ impl Network {
                 if fault.segment_error_rate > 0.0 {
                     let Some(sampled) = self.sample_retransmissions(fault, segments, path.len())
                     else {
-                        self.sim.emit_key(self.k_link_fail, || {
+                        self.sim.emit("net", "link-fail", || {
                             format!("retries exhausted on link {}", first.0)
                         });
                         return Err(LinkFailure { link: first });
@@ -408,7 +402,7 @@ impl Network {
             Ok(booked) => booked,
             Err((lost_after, why)) => {
                 self.sim.sleep(lost_after).await;
-                self.sim.emit_key(self.k_drop, || {
+                self.sim.emit("net", "drop", || {
                     format!("{why} on route {} -> {}", src.0, dst.0)
                 });
                 return Err(LinkFailure { link: first });
@@ -1036,6 +1030,45 @@ mod tests {
         });
         sim.run().assert_completed();
         assert_eq!(h.try_result(), Some(100));
+    }
+
+    #[test]
+    fn every_fault_path_emits_its_pinned_trace_event() {
+        let mut sim = Simulation::new(8);
+        sim.enable_tracing();
+        let net = mk(&sim.handle(), 3, 1e9, 100);
+        let n = net.clone();
+        sim.spawn("faults", async move {
+            let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
+            let none = EndpointOverhead::default();
+            n.set_node_down(b, true);
+            assert!(n.transfer(b, b, 1000, none).await.is_err());
+            assert!(n.transfer(a, b, 1000, none).await.is_err());
+            n.set_node_down(b, false);
+            n.set_node_drop_prob(c, 1.0);
+            assert!(n.transfer(a, c, 1000, none).await.is_err());
+            n.set_node_drop_prob(c, 0.0);
+            n.set_fault_model(FaultModel {
+                segment_error_rate: 1.0,
+                max_retries: 2,
+            });
+            assert!(n.transfer(c, a, 1000, none).await.is_err());
+        });
+        sim.run().assert_completed();
+        let got: Vec<_> = sim
+            .take_events()
+            .into_iter()
+            .map(|e| (e.at.as_nanos(), e.component, e.kind, e.payload))
+            .collect();
+        let want = [
+            (0, "net", "node-down", "node 1"),
+            (0, "net", "drop", "loopback on down node 1"),
+            (100, "net", "drop", "node down on route 0 -> 1"),
+            (100, "net", "node-up", "node 1"),
+            (200, "net", "drop", "nic drop on route 0 -> 2"),
+            (200, "net", "link-fail", "retries exhausted on link 6"),
+        ];
+        assert_eq!(got, want.map(|(t, c, k, p)| (t, c, k, p.to_string())));
     }
 
     #[test]

@@ -64,12 +64,10 @@ pub fn spawn_injector(
     sim.spawn("fault-injector", async move {
         let t0 = ctx.now();
         let mut records = Vec::with_capacity(plan.len());
-        // Intern the key once rather than hashing "faults"/"inject" per event.
-        let k_inject = ctx.trace_key("faults", "inject");
         for ev in plan.into_events() {
             ctx.sleep_until(t0 + ev.at).await;
             let what = apply(&ctx, &targets, &ev.kind);
-            ctx.emit_key(k_inject, || what.clone());
+            ctx.emit("faults", "inject", || what.clone());
             records.push(InjectionRecord {
                 at: ctx.now(),
                 what,

@@ -8,7 +8,7 @@ use deep_cbp::{CbpFaultStats, CbpWireHandle};
 use deep_core::{DeepConfig, DeepMachine};
 use deep_faults::{spawn_injector, Domain, FaultEvent, FaultKind, FaultPlan, InjectorTargets};
 use deep_psmpi::Wire;
-use deep_simkit::{SimDuration, SimTime, Simulation};
+use deep_simkit::{SimDuration, Simulation, TraceEvent};
 
 /// A plan exercising every windowed fault kind: booster link flaps, a
 /// cluster NIC that drops everything for a while, a BI outage forcing
@@ -41,7 +41,7 @@ fn plan() -> FaultPlan {
     ]))
 }
 
-fn run_once(seed: u64) -> (Vec<(SimTime, String)>, CbpFaultStats, u64) {
+fn run_once(seed: u64) -> (Vec<TraceEvent>, CbpFaultStats, u64) {
     let mut sim = Simulation::new(seed);
     sim.enable_tracing();
     let ctx = sim.handle();
@@ -75,7 +75,7 @@ fn run_once(seed: u64) -> (Vec<(SimTime, String)>, CbpFaultStats, u64) {
     }
     sim.run().assert_completed();
     let stalled = pfs.server_device(0).stats().bytes_written;
-    (sim.take_trace(), cbp.fault_stats(), stalled)
+    (sim.take_events(), cbp.fault_stats(), stalled)
 }
 
 #[test]
@@ -95,7 +95,7 @@ fn the_plan_actually_bites() {
     // The injector fired every scheduled event...
     let injects = trace
         .iter()
-        .filter(|(_, m)| m.starts_with("[faults/inject]"))
+        .filter(|e| (e.component, e.kind) == ("faults", "inject"))
         .count();
     assert_eq!(injects, plan().len());
     // ...the dropping NIC forced CBP retries...
@@ -126,7 +126,7 @@ fn different_fault_plans_change_the_trace() {
         });
     }
     sim.run().assert_completed();
-    let clean = sim.take_trace();
+    let clean = sim.take_events();
     assert_ne!(with_faults, clean);
     assert_eq!(cbp.fault_stats(), CbpFaultStats::default());
 }

@@ -8,7 +8,7 @@ use deep_io::{
     BridgeNode, CheckpointManager, CkptLevel, CommitLog, DeviceSpec, FailureSeverity, FileLayer,
     FileLayerParams, ParallelFs, PfsConfig, WritePattern,
 };
-use deep_simkit::{Sim, SimTime, Simulation};
+use deep_simkit::{Sim, SimTime, Simulation, TraceEvent};
 use proptest::prelude::*;
 
 fn build_manager(sim: &Sim, ranks: usize) -> Rc<CheckpointManager> {
@@ -30,7 +30,7 @@ fn build_manager(sim: &Sim, ranks: usize) -> Rc<CheckpointManager> {
 
 /// One full storage exercise: an I/O phase on the file layer plus an
 /// L1/L2/L3 checkpoint cycle with a restore. Returns the trace.
-fn storage_scenario(seed: u64) -> (Vec<(SimTime, String)>, SimTime) {
+fn storage_scenario(seed: u64) -> (Vec<TraceEvent>, SimTime) {
     let mut sim = Simulation::new(seed);
     sim.enable_tracing();
     let ctx = sim.handle();
@@ -55,7 +55,7 @@ fn storage_scenario(seed: u64) -> (Vec<(SimTime, String)>, SimTime) {
     });
     sim.run().assert_completed();
     let end = sim.now();
-    (sim.take_trace(), end)
+    (sim.take_events(), end)
 }
 
 #[test]

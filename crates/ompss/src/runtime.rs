@@ -5,7 +5,7 @@
 //! * [`run_dataflow`] — the OmpSs model: a task becomes runnable the
 //!   moment its dependences are satisfied; idle workers pull from a FIFO
 //!   ready queue. Its worker loop is generic over how a popped task
-//!   executes ([`TaskExec`]), which is all that tells it apart from the
+//!   executes (`TaskExec`), which is all that tells it apart from the
 //!   hybrid entry [`crate::offload::run_hybrid_dataflow`].
 //! * [`run_fork_join`] — the conventional barrier model: tasks execute
 //!   phase by phase (parallel-for within a phase, global barrier between

@@ -13,7 +13,7 @@
 //!   client in rotation, so one tenant flooding the queue cannot
 //!   starve another (the resmgr's fair time-slicing, one level up).
 //! * **One way to run a job**: a worker claims one job and runs
-//!   [`evaluate`] on a pool of the job's thread share, inside the only
+//!   `evaluate` on a pool of the job's thread share, inside the only
 //!   `catch_unwind` of this module. Every job kind takes that path.
 //! * **Apportionment**: each running job gets a slice of the machine's
 //!   threads from [`deep_resmgr::assign::dynamic_shares`] — the
@@ -327,8 +327,8 @@ pub struct Watch<'a> {
 
 impl Watch<'_> {
     /// [`Scheduler::events_after`] of the watched job.
-    pub fn events_after(&self, after: usize, wait: Duration) -> Option<(Vec<Value>, bool)> {
-        self.scheduler.events_after(self.id, after, wait)
+    pub fn events_after(&self, after: usize) -> Option<(Vec<Value>, bool)> {
+        self.scheduler.events_after(self.id, after)
     }
 }
 
@@ -501,28 +501,19 @@ impl Scheduler {
     }
 
     /// Events of job `id` with `seq >= after`, plus whether the job is
-    /// terminal. Blocks up to `wait` for news when there is none yet.
-    pub fn events_after(
-        &self,
-        id: u64,
-        after: usize,
-        wait: Duration,
-    ) -> Option<(Vec<Value>, bool)> {
+    /// terminal. Blocks until there is news: an event past `after`, a
+    /// terminal state, or (`None`) the record leaving the history. Every
+    /// change to a job notifies `update`, so no timer is needed.
+    pub fn events_after(&self, id: u64, after: usize) -> Option<(Vec<Value>, bool)> {
         let mut st = unpoisoned(self.inner.state.lock());
         loop {
             let job = st.jobs.get(&id)?;
             let terminal = job.state.terminal();
-            if job.events.len() > after || terminal || wait.is_zero() {
+            if job.events.len() > after || terminal {
                 let fresh = job.events.iter().skip(after).cloned().collect();
                 return Some((fresh, terminal));
             }
-            let (guard, timeout) = unpoisoned(self.inner.update.wait_timeout(st, wait));
-            st = guard;
-            if timeout.timed_out() {
-                let job = st.jobs.get(&id)?;
-                let fresh = job.events.iter().skip(after).cloned().collect();
-                return Some((fresh, job.state.terminal()));
-            }
+            st = unpoisoned(self.inner.update.wait(st));
         }
     }
 
@@ -830,9 +821,7 @@ mod tests {
     fn wait_terminal(s: &Scheduler, id: u64) -> Value {
         let mut seen = 0;
         loop {
-            let (fresh, terminal) = s
-                .events_after(id, seen, Duration::from_millis(200))
-                .unwrap();
+            let (fresh, terminal) = s.events_after(id, seen).unwrap();
             seen += fresh.len();
             if terminal {
                 return job(s, id);
@@ -1197,6 +1186,27 @@ mod tests {
         assert!(!s.wait_drained(Duration::from_millis(20)));
         drop(watch);
         assert!(s.wait_drained(Duration::ZERO));
+        s.shutdown();
+    }
+
+    #[test]
+    fn an_event_stream_wakes_only_on_news() {
+        // The job runs long enough that any timer wake in between would
+        // hand the watcher an empty batch.
+        let s = Scheduler::new(SchedulerConfig::default()).unwrap();
+        let id = s.submit(sleep("t", 300)).unwrap().job_id;
+        let watch = s.watch(id).expect("known job");
+        let mut seen = 0;
+        loop {
+            let (fresh, terminal) = watch.events_after(seen).unwrap();
+            assert!(!fresh.is_empty() || terminal, "an empty batch after {seen}");
+            seen += fresh.len();
+            if terminal {
+                break;
+            }
+        }
+        assert_eq!(seen, 3, "queued, started, done");
+        drop(watch);
         s.shutdown();
     }
 

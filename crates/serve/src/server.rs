@@ -17,9 +17,9 @@
 //!
 //! Every accepted socket has read and write timeouts: a peer that
 //! stalls inside a request or stops reading a response loses its slot
-//! after [`IO_TIMEOUT`]; one that is merely quiet *between* requests —
+//! after `IO_TIMEOUT`; one that is merely quiet *between* requests —
 //! a client following a long job on a second connection — keeps it for
-//! [`IDLE_TIMEOUT`] ([`crate::client::ServeClient`] reconnects once if
+//! `IDLE_TIMEOUT` ([`crate::client::ServeClient`] reconnects once if
 //! it comes back later than that).
 //!
 //! Routes:
@@ -56,8 +56,6 @@ const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// How often the drain watcher looks at the termination flag, which a
 /// signal handler can set but cannot notify. Not on any request's path.
 const TERMINATE_POLL: Duration = Duration::from_millis(20);
-/// Poll interval for event streams waiting on job news.
-const EVENT_WAIT: Duration = Duration::from_millis(100);
 
 /// The two socket timeouts of a connection; arguments, so that a test
 /// can use milliseconds.
@@ -450,7 +448,7 @@ fn submit(req: &Request, shared: &Shared) -> Response {
 fn stream_events<W: Write>(writer: W, watch: &Watch<'_>) -> io::Result<()> {
     let mut out = ChunkedWriter::start(writer, "application/x-ndjson")?;
     let mut seen = 0usize;
-    while let Some((fresh, terminal)) = watch.events_after(seen, EVENT_WAIT) {
+    while let Some((fresh, terminal)) = watch.events_after(seen) {
         if !fresh.is_empty() {
             let mut payload = String::new();
             for ev in &fresh {
@@ -460,7 +458,7 @@ fn stream_events<W: Write>(writer: W, watch: &Watch<'_>) -> io::Result<()> {
             seen += fresh.len();
             out.write_chunk(payload.as_bytes())?;
         }
-        if terminal && seen > 0 {
+        if terminal {
             break;
         }
     }

@@ -3,8 +3,6 @@
 //! path, and digest-keyed cache hits on resubmission (including
 //! reformatted copies of the same document).
 
-use std::time::Duration;
-
 use deep_json::{object, Value};
 use deep_serve::protocol::JobRequest;
 use deep_serve::scheduler::{Scheduler, SchedulerConfig};
@@ -45,9 +43,7 @@ fn job(s: &Scheduler, id: u64) -> Value {
 fn wait_terminal(s: &Scheduler, id: u64) -> Value {
     let mut seen = 0;
     loop {
-        let (fresh, terminal) = s
-            .events_after(id, seen, Duration::from_millis(200))
-            .unwrap();
+        let (fresh, terminal) = s.events_after(id, seen).unwrap();
         seen += fresh.len();
         if terminal {
             return job(s, id);

@@ -144,6 +144,7 @@ impl<T> Sender<T> {
         SendFut {
             chan: self,
             value: Some(value),
+            queued: None,
         }
     }
 
@@ -174,7 +175,10 @@ impl<T> Receiver<T> {
     /// Receive, suspending while the channel is empty. Resolves to
     /// `Err(RecvError)` once the channel is empty *and* all senders dropped.
     pub fn recv(&self) -> RecvFut<'_, T> {
-        RecvFut { chan: self }
+        RecvFut {
+            chan: self,
+            queued: None,
+        }
     }
 
     /// Number of queued items.
@@ -192,6 +196,9 @@ impl<T> Receiver<T> {
 pub struct SendFut<'a, T> {
     chan: &'a Sender<T>,
     value: Option<T>,
+    /// Our id from our first `Pending` until the value is queued: what
+    /// `Drop` withdraws.
+    queued: Option<ProcId>,
 }
 
 // The payload is owned by value and never pinned-projected, so moving the
@@ -215,13 +222,28 @@ impl<T> Future for SendFut<'_, T> {
             if let Some(w) = st.recv_waiters.pop_front() {
                 this.chan.sim.kernel().make_ready(w);
             }
+            this.queued = None;
             Poll::Ready(Ok(()))
         } else {
             let me = this.chan.sim.current_proc();
             if !st.send_waiters.contains(&me) {
                 st.send_waiters.push_back(me);
             }
+            this.queued = Some(me);
             Poll::Pending
+        }
+    }
+}
+
+impl<T> Drop for SendFut<'_, T> {
+    /// An abandoned send (timed out, lost a race) withdraws from the
+    /// wait list; if a receive already popped it for a wake it never
+    /// used, the wake passes to the next sender while there is room.
+    fn drop(&mut self) {
+        if let Some(me) = self.queued {
+            let mut st = self.chan.state.borrow_mut();
+            let room = st.receivers > 0 && st.queue.len() < st.capacity;
+            withdraw(&self.chan.sim, &mut st.send_waiters, me, room);
         }
     }
 }
@@ -229,27 +251,59 @@ impl<T> Future for SendFut<'_, T> {
 /// Future returned by [`Receiver::recv`].
 pub struct RecvFut<'a, T> {
     chan: &'a Receiver<T>,
+    /// Our id from our first `Pending` until we take an item: what
+    /// `Drop` withdraws.
+    queued: Option<ProcId>,
 }
 
 impl<T> Future for RecvFut<'_, T> {
     type Output = Result<T, RecvError>;
 
-    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let mut st = self.chan.state.borrow_mut();
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let this = &mut *self;
+        let mut st = this.chan.state.borrow_mut();
         if let Some(v) = st.queue.pop_front() {
             if let Some(w) = st.send_waiters.pop_front() {
-                self.chan.sim.kernel().make_ready(w);
+                this.chan.sim.kernel().make_ready(w);
             }
+            this.queued = None;
             return Poll::Ready(Ok(v));
         }
         if st.senders == 0 {
             return Poll::Ready(Err(RecvError));
         }
-        let me = self.chan.sim.current_proc();
+        let me = this.chan.sim.current_proc();
         if !st.recv_waiters.contains(&me) {
             st.recv_waiters.push_back(me);
         }
+        this.queued = Some(me);
         Poll::Pending
+    }
+}
+
+impl<T> Drop for RecvFut<'_, T> {
+    /// An abandoned receive (timed out, lost a race) withdraws from the
+    /// wait list; if a send already popped it for a wake it never used,
+    /// the wake passes to the next receiver while an item is queued.
+    fn drop(&mut self) {
+        if let Some(me) = self.queued {
+            let mut st = self.chan.state.borrow_mut();
+            let ready = !st.queue.is_empty();
+            withdraw(&self.chan.sim, &mut st.recv_waiters, me, ready);
+        }
+    }
+}
+
+/// Take `me` off `waiters`, or — if a wake already popped it — hand
+/// that wake to the next waiter when `pass` says there is something
+/// for it to take.
+fn withdraw(sim: &Sim, waiters: &mut VecDeque<ProcId>, me: ProcId, pass: bool) {
+    if let Some(pos) = waiters.iter().position(|&w| w == me) {
+        waiters.remove(pos);
+    } else if pass {
+        if let Some(w) = waiters.pop_front() {
+            sim.kernel().make_ready(w);
+        }
     }
 }
 
@@ -354,6 +408,68 @@ mod tests {
             assert_eq!(tx.try_send(2), Err(2));
             assert_eq!(rx.try_recv(), Some(1));
             assert_eq!(rx.try_recv(), None);
+        });
+        sim.run().assert_completed();
+    }
+
+    #[test]
+    fn an_abandoned_receive_does_not_swallow_the_next_wake() {
+        // P gives up on `recv` at 1 µs; Q queues behind P's stale entry
+        // at 2 µs. The send at 5 µs must wake Q, not P, even though the
+        // sender holds the channel open until 1 005 µs.
+        let mut sim = Simulation::new(1);
+        let ctx = sim.handle();
+        let (tx, rx) = channel::<u32>(&ctx);
+        let (rx_p, c) = (rx.clone(), ctx.clone());
+        sim.spawn("p", async move {
+            let got = c.timeout(SimDuration::micros(1), rx_p.recv()).await;
+            assert_eq!(got, None);
+            c.sleep(SimDuration::micros(100)).await;
+        });
+        let c = ctx.clone();
+        let q = sim.spawn("q", async move {
+            c.sleep(SimDuration::micros(2)).await;
+            let v = rx.recv().await.unwrap();
+            (v, c.now().as_micros())
+        });
+        sim.spawn("sender", async move {
+            ctx.sleep(SimDuration::micros(5)).await;
+            tx.send(7).await.unwrap();
+            ctx.sleep(SimDuration::micros(1_000)).await;
+            drop(tx);
+        });
+        sim.run().assert_completed();
+        assert_eq!(q.try_result(), Some((7, 5)));
+    }
+
+    #[test]
+    fn an_unused_wake_passes_to_the_next_waiter() {
+        // A wake that pops a waiter which is killed before it runs must
+        // reach the next waiter at once: receivers P then Q on one
+        // channel, senders B then C on a full bounded one.
+        let mut sim = Simulation::new(1);
+        let ctx = sim.handle();
+        let (tx, rx) = channel::<u32>(&ctx);
+        let (btx, brx) = bounded::<u32>(&ctx, 1);
+        btx.try_send(1).unwrap();
+        let rx_q = rx.clone();
+        let p = sim.spawn("p", async move { rx.recv().await.unwrap() });
+        let q = sim.spawn("q", async move { rx_q.recv().await.unwrap() });
+        let btx_c = btx.clone();
+        let b = sim.spawn("b", async move { btx.send(2).await.unwrap() });
+        let c = sim.spawn("c", async move { btx_c.send(3).await.unwrap() });
+        let ctx2 = ctx.clone();
+        sim.spawn("driver", async move {
+            ctx2.yield_now().await; // everyone is queued now
+            tx.send(7).await.unwrap(); // wakes P …
+            ctx2.kill(p.id()); // … which dies before it runs
+            assert_eq!(brx.try_recv(), Some(1)); // wakes B …
+            ctx2.kill(b.id()); // … likewise
+            ctx2.sleep(SimDuration::micros(1)).await;
+            assert_eq!(q.try_result(), Some(7));
+            assert!(c.is_finished());
+            assert_eq!(brx.try_recv(), Some(3));
+            drop(tx);
         });
         sim.run().assert_completed();
     }

@@ -48,7 +48,6 @@
 
 mod channel;
 mod kernel;
-mod metrics;
 mod race;
 #[cfg(test)]
 mod reuse_proptest;
@@ -56,19 +55,16 @@ mod rng;
 mod sim;
 mod sync;
 mod time;
-mod timeout;
 mod trace;
 
 pub use channel::{bounded, channel, Receiver, RecvError, RecvFut, SendError, SendFut, Sender};
 pub use kernel::{ProcId, RunOutcome};
-pub use metrics::{CounterId, Histogram, HistogramId, Metrics, SeriesId};
 pub use race::{Either, Race};
 pub use rng::SimRng;
 pub use sim::{ProcHandle, Sim, Simulation, Sleep, YieldNow};
 pub use sync::{Barrier, BarrierWait, OneShot, OneShotWait, SemGuard, Semaphore};
 pub use time::{SimDuration, SimTime};
-pub use timeout::Timeout;
-pub use trace::{TraceEvent, TraceKey};
+pub use trace::TraceEvent;
 
 /// Await several process handles, collecting their results in order.
 /// Panics if any process was killed.

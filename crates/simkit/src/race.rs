@@ -1,14 +1,16 @@
-//! Race combinator: run two futures until either completes.
+//! Race combinator: run two futures until either completes, and the
+//! deadline built on it ([`Sim::timeout`]).
 //!
-//! The loser is dropped, exactly as in [`crate::Timeout`]: any wake-ups it
-//! queued become no-ops. The first future has deterministic priority —
-//! if both are ready at the same instant, `Left` wins.
+//! The loser is dropped: any wake-ups it queued become no-ops. The first
+//! future has deterministic priority — if both are ready at the same
+//! instant, `Left` wins.
 
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll};
 
 use crate::sim::Sim;
+use crate::time::SimDuration;
 
 /// Which side of a [`Race`] finished first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,6 +75,20 @@ impl Sim {
             b: Box::pin(b),
         }
     }
+
+    /// Race `fut` against a deadline `d` of virtual time from now:
+    /// `Some(v)` if `fut` finishes first (or at the deadline instant),
+    /// `None` once the deadline passes. A losing `fut` is dropped as in
+    /// [`Sim::race`]: half-completed protocol interactions behave as if
+    /// the process had abandoned them.
+    pub fn timeout<F: Future>(
+        &self,
+        d: SimDuration,
+        fut: F,
+    ) -> impl Future<Output = Option<F::Output>> {
+        let race = self.race(fut, self.sleep(d));
+        async move { race.await.left() }
+    }
 }
 
 #[cfg(test)]
@@ -80,7 +96,6 @@ mod tests {
     use super::*;
     use crate::sim::Simulation;
     use crate::sync::OneShot;
-    use crate::time::SimDuration;
 
     #[test]
     fn faster_side_wins() {
@@ -156,5 +171,65 @@ mod tests {
         });
         sim.run().assert_completed();
         assert_eq!(racer.try_result(), Some(false));
+    }
+
+    #[test]
+    fn completes_before_deadline() {
+        let mut sim = Simulation::new(1);
+        let ctx = sim.handle();
+        let h = sim.spawn("t", async move {
+            let inner = ctx.clone();
+            ctx.timeout(SimDuration::millis(1), async move {
+                inner.sleep(SimDuration::micros(10)).await;
+                42u32
+            })
+            .await
+        });
+        sim.run().assert_completed();
+        assert_eq!(h.try_result(), Some(Some(42)));
+    }
+
+    #[test]
+    fn deadline_fires_first() {
+        let mut sim = Simulation::new(1);
+        let ctx = sim.handle();
+        let h = sim.spawn("t", async move {
+            let inner = ctx.clone();
+            let r = ctx
+                .timeout(SimDuration::micros(10), async move {
+                    inner.sleep(SimDuration::millis(1)).await;
+                    42u32
+                })
+                .await;
+            (r, ctx.now().as_micros())
+        });
+        sim.run().assert_completed();
+        let (r, t) = h.try_result().unwrap();
+        assert_eq!(r, None);
+        assert_eq!(t, 10, "gave up exactly at the deadline");
+    }
+
+    #[test]
+    fn timed_out_wait_does_not_wedge_the_event() {
+        // Waiting on a OneShot with a timeout, then the event fires later:
+        // the dropped waiter must not break the event for others.
+        let mut sim = Simulation::new(1);
+        let ctx = sim.handle();
+        let ev: OneShot<u32> = OneShot::new(&ctx);
+        let ev2 = ev.clone();
+        let ctx2 = ctx.clone();
+        let impatient = sim.spawn("impatient", async move {
+            ctx2.timeout(SimDuration::micros(5), ev2.wait()).await
+        });
+        let ev3 = ev.clone();
+        let patient = sim.spawn("patient", async move { ev3.wait().await });
+        let ctx3 = ctx.clone();
+        sim.spawn("setter", async move {
+            ctx3.sleep(SimDuration::micros(100)).await;
+            ev.set(7);
+        });
+        sim.run().assert_completed();
+        assert_eq!(impatient.try_result(), Some(None));
+        assert_eq!(patient.try_result(), Some(7));
     }
 }

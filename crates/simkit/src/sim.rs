@@ -8,12 +8,11 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use crate::kernel::{Kernel, ProcId, ProcName, RunOutcome};
-use crate::metrics::Metrics;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEvent, TraceKey, Tracer};
+use crate::trace::TraceEvent;
 
-/// A complete simulation run: kernel + metrics + tracer.
+/// A complete simulation run: kernel + tracer.
 ///
 /// Typical use:
 /// ```
@@ -40,8 +39,8 @@ pub struct Sim {
 
 struct SimInner {
     kernel: RefCell<Kernel>,
-    metrics: RefCell<Metrics>,
-    tracer: RefCell<Tracer>,
+    /// The trace log; `None` while tracing is off.
+    trace: RefCell<Option<Vec<TraceEvent>>>,
     seed: u64,
 }
 
@@ -53,18 +52,21 @@ impl Simulation {
             sim: Sim {
                 inner: Rc::new(SimInner {
                     kernel: RefCell::new(Kernel::new()),
-                    metrics: RefCell::new(Metrics::new()),
-                    tracer: RefCell::new(Tracer::disabled()),
+                    trace: RefCell::new(None),
                     seed,
                 }),
             },
         }
     }
 
-    /// Enable the event tracer (records `trace!`-style strings with
-    /// timestamps; useful in tests and when debugging protocol issues).
+    /// Enable the event tracer: from now on every [`Sim::emit`] is
+    /// recorded with its timestamp (tests, protocol debugging).
     pub fn enable_tracing(&mut self) {
-        self.sim.inner.tracer.borrow_mut().enable();
+        self.sim
+            .inner
+            .trace
+            .borrow_mut()
+            .get_or_insert_with(Vec::new);
     }
 
     /// Get a handle usable inside and outside processes.
@@ -144,27 +146,15 @@ impl Simulation {
         self.sim.now()
     }
 
-    /// Access collected metrics after (or during) a run.
-    pub fn metrics(&self) -> std::cell::Ref<'_, Metrics> {
-        self.sim.inner.metrics.borrow()
-    }
-
-    /// Drain the trace log as rendered lines (empty unless tracing was
-    /// enabled). Events emitted via [`Sim::trace`] come back as their
-    /// payload; typed events from [`Sim::emit`] are rendered as
-    /// `[component/kind] payload`.
-    pub fn take_trace(&self) -> Vec<(SimTime, String)> {
-        self.take_events()
-            .into_iter()
-            .map(|e| (e.at, e.render()))
-            .collect()
-    }
-
-    /// Drain the trace log as typed events (empty unless tracing was
-    /// enabled). Component/kind names are stored interned during the run
-    /// and resolved to strings here, at export.
+    /// Drain the trace log (empty unless tracing was enabled).
     pub fn take_events(&self) -> Vec<TraceEvent> {
-        self.sim.inner.tracer.borrow_mut().take()
+        self.sim
+            .inner
+            .trace
+            .borrow_mut()
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
     }
 }
 
@@ -301,48 +291,23 @@ impl Sim {
         drop(fut);
     }
 
-    /// Record a plain trace line (no-op unless tracing enabled). Recorded
-    /// as a [`TraceEvent`] with component `"sim"` and kind `"msg"`.
-    pub fn trace(&self, msg: impl FnOnce() -> String) {
-        self.emit("sim", "msg", msg);
-    }
-
-    /// Record a typed trace event (no-op unless tracing enabled). The
-    /// payload closure is only evaluated when tracing is on. Component and
-    /// kind are interned — recording allocates only the payload. Hot
-    /// loops should pre-intern with [`Sim::trace_key`] and use
-    /// [`Sim::emit_key`] to skip the name lookups entirely.
-    pub fn emit(&self, component: &str, kind: &str, payload: impl FnOnce() -> String) {
-        let mut t = self.inner.tracer.borrow_mut();
-        if t.is_enabled() {
-            let at = self.now();
-            t.record_named(at, component, kind, payload());
+    /// Record a [`TraceEvent`] (no-op unless tracing is enabled). The
+    /// payload closure is only evaluated when tracing is on, so a
+    /// disabled tracer costs one flag test.
+    pub fn emit(
+        &self,
+        component: &'static str,
+        kind: &'static str,
+        payload: impl FnOnce() -> String,
+    ) {
+        if let Some(events) = self.inner.trace.borrow_mut().as_mut() {
+            events.push(TraceEvent {
+                at: self.now(),
+                component,
+                kind,
+                payload: payload(),
+            });
         }
-    }
-
-    /// Pre-intern a `(component, kind)` pair for allocation- and
-    /// lookup-free emission via [`Sim::emit_key`]. Keys are cheap `Copy`
-    /// ids, stable for the lifetime of the run, and valid whether or not
-    /// tracing is currently enabled.
-    pub fn trace_key(&self, component: &str, kind: &str) -> TraceKey {
-        self.inner.tracer.borrow_mut().intern_key(component, kind)
-    }
-
-    /// Record a typed trace event through a pre-interned [`TraceKey`]
-    /// (no-op unless tracing enabled). The payload closure is only
-    /// evaluated when tracing is on.
-    #[inline]
-    pub fn emit_key(&self, key: TraceKey, payload: impl FnOnce() -> String) {
-        let mut t = self.inner.tracer.borrow_mut();
-        if t.is_enabled() {
-            let at = self.now();
-            t.record_key(at, key, payload());
-        }
-    }
-
-    /// Mutate the metrics registry.
-    pub fn with_metrics<R>(&self, f: impl FnOnce(&mut Metrics) -> R) -> R {
-        f(&mut self.inner.metrics.borrow_mut())
     }
 
     /// The id of the process currently being polled. Panics outside a poll.
@@ -685,7 +650,7 @@ mod tests {
 
     #[test]
     fn identical_seeds_identical_traces() {
-        fn trace_of(seed: u64) -> Vec<(SimTime, String)> {
+        fn trace_of(seed: u64) -> Vec<TraceEvent> {
             let mut sim = Simulation::new(seed);
             sim.enable_tracing();
             let ctx = sim.handle();
@@ -694,11 +659,11 @@ mod tests {
                 for _ in 0..5 {
                     let d = SimDuration::nanos(rng.gen_range(1..1000));
                     ctx.sleep(d).await;
-                    ctx.trace(|| format!("tick at {}", ctx.now()));
+                    ctx.emit("rng", "tick", || format!("at {}", ctx.now()));
                 }
             });
             sim.run().assert_completed();
-            sim.take_trace()
+            sim.take_events()
         }
         assert_eq!(trace_of(99), trace_of(99));
         assert_ne!(trace_of(99), trace_of(100));
@@ -712,7 +677,7 @@ mod tests {
         sim.spawn("emitter", async move {
             ctx.emit("net", "retry", || "link 4".to_string());
             ctx.sleep(SimDuration::nanos(10)).await;
-            ctx.trace(|| "plain".to_string());
+            ctx.emit("io", "flush", || "plain".to_string());
         });
         sim.run().assert_completed();
         let events = sim.take_events();
@@ -721,10 +686,11 @@ mod tests {
         assert_eq!(events[0].kind, "retry");
         assert_eq!(events[0].payload, "link 4");
         assert_eq!(events[0].at, SimTime::ZERO);
-        assert_eq!(events[1].component, "sim");
-        assert_eq!(events[1].kind, "msg");
-        assert_eq!(events[1].render(), "plain");
+        assert_eq!(events[1].component, "io");
+        assert_eq!(events[1].kind, "flush");
+        assert_eq!(events[1].payload, "plain");
         assert_eq!(events[1].at.as_nanos(), 10);
+        assert!(sim.take_events().is_empty(), "a drain empties the log");
     }
 
     #[test]
@@ -736,30 +702,6 @@ mod tests {
         });
         sim.run().assert_completed();
         assert!(sim.take_events().is_empty());
-    }
-
-    #[test]
-    fn emit_key_round_trips_through_interner() {
-        let mut sim = Simulation::new(3);
-        sim.enable_tracing();
-        let ctx = sim.handle();
-        let key = ctx.trace_key("net", "retry");
-        // Interning is idempotent: same names, same key, whole run long.
-        assert_eq!(ctx.trace_key("net", "retry"), key);
-        sim.spawn("emitter", async move {
-            ctx.emit_key(key, || "via key".to_string());
-            ctx.emit("net", "retry", || "via names".to_string());
-            assert_eq!(ctx.trace_key("net", "retry"), key);
-        });
-        sim.run().assert_completed();
-        let events = sim.take_events();
-        assert_eq!(events.len(), 2);
-        for e in &events {
-            assert_eq!(e.component, "net");
-            assert_eq!(e.kind, "retry");
-        }
-        assert_eq!(events[0].payload, "via key");
-        assert_eq!(events[1].payload, "via names");
     }
 
     #[test]

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Repo-wide hygiene gate: formatting, lints (deny warnings; the
 # determinism and unsafe policy of DESIGN.md §13 lives in the
-# clippy.toml files and the [lints] tables), tests, the benchmark's
-# reference checks and every experiment's committed output, then a
-# lines-of-Rust table per crate. Run from the workspace root before
-# sending a PR. Each step is timed so slow regressions in the gate
-# itself are visible.
+# clippy.toml files and the [lints] tables), tests, rustdoc links, the
+# benchmark's reference checks and every experiment's committed output,
+# then a lines-of-Rust table per crate. Run from the workspace root
+# before sending a PR. Each step is timed so slow regressions in the
+# gate itself are visible.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +26,11 @@ step "cargo clippy (deny warnings)" \
     cargo clippy --workspace --all-targets -- -D warnings
 
 step "cargo test (workspace)" cargo test -q --workspace
+
+# Rustdoc with warnings denied: deleting or privatising a documented
+# item cannot leave a dangling intra-doc link behind.
+step "cargo doc (deny warnings)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 # The benchmark checks every output against benchmark/golden.json and
 # exits non-zero on a miss; message and poll counts are equality pins,

@@ -1,9 +1,8 @@
 //! Trace-equivalence guard for kernel optimisations.
 //!
-//! The fast-path work on the simkit kernel (interned trace ids, slab
-//! process table, lazy timer deletion) must not change *what* the
-//! simulator computes — only how fast. These tests pin that down two
-//! ways:
+//! Work on the simkit kernel (slab process table, lazy timer deletion,
+//! the tracer itself) must not change *what* the simulator computes —
+//! only how fast. These tests pin that down two ways:
 //!
 //! 1. Same-seed replay: two independent runs of a faulty whole-machine
 //!    workload produce bit-identical typed [`TraceEvent`] streams.
