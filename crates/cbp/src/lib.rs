@@ -776,7 +776,7 @@ mod fault_tests {
         let ctx = sim.handle();
         let w = faulty_machine(&ctx);
         w.ib().set_node_down(NodeId(4), true);
-        w.extoll().set_node_down(NodeId(4), true); // BI 1's entry node
+        w.extoll().network().set_node_down(NodeId(4), true); // BI 1's entry node
         let handle = CbpWireHandle(w.clone());
         let (src, dst) = (w.cluster_ep(1), w.booster_ep(3));
         let h = sim.spawn("xfer", async move { handle.transfer(src, dst, 4096).await });

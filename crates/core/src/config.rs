@@ -2,7 +2,6 @@
 
 use deep_hw::NodeModel;
 use deep_io::StorageConfig;
-use deep_json::object;
 use deep_psmpi::MpiParams;
 
 /// Configuration of a DEEP cluster-booster machine.
@@ -18,7 +17,7 @@ pub struct DeepConfig {
     pub cluster_node: NodeModel,
     /// Booster node hardware.
     pub booster_node: NodeModel,
-    /// MPI protocol parameters (not serialised; defaults on load).
+    /// MPI protocol parameters.
     pub mpi: MpiParams,
     /// Per-segment CRC-error probability injected on every EXTOLL link
     /// (0.0 = clean links). Retransmission is handled by the fabric's
@@ -91,60 +90,7 @@ impl DeepConfig {
         self.n_cluster as f64 * self.cluster_node.power.peak_w
             + self.n_booster() as f64 * self.booster_node.power.peak_w
     }
-
-    /// Serialise to a JSON string (MPI parameters are runtime-only and
-    /// are restored to defaults on load).
-    pub fn to_json(&self) -> String {
-        object([
-            ("n_cluster", self.n_cluster.into()),
-            (
-                "booster_dims",
-                vec![
-                    self.booster_dims.0,
-                    self.booster_dims.1,
-                    self.booster_dims.2,
-                ]
-                .into(),
-            ),
-            ("n_bi", self.n_bi.into()),
-            ("cluster_node", self.cluster_node.to_json()),
-            ("booster_node", self.booster_node.to_json()),
-            (
-                "booster_link_error_rate",
-                self.booster_link_error_rate.into(),
-            ),
-            ("storage", self.storage.to_json_value()),
-        ])
-        .to_json_pretty()
-    }
-
-    /// Parse a configuration serialised by [`DeepConfig::to_json`].
-    pub fn from_json(text: &str) -> Option<DeepConfig> {
-        let v = deep_json::from_str(text).ok()?;
-        let dims = v.get("booster_dims")?.as_array()?;
-        if dims.len() != 3 {
-            return None;
-        }
-        Some(DeepConfig {
-            n_cluster: v.get("n_cluster")?.as_u64()? as u32,
-            booster_dims: (
-                dims[0].as_u64()? as u32,
-                dims[1].as_u64()? as u32,
-                dims[2].as_u64()? as u32,
-            ),
-            n_bi: v.get("n_bi")?.as_u64()? as u32,
-            cluster_node: NodeModel::from_json(v.get("cluster_node")?)?,
-            booster_node: NodeModel::from_json(v.get("booster_node")?)?,
-            mpi: MpiParams::default(),
-            booster_link_error_rate: v.get("booster_link_error_rate")?.as_f64()?,
-            storage: StorageConfig::from_json_value(v.get("storage")?)?,
-        })
-    }
 }
-
-/// Re-export for callers that want to build richer documents around a
-/// serialised [`DeepConfig`].
-pub use deep_json::Value as JsonValue;
 
 #[cfg(test)]
 mod tests {
@@ -160,26 +106,5 @@ mod tests {
         // Booster dominates the flops (that's the point).
         let booster_share = c.n_booster() as f64 * c.booster_node.peak_flops() / c.peak_flops();
         assert!(booster_share > 0.85);
-    }
-
-    #[test]
-    fn config_serializes() {
-        let c = DeepConfig::small();
-        let j = c.to_json();
-        let back = DeepConfig::from_json(&j).unwrap();
-        assert_eq!(back.n_cluster, 4);
-        assert_eq!(back.n_booster(), 8);
-        assert_eq!(back.cluster_node, c.cluster_node);
-        assert_eq!(back.booster_node, c.booster_node);
-        assert_eq!(back.storage, c.storage);
-    }
-
-    #[test]
-    fn storage_survives_the_config_roundtrip() {
-        let mut c = DeepConfig::small();
-        c.storage.pfs.n_servers = 5;
-        c.storage.local.write_bps = 4.2e9;
-        let back = DeepConfig::from_json(&c.to_json()).unwrap();
-        assert_eq!(back.storage, c.storage);
     }
 }

@@ -16,7 +16,7 @@ use deep_simkit::{Sim, SimDuration};
 
 use crate::network::{FaultModel, LinkFailure, Network};
 use crate::torus::{extoll_link_spec, Torus3D};
-use crate::types::{EndpointOverhead, LinkSpec, NodeId, TransferStats};
+use crate::types::{EndpointOverhead, NodeId, TransferStats};
 
 /// Tunable engine parameters.
 #[derive(Debug, Clone, Copy)]
@@ -62,17 +62,8 @@ impl ExtollFabric {
     /// Build an EXTOLL torus of the given dimensions with default link
     /// spec and parameters.
     pub fn new(sim: &Sim, dims: (u32, u32, u32)) -> Self {
-        Self::with_spec(sim, dims, extoll_link_spec(), ExtollParams::default())
-    }
-
-    /// Build with explicit link spec and parameters.
-    pub fn with_spec(
-        sim: &Sim,
-        dims: (u32, u32, u32),
-        spec: LinkSpec,
-        params: ExtollParams,
-    ) -> Self {
-        let topo = Torus3D::new(dims, spec);
+        let params = ExtollParams::default();
+        let topo = Torus3D::new(dims, extoll_link_spec());
         let net = Network::new(sim, Box::new(topo), params.mtu, 0x00E0_7011);
         ExtollFabric {
             net: Rc::new(net),
@@ -85,16 +76,6 @@ impl ExtollFabric {
     pub fn with_fault_model(self, fault: FaultModel) -> Self {
         self.net.set_fault_model(fault);
         self
-    }
-
-    /// Install a fault model mid-run (a fault injector degrading links).
-    pub fn set_fault_model(&self, fault: FaultModel) {
-        self.net.set_fault_model(fault);
-    }
-
-    /// Mark a booster node as crashed or repaired.
-    pub fn set_node_down(&self, node: crate::types::NodeId, down: bool) {
-        self.net.set_node_down(node, down);
     }
 
     /// True if a booster node is currently marked crashed.

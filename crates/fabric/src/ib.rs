@@ -41,22 +41,12 @@ pub struct IbFabric {
 }
 
 impl IbFabric {
-    /// Build a non-blocking FDR fat tree over `hosts` endpoints.
-    pub fn new(sim: &Sim, hosts: u32) -> Self {
-        Self::with_params(sim, hosts, 18, IbParams::default())
-    }
-
-    /// Build with explicit radix and parameters. `nodes_per_leaf` hosts
-    /// share each leaf switch; the same number of spines keeps the tree
+    /// Build a non-blocking FDR fat tree over `hosts` endpoints: 18
+    /// hosts share each leaf switch, and as many spines keep the tree
     /// non-blocking.
-    pub fn with_params(sim: &Sim, hosts: u32, nodes_per_leaf: u32, params: IbParams) -> Self {
-        let topo = FatTree::new(
-            hosts,
-            nodes_per_leaf,
-            nodes_per_leaf,
-            ib_fdr_host_spec(),
-            ib_fdr_trunk_spec(),
-        );
+    pub fn new(sim: &Sim, hosts: u32) -> Self {
+        let params = IbParams::default();
+        let topo = FatTree::new(hosts, 18, 18, ib_fdr_host_spec(), ib_fdr_trunk_spec());
         let net = Network::new(sim, Box::new(topo), params.mtu, 0x1B_FAB);
         IbFabric {
             net: Rc::new(net),
@@ -67,11 +57,6 @@ impl IbFabric {
     /// Underlying contention engine (batched booking, fault injection).
     pub fn network(&self) -> &Rc<Network> {
         &self.net
-    }
-
-    /// Install a fault model mid-run (a fault injector degrading links).
-    pub fn set_fault_model(&self, fault: crate::network::FaultModel) {
-        self.net.set_fault_model(fault);
     }
 
     /// Mark a host as crashed or repaired.

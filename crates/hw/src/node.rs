@@ -12,7 +12,6 @@
 //! slide.
 
 use crate::energy::PowerModel;
-use deep_json::{object, Value};
 
 /// Which side of a DEEP machine a node belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -25,29 +24,6 @@ pub enum NodeClass {
     Accelerator,
     /// Booster-interface bridge node.
     BoosterInterface,
-}
-
-impl NodeClass {
-    /// Stable name used in JSON documents.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            NodeClass::Cluster => "cluster",
-            NodeClass::Booster => "booster",
-            NodeClass::Accelerator => "accelerator",
-            NodeClass::BoosterInterface => "booster_interface",
-        }
-    }
-
-    /// Inverse of [`NodeClass::as_str`].
-    pub fn from_str_name(s: &str) -> Option<NodeClass> {
-        match s {
-            "cluster" => Some(NodeClass::Cluster),
-            "booster" => Some(NodeClass::Booster),
-            "accelerator" => Some(NodeClass::Accelerator),
-            "booster_interface" => Some(NodeClass::BoosterInterface),
-            _ => None,
-        }
-    }
 }
 
 /// A single core: clock and per-cycle floating-point throughput.
@@ -98,59 +74,6 @@ impl NodeModel {
     /// Peak energy efficiency in GFlop/s per watt at full load.
     pub fn peak_gflops_per_watt(&self) -> f64 {
         self.peak_flops() / 1e9 / self.power.peak_w
-    }
-
-    /// Serialise to a JSON value.
-    pub fn to_json(&self) -> Value {
-        object([
-            ("name", self.name.as_str().into()),
-            ("class", self.class.as_str().into()),
-            ("cores", self.cores.into()),
-            (
-                "core",
-                object([
-                    ("clock_hz", self.core.clock_hz.into()),
-                    ("flops_per_cycle", self.core.flops_per_cycle.into()),
-                    (
-                        "scalar_fraction_of_peak",
-                        self.core.scalar_fraction_of_peak.into(),
-                    ),
-                ]),
-            ),
-            ("mem_bw_bps", self.mem_bw_bps.into()),
-            ("mem_capacity", self.mem_capacity.into()),
-            (
-                "power",
-                object([
-                    ("idle_w", self.power.idle_w.into()),
-                    ("peak_w", self.power.peak_w.into()),
-                ]),
-            ),
-            ("year", self.year.into()),
-        ])
-    }
-
-    /// Deserialise from a JSON value produced by [`NodeModel::to_json`].
-    pub fn from_json(v: &Value) -> Option<NodeModel> {
-        let core = v.get("core")?;
-        let power = v.get("power")?;
-        Some(NodeModel {
-            name: v.get("name")?.as_str()?.to_string(),
-            class: NodeClass::from_str_name(v.get("class")?.as_str()?)?,
-            cores: v.get("cores")?.as_u64()? as u32,
-            core: CoreModel {
-                clock_hz: core.get("clock_hz")?.as_f64()?,
-                flops_per_cycle: core.get("flops_per_cycle")?.as_f64()?,
-                scalar_fraction_of_peak: core.get("scalar_fraction_of_peak")?.as_f64()?,
-            },
-            mem_bw_bps: v.get("mem_bw_bps")?.as_f64()?,
-            mem_capacity: v.get("mem_capacity")?.as_u64()?,
-            power: PowerModel {
-                idle_w: power.get("idle_w")?.as_f64()?,
-                peak_w: power.get("peak_w")?.as_f64()?,
-            },
-            year: v.get("year")?.as_u64()? as u32,
-        })
     }
 
     // -- Presets ----------------------------------------------------------
@@ -331,21 +254,6 @@ mod tests {
             (4.0..=6.5).contains(&ratio),
             "efficiency ratio {ratio:.2} should be ≈5"
         );
-    }
-
-    #[test]
-    fn node_model_json_roundtrip() {
-        for model in [
-            NodeModel::xeon_cluster_node(),
-            NodeModel::xeon_phi_knc(),
-            NodeModel::gpu_k20x(),
-            NodeModel::booster_interface_node(),
-        ] {
-            let v = model.to_json();
-            let parsed = deep_json::from_str(&v.to_json()).unwrap();
-            let back = NodeModel::from_json(&parsed).unwrap();
-            assert_eq!(back, model);
-        }
     }
 
     #[test]

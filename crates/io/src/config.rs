@@ -1,7 +1,4 @@
-//! Static storage-hierarchy configuration and its JSON form.
-
-use deep_json::{object, Value};
-use deep_simkit::SimDuration;
+//! Static storage-hierarchy configuration.
 
 use crate::device::DeviceSpec;
 use crate::pfs::PfsConfig;
@@ -26,113 +23,5 @@ impl Default for StorageConfig {
             pfs: PfsConfig::default(),
             file_layer: FileLayerParams::default(),
         }
-    }
-}
-
-fn device_to_json(d: &DeviceSpec) -> Value {
-    object([
-        ("name", d.name.as_str().into()),
-        ("read_bps", d.read_bps.into()),
-        ("write_bps", d.write_bps.into()),
-        ("latency_us", (d.latency.as_nanos() as f64 / 1e3).into()),
-        ("queue_depth", d.queue_depth.into()),
-    ])
-}
-
-fn device_from_json(v: &Value) -> Option<DeviceSpec> {
-    Some(DeviceSpec {
-        name: v.get("name")?.as_str()?.to_string(),
-        read_bps: v.get("read_bps")?.as_f64()?,
-        write_bps: v.get("write_bps")?.as_f64()?,
-        latency: SimDuration::from_secs_f64(v.get("latency_us")?.as_f64()? / 1e6),
-        queue_depth: v.get("queue_depth")?.as_u64()? as u32,
-    })
-}
-
-impl StorageConfig {
-    /// Serialise to a JSON value (embeddable in a larger document).
-    pub fn to_json_value(&self) -> Value {
-        object([
-            ("local", device_to_json(&self.local)),
-            (
-                "pfs",
-                object([
-                    ("n_servers", self.pfs.n_servers.into()),
-                    ("stripe_bytes", self.pfs.stripe_bytes.into()),
-                    ("server_device", device_to_json(&self.pfs.server_device)),
-                ]),
-            ),
-            (
-                "file_layer",
-                object([
-                    (
-                        "meta_service_us",
-                        (self.file_layer.meta_service.as_nanos() as f64 / 1e3).into(),
-                    ),
-                    ("meta_msg_bytes", self.file_layer.meta_msg_bytes.into()),
-                    (
-                        "shared_block_bytes",
-                        self.file_layer.shared_block_bytes.into(),
-                    ),
-                    ("align_bytes", self.file_layer.align_bytes.into()),
-                ]),
-            ),
-        ])
-    }
-
-    /// Serialise to pretty JSON text.
-    pub fn to_json(&self) -> String {
-        self.to_json_value().to_json_pretty()
-    }
-
-    /// Parse back from a JSON value produced by [`Self::to_json_value`].
-    pub fn from_json_value(v: &Value) -> Option<StorageConfig> {
-        let pfs = v.get("pfs")?;
-        let fl = v.get("file_layer")?;
-        Some(StorageConfig {
-            local: device_from_json(v.get("local")?)?,
-            pfs: PfsConfig {
-                n_servers: pfs.get("n_servers")?.as_u64()? as u32,
-                stripe_bytes: pfs.get("stripe_bytes")?.as_u64()?,
-                server_device: device_from_json(pfs.get("server_device")?)?,
-            },
-            file_layer: FileLayerParams {
-                meta_service: SimDuration::from_secs_f64(
-                    fl.get("meta_service_us")?.as_f64()? / 1e6,
-                ),
-                meta_msg_bytes: fl.get("meta_msg_bytes")?.as_u64()?,
-                shared_block_bytes: fl.get("shared_block_bytes")?.as_u64()?,
-                align_bytes: fl.get("align_bytes")?.as_u64()?,
-            },
-        })
-    }
-
-    /// Parse from JSON text.
-    pub fn from_json(text: &str) -> Option<StorageConfig> {
-        StorageConfig::from_json_value(&deep_json::from_str(text).ok()?)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn storage_config_json_roundtrip() {
-        let cfg = StorageConfig::default();
-        let text = cfg.to_json();
-        let back = StorageConfig::from_json(&text).expect("parse back");
-        assert_eq!(cfg, back);
-    }
-
-    #[test]
-    fn roundtrip_preserves_non_default_values() {
-        let mut cfg = StorageConfig::default();
-        cfg.pfs.n_servers = 7;
-        cfg.pfs.stripe_bytes = 2 << 20;
-        cfg.local.write_bps = 3.3e9;
-        cfg.file_layer.align_bytes = 4096;
-        let back = StorageConfig::from_json(&cfg.to_json()).expect("parse back");
-        assert_eq!(cfg, back);
     }
 }

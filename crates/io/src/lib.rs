@@ -15,7 +15,7 @@
 //!   bookkeeping (which level survives which failure severity);
 //! * [`checkpoint::CheckpointManager`] — the DES-driven L1/L2/L3
 //!   checkpoint + restore engine over NVM, EXTOLL buddies, and the PFS;
-//! * [`config::StorageConfig`] — static description, JSON round-trip.
+//! * [`config::StorageConfig`] — static description.
 
 #![warn(missing_docs)]
 

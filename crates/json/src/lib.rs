@@ -2,9 +2,9 @@
 //!
 //! The build environment has no registry access, so instead of serde this
 //! crate provides a small [`Value`] tree, a strict recursive-descent
-//! parser ([`from_str`]), and compact/pretty printers. Types that need
-//! (de)serialisation implement explicit `to_json`/`from_json` methods —
-//! more verbose than derive, but fully auditable and dependency-free.
+//! parser ([`from_str`]), and compact/pretty printers. Callers build and
+//! read `Value` trees by hand — more verbose than derive, but fully
+//! auditable and dependency-free.
 //!
 //! Objects preserve insertion order (they are association lists, not
 //! maps), so printed output is deterministic.

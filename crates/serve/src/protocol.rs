@@ -278,15 +278,6 @@ impl JobRequest {
             spec: JobSpec::from_json(v)?,
         })
     }
-
-    /// JSON form (what `deep-submit` puts on the wire).
-    pub fn to_json(&self) -> Value {
-        let mut members = vec![("client".to_string(), Value::String(self.client.clone()))];
-        if let Value::Object(kv) = self.spec.to_json() {
-            members.extend(kv);
-        }
-        Value::Object(members)
-    }
 }
 
 #[cfg(test)]
@@ -308,8 +299,8 @@ mod tests {
         let req = JobRequest::from_json(&v).unwrap();
         assert_eq!(req.client, "ci");
         assert_eq!(req.spec, JobSpec::Experiment("f03b_resilience".into()));
-        let back = JobRequest::from_json(&req.to_json()).unwrap();
-        assert_eq!(back, req);
+        let back = JobSpec::from_json(&req.spec.to_json()).unwrap();
+        assert_eq!(back, req.spec);
     }
 
     #[test]
@@ -322,8 +313,8 @@ mod tests {
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.replicas, 4);
         assert_eq!(cfg.points[0].n_nodes, 640);
-        let back = JobRequest::from_json(&req.to_json()).unwrap();
-        assert_eq!(back, req);
+        let back = JobSpec::from_json(&req.spec.to_json()).unwrap();
+        assert_eq!(back, req.spec);
     }
 
     #[test]
