@@ -7,29 +7,9 @@
 //! ([`run`]), and a trace-driven `deep_resmgr` replay ([`trace`]).
 //!
 //! A scenario file declares a machine preset, an app skeleton with
-//! sweep axes, a fault plan, and/or a synthetic job trace:
-//!
-//! ```toml
-//! [scenario]
-//! name = "resilience-example"
-//! seed = 7
-//! replicas = 8
-//!
-//! [machine]
-//! preset = "prototype"
-//!
-//! [app]
-//! skeleton = "resilience"
-//! work_s = 500000.0
-//! mtbf_node_s = 157680000.0
-//! checkpoint_s = 240.0
-//! restart_s = 600.0
-//! intervals = ["daly/4", "daly", "daly*4", 86400.0]
-//!
-//! [[sweep.axes]]
-//! param = "n_nodes"
-//! values = [640, 10000, 100000, 1000000]
-//! ```
+//! sweep axes, a fault plan, and/or a synthetic job trace;
+//! `docs/scenario.md` has the key tables and an annotated example (the
+//! f03b-equivalent fixture the bit-identity test pins).
 //!
 //! The same document runs three ways, all byte-identical: the
 //! `run_scenario` binary, a `deep-serve` `{"scenario": ...}` job, and
@@ -37,7 +17,7 @@
 //! (`deep_json::digest` of `{"scenario": <doc>}`) into the shared
 //! result cache; the digest is invariant under key order and
 //! formatting, so reformatted copies of a scenario hit the same cache
-//! entry. See `docs/scenario.md` for the full grammar.
+//! entry.
 
 // Request path of the daemon: a malformed job must yield an error
 // response, not a panic (DESIGN.md §13).

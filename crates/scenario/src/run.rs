@@ -14,7 +14,7 @@ use deep_core::resilience::{daly_optimum, mean_efficiency_batch, ResilienceParam
 use deep_faults::plan::{FaultEvent, FaultKind};
 use deep_json::{object, Value};
 
-use crate::schema::{AppSpec, ResilienceApp, ScalabilityApp, Scenario};
+use crate::schema::{AppSpec, ResilienceApp, ScalabilityApp, Scenario, SEVERITIES};
 
 /// Evaluate the scenario to its result JSON.
 pub fn execute(sc: &Scenario) -> Value {
@@ -177,12 +177,11 @@ fn fault_event_json(ev: &FaultEvent) -> Value {
             ("node", u64::from(*node).into()),
             (
                 "severity",
-                match severity {
-                    deep_io::ckptlog::FailureSeverity::Transient => "transient",
-                    deep_io::ckptlog::FailureSeverity::NodeLoss => "node",
-                    deep_io::ckptlog::FailureSeverity::MultiNodeLoss => "multi",
-                }
-                .into(),
+                SEVERITIES
+                    .iter()
+                    .find(|(_, s)| s == severity)
+                    .map_or("", |(name, _)| *name)
+                    .into(),
             ),
         ]),
         FaultKind::BiFail { index, duration } => object([

@@ -1,7 +1,13 @@
 //! Typed scenario schema: validation of the parsed TOML tree into
 //! resolved values — the [`DeepConfig`] the machine block denotes,
-//! every machine-dependent default filled in, every choice (axis
-//! parameter, trace policy) decided — which execution consumes as is.
+//! every machine-dependent default filled in, every choice (sweep axis,
+//! trace policy) decided — which execution consumes as is.
+//!
+//! Each section's keys are one table of [`Key`] rows: name, whether
+//! required, type and range, scalar default. One reader checks a
+//! section against its table; the sweep axes, the key tables of
+//! `docs/scenario.md` (`tests/scenario_conformance.rs`) and the
+//! validation fuzzer (`tests/scenario_proptest.rs`) read the same rows.
 //!
 //! Every validation failure produces a stable, exact error message
 //! (asserted verbatim by `tests/scenario_fixtures/`), of the form
@@ -16,75 +22,280 @@ use deep_io::ckptlog::FailureSeverity;
 use deep_json::Value;
 use deep_resmgr::Policy;
 use deep_simkit::SimDuration;
+use std::borrow::Cow;
+use Scalar as S;
+use Ty::*;
 
-/// The keys each section accepts; `docs/scenario.md` lists exactly
-/// these (`tests/scenario_conformance.rs`).
-pub mod keys {
-    /// Top-level sections.
-    pub const SECTIONS: &[&str] = &["scenario", "machine", "app", "sweep", "faults", "trace"];
-    /// `[scenario]`.
-    pub const SCENARIO: &[&str] = &["name", "seed", "replicas"];
-    /// `[machine]`.
-    pub const MACHINE: &[&str] = &[
-        "preset",
-        "n_cluster",
-        "booster_dims",
-        "n_bi",
-        "booster_link_error_rate",
-    ];
-    /// `[app]` with `skeleton = "resilience"`.
-    pub const RESILIENCE_APP: &[&str] = &[
-        "skeleton",
-        "work_s",
-        "mtbf_node_s",
-        "checkpoint_s",
-        "restart_s",
-        "n_nodes",
-        "intervals",
-    ];
-    /// `[app]` with `skeleton = "scalability"`.
-    pub const SCALABILITY_APP: &[&str] = &["skeleton", "ranks", "iters", "complex"];
-    /// `[sweep]`.
-    pub const SWEEP: &[&str] = &["axes"];
-    /// One `[[sweep.axes]]` entry.
-    pub const AXIS: &[&str] = &["param", "values", "grid"];
-    /// An axis `grid` table.
-    pub const GRID: &[&str] = &["start", "step", "count"];
-    /// `[faults]`.
-    pub const FAULTS: &[&str] = &["events", "poisson", "link_flaps"];
-    /// `[faults.poisson]`.
-    pub const POISSON: &[&str] = &[
-        "domain",
-        "n_nodes",
-        "mtbf_node_s",
-        "horizon_s",
-        "weights",
-        "stream",
-    ];
-    /// `[faults.link_flaps]`.
-    pub const LINK_FLAPS: &[&str] = &[
-        "domain",
-        "first_s",
-        "period_s",
-        "error_rate",
-        "flap_s",
-        "count",
-    ];
-    /// `[trace]`.
-    pub const TRACE: &[&str] = &[
-        "jobs",
-        "mean_interarrival_s",
-        "max_cn",
-        "max_bn",
-        "mean_cn_time_s",
-        "mean_bn_time_s",
-        "max_phases",
-        "pure_cluster_fraction",
-        "policy",
-        "spares",
-        "sample_every_s",
-    ];
+// ---------------------------------------------------------------
+// key tables
+// ---------------------------------------------------------------
+
+/// One key of a section.
+#[derive(Clone, Copy)]
+pub struct Key {
+    /// The key's name.
+    pub name: &'static str,
+    /// Whether a document must give it.
+    pub required: bool,
+    /// Its type and range.
+    pub ty: Ty,
+    /// The value an absent optional key reads as; `None` when it has
+    /// none or the default depends on the machine.
+    pub default: Option<Scalar<'static>>,
+    /// For a resilience `[app]` key a sweep axis may vary: how the axis
+    /// sets it on a point.
+    pub axis: Option<fn(&mut ResilienceParams, f64)>,
 }
+
+/// A key's type and range, from a small closed set.
+#[derive(Clone, Copy)]
+pub enum Ty {
+    /// Any string.
+    Str,
+    /// A string of `lo..=hi` bytes.
+    Chars(usize, usize),
+    /// `true` or `false`.
+    Bool,
+    /// A non-negative integer.
+    U64,
+    /// An integer in `lo..=hi`.
+    Int(u64, u64),
+    /// Any number.
+    Num,
+    /// A finite number > 0.
+    Positive,
+    /// A number in `0..=1`.
+    Unit,
+    /// One of a list of names; an unknown name is reported against the
+    /// key.
+    Choice(&'static dyn Names),
+    /// A name selecting what the rest of the section is (`preset`,
+    /// `skeleton`, an event's `kind`): the section parser resolves it
+    /// and reports an unknown name against the section.
+    Select(&'static dyn Names),
+    /// A table.
+    Table,
+    /// An array of tables, each read by the section parser.
+    Tables,
+    /// A composite value the section parser checks; the text is its
+    /// range as documented.
+    Parsed(&'static str),
+}
+
+/// A key's default, or a checked scalar value.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Scalar<'s> {
+    /// An integer.
+    Int(u64),
+    /// A number.
+    Num(f64),
+    /// A boolean.
+    Bool(bool),
+    /// A string, or the name of a choice.
+    Str(&'s str),
+}
+
+/// The names of a named choice, in the order its `(use …)` hint lists
+/// them.
+pub trait Names: Sync {
+    /// The `i`-th name.
+    fn name(&self, i: usize) -> Option<&'static str>;
+}
+
+impl<T: Sync, const N: usize> Names for [(&'static str, T); N] {
+    fn name(&self, i: usize) -> Option<&'static str> {
+        self.get(i).map(|c| c.0)
+    }
+}
+
+impl dyn Names {
+    /// Every name, in hint order.
+    pub fn iter(&self) -> impl Iterator<Item = &'static str> + '_ {
+        (0..).map_while(|i| self.name(i))
+    }
+}
+
+const fn req(name: &'static str, ty: Ty) -> Key {
+    Key {
+        name,
+        required: true,
+        ty,
+        default: None,
+        axis: None,
+    }
+}
+
+const fn opt(name: &'static str, ty: Ty) -> Key {
+    Key {
+        required: false,
+        ..req(name, ty)
+    }
+}
+
+const fn def(name: &'static str, ty: Ty, default: Scalar<'static>) -> Key {
+    Key {
+        default: Some(default),
+        ..opt(name, ty)
+    }
+}
+
+impl Key {
+    const fn axis(self, set: fn(&mut ResilienceParams, f64)) -> Key {
+        Key {
+            axis: Some(set),
+            ..self
+        }
+    }
+}
+
+type Preset = fn() -> DeepConfig;
+type AppParser = fn(&Value, &DeepConfig) -> Result<AppSpec, String>;
+type EventParser = fn(&Value, String) -> Result<FaultKind, String>;
+
+// Named choices: one `(name, value)` list each, in `(use …)` hint order.
+const PRESETS: [(&str, Preset); 3] = [
+    ("small", DeepConfig::small),
+    ("medium", DeepConfig::medium),
+    ("prototype", DeepConfig::prototype),
+];
+const SKELETONS: [(&str, AppParser); 2] = [
+    ("resilience", parse_resilience_app),
+    ("scalability", parse_scalability_app),
+];
+const DOMAINS: [(&str, Domain); 2] = [("cluster", Domain::Cluster), ("booster", Domain::Booster)];
+/// Fault severities by name.
+pub(crate) const SEVERITIES: [(&str, FailureSeverity); 3] = [
+    ("transient", FailureSeverity::Transient),
+    ("node", FailureSeverity::NodeLoss),
+    ("multi", FailureSeverity::MultiNodeLoss),
+];
+const POLICIES: [(&str, Policy); 3] = [
+    ("static", Policy::StaticFcfs),
+    ("dynamic", Policy::DynamicFcfs),
+    ("backfill", Policy::DynamicBackfill),
+];
+const FAULT_KINDS: [(&str, EventParser); 5] = [
+    ("node_crash", parse_node_crash),
+    ("link_degrade", parse_link_degrade),
+    ("nic_drop", parse_nic_drop),
+    ("bi_fail", parse_bi_fail),
+    ("pfs_stall", parse_pfs_stall),
+];
+
+/// The rank range of the scalability skeleton and its `ranks` axis.
+const RANKS: (u64, u64) = (2, 262_144);
+const SKELETON: Key = req("skeleton", Select(&SKELETONS));
+const KIND: Key = req("kind", Select(&FAULT_KINDS));
+const AT_S: Key = req("at_s", Positive);
+const DOMAIN: Key = req("domain", Choice(&DOMAINS));
+const NODE: Key = req("node", Int(0, u32::MAX as u64));
+const DURATION_S: Key = req("duration_s", Positive);
+
+/// Top-level sections.
+pub const SECTIONS: &[Key] = &[
+    req("scenario", Table),
+    req("machine", Table),
+    opt("app", Table),
+    opt("sweep", Table),
+    opt("faults", Table),
+    opt("trace", Table),
+];
+/// `[scenario]`.
+pub const SCENARIO: &[Key] = &[
+    req("name", Chars(1, 64)),
+    req("seed", U64),
+    def("replicas", Int(1, 1024), S::Int(1)),
+];
+/// `[machine]`; an absent override keeps the preset's value.
+pub const MACHINE: &[Key] = &[
+    req("preset", Select(&PRESETS)),
+    opt("n_cluster", Int(1, 1_048_576)),
+    opt("n_bi", Int(1, 4096)),
+    opt("booster_dims", Parsed("3 × 1..=1024")),
+    opt("booster_link_error_rate", Unit),
+];
+/// `[app]` with `skeleton = "resilience"`; the five keys with an
+/// `axis` setter are the ones `[[sweep.axes]]` may vary.
+pub const RESILIENCE_APP: &[Key] = &[
+    SKELETON,
+    opt("intervals", Parsed("1..=64 intervals")),
+    req("work_s", Positive).axis(|p, v| p.work_s = v),
+    req("mtbf_node_s", Positive).axis(|p, v| p.mtbf_node_s = v),
+    req("checkpoint_s", Positive).axis(|p, v| p.checkpoint_s = v),
+    req("restart_s", Positive).axis(|p, v| p.restart_s = v),
+    opt("n_nodes", Int(1, 100_000_000)).axis(|p, v| p.n_nodes = v as u64),
+];
+/// `[app]` with `skeleton = "scalability"`.
+pub const SCALABILITY_APP: &[Key] = &[
+    SKELETON,
+    def("ranks", Int(RANKS.0, RANKS.1), S::Int(64)),
+    def("iters", Int(1, 8), S::Int(1)),
+    def("complex", Bool, S::Bool(false)),
+];
+/// `[sweep]`.
+pub const SWEEP: &[Key] = &[opt("axes", Tables)];
+/// One `[[sweep.axes]]` entry.
+pub const AXIS: &[Key] = &[
+    req("param", Str),
+    opt("values", Parsed("non-empty list of finite numbers")),
+    opt("grid", Parsed("{ start, step, count }")),
+];
+/// An axis `grid` table.
+pub const GRID: &[Key] = &[req("start", Num), req("step", Num), req("count", U64)];
+/// `[faults]`.
+pub const FAULTS: &[Key] = &[
+    opt("events", Tables),
+    opt("poisson", Table),
+    opt("link_flaps", Table),
+];
+/// `[faults.poisson]`; `n_nodes` defaults to the domain's node count.
+pub const POISSON: &[Key] = &[
+    opt("weights", Parsed("3 numbers ≥ 0, not all 0")),
+    DOMAIN,
+    opt("n_nodes", Int(1, 10_000_000)),
+    req("mtbf_node_s", Positive),
+    req("horizon_s", Positive),
+    def("stream", U64, S::Int(1)),
+];
+/// `[faults.link_flaps]`.
+pub const LINK_FLAPS: &[Key] = &[
+    req("error_rate", Unit),
+    DOMAIN,
+    req("first_s", Positive),
+    req("period_s", Positive),
+    req("flap_s", Positive),
+    req("count", Int(1, 100_000)),
+];
+/// A `node_crash` event.
+pub const NODE_CRASH: &[Key] = &[
+    KIND,
+    AT_S,
+    def("severity", Choice(&SEVERITIES), S::Str("node")),
+    DOMAIN,
+    NODE,
+];
+/// A `link_degrade` event.
+pub const LINK_DEGRADE: &[Key] = &[KIND, AT_S, req("error_rate", Unit), DOMAIN, DURATION_S];
+/// A `nic_drop` event.
+pub const NIC_DROP: &[Key] = &[KIND, AT_S, req("drop_prob", Unit), DOMAIN, NODE, DURATION_S];
+/// A `bi_fail` event.
+pub const BI_FAIL: &[Key] = &[KIND, AT_S, req("index", U64), DURATION_S];
+/// A `pfs_stall` event.
+pub const PFS_STALL: &[Key] = &[KIND, AT_S, req("server", U64), req("bytes", U64)];
+/// `[trace]`.
+pub const TRACE: &[Key] = &[
+    def("policy", Choice(&POLICIES), S::Str("dynamic")),
+    def("pure_cluster_fraction", Unit, S::Num(0.3)),
+    req("jobs", Int(1, 100_000)),
+    req("mean_interarrival_s", Positive),
+    def("max_cn", Int(1, 1_048_576), S::Int(4)),
+    def("max_bn", Int(0, 1_048_576), S::Int(8)),
+    req("mean_cn_time_s", Positive),
+    req("mean_bn_time_s", Positive),
+    def("max_phases", Int(1, 64), S::Int(3)),
+    def("spares", Int(0, 4096), S::Int(0)),
+    def("sample_every_s", Positive, S::Num(60.0)),
+];
 
 /// A fully validated scenario document.
 #[derive(Debug, Clone)]
@@ -186,7 +397,7 @@ impl ResilienceApp {
                 .flat_map(|p| {
                     axis.values.iter().map(move |v| {
                         let mut q = *p;
-                        axis.param.set(&mut q, v);
+                        (axis.set)(&mut q, v);
                         q
                     })
                 })
@@ -222,48 +433,11 @@ impl IntervalSpec {
 /// One resilience sweep axis: a parameter plus its values.
 #[derive(Debug, Clone)]
 pub(crate) struct SweepAxis {
-    /// Which [`ResilienceParams`] field the axis varies.
-    param: AxisParam,
+    /// Sets the [`ResilienceParams`] field the axis varies (the
+    /// [`Key::axis`] of its `[app]` key).
+    set: fn(&mut ResilienceParams, f64),
     /// The values, in evaluation order.
     values: AxisValues,
-}
-
-/// The [`ResilienceParams`] field a sweep axis varies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AxisParam {
-    /// `n_nodes`.
-    NNodes,
-    /// `work_s`.
-    WorkS,
-    /// `mtbf_node_s`.
-    MtbfNodeS,
-    /// `checkpoint_s`.
-    CheckpointS,
-    /// `restart_s`.
-    RestartS,
-}
-
-impl AxisParam {
-    fn from_name(name: &str) -> Option<AxisParam> {
-        Some(match name {
-            "n_nodes" => AxisParam::NNodes,
-            "work_s" => AxisParam::WorkS,
-            "mtbf_node_s" => AxisParam::MtbfNodeS,
-            "checkpoint_s" => AxisParam::CheckpointS,
-            "restart_s" => AxisParam::RestartS,
-            _ => return None,
-        })
-    }
-
-    fn set(self, p: &mut ResilienceParams, v: f64) {
-        match self {
-            AxisParam::NNodes => p.n_nodes = v as u64,
-            AxisParam::WorkS => p.work_s = v,
-            AxisParam::MtbfNodeS => p.mtbf_node_s = v,
-            AxisParam::CheckpointS => p.checkpoint_s = v,
-            AxisParam::RestartS => p.restart_s = v,
-        }
-    }
 }
 
 /// An axis's values as written: a list, or a grid kept unexpanded so a
@@ -369,40 +543,25 @@ impl Scenario {
     /// Validate a parsed document (TOML- or JSON-sourced: `deep-serve`
     /// jobs arrive as JSON).
     pub fn from_value(doc: &Value) -> Result<Scenario, String> {
-        let Value::Object(sections) = doc else {
-            return Err("scenario document must be a table".to_string());
-        };
-        for (key, _) in sections {
-            if !keys::SECTIONS.contains(&key.as_str()) {
-                return Err(format!("unknown section '{key}'"));
-            }
-        }
+        let root = Reader::open("", doc, SECTIONS)?;
+        let meta = root.need("scenario", SCENARIO)?;
+        let name = meta.str("name")?;
+        let seed = meta.int("seed")?;
+        let replicas = meta.int("replicas")?;
 
-        let meta = require_table(doc, "scenario")?;
-        check_keys(meta, "scenario", keys::SCENARIO)?;
-        let name = require_str(meta, "scenario", "name")?;
-        if name.is_empty() || name.len() > 64 {
-            return Err("scenario.name: must be 1..=64 characters".to_string());
-        }
-        let seed = require_u64(meta, "scenario", "seed")?;
-        let replicas = opt_u64(meta, "scenario", "replicas")?.unwrap_or(1);
-        if !(1..=1024).contains(&replicas) {
-            return Err("scenario.replicas: must be in 1..=1024".to_string());
-        }
-
-        let (preset, machine) = parse_machine(doc)?;
-        let mut app = match doc.get("app") {
-            None => None,
-            Some(_) => Some(parse_app(require_table(doc, "app")?, &machine)?),
-        };
-        if parse_sweep(doc, &mut app)? && app.is_none() {
+        let (preset, machine) = parse_machine(&root.need("machine", MACHINE)?)?;
+        let mut app = root
+            .raw("app")?
+            .map(|t| parse_app(t, &machine))
+            .transpose()?;
+        let sweep = root.sub("sweep", SWEEP)?;
+        if sweep.map(|s| parse_sweep(&s, &mut app)).transpose()? == Some(true) && app.is_none() {
             return Err("sweep requires an 'app' block".to_string());
         }
-        let faults = parse_faults(doc, &machine)?;
-        let trace = match doc.get("trace") {
-            None => None,
-            Some(_) => Some(parse_trace(require_table(doc, "trace")?, &machine)?),
-        };
+        let faults = root.sub("faults", FAULTS)?;
+        let faults = faults.map(|f| parse_faults(&f, &machine)).transpose()?;
+        let trace = root.sub("trace", TRACE)?;
+        let trace = trace.map(|t| parse_trace(&t, &machine)).transpose()?;
         if app.is_none() && trace.is_none() {
             return Err("scenario must define an 'app' or a 'trace' block".to_string());
         }
@@ -419,7 +578,7 @@ impl Scenario {
             preset,
             machine,
             app,
-            faults,
+            faults: faults.unwrap_or_default(),
             trace,
             doc: doc.clone(),
         })
@@ -457,8 +616,9 @@ impl Scenario {
 /// Bound a resilience sweep: the cross product from axis cardinalities
 /// alone — documents arrive from untrusted daemon peers, and a pair of
 /// large `values` axes must never be materialized — then every (point,
-/// interval) pair to [`MAX_SEGMENTS`] checkpoint segments, checked on
-/// the resolved intervals since `daly/N` is only known per point.
+/// interval) pair to a finite interval of at most [`MAX_SEGMENTS`]
+/// checkpoint segments, checked on the resolved intervals since
+/// `daly/N` is only known per point.
 fn check_resilience_bounds(app: &ResilienceApp) -> Result<(), String> {
     let mut total: usize = 1;
     for axis in &app.axes {
@@ -468,6 +628,11 @@ fn check_resilience_bounds(app: &ResilienceApp) -> Result<(), String> {
             .ok_or_else(|| "sweep: too many points (cross product exceeds 4096)".to_string())?;
     }
     for (p, interval_s) in app.cases(&app.points()) {
+        if !interval_s.is_finite() {
+            return Err(format!(
+                "app: interval must resolve to a finite number of seconds (interval = {interval_s} s)"
+            ));
+        }
         if !segments_within_bound(p.work_s, interval_s) {
             return Err(format!(
                 "app: work_s / interval must not exceed {MAX_SEGMENTS} segments \
@@ -495,188 +660,260 @@ fn check_scalability_budget(app: &ScalabilityApp) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------
-// field helpers (exact error strings live here)
+// the reader (exact error strings live here)
 // ---------------------------------------------------------------
 
-fn require_table<'v>(doc: &'v Value, name: &str) -> Result<&'v Value, String> {
-    match doc.get(name) {
-        Some(v @ Value::Object(_)) => Ok(v),
-        Some(_) => Err(format!("'{name}' must be a table")),
-        None => Err(format!("missing required section '{name}'")),
-    }
+/// A table read as `section` (`""` for the document root) against its
+/// key table. Each read checks one key — missing, type, range — and
+/// section parsers read keys in table order.
+struct Reader<'v> {
+    table: &'v Value,
+    section: Cow<'static, str>,
+    keys: &'static [Key],
 }
 
-fn check_keys(table: &Value, section: &str, allowed: &[&str]) -> Result<(), String> {
-    let Value::Object(kv) = table else {
-        return Err(format!("'{section}' must be a table"));
-    };
-    for (key, _) in kv {
-        if !allowed.contains(&key.as_str()) {
-            return Err(format!("{section}: unknown key '{key}'"));
+impl<'v> Reader<'v> {
+    /// A reader that does not check `table` for unknown keys.
+    fn at(section: impl Into<Cow<'static, str>>, table: &'v Value, keys: &'static [Key]) -> Self {
+        let section = section.into();
+        Reader {
+            table,
+            section,
+            keys,
         }
     }
-    Ok(())
-}
 
-fn require_str<'v>(table: &'v Value, section: &str, key: &str) -> Result<&'v str, String> {
-    match table.get(key) {
-        Some(Value::String(s)) => Ok(s),
-        Some(_) => Err(format!("{section}.{key}: expected a string")),
-        None => Err(format!("{section}: missing required key '{key}'")),
+    /// `table` read as `section`: a table holding no key outside `keys`.
+    fn open(
+        section: impl Into<Cow<'static, str>>,
+        table: &'v Value,
+        keys: &'static [Key],
+    ) -> Result<Self, String> {
+        let r = Reader::at(section, table, keys);
+        check_unknown(&r.section, table, keys).map(|()| r)
+    }
+
+    /// The sub-table `name` (a [`Ty::Table`] key), opened against `keys`.
+    fn sub(&self, name: &'static str, keys: &'static [Key]) -> Result<Option<Reader<'v>>, String> {
+        let section = match self.section.as_ref() {
+            "" => Cow::Borrowed(name),
+            _ => Cow::Owned(self.path(name)),
+        };
+        let table = self.raw(name)?;
+        table.map(|t| Reader::open(section, t, keys)).transpose()
+    }
+
+    /// The required sub-table `name`.
+    fn need(&self, name: &'static str, keys: &'static [Key]) -> Result<Reader<'v>, String> {
+        self.sub(name, keys)?.ok_or_else(|| self.missing(name))
+    }
+
+    fn path(&self, name: &str) -> String {
+        match self.section.as_ref() {
+            "" => name.to_string(),
+            section => format!("{section}.{name}"),
+        }
+    }
+
+    fn missing(&self, name: &str) -> String {
+        match self.section.as_ref() {
+            "" => format!("missing required section '{name}'"),
+            section => format!("{section}: missing required key '{name}'"),
+        }
+    }
+
+    /// Check key `name`: its scalar value (a choice reads as its name),
+    /// its default, or `None` for an absent key without one and for a
+    /// composite key.
+    fn take(&self, name: &str) -> Result<Option<Scalar<'v>>, String> {
+        let Some(key) = self.keys.iter().find(|k| k.name == name) else {
+            debug_assert!(false, "'{name}' is not a key of '{}'", self.section);
+            return Ok(None);
+        };
+        let Some(v) = self.table.get(name) else {
+            return match key.required {
+                true => Err(self.missing(name)),
+                false => Ok(key.default),
+            };
+        };
+        let bad = |what: String| Err(format!("{}: {what}", self.path(name)));
+        Ok(Some(match (key.ty, v) {
+            (Chars(lo, hi), Value::String(s)) if !(lo..=hi).contains(&s.len()) => {
+                return bad(format!("must be {lo}..={hi} characters"))
+            }
+            (Choice(names), Value::String(s)) if !names.iter().any(|n| n == s) => {
+                let hint = hint(names.iter());
+                return bad(format!("unknown {name} '{s}' (use {hint})"));
+            }
+            (Str | Chars(..) | Choice(_) | Select(_), Value::String(s)) => S::Str(s),
+            (Str | Chars(..) | Choice(_) | Select(_), _) => return bad("expected a string".into()),
+            (Bool, Value::Bool(b)) => S::Bool(*b),
+            (Bool, _) => return bad("expected a boolean".into()),
+            (U64 | Int(..), v) => match (key.ty, v.as_u64()) {
+                (_, None) => return bad("expected a non-negative integer".into()),
+                (Int(lo, hi), Some(n)) if !(lo..=hi).contains(&n) => {
+                    return bad(format!("must be in {lo}..={hi}"))
+                }
+                (_, Some(n)) => S::Int(n),
+            },
+            (Positive, Value::Number(x)) if !(x.is_finite() && *x > 0.0) => {
+                return bad("must be finite and > 0".into())
+            }
+            (Unit, Value::Number(x)) if !(0.0..=1.0).contains(x) => {
+                return bad("must be in 0..=1".into())
+            }
+            (Num | Positive | Unit, Value::Number(x)) => S::Num(*x),
+            (Num | Positive | Unit, _) => return bad("expected a number".into()),
+            (Table, Value::Object(_)) | (Tables, Value::Array(_)) | (Parsed(_), _) => {
+                return Ok(None)
+            }
+            (Table, _) => return Err(format!("'{}' must be a table", self.path(name))),
+            (Tables, _) => return bad("expected an array of tables".into()),
+        }))
+    }
+
+    fn str(&self, name: &str) -> Result<&'v str, String> {
+        Ok(match self.take(name)? {
+            Some(S::Str(s)) => s,
+            _ => "",
+        })
+    }
+
+    fn opt_int(&self, name: &str) -> Result<Option<u64>, String> {
+        Ok(self
+            .take(name)?
+            .and_then(|s| if let S::Int(n) = s { Some(n) } else { None }))
+    }
+
+    fn int(&self, name: &str) -> Result<u64, String> {
+        Ok(self.opt_int(name)?.unwrap_or(0))
+    }
+
+    fn opt_num(&self, name: &str) -> Result<Option<f64>, String> {
+        Ok(self
+            .take(name)?
+            .and_then(|s| if let S::Num(x) = s { Some(x) } else { None }))
+    }
+
+    fn num(&self, name: &str) -> Result<f64, String> {
+        Ok(self.opt_num(name)?.unwrap_or(0.0))
+    }
+
+    fn secs(&self, name: &str) -> Result<SimDuration, String> {
+        self.num(name).map(SimDuration::from_secs_f64)
+    }
+
+    /// The value a [`Ty::Choice`] key names in `list`, its choice list.
+    fn pick<T: Copy>(&self, name: &str, list: &[(&str, T)]) -> Result<T, String> {
+        let name = self.str(name)?;
+        Ok(list.iter().find(|c| c.0 == name).unwrap_or(&list[0]).1)
+    }
+
+    /// A composite key's checked value.
+    fn raw(&self, name: &str) -> Result<Option<&'v Value>, String> {
+        self.take(name)?;
+        Ok(self.table.get(name))
+    }
+
+    /// The items of a [`Ty::Tables`] key; none when it is absent.
+    fn tables(&self, name: &str) -> Result<&'v [Value], String> {
+        Ok(match self.raw(name)? {
+            Some(Value::Array(items)) => items,
+            _ => &[],
+        })
     }
 }
 
-fn require_u64(table: &Value, section: &str, key: &str) -> Result<u64, String> {
-    match opt_u64(table, section, key)? {
-        Some(v) => Ok(v),
-        None => Err(format!("{section}: missing required key '{key}'")),
+/// Reject a non-table, or the first key (in document order) outside
+/// `keys`.
+fn check_unknown(section: &str, table: &Value, keys: &[Key]) -> Result<(), String> {
+    let Value::Object(kv) = table else {
+        return Err(match section {
+            "" => "scenario document must be a table".to_string(),
+            _ => format!("'{section}' must be a table"),
+        });
+    };
+    match kv
+        .iter()
+        .find(|(k, _)| keys.iter().all(|key| key.name != k))
+    {
+        None => Ok(()),
+        Some((k, _)) if section.is_empty() => Err(format!("unknown section '{k}'")),
+        Some((k, _)) => Err(format!("{section}: unknown key '{k}'")),
     }
 }
 
-fn opt_u64(table: &Value, section: &str, key: &str) -> Result<Option<u64>, String> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(v) => match v.as_u64() {
-            Some(n) => Ok(Some(n)),
-            None => Err(format!("{section}.{key}: expected a non-negative integer")),
-        },
-    }
-}
-
-fn require_f64(table: &Value, section: &str, key: &str) -> Result<f64, String> {
-    match opt_f64(table, section, key)? {
-        Some(v) => Ok(v),
-        None => Err(format!("{section}: missing required key '{key}'")),
-    }
-}
-
-fn opt_f64(table: &Value, section: &str, key: &str) -> Result<Option<f64>, String> {
-    match table.get(key) {
-        None => Ok(None),
-        Some(Value::Number(n)) => Ok(Some(*n)),
-        Some(_) => Err(format!("{section}.{key}: expected a number")),
-    }
-}
-
-fn positive_f64(table: &Value, section: &str, key: &str) -> Result<f64, String> {
-    let v = require_f64(table, section, key)?;
-    if !(v.is_finite() && v > 0.0) {
-        return Err(format!("{section}.{key}: must be finite and > 0"));
-    }
-    Ok(v)
-}
-
-fn range_u64(
-    table: &Value,
+/// The entry a [`Ty::Select`] key's `name` selects from `list`, or the
+/// section's unknown-name error.
+fn select<T>(
     section: &str,
     key: &str,
-    lo: u64,
-    hi: u64,
-) -> Result<Option<u64>, String> {
-    match opt_u64(table, section, key)? {
-        None => Ok(None),
-        Some(v) if (lo..=hi).contains(&v) => Ok(Some(v)),
-        Some(_) => Err(format!("{section}.{key}: must be in {lo}..={hi}")),
-    }
+    list: &'static [(&'static str, T)],
+    name: &str,
+) -> Result<&'static (&'static str, T), String> {
+    list.iter().find(|c| c.0 == name).ok_or_else(|| {
+        let hint = hint(list.iter().map(|c| c.0));
+        format!("{section}: unknown {key} '{name}' (use {hint})")
+    })
 }
 
-fn require_range(table: &Value, section: &str, key: &str, lo: u64, hi: u64) -> Result<u64, String> {
-    range_u64(table, section, key, lo, hi)?
-        .ok_or_else(|| format!("{section}: missing required key '{key}'"))
-}
-
-fn parse_domain(table: &Value, section: &str) -> Result<Domain, String> {
-    match require_str(table, section, "domain")? {
-        "cluster" => Ok(Domain::Cluster),
-        "booster" => Ok(Domain::Booster),
-        other => Err(format!(
-            "{section}.domain: unknown domain '{other}' (use 'cluster' or 'booster')"
-        )),
-    }
+/// `'a' or 'b'`, or `'a', 'b', 'c'`.
+fn hint<'n>(names: impl Iterator<Item = &'n str>) -> String {
+    let names: Vec<String> = names.map(|n| format!("'{n}'")).collect();
+    names.join(if names.len() == 2 { " or " } else { ", " })
 }
 
 // ---------------------------------------------------------------
 // section parsers
 // ---------------------------------------------------------------
 
-fn parse_machine(doc: &Value) -> Result<(&'static str, DeepConfig), String> {
-    let table = require_table(doc, "machine")?;
-    check_keys(table, "machine", keys::MACHINE)?;
-    let (preset, mut cfg) = match require_str(table, "machine", "preset")? {
-        "small" => ("small", DeepConfig::small()),
-        "medium" => ("medium", DeepConfig::medium()),
-        "prototype" => ("prototype", DeepConfig::prototype()),
-        other => {
-            return Err(format!(
-                "machine: unknown preset '{other}' (use 'small', 'medium', 'prototype')"
-            ))
-        }
-    };
-    if let Some(n) = range_u64(table, "machine", "n_cluster", 1, 1_048_576)? {
-        cfg.n_cluster = n as u32;
-    }
-    if let Some(n) = range_u64(table, "machine", "n_bi", 1, 4096)? {
-        cfg.n_bi = n as u32;
-    }
-    match table.get("booster_dims") {
+fn parse_machine(r: &Reader) -> Result<(&'static str, DeepConfig), String> {
+    let &(preset, config) = select("machine", "preset", &PRESETS, r.str("preset")?)?;
+    let mut cfg = config();
+    cfg.n_cluster = r.opt_int("n_cluster")?.map_or(cfg.n_cluster, |n| n as u32);
+    cfg.n_bi = r.opt_int("n_bi")?.map_or(cfg.n_bi, |n| n as u32);
+    match r.raw("booster_dims")? {
         None => {}
         Some(Value::Array(items)) if items.len() == 3 => {
-            let mut dims = [0u32; 3];
-            for (i, item) in items.iter().enumerate() {
-                match item.as_u64() {
-                    Some(v) if (1..=1024).contains(&v) => dims[i] = v as u32,
-                    _ => {
-                        return Err(
-                            "machine.booster_dims: each dimension must be in 1..=1024".to_string()
-                        )
-                    }
-                }
-            }
-            cfg.booster_dims = (dims[0], dims[1], dims[2]);
+            let dim = |v: &Value| {
+                v.as_u64()
+                    .filter(|v| (1..=1024).contains(v))
+                    .map(|v| v as u32)
+            };
+            let dims: Option<Vec<u32>> = items.iter().map(dim).collect();
+            let Some(&[x, y, z]) = dims.as_deref() else {
+                return Err("machine.booster_dims: each dimension must be in 1..=1024".to_string());
+            };
+            cfg.booster_dims = (x, y, z);
         }
         Some(_) => return Err("machine.booster_dims: expected an array of 3 integers".to_string()),
     }
-    match opt_f64(table, "machine", "booster_link_error_rate")? {
-        None => {}
-        Some(v) if (0.0..=1.0).contains(&v) => cfg.booster_link_error_rate = v,
-        Some(_) => return Err("machine.booster_link_error_rate: must be in 0..=1".to_string()),
-    }
+    let rate = r.opt_num("booster_link_error_rate")?;
+    cfg.booster_link_error_rate = rate.unwrap_or(cfg.booster_link_error_rate);
     Ok((preset, cfg))
 }
 
 fn parse_app(table: &Value, machine: &DeepConfig) -> Result<AppSpec, String> {
-    match require_str(table, "app", "skeleton")? {
-        "resilience" => Ok(AppSpec::Resilience(parse_resilience_app(table, machine)?)),
-        "scalability" => Ok(AppSpec::Scalability(parse_scalability_app(table)?)),
-        skeleton => Err(format!(
-            "app: unknown skeleton '{skeleton}' (use 'resilience' or 'scalability')"
-        )),
+    let skeleton = Reader::at("app", table, &[SKELETON]).str("skeleton")?;
+    select("app", "skeleton", &SKELETONS, skeleton)?.1(table, machine)
+}
+
+fn parse_scalability_app(table: &Value, _: &DeepConfig) -> Result<AppSpec, String> {
+    let r = Reader::open("app", table, SCALABILITY_APP)?;
+    let ranks = r.int("ranks")?;
+    if !ranks.is_power_of_two() {
+        return Err("app.ranks: must be a power of two".to_string());
     }
+    Ok(AppSpec::Scalability(ScalabilityApp {
+        ranks: vec![ranks as u32],
+        iters: r.int("iters")? as u32,
+        complex: matches!(r.take("complex")?, Some(S::Bool(true))),
+    }))
 }
 
-fn parse_scalability_app(table: &Value) -> Result<ScalabilityApp, String> {
-    check_keys(table, "app", keys::SCALABILITY_APP)?;
-    let ranks = match range_u64(table, "app", "ranks", 2, 262_144)? {
-        None => 64,
-        Some(r) if r.is_power_of_two() => r as u32,
-        Some(_) => return Err("app.ranks: must be a power of two".to_string()),
-    };
-    let iters = range_u64(table, "app", "iters", 1, 8)?.unwrap_or(1) as u32;
-    let complex = match table.get("complex") {
-        None => false,
-        Some(Value::Bool(b)) => *b,
-        Some(_) => return Err("app.complex: expected a boolean".to_string()),
-    };
-    Ok(ScalabilityApp {
-        ranks: vec![ranks],
-        iters,
-        complex,
-    })
-}
-
-fn parse_resilience_app(table: &Value, machine: &DeepConfig) -> Result<ResilienceApp, String> {
-    check_keys(table, "app", keys::RESILIENCE_APP)?;
-    let intervals = match table.get("intervals") {
+fn parse_resilience_app(table: &Value, machine: &DeepConfig) -> Result<AppSpec, String> {
+    let r = Reader::open("app", table, RESILIENCE_APP)?;
+    let intervals = match r.raw("intervals")? {
         None => vec![IntervalSpec::DalyTimes(1.0)],
         Some(Value::Array(items)) if !items.is_empty() => {
             // Bounds the execution-time work-unit vector (sweep points
@@ -691,18 +928,19 @@ fn parse_resilience_app(table: &Value, machine: &DeepConfig) -> Result<Resilienc
         }
         Some(_) => return Err("app.intervals: expected an array".to_string()),
     };
-    Ok(ResilienceApp {
+    Ok(AppSpec::Resilience(ResilienceApp {
         base: ResilienceParams {
-            work_s: positive_f64(table, "app", "work_s")?,
-            mtbf_node_s: positive_f64(table, "app", "mtbf_node_s")?,
-            checkpoint_s: positive_f64(table, "app", "checkpoint_s")?,
-            restart_s: positive_f64(table, "app", "restart_s")?,
-            n_nodes: range_u64(table, "app", "n_nodes", 1, 100_000_000)?
+            work_s: r.num("work_s")?,
+            mtbf_node_s: r.num("mtbf_node_s")?,
+            checkpoint_s: r.num("checkpoint_s")?,
+            restart_s: r.num("restart_s")?,
+            n_nodes: r
+                .opt_int("n_nodes")?
                 .unwrap_or(u64::from(machine.n_cluster) + u64::from(machine.n_booster())),
         },
         intervals,
         axes: Vec::new(),
-    })
+    }))
 }
 
 fn parse_interval(item: &Value) -> Result<IntervalSpec, String> {
@@ -731,30 +969,24 @@ fn parse_interval(item: &Value) -> Result<IntervalSpec, String> {
 /// Parse `[sweep]` into the app's axes (a `ranks` axis replaces the
 /// scalability skeleton's rank list). Returns whether any axis was
 /// declared.
-fn parse_sweep(doc: &Value, app: &mut Option<AppSpec>) -> Result<bool, String> {
-    let Some(sweep) = doc.get("sweep") else {
-        return Ok(false);
-    };
-    check_keys(sweep, "sweep", keys::SWEEP)?;
-    let axes = match sweep.get("axes") {
-        None => return Ok(false),
-        Some(Value::Array(items)) => items,
-        Some(_) => return Err("sweep.axes: expected an array of tables".to_string()),
-    };
+fn parse_sweep(sweep: &Reader, app: &mut Option<AppSpec>) -> Result<bool, String> {
+    let axes = sweep.tables("axes")?;
     let scalability = matches!(app, Some(AppSpec::Scalability(_)));
     let mut seen: Vec<&str> = Vec::with_capacity(axes.len());
     for axis in axes {
-        let name = require_str(axis, "sweep axis", "param")?;
-        let section = format!("sweep axis '{name}'");
-        check_keys(axis, &section, keys::AXIS)?;
+        let name = Reader::at("sweep axis", axis, AXIS).str("param")?;
+        let r = Reader::open(format!("sweep axis '{name}'"), axis, AXIS)?;
+        let section = &r.section;
         // `None` is the scalability skeleton's `ranks`.
-        let param = AxisParam::from_name(name);
-        if param.is_none() && name != "ranks" {
-            return Err(format!("sweep axis '{name}': unknown parameter"));
+        let key = RESILIENCE_APP
+            .iter()
+            .find(|k| k.name == name && k.axis.is_some());
+        if key.is_none() && name != "ranks" {
+            return Err(format!("{section}: unknown parameter"));
         }
-        if param.is_none() != scalability {
+        if key.is_none() != scalability {
             return Err(if scalability {
-                format!("sweep axis '{name}': the 'scalability' skeleton only sweeps 'ranks'")
+                format!("{section}: the 'scalability' skeleton only sweeps 'ranks'")
             } else {
                 "sweep axis 'ranks': requires the 'scalability' skeleton".to_string()
             });
@@ -763,37 +995,24 @@ fn parse_sweep(doc: &Value, app: &mut Option<AppSpec>) -> Result<bool, String> {
             return Err(format!("sweep: duplicate axis '{name}'"));
         }
         seen.push(name);
-        let values = parse_axis_values(axis, name, &section)?;
-        match param {
-            None => {
-                for v in values.iter() {
-                    let ok = v.fract() == 0.0
-                        && (2.0..=262_144.0).contains(&v)
-                        && (v as u64).is_power_of_two();
-                    if !ok {
-                        return Err(
-                            "sweep axis 'ranks': values must be powers of two in 2..=262144"
-                                .to_string(),
-                        );
-                    }
-                }
-            }
-            Some(AxisParam::NNodes) => {
-                if values.iter().any(|v| v.fract() != 0.0 || v < 1.0) {
-                    return Err(
-                        "sweep axis 'n_nodes': values must be positive integers".to_string()
-                    );
-                }
-            }
-            Some(_) => {
-                if values.iter().any(|v| v <= 0.0) {
-                    return Err(format!("sweep axis '{name}': values must be > 0"));
-                }
-            }
+        let values = parse_axis_values(&r)?;
+        let (ok, what): (fn(f64) -> bool, String) = match key.map(|k| k.ty) {
+            None => (
+                |v| {
+                    let (lo, hi) = (RANKS.0 as f64, RANKS.1 as f64);
+                    v.fract() == 0.0 && (lo..=hi).contains(&v) && (v as u64).is_power_of_two()
+                },
+                format!("powers of two in {}..={}", RANKS.0, RANKS.1),
+            ),
+            Some(Int(..)) => (|v| v.fract() == 0.0 && v >= 1.0, "positive integers".into()),
+            Some(_) => (|v| v > 0.0, "> 0".into()),
+        };
+        if !values.iter().all(ok) {
+            return Err(format!("{section}: values must be {what}"));
         }
-        match (app.as_mut(), param) {
-            (Some(AppSpec::Resilience(app)), Some(param)) => {
-                app.axes.push(SweepAxis { param, values });
+        match (app.as_mut(), key.and_then(|k| k.axis)) {
+            (Some(AppSpec::Resilience(app)), Some(set)) => {
+                app.axes.push(SweepAxis { set, values });
             }
             (Some(AppSpec::Scalability(app)), None) => {
                 app.ranks = values.iter().map(|v| v as u32).collect();
@@ -805,42 +1024,39 @@ fn parse_sweep(doc: &Value, app: &mut Option<AppSpec>) -> Result<bool, String> {
     Ok(!axes.is_empty())
 }
 
-fn parse_axis_values(axis: &Value, param: &str, section: &str) -> Result<AxisValues, String> {
-    match (axis.get("values"), axis.get("grid")) {
+fn parse_axis_values(axis: &Reader) -> Result<AxisValues, String> {
+    let section = &axis.section;
+    match (axis.raw("values")?, axis.raw("grid")?) {
         (Some(_), Some(_)) => Err(format!(
-            "sweep axis '{param}': give either 'values' or 'grid', not both"
+            "{section}: give either 'values' or 'grid', not both"
         )),
         (Some(Value::Array(items)), None) if !items.is_empty() => items
             .iter()
             .map(|item| match item {
                 Value::Number(n) if n.is_finite() => Ok(*n),
-                _ => Err(format!(
-                    "sweep axis '{param}': values must be finite numbers"
-                )),
+                _ => Err(format!("{section}: values must be finite numbers")),
             })
             .collect::<Result<_, _>>()
             .map(AxisValues::List),
-        (Some(Value::Array(_)), None) => {
-            Err(format!("sweep axis '{param}': 'values' must not be empty"))
-        }
-        (Some(_), None) => Err(format!("sweep axis '{param}': 'values' must be an array")),
+        (Some(Value::Array(_)), None) => Err(format!("{section}: 'values' must not be empty")),
+        (Some(_), None) => Err(format!("{section}: 'values' must be an array")),
         (None, Some(grid @ Value::Object(_))) => {
-            check_keys(grid, &format!("{section}.grid"), keys::GRID)?;
-            let start = require_f64(grid, section, "start")?;
-            let step = require_f64(grid, section, "step")?;
-            let count = require_u64(grid, section, "count")?;
+            check_unknown(&format!("{section}.grid"), grid, GRID)?;
+            // Grid keys report as the axis's own.
+            let g = Reader::at(section.clone(), grid, GRID);
+            let start = g.num("start")?;
+            let step = g.num("step")?;
+            let count = g.int("count")?;
             if !start.is_finite() || !step.is_finite() {
-                return Err(format!("sweep axis '{param}': grid bounds must be finite"));
+                return Err(format!("{section}: grid bounds must be finite"));
             }
             if step == 0.0 && count > 1 {
                 return Err(format!(
-                    "sweep axis '{param}': grid 'step' must be non-zero (the axis never advances)"
+                    "{section}: grid 'step' must be non-zero (the axis never advances)"
                 ));
             }
             if !(1..=4096).contains(&count) {
-                return Err(format!(
-                    "sweep axis '{param}': grid 'count' must be in 1..=4096"
-                ));
+                return Err(format!("{section}: grid 'count' must be in 1..=4096"));
             }
             Ok(AxisValues::Grid {
                 start,
@@ -848,59 +1064,54 @@ fn parse_axis_values(axis: &Value, param: &str, section: &str) -> Result<AxisVal
                 count: count as usize,
             })
         }
-        (None, Some(_)) => Err(format!("sweep axis '{param}': 'grid' must be a table")),
-        (None, None) => Err(format!("sweep axis '{param}': needs 'values' or 'grid'")),
+        (None, Some(_)) => Err(format!("{section}: 'grid' must be a table")),
+        (None, None) => Err(format!("{section}: needs 'values' or 'grid'")),
     }
 }
 
-fn parse_faults(doc: &Value, machine: &DeepConfig) -> Result<FaultSpec, String> {
-    let Some(faults) = doc.get("faults") else {
-        return Ok(FaultSpec::default());
-    };
-    check_keys(faults, "faults", keys::FAULTS)?;
+fn parse_faults(faults: &Reader, machine: &DeepConfig) -> Result<FaultSpec, String> {
     let mut spec = FaultSpec::default();
-    if let Some(events) = faults.get("events") {
-        let Value::Array(items) = events else {
-            return Err("faults.events: expected an array of tables".to_string());
-        };
-        for item in items {
-            spec.events.push(parse_fault_event(item)?);
+    for item in faults.tables("events")? {
+        if !matches!(item, Value::Object(_)) {
+            return Err("faults.events: each event must be a table".to_string());
         }
+        // The kind's name is checked after `at_s`.
+        let head = Reader::at("faults.events", item, &[KIND, AT_S]);
+        let kind = head.str("kind")?;
+        let at = head.secs("at_s")?;
+        let parse = select("faults.events", "kind", &FAULT_KINDS, kind)?.1;
+        let kind = parse(item, format!("faults.events[{kind}]"))?;
+        spec.events.push(FaultEvent { at, kind });
     }
-    if let Some(p) = faults.get("poisson") {
-        check_keys(p, "faults.poisson", keys::POISSON)?;
-        let weights = match p.get("weights") {
+    if let Some(p) = faults.sub("poisson", POISSON)? {
+        let weights = match p.raw("weights")? {
             None => [0.7, 0.25, 0.05],
-            Some(Value::Array(items)) if items.len() == 3 => {
-                let mut w = [0.0f64; 3];
-                for (i, item) in items.iter().enumerate() {
-                    match item {
-                        Value::Number(n) if n.is_finite() && *n >= 0.0 => w[i] = *n,
-                        _ => {
-                            return Err("faults.poisson.weights: must be 3 non-negative numbers"
-                                .to_string())
-                        }
+            Some(w) => {
+                let weight = |v: &Value| v.as_f64().filter(|n| n.is_finite() && *n >= 0.0);
+                let w: Option<Vec<f64>> = w.as_array().and_then(|w| w.iter().map(weight).collect());
+                match w.as_deref() {
+                    Some(&[0.0, 0.0, 0.0]) => {
+                        return Err("faults.poisson.weights: must not all be zero".to_string())
+                    }
+                    Some(&[a, b, c]) => [a, b, c],
+                    _ => {
+                        return Err("faults.poisson.weights: must be 3 non-negative numbers".into())
                     }
                 }
-                w
-            }
-            Some(_) => {
-                return Err("faults.poisson.weights: must be 3 non-negative numbers".to_string())
             }
         };
-        let domain = parse_domain(p, "faults.poisson")?;
+        let domain = p.pick("domain", &DOMAINS)?;
         let domain_nodes = match domain {
             Domain::Cluster => machine.n_cluster,
             Domain::Booster => machine.n_booster(),
         };
         let poisson = PoissonSpec {
             domain,
-            n_nodes: range_u64(p, "faults.poisson", "n_nodes", 1, 10_000_000)?
-                .map_or(domain_nodes, |v| v as u32),
-            mtbf_node_s: positive_f64(p, "faults.poisson", "mtbf_node_s")?,
-            horizon_s: positive_f64(p, "faults.poisson", "horizon_s")?,
+            n_nodes: p.opt_int("n_nodes")?.map_or(domain_nodes, |v| v as u32),
+            mtbf_node_s: p.num("mtbf_node_s")?,
+            horizon_s: p.num("horizon_s")?,
             weights,
-            stream: opt_u64(p, "faults.poisson", "stream")?.unwrap_or(1),
+            stream: p.int("stream")?,
         };
         // The plan holds every crash before the horizon.
         let crashes = f64::from(poisson.n_nodes) * poisson.horizon_s / poisson.mtbf_node_s;
@@ -911,152 +1122,96 @@ fn parse_faults(doc: &Value, machine: &DeepConfig) -> Result<FaultSpec, String> 
         }
         spec.poisson = Some(poisson);
     }
-    if let Some(f) = faults.get("link_flaps") {
-        check_keys(f, "faults.link_flaps", keys::LINK_FLAPS)?;
-        let error_rate = require_f64(f, "faults.link_flaps", "error_rate")?;
-        if !(0.0..=1.0).contains(&error_rate) {
-            return Err("faults.link_flaps.error_rate: must be in 0..=1".to_string());
-        }
-        spec.link_flaps = Some(FlapSpec {
-            domain: parse_domain(f, "faults.link_flaps")?,
-            first_s: positive_f64(f, "faults.link_flaps", "first_s")?,
-            period_s: positive_f64(f, "faults.link_flaps", "period_s")?,
+    if let Some(f) = faults.sub("link_flaps", LINK_FLAPS)? {
+        let error_rate = f.num("error_rate")?;
+        let flaps = FlapSpec {
+            domain: f.pick("domain", &DOMAINS)?,
+            first_s: f.num("first_s")?,
+            period_s: f.num("period_s")?,
             error_rate,
-            flap_s: positive_f64(f, "faults.link_flaps", "flap_s")?,
-            count: require_range(f, "faults.link_flaps", "count", 1, 100_000)? as u32,
-        });
+            flap_s: f.num("flap_s")?,
+            count: f.int("count")? as u32,
+        };
+        // The last onset, as the plan computes it, must be a time.
+        if !(flaps.first_s + f64::from(flaps.count - 1) * flaps.period_s).is_finite() {
+            return Err("faults.link_flaps: the last onset \
+                        (first_s + (count - 1) * period_s) must be finite"
+                .to_string());
+        }
+        spec.link_flaps = Some(flaps);
     }
     Ok(spec)
 }
 
-fn parse_fault_event(item: &Value) -> Result<FaultEvent, String> {
-    if !matches!(item, Value::Object(_)) {
-        return Err("faults.events: each event must be a table".to_string());
-    }
-    let kind_name = require_str(item, "faults.events", "kind")?;
-    let at_s = positive_f64(item, "faults.events", "at_s")?;
-    let section = format!("faults.events[{kind_name}]");
-    let node = || require_range(item, &section, "node", 0, u64::from(u32::MAX)).map(|v| v as u32);
-    let kind = match kind_name {
-        "node_crash" => {
-            check_keys(item, &section, &["kind", "at_s", "domain", "node", "severity"])?;
-            let severity = match item.get("severity").and_then(|v| v.as_str()) {
-                None | Some("node") => FailureSeverity::NodeLoss,
-                Some("transient") => FailureSeverity::Transient,
-                Some("multi") => FailureSeverity::MultiNodeLoss,
-                Some(other) => {
-                    return Err(format!(
-                        "{section}.severity: unknown severity '{other}' (use 'transient', 'node', 'multi')"
-                    ))
-                }
-            };
-            FaultKind::NodeCrash {
-                domain: parse_domain(item, &section)?,
-                node: node()?,
-                severity,
-            }
-        }
-        "link_degrade" => {
-            check_keys(
-                item,
-                &section,
-                &["kind", "at_s", "domain", "error_rate", "duration_s"],
-            )?;
-            let error_rate = require_f64(item, &section, "error_rate")?;
-            if !(0.0..=1.0).contains(&error_rate) {
-                return Err(format!("{section}.error_rate: must be in 0..=1"));
-            }
-            FaultKind::LinkDegrade {
-                domain: parse_domain(item, &section)?,
-                error_rate,
-                duration: SimDuration::from_secs_f64(positive_f64(item, &section, "duration_s")?),
-            }
-        }
-        "nic_drop" => {
-            check_keys(
-                item,
-                &section,
-                &["kind", "at_s", "domain", "node", "drop_prob", "duration_s"],
-            )?;
-            let drop_prob = require_f64(item, &section, "drop_prob")?;
-            if !(0.0..=1.0).contains(&drop_prob) {
-                return Err(format!("{section}.drop_prob: must be in 0..=1"));
-            }
-            FaultKind::NicDrop {
-                domain: parse_domain(item, &section)?,
-                node: node()?,
-                drop_prob,
-                duration: SimDuration::from_secs_f64(positive_f64(item, &section, "duration_s")?),
-            }
-        }
-        "bi_fail" => {
-            check_keys(item, &section, &["kind", "at_s", "index", "duration_s"])?;
-            FaultKind::BiFail {
-                index: require_u64(item, &section, "index")? as usize,
-                duration: SimDuration::from_secs_f64(positive_f64(item, &section, "duration_s")?),
-            }
-        }
-        "pfs_stall" => {
-            check_keys(item, &section, &["kind", "at_s", "server", "bytes"])?;
-            FaultKind::PfsStall {
-                server: require_u64(item, &section, "server")? as usize,
-                bytes: require_u64(item, &section, "bytes")?,
-            }
-        }
-        other => {
-            return Err(format!(
-                "faults.events: unknown kind '{other}' (use 'node_crash', 'link_degrade', 'nic_drop', 'bi_fail', 'pfs_stall')"
-            ))
-        }
+fn parse_node_crash(item: &Value, section: String) -> Result<FaultKind, String> {
+    let r = Reader::open(section, item, NODE_CRASH)?;
+    // A non-string severity has always read as the default.
+    let severity = match item.get("severity") {
+        Some(Value::String(_)) | None => r.pick("severity", &SEVERITIES)?,
+        Some(_) => Reader::at("", &Value::Null, NODE_CRASH).pick("severity", &SEVERITIES)?,
     };
-    Ok(FaultEvent {
-        at: SimDuration::from_secs_f64(at_s),
-        kind,
+    Ok(FaultKind::NodeCrash {
+        domain: r.pick("domain", &DOMAINS)?,
+        node: r.int("node")? as u32,
+        severity,
     })
 }
 
-fn parse_trace(table: &Value, machine: &DeepConfig) -> Result<TraceSpec, String> {
-    check_keys(table, "trace", keys::TRACE)?;
-    let policy = match table.get("policy") {
-        None => Policy::DynamicFcfs,
-        Some(Value::String(s)) => match s.as_str() {
-            "static" => Policy::StaticFcfs,
-            "dynamic" => Policy::DynamicFcfs,
-            "backfill" => Policy::DynamicBackfill,
-            _ => {
-                return Err(format!(
-                    "trace.policy: unknown policy '{s}' (use 'static', 'dynamic', 'backfill')"
-                ))
-            }
-        },
-        Some(_) => return Err("trace.policy: expected a string".to_string()),
-    };
-    let pure_cluster_fraction = opt_f64(table, "trace", "pure_cluster_fraction")?.unwrap_or(0.3);
-    if !(0.0..=1.0).contains(&pure_cluster_fraction) {
-        return Err("trace.pure_cluster_fraction: must be in 0..=1".to_string());
-    }
-    let secs = |key| positive_f64(table, "trace", key).map(SimDuration::from_secs_f64);
+fn parse_link_degrade(item: &Value, section: String) -> Result<FaultKind, String> {
+    let r = Reader::open(section, item, LINK_DEGRADE)?;
+    let error_rate = r.num("error_rate")?;
+    Ok(FaultKind::LinkDegrade {
+        domain: r.pick("domain", &DOMAINS)?,
+        error_rate,
+        duration: r.secs("duration_s")?,
+    })
+}
+
+fn parse_nic_drop(item: &Value, section: String) -> Result<FaultKind, String> {
+    let r = Reader::open(section, item, NIC_DROP)?;
+    let drop_prob = r.num("drop_prob")?;
+    Ok(FaultKind::NicDrop {
+        domain: r.pick("domain", &DOMAINS)?,
+        node: r.int("node")? as u32,
+        drop_prob,
+        duration: r.secs("duration_s")?,
+    })
+}
+
+fn parse_bi_fail(item: &Value, section: String) -> Result<FaultKind, String> {
+    let r = Reader::open(section, item, BI_FAIL)?;
+    Ok(FaultKind::BiFail {
+        index: r.int("index")? as usize,
+        duration: r.secs("duration_s")?,
+    })
+}
+
+fn parse_pfs_stall(item: &Value, section: String) -> Result<FaultKind, String> {
+    let r = Reader::open(section, item, PFS_STALL)?;
+    Ok(FaultKind::PfsStall {
+        server: r.int("server")? as usize,
+        bytes: r.int("bytes")?,
+    })
+}
+
+fn parse_trace(r: &Reader, machine: &DeepConfig) -> Result<TraceSpec, String> {
+    let policy = r.pick("policy", &POLICIES)?;
+    let pure_cluster_fraction = r.num("pure_cluster_fraction")?;
     let mix = MixParams {
-        n_jobs: require_range(table, "trace", "jobs", 1, 100_000)? as u32,
-        mean_interarrival: secs("mean_interarrival_s")?,
-        max_cn: (range_u64(table, "trace", "max_cn", 1, 1_048_576)?.unwrap_or(4) as u32)
-            .min(machine.n_cluster),
-        max_bn: (range_u64(table, "trace", "max_bn", 0, 1_048_576)?.unwrap_or(8) as u32)
-            .min(machine.n_booster()),
-        mean_cn_time: secs("mean_cn_time_s")?,
-        mean_bn_time: secs("mean_bn_time_s")?,
-        max_phases: range_u64(table, "trace", "max_phases", 1, 64)?.unwrap_or(3) as u32,
+        n_jobs: r.int("jobs")? as u32,
+        mean_interarrival: r.secs("mean_interarrival_s")?,
+        max_cn: (r.int("max_cn")? as u32).min(machine.n_cluster),
+        max_bn: (r.int("max_bn")? as u32).min(machine.n_booster()),
+        mean_cn_time: r.secs("mean_cn_time_s")?,
+        mean_bn_time: r.secs("mean_bn_time_s")?,
+        max_phases: r.int("max_phases")? as u32,
         pure_cluster_fraction,
     };
     let spec = TraceSpec {
         mix,
         policy,
-        spares: range_u64(table, "trace", "spares", 0, 4096)?.unwrap_or(0) as u32,
-        sample_every: match opt_f64(table, "trace", "sample_every_s")? {
-            None => SimDuration::from_secs_f64(60.0),
-            Some(v) if v.is_finite() && v > 0.0 => SimDuration::from_secs_f64(v),
-            Some(_) => return Err("trace.sample_every_s: must be finite and > 0".to_string()),
-        },
+        spares: r.int("spares")? as u32,
+        sample_every: r.secs("sample_every_s")?,
     };
     // The replay's expected horizon bounds its simulated time (which must
     // stay far from `SimTime` overflow) and its utilisation samples.

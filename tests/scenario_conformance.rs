@@ -8,6 +8,9 @@
 
 use std::path::PathBuf;
 
+use deep_scenario::schema::{
+    Scalar, Ty, LINK_FLAPS, MACHINE, POISSON, RESILIENCE_APP, SCALABILITY_APP, SCENARIO, TRACE,
+};
 use deep_scenario::Scenario;
 
 fn fixture_dir() -> PathBuf {
@@ -100,18 +103,55 @@ fn reordered_document_digests_identically() {
     );
 }
 
+fn docs() -> String {
+    std::fs::read_to_string(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("docs/scenario.md"))
+        .expect("readable docs/scenario.md")
+}
+
+/// A key's range cell as `docs/scenario.md` writes it.
+fn range_cell(ty: Ty) -> String {
+    match ty {
+        Ty::Str => "string".to_string(),
+        Ty::Chars(lo, hi) => format!("{lo}..={hi} chars"),
+        Ty::Bool => "bool".to_string(),
+        Ty::U64 => "u64".to_string(),
+        Ty::Int(lo, hi) => format!("{lo}..={hi}"),
+        Ty::Num => "number".to_string(),
+        Ty::Positive => "> 0".to_string(),
+        Ty::Unit => "0..=1".to_string(),
+        Ty::Choice(names) | Ty::Select(names) => names
+            .iter()
+            .map(|n| format!("`{n}`"))
+            .collect::<Vec<_>>()
+            .join(" \\| "),
+        Ty::Table => "table".to_string(),
+        Ty::Tables => "array of tables".to_string(),
+        Ty::Parsed(text) => text.to_string(),
+    }
+}
+
+/// A key's default cell as `docs/scenario.md` writes it.
+fn default_cell(default: Option<Scalar>) -> String {
+    match default {
+        None => "—".to_string(),
+        Some(Scalar::Int(n)) => n.to_string(),
+        Some(Scalar::Num(x)) => x.to_string(),
+        Some(Scalar::Bool(b)) => b.to_string(),
+        Some(Scalar::Str(s)) => format!("`{s}`"),
+    }
+}
+
 /// Each key table in `docs/scenario.md` — in order `[scenario]`,
-/// `[machine]`, the resilience and scalability `[app]` skeletons and
-/// `[trace]` — lists exactly the keys its section accepts.
+/// `[machine]`, the resilience and scalability `[app]` skeletons,
+/// `[faults.poisson]`, `[faults.link_flaps]` and `[trace]` — lists its
+/// section's keys in schema order, with the schema's required, range
+/// and default columns.
 #[test]
 fn docs_key_tables_match_the_schema() {
-    use deep_scenario::schema::keys;
-    let docs =
-        std::fs::read_to_string(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("docs/scenario.md"))
-            .expect("readable docs/scenario.md");
-    // A key table opens with a `| key |` header; each row names its key
-    // in the first cell.
-    let mut tables: Vec<Vec<&str>> = Vec::new();
+    let docs = docs();
+    // A key table opens with a `| key |` header; each row is
+    // `| key | required | range | default | meaning |`.
+    let mut tables: Vec<Vec<[String; 4]>> = Vec::new();
     let mut open = false;
     for line in docs.lines() {
         if line.starts_with("| key |") {
@@ -122,21 +162,52 @@ fn docs_key_tables_match_the_schema() {
         } else if let (true, Some(row), Some(t)) =
             (open, line.strip_prefix("| `"), tables.last_mut())
         {
-            t.push(row.split('`').next().unwrap_or_default());
+            let cells: Vec<&str> = row.split(" | ").collect();
+            assert!(cells.len() >= 4, "short key-table row: {line}");
+            let key = cells[0].trim_end_matches('`');
+            t.push([key, cells[1], cells[2], cells[3]].map(str::to_string));
         }
     }
     let want = [
-        keys::SCENARIO,
-        keys::MACHINE,
-        keys::RESILIENCE_APP,
-        keys::SCALABILITY_APP,
-        keys::TRACE,
+        SCENARIO,
+        MACHINE,
+        RESILIENCE_APP,
+        SCALABILITY_APP,
+        POISSON,
+        LINK_FLAPS,
+        TRACE,
     ];
     assert_eq!(tables.len(), want.len(), "key tables found: {tables:?}");
-    for (mut table, want) in tables.into_iter().zip(want) {
-        let mut want = want.to_vec();
-        table.sort();
-        want.sort();
+    for (table, want) in tables.into_iter().zip(want) {
+        let want: Vec<[String; 4]> = want
+            .iter()
+            .map(|k| {
+                [
+                    k.name.to_string(),
+                    if k.required { "yes" } else { "no" }.to_string(),
+                    range_cell(k.ty),
+                    default_cell(k.default),
+                ]
+            })
+            .collect();
         assert_eq!(table, want);
     }
+}
+
+/// The annotated example in `docs/scenario.md` is the document
+/// `tests/scenario_bit_identity.rs` pins.
+#[test]
+fn docs_example_is_the_pinned_fixture() {
+    let docs = docs();
+    let start = docs.find("```toml\n").expect("docs have a toml example") + "```toml\n".len();
+    let len = docs[start..].find("```").expect("toml example is closed");
+    let example = deep_scenario::parse_toml(&docs[start..start + len]).expect("example parses");
+    let fixture = deep_scenario::parse_toml(
+        &std::fs::read_to_string(fixture_dir().join("valid_f03b_equivalent.toml")).unwrap(),
+    )
+    .unwrap();
+    assert_eq!(
+        deep_json::digest::digest_hex(&example),
+        deep_json::digest::digest_hex(&fixture)
+    );
 }

@@ -10,16 +10,19 @@
 //!
 //! 3. `Scenario::from_value` returns `Ok` or `Err` and never panics
 //!    on documents built from the schema's own section and key names,
-//!    with mistyped, out-of-range, non-finite and huge values mixed in
-//!    — the daemon runs it on every untrusted `{"scenario": …}` job.
+//!    with mistyped, out-of-range, non-finite and huge values and each
+//!    key's range boundaries mixed in — the daemon runs it on every
+//!    untrusted `{"scenario": …}` job. A document that validates
+//!    compiles its fault plan without panicking and resolves only
+//!    finite checkpoint intervals: execution trusts both.
 //!
 //! The generator for 1–2 builds random scenario-shaped documents:
 //! nested tables, arrays of tables, inline tables, quoted keys, escaped
 //! strings, integer- and float-valued numbers.
 
 use deep_json::Value;
-use deep_scenario::schema::keys;
-use deep_scenario::{parse_toml, to_toml, Scenario};
+use deep_scenario::schema::{self, Key, Ty};
+use deep_scenario::{parse_toml, to_toml, AppSpec, Scenario};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -205,9 +208,10 @@ fn corpus() -> &'static [(String, Value)] {
     })
 }
 
-/// Numbers past what the schema accepts: negative, fractional, huge,
-/// beyond u32::MAX and 2^53, non-finite.
-const EDGES: [f64; 7] = [
+/// Numbers past what the schema accepts: zero, negative, fractional,
+/// huge, beyond u32::MAX and 2^53, non-finite.
+const EDGES: [f64; 8] = [
+    0.0,
     -1.0,
     0.5,
     1e300,
@@ -217,9 +221,35 @@ const EDGES: [f64; 7] = [
     f64::INFINITY,
 ];
 
+/// Every section's key table.
+const TABLES: [&[Key]; 17] = [
+    schema::SECTIONS,
+    schema::SCENARIO,
+    schema::MACHINE,
+    schema::RESILIENCE_APP,
+    schema::SCALABILITY_APP,
+    schema::SWEEP,
+    schema::AXIS,
+    schema::GRID,
+    schema::FAULTS,
+    schema::POISSON,
+    schema::LINK_FLAPS,
+    schema::NODE_CRASH,
+    schema::LINK_DEGRADE,
+    schema::NIC_DROP,
+    schema::BI_FAIL,
+    schema::PFS_STALL,
+    schema::TRACE,
+];
+
+/// Checkpoint intervals that overflow, or sit at the edge of, what a
+/// resolved interval can be.
+const INTERVALS: [&str; 4] = ["daly", "daly/4", "daly*1e306", "daly/1e-306"];
+
 /// Recombines fixture values by key name; each member is dropped,
-/// redrawn, or replaced by a hostile value with probability `1 / noise`
-/// (never when `noise` is 0), and tables gain a corpus member as often.
+/// redrawn, or replaced by a hostile or range-boundary value with
+/// probability `1 / noise` (never when `noise` is 0), and tables gain a
+/// corpus member or a schema key as often.
 struct Gen<'r> {
     rng: &'r mut TestRng,
     noise: u64,
@@ -228,6 +258,53 @@ struct Gen<'r> {
 impl Gen<'_> {
     fn noisy(&mut self) -> bool {
         self.noise != 0 && self.rng.below(self.noise) == 0
+    }
+
+    fn pick<T: Clone>(&mut self, items: &[T]) -> T {
+        items[self.rng.below(items.len() as u64) as usize].clone()
+    }
+
+    fn edge(&mut self) -> Value {
+        Value::Number(self.pick(&EDGES))
+    }
+
+    /// A value at a boundary of `key`'s range: `lo - 1`, `lo`, `hi`,
+    /// `hi + 1` and 0 for a range, a listed or unknown name for a
+    /// choice, a hostile value otherwise.
+    fn boundary(&mut self, key: &Key) -> Value {
+        let range = |lo: f64, hi: f64| [lo - 1.0, lo, hi, hi + 1.0, 0.0];
+        match key.ty {
+            Ty::Int(lo, hi) => Value::Number(self.pick(&range(lo as f64, hi as f64))),
+            Ty::U64 => Value::Number(self.pick(&range(0.0, 9_007_199_254_740_992.0))),
+            Ty::Unit => Value::Number(self.pick(&range(0.0, 1.0))),
+            Ty::Positive => Value::Number(self.pick(&[0.0, -0.0, f64::MIN_POSITIVE, f64::MAX])),
+            Ty::Chars(lo, hi) => {
+                let len = self.pick(&[lo.saturating_sub(1), lo, hi, hi + 1]);
+                Value::String("x".repeat(len))
+            }
+            Ty::Choice(names) | Ty::Select(names) => {
+                let mut names: Vec<&str> = names.iter().collect();
+                names.push("unknown");
+                Value::String(self.pick(&names).to_string())
+            }
+            Ty::Bool => Value::Bool(self.rng.below(2) == 0),
+            // Composite keys: short lists of hostile numbers and
+            // intervals (`weights`, `intervals`, `values`, dimensions).
+            Ty::Parsed(_) => Value::Array(
+                (0..self.rng.below(5))
+                    .map(|_| match self.rng.below(3) {
+                        0 => Value::String(self.pick(&INTERVALS).to_string()),
+                        _ => self.edge(),
+                    })
+                    .collect(),
+            ),
+            Ty::Str | Ty::Num | Ty::Table | Ty::Tables => self.edge(),
+        }
+    }
+
+    /// A row named `key` in any table, if one is.
+    fn row(key: &str) -> Option<&'static Key> {
+        TABLES.iter().flat_map(|t| t.iter()).find(|k| k.name == key)
     }
 
     /// A corpus value for `key`, mutated; a random one if it has none.
@@ -249,21 +326,30 @@ impl Gen<'_> {
             Value::Object(kv) => {
                 let mut out = Vec::new();
                 for (k, v) in kv {
-                    let v = match self.noisy().then(|| self.rng.below(4)) {
+                    let v = match self.noisy().then(|| self.rng.below(5)) {
                         None => self.mutate(v),
                         Some(0) => continue,
                         Some(1) => self.value(&k),
-                        Some(2) => {
-                            Value::Number(EDGES[self.rng.below(EDGES.len() as u64) as usize])
-                        }
+                        Some(2) => self.edge(),
+                        Some(3) => match Gen::row(&k) {
+                            Some(key) => self.boundary(key),
+                            None => self.edge(),
+                        },
                         Some(_) => gen_value(self.rng, 2),
                     };
                     out.push((k, v));
                 }
                 if self.noisy() {
-                    let (k, v) = &corpus()[self.rng.below(corpus().len() as u64) as usize];
-                    if out.iter().all(|(have, _)| have != k) {
-                        out.push((k.clone(), v.clone()));
+                    let (k, v) = match self.rng.below(2) {
+                        0 => self.pick(corpus()),
+                        _ => {
+                            let table = self.pick(&TABLES);
+                            let key = self.pick(table);
+                            (key.name.to_string(), self.boundary(&key))
+                        }
+                    };
+                    if out.iter().all(|(have, _)| *have != k) {
+                        out.push((k, v));
                     }
                 }
                 Value::Object(out)
@@ -286,7 +372,7 @@ impl Strategy for ArbScenario {
         let noise = [0, 64, 16, 4][rng.below(4) as usize];
         let mut g = Gen { rng, noise };
         let mut doc = Vec::new();
-        for &name in keys::SECTIONS {
+        for name in schema::SECTIONS.iter().map(|k| k.name) {
             if matches!(name, "scenario" | "machine") || g.rng.below(2) == 0 {
                 let body = g.value(name);
                 doc.push((name.to_string(), body));
@@ -301,8 +387,23 @@ proptest! {
 
     #[test]
     fn validation_never_panics(doc in ArbScenario) {
-        let outcome = std::panic::catch_unwind(|| Scenario::from_value(&doc).map(drop));
+        let outcome = std::panic::catch_unwind(|| Scenario::from_value(&doc));
         prop_assert!(outcome.is_ok(), "from_value panicked on {}", doc.to_json());
+        if let Ok(Ok(sc)) = outcome {
+            let plan = std::panic::catch_unwind(|| sc.fault_plan().len());
+            prop_assert!(plan.is_ok(), "fault_plan panicked on {}", doc.to_json());
+            if let Some(AppSpec::Resilience(app)) = &sc.app {
+                let points = app.points();
+                for (_, interval_s) in app.cases(&points) {
+                    prop_assert!(
+                        interval_s.is_finite(),
+                        "interval {} validated in {}",
+                        interval_s,
+                        doc.to_json()
+                    );
+                }
+            }
+        }
     }
 }
 
