@@ -124,10 +124,12 @@ pub struct DesScalingResult {
     pub iter_s: f64,
     /// Total simulated seconds.
     pub sim_s: f64,
-    /// Logical point-to-point messages booked into the fabric, counted
-    /// as they are booked (the run asserts it equals
-    /// [`Skeleton::messages_per_iter`] × iterations).
+    /// Logical point-to-point messages booked into the fabric, as
+    /// [`deep_fabric::Network::booked`] counts them (the run asserts it
+    /// equals [`Skeleton::messages_per_iter`] × iterations).
     pub messages: u64,
+    /// Link traversals those messages booked.
+    pub hops: u64,
     /// Kernel events (process polls) the run executed.
     pub kernel_events: u64,
     /// FNV-1a 64 over the run's virtual-time trajectory (per-iteration
@@ -150,8 +152,6 @@ struct Shared {
     msgs: Vec<BatchMsg>,
     /// Completion scratch for [`deep_fabric::Network::schedule_batch`].
     done: Vec<SimTime>,
-    /// Logical messages booked.
-    messages: u64,
     /// Running FNV-1a 64 digest of the virtual-time trajectory.
     digest: u64,
 }
@@ -220,7 +220,6 @@ async fn segment(
                         sh.inbox[dst] = arrival;
                     }
                 }
-                sh.messages += sh.msgs.len() as u64;
             }
             // Everyone has scheduled; arrivals are final.
             barrier.wait().await;
@@ -266,7 +265,6 @@ async fn driver(
             let sh = &mut *shared.borrow_mut();
             for round in skeleton.collectives.iter().flat_map(|s| s.rounds()) {
                 book_round(&ib, round, &mut sh.ready, &mut sh.msgs, &mut sh.done);
-                sh.messages += sh.msgs.len() as u64;
             }
             let t_end = sh.ready.iter().copied().max().unwrap_or_else(|| ctx.now());
             sh.digest = fnv_fold(sh.digest, t_end.as_nanos());
@@ -298,7 +296,6 @@ pub fn run(cfg: DesScalingConfig) -> DesScalingResult {
         send_done: vec![SimTime::ZERO; n],
         msgs: Vec::with_capacity(n),
         done: Vec::with_capacity(n),
-        messages: 0,
         digest: fnv_fold(FNV_OFFSET, cfg.ranks as u64),
     }));
     let barrier = Barrier::new(&ctx, segments as usize + 1);
@@ -331,20 +328,21 @@ pub fn run(cfg: DesScalingConfig) -> DesScalingResult {
         ctx.spawn("driver", fut);
     }
     sim.run().assert_completed();
-    let sh = shared.borrow();
+    let booked = ib.network().booked();
     assert_eq!(
-        sh.messages, expected_messages,
+        booked.messages, expected_messages,
         "the run must book exactly the skeleton's messages"
     );
     let sim_s = sim.now().as_secs_f64();
-    let digest = fnv_fold(sh.digest, sh.messages);
+    let digest = fnv_fold(shared.borrow().digest, booked.messages);
     DesScalingResult {
         ranks: cfg.ranks,
         iters: cfg.iters,
         segments,
         iter_s: sim_s / cfg.iters as f64,
         sim_s,
-        messages: sh.messages,
+        messages: booked.messages,
+        hops: booked.hops,
         kernel_events: sim.events_processed(),
         digest,
     }
@@ -425,5 +423,8 @@ mod tests {
         assert!(cplx.iter_s >= model * 0.999);
         // 2 iterations × 64 ranks × (2 halos + 6 allreduce + 63 all-to-all).
         assert_eq!(cplx.messages, 2 * 64 * (2 + 6 + 63));
+        // 4 hops across leaves, 2 within: 1 344 same-leaf messages per
+        // iteration.
+        assert_eq!(cplx.hops, 30_976);
     }
 }

@@ -109,11 +109,7 @@ pub fn probe_fabric(fabric: &str, bytes: u64) -> f64 {
 fn pcie_net(ctx: &Sim) -> Rc<Network> {
     Rc::new(Network::new(
         ctx,
-        Box::new(PcieBus::new(
-            1,
-            pcie::root_complex_spec(),
-            pcie::pcie2_x16_spec(),
-        )),
+        PcieBus::new(1, pcie::root_complex_spec(), pcie::pcie2_x16_spec()),
         4096,
         1,
     ))

@@ -44,11 +44,7 @@ impl AcceleratedNode {
     pub fn new(sim: &Sim, gpu: NodeModel, node_index: u64) -> AcceleratedNode {
         let bus = Network::new(
             sim,
-            Box::new(PcieBus::new(
-                1,
-                pcie::root_complex_spec(),
-                pcie::pcie2_x16_spec(),
-            )),
+            PcieBus::new(1, pcie::root_complex_spec(), pcie::pcie2_x16_spec()),
             4096,
             0x9C1E ^ node_index,
         );

@@ -53,8 +53,7 @@ impl Default for ExtollParams {
 
 /// An EXTOLL fabric: 3-D torus + engine overheads.
 pub struct ExtollFabric {
-    net: Rc<Network>,
-    torus_dims: (u32, u32, u32),
+    net: Rc<Network<Torus3D>>,
     params: ExtollParams,
 }
 
@@ -64,12 +63,8 @@ impl ExtollFabric {
     pub fn new(sim: &Sim, dims: (u32, u32, u32)) -> Self {
         let params = ExtollParams::default();
         let topo = Torus3D::new(dims, extoll_link_spec());
-        let net = Network::new(sim, Box::new(topo), params.mtu, 0x00E0_7011);
-        ExtollFabric {
-            net: Rc::new(net),
-            torus_dims: dims,
-            params,
-        }
+        let net = Rc::new(Network::new(sim, topo, params.mtu, 0x00E0_7011));
+        ExtollFabric { net, params }
     }
 
     /// Enable CRC-error injection on every link.
@@ -89,7 +84,7 @@ impl ExtollFabric {
     }
 
     /// Underlying contention engine (batched booking, fault injection).
-    pub fn network(&self) -> &Rc<Network> {
+    pub fn network(&self) -> &Rc<Network<Torus3D>> {
         &self.net
     }
 
@@ -100,12 +95,12 @@ impl ExtollFabric {
 
     /// Torus dimensions.
     pub fn dims(&self) -> (u32, u32, u32) {
-        self.torus_dims
+        self.net.topo.dims()
     }
 
     /// Minimal hop distance between two nodes.
     pub fn hop_count(&self, a: NodeId, b: NodeId) -> u32 {
-        self.net.hop_count(a, b)
+        self.net.topo.distance(a, b)
     }
 
     /// Send a small message through the VELO engine.

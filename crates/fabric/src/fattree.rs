@@ -14,7 +14,11 @@
 use deep_simkit::SimDuration;
 
 use crate::topology::Topology;
-use crate::types::{LinkId, LinkSpec, NodeId};
+use crate::types::{Hop, LinkId, LinkSpec, NodeId};
+
+/// Link classes: host ↔ leaf links, then leaf ↔ spine trunks.
+const HOST: u8 = 0;
+const TRUNK: u8 = 1;
 
 /// A two-level fat tree.
 pub struct FatTree {
@@ -22,8 +26,8 @@ pub struct FatTree {
     nodes_per_leaf: u32,
     leaves: u32,
     spines: u32,
-    host_spec: LinkSpec,
-    trunk_spec: LinkSpec,
+    /// `[host, trunk]` specs, indexed by class.
+    classes: [LinkSpec; 2],
 }
 
 impl FatTree {
@@ -39,14 +43,12 @@ impl FatTree {
         trunk_spec: LinkSpec,
     ) -> Self {
         assert!(hosts >= 1 && nodes_per_leaf >= 1 && spines >= 1);
-        let leaves = hosts.div_ceil(nodes_per_leaf);
         FatTree {
             hosts,
             nodes_per_leaf,
-            leaves,
+            leaves: hosts.div_ceil(nodes_per_leaf),
             spines,
-            host_spec,
-            trunk_spec,
+            classes: [host_spec, trunk_spec],
         }
     }
 
@@ -55,24 +57,17 @@ impl FatTree {
         h.0 / self.nodes_per_leaf
     }
 
-    fn host_up(&self, h: u32) -> LinkId {
-        LinkId(2 * h)
+    fn host_up(&self, h: u32) -> Hop {
+        Hop::new(LinkId(2 * h), HOST)
     }
 
-    fn host_down(&self, h: u32) -> LinkId {
-        LinkId(2 * h + 1)
+    fn host_down(&self, h: u32) -> Hop {
+        Hop::new(LinkId(2 * h + 1), HOST)
     }
 
-    fn trunk_base(&self) -> u32 {
-        2 * self.hosts
-    }
-
-    fn leaf_up(&self, leaf: u32, spine: u32) -> LinkId {
-        LinkId(self.trunk_base() + 2 * (leaf * self.spines + spine))
-    }
-
-    fn leaf_down(&self, leaf: u32, spine: u32) -> LinkId {
-        LinkId(self.trunk_base() + 2 * (leaf * self.spines + spine) + 1)
+    /// The up link of a (leaf, spine) pair; its down link is the next id.
+    fn trunk_up(&self, leaf: u32, spine: u32) -> u32 {
+        2 * self.hosts + 2 * (leaf * self.spines + spine)
     }
 
     /// Deterministic spine choice for a flow (static routing).
@@ -92,26 +87,35 @@ impl Topology for FatTree {
         self.hosts as usize
     }
 
-    fn link_specs(&self) -> Vec<LinkSpec> {
-        let trunks = 2 * (self.leaves * self.spines) as usize;
-        let mut v = vec![self.host_spec; 2 * self.hosts as usize];
-        v.resize(v.len() + trunks, self.trunk_spec);
-        v
+    fn num_links(&self) -> usize {
+        2 * (self.hosts + self.leaves * self.spines) as usize
     }
 
-    fn route(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
+    fn classes(&self) -> &[LinkSpec] {
+        &self.classes
+    }
+
+    fn diameter(&self) -> usize {
+        4
+    }
+
+    #[inline]
+    fn hops(&self, src: NodeId, dst: NodeId, out: &mut [Hop]) -> usize {
         if src == dst {
-            return;
+            return 0;
         }
-        let ls = self.leaf_of(src);
-        let ld = self.leaf_of(dst);
-        out.push(self.host_up(src.0));
-        if ls != ld {
-            let spine = self.spine_for(src, dst);
-            out.push(self.leaf_up(ls, spine));
-            out.push(self.leaf_down(ld, spine));
+        let out = &mut out[..4];
+        let (ls, ld) = (self.leaf_of(src), self.leaf_of(dst));
+        out[0] = self.host_up(src.0);
+        if ls == ld {
+            out[1] = self.host_down(dst.0);
+            return 2;
         }
-        out.push(self.host_down(dst.0));
+        let spine = self.spine_for(src, dst);
+        out[1] = Hop::new(LinkId(self.trunk_up(ls, spine)), TRUNK);
+        out[2] = Hop::new(LinkId(self.trunk_up(ld, spine) + 1), TRUNK);
+        out[3] = self.host_down(dst.0);
+        4
     }
 }
 
@@ -158,7 +162,7 @@ mod tests {
     fn routes_are_valid_link_ids() {
         let partial = FatTree::new(10, 4, 2, ib_fdr_host_spec(), ib_fdr_trunk_spec());
         for t in [tree(16), partial] {
-            let mut routed = vec![false; t.link_specs().len()];
+            let mut routed = vec![false; t.num_links()];
             let mut p = Vec::new();
             for a in 0..t.hosts {
                 for b in 0..t.hosts {

@@ -36,7 +36,7 @@ impl Default for IbParams {
 
 /// An InfiniBand cluster fabric.
 pub struct IbFabric {
-    net: Rc<Network>,
+    net: Rc<Network<FatTree>>,
     params: IbParams,
 }
 
@@ -47,15 +47,12 @@ impl IbFabric {
     pub fn new(sim: &Sim, hosts: u32) -> Self {
         let params = IbParams::default();
         let topo = FatTree::new(hosts, 18, 18, ib_fdr_host_spec(), ib_fdr_trunk_spec());
-        let net = Network::new(sim, Box::new(topo), params.mtu, 0x1B_FAB);
-        IbFabric {
-            net: Rc::new(net),
-            params,
-        }
+        let net = Rc::new(Network::new(sim, topo, params.mtu, 0x1B_FAB));
+        IbFabric { net, params }
     }
 
     /// Underlying contention engine (batched booking, fault injection).
-    pub fn network(&self) -> &Rc<Network> {
+    pub fn network(&self) -> &Rc<Network<FatTree>> {
         &self.net
     }
 

@@ -27,8 +27,8 @@ pub mod types;
 pub use extoll::{ExtollFabric, ExtollParams};
 pub use fattree::FatTree;
 pub use ib::{IbFabric, IbParams};
-pub use network::{BatchMsg, FaultModel, LinkFailure, Network};
+pub use network::{BatchMsg, Booked, FaultModel, LinkFailure, Network};
 pub use pcie::PcieBus;
 pub use topology::{Crossbar, Topology};
 pub use torus::{Torus3D, TorusDir};
-pub use types::{EndpointOverhead, LinkId, LinkSpec, NodeId, TransferStats};
+pub use types::{EndpointOverhead, Hop, LinkId, LinkSpec, NodeId, TransferStats};

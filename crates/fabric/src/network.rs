@@ -20,30 +20,30 @@
 //!
 //! ## State layout
 //!
-//! Per-link and per-node dynamic state is stored **SoA** (one parallel
-//! array per field, indexed by `LinkId`/`NodeId`). A link's only dynamic
-//! state is its `busy_until` horizon, the one value booking prices with.
-//! Static link description is **interned**: a fat tree has two distinct
-//! [`LinkSpec`]s (host, trunk), a torus or crossbar one, so the fabric
-//! keeps the distinct specs as *classes* plus one byte of class index per
-//! link. At 262 144 hosts (1 048 592 directed links) a link costs 9 B:
-//! 8 B of horizon and 1 B of class.
+//! Dynamic state is **SoA**, one array per field indexed by `LinkId` or
+//! `NodeId`. A link's only state is its `busy_until` horizon: 8 B per
+//! link, 8.4 MB for the 1 048 592 links of 262 144 hosts. Static link
+//! description stays with the topology: it names its distinct
+//! [`LinkSpec`]s as classes ([`Topology::classes`]: host and trunk on a
+//! fat tree, one on a torus) and tags each hop of a route with one. The
+//! network keeps per class the *price* of a hop, `(serialization,
+//! latency)`, for the size it last booked, and one route scratch of
+//! [`Topology::diameter`] hops. It is generic over its topology, held as
+//! its last field: [`IbFabric`](crate::IbFabric) books on a
+//! `Network<FatTree>` whose route inlines into the hop loop, and a bare
+//! `Network` is the `Network<dyn Topology>` any `Rc<Network<T>>` coerces to.
 //!
-//! Booking one hop (`occupy_route`, the kernel under both
-//! [`Network::transfer`] and [`Network::schedule_batch`]) is then: class
-//! index load → per-class serialization memo (one compare on a hit; a
-//! miss evaluates `LinkSpec::serialization` and stores it, so the f64
-//! divide and rounding run once per (class, size) run instead of once
-//! per hop) → read-modify-write of the link's `busy_until`. The memo
-//! caches a pure function, so timings are bit-identical to recomputing
-//! it.
+//! ## Booking one hop
 //!
-//! Tried and rejected (PR 17, measured on `des_spmv_262k` /
-//! `des_a2a_4k`): a 32-byte AoS link record — one cache line per hop —
-//! was slower on the 262k ring in 4 of 4 pairs (its four streams are
-//! sequential and prefetch well as SoA) though faster on the 4k
-//! all-to-all; a per-host `leaf_of` table in `FatTree::route` moved
-//! nothing resolvable.
+//! `occupy_route` is the one kernel under both [`Network::transfer`] and
+//! [`Network::schedule_batch`]. Its caller writes the route into the
+//! scratch ([`Topology::hops`]) and reprices the classes only when the
+//! size differs from the last message's: `LinkSpec::serialization` runs
+//! once per class per size change, never per hop. A hop is then its
+//! class's price → read-modify-write of the link's `busy_until` → the
+//! header time carried on. Prices are a pure function of `(spec, bytes)`,
+//! so timings are bit-identical to recomputing them per hop (DESIGN.md
+//! lists what was tried and rejected).
 //!
 //! Node-fault state keeps an active-fault count so the fault-free fast
 //! path is one integer test, not two array reads per transfer.
@@ -53,62 +53,56 @@ use std::cell::{Cell, RefCell};
 use deep_simkit::{Sim, SimDuration, SimRng, SimTime};
 
 use crate::topology::Topology;
-use crate::types::{EndpointOverhead, LinkId, LinkSpec, NodeId, TransferStats};
+use crate::types::{EndpointOverhead, Hop, LinkId, LinkSpec, NodeId, TransferStats};
 
-/// Static link description, interned: the distinct [`LinkSpec`]s of a
-/// topology and, per link, which of them it is.
-struct LinkClasses {
-    specs: Vec<LinkSpec>,
-    of: Vec<u8>,
+/// What one hop costs on a link class: `(serialization, latency)`.
+type Price = (SimDuration, SimDuration);
+
+/// Per class, the price of a hop for `bytes`, the size last booked (at
+/// first zero, which takes zero time on any link).
+struct Prices {
+    bytes: u64,
+    of_class: Vec<Price>,
 }
 
-impl LinkClasses {
-    /// Two specs share a class only if they are bit-identical, so a
-    /// class stands for exactly the function its links' specs computed.
-    /// Works run by run: topologies lay equal links out contiguously.
-    fn intern(per_link: &[LinkSpec]) -> Self {
-        let mut specs: Vec<LinkSpec> = Vec::new();
-        let mut of = Vec::with_capacity(per_link.len());
-        let mut rest = per_link;
-        while let Some(&first) = rest.first() {
-            let same = |k: &LinkSpec| {
-                k.bandwidth_bps.to_bits() == first.bandwidth_bps.to_bits()
-                    && k.latency == first.latency
-            };
-            let run = rest.iter().take_while(|k| same(k)).count();
-            let class = specs.iter().position(same).unwrap_or_else(|| {
-                specs.push(first);
-                specs.len() - 1
-            });
-            assert!(class <= usize::from(u8::MAX), "more than 256 link classes");
-            of.resize(of.len() + run, class as u8);
-            rest = &rest[run..];
-        }
-        LinkClasses { specs, of }
-    }
-
+impl Prices {
+    /// The per-class prices for `bytes`, recomputed only if the last
+    /// booking was of another size.
     #[inline]
-    fn latency(&self, link: LinkId) -> SimDuration {
-        self.specs[usize::from(self.of[link.0 as usize])].latency
-    }
-}
-
-/// Per-link dynamic state: `busy_until[l]` is link `l`'s contention
-/// horizon, the instant its last booked occupancy ends.
-struct LinkStates {
-    busy_until: Vec<SimTime>,
-    /// Per class, the last `(bytes, serialization(bytes))` a booking
-    /// asked for. Starts at zero bytes, which take zero time on any link.
-    ser_memo: Vec<(u64, SimDuration)>,
-}
-
-impl LinkStates {
-    fn new(links: usize, classes: usize) -> Self {
-        LinkStates {
-            busy_until: vec![SimTime::ZERO; links],
-            ser_memo: vec![(0, SimDuration::ZERO); classes],
+    fn of(&mut self, classes: &[LinkSpec], bytes: u64) -> &[Price] {
+        if self.bytes != bytes {
+            self.bytes = bytes;
+            for (price, spec) in self.of_class.iter_mut().zip(classes) {
+                price.0 = spec.serialization(bytes);
+            }
         }
+        &self.of_class
     }
+
+    fn latency(&self, hop: Hop) -> SimDuration {
+        self.of_class[usize::from(hop.class)].1
+    }
+}
+
+/// Messages delivered and hops booked, from [`Network::booked`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Booked {
+    /// Messages delivered, by either entry point; a loopback copy counts
+    /// with zero hops, a failed or dropped transfer not at all.
+    pub messages: u64,
+    /// Link traversals booked: one per hop of every delivered message.
+    pub hops: u64,
+}
+
+/// The booking state: `busy_until[l]` is link `l`'s contention horizon,
+/// the instant its last booked occupancy ends.
+struct Links {
+    busy_until: Vec<SimTime>,
+    prices: Prices,
+    /// Route scratch, [`Topology::diameter`] hops long: one allocation
+    /// per fabric, never borrowed across an `await`.
+    route: Box<[Hop]>,
+    booked: Booked,
 }
 
 /// Fault-injection model: per-traversal corruption probability; a corrupt
@@ -168,9 +162,14 @@ impl NodeFaults {
         }
     }
 
-    #[inline]
-    fn is_faulty(&self, i: usize) -> bool {
-        self.down[i] || self.drop_prob[i] > 0.0
+    /// Change node `i`'s fault state through `set`, keeping `active`
+    /// in step.
+    fn update(&mut self, i: usize, set: impl FnOnce(&mut Self)) {
+        let faulty = |nf: &Self| nf.down[i] || nf.drop_prob[i] > 0.0;
+        let was = faulty(self);
+        set(self);
+        let is = faulty(self);
+        self.active = self.active + usize::from(is && !was) - usize::from(was && !is);
     }
 }
 
@@ -193,42 +192,42 @@ pub struct BatchMsg {
 /// intra-node path.
 const LOOPBACK_BPS: f64 = 8e9;
 
-/// A live fabric: topology + per-link dynamic state.
-pub struct Network {
+/// A live fabric: topology + per-link dynamic state. Bare, `Network`
+/// is `Network<dyn Topology>`.
+pub struct Network<T: Topology + ?Sized = dyn Topology> {
     sim: Sim,
-    topo: Box<dyn Topology>,
-    links: RefCell<LinkStates>,
+    links: RefCell<Links>,
     rng: RefCell<SimRng>,
     fault: Cell<FaultModel>,
     node_faults: RefCell<NodeFaults>,
-    /// Reused route buffer (one allocation per fabric, not one per
-    /// message); never borrowed across an `await`.
-    route_scratch: RefCell<Vec<LinkId>>,
     /// Maximum transmission unit for segmentation (bytes).
     mtu: u64,
-    classes: LinkClasses,
+    pub(crate) topo: T,
 }
 
-impl Network {
+impl<T: Topology> Network<T> {
     /// Wrap a topology. `rng_stream` keys this fabric's fault randomness.
-    pub fn new(sim: &Sim, topo: Box<dyn Topology>, mtu: u64, rng_stream: u64) -> Self {
-        // The per-link spec table is dropped before the link state is
-        // allocated, so the two never coexist at fabric scale.
-        let classes = LinkClasses::intern(&topo.link_specs());
-        let n_nodes = topo.num_nodes();
+    pub fn new(sim: &Sim, topo: T, mtu: u64, rng_stream: u64) -> Self {
+        let of_class = topo.classes().iter();
+        let of_class = of_class.map(|c| (SimDuration::ZERO, c.latency)).collect();
         Network {
             sim: sim.clone(),
-            links: RefCell::new(LinkStates::new(classes.of.len(), classes.specs.len())),
-            topo,
+            links: RefCell::new(Links {
+                busy_until: vec![SimTime::ZERO; topo.num_links()],
+                prices: Prices { bytes: 0, of_class },
+                route: vec![Hop::default(); topo.diameter()].into(),
+                booked: Booked::default(),
+            }),
             rng: RefCell::new(sim.fork_rng(rng_stream)),
             fault: Cell::new(FaultModel::default()),
-            node_faults: RefCell::new(NodeFaults::new(n_nodes)),
-            route_scratch: RefCell::new(Vec::with_capacity(8)),
+            node_faults: RefCell::new(NodeFaults::new(topo.num_nodes())),
             mtu: mtu.max(64),
-            classes,
+            topo,
         }
     }
+}
 
+impl<T: Topology + ?Sized> Network<T> {
     /// Install a fault model (default: error-free). Interior-mutable so a
     /// fault injector can degrade and heal a link mid-run through a
     /// shared handle.
@@ -244,14 +243,10 @@ impl Network {
     /// Mark a node as crashed (`down = true`) or repaired. While down,
     /// every transfer to or from the node fails with a [`LinkFailure`].
     pub fn set_node_down(&self, node: NodeId, down: bool) {
-        {
-            let mut nf = self.node_faults.borrow_mut();
-            let i = node.0 as usize;
-            let was = nf.is_faulty(i);
-            nf.down[i] = down;
-            let is = nf.is_faulty(i);
-            nf.active = nf.active + usize::from(is && !was) - usize::from(was && !is);
-        }
+        let i = node.0 as usize;
+        self.node_faults
+            .borrow_mut()
+            .update(i, |nf| nf.down[i] = down);
         self.sim
             .emit("net", if down { "node-down" } else { "node-up" }, || {
                 format!("node {}", node.0)
@@ -267,12 +262,10 @@ impl Network {
     /// (sampled once per transfer touching the node; 0.0 to heal).
     pub fn set_node_drop_prob(&self, node: NodeId, p: f64) {
         assert!((0.0..=1.0).contains(&p), "drop probability out of range");
-        let mut nf = self.node_faults.borrow_mut();
         let i = node.0 as usize;
-        let was = nf.is_faulty(i);
-        nf.drop_prob[i] = p;
-        let is = nf.is_faulty(i);
-        nf.active = nf.active + usize::from(is && !was) - usize::from(was && !is);
+        self.node_faults
+            .borrow_mut()
+            .update(i, |nf| nf.drop_prob[i] = p);
     }
 
     /// The simulation handle this network runs on.
@@ -285,12 +278,9 @@ impl Network {
         self.topo.num_nodes()
     }
 
-    /// Route length in hops between two endpoints.
-    pub fn hop_count(&self, src: NodeId, dst: NodeId) -> u32 {
-        let mut path = self.route_scratch.borrow_mut();
-        path.clear();
-        self.topo.route(src, dst, &mut path);
-        path.len() as u32
+    /// Messages delivered and hops booked so far, by both entry points.
+    pub fn booked(&self) -> Booked {
+        self.links.borrow().booked
     }
 
     /// Carry `bytes` from `src` to `dst`, suspending until the last byte
@@ -339,6 +329,7 @@ impl Network {
                 });
             }
             // Loopback: a memory copy, no fabric involvement.
+            self.links.borrow_mut().booked.messages += 1;
             let copy = SimDuration::from_secs_f64(bytes as f64 / LOOPBACK_BPS);
             self.sim.sleep(copy).await;
             if overhead.recv > SimDuration::ZERO {
@@ -353,22 +344,22 @@ impl Network {
         }
 
         // Route, sample faults and book the links in one synchronous step
-        // under the shared route buffer; only the first link, the hop
+        // under the shared route scratch; only the first link, the hop
         // count and the outcome are carried across the awaits below.
         let (first, hops, outcome) = {
-            let mut path = self.route_scratch.borrow_mut();
-            path.clear();
-            self.topo.route(src, dst, &mut path);
-            debug_assert!(!path.is_empty(), "route for distinct nodes is non-empty");
-            let first = path[0];
+            let links = &mut *self.links.borrow_mut();
+            let n = self.topo.hops(src, dst, &mut links.route);
+            debug_assert!(n > 0, "route for distinct nodes is non-empty");
+            let route = &links.route[..n];
+            let first = route[0].link;
             let outcome = if down {
                 // The message dies at the first hop: charge one hop latency
                 // (the time the NIC spends discovering nothing answers).
-                Err((self.classes.latency(first), "node down"))
+                Err((links.prices.latency(route[0]), "node down"))
             } else if drop_prob > 0.0 && self.rng.borrow_mut().gen_bool(drop_prob) {
                 // NIC drop: the message traverses the route (charging hop
                 // latencies, not occupancy) and silently vanishes.
-                let lat: SimDuration = path.iter().map(|&l| self.classes.latency(l)).sum();
+                let lat: SimDuration = route.iter().map(|&h| links.prices.latency(h)).sum();
                 Err((lat, "nic drop"))
             } else {
                 // Segment the payload by MTU; segments pipeline, so we model
@@ -379,8 +370,7 @@ impl Network {
                 let mut retrans_total: u32 = 0;
                 let mut effective_bytes = bytes.max(1);
                 if fault.segment_error_rate > 0.0 {
-                    let Some(sampled) = self.sample_retransmissions(fault, segments, path.len())
-                    else {
+                    let Some(sampled) = self.sample_retransmissions(fault, segments, n) else {
                         self.sim.emit("net", "link-fail", || {
                             format!("retries exhausted on link {}", first.0)
                         });
@@ -390,13 +380,13 @@ impl Network {
                     effective_bytes += (sampled as u64).saturating_mul(self.mtu.min(bytes));
                 }
                 // Analytic cut-through schedule over the route.
-                let mut links = self.links.borrow_mut();
-                let now = self.sim.now();
-                let completion =
-                    Self::occupy_route(&mut links, &self.classes, &path, effective_bytes, now);
+                links.booked.messages += 1;
+                links.booked.hops += n as u64;
+                let prices = links.prices.of(self.topo.classes(), effective_bytes);
+                let completion = occupy_route(&mut links.busy_until, prices, route, self.sim.now());
                 Ok((completion, retrans_total))
             };
-            (first, path.len() as u32, outcome)
+            (first, n as u32, outcome)
         };
         let (completion, retransmissions) = match outcome {
             Ok(booked) => booked,
@@ -451,67 +441,27 @@ impl Network {
         }
     }
 
-    /// Advance the cut-through occupancy of every link on `route` for one
-    /// message of `bytes`, first byte entering no earlier than `head`.
-    /// Returns the last-byte arrival at the destination. Pure function of
-    /// the link horizons — shared by the per-message path and the batch
-    /// path so both produce identical timings. The serialization memo
-    /// only skips re-evaluating `LinkSpec::serialization` for the size it
-    /// last saw on that class, so mixed sizes merely miss.
-    #[inline]
-    fn occupy_route(
-        links: &mut LinkStates,
-        classes: &LinkClasses,
-        route: &[LinkId],
-        bytes: u64,
-        head: SimTime,
-    ) -> SimTime {
-        let mut head = head; // when the header reaches the next link
-        let mut completion = head;
-        for &lid in route {
-            let i = lid.0 as usize;
-            let class = usize::from(classes.of[i]);
-            let spec = &classes.specs[class];
-            let memo = &mut links.ser_memo[class];
-            if memo.0 != bytes {
-                *memo = (bytes, spec.serialization(bytes));
-            }
-            let ser = memo.1;
-            let occupancy_start = head.max(links.busy_until[i]);
-            links.busy_until[i] = occupancy_start + ser;
-            let last_byte_arrival = occupancy_start + ser + spec.latency;
-            completion = completion.max(last_byte_arrival);
-            head = occupancy_start + spec.latency;
-        }
-        completion
-    }
-
     /// Simulate a batch of independent same-epoch transfers in one call,
     /// without suspending: link occupancies are advanced message by
     /// message **in slice order** (so the schedule is a pure function of
     /// the batch, bit-identical on every run) and `completions[i]`
     /// receives message `i`'s last-byte arrival. Returns the overall
-    /// latest completion, which is the single instant a caller needs to
-    /// sleep until — one kernel event for the whole batch instead of one
-    /// (or several) per message.
+    /// latest completion, the one instant a caller sleeps until: one
+    /// kernel event for the whole batch.
     ///
     /// This is the scaling path for fabric-wide phases (halo exchanges,
     /// collective rounds at 10⁵ ranks): semantics match issuing the
     /// messages through [`Network::transfer`] at their `earliest`
-    /// instants in slice order, minus what the batch path deliberately
-    /// does not model — endpoint overheads (fold them into `earliest`
-    /// and onto the returned completion) and fault injection (the batch
-    /// path is for clean bulk phases).
+    /// instants (`>= now`) in slice order, minus endpoint overheads (fold
+    /// them into `earliest` and onto the returned completion) and fault
+    /// injection. Loopback messages cost the node-local copy time and
+    /// touch no links.
     ///
     /// # Panics
     ///
     /// In every build profile, if a fault model or a node fault is
     /// active: a batch booked on a faulted fabric would otherwise return
     /// clean timings. The two checks run once per batch, not per message.
-    ///
-    /// Messages may depend on the future (`earliest >= now` is
-    /// required); loopback messages cost the node-local copy time and
-    /// touch no links.
     pub fn schedule_batch(&self, msgs: &[BatchMsg], completions: &mut Vec<SimTime>) -> SimTime {
         let now = self.sim.now();
         assert_eq!(
@@ -526,8 +476,9 @@ impl Network {
         );
         completions.clear();
         completions.reserve(msgs.len());
-        let mut links = self.links.borrow_mut();
-        let mut route = self.route_scratch.borrow_mut();
+        let links = &mut *self.links.borrow_mut();
+        links.booked.messages += msgs.len() as u64;
+        let classes = self.topo.classes();
         let mut overall = now;
         for m in msgs {
             debug_assert!(m.earliest >= now, "batch message scheduled in the past");
@@ -535,15 +486,37 @@ impl Network {
             let done = if m.src == m.dst {
                 head + SimDuration::from_secs_f64(m.bytes as f64 / LOOPBACK_BPS)
             } else {
-                route.clear();
-                self.topo.route(m.src, m.dst, &mut route);
-                Self::occupy_route(&mut links, &self.classes, &route, m.bytes.max(1), head)
+                let n = self.topo.hops(m.src, m.dst, &mut links.route);
+                links.booked.hops += n as u64;
+                let prices = links.prices.of(classes, m.bytes.max(1));
+                occupy_route(&mut links.busy_until, prices, &links.route[..n], head)
             };
             completions.push(done);
             overall = overall.max(done);
         }
         overall
     }
+}
+
+/// Advance the cut-through occupancy of every link on `route` for one
+/// message priced at `prices` (per class, for its size), first byte
+/// entering no earlier than `head`. Returns the last-byte arrival at the
+/// destination. A pure function of the link horizons — shared by the
+/// per-message path and the batch path so both produce identical
+/// timings.
+#[inline]
+fn occupy_route(busy: &mut [SimTime], prices: &[Price], route: &[Hop], head: SimTime) -> SimTime {
+    let mut head = head; // when the header reaches the next link
+    let mut completion = head;
+    for hop in route {
+        let (ser, lat) = prices[usize::from(hop.class)];
+        let busy = &mut busy[hop.link.0 as usize];
+        let occupancy_start = head.max(*busy);
+        *busy = occupancy_start + ser;
+        completion = completion.max(occupancy_start + ser + lat);
+        head = occupancy_start + lat;
+    }
+    completion
 }
 
 #[cfg(test)]
@@ -556,30 +529,34 @@ mod tests {
     use proptest::prelude::*;
     use std::rc::Rc;
 
-    /// The booking kernel without link classes or the memo: one
-    /// `LinkSpec` per link, its serialization recomputed at every hop.
+    /// The booking kernel without classes or prices: one `LinkSpec` per
+    /// link, from a table the test builds, and its serialization
+    /// recomputed at every hop.
     struct Reference {
-        topo: Box<dyn Topology>,
         specs: Vec<LinkSpec>,
         busy_until: Vec<SimTime>,
         route: Vec<LinkId>,
     }
 
     impl Reference {
-        fn new(topo: Box<dyn Topology>) -> Self {
-            let specs = topo.link_specs();
+        fn new(specs: Vec<LinkSpec>) -> Self {
             Reference {
                 busy_until: vec![SimTime::ZERO; specs.len()],
-                topo,
                 specs,
                 route: Vec::new(),
             }
         }
 
         /// Book `src → dst`; returns the last-byte arrival and the hops.
-        fn book(&mut self, src: NodeId, dst: NodeId, bytes: u64, head: SimTime) -> (SimTime, u32) {
+        fn book(
+            &mut self,
+            topo: &dyn Topology,
+            (src, dst): (NodeId, NodeId),
+            bytes: u64,
+            head: SimTime,
+        ) -> (SimTime, u32) {
             self.route.clear();
-            self.topo.route(src, dst, &mut self.route);
+            topo.route(src, dst, &mut self.route);
             let mut head = head;
             let mut completion = head;
             for &lid in &self.route {
@@ -596,65 +573,144 @@ mod tests {
         }
     }
 
-    /// A one-way ring whose links cycle through three specs, so a route
-    /// of three or more hops books every class.
-    struct ThreeClassRing(u32);
+    /// A one-way ring whose links cycle through three classes, so a
+    /// route of three or more hops books every class.
+    struct ThreeClassRing(u32, [LinkSpec; 3]);
 
     impl Topology for ThreeClassRing {
         fn num_nodes(&self) -> usize {
             self.0 as usize
         }
 
-        fn link_specs(&self) -> Vec<LinkSpec> {
-            (0..self.0 as usize)
-                .map(|i| LinkSpec {
-                    bandwidth_bps: [6.8e9, 3.0e9, 1.25e9][i % 3],
-                    latency: SimDuration::nanos([100, 35, 7][i % 3]),
-                })
-                .collect()
+        fn num_links(&self) -> usize {
+            self.0 as usize
         }
 
-        fn route(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
-            let mut at = src.0;
+        fn classes(&self) -> &[LinkSpec] {
+            &self.1
+        }
+
+        fn diameter(&self) -> usize {
+            self.0 as usize - 1
+        }
+
+        fn hops(&self, src: NodeId, dst: NodeId, out: &mut [Hop]) -> usize {
+            let (mut at, mut n) = (src.0, 0);
             while at != dst.0 {
-                out.push(LinkId(at));
-                at = (at + 1) % self.0;
+                out[n] = Hop::new(LinkId(at), (at % 3) as u8);
+                (at, n) = ((at + 1) % self.0, n + 1);
+            }
+            n
+        }
+    }
+
+    /// Number of [`case`]s.
+    const CASES: u32 = 11;
+
+    /// Test fabric `kind`, with a per-link spec table built from the
+    /// topology's documented link layout, not from its classes.
+    fn case(sim: &Sim, kind: u32) -> (Rc<Network>, Vec<LinkSpec>) {
+        let (host, trunk, extoll) = (ib_fdr_host_spec(), ib_fdr_trunk_spec(), extoll_link_spec());
+        let fat_tree = |hosts: u32, per_leaf: u32, spines: u32| {
+            let topo = FatTree::new(hosts, per_leaf, spines, host, trunk);
+            let mut specs = vec![host; 2 * hosts as usize];
+            specs.resize(
+                2 * (hosts + hosts.div_ceil(per_leaf) * spines) as usize,
+                trunk,
+            );
+            (
+                Rc::new(Network::new(sim, topo, 4096, 1)) as Rc<Network>,
+                specs,
+            )
+        };
+        let torus = |(x, y, z): (u32, u32, u32)| {
+            let topo = Torus3D::new((x, y, z), extoll);
+            let specs = vec![extoll; 6 * (x * y * z) as usize];
+            (
+                Rc::new(Network::new(sim, topo, 4096, 1)) as Rc<Network>,
+                specs,
+            )
+        };
+        match kind {
+            0 => fat_tree(40, 4, 4),
+            1 => torus((3, 3, 2)),
+            2 => (mk(sim, 6, 6.8e9, 170), vec![host; 36]),
+            3 => {
+                let classes = [(6.8e9, 100), (3.0e9, 35), (1.25e9, 7)].map(|(bw, ns)| LinkSpec {
+                    bandwidth_bps: bw,
+                    latency: SimDuration::nanos(ns),
+                });
+                let specs = (0..7).map(|l| classes[l % 3]).collect();
+                let ring = Network::new(sim, ThreeClassRing(7, classes), 4096, 1);
+                (Rc::new(ring), specs)
+            }
+            4 => fat_tree(16, 4, 4),
+            // A partial last leaf, and a single spine.
+            5 => fat_tree(10, 4, 2),
+            6 => fat_tree(12, 4, 1),
+            // A dimension of 1, odd sizes, and the 8×8×8 torus.
+            7 => torus((4, 1, 3)),
+            8 => torus((3, 5, 3)),
+            9 => torus((8, 8, 8)),
+            _ => {
+                let (rc, lane) = (
+                    crate::pcie::root_complex_spec(),
+                    crate::pcie::pcie2_x16_spec(),
+                );
+                let bus = Network::new(sim, crate::PcieBus::new(3, rc, lane), 4096, 1);
+                (Rc::new(bus), [vec![rc; 2], vec![lane; 6]].concat())
             }
         }
     }
 
-    fn topo_of(kind: u32) -> Box<dyn Topology> {
-        match kind {
-            0 => Box::new(FatTree::new(
-                40,
-                4,
-                4,
-                ib_fdr_host_spec(),
-                ib_fdr_trunk_spec(),
-            )),
-            1 => Box::new(Torus3D::new((3, 3, 2), extoll_link_spec())),
-            2 => Box::new(Crossbar::new(6, ib_fdr_host_spec())),
-            _ => Box::new(ThreeClassRing(7)),
+    /// Every topology routes every ordered pair within its diameter over
+    /// valid link ids, gives a link one class on every route, and that
+    /// class's spec is the link's spec in the per-link table.
+    #[test]
+    fn every_topology_keeps_the_hop_contract() {
+        let sim = Simulation::new(1);
+        for kind in 0..CASES {
+            let (net, specs) = case(&sim.handle(), kind);
+            let topo = &net.topo;
+            assert_eq!(topo.num_links(), specs.len(), "case {kind}");
+            let mut class_of = vec![None; specs.len()];
+            let (mut hops, mut route) = (vec![Hop::default(); topo.diameter()], Vec::new());
+            for a in (0..topo.num_nodes() as u32).map(NodeId) {
+                for b in (0..topo.num_nodes() as u32).map(NodeId) {
+                    let n = topo.hops(a, b, &mut hops);
+                    assert_eq!(n == 0, a == b, "case {kind}: {a} → {b}");
+                    assert!(n <= topo.diameter());
+                    for hop in &hops[..n] {
+                        let l = hop.link.0 as usize;
+                        assert!(l < topo.num_links(), "case {kind}: link {l}");
+                        assert_eq!(*class_of[l].get_or_insert(hop.class), hop.class);
+                        assert_eq!(topo.classes()[usize::from(hop.class)], specs[l]);
+                    }
+                    route.clear();
+                    topo.route(a, b, &mut route);
+                    assert!(route.iter().eq(hops[..n].iter().map(|h| &h.link)));
+                }
+            }
         }
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
+        #![proptest_config(ProptestConfig::with_cases(192))]
 
         /// Batches of mixed sizes (0 → `max(1)`, runs of one size, two
         /// sizes alternating, random draws) interleaved with awaited
-        /// transfers leave every completion and every link horizon
-        /// exactly as the un-memoized per-link-spec kernel does.
+        /// transfers leave every completion, every link horizon and the
+        /// booking counters exactly as the per-link-spec kernel does.
         #[test]
-        fn memoized_booking_matches_the_per_link_reference(kind in 0u32..4, seed in 0u64..=u64::MAX) {
+        fn priced_booking_matches_the_per_link_reference(kind in 0..CASES, seed in 0u64..=u64::MAX) {
             const SIZES: [u64; 6] = [0, 1, 64, 4_097, 65_536, 1_000_003];
             let mut sim = Simulation::new(seed);
-            let ctx = sim.handle();
-            let net = Rc::new(Network::new(&ctx, topo_of(kind), 4096, 1));
+            let (net, specs) = case(&sim.handle(), kind);
             let n = net.clone();
             let ops = sim.spawn("ops", async move {
                 let mut rng = n.sim().fork_rng(7);
-                let mut reference = Reference::new(topo_of(kind));
+                let mut reference = Reference::new(specs);
+                let mut want = Booked::default();
                 let nodes = n.num_nodes() as u32;
                 let (mut msgs, mut done) = (Vec::new(), Vec::new());
                 for _ in 0..24 {
@@ -677,13 +733,16 @@ mod tests {
                             });
                         }
                         let overall = n.schedule_batch(&msgs, &mut done);
+                        want.messages += msgs.len() as u64;
                         for (m, &got) in msgs.iter().zip(&done) {
-                            let want = if m.src == m.dst {
+                            let expect = if m.src == m.dst {
                                 m.earliest + SimDuration::from_secs_f64(m.bytes as f64 / 8e9)
                             } else {
-                                reference.book(m.src, m.dst, m.bytes.max(1), m.earliest).0
+                                let (t, hops) = reference.book(&n.topo, (m.src, m.dst), m.bytes.max(1), m.earliest);
+                                want.hops += u64::from(hops);
+                                t
                             };
-                            assert_eq!(got, want, "batch completion");
+                            assert_eq!(got, expect, "batch completion");
                         }
                         assert_eq!(Some(overall), done.iter().copied().max());
                         n.sim().sleep(SimDuration::nanos(rng.gen_range(0..20_000u64))).await;
@@ -692,14 +751,15 @@ mod tests {
                             send: SimDuration::nanos(rng.gen_range(0..2u64) * 600),
                             recv: SimDuration::nanos(rng.gen_range(0..2u64) * 300),
                         };
-                        let (arrival, hops) = reference.book(src, dst, a.max(1), now + overhead.send);
+                        let (arrival, hops) = reference.book(&n.topo, (src, dst), a.max(1), now + overhead.send);
                         let st = n.transfer(src, dst, a, overhead).await.unwrap();
                         assert_eq!(st.elapsed, arrival + overhead.recv - now, "awaited transfer");
                         assert_eq!(st.hops, hops);
-                        // Routed in the fabric's buffer, not a per-call `Vec`.
-                        assert_eq!(n.route_scratch.borrow().len() as u32, hops);
+                        want.messages += 1;
+                        want.hops += u64::from(hops);
                     }
                 }
+                assert_eq!(n.booked(), want);
                 reference.busy_until
             });
             sim.run().assert_completed();
@@ -712,7 +772,7 @@ mod tests {
     /// it is ready; both ends of a message are ready again at its
     /// completion, which is appended to `log`.
     fn book_round(
-        net: &Network,
+        net: &Network<FatTree>,
         ready: &mut [SimTime],
         bytes: u64,
         peer: impl Fn(u32) -> u32,
@@ -739,7 +799,7 @@ mod tests {
 
     /// FNV-1a 64 over every booked horizon in link-id order, then over
     /// `log`. Never-booked links (`ZERO`) are skipped.
-    fn horizon_fnv(net: &Network, log: &[SimTime]) -> u64 {
+    fn horizon_fnv(net: &Network<FatTree>, log: &[SimTime]) -> u64 {
         let links = net.links.borrow();
         let booked = links.busy_until.iter().filter(|&&t| t != SimTime::ZERO);
         booked.chain(log).fold(0xcbf2_9ce4_8422_2325, |h, t| {
@@ -766,6 +826,11 @@ mod tests {
             book_round(net, &mut ready, 8, |r| r ^ (1 << k), &mut log);
         }
         assert_eq!(horizon_fnv(net, &log), 0xd0f8_e656_e1f8_bbbc);
+        let booked = Booked {
+            messages: 12 * 1024,
+            hops: 38_436,
+        };
+        assert_eq!(net.booked(), booked);
         let a2a = crate::IbFabric::new(&sim.handle(), 128);
         let net = a2a.network();
         let (mut ready, mut log) = (vec![SimTime::ZERO; 128], Vec::new());
@@ -773,37 +838,23 @@ mod tests {
             book_round(net, &mut ready, 4 << 10, |r| r ^ k, &mut log);
         }
         assert_eq!(horizon_fnv(net, &log), 0x8826_8f2d_3080_943b);
-    }
-
-    #[test]
-    fn link_specs_intern_to_their_distinct_values() {
-        let sim = Simulation::new(1);
-        let ib = crate::IbFabric::new(&sim.handle(), 262_144);
-        let net = ib.network();
-        assert_eq!(net.classes.specs, [ib_fdr_host_spec(), ib_fdr_trunk_spec()]);
-        assert_eq!(net.links.borrow().ser_memo.len(), 2);
-        // 2 links per host, 2 per (leaf, spine) pair: 14 564 leaves × 18.
-        assert_eq!(net.links.borrow().busy_until.len(), 1_048_592);
-        let torus = Network::new(
-            &sim.handle(),
-            Box::new(Torus3D::new((8, 8, 8), extoll_link_spec())),
-            4096,
-            1,
-        );
-        assert_eq!(torus.classes.specs, [extoll_link_spec()]);
-        assert_eq!(LinkClasses::intern(&topo_of(3).link_specs()).specs.len(), 3);
+        let booked = Booked {
+            messages: 127 * 128,
+            hops: 60_736,
+        };
+        assert_eq!(net.booked(), booked);
     }
 
     fn mk(sim: &Sim, nodes: usize, bw: f64, lat_ns: u64) -> Rc<Network> {
         Rc::new(Network::new(
             sim,
-            Box::new(Crossbar::new(
+            Crossbar::new(
                 nodes,
                 LinkSpec {
                     bandwidth_bps: bw,
                     latency: SimDuration::nanos(lat_ns),
                 },
-            )),
+            ),
             4096,
             1,
         ))
@@ -926,13 +977,13 @@ mod tests {
         let ctx = sim.handle();
         let raw = Network::new(
             &ctx,
-            Box::new(Crossbar::new(
+            Crossbar::new(
                 2,
                 LinkSpec {
                     bandwidth_bps: 1e9,
                     latency: SimDuration::nanos(0),
                 },
-            )),
+            ),
             4096,
             1,
         );
@@ -965,13 +1016,13 @@ mod tests {
         let ctx = sim.handle();
         let raw = Network::new(
             &ctx,
-            Box::new(Crossbar::new(
+            Crossbar::new(
                 2,
                 LinkSpec {
                     bandwidth_bps: 1e9,
                     latency: SimDuration::nanos(0),
                 },
-            )),
+            ),
             4096,
             1,
         );

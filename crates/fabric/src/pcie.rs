@@ -15,13 +15,17 @@
 use deep_simkit::SimDuration;
 
 use crate::topology::Topology;
-use crate::types::{LinkId, LinkSpec, NodeId};
+use crate::types::{Hop, LinkId, LinkSpec, NodeId};
+
+/// Link classes: the root-complex / memory path, then the ×16 lanes.
+const RC: u8 = 0;
+const LANE: u8 = 1;
 
 /// A host with PCIe-attached accelerator devices.
 pub struct PcieBus {
     devices: u32,
-    rc_spec: LinkSpec,
-    lane_spec: LinkSpec,
+    /// `[root complex, lane]` specs, indexed by class.
+    classes: [LinkSpec; 2],
 }
 
 impl PcieBus {
@@ -30,8 +34,7 @@ impl PcieBus {
         assert!(devices >= 1);
         PcieBus {
             devices,
-            rc_spec,
-            lane_spec,
+            classes: [rc_spec, lane_spec],
         }
     }
 
@@ -50,12 +53,12 @@ impl PcieBus {
         NodeId(i + 1)
     }
 
-    fn down(&self, dev: u32) -> LinkId {
-        LinkId(2 + 2 * (dev - 1))
+    fn down(&self, dev: u32) -> Hop {
+        Hop::new(LinkId(2 + 2 * (dev - 1)), LANE)
     }
 
-    fn up(&self, dev: u32) -> LinkId {
-        LinkId(3 + 2 * (dev - 1))
+    fn up(&self, dev: u32) -> Hop {
+        Hop::new(LinkId(3 + 2 * (dev - 1)), LANE)
     }
 }
 
@@ -64,38 +67,31 @@ impl Topology for PcieBus {
         (self.devices + 1) as usize
     }
 
-    fn link_specs(&self) -> Vec<LinkSpec> {
-        let mut v = vec![self.rc_spec, self.rc_spec];
-        for _ in 0..self.devices {
-            v.push(self.lane_spec);
-            v.push(self.lane_spec);
-        }
-        v
+    fn num_links(&self) -> usize {
+        2 + 2 * self.devices as usize
     }
 
-    fn route(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
-        if src == dst {
-            return;
-        }
-        match (src.0, dst.0) {
-            (0, d) => {
-                // Host → device: memory read + DMA down.
-                out.push(LinkId(0));
-                out.push(self.down(d));
-            }
-            (d, 0) => {
-                // Device → host: DMA up + memory write.
-                out.push(self.up(d));
-                out.push(LinkId(1));
-            }
-            (a, b) => {
-                // Device ↔ device without peer-to-peer: staged via memory.
-                out.push(self.up(a));
-                out.push(LinkId(1));
-                out.push(LinkId(0));
-                out.push(self.down(b));
-            }
-        }
+    fn classes(&self) -> &[LinkSpec] {
+        &self.classes
+    }
+
+    fn diameter(&self) -> usize {
+        4
+    }
+
+    fn hops(&self, src: NodeId, dst: NodeId, out: &mut [Hop]) -> usize {
+        let (mem_read, mem_write) = (Hop::new(LinkId(0), RC), Hop::new(LinkId(1), RC));
+        let route: &[Hop] = match (src.0, dst.0) {
+            _ if src == dst => &[],
+            // Host → device: memory read + DMA down.
+            (0, d) => &[mem_read, self.down(d)],
+            // Device → host: DMA up + memory write.
+            (d, 0) => &[self.up(d), mem_write],
+            // Device ↔ device without peer-to-peer: staged via memory.
+            (a, b) => &[self.up(a), mem_write, mem_read, self.down(b)],
+        };
+        out[..route.len()].copy_from_slice(route);
+        route.len()
     }
 }
 
@@ -141,7 +137,7 @@ mod tests {
         let ctx = sim.handle();
         let net = Rc::new(Network::new(
             &ctx,
-            Box::new(PcieBus::new(2, root_complex_spec(), pcie2_x16_spec())),
+            PcieBus::new(2, root_complex_spec(), pcie2_x16_spec()),
             4096,
             1,
         ));

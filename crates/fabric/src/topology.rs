@@ -4,19 +4,41 @@
 //! directed links exist, their speeds, and the (deterministic) route taken
 //! between any two endpoints.
 
-use crate::types::{LinkId, LinkSpec, NodeId};
+use crate::types::{Hop, LinkId, LinkSpec, NodeId};
 
 /// Static wiring of a fabric.
 pub trait Topology {
     /// Number of endpoints.
     fn num_nodes(&self) -> usize;
 
-    /// Specs of every directed link, indexed by `LinkId`.
-    fn link_specs(&self) -> Vec<LinkSpec>;
+    /// Number of directed links; every `LinkId` a route crosses is below it.
+    fn num_links(&self) -> usize;
+
+    /// The distinct link specs, in class order: a [`Hop`]'s `class`
+    /// indexes this, and a link has the same class on every route.
+    fn classes(&self) -> &[LinkSpec];
+
+    /// The most hops any route takes.
+    fn diameter(&self) -> usize;
+
+    /// Write the route `src → dst` into `out[..n]` and return `n`: 0 iff
+    /// `src == dst`, never more than [`Topology::diameter`], which is
+    /// the least length `out` may have. Deterministic.
+    fn hops(&self, src: NodeId, dst: NodeId, out: &mut [Hop]) -> usize;
 
     /// Append the directed links of the route `src → dst` to `out`.
-    /// Must be empty iff `src == dst`. Deterministic.
-    fn route(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>);
+    fn route(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
+        // Tree routes fit on the stack; a large torus's may not.
+        let (mut stack, mut heap) = ([Hop::default(); 8], Vec::new());
+        let buf = if self.diameter() <= stack.len() {
+            &mut stack[..]
+        } else {
+            heap.resize(self.diameter(), Hop::default());
+            &mut heap[..]
+        };
+        let n = self.hops(src, dst, buf);
+        out.extend(buf[..n].iter().map(|h| h.link));
+    }
 }
 
 /// An ideal full crossbar: every ordered pair gets a dedicated link.
@@ -39,15 +61,24 @@ impl Topology for Crossbar {
         self.nodes
     }
 
-    fn link_specs(&self) -> Vec<LinkSpec> {
-        vec![self.spec; self.nodes * self.nodes]
+    fn num_links(&self) -> usize {
+        self.nodes * self.nodes
     }
 
-    fn route(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
+    fn classes(&self) -> &[LinkSpec] {
+        std::slice::from_ref(&self.spec)
+    }
+
+    fn diameter(&self) -> usize {
+        1
+    }
+
+    fn hops(&self, src: NodeId, dst: NodeId, out: &mut [Hop]) -> usize {
         if src == dst {
-            return;
+            return 0;
         }
-        out.push(LinkId(src.0 * self.nodes as u32 + dst.0));
+        out[0] = Hop::new(LinkId(src.0 * self.nodes as u32 + dst.0), 0);
+        1
     }
 }
 
@@ -79,6 +110,6 @@ mod tests {
                 }
             }
         }
-        assert_eq!(xb.link_specs().len(), 16);
+        assert_eq!(xb.num_links(), 16);
     }
 }

@@ -9,7 +9,7 @@
 use deep_simkit::SimDuration;
 
 use crate::topology::Topology;
-use crate::types::{LinkId, LinkSpec, NodeId};
+use crate::types::{Hop, LinkId, LinkSpec, NodeId};
 
 /// Directions of the six torus links, in `LinkId` sub-index order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,11 +71,7 @@ impl Torus3D {
     pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
         let (ax, ay, az) = self.coords(a);
         let (bx, by, bz) = self.coords(b);
-        let d = |p: u32, q: u32, dim: u32| -> u32 {
-            let fwd = (q + dim - p) % dim;
-            let back = (p + dim - q) % dim;
-            fwd.min(back)
-        };
+        let d = |p, q, dim| Self::dim_steps(p, q, dim).1;
         d(ax, bx, self.dims.0) + d(ay, by, self.dims.1) + d(az, bz, self.dims.2)
     }
 
@@ -97,52 +93,36 @@ impl Topology for Torus3D {
         (self.dims.0 * self.dims.1 * self.dims.2) as usize
     }
 
-    fn link_specs(&self) -> Vec<LinkSpec> {
-        vec![self.spec; self.num_nodes() * 6]
+    fn num_links(&self) -> usize {
+        self.num_nodes() * 6
     }
 
-    fn route(&self, src: NodeId, dst: NodeId, out: &mut Vec<LinkId>) {
-        if src == dst {
-            return;
-        }
-        let (mut x, mut y, mut z) = self.coords(src);
-        let (tx, ty, tz) = self.coords(dst);
-        let (dx, dy, dz) = self.dims;
+    fn classes(&self) -> &[LinkSpec] {
+        std::slice::from_ref(&self.spec)
+    }
 
-        let (fwd, n) = Self::dim_steps(x, tx, dx);
-        for _ in 0..n {
-            let cur = self.node_at(x, y, z);
-            if fwd {
-                out.push(self.link_of(cur, TorusDir::XPlus));
-                x = (x + 1) % dx;
-            } else {
-                out.push(self.link_of(cur, TorusDir::XMinus));
-                x = (x + dx - 1) % dx;
+    /// The shorter way around a ring of `d` is at most `⌊d/2⌋` hops.
+    fn diameter(&self) -> usize {
+        let (dx, dy, dz) = self.dims;
+        (dx / 2 + dy / 2 + dz / 2) as usize
+    }
+
+    fn hops(&self, src: NodeId, dst: NodeId, out: &mut [Hop]) -> usize {
+        let ((x, y, z), to) = (self.coords(src), self.coords(dst));
+        let (mut at, dims, mut n) = ([x, y, z], <[u32; 3]>::from(self.dims), 0);
+        // x, then y, then z; direction `2·axis` is + and `2·axis + 1` −.
+        for (axis, to) in <[u32; 3]>::from(to).into_iter().enumerate() {
+            let (fwd, steps) = Self::dim_steps(at[axis], to, dims[axis]);
+            let dir = 2 * axis as u32 + u32::from(!fwd);
+            for _ in 0..steps {
+                let cur = self.node_at(at[0], at[1], at[2]);
+                out[n] = Hop::new(LinkId(cur.0 * 6 + dir), 0);
+                n += 1;
+                at[axis] = (at[axis] + if fwd { 1 } else { dims[axis] - 1 }) % dims[axis];
             }
         }
-        let (fwd, n) = Self::dim_steps(y, ty, dy);
-        for _ in 0..n {
-            let cur = self.node_at(x, y, z);
-            if fwd {
-                out.push(self.link_of(cur, TorusDir::YPlus));
-                y = (y + 1) % dy;
-            } else {
-                out.push(self.link_of(cur, TorusDir::YMinus));
-                y = (y + dy - 1) % dy;
-            }
-        }
-        let (fwd, n) = Self::dim_steps(z, tz, dz);
-        for _ in 0..n {
-            let cur = self.node_at(x, y, z);
-            if fwd {
-                out.push(self.link_of(cur, TorusDir::ZPlus));
-                z = (z + 1) % dz;
-            } else {
-                out.push(self.link_of(cur, TorusDir::ZMinus));
-                z = (z + dz - 1) % dz;
-            }
-        }
-        debug_assert_eq!((x, y, z), (tx, ty, tz), "DOR must land on target");
+        debug_assert_eq!(at, <[u32; 3]>::from(to), "DOR must land on target");
+        n
     }
 }
 
@@ -212,7 +192,7 @@ mod tests {
     #[test]
     fn six_links_per_node() {
         let t = torus((3, 3, 3));
-        assert_eq!(t.link_specs().len(), 27 * 6);
+        assert_eq!(t.num_links(), 27 * 6);
     }
 
     #[test]

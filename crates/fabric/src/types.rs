@@ -14,8 +14,25 @@ impl fmt::Display for NodeId {
 }
 
 /// Index of a directed link within one fabric.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LinkId(pub u32);
+
+/// One hop of a route: a directed link and its class, the index of the
+/// link's spec in [`crate::Topology::classes`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Hop {
+    /// The link crossed.
+    pub link: LinkId,
+    /// Which of the topology's distinct specs the link has.
+    pub class: u8,
+}
+
+impl Hop {
+    /// A hop over `link`, a link of class `class`.
+    pub const fn new(link: LinkId, class: u8) -> Hop {
+        Hop { link, class }
+    }
+}
 
 /// Static description of one directed link.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -26,7 +26,7 @@ proptest! {
         let mut path = Vec::new();
         t.route(a, b, &mut path);
         prop_assert_eq!(path.len() as u32, t.distance(a, b));
-        let n_links = t.link_specs().len() as u32;
+        let n_links = t.num_links() as u32;
         for l in &path {
             prop_assert!(l.0 < n_links);
         }
@@ -69,7 +69,7 @@ proptest! {
         } else {
             prop_assert_eq!(path.len(), 4);
         }
-        let n_links = t.link_specs().len() as u32;
+        let n_links = t.num_links() as u32;
         for l in &path {
             prop_assert!(l.0 < n_links);
         }
@@ -91,7 +91,7 @@ proptest! {
         let ctx = sim.handle();
         let net = Rc::new(Network::new(
             &ctx,
-            Box::new(deep_fabric::Crossbar::new(2, spec)),
+            deep_fabric::Crossbar::new(2, spec),
             4096,
             1,
         ));
@@ -125,7 +125,7 @@ proptest! {
         let ctx = sim.handle();
         let net = Rc::new(Network::new(
             &ctx,
-            Box::new(deep_fabric::Crossbar::new(2, spec)),
+            deep_fabric::Crossbar::new(2, spec),
             u64::MAX, // no segmentation: exact serialization accounting
             1,
         ));

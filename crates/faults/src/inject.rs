@@ -47,10 +47,11 @@ pub struct InjectionRecord {
 }
 
 fn net_for(t: &InjectorTargets, domain: Domain) -> Option<Rc<Network>> {
-    match domain {
-        Domain::Cluster => t.ib.as_ref().map(|f| f.network().clone()),
-        Domain::Booster => t.extoll.as_ref().map(|f| f.network().clone()),
-    }
+    let net: Rc<Network> = match domain {
+        Domain::Cluster => t.ib.as_ref()?.network().clone(),
+        Domain::Booster => t.extoll.as_ref()?.network().clone(),
+    };
+    Some(net)
 }
 
 /// Run `plan` against `targets` as a background process. The handle

@@ -65,7 +65,11 @@ impl Peer {
     pub fn dst(self, rank: u32, n: u32) -> u32 {
         match self {
             Peer::Xor(k) => rank ^ k,
-            Peer::Shift(k) => ((u64::from(rank) + u64::from(k)) % u64::from(n)) as u32,
+            // `rank < n` and `k ≤ n`, so the sum wraps at most once.
+            Peer::Shift(k) => {
+                let (sum, n) = (u64::from(rank) + u64::from(k), u64::from(n));
+                (if sum >= n { sum - n } else { sum }) as u32
+            }
         }
     }
 

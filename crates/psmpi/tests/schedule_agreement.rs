@@ -24,7 +24,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use deep_fabric::{IbFabric, LinkFailure, TransferStats};
-use deep_psmpi::schedule::{book_round, Kind, Schedule};
+use deep_psmpi::schedule::{book_round, Kind, Peer, Schedule};
 use deep_psmpi::{
     launch_world, EpId, IbWire, LocalBoxFuture, MpiCtx, MpiParams, NetModel, ReduceOp, Universe,
     Value, Wire,
@@ -209,6 +209,21 @@ fn round_counts_are_the_classic_formulas() {
         assert_eq!(count(Kind::RingAllreduce), 2 * m, "n = {n}");
         for kind in [Kind::RingAllgather, Kind::PairwiseShift, Kind::PairwiseXor] {
             assert_eq!(count(kind), m, "n = {n}");
+        }
+    }
+}
+
+/// A shift peer is the modulo form for every group of up to 64 ranks
+/// and every distance `k ≤ n`, `k = n` included.
+#[test]
+fn shift_peers_are_the_modulo_form() {
+    for n in 1..=64u32 {
+        for k in 0..=n {
+            for rank in 0..n {
+                let (dst, src) = (Peer::Shift(k).dst(rank, n), Peer::Shift(k).src(rank, n));
+                assert_eq!(dst, (rank + k) % n, "{rank} + {k} mod {n}");
+                assert_eq!(src, (rank + n - k) % n, "{rank} - {k} mod {n}");
+            }
         }
     }
 }

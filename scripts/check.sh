@@ -25,7 +25,7 @@ step "cargo fmt --check" cargo fmt --check
 step "cargo clippy (deny warnings)" \
     cargo clippy --workspace --all-targets -- -D warnings
 
-step "cargo test (workspace)" cargo test -q --workspace
+step "cargo test (workspace)" cargo test -q
 
 # Rustdoc with warnings denied: deleting or privatising a documented
 # item cannot leave a dangling intra-doc link behind.
