@@ -39,17 +39,16 @@ pub fn canonical_json(v: &Value) -> String {
 fn write_canonical(v: &Value, out: &mut String) {
     match v {
         Value::Object(kv) => {
-            let mut idx: Vec<usize> = (0..kv.len()).collect();
-            idx.sort_by(|&a, &b| kv[a].0.as_bytes().cmp(kv[b].0.as_bytes()));
+            let mut sorted: Vec<&(String, Value)> = kv.iter().collect();
+            sorted.sort_by(|a, b| a.0.as_bytes().cmp(b.0.as_bytes()));
             out.push('{');
-            for (n, &i) in idx.iter().enumerate() {
+            for (n, (key, value)) in sorted.into_iter().enumerate() {
                 if n > 0 {
                     out.push(',');
                 }
-                // Reuse the compact writer for the key's escaping.
-                out.push_str(&Value::String(kv[i].0.clone()).to_json());
+                crate::write_string(out, key);
                 out.push(':');
-                write_canonical(&kv[i].1, out);
+                write_canonical(value, out);
             }
             out.push('}');
         }
@@ -63,7 +62,7 @@ fn write_canonical(v: &Value, out: &mut String) {
             }
             out.push(']');
         }
-        scalar => out.push_str(&scalar.to_json()),
+        scalar => scalar.write(out, None, 0),
     }
 }
 

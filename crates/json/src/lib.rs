@@ -29,7 +29,7 @@
 pub mod cache;
 pub mod digest;
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::ops::Index;
 
 /// Maximum container nesting [`from_str`] accepts. Deeper documents are
@@ -177,36 +177,48 @@ impl Value {
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     if let Some(w) = indent {
         out.push('\n');
-        for _ in 0..w * depth {
-            out.push(' ');
-        }
+        out.extend(std::iter::repeat_n(' ', w * depth));
     }
 }
 
+// Writing to a `String` cannot fail, so the `write!` results below are
+// dropped.
 fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no Inf/NaN; null is the conventional fallback.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
-        out.push_str(&format!("{}", n as i64));
+        let _ = write!(out, "{}", n as i64);
     } else {
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Every byte that needs escaping is ASCII, so the runs between them
+    // are copied whole.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escape {
+            "" => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+            _ => out.push_str(escape),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -332,6 +344,7 @@ pub fn from_slice(input: &[u8]) -> Result<Value, ParseError> {
 /// Parse a complete JSON document (trailing whitespace allowed).
 pub fn from_str(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
@@ -346,6 +359,8 @@ pub fn from_str(input: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    /// The document; a run between two ASCII bytes slices it whole.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -471,14 +486,12 @@ impl Parser<'_> {
         let mut s = String::new();
         loop {
             let start = self.pos;
-            // Copy unescaped runs wholesale (valid UTF-8 by construction).
+            // Copy unescaped runs wholesale: they end at ASCII bytes.
             while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
                 self.pos += 1;
             }
-            s.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?,
-            );
+            let run = self.text.get(start..self.pos);
+            s.push_str(run.ok_or_else(|| self.err("invalid UTF-8 in string"))?);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -562,13 +575,11 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        // The scanned range is ASCII (digits, sign, dot, exponent), so
-        // this cannot fail — but a parse error beats aborting a daemon.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
+        self.text
+            .get(start..self.pos)
+            .and_then(|text| text.parse::<f64>().ok())
             .map(Value::Number)
-            .map_err(|_| self.err("invalid number"))
+            .ok_or_else(|| self.err("invalid number"))
     }
 }
 

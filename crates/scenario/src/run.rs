@@ -10,7 +10,7 @@
 //! bit-identical at any `RAYON_NUM_THREADS`.
 
 use deep_bench::des_scaling::{self, DesScalingConfig};
-use deep_core::resilience::{daly_optimum, mean_efficiency_batch, ResilienceParams};
+use deep_core::resilience::{daly_optimum, mean_efficiency_batch};
 use deep_faults::plan::{FaultEvent, FaultKind};
 use deep_json::{object, Value};
 
@@ -106,12 +106,11 @@ fn run_scalability_sweep(sc: &Scenario, app: &ScalabilityApp) -> Value {
 /// Evaluate the resilience skeleton over the sweep cross-product ×
 /// intervals.
 fn run_resilience_sweep(sc: &Scenario, app: &ResilienceApp) -> Value {
-    let points = app.points();
     // Flatten (point, interval) pairs: rows land grouped by point with
     // intervals in declaration order — the same nesting the registry
     // experiments use — and the batch driver adds the replica axis to
     // the same grid.
-    let cases: Vec<(ResilienceParams, f64)> = app.cases(&points).collect();
+    let cases = app.cases();
     let means = mean_efficiency_batch(&cases, sc.seed, sc.replicas);
     let rows = cases
         .iter()
@@ -133,7 +132,7 @@ fn run_resilience_sweep(sc: &Scenario, app: &ResilienceApp) -> Value {
     object([
         ("skeleton", "resilience".into()),
         ("replicas", u64::from(sc.replicas).into()),
-        ("points", (points.len() as u64).into()),
+        ("points", (app.points().len() as u64).into()),
         ("rows", Value::Array(rows)),
     ])
 }
@@ -202,6 +201,7 @@ fn fault_event_json(ev: &FaultEvent) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deep_core::resilience::ResilienceParams;
 
     const SMALL_SWEEP: &str = "\
 [scenario]

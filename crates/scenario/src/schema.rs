@@ -190,6 +190,12 @@ const AT_S: Key = req("at_s", Positive);
 const DOMAIN: Key = req("domain", Choice(&DOMAINS));
 const NODE: Key = req("node", Int(0, u32::MAX as u64));
 const DURATION_S: Key = req("duration_s", Positive);
+// The resilience point's keys, each with the setter a sweep axis uses.
+const WORK_S: Key = req("work_s", Positive).axis(|p, v| p.work_s = v);
+const MTBF_NODE_S: Key = req("mtbf_node_s", Positive).axis(|p, v| p.mtbf_node_s = v);
+const CHECKPOINT_S: Key = req("checkpoint_s", Positive).axis(|p, v| p.checkpoint_s = v);
+const RESTART_S: Key = req("restart_s", Positive).axis(|p, v| p.restart_s = v);
+const N_NODES: Key = opt("n_nodes", Int(1, 100_000_000)).axis(|p, v| p.n_nodes = v as u64);
 
 /// Top-level sections.
 pub const SECTIONS: &[Key] = &[
@@ -219,11 +225,11 @@ pub const MACHINE: &[Key] = &[
 pub const RESILIENCE_APP: &[Key] = &[
     SKELETON,
     opt("intervals", Parsed("1..=64 intervals")),
-    req("work_s", Positive).axis(|p, v| p.work_s = v),
-    req("mtbf_node_s", Positive).axis(|p, v| p.mtbf_node_s = v),
-    req("checkpoint_s", Positive).axis(|p, v| p.checkpoint_s = v),
-    req("restart_s", Positive).axis(|p, v| p.restart_s = v),
-    opt("n_nodes", Int(1, 100_000_000)).axis(|p, v| p.n_nodes = v as u64),
+    WORK_S,
+    MTBF_NODE_S,
+    CHECKPOINT_S,
+    RESTART_S,
+    N_NODES,
 ];
 /// `[app]` with `skeleton = "scalability"`.
 pub const SCALABILITY_APP: &[Key] = &[
@@ -233,7 +239,20 @@ pub const SCALABILITY_APP: &[Key] = &[
     def("complex", Bool, S::Bool(false)),
 ];
 /// `[sweep]`.
-pub const SWEEP: &[Key] = &[opt("axes", Tables)];
+pub const SWEEP: &[Key] = &[opt("axes", Tables), opt("points", Tables)];
+/// One `[[sweep.points]]` entry: the five resilience axis keys, all
+/// required, and the interval that point is evaluated at.
+pub const POINT: &[Key] = &[
+    WORK_S,
+    MTBF_NODE_S,
+    CHECKPOINT_S,
+    RESTART_S,
+    Key {
+        required: true,
+        ..N_NODES
+    },
+    req("interval_s", Positive),
+];
 /// One `[[sweep.axes]]` entry.
 pub const AXIS: &[Key] = &[
     req("param", Str),
@@ -370,6 +389,10 @@ pub struct ResilienceApp {
     /// outermost); validation bounds them to 4096 points, which
     /// [`ResilienceApp::points`] relies on.
     pub(crate) axes: Vec<SweepAxis>,
+    /// `[[sweep.points]]`: explicit `(point, interval_s)` cases, run as
+    /// listed in place of the axes and `intervals`; empty when the
+    /// document has none, 1..=4096 otherwise.
+    pub(crate) explicit: Vec<(ResilienceParams, f64)>,
 }
 
 /// A checkpoint interval: absolute seconds or relative to the Daly
@@ -387,9 +410,13 @@ pub enum IntervalSpec {
 }
 
 impl ResilienceApp {
-    /// The cross product of the sweep axes applied to the base point
-    /// (first axis outermost); with no axes, the base point alone.
+    /// The explicit points in order, or else the cross product of the
+    /// sweep axes applied to the base point (first axis outermost);
+    /// with neither, the base point alone.
     pub fn points(&self) -> Vec<ResilienceParams> {
+        if !self.explicit.is_empty() {
+            return self.explicit.iter().map(|&(p, _)| p).collect();
+        }
         let mut points = vec![self.base];
         for axis in &self.axes {
             points = points
@@ -407,15 +434,20 @@ impl ResilienceApp {
     }
 
     /// The `(point, resolved interval)` cases the skeleton evaluates:
-    /// grouped by point, intervals in declaration order.
-    pub fn cases<'a>(
-        &'a self,
-        points: &'a [ResilienceParams],
-    ) -> impl Iterator<Item = (ResilienceParams, f64)> + 'a {
-        points.iter().flat_map(move |p| {
-            let daly = daly_optimum(p);
-            self.intervals.iter().map(move |iv| (*p, iv.resolve(daly)))
-        })
+    /// the explicit cases as listed, or else every point at every
+    /// interval, grouped by point, intervals in declaration order.
+    pub fn cases(&self) -> Vec<(ResilienceParams, f64)> {
+        if !self.explicit.is_empty() {
+            return self.explicit.clone();
+        }
+        let points = self.points();
+        points
+            .iter()
+            .flat_map(|p| {
+                let daly = daly_optimum(p);
+                self.intervals.iter().map(move |iv| (*p, iv.resolve(daly)))
+            })
+            .collect()
     }
 }
 
@@ -555,7 +587,8 @@ impl Scenario {
             .map(|t| parse_app(t, &machine))
             .transpose()?;
         let sweep = root.sub("sweep", SWEEP)?;
-        if sweep.map(|s| parse_sweep(&s, &mut app)).transpose()? == Some(true) && app.is_none() {
+        let declared = sweep.map(|s| parse_sweep(&s, &mut app, root.table.get("app")));
+        if declared.transpose()? == Some(true) && app.is_none() {
             return Err("sweep requires an 'app' block".to_string());
         }
         let faults = root.sub("faults", FAULTS)?;
@@ -627,7 +660,7 @@ fn check_resilience_bounds(app: &ResilienceApp) -> Result<(), String> {
             .filter(|&t| t <= 4096)
             .ok_or_else(|| "sweep: too many points (cross product exceeds 4096)".to_string())?;
     }
-    for (p, interval_s) in app.cases(&app.points()) {
+    for (p, interval_s) in app.cases() {
         if !interval_s.is_finite() {
             return Err(format!(
                 "app: interval must resolve to a finite number of seconds (interval = {interval_s} s)"
@@ -940,6 +973,7 @@ fn parse_resilience_app(table: &Value, machine: &DeepConfig) -> Result<AppSpec, 
         },
         intervals,
         axes: Vec::new(),
+        explicit: Vec::new(),
     }))
 }
 
@@ -967,10 +1001,24 @@ fn parse_interval(item: &Value) -> Result<IntervalSpec, String> {
 }
 
 /// Parse `[sweep]` into the app's axes (a `ranks` axis replaces the
-/// scalability skeleton's rank list). Returns whether any axis was
-/// declared.
-fn parse_sweep(sweep: &Reader, app: &mut Option<AppSpec>) -> Result<bool, String> {
+/// scalability skeleton's rank list) or explicit points. Returns
+/// whether any axis or point was declared.
+fn parse_sweep(
+    sweep: &Reader,
+    app: &mut Option<AppSpec>,
+    app_table: Option<&Value>,
+) -> Result<bool, String> {
     let axes = sweep.tables("axes")?;
+    if let Some(points) = sweep.raw("points")? {
+        let intervals = app_table.and_then(|t| t.get("intervals"));
+        return match (sweep.table.get("axes"), intervals) {
+            (Some(_), _) => Err("sweep: give either 'axes' or 'points', not both".to_string()),
+            (_, Some(_)) => Err("sweep.points: each point gives its own 'interval_s'; \
+                                 drop 'app.intervals'"
+                .to_string()),
+            (None, None) => parse_points(points, app),
+        };
+    }
     let scalability = matches!(app, Some(AppSpec::Scalability(_)));
     let mut seen: Vec<&str> = Vec::with_capacity(axes.len());
     for axis in axes {
@@ -1022,6 +1070,33 @@ fn parse_sweep(sweep: &Reader, app: &mut Option<AppSpec>) -> Result<bool, String
         }
     }
     Ok(!axes.is_empty())
+}
+
+/// Parse `[[sweep.points]]` into the resilience app's explicit cases.
+fn parse_points(points: &Value, app: &mut Option<AppSpec>) -> Result<bool, String> {
+    let items = points.as_array().map_or(&[][..], Vec::as_slice);
+    if !(1..=4096).contains(&items.len()) {
+        return Err("sweep.points: must hold 1..=4096 entries".to_string());
+    }
+    let Some(AppSpec::Resilience(app)) = app else {
+        // No app block: `from_value` rejects the sweep.
+        return match app {
+            Some(_) => Err("sweep.points: requires the 'resilience' skeleton".to_string()),
+            None => Ok(true),
+        };
+    };
+    for (i, item) in items.iter().enumerate() {
+        let r = Reader::open(format!("sweep.points[{i}]"), item, POINT)?;
+        let point = ResilienceParams {
+            work_s: r.num("work_s")?,
+            mtbf_node_s: r.num("mtbf_node_s")?,
+            checkpoint_s: r.num("checkpoint_s")?,
+            restart_s: r.num("restart_s")?,
+            n_nodes: r.int("n_nodes")?,
+        };
+        app.explicit.push((point, r.num("interval_s")?));
+    }
+    Ok(true)
 }
 
 fn parse_axis_values(axis: &Reader) -> Result<AxisValues, String> {

@@ -7,8 +7,8 @@
 //! ```
 //!
 //! * `--experiment`  — submit a registered experiment by name.
-//! * `--sweep-file`  — submit the JSON submission body in PATH
-//!   verbatim (explicit sweep configs, or anything the API accepts).
+//! * `--sweep-file`  — submit a JSON body verbatim: the one in PATH
+//!   (a `sweep` job, or anything else the API accepts).
 //! * `--scenario`    — parse the TOML scenario file in PATH and
 //!   submit it as a `{"scenario": ...}` job (validated locally first,
 //!   so schema errors surface before any network traffic).
@@ -16,8 +16,8 @@
 //! * `--client`      — fairness bucket (default `anon`).
 //! * `--retries`     — 429/503 back-off attempts before giving up
 //!   (default 10; honours `Retry-After`).
-//! * `--watch`       — stream NDJSON progress events to stderr while
-//!   the job runs.
+//! * `--watch`       — stream the job's NDJSON events to stderr while
+//!   it runs.
 //! * `--output-only` — print just the experiment's rendered output
 //!   (byte-identical to the standalone experiment binary), not the
 //!   job JSON; for scripted bit-comparison.
@@ -25,6 +25,7 @@
 //! Exit codes: 0 job done, 1 job failed or daemon unreachable,
 //! 2 usage, 3 gave up on backpressure.
 
+use deep_json::{object, Value};
 use deep_serve::client::ServeClient;
 
 fn usage() -> ! {
@@ -44,7 +45,7 @@ fn fail(msg: &str) -> ! {
 fn main() {
     let mut addr: Option<String> = None;
     let mut client_name = "anon".to_string();
-    let mut body: Option<String> = None;
+    let mut body: Option<Value> = None;
     let mut watch = false;
     let mut output_only = false;
     let mut retries: u32 = 10;
@@ -63,14 +64,15 @@ fn main() {
                 retries = next("count").parse().unwrap_or_else(|_| usage());
             }
             "--experiment" => {
-                let name = next("NAME");
-                body = Some(format!("{{\"experiment\":\"{name}\"}}"));
+                body = Some(object([("experiment", next("NAME").into())]));
             }
             "--sweep-file" => {
                 let path = next("PATH");
                 let raw = std::fs::read_to_string(&path)
                     .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-                body = Some(raw);
+                let json = deep_json::from_str(&raw)
+                    .unwrap_or_else(|e| fail(&format!("submission body is not JSON: {e}")));
+                body = Some(json);
             }
             "--scenario" => {
                 let path = next("PATH");
@@ -78,11 +80,11 @@ fn main() {
                     .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
                 let scenario = deep_scenario::Scenario::from_toml_str(&raw)
                     .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-                body = Some(deep_json::object([("scenario", scenario.doc.clone())]).to_json());
+                body = Some(object([("scenario", scenario.doc)]));
             }
             "--sleep-ms" => {
                 let ms: u64 = next("count").parse().unwrap_or_else(|_| usage());
-                body = Some(format!("{{\"sleep_ms\":{ms}}}"));
+                body = Some(object([("sleep_ms", ms.into())]));
             }
             "--watch" => watch = true,
             "--output-only" => output_only = true,
@@ -90,23 +92,16 @@ fn main() {
         }
     }
     let Some(addr) = addr else { usage() };
-    let Some(body) = body else { usage() };
-    // Attach the fairness bucket without disturbing the spec members.
-    let body = {
-        let spec = deep_json::from_str(&body)
-            .unwrap_or_else(|e| fail(&format!("submission body is not JSON: {e}")));
-        let mut members = vec![(
-            "client".to_string(),
-            deep_json::Value::String(client_name.clone()),
-        )];
-        match spec {
-            deep_json::Value::Object(kv) => {
-                members.extend(kv.into_iter().filter(|(k, _)| k != "client"))
-            }
-            _ => fail("submission body must be a JSON object"),
+    let Some(Value::Object(spec)) = body else {
+        match body {
+            Some(_) => fail("submission body must be a JSON object"),
+            None => usage(),
         }
-        deep_json::Value::Object(members).to_json()
     };
+    // Attach the fairness bucket without disturbing the spec members.
+    let mut members = vec![("client".to_string(), Value::String(client_name))];
+    members.extend(spec.into_iter().filter(|(k, _)| k != "client"));
+    let body = Value::Object(members).to_json();
 
     let mut client = ServeClient::connect(&addr)
         .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));

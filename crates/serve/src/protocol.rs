@@ -6,10 +6,10 @@
 //!
 //! * `{"experiment": "<name>"}` — run a registered experiment from
 //!   `deep_bench::experiments::ALL`; result is its rendered stdout.
-//! * `{"sweep": {"seed": …, "replicas": …, "points": [{…}, …]}}` — an
-//!   explicit resilience-efficiency sweep over
-//!   [`deep_core::resilience::mean_efficiency_batch`]; each point names the
-//!   full `ResilienceParams` plus the checkpoint interval.
+//! * `{"sweep": {"seed": …, "replicas": …, "points": [{…}, …]}}` — the
+//!   older spelling of a resilience scenario with explicit points,
+//!   rewritten into one at admission (`sweep_scenario`) and from then
+//!   on a scenario job like any other.
 //! * `{"scenario": {...}}` — a declarative scenario document (the
 //!   JSON image of a `deep_scenario` TOML file), validated against the
 //!   full schema at admission and evaluated through
@@ -24,153 +24,43 @@
 //! formatting) is `deep_json::digest`'s business; this module only
 //! decides which bytes participate.
 
-use deep_core::resilience::{segments_within_bound, ResilienceParams, MAX_SEGMENTS};
 use deep_json::{object, Value};
+use deep_scenario::schema::POINT;
 use deep_scenario::Scenario;
 
 /// Upper bound on `sleep_ms` jobs, so a typo cannot wedge a worker.
 pub const MAX_SLEEP_MS: u64 = 10_000;
-/// Upper bound on points in one sweep submission.
-pub const MAX_SWEEP_POINTS: usize = 4096;
-/// Upper bound on replicas per sweep point.
-pub const MAX_REPLICAS: u32 = 1024;
 
-/// One point of an explicit resilience sweep: the full scenario plus
-/// the checkpoint interval to evaluate it at.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepPoint {
-    /// Useful work to complete, seconds.
-    pub work_s: f64,
-    /// Nodes the job runs on.
-    pub n_nodes: u64,
-    /// Per-node MTBF, seconds.
-    pub mtbf_node_s: f64,
-    /// Checkpoint write cost, seconds.
-    pub checkpoint_s: f64,
-    /// Restart cost after a failure, seconds.
-    pub restart_s: f64,
-    /// Checkpoint interval to evaluate, seconds.
-    pub interval_s: f64,
-}
-
-impl SweepPoint {
-    /// The simulator parameter struct for this point.
-    pub fn params(&self) -> ResilienceParams {
-        ResilienceParams {
-            work_s: self.work_s,
-            n_nodes: self.n_nodes,
-            mtbf_node_s: self.mtbf_node_s,
-            checkpoint_s: self.checkpoint_s,
-            restart_s: self.restart_s,
-        }
-    }
-
-    /// JSON form (member order = struct order; canonicalisation for
-    /// digests happens downstream).
-    pub fn to_json(&self) -> Value {
-        object([
-            ("work_s", self.work_s.into()),
-            ("n_nodes", self.n_nodes.into()),
-            ("mtbf_node_s", self.mtbf_node_s.into()),
-            ("checkpoint_s", self.checkpoint_s.into()),
-            ("restart_s", self.restart_s.into()),
-            ("interval_s", self.interval_s.into()),
-        ])
-    }
-
-    /// Parse one point; every member is required and must be finite
-    /// and positive (zero nodes or non-positive work would panic deep
-    /// in the simulator, so it is rejected here at the trust
-    /// boundary), and the point may not ask for more than
-    /// [`MAX_SEGMENTS`] checkpoint segments: a replica walks every one,
-    /// and a job has no deadline.
-    pub fn from_json(v: &Value) -> Result<SweepPoint, String> {
-        let num = |key: &str| -> Result<f64, String> {
-            let n = v
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("sweep point: missing or non-numeric '{key}'"))?;
-            if !n.is_finite() || n <= 0.0 {
-                return Err(format!("sweep point: '{key}' must be finite and > 0"));
+/// The scenario document a `{"sweep": sweep}` body stands for: a fixed
+/// name, the `small` preset, `sweep.seed` and `sweep.replicas`, an
+/// `[app]` block holding the first point's resilience keys, and
+/// `sweep.points` as `[[sweep.points]]`. Members are copied as given
+/// (an absent one as `null`); [`Scenario::from_value`] judges them.
+pub(crate) fn sweep_scenario(sweep: &Value) -> Value {
+    let member = |key: &str| sweep.get(key).cloned().unwrap_or(Value::Null);
+    let points = member("points");
+    let mut doc = vec![
+        (
+            "scenario".to_string(),
+            object([
+                ("name", "sweep".into()),
+                ("seed", member("seed")),
+                ("replicas", member("replicas")),
+            ]),
+        ),
+        ("machine".to_string(), object([("preset", "small".into())])),
+    ];
+    if let Some(first @ Value::Object(_)) = points.as_array().and_then(|p| p.first()) {
+        let mut app = vec![("skeleton".to_string(), Value::from("resilience"))];
+        for key in POINT.iter().filter(|k| k.axis.is_some()) {
+            if let Some(v) = first.get(key.name) {
+                app.push((key.name.to_string(), v.clone()));
             }
-            Ok(n)
-        };
-        let n_nodes = v
-            .get("n_nodes")
-            .and_then(Value::as_u64)
-            .filter(|&n| n > 0)
-            .ok_or("sweep point: 'n_nodes' must be a positive integer")?;
-        let point = SweepPoint {
-            work_s: num("work_s")?,
-            n_nodes,
-            mtbf_node_s: num("mtbf_node_s")?,
-            checkpoint_s: num("checkpoint_s")?,
-            restart_s: num("restart_s")?,
-            interval_s: num("interval_s")?,
-        };
-        if !segments_within_bound(point.work_s, point.interval_s) {
-            return Err(format!(
-                "sweep point: 'work_s' / 'interval_s' must not exceed {MAX_SEGMENTS} segments"
-            ));
         }
-        Ok(point)
+        doc.push(("app".to_string(), Value::Object(app)));
     }
-}
-
-/// An explicit sweep: shared RNG seed and replica count, one result
-/// per point.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepConfig {
-    /// Base RNG seed (replica streams derive from it).
-    pub seed: u64,
-    /// Replicas averaged per point.
-    pub replicas: u32,
-    /// The points to evaluate.
-    pub points: Vec<SweepPoint>,
-}
-
-impl SweepConfig {
-    /// JSON form.
-    pub fn to_json(&self) -> Value {
-        object([
-            ("seed", self.seed.into()),
-            ("replicas", self.replicas.into()),
-            (
-                "points",
-                Value::Array(self.points.iter().map(SweepPoint::to_json).collect()),
-            ),
-        ])
-    }
-
-    /// Parse and validate a sweep config.
-    pub fn from_json(v: &Value) -> Result<SweepConfig, String> {
-        let seed = v
-            .get("seed")
-            .and_then(Value::as_u64)
-            .ok_or("sweep: missing or non-integer 'seed'")?;
-        let replicas =
-            v.get("replicas")
-                .and_then(Value::as_u64)
-                .filter(|&r| r >= 1 && r <= MAX_REPLICAS as u64)
-                .ok_or("sweep: 'replicas' must be an integer in 1..=1024")? as u32;
-        let points = v
-            .get("points")
-            .and_then(Value::as_array)
-            .ok_or("sweep: missing 'points' array")?;
-        if points.is_empty() || points.len() > MAX_SWEEP_POINTS {
-            return Err(format!(
-                "sweep: 'points' must hold 1..={MAX_SWEEP_POINTS} entries"
-            ));
-        }
-        Ok(SweepConfig {
-            seed,
-            replicas,
-            points: points
-                .iter()
-                .map(SweepPoint::from_json)
-                .collect::<Result<_, _>>()?,
-        })
-    }
+    doc.push(("sweep".to_string(), object([("points", points)])));
+    Value::Object(doc)
 }
 
 /// What a job asks the daemon to do.
@@ -178,8 +68,6 @@ impl SweepConfig {
 pub enum JobSpec {
     /// A registered experiment by name.
     Experiment(String),
-    /// An explicit resilience sweep.
-    Sweep(SweepConfig),
     /// A declarative scenario, validated at admission and run as is;
     /// its document keys the cache exactly as `run_scenario` digests it.
     Scenario(Box<Scenario>),
@@ -192,7 +80,6 @@ impl JobSpec {
     pub fn to_json(&self) -> Value {
         match self {
             JobSpec::Experiment(name) => object([("experiment", name.as_str().into())]),
-            JobSpec::Sweep(cfg) => object([("sweep", cfg.to_json())]),
             JobSpec::Scenario(sc) => object([("scenario", sc.doc.clone())]),
             JobSpec::SleepMs(ms) => object([("sleep_ms", (*ms).into())]),
         }
@@ -208,6 +95,11 @@ impl JobSpec {
     /// of the spec members).
     pub fn from_json(v: &Value) -> Result<JobSpec, String> {
         let members = ["experiment", "sweep", "scenario", "sleep_ms"];
+        let scenario = |doc: &Value| {
+            Scenario::from_value(doc)
+                .map(|sc| JobSpec::Scenario(Box::new(sc)))
+                .map_err(|e| format!("scenario: {e}"))
+        };
         let present: Vec<&str> = members
             .iter()
             .copied()
@@ -224,10 +116,8 @@ impl JobSpec {
                 }
                 Ok(JobSpec::Experiment(name.to_string()))
             }
-            ["sweep"] => Ok(JobSpec::Sweep(SweepConfig::from_json(&v["sweep"])?)),
-            ["scenario"] => Scenario::from_value(&v["scenario"])
-                .map(|sc| JobSpec::Scenario(Box::new(sc)))
-                .map_err(|e| format!("scenario: {e}")),
+            ["sweep"] => scenario(&sweep_scenario(&v["sweep"])),
+            ["scenario"] => scenario(&v["scenario"]),
             ["sleep_ms"] => {
                 let ms = v
                     .get("sleep_ms")
@@ -241,12 +131,6 @@ impl JobSpec {
             ),
             _ => Err(format!("job names more than one spec: {present:?}")),
         }
-    }
-
-    /// Content digest of this spec, in the cache's hex form. Pure
-    /// function of the spec — the submitting client never participates.
-    pub fn digest_hex(&self) -> String {
-        deep_json::digest::digest_hex(&self.to_json())
     }
 }
 
@@ -293,6 +177,11 @@ mod tests {
         .unwrap()
     }
 
+    /// The cache key the scheduler computes for `spec`.
+    fn digest(spec: &JobSpec) -> u64 {
+        deep_json::digest::digest(&spec.to_json())
+    }
+
     #[test]
     fn experiment_spec_round_trips() {
         let v = deep_json::from_str(r#"{"client":"ci","experiment":"f03b_resilience"}"#).unwrap();
@@ -307,23 +196,27 @@ mod tests {
     fn sweep_spec_round_trips_and_validates() {
         let req = JobRequest::from_json(&sweep_json()).unwrap();
         assert_eq!(req.client, "anon");
-        let JobSpec::Sweep(cfg) = &req.spec else {
-            panic!("expected sweep");
+        let JobSpec::Scenario(sc) = &req.spec else {
+            panic!("a sweep is admitted as a scenario");
         };
-        assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.replicas, 4);
-        assert_eq!(cfg.points[0].n_nodes, 640);
+        assert_eq!((sc.name.as_str(), sc.seed, sc.replicas), ("sweep", 7, 4));
+        let Some(deep_scenario::AppSpec::Resilience(app)) = &sc.app else {
+            panic!("expected the resilience skeleton");
+        };
+        let [(p, interval_s)] = app.cases()[..] else {
+            panic!("one point, one case");
+        };
+        let point = (
+            p.work_s,
+            p.n_nodes,
+            p.mtbf_node_s,
+            p.checkpoint_s,
+            p.restart_s,
+        );
+        assert_eq!(point, (500_000.0, 640, 157_680_000.0, 240.0, 600.0));
+        assert_eq!(interval_s, 5400.0);
         let back = JobSpec::from_json(&req.spec.to_json()).unwrap();
         assert_eq!(back, req.spec);
-    }
-
-    #[test]
-    fn ci_sweep_fixture_is_the_serve_mix_shape() {
-        let v = deep_json::from_str(include_str!("../tests/fixtures/sweep_16x128.json")).unwrap();
-        let JobSpec::Sweep(cfg) = JobRequest::from_json(&v).unwrap().spec else {
-            panic!("expected sweep");
-        };
-        assert_eq!((cfg.points.len(), cfg.replicas), (16, 128));
     }
 
     #[test]
@@ -336,14 +229,14 @@ mod tests {
             &deep_json::from_str(r#"{"client":"bob","experiment":"f03b_resilience"}"#).unwrap(),
         )
         .unwrap();
-        assert_eq!(a.spec.digest_hex(), b.spec.digest_hex());
+        assert_eq!(digest(&a.spec), digest(&b.spec));
     }
 
     #[test]
     fn digest_distinguishes_configs() {
         let base = JobSpec::Experiment("f03b_resilience".into());
         let other = JobSpec::Experiment("f02_evolution".into());
-        assert_ne!(base.digest_hex(), other.digest_hex());
+        assert_ne!(digest(&base), digest(&other));
     }
 
     #[test]
@@ -359,20 +252,30 @@ mod tests {
             (r#"{"client":"","experiment":"f02_evolution"}"#, "client"),
             (
                 r#"{"sweep":{"seed":1,"replicas":0,"points":[]}}"#,
-                "replicas",
+                "scenario: scenario.replicas: must be in 1..=1024",
             ),
-            (r#"{"sweep":{"seed":1,"replicas":2,"points":[]}}"#, "points"),
+            (
+                r#"{"sweep":{"seed":1,"replicas":2,"points":[]}}"#,
+                "scenario: sweep.points: must hold 1..=4096 entries",
+            ),
             (
                 r#"{"sweep":{"seed":1,"replicas":2,"points":[{"work_s":0,"n_nodes":4,
                    "mtbf_node_s":1,"checkpoint_s":1,"restart_s":1,"interval_s":1}]}}"#,
-                "work_s",
+                "scenario: app.work_s: must be finite and > 0",
+            ),
+            (
+                r#"{"sweep":{"seed":1,"replicas":2,"points":[{"work_s":1,"n_nodes":4,
+                   "mtbf_node_s":1,"checkpoint_s":1,"restart_s":1,"interval_s":1},
+                   {"work_s":1,"n_nodes":1e9,
+                   "mtbf_node_s":1,"checkpoint_s":1,"restart_s":1,"interval_s":1}]}}"#,
+                "scenario: sweep.points[1].n_nodes: must be in 1..=100000000",
             ),
             // Valid members, unbounded work: 10^12 segments per replica,
             // and a `done` chain that stops moving at 2^53.
             (
                 r#"{"sweep":{"seed":1,"replicas":2,"points":[{"work_s":1e9,"n_nodes":4,
                    "mtbf_node_s":1,"checkpoint_s":1,"restart_s":1,"interval_s":1e-3}]}}"#,
-                "segments",
+                "scenario: app: work_s / interval must not exceed 16777216 segments",
             ),
             (
                 r#"{"sweep":{"seed":1,"replicas":2,"points":[{"work_s":1e18,"n_nodes":4,

@@ -23,11 +23,12 @@
 //!   [`deep_json::cache::ResultCache`] keyed by the canonical config
 //!   digest; a resubmission is served from memory without touching a
 //!   worker.
-//! * **A result is rendered once and stored once**: the worker prints
-//!   the finished `Value` — outside the state mutex — to the exact
-//!   text a response carries, and that one `Arc<str>` is what the cache
-//!   entry, the job record, every later hit's record and every response
-//!   body hold ([`JobJson`]).
+//! * **A finished job is rendered once and stored once**: the worker
+//!   prints the spec and the finished `Value` — outside the state
+//!   mutex — to the exact text a response carries, and that one
+//!   `Arc<str>` is what the cache entry, the job record, every later
+//!   hit's record and every response body hold ([`JobJson`]). No
+//!   finished record keeps a parsed spec.
 //! * **Bounded history**: every queued or running job is kept, plus the
 //!   [`JOB_HISTORY`] most recently finished ones; a record that falls
 //!   out is dropped and its id answers 404.
@@ -44,15 +45,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use deep_bench::experiments::panic_message;
-use deep_core::resilience::mean_efficiency_batch;
 use deep_json::cache::ResultCache;
 use deep_json::{object, Value};
 use deep_resmgr::assign::dynamic_shares;
 
 use crate::protocol::{JobRequest, JobSpec};
-
-/// Sweep points evaluated between two progress events.
-const PROGRESS_CHUNK: usize = 64;
 
 /// Finished job records kept for `GET /jobs/:id`. Queued and running
 /// jobs are kept on top of it, so the table holds at most this many
@@ -104,7 +101,7 @@ impl JobState {
 struct Job {
     id: u64,
     client: String,
-    spec: JobSpec,
+    body: Body,
     /// Canonical digest of the spec (`None` for uncacheable specs),
     /// computed once at admission.
     cache_key: Option<u64>,
@@ -114,23 +111,29 @@ struct Job {
     threads: u32,
     submitted_at: Instant,
     service_micros: Option<u64>,
-    /// The result as a response carries it — pretty-printed, nested
-    /// one level — in the allocation its cache entry and every hit on
-    /// it share.
-    result: Option<Arc<str>>,
     error: Option<String>,
     events: Vec<Value>,
 }
 
+/// A job's `spec` and `result` members.
+enum Body {
+    /// Not finished: the spec a worker runs, and no result yet.
+    Pending(JobSpec),
+    /// Finished: both members as the job object prints them
+    /// ([`render_body`]), in the allocation its cache entry and every
+    /// hit on it share. A hit never holds a spec of its own.
+    Printed(Arc<str>),
+}
+
 /// A job's status document in three pieces that concatenate to the
-/// pretty-printed job object, so that a response carries the result
-/// without copying it.
+/// pretty-printed job object, so that a response carries the spec and
+/// the result without copying them.
 pub struct JobJson {
-    /// Everything up to and including `"result": `, and the `null` of
-    /// a job that has no result.
+    /// Everything up to and including `"spec": `.
     pub head: String,
-    /// The rendered result, shared with the job record and the cache.
-    pub result: Option<Arc<str>>,
+    /// The spec and the result, shared with the job record and the
+    /// cache once the job is finished.
+    pub body: Arc<str>,
     /// The `error` member and the closing brace.
     pub tail: String,
 }
@@ -138,15 +141,17 @@ pub struct JobJson {
 impl fmt::Display for JobJson {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.head)?;
-        f.write_str(self.result.as_deref().unwrap_or(""))?;
+        f.write_str(&self.body)?;
         f.write_str(&self.tail)
     }
 }
 
-/// Render a finished result the way it reads as the `result` member of
-/// the job object. Called without the state mutex.
-fn render_result(result: &Value) -> Arc<str> {
-    result.to_json_pretty_at(1).into()
+/// Print `spec` and `result` the way they read as the `spec` and
+/// `result` members of the job object (pretty-printed, nested one
+/// level). Called without the state mutex for a finished job.
+fn render_body(spec: &JobSpec, result: &Value) -> Arc<str> {
+    let spec = spec.to_json().to_json_pretty_at(1);
+    format!("{spec},\n  \"result\": {}", result.to_json_pretty_at(1)).into()
 }
 
 impl Job {
@@ -162,11 +167,10 @@ impl Job {
         self.events.push(Value::Object(members));
     }
 
-    /// Enter `Done` with `result`, `micros` after submission.
-    fn complete(&mut self, result: Arc<str>, micros: u64) {
+    /// Enter `Done`, `micros` after submission.
+    fn complete(&mut self, micros: u64) {
         self.state = JobState::Done;
         self.service_micros = Some(micros);
-        self.result = Some(result);
         self.push_event(
             "done",
             vec![
@@ -176,13 +180,12 @@ impl Job {
         );
     }
 
-    /// The members before `result`, which are small.
+    /// The members before `spec`, which are small.
     fn head_members(&self) -> Vec<(String, Value)> {
         let members = [
             ("id", self.id.into()),
             ("client", self.client.as_str().into()),
             ("state", self.state.as_str().into()),
-            ("spec", self.spec.to_json()),
             (
                 "digest",
                 self.cache_key
@@ -204,31 +207,31 @@ impl Job {
             .map_or(Value::Null, |e| e.as_str().into())
     }
 
-    /// The job object with the rendered result spliced in, not copied:
+    /// The job object with the printed body spliced in, not copied:
     /// the text is what printing the whole object as one tree gives
     /// (`tests::spliced_job_json_is_the_printed_tree`).
     fn json(&self) -> JobJson {
         let mut head = Value::Object(self.head_members()).to_json_pretty();
         // The head object closes with "\n}"; the document goes on.
         head.truncate(head.len() - 2);
-        head.push_str(",\n  \"result\": ");
-        if self.result.is_none() {
-            head.push_str("null");
-        }
+        head.push_str(",\n  \"spec\": ");
         JobJson {
             head,
-            result: self.result.clone(),
+            body: match &self.body {
+                Body::Pending(spec) => render_body(spec, &Value::Null),
+                Body::Printed(body) => Arc::clone(body),
+            },
             tail: format!(",\n  \"error\": {}\n}}", self.error_json().to_json()),
         }
     }
 
-    /// The job object as one tree, printed by the one printer — what
-    /// the daemon sent before results were rendered once; [`Job::json`]
-    /// must equal it byte for byte.
+    /// The job object of `spec` and `result` as one tree, printed by
+    /// the one printer; [`Job::json`] must equal it byte for byte.
     #[cfg(test)]
-    fn reference_json(&self, result: Option<&Value>) -> Value {
+    fn reference_json(&self, spec: &JobSpec, result: &Value) -> Value {
         let mut members = self.head_members();
-        members.push(("result".into(), result.cloned().unwrap_or(Value::Null)));
+        members.push(("spec".into(), spec.to_json()));
+        members.push(("result".into(), result.clone()));
         members.push(("error".into(), self.error_json()));
         Value::Object(members)
     }
@@ -274,12 +277,12 @@ impl State {
         self.draining && self.queued == 0 && self.running == 0 && self.watchers == 0
     }
 
-    /// Enter the just-finished job `id` into the history of `cap`
-    /// finished jobs. Returns the record that fell out of it, for the
-    /// caller to free once the mutex is released.
-    fn retire(&mut self, id: u64, cap: usize) -> Option<Job> {
+    /// Enter the just-finished job `id` into the history of
+    /// [`JOB_HISTORY`] finished jobs. Returns the record that fell out
+    /// of it, for the caller to free once the mutex is released.
+    fn retire(&mut self, id: u64) -> Option<Job> {
         self.finished.push_back(id);
-        if self.finished.len() <= cap {
+        if self.finished.len() <= JOB_HISTORY {
             return None;
         }
         self.counters.evicted += 1;
@@ -298,8 +301,6 @@ struct Inner {
     pool_threads: u32,
     /// Most jobs allowed to wait in the queue.
     queue_bound: usize,
-    /// Finished job records kept; [`JOB_HISTORY`] outside tests.
-    job_history: usize,
 }
 
 /// What `submit` tells the HTTP layer.
@@ -365,22 +366,16 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// Progress callback of [`evaluate`]: `(units done, units total)`.
-type OnProgress<'a> = &'a mut (dyn FnMut(usize, usize) + Send);
 /// What a worker runs on a claimed job; [`evaluate`] outside tests.
-type Evaluator = fn(&JobSpec, OnProgress<'_>) -> Result<Value, String>;
+type Evaluator = fn(&JobSpec) -> Result<Value, String>;
 
 impl Scheduler {
     /// Start the scheduler and its worker threads.
     pub fn new(cfg: SchedulerConfig) -> std::io::Result<Scheduler> {
-        Scheduler::with_evaluator(cfg, evaluate, JOB_HISTORY)
+        Scheduler::with_evaluator(cfg, evaluate)
     }
 
-    fn with_evaluator(
-        cfg: SchedulerConfig,
-        evaluator: Evaluator,
-        job_history: usize,
-    ) -> std::io::Result<Scheduler> {
+    fn with_evaluator(cfg: SchedulerConfig, evaluator: Evaluator) -> std::io::Result<Scheduler> {
         let inner = Arc::new(Inner {
             state: Mutex::new(State {
                 next_id: 1,
@@ -401,7 +396,6 @@ impl Scheduler {
             update: Condvar::new(),
             pool_threads: cfg.pool_threads.max(1),
             queue_bound: cfg.queue_bound.max(1),
-            job_history,
         });
         let workers = (0..cfg.workers.max(1))
             .map(|i| {
@@ -437,46 +431,48 @@ impl Scheduler {
         let cached = hit.is_some();
         let id = st.next_id;
         st.next_id += 1;
+        // A hit shows the body its cache entry holds; its own spec is
+        // freed once the mutex is released.
+        let (body, unused) = match hit {
+            Some(body) => (Body::Printed(body), Some(req.spec)),
+            None => (Body::Pending(req.spec), None),
+        };
         let mut job = Job {
             id,
             client: req.client,
-            spec: req.spec,
+            body,
             cache_key,
             state: JobState::Queued,
             cache_hit: cached,
             threads: 0,
             submitted_at: started,
             service_micros: None,
-            result: None,
             error: None,
             events: Vec::new(),
         };
         job.push_event("queued", vec![]);
         st.counters.submitted += 1;
-        match hit {
-            Some(result) => {
-                job.complete(result, started.elapsed().as_micros() as u64);
-                st.counters.completed += 1;
-                st.counters.cache_hits += 1;
+        if cached {
+            job.complete(started.elapsed().as_micros() as u64);
+            st.counters.completed += 1;
+            st.counters.cache_hits += 1;
+        } else {
+            st.queued += 1;
+            if !st.queues.contains_key(&job.client) {
+                st.rotation.push_back(job.client.clone());
             }
-            None => {
-                st.queued += 1;
-                if !st.queues.contains_key(&job.client) {
-                    st.rotation.push_back(job.client.clone());
-                }
-                st.queues
-                    .entry(job.client.clone())
-                    .or_default()
-                    .push_back(id);
-                self.inner.work.notify_one();
-            }
+            st.queues
+                .entry(job.client.clone())
+                .or_default()
+                .push_back(id);
+            self.inner.work.notify_one();
         }
         st.jobs.insert(id, job);
-        let evicted = cached.then(|| st.retire(id, self.inner.job_history));
+        let evicted = cached.then(|| st.retire(id));
         self.inner.update.notify_all();
         // The record that left the history is freed without the mutex.
         drop(st);
-        drop(evicted);
+        drop((evicted, unused));
         Ok(Admitted { job_id: id, cached })
     }
 
@@ -614,11 +610,10 @@ fn worker_loop(inner: &Inner, evaluator: Evaluator) {
         // share, with every panic below this frame turned into a
         // `failed` job.
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let mut on_progress = |done, total| progress(inner, id, done, total);
-            build_pool(threads)?.install(|| evaluator(&spec, &mut on_progress))
+            build_pool(threads)?.install(|| evaluator(&spec))
         }))
         .unwrap_or_else(|payload| Err(format!("job panicked: {}", panic_message(&*payload))));
-        finish_job(inner, id, outcome);
+        finish_job(inner, id, &spec, outcome);
     }
 }
 
@@ -643,17 +638,19 @@ fn claim(inner: &Inner, st: &mut State) -> Option<(u64, JobSpec, u32)> {
             }
         }
     };
-    // A queued id with no job record is an admission bug; skip the
-    // claim rather than abort every worker behind this mutex.
-    let spec = st.jobs.get(&id)?.spec.clone();
+    // A queued id with no pending job record is an admission bug; skip
+    // the claim rather than abort every worker behind this mutex.
+    let Body::Pending(spec) = &st.jobs.get(&id)?.body else {
+        return None;
+    };
+    let spec = spec.clone();
 
     // Apportion pool threads across the jobs now running, via the
-    // booster-assignment policy. Our demand is the work width; clamp
-    // the grant to ≥ 1 so a saturated machine degrades to time-slicing
-    // instead of starvation.
+    // booster-assignment policy. Experiments and scenarios parallelise
+    // internally and ask for the whole pool; clamp the grant to ≥ 1 so
+    // a saturated machine degrades to time-slicing instead of
+    // starvation.
     let demand = match &spec {
-        JobSpec::Sweep(cfg) => (cfg.points.len() as u32).clamp(1, inner.pool_threads),
-        // Experiments and scenario sweeps parallelise internally.
         JobSpec::Experiment(_) | JobSpec::Scenario(_) => inner.pool_threads,
         JobSpec::SleepMs(_) => 1,
     };
@@ -698,9 +695,8 @@ fn build_pool(threads: u32) -> Result<rayon::ThreadPool, String> {
 }
 
 /// Evaluate one job spec to its result JSON — a pure function of the
-/// spec, on whatever pool the caller installed. `on_progress(done,
-/// total)` is called between the chunks of a multi-chunk sweep.
-fn evaluate(spec: &JobSpec, on_progress: OnProgress<'_>) -> Result<Value, String> {
+/// spec, on whatever pool the caller installed.
+fn evaluate(spec: &JobSpec) -> Result<Value, String> {
     match spec {
         JobSpec::Experiment(name) => deep_bench::experiments::run_to_string(name)
             .map(|output| {
@@ -710,23 +706,6 @@ fn evaluate(spec: &JobSpec, on_progress: OnProgress<'_>) -> Result<Value, String
                 ])
             })
             .ok_or_else(|| format!("unknown experiment '{name}'")),
-        JobSpec::Sweep(cfg) => {
-            let total = cfg.points.len();
-            let mut points = Vec::with_capacity(total);
-            for chunk in cfg.points.chunks(PROGRESS_CHUNK) {
-                let cases: Vec<_> = chunk.iter().map(|p| (p.params(), p.interval_s)).collect();
-                for mean in mean_efficiency_batch(&cases, cfg.seed, cfg.replicas) {
-                    points.push(object([
-                        ("efficiency", mean.efficiency.into()),
-                        ("truncated_runs", mean.truncated_runs.into()),
-                    ]));
-                }
-                if points.len() < total {
-                    on_progress(points.len(), total);
-                }
-            }
-            Ok(object([("points", Value::Array(points))]))
-        }
         JobSpec::Scenario(sc) => Ok(deep_scenario::execute(sc)),
         JobSpec::SleepMs(ms) => {
             #[expect(
@@ -739,26 +718,15 @@ fn evaluate(spec: &JobSpec, on_progress: OnProgress<'_>) -> Result<Value, String
     }
 }
 
-/// Append a `progress` event to a running job and wake its watchers.
-fn progress(inner: &Inner, id: u64, done: usize, total: usize) {
-    let mut st = unpoisoned(inner.state.lock());
-    if let Some(job) = st.jobs.get_mut(&id) {
-        job.push_event(
-            "progress",
-            vec![
-                ("done", (done as u64).into()),
-                ("total", (total as u64).into()),
-            ],
-        );
-    }
-    inner.update.notify_all();
-}
-
 /// Record a terminal state, release the job's thread share, cache the
-/// result, and wake watchers.
-fn finish_job(inner: &Inner, id: u64, outcome: Result<Value, String>) {
-    // Print the result, and free its tree, before taking the mutex.
-    let outcome = outcome.map(|result| render_result(&result));
+/// printed spec and result, and wake watchers.
+fn finish_job(inner: &Inner, id: u64, spec: &JobSpec, outcome: Result<Value, String>) {
+    // Print the body, and free the result's tree, before taking the
+    // mutex.
+    let (body, error) = match outcome {
+        Ok(result) => (render_body(spec, &result), None),
+        Err(error) => (render_body(spec, &Value::Null), Some(error)),
+    };
     let mut guard = unpoisoned(inner.state.lock());
     let st = &mut *guard;
     st.running_demands.retain(|&(job, _)| job != id);
@@ -769,15 +737,15 @@ fn finish_job(inner: &Inner, id: u64, outcome: Result<Value, String>) {
     };
     let micros = job.submitted_at.elapsed().as_micros() as u64;
     st.running -= 1;
-    match outcome {
-        Ok(result) => {
+    match error {
+        None => {
             if let Some(key) = job.cache_key {
-                st.cache.insert(key, Arc::clone(&result));
+                st.cache.insert(key, Arc::clone(&body));
             }
-            job.complete(result, micros);
+            job.complete(micros);
             st.counters.completed += 1;
         }
-        Err(error) => {
+        Some(error) => {
             job.state = JobState::Failed;
             job.service_micros = Some(micros);
             job.push_event("failed", vec![("error", error.as_str().into())]);
@@ -785,19 +753,20 @@ fn finish_job(inner: &Inner, id: u64, outcome: Result<Value, String>) {
             st.counters.failed += 1;
         }
     }
-    let evicted = st.retire(id, inner.job_history);
+    let pending = std::mem::replace(&mut job.body, Body::Printed(body));
+    let evicted = st.retire(id);
     inner.update.notify_all();
     inner.work.notify_all();
-    // The record that left the history is freed without the mutex.
+    // The spec and the record that left the history are freed without
+    // the mutex.
     drop(guard);
-    drop(evicted);
+    drop((pending, evicted));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{SweepConfig, SweepPoint};
-    use deep_core::resilience::mean_efficiency;
+    use deep_core::resilience::{mean_efficiency, ResilienceParams};
 
     fn experiment(client: &str, name: &str) -> JobRequest {
         JobRequest {
@@ -811,6 +780,16 @@ mod tests {
             client: client.to_string(),
             spec: JobSpec::SleepMs(ms),
         }
+    }
+
+    /// A one-point sweep submission at `interval_s`, as a client posts it.
+    fn sweep(interval_s: f64) -> JobRequest {
+        let body = format!(
+            r#"{{"client":"t","sweep":{{"seed":7,"replicas":3,"points":[
+                {{"work_s":10000,"n_nodes":640,"mtbf_node_s":157680000,
+                  "checkpoint_s":120,"restart_s":300,"interval_s":{interval_s}}}]}}}}"#
+        );
+        JobRequest::from_json(&deep_json::from_str(&body).unwrap()).unwrap()
     }
 
     /// The job document a client would parse.
@@ -939,24 +918,6 @@ mod tests {
 
     #[test]
     fn queued_same_seed_sweeps_each_match_direct_evaluation() {
-        let point = SweepPoint {
-            work_s: 10_000.0,
-            n_nodes: 640,
-            mtbf_node_s: 5.0 * 365.0 * 86_400.0,
-            checkpoint_s: 120.0,
-            restart_s: 300.0,
-            interval_s: 3600.0,
-        };
-        let mut p2 = point;
-        p2.interval_s = 1800.0;
-        let sweep = |points: Vec<SweepPoint>| JobRequest {
-            client: "t".into(),
-            spec: JobSpec::Sweep(SweepConfig {
-                seed: 7,
-                replicas: 3,
-                points,
-            }),
-        };
         let s = Scheduler::new(SchedulerConfig {
             workers: 1,
             ..SchedulerConfig::default()
@@ -964,14 +925,21 @@ mod tests {
         .unwrap();
         // Park the worker so both sweeps wait in the queue together.
         s.submit(sleep("warm", 200)).unwrap();
-        let a = s.submit(sweep(vec![point])).unwrap().job_id;
-        let b = s.submit(sweep(vec![p2])).unwrap().job_id;
-        for (id, pt) in [(a, &point), (b, &p2)] {
+        let a = s.submit(sweep(3600.0)).unwrap().job_id;
+        let b = s.submit(sweep(1800.0)).unwrap().job_id;
+        let point = ResilienceParams {
+            work_s: 10_000.0,
+            n_nodes: 640,
+            mtbf_node_s: 5.0 * 365.0 * 86_400.0,
+            checkpoint_s: 120.0,
+            restart_s: 300.0,
+        };
+        for (id, interval_s) in [(a, 3600.0), (b, 1800.0)] {
             let job = wait_terminal(&s, id);
             assert_eq!(job["state"], "done");
-            let direct = mean_efficiency(&pt.params(), pt.interval_s, 7, 3);
+            let direct = mean_efficiency(&point, interval_s, 7, 3);
             assert_eq!(
-                job["result"]["points"][0]["efficiency"]
+                job["result"]["sweep"]["rows"][0]["efficiency"]
                     .as_f64()
                     .unwrap()
                     .to_bits(),
@@ -986,11 +954,11 @@ mod tests {
 
     #[test]
     fn a_panicking_evaluation_fails_the_job_and_frees_the_worker() {
-        fn flaky(spec: &JobSpec, on_progress: OnProgress<'_>) -> Result<Value, String> {
+        fn flaky(spec: &JobSpec) -> Result<Value, String> {
             if *spec == JobSpec::SleepMs(13) {
                 panic!("unlucky {}", 13);
             }
-            evaluate(spec, on_progress)
+            evaluate(spec)
         }
         let s = Scheduler::with_evaluator(
             SchedulerConfig {
@@ -998,7 +966,6 @@ mod tests {
                 ..SchedulerConfig::default()
             },
             flaky,
-            JOB_HISTORY,
         )
         .unwrap();
         let bad = s.submit(sleep("t", 13)).unwrap().job_id;
@@ -1028,29 +995,17 @@ mod tests {
                 "s":"quote\" back\\ nl\n tab\t ctl\u0001 é","deep":{"x":{"y":[[],[{}]]}}}"#,
         )
         .unwrap();
-        let sweep = JobSpec::Sweep(SweepConfig {
-            seed: 3,
-            replicas: 2,
-            points: vec![SweepPoint {
-                work_s: 1e4,
-                n_nodes: 64,
-                mtbf_node_s: 1e6,
-                checkpoint_s: 60.0,
-                restart_s: 120.0,
-                interval_s: 600.5,
-            }],
-        });
+        let sweep = sweep(600.5).spec;
         let job = |state, spec: JobSpec| Job {
             id: 7,
             client: "al\"ice".into(),
             cache_key: spec.cacheable().then_some(0x6cee_10c2_8ca5_af51),
-            spec,
+            body: Body::Pending(spec),
             state,
             cache_hit: false,
             threads: 0,
             submitted_at: Instant::now(),
             service_micros: None,
-            result: None,
             error: None,
             events: Vec::new(),
         };
@@ -1058,29 +1013,32 @@ mod tests {
             let mut j = job(JobState::Queued, sweep.clone());
             j.threads = 2;
             j.cache_hit = cache_hit;
-            j.complete(render_result(result), 18_234);
-            (j, Some(result.clone()))
+            j.body = Body::Printed(render_body(&sweep, result));
+            j.complete(18_234);
+            (j, sweep.clone(), result.clone())
         };
-        let mut running = job(
+        let pending = |state, spec: JobSpec| (job(state, spec.clone()), spec, Value::Null);
+        let (mut running, experiment, _) = pending(
             JobState::Running,
             JobSpec::Experiment("f02_evolution".into()),
         );
         running.threads = 4;
         let mut failed = job(JobState::Failed, JobSpec::SleepMs(13));
+        failed.body = Body::Printed(render_body(&JobSpec::SleepMs(13), &Value::Null));
         failed.service_micros = Some(5);
         failed.error = Some("job panicked: \"unlucky\"\n\t13 \\ \u{1}".into());
         let cases = [
-            (job(JobState::Queued, JobSpec::SleepMs(0)), None),
-            (running, None),
+            pending(JobState::Queued, JobSpec::SleepMs(0)),
+            (running, experiment, Value::Null),
             done(&nested, false),
             done(&nested, true),
             done(&Value::Null, false),
             done(&Value::Array(vec![]), false),
             done(&"just a string".into(), false),
-            (failed, None),
+            (failed, JobSpec::SleepMs(13), Value::Null),
         ];
-        for (job, result) in &cases {
-            let reference = job.reference_json(result.as_ref());
+        for (job, spec, result) in &cases {
+            let reference = job.reference_json(spec, result);
             let spliced = job.json();
             assert_eq!(spliced.to_string(), reference.to_json_pretty());
             // And on the wire, headers and framing included.
@@ -1093,7 +1051,7 @@ mod tests {
                 wire(crate::http::Response::json_spliced(
                     200,
                     spliced.head,
-                    spliced.result,
+                    Some(spliced.body),
                     spliced.tail
                 )),
                 wire(crate::http::Response::json(200, &reference)),
@@ -1108,8 +1066,8 @@ mod tests {
         wait_terminal(&s, cold);
         let hit = s.submit(experiment("u", "f02_evolution")).unwrap();
         assert!(hit.cached);
-        let cold = s.job_json(cold).unwrap().result.unwrap();
-        let hit = s.job_json(hit.job_id).unwrap().result.unwrap();
+        let cold = s.job_json(cold).unwrap().body;
+        let hit = s.job_json(hit.job_id).unwrap().body;
         assert!(
             Arc::ptr_eq(&cold, &hit),
             "a hit must hold the cold run's allocation, not a copy"
@@ -1121,54 +1079,41 @@ mod tests {
 
     #[test]
     fn job_history_is_bounded_and_spares_live_jobs() {
-        const CAP: usize = 8;
-        let s = Scheduler::with_evaluator(
-            SchedulerConfig {
-                workers: 1,
-                queue_bound: 4 * CAP,
-                ..SchedulerConfig::default()
-            },
-            evaluate,
-            CAP,
-        )
+        let s = Scheduler::new(SchedulerConfig {
+            workers: 1,
+            ..SchedulerConfig::default()
+        })
         .unwrap();
         let ids = |s: &Scheduler| -> Vec<u64> {
             let st = unpoisoned(s.inner.state.lock());
             st.jobs.keys().copied().collect()
         };
-        // 3 × the cap of finished jobs leave the cap, the newest ids.
-        let mut last = 0;
-        for _ in 0..3 * CAP {
-            last = s.submit(sleep("t", 0)).unwrap().job_id;
-            wait_terminal(&s, last);
-        }
-        let newest: Vec<u64> = (last + 1 - CAP as u64..=last).collect();
-        assert_eq!(ids(&s), newest);
-        assert!(s.job_json(1).is_none(), "an evicted id is unknown");
-        assert!(s.watch(1).is_none());
-
+        let cold = s.submit(experiment("t", "f02_evolution")).unwrap().job_id;
+        wait_terminal(&s, cold);
         // A running and a queued job outlive any number of newer
-        // finished ones (cache hits are finished at admission).
-        let cached = s.submit(experiment("t", "f02_evolution")).unwrap().job_id;
-        wait_terminal(&s, cached);
-        let running = s.submit(sleep("t", 300)).unwrap().job_id;
+        // finished ones. Cache hits finish at admission, so twice the
+        // history of them passes without a worker, long before the
+        // running job ends.
+        let running = s.submit(sleep("t", 2000)).unwrap().job_id;
         let queued = s.submit(sleep("t", 0)).unwrap().job_id;
-        let mut hits = Vec::new();
-        for _ in 0..3 * CAP {
-            let hit = s.submit(experiment("t", "f02_evolution")).unwrap();
-            assert!(hit.cached);
-            hits.push(hit.job_id);
-            let now = ids(&s);
-            assert!(now.contains(&running) && now.contains(&queued), "{now:?}");
-            assert!(now.len() <= CAP + 2, "{now:?}");
-        }
+        let hits: Vec<u64> = (0..2 * JOB_HISTORY)
+            .map(|_| {
+                let hit = s.submit(experiment("t", "f02_evolution")).unwrap();
+                assert!(hit.cached);
+                let kept = unpoisoned(s.inner.state.lock()).jobs.len();
+                assert!(kept <= JOB_HISTORY + 2, "{kept} records kept");
+                hit.job_id
+            })
+            .collect();
         let mut expect = vec![running, queued];
-        expect.extend(&hits[2 * CAP..]);
+        expect.extend(&hits[JOB_HISTORY..]);
         assert_eq!(ids(&s), expect);
+        assert!(s.job_json(cold).is_none(), "an evicted id is unknown");
+        assert!(s.watch(cold).is_none());
         assert_eq!(wait_terminal(&s, running)["state"], "done");
         assert_eq!(wait_terminal(&s, queued)["state"], "done");
         let metrics = s.metrics_text();
-        let evicted = 5 * CAP + 3;
+        let evicted = JOB_HISTORY + 3;
         assert!(
             metrics.contains(&format!("deep_serve_jobs_evicted_total {evicted}\n")),
             "{metrics}"

@@ -351,10 +351,10 @@ enum Routed<'a> {
     EventStream(Watch<'a>),
 }
 
-/// A job document as a reply: the rendered result goes out from the
-/// allocation the job record holds.
+/// A job document as a reply: the printed spec and result go out from
+/// the allocation the job record holds.
 fn job_response(status: u16, job: JobJson) -> Response {
-    Response::json_spliced(status, job.head, job.result, job.tail)
+    Response::json_spliced(status, job.head, Some(job.body), job.tail)
 }
 
 fn route<'a>(req: &Request, shared: &'a Shared) -> Routed<'a> {

@@ -353,7 +353,7 @@ fn event_stream_narrates_the_job_lifecycle() {
     let job = client.job(id).expect("status");
     assert_eq!(job["state"].as_str(), Some("done"));
     assert_eq!(
-        job["result"]["points"].as_array().map(Vec::len),
+        job["result"]["sweep"]["rows"].as_array().map(Vec::len),
         Some(2),
         "{}",
         job.to_json()
@@ -361,36 +361,43 @@ fn event_stream_narrates_the_job_lifecycle() {
     daemon.stop();
 }
 
+/// The CI sweep fixture, shaped like the benchmark's sweep jobs, gives
+/// per point what direct `mean_efficiency` gives, bit for bit, and the
+/// result its hand-written `[[sweep.points]]` scenario gives, byte for
+/// byte.
 #[test]
 fn sweep_results_match_direct_evaluation_bit_for_bit() {
     let daemon = boot(SchedulerConfig::default());
     let mut client = ServeClient::connect(&daemon.addr).expect("connect");
-    let sweep = r#"{"client":"v","sweep":{"seed":11,"replicas":3,"points":[
-        {"work_s":10000,"n_nodes":640,"mtbf_node_s":15768000,
-         "checkpoint_s":120,"restart_s":300,"interval_s":2700}]}}"#;
-    let job = client.submit_and_wait(sweep, 20).expect("sweep");
-    assert_eq!(job["state"].as_str(), Some("done"));
-    let served = job["result"]["points"][0]["efficiency"]
-        .as_f64()
-        .expect("efficiency");
-    let direct = deep_core::resilience::mean_efficiency(
-        &deep_core::resilience::ResilienceParams {
-            work_s: 10_000.0,
-            n_nodes: 640,
-            mtbf_node_s: 15_768_000.0,
-            checkpoint_s: 120.0,
-            restart_s: 300.0,
-        },
-        2700.0,
-        11,
-        3,
-    );
+    let body = include_str!("fixtures/sweep_16x128.json");
+    let job = client.submit_and_wait(body, 20).expect("sweep");
+    assert_eq!(job["state"].as_str(), Some("done"), "{}", job.to_json());
+
+    let toml = include_str!("../../../tests/scenario_fixtures/valid_sweep_points.toml");
+    let scenario = deep_scenario::Scenario::from_toml_str(toml).expect("points fixture is valid");
     assert_eq!(
-        served.to_bits(),
-        direct.efficiency.to_bits(),
-        "served {served} vs direct {}",
-        direct.efficiency
+        job["result"].to_json(),
+        deep_scenario::execute(&scenario).to_json()
     );
+
+    let Some(deep_scenario::AppSpec::Resilience(app)) = &scenario.app else {
+        panic!("resilience skeleton expected");
+    };
+    let rows = job["result"]["sweep"]["rows"].as_array().expect("rows");
+    assert_eq!(rows.len(), 16);
+    for (row, (point, interval_s)) in rows.iter().zip(app.cases()) {
+        let direct = deep_core::resilience::mean_efficiency(&point, interval_s, 7, 128);
+        assert_eq!(
+            row["efficiency"].as_f64().map(f64::to_bits),
+            Some(direct.efficiency.to_bits()),
+            "{}",
+            row.to_json()
+        );
+        assert_eq!(
+            row["truncated_runs"].as_u64(),
+            Some(u64::from(direct.truncated_runs))
+        );
+    }
     daemon.stop();
 }
 

@@ -1,7 +1,8 @@
 //! SIGTERM against the real `deep-serve` binary: the listener blocks in
 //! `accept`, which a signal does not interrupt, so it is the drain
 //! watcher that has to see the flag and wake it. Idle or with a job in
-//! flight, the daemon must drain and exit 0 — promptly.
+//! flight, the daemon must drain and exit 0 — promptly. The real
+//! `deep-submit` binary is driven against it here too.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -109,4 +110,24 @@ fn sigterm_lets_the_job_in_flight_finish_then_exits_0() {
         Some("done"),
         "{states:?}"
     );
+}
+
+#[test]
+fn deep_submit_sends_an_experiment_name_with_quotes_as_a_string() {
+    let (child, addr) = spawn_daemon();
+    let submit = |name: &str| {
+        Command::new(env!("CARGO_BIN_EXE_deep-submit"))
+            .args(["--addr", &addr, "--retries", "0", "--experiment", name])
+            .output()
+            .expect("run deep-submit")
+    };
+    let outputs = [r#"no"such"#, r"back\slash"].map(submit);
+    signal("-TERM", &child);
+    let status = exit_within(child, Duration::from_secs(2));
+    assert_eq!(status.code(), Some(0), "{status:?}");
+    for out in outputs {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains("unknown experiment"), "{stderr}");
+    }
 }

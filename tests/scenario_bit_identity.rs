@@ -3,9 +3,11 @@
 //! equal to the registry path's own maths (`daly_optimum` +
 //! `mean_efficiency` with the registry seed/replica configuration),
 //! byte-identical JSON at 1 and 4 rayon threads, and a pinned golden
-//! digest. The serve path is covered by
-//! `crates/serve/tests/scenario_jobs.rs` (same `execute` entry point,
-//! asserted byte-identical there).
+//! digest. The explicit `[[sweep.points]]` form must match direct
+//! `mean_efficiency` bitwise at 1 and 4 threads. The serve
+//! path is covered by `crates/serve/tests/scenario_jobs.rs` and
+//! `crates/serve/tests/e2e.rs` (same `execute` entry point, asserted
+//! byte-identical there).
 
 use deep_core::{mean_efficiency, ResilienceParams};
 use deep_json::digest::fnv1a_64;
@@ -107,4 +109,47 @@ fn f03b_equivalent_fixture_compiles_to_the_registry_configuration() {
     // registry's base fleet size.
     let cfg = &sc.machine;
     assert_eq!(u64::from(cfg.n_cluster) + u64::from(cfg.n_booster()), 640);
+}
+
+/// The `[[sweep.points]]` form `deep-serve` admits a `sweep` body as:
+/// each listed case, run once in order, is bitwise the direct
+/// `mean_efficiency` of its point and interval, at 1 and 4 threads.
+#[test]
+fn explicit_points_are_bitwise_equal_to_direct_math_at_1_and_4_threads() {
+    let sc = fixture("valid_sweep_points.toml");
+    let Some(AppSpec::Resilience(app)) = &sc.app else {
+        panic!("resilience skeleton expected");
+    };
+    let cases = app.cases();
+    let nodes: Vec<u64> = cases.iter().map(|(p, _)| p.n_nodes).collect();
+    assert_eq!(
+        nodes,
+        (0..16).map(|i| 50_000 + 10_000 * i).collect::<Vec<_>>()
+    );
+    let outputs = [1usize, 4].map(|threads| {
+        let out = with_pool(threads, || deep_scenario::execute(&sc));
+        let rows = out["sweep"]["rows"].as_array().expect("sweep rows");
+        assert_eq!(out["sweep"]["points"].as_u64(), Some(16));
+        assert_eq!(rows.len(), cases.len());
+        for (row, (p, interval_s)) in rows.iter().zip(&cases) {
+            assert_eq!(*interval_s, 400.000017);
+            let me = mean_efficiency(p, *interval_s, 7, 128);
+            assert_eq!(row["n_nodes"].as_u64(), Some(p.n_nodes));
+            assert_eq!(
+                row["efficiency"].as_f64().map(f64::to_bits),
+                Some(me.efficiency.to_bits()),
+                "n_nodes={}: efficiency diverged from direct math at {threads} threads",
+                p.n_nodes
+            );
+            assert_eq!(
+                row["truncated_runs"].as_u64(),
+                Some(u64::from(me.truncated_runs))
+            );
+        }
+        out.to_json()
+    });
+    assert_eq!(
+        outputs[0], outputs[1],
+        "scenario JSON must be byte-identical at 1 and 4 threads"
+    );
 }

@@ -9,7 +9,8 @@
 use std::path::PathBuf;
 
 use deep_scenario::schema::{
-    Scalar, Ty, LINK_FLAPS, MACHINE, POISSON, RESILIENCE_APP, SCALABILITY_APP, SCENARIO, TRACE,
+    Scalar, Ty, LINK_FLAPS, MACHINE, POINT, POISSON, RESILIENCE_APP, SCALABILITY_APP, SCENARIO,
+    TRACE,
 };
 use deep_scenario::Scenario;
 
@@ -143,7 +144,8 @@ fn default_cell(default: Option<Scalar>) -> String {
 
 /// Each key table in `docs/scenario.md` — in order `[scenario]`,
 /// `[machine]`, the resilience and scalability `[app]` skeletons,
-/// `[faults.poisson]`, `[faults.link_flaps]` and `[trace]` — lists its
+/// `[[sweep.points]]`, `[faults.poisson]`, `[faults.link_flaps]` and
+/// `[trace]` — lists its
 /// section's keys in schema order, with the schema's required, range
 /// and default columns.
 #[test]
@@ -173,6 +175,7 @@ fn docs_key_tables_match_the_schema() {
         MACHINE,
         RESILIENCE_APP,
         SCALABILITY_APP,
+        POINT,
         POISSON,
         LINK_FLAPS,
         TRACE,

@@ -222,13 +222,14 @@ const EDGES: [f64; 8] = [
 ];
 
 /// Every section's key table.
-const TABLES: [&[Key]; 17] = [
+const TABLES: [&[Key]; 18] = [
     schema::SECTIONS,
     schema::SCENARIO,
     schema::MACHINE,
     schema::RESILIENCE_APP,
     schema::SCALABILITY_APP,
     schema::SWEEP,
+    schema::POINT,
     schema::AXIS,
     schema::GRID,
     schema::FAULTS,
@@ -393,8 +394,7 @@ proptest! {
             let plan = std::panic::catch_unwind(|| sc.fault_plan().len());
             prop_assert!(plan.is_ok(), "fault_plan panicked on {}", doc.to_json());
             if let Some(AppSpec::Resilience(app)) = &sc.app {
-                let points = app.points();
-                for (_, interval_s) in app.cases(&points) {
+                for (_, interval_s) in app.cases() {
                     prop_assert!(
                         interval_s.is_finite(),
                         "interval {} validated in {}",
