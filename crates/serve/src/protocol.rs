@@ -220,6 +220,18 @@ mod tests {
     }
 
     #[test]
+    fn ci_sweep_fixture_is_the_serve_mix_shape() {
+        let v = deep_json::from_str(include_str!("../tests/fixtures/sweep_16x128.json")).unwrap();
+        let JobSpec::Scenario(sc) = JobRequest::from_json(&v).unwrap().spec else {
+            panic!("a sweep is admitted as a scenario");
+        };
+        let Some(deep_scenario::AppSpec::Resilience(app)) = &sc.app else {
+            panic!("expected the resilience skeleton");
+        };
+        assert_eq!((app.cases().len(), sc.replicas), (16, 128));
+    }
+
+    #[test]
     fn digest_ignores_the_client_member() {
         let a = JobRequest::from_json(
             &deep_json::from_str(r#"{"client":"alice","experiment":"f03b_resilience"}"#).unwrap(),

@@ -476,10 +476,13 @@ mod tests {
 
     /// A connected socket pair, the daemon's end being served with
     /// `timeouts` on a thread that reports how long it held its slot.
-    fn serve(timeouts: Timeouts) -> (TcpStream, std::thread::JoinHandle<Duration>) {
+    /// The peer has sent `sent` before that thread starts, so the
+    /// daemon finds it waiting instead of racing it.
+    fn serve(timeouts: Timeouts, sent: &[u8]) -> (TcpStream, std::thread::JoinHandle<Duration>) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (stream, _) = listener.accept().unwrap();
+        peer.write_all(sent).unwrap();
         let shared = Shared {
             scheduler: Scheduler::new(SchedulerConfig::default()).unwrap(),
             draining: AtomicBool::new(false),
@@ -507,10 +510,13 @@ mod tests {
 
     #[test]
     fn a_silent_peer_loses_its_slot_after_the_idle_timeout() {
-        let (peer, served) = serve(Timeouts {
-            idle: SHORT,
-            io: LONG,
-        });
+        let (peer, served) = serve(
+            Timeouts {
+                idle: SHORT,
+                io: LONG,
+            },
+            b"",
+        );
         let held = served.join().unwrap();
         assert!(held >= SHORT && held < LONG, "{held:?}");
         drop(peer);
@@ -518,23 +524,26 @@ mod tests {
 
     #[test]
     fn a_peer_stalling_inside_a_request_loses_its_slot_after_the_io_timeout() {
-        let (mut peer, served) = serve(Timeouts {
-            idle: LONG,
-            io: SHORT,
-        });
-        peer.write_all(b"POST /jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\n{\"sl")
-            .unwrap();
+        let (_peer, served) = serve(
+            Timeouts {
+                idle: LONG,
+                io: SHORT,
+            },
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\n{\"sl",
+        );
         let held = served.join().unwrap();
         assert!(held >= SHORT && held < LONG, "{held:?}");
     }
 
     #[test]
     fn quiet_between_requests_is_exempt_from_the_io_timeout() {
-        let (mut peer, served) = serve(Timeouts {
-            idle: LONG,
-            io: SHORT,
-        });
-        peer.write_all(HEALTHZ).unwrap();
+        let (mut peer, served) = serve(
+            Timeouts {
+                idle: LONG,
+                io: SHORT,
+            },
+            HEALTHZ,
+        );
         assert_eq!(read_reply(&mut peer), 200);
         // Stay quiet for three io timeouts: a read that times out on
         // our side of the idle connection is the clock.
