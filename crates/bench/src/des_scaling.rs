@@ -13,12 +13,14 @@
 //!   far-horizon timers and not 2¹⁸.
 //! * **SoA per-rank state**: rank readiness, inbox arrival and send
 //!   completion times are three flat `Vec<SimTime>`s shared by every
-//!   segment — no per-rank objects, no per-rank futures.
+//!   segment, beside one completion scratch — no per-rank objects, no
+//!   per-rank futures.
 //! * **Batched transfers** (`Network::schedule_batch`): each phase of
 //!   an iteration (halo direction, collective round) is one batch over
-//!   the contention engine, one kernel event — per-message `earliest`
-//!   times carry each rank's skew through the phases, so virtual time
-//!   only needs to advance once per iteration.
+//!   the contention engine, its messages built as they are booked, one
+//!   kernel event — per-message `earliest` times carry each rank's skew
+//!   through the phases, so virtual time only needs to advance once per
+//!   iteration.
 //!
 //! What an iteration exchanges is [`Skeleton`], the one definition that
 //! the driver runs, [`analytic_iter`] prices, `f18` and the scenario
@@ -148,8 +150,6 @@ struct Shared {
     inbox: Vec<SimTime>,
     /// Sender-side completion per rank in the current phase.
     send_done: Vec<SimTime>,
-    /// Batch scratch, reused by every scheduling site.
-    msgs: Vec<BatchMsg>,
     /// Completion scratch for [`deep_fabric::Network::schedule_batch`].
     done: Vec<SimTime>,
     /// Running FNV-1a 64 digest of the virtual-time trajectory.
@@ -183,42 +183,29 @@ async fn segment(
     skeleton: Rc<Skeleton>,
     iters: u32,
 ) {
-    let send_ov = ib.params().send_overhead;
-    let recv_ov = ib.params().recv_overhead;
+    let (send_ov, recv_ov) = (ib.params().send_overhead, ib.params().recv_overhead);
     for _ in 0..iters {
         ctx.sleep(COMPUTE).await;
-        {
-            // Every access to `shared` sits between barrier.wait()
-            // pairs: the phases are globally sequenced, so no two
-            // segments touch it at the same (at,seq).
-            let sh = &mut *shared.borrow_mut();
-            let now = ctx.now();
-            for r in lo..hi {
-                sh.ready[r] = now;
-            }
-        }
+        // Every access to `shared` sits between barrier.wait() pairs:
+        // the phases are globally sequenced, so no two segments touch
+        // it at the same (at,seq).
+        shared.borrow_mut().ready[lo..hi].fill(ctx.now());
         // The ring sendrecv pair: send right, then send left.
         for halo in &skeleton.halos {
             {
                 let sh = &mut *shared.borrow_mut();
-                sh.msgs.clear();
-                for r in lo..hi {
-                    sh.msgs.push(BatchMsg {
-                        src: NodeId(r as u32),
-                        dst: NodeId(halo.peer.dst(r as u32, skeleton.n)),
-                        bytes: halo.bytes,
-                        earliest: sh.ready[r] + send_ov,
-                    });
-                }
-                let (msgs, done) = (&sh.msgs, &mut sh.done);
-                ib.network().schedule_batch(msgs, done);
-                for (i, r) in (lo..hi).enumerate() {
-                    sh.send_done[r] = sh.done[i];
+                let ready = &sh.ready[lo..hi];
+                let msgs = (lo..hi).zip(ready).map(|(r, &t)| BatchMsg {
+                    src: NodeId(r as u32),
+                    dst: NodeId(halo.peer.dst(r as u32, skeleton.n)),
+                    bytes: halo.bytes,
+                    earliest: t + send_ov,
+                });
+                ib.network().schedule_batch(msgs, &mut sh.done);
+                for (r, &t) in (lo..hi).zip(&sh.done) {
+                    sh.send_done[r] = t;
                     let dst = halo.peer.dst(r as u32, skeleton.n) as usize;
-                    let arrival = sh.done[i] + recv_ov;
-                    if arrival > sh.inbox[dst] {
-                        sh.inbox[dst] = arrival;
-                    }
+                    sh.inbox[dst] = sh.inbox[dst].max(t + recv_ov);
                 }
             }
             // Everyone has scheduled; arrivals are final.
@@ -264,7 +251,7 @@ async fn driver(
             // are laid into the fabric.
             let sh = &mut *shared.borrow_mut();
             for round in skeleton.collectives.iter().flat_map(|s| s.rounds()) {
-                book_round(&ib, round, &mut sh.ready, &mut sh.msgs, &mut sh.done);
+                book_round(&ib, round, &mut sh.ready, &mut sh.done);
             }
             let t_end = sh.ready.iter().copied().max().unwrap_or_else(|| ctx.now());
             sh.digest = fnv_fold(sh.digest, t_end.as_nanos());
@@ -294,7 +281,6 @@ pub fn run(cfg: DesScalingConfig) -> DesScalingResult {
         ready: vec![SimTime::ZERO; n],
         inbox: vec![SimTime::ZERO; n],
         send_done: vec![SimTime::ZERO; n],
-        msgs: Vec::with_capacity(n),
         done: Vec::with_capacity(n),
         digest: fnv_fold(FNV_OFFSET, cfg.ranks as u64),
     }));

@@ -48,6 +48,7 @@
 //! Node-fault state keeps an active-fault count so the fault-free fast
 //! path is one integer test, not two array reads per transfer.
 
+use std::borrow::Borrow;
 use std::cell::{Cell, RefCell};
 
 use deep_simkit::{Sim, SimDuration, SimRng, SimTime};
@@ -443,16 +444,18 @@ impl<T: Topology + ?Sized> Network<T> {
 
     /// Simulate a batch of independent same-epoch transfers in one call,
     /// without suspending: link occupancies are advanced message by
-    /// message **in slice order** (so the schedule is a pure function of
-    /// the batch, bit-identical on every run) and `completions[i]`
-    /// receives message `i`'s last-byte arrival. Returns the overall
+    /// message **in iteration order** (so the schedule is a pure function
+    /// of the batch, bit-identical on every run). `msgs` yields messages
+    /// or references to them — a slice, or a lazy `map` that builds each
+    /// one as it is booked; `completions` is cleared, then receives
+    /// message `i`'s last-byte arrival at index `i`. Returns the overall
     /// latest completion, the one instant a caller sleeps until: one
     /// kernel event for the whole batch.
     ///
     /// This is the scaling path for fabric-wide phases (halo exchanges,
     /// collective rounds at 10⁵ ranks): semantics match issuing the
     /// messages through [`Network::transfer`] at their `earliest`
-    /// instants (`>= now`) in slice order, minus endpoint overheads (fold
+    /// instants (`>= now`) in that order, minus endpoint overheads (fold
     /// them into `earliest` and onto the returned completion) and fault
     /// injection. Loopback messages cost the node-local copy time and
     /// touch no links.
@@ -462,7 +465,11 @@ impl<T: Topology + ?Sized> Network<T> {
     /// In every build profile, if a fault model or a node fault is
     /// active: a batch booked on a faulted fabric would otherwise return
     /// clean timings. The two checks run once per batch, not per message.
-    pub fn schedule_batch(&self, msgs: &[BatchMsg], completions: &mut Vec<SimTime>) -> SimTime {
+    pub fn schedule_batch<M: Borrow<BatchMsg>>(
+        &self,
+        msgs: impl IntoIterator<Item = M>,
+        completions: &mut Vec<SimTime>,
+    ) -> SimTime {
         let now = self.sim.now();
         assert_eq!(
             self.fault.get().segment_error_rate,
@@ -474,13 +481,14 @@ impl<T: Topology + ?Sized> Network<T> {
             0,
             "schedule_batch does not model node faults"
         );
+        let msgs = msgs.into_iter();
         completions.clear();
-        completions.reserve(msgs.len());
+        completions.reserve(msgs.size_hint().0);
         let links = &mut *self.links.borrow_mut();
-        links.booked.messages += msgs.len() as u64;
         let classes = self.topo.classes();
         let mut overall = now;
         for m in msgs {
+            let m = m.borrow();
             debug_assert!(m.earliest >= now, "batch message scheduled in the past");
             let head = m.earliest.max(now);
             let done = if m.src == m.dst {
@@ -494,6 +502,7 @@ impl<T: Topology + ?Sized> Network<T> {
             completions.push(done);
             overall = overall.max(done);
         }
+        links.booked.messages += completions.len() as u64;
         overall
     }
 }
@@ -778,20 +787,17 @@ mod tests {
         peer: impl Fn(u32) -> u32,
         log: &mut Vec<SimTime>,
     ) {
-        let msgs: Vec<BatchMsg> = (0..ready.len() as u32)
-            .map(|r| BatchMsg {
-                src: NodeId(r),
-                dst: NodeId(peer(r)),
-                bytes,
-                earliest: ready[r as usize],
-            })
-            .collect();
+        let msgs = (0..ready.len() as u32).map(|r| BatchMsg {
+            src: NodeId(r),
+            dst: NodeId(peer(r)),
+            bytes,
+            earliest: ready[r as usize],
+        });
         let mut done = Vec::new();
-        net.schedule_batch(&msgs, &mut done);
-        for (m, &t) in msgs.iter().zip(&done) {
-            for end in [m.src, m.dst] {
-                let r = &mut ready[end.0 as usize];
-                *r = (*r).max(t);
+        net.schedule_batch(msgs, &mut done);
+        for (r, &t) in (0..).zip(&done) {
+            for end in [r, peer(r)] {
+                ready[end as usize] = ready[end as usize].max(t);
             }
         }
         log.extend_from_slice(&done);
@@ -1131,22 +1137,14 @@ mod tests {
         let ctx = sim.handle();
         let net = mk(&ctx, 2, 1e9, 500);
         sim.spawn("batch", async move {
-            let msgs = [
-                BatchMsg {
-                    src: NodeId(0),
-                    dst: NodeId(1),
-                    bytes: 1_000_000,
-                    earliest: SimTime::ZERO,
-                },
-                BatchMsg {
-                    src: NodeId(0),
-                    dst: NodeId(1),
-                    bytes: 1_000_000,
-                    earliest: SimTime::ZERO,
-                },
-            ];
+            let msg = BatchMsg {
+                src: NodeId(0),
+                dst: NodeId(1),
+                bytes: 1_000_000,
+                earliest: SimTime::ZERO,
+            };
             let mut done = Vec::new();
-            let overall = net.schedule_batch(&msgs, &mut done);
+            let overall = net.schedule_batch([msg; 2], &mut done);
             // 1 MB at 1 GB/s = 1 ms serialization + 500 ns latency;
             // the second occupancy starts when the first ends.
             assert_eq!(done[0].as_nanos(), 1_000_000 + 500);
@@ -1172,35 +1170,54 @@ mod tests {
         let ctx = sim.handle();
         let net = mk(&ctx, 3, 1e9, 0);
         sim.spawn("batch", async move {
-            let msgs = [
-                BatchMsg {
-                    src: NodeId(0),
-                    dst: NodeId(1),
-                    bytes: 1_000,
-                    earliest: SimTime(5_000),
-                },
-                // Different link pair: unaffected by the first message.
-                BatchMsg {
-                    src: NodeId(2),
-                    dst: NodeId(1),
-                    bytes: 1_000,
-                    earliest: SimTime::ZERO,
-                },
-                // Loopback: node-local copy, no fabric links.
-                BatchMsg {
-                    src: NodeId(2),
-                    dst: NodeId(2),
-                    bytes: 8_000,
-                    earliest: SimTime::ZERO,
-                },
-            ];
+            // 2 → 1 is a different link pair, unaffected by the first
+            // message; 2 → 2 is a loopback, a node-local copy.
+            let msgs = [(0, 1, 1_000, 5_000), (2, 1, 1_000, 0), (2, 2, 8_000, 0)];
+            let msgs = msgs.map(|(src, dst, bytes, at)| BatchMsg {
+                src: NodeId(src),
+                dst: NodeId(dst),
+                bytes,
+                earliest: SimTime(at),
+            });
             let mut done = Vec::new();
-            net.schedule_batch(&msgs, &mut done);
+            net.schedule_batch(msgs, &mut done);
             assert_eq!(done[0].as_nanos(), 5_000 + 1_000);
             assert_eq!(done[1].as_nanos(), 1_000);
             assert_eq!(done[2].as_nanos(), 1_000); // 8 kB at 8 GB/s
         });
         sim.run().assert_completed();
+    }
+
+    /// A slice, its copies and a lazily built `map` book one batch
+    /// alike; an empty batch books nothing and clears stale completions.
+    #[test]
+    fn batch_books_any_iterator_of_messages_alike() {
+        let sim = Simulation::new(1);
+        let msg = |r: u32| BatchMsg {
+            src: NodeId(r),
+            dst: NodeId((r * 7 + 3) % 16),
+            bytes: 4_096 * u64::from(r % 3),
+            earliest: SimTime(u64::from(r) * 100),
+        };
+        let msgs: Vec<BatchMsg> = (0..16).map(msg).collect();
+        let book = |how: u32| {
+            let ib = crate::IbFabric::new(&sim.handle(), 16);
+            let (net, mut done) = (ib.network(), vec![SimTime(1)]);
+            let overall = match how {
+                0 => net.schedule_batch(msgs.iter(), &mut done),
+                1 => net.schedule_batch(msgs.iter().copied(), &mut done),
+                2 => net.schedule_batch((0..16).map(msg), &mut done),
+                _ => net.schedule_batch(std::iter::empty::<BatchMsg>(), &mut done),
+            };
+            let busy = net.links.borrow().busy_until.clone();
+            (overall, done, net.booked(), busy)
+        };
+        let want = book(0);
+        assert_eq!((want.1.len(), want.2.messages), (16, 16));
+        assert_eq!(book(1), want);
+        assert_eq!(book(2), want);
+        let idle = vec![SimTime::ZERO; want.3.len()];
+        assert_eq!(book(3), (SimTime::ZERO, vec![], Booked::default(), idle));
     }
 
     #[test]
@@ -1212,7 +1229,7 @@ mod tests {
             segment_error_rate: 1e-3,
             ..FaultModel::default()
         });
-        net.schedule_batch(&[], &mut Vec::new());
+        net.schedule_batch(std::iter::empty::<BatchMsg>(), &mut Vec::new());
     }
 
     #[test]
@@ -1221,7 +1238,7 @@ mod tests {
         let sim = Simulation::new(1);
         let net = mk(&sim.handle(), 2, 1e9, 0);
         net.set_node_down(NodeId(1), true);
-        net.schedule_batch(&[], &mut Vec::new());
+        net.schedule_batch(std::iter::empty::<BatchMsg>(), &mut Vec::new());
     }
 
     #[test]

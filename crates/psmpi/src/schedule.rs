@@ -166,26 +166,20 @@ impl MpiCtx {
 }
 
 /// One round for all `ready.len()` ranks as one `schedule_batch` on
-/// `ib`: rank r's message enters the fabric at `ready[r]` + the send
-/// overhead, and `ready[r]` becomes the later of that message's arrival
-/// and the arrival of r's incoming one + the receive overhead. No
-/// virtual time passes; `msgs` and `done` are scratch.
-pub fn book_round(
-    ib: &IbFabric,
-    round: Round,
-    ready: &mut [SimTime],
-    msgs: &mut Vec<BatchMsg>,
-    done: &mut Vec<SimTime>,
-) {
+/// `ib`: rank r's message is built as it is booked and enters the
+/// fabric at `ready[r]` + the send overhead; `done[r]` receives its
+/// arrival, and `ready[r]` becomes the later of that arrival and the
+/// arrival of r's incoming one + the receive overhead. No virtual time
+/// passes.
+pub fn book_round(ib: &IbFabric, round: Round, ready: &mut [SimTime], done: &mut Vec<SimTime>) {
     let (send_ov, recv_ov) = (ib.params().send_overhead, ib.params().recv_overhead);
     let n = ready.len() as u32;
-    msgs.clear();
-    msgs.extend((0..n).zip(ready.iter()).map(|(r, &t)| BatchMsg {
+    let msgs = (0..n).zip(ready.iter()).map(|(r, &t)| BatchMsg {
         src: NodeId(r),
         dst: NodeId(round.peer.dst(r, n)),
         bytes: round.bytes,
         earliest: t + send_ov,
-    }));
+    });
     ib.network().schedule_batch(msgs, done);
     for (r, t) in (0..n).zip(ready.iter_mut()) {
         *t = done[r as usize].max(done[round.peer.src(r, n) as usize] + recv_ov);

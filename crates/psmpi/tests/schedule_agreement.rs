@@ -109,9 +109,9 @@ fn batched(s: Schedule) -> SimTime {
     let sim = Simulation::new(1);
     let ib = IbFabric::new(&sim.handle(), s.n);
     let mut ready = vec![SimTime::ZERO; s.n as usize];
-    let (mut msgs, mut done) = (Vec::new(), Vec::new());
+    let mut done = Vec::new();
     for round in s.rounds() {
-        book_round(&ib, round, &mut ready, &mut msgs, &mut done);
+        book_round(&ib, round, &mut ready, &mut done);
     }
     ready.into_iter().max().unwrap_or(SimTime::ZERO)
 }

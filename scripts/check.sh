@@ -40,9 +40,10 @@ step "cargo doc (deny warnings)" \
 # judged by; des_a2a_4k, the only full-size pin of the batched
 # irregular (all-to-all) path; and des_spmv_262k, whose golden row
 # (digest, 20 971 520 messages, 364 109 kernel events) is the one a
-# fabric layout change must not move — `cargo test` pins a different
-# 262k digest (a few seconds each once the harness is built; it shares
-# target/). A passing run shows only its result line.
+# fabric layout change must not move — `cargo test` pins the two
+# `@smoke` rows and a one-iteration 262k digest, not this row (a few
+# seconds each once the harness is built; it shares target/). A
+# passing run shows only its result line.
 bench() {
     local out
     if out=$(bash benchmark/run.sh "$@"); then
