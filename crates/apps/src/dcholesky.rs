@@ -171,7 +171,6 @@ pub fn run_dcholesky_ideal(
     ts: usize,
 ) -> (DCholeskyResult, u64) {
     use deep_psmpi::{launch_world, EpId, IdealWire, MpiParams, Universe};
-    use std::cell::Cell;
 
     let mut sim = deep_simkit::Simulation::new(seed);
     let ctx = sim.handle();
@@ -181,24 +180,19 @@ pub fn run_dcholesky_ideal(
         6e9,
     ));
     let uni = Universe::new(&ctx, wire, n_ranks as usize, MpiParams::default());
-    let out = Rc::new(Cell::new(DCholeskyResult {
-        max_error: f64::NAN,
-        panels: 0,
-    }));
-    let out2 = out.clone();
-    launch_world(&uni, "dchol", (0..n_ranks).map(EpId).collect(), move |m| {
-        let out = out2.clone();
-        Box::pin(async move {
+    let ranks = launch_world(
+        &uni,
+        "dchol",
+        (0..n_ranks).map(EpId).collect(),
+        move |m| async move {
             let comm = m.world().clone();
             let node = NodeModel::xeon_phi_knc();
-            let res = cholesky_distributed(&m, &comm, nt, ts, &node).await;
-            if m.rank() == 0 {
-                out.set(res);
-            }
-        })
-    });
+            cholesky_distributed(&m, &comm, nt, ts, &node).await
+        },
+    );
     sim.run().assert_completed();
-    (out.get(), sim.now().as_nanos())
+    let res = ranks[0].try_result().expect("rank 0 finished");
+    (res, sim.now().as_nanos())
 }
 
 #[cfg(test)]

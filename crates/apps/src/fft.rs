@@ -208,7 +208,6 @@ pub async fn fft2d_distributed(
 /// an ideal wire; returns (result, elapsed virtual ns).
 pub fn run_fft_ideal(seed: u64, n_ranks: u32, n: usize) -> (FftResult, u64) {
     use deep_psmpi::{launch_world, EpId, IdealWire, MpiParams, Universe};
-    use std::cell::Cell;
 
     let mut sim = deep_simkit::Simulation::new(seed);
     let ctx = sim.handle();
@@ -218,14 +217,11 @@ pub fn run_fft_ideal(seed: u64, n_ranks: u32, n: usize) -> (FftResult, u64) {
         6e9,
     ));
     let uni = Universe::new(&ctx, wire, n_ranks as usize, MpiParams::default());
-    let out = Rc::new(Cell::new(FftResult {
-        magnitude_checksum: f64::NAN,
-        transpose_bytes: 0,
-    }));
-    let out2 = out.clone();
-    launch_world(&uni, "fft", (0..n_ranks).map(EpId).collect(), move |m| {
-        let out = out2.clone();
-        Box::pin(async move {
+    let ranks = launch_world(
+        &uni,
+        "fft",
+        (0..n_ranks).map(EpId).collect(),
+        move |m| async move {
             let comm = m.world().clone();
             let size = comm.size() as usize;
             let rows_per = n / size;
@@ -234,13 +230,12 @@ pub fn run_fft_ideal(seed: u64, n_ranks: u32, n: usize) -> (FftResult, u64) {
                 .map(|i| (0..n).map(|j| test_pattern(first + i, j, n)).collect())
                 .collect();
             let (_, res) = fft2d_distributed(&m, &comm, rows, n).await;
-            if m.rank() == 0 {
-                out.set(res);
-            }
-        })
-    });
+            res
+        },
+    );
     sim.run().assert_completed();
-    (out.get(), sim.now().as_nanos())
+    let res = ranks[0].try_result().expect("rank 0 finished");
+    (res, sim.now().as_nanos())
 }
 
 /// The deterministic input pattern used by driver and tests.

@@ -152,7 +152,6 @@ pub fn run_jacobi_ideal(
     tol: f64,
 ) -> (StencilResult, u64) {
     use deep_psmpi::{launch_world, EpId, IdealWire, MpiParams, Universe};
-    use std::cell::Cell;
 
     let mut sim = deep_simkit::Simulation::new(seed);
     let ctx = sim.handle();
@@ -162,24 +161,18 @@ pub fn run_jacobi_ideal(
         6e9,
     ));
     let uni = Universe::new(&ctx, wire, n_ranks as usize, MpiParams::default());
-    let out = Rc::new(Cell::new(StencilResult {
-        sweeps: 0,
-        max_delta: f64::NAN,
-        checksum: f64::NAN,
-    }));
-    let out2 = out.clone();
-    launch_world(&uni, "jacobi", (0..n_ranks).map(EpId).collect(), move |m| {
-        let out = out2.clone();
-        Box::pin(async move {
+    let ranks = launch_world(
+        &uni,
+        "jacobi",
+        (0..n_ranks).map(EpId).collect(),
+        move |m| async move {
             let comm = m.world().clone();
-            let res = jacobi(&m, &comm, nx, ny, max_sweeps, tol).await;
-            if m.rank() == 0 {
-                out.set(res);
-            }
-        })
-    });
+            jacobi(&m, &comm, nx, ny, max_sweeps, tol).await
+        },
+    );
     sim.run().assert_completed();
-    (out.get(), sim.now().as_nanos())
+    let res = ranks[0].try_result().expect("rank 0 finished");
+    (res, sim.now().as_nanos())
 }
 
 #[cfg(test)]

@@ -24,8 +24,11 @@ fn halo_time(threshold: u64, msg: u64) -> f64 {
         ..MpiParams::default()
     };
     let uni = Universe::new(&ctx, Rc::new(IbWire::new(ib)), 8, params);
-    launch_world(&uni, "halo", (0..8).map(EpId).collect(), move |m| {
-        Box::pin(async move {
+    launch_world(
+        &uni,
+        "halo",
+        (0..8).map(EpId).collect(),
+        move |m| async move {
             let world = m.world().clone();
             let n = m.size();
             let right = (m.rank() + 1) % n;
@@ -34,8 +37,8 @@ fn halo_time(threshold: u64, msg: u64) -> f64 {
                 m.sendrecv(&world, right, 1, Value::Unit, msg, Some(left), Some(1))
                     .await;
             }
-        })
-    });
+        },
+    );
     sim.run().assert_completed();
     sim.now().as_secs_f64()
 }

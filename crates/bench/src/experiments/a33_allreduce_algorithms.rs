@@ -34,8 +34,11 @@ fn run_case(algo: Algo, ranks: u32, doubles: usize) -> f64 {
         ..MpiParams::default()
     };
     let uni = Universe::new(&ctx, Rc::new(IbWire::new(ib)), ranks as usize, params);
-    launch_world(&uni, "ar", (0..ranks).map(EpId).collect(), move |m| {
-        Box::pin(async move {
+    launch_world(
+        &uni,
+        "ar",
+        (0..ranks).map(EpId).collect(),
+        move |m| async move {
             let world = m.world().clone();
             let bytes = 8 * doubles as u64;
             for _ in 0..5 {
@@ -46,8 +49,8 @@ fn run_case(algo: Algo, ranks: u32, doubles: usize) -> f64 {
                     m.allreduce(&world, ReduceOp::Sum, Value::Unit, bytes).await;
                 }
             }
-        })
-    });
+        },
+    );
     sim.run().assert_completed();
     sim.now().as_secs_f64() / 5.0
 }

@@ -25,9 +25,12 @@
 //! closed-form model cannot see.
 
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 use deep_core::{fmt_f, Table};
-use deep_psmpi::{NetModel, ReduceOp, Value};
+use deep_fabric::IbFabric;
+use deep_psmpi::{launch_world, EpId, IbWire, MpiParams, NetModel, ReduceOp, Universe, Value};
+use deep_simkit::Simulation;
 
 use crate::des_scaling::{self, DesScalingConfig, Skeleton, A2A_BLOCK, COMPUTE};
 
@@ -35,8 +38,20 @@ use crate::des_scaling::{self, DesScalingConfig, Skeleton, A2A_BLOCK, COMPUTE};
 /// MPI stack (small rank counts only).
 fn mpi_iter(n: u32, complex: bool) -> f64 {
     let iters = 10u32;
-    let (_, total) = crate::run_ib_ranks(1, n, move |m| {
-        Box::pin(async move {
+    let mut sim = Simulation::new(1);
+    let ctx = sim.handle();
+    let ib = Rc::new(IbFabric::new(&ctx, n));
+    let uni = Universe::new(
+        &ctx,
+        Rc::new(IbWire::new(ib)),
+        n as usize,
+        MpiParams::default(),
+    );
+    launch_world(
+        &uni,
+        "bench",
+        (0..n).map(EpId).collect(),
+        move |m| async move {
             let world = m.world().clone();
             let size = world.size();
             let halos = Skeleton::new(size, complex).halos;
@@ -51,10 +66,10 @@ fn mpi_iter(n: u32, complex: bool) -> f64 {
                     m.alltoall(&world, blocks, A2A_BLOCK).await;
                 }
             }
-            0.0
-        })
-    });
-    total / iters as f64
+        },
+    );
+    sim.run().assert_completed();
+    sim.now().as_secs_f64() / iters as f64
 }
 
 /// One DES work unit of the (point × class) grid: either a

@@ -8,9 +8,6 @@
 
 use std::fmt::Write as _;
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use deep_core::{fmt_f, DeepConfig, DeepMachine, Table, BOOSTER_POOL, OFFLOAD_SERVER};
 use deep_ompss::{booster_block, Offloader};
 use deep_simkit::Simulation;
@@ -24,30 +21,24 @@ fn spawn_cost(dims: (u32, u32, u32), n_procs: u32) -> (f64, u32) {
     cfg.booster_dims = dims;
     cfg.n_bi = 4.min(cfg.n_booster());
     let machine = DeepMachine::build(&ctx, cfg);
-    let out = Rc::new(Cell::new((0.0f64, 0u32)));
-    let out2 = out.clone();
-    machine.launch_cluster_app("spawner", move |m| {
-        let out = out2.clone();
-        Box::pin(async move {
-            let world = m.world().clone();
-            let t0 = m.sim().now();
-            let inter = m
-                .comm_spawn(&world, OFFLOAD_SERVER, n_procs, BOOSTER_POOL, 0)
-                .await
-                .expect("spawn");
-            let dt = (m.sim().now() - t0).as_secs_f64();
-            if m.rank() == 0 {
-                out.set((dt, inter.remote_size()));
-            }
-            // Tear the servers down again so the run drains.
-            let off = Offloader::new(inter);
-            let block = booster_block(m.rank(), m.size(), n_procs);
-            m.barrier(&world).await;
-            off.shutdown(&m, block).await;
-        })
+    let ranks = machine.launch_cluster_app("spawner", move |m| async move {
+        let world = m.world().clone();
+        let t0 = m.sim().now();
+        let inter = m
+            .comm_spawn(&world, OFFLOAD_SERVER, n_procs, BOOSTER_POOL, 0)
+            .await
+            .expect("spawn");
+        let dt = (m.sim().now() - t0).as_secs_f64();
+        let remote = inter.remote_size();
+        // Tear the servers down again so the run drains.
+        let off = Offloader::new(inter);
+        let block = booster_block(m.rank(), m.size(), n_procs);
+        m.barrier(&world).await;
+        off.shutdown(&m, block).await;
+        (dt, remote)
     });
     sim.run().assert_completed();
-    out.get()
+    ranks[0].try_result().expect("rank 0 finished")
 }
 
 pub fn run(out: &mut String) {

@@ -8,9 +8,6 @@
 
 use std::fmt::Write as _;
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use deep_core::{fmt_f, DeepConfig, DeepMachine, Table, BOOSTER_POOL, OFFLOAD_SERVER};
 use deep_hw::KernelProfile;
 use deep_ompss::{booster_block, OffloadSpec, Offloader};
@@ -24,50 +21,44 @@ fn granularity_run(k: u32) -> (f64, u64) {
     let cfg = DeepConfig::small();
     let n_booster = cfg.n_booster();
     let machine = DeepMachine::build(&ctx, cfg);
-    let out = Rc::new(Cell::new(0.0f64));
-    let out2 = out.clone();
-    machine.launch_cluster_app("granularity", move |m| {
-        let out = out2.clone();
-        Box::pin(async move {
-            let world = m.world().clone();
-            let inter = m
-                .comm_spawn(&world, OFFLOAD_SERVER, n_booster, BOOSTER_POOL, 0)
-                .await
-                .unwrap();
-            let off = Offloader::new(inter);
-            let block = booster_block(m.rank(), m.size(), n_booster);
+    let ranks = machine.launch_cluster_app("granularity", move |m| async move {
+        let world = m.world().clone();
+        let inter = m
+            .comm_spawn(&world, OFFLOAD_SERVER, n_booster, BOOSTER_POOL, 0)
+            .await
+            .unwrap();
+        let off = Offloader::new(inter);
+        let block = booster_block(m.rank(), m.size(), n_booster);
 
-            // Fixed totals per cluster rank, split across k invocations.
-            let total_flops = 5e10;
-            let total_bytes_in = 16u64 << 20;
-            let total_bytes_out = 16u64 << 20;
-            let t0 = m.sim().now();
-            for _ in 0..k {
-                let spec = OffloadSpec {
-                    in_bytes: total_bytes_in / k as u64,
-                    out_bytes: total_bytes_out / k as u64,
-                    kernel: KernelProfile {
-                        flops: total_flops / k as f64 / n_booster as f64,
-                        bytes: total_flops / k as f64 / n_booster as f64 / 4.0,
-                        compute_efficiency: 0.8,
-                        bandwidth_efficiency: 0.7,
-                    },
-                    cores: u32::MAX,
-                    iters: 1,
-                    internal_msg_bytes: 0,
-                };
-                off.run(&m, &spec, block.clone()).await;
-            }
-            let dt = (m.sim().now() - t0).as_secs_f64();
-            m.barrier(&world).await;
-            off.shutdown(&m, block).await;
-            if m.rank() == 0 {
-                out.set(dt);
-            }
-        })
+        // Fixed totals per cluster rank, split across k invocations.
+        let total_flops = 5e10;
+        let total_bytes_in = 16u64 << 20;
+        let total_bytes_out = 16u64 << 20;
+        let t0 = m.sim().now();
+        for _ in 0..k {
+            let spec = OffloadSpec {
+                in_bytes: total_bytes_in / k as u64,
+                out_bytes: total_bytes_out / k as u64,
+                kernel: KernelProfile {
+                    flops: total_flops / k as f64 / n_booster as f64,
+                    bytes: total_flops / k as f64 / n_booster as f64 / 4.0,
+                    compute_efficiency: 0.8,
+                    bandwidth_efficiency: 0.7,
+                },
+                cores: u32::MAX,
+                iters: 1,
+                internal_msg_bytes: 0,
+            };
+            off.run(&m, &spec, block.clone()).await;
+        }
+        let dt = (m.sim().now() - t0).as_secs_f64();
+        m.barrier(&world).await;
+        off.shutdown(&m, block).await;
+        dt
     });
     sim.run().assert_completed();
-    (out.get(), machine.cbp().bridged_traffic().messages)
+    let dt = ranks[0].try_result().expect("rank 0 finished");
+    (dt, machine.cbp().bridged_traffic().messages)
 }
 
 pub fn run(out: &mut String) {

@@ -12,11 +12,9 @@ pub mod des_scaling;
 pub mod experiments;
 pub mod sweep;
 
-use std::cell::Cell;
 use std::rc::Rc;
 
 use deep_fabric::{pcie, EndpointOverhead, ExtollFabric, IbFabric, Network, NodeId, PcieBus};
-use deep_psmpi::{launch_world, EpId, IbWire, MpiCtx, MpiParams, Universe};
 use deep_simkit::{Sim, SimDuration, Simulation};
 
 /// One uncontended transfer over a freshly built fabric; elapsed seconds.
@@ -119,40 +117,6 @@ fn run_probe(sim: &mut Simulation, fut: impl std::future::Future<Output = f64> +
     let h = sim.spawn("probe", fut);
     sim.run().assert_completed();
     h.try_result().expect("probe finished")
-}
-
-/// Run an MPI program on `n` ranks over a real simulated IB fabric and
-/// return rank 0's `f64` result together with the final virtual time (s).
-pub fn run_ib_ranks(
-    seed: u64,
-    n: u32,
-    f: impl Fn(MpiCtx) -> deep_psmpi::LocalBoxFuture<'static, f64> + 'static,
-) -> (f64, f64) {
-    let mut sim = Simulation::new(seed);
-    let ctx = sim.handle();
-    let ib = Rc::new(IbFabric::new(&ctx, n));
-    let uni = Universe::new(
-        &ctx,
-        Rc::new(IbWire::new(ib)),
-        n as usize,
-        MpiParams::default(),
-    );
-    let out = Rc::new(Cell::new(f64::NAN));
-    let out2 = out.clone();
-    let f = Rc::new(f);
-    launch_world(&uni, "bench", (0..n).map(EpId).collect(), move |m| {
-        let out = out2.clone();
-        let f = f.clone();
-        Box::pin(async move {
-            let rank = m.rank();
-            let v = f(m).await;
-            if rank == 0 {
-                out.set(v);
-            }
-        })
-    });
-    sim.run().assert_completed();
-    (out.get(), sim.now().as_secs_f64())
 }
 
 /// Pretty size label.

@@ -691,19 +691,17 @@ mod tests {
             &uni,
             "cluster",
             (0..4).map(|i| w2.cluster_ep(i)).collect(),
-            move |m| {
-                Box::pin(async move {
-                    let world = m.world().clone();
-                    let inter = m
-                        .comm_spawn(&world, "hscp", 8, "booster", 0)
-                        .await
-                        .expect("spawn across the bridge");
-                    if m.rank() == 0 {
-                        let msg = m.recv(&inter, Some(0), Some(1)).await;
-                        assert_eq!(msg.value.as_u64(), 8);
-                    }
-                    m.barrier(&world).await;
-                })
+            |m| async move {
+                let world = m.world().clone();
+                let inter = m
+                    .comm_spawn(&world, "hscp", 8, "booster", 0)
+                    .await
+                    .expect("spawn across the bridge");
+                if m.rank() == 0 {
+                    let msg = m.recv(&inter, Some(0), Some(1)).await;
+                    assert_eq!(msg.value.as_u64(), 8);
+                }
+                m.barrier(&world).await;
             },
         );
         sim.run().assert_completed();

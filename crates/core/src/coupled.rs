@@ -14,12 +14,11 @@
 //! The drivers measure time-to-solution, energy, and the CPU↔accelerator
 //! traffic the paper argues the cluster-booster design slashes.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use deep_hw::{roofline, EnergyMeter, KernelProfile, NodeModel};
 use deep_ompss::{booster_block, OffloadSpec, Offloader};
-use deep_psmpi::{launch_world, ReduceOp, Value};
+use deep_psmpi::{launch_world, Comm, MpiCtx, ReduceOp, Value};
 use deep_simkit::{SimDuration, Simulation};
 
 use crate::baselines::AcceleratedCluster;
@@ -105,6 +104,15 @@ fn hscp_kernel(p: &CoupledParams, units: u32) -> KernelProfile {
     }
 }
 
+/// One step's complex `main()` part, the same on every machine: the
+/// cluster kernel on the rank's host node, then the all-to-all.
+async fn complex_phase(m: &MpiCtx, world: &Comm, node: &NodeModel, p: &CoupledParams) {
+    let t = roofline::exec_time_with_mode(node, &cluster_kernel(p), node.cores, false);
+    m.sim().sleep(t.time).await;
+    let blocks = (0..world.size()).map(|_| Value::Unit).collect();
+    m.alltoall(world, blocks, p.alltoall_bytes).await;
+}
+
 fn energy_of(
     n_nodes: u32,
     node: &NodeModel,
@@ -124,15 +132,11 @@ pub fn run_on_deep(seed: u64, config: DeepConfig, p: CoupledParams) -> CoupledRe
     let ctx = sim.handle();
     let machine = DeepMachine::build(&ctx, config.clone());
     let n_booster = config.n_booster();
-    let out: Rc<RefCell<Option<(SimDuration, SimDuration, SimDuration)>>> =
-        Rc::new(RefCell::new(None));
-    let out2 = out.clone();
     let cluster_node = config.cluster_node.clone();
 
-    machine.launch_cluster_app("coupled-main", move |m| {
-        let out = out2.clone();
+    let ranks = machine.launch_cluster_app("coupled-main", move |m| {
         let cluster_node = cluster_node.clone();
-        Box::pin(async move {
+        async move {
             let world = m.world().clone();
             let size = world.size();
             let t_start = m.sim().now();
@@ -149,12 +153,7 @@ pub fn run_on_deep(seed: u64, config: DeepConfig, p: CoupledParams) -> CoupledRe
             for _ in 0..p.steps {
                 // Complex main() part on the cluster.
                 let t0 = m.sim().now();
-                let ck = cluster_kernel(&p);
-                let t =
-                    roofline::exec_time_with_mode(&cluster_node, &ck, cluster_node.cores, false);
-                m.sim().sleep(t.time).await;
-                let blocks = (0..size).map(|_| Value::Unit).collect();
-                m.alltoall(&world, blocks, p.alltoall_bytes).await;
+                complex_phase(&m, &world, &cluster_node, &p).await;
                 t_cluster += m.sim().now() - t0;
 
                 // The HSCP, offloaded whole to the booster.
@@ -172,15 +171,13 @@ pub fn run_on_deep(seed: u64, config: DeepConfig, p: CoupledParams) -> CoupledRe
                 t_offload += m.sim().now() - t1;
             }
             off.shutdown(&m, block).await;
-            if m.rank() == 0 {
-                *out.borrow_mut() = Some((t_spawned - t_start, t_cluster, t_offload));
-            }
             let _ = m.allreduce(&world, ReduceOp::Sum, Value::U64(1), 8).await;
-        })
+            (t_spawned - t_start, t_cluster, t_offload)
+        }
     });
     sim.run().assert_completed();
 
-    let (t_spawn, t_cluster, t_offload) = out.borrow_mut().take().expect("rank 0 reported");
+    let (t_spawn, t_cluster, t_offload) = ranks[0].try_result().expect("rank 0 reported");
     let traffic = machine.cbp().bridged_traffic();
     let elapsed = t_spawn + t_cluster + t_offload;
     let energy = energy_of(
@@ -214,26 +211,19 @@ pub fn run_on_pure_cluster(seed: u64, n_nodes: u32, p: CoupledParams) -> Coupled
     let uni = crate::baselines::homogeneous_cluster(&ctx, n_nodes, Default::default());
     let node = NodeModel::xeon_cluster_node();
     let node2 = node.clone();
-    let out: Rc<RefCell<Option<SimDuration>>> = Rc::new(RefCell::new(None));
-    let out2 = out.clone();
 
-    launch_world(
+    let ranks = launch_world(
         &uni,
         "coupled-pure",
         (0..n_nodes).map(deep_psmpi::EpId).collect(),
         move |m| {
-            let out = out2.clone();
             let node = node2.clone();
-            Box::pin(async move {
+            async move {
                 let world = m.world().clone();
                 let size = world.size();
                 let t_start = m.sim().now();
                 for _ in 0..p.steps {
-                    let ck = cluster_kernel(&p);
-                    let t = roofline::exec_time_with_mode(&node, &ck, node.cores, false);
-                    m.sim().sleep(t.time).await;
-                    let blocks = (0..size).map(|_| Value::Unit).collect();
-                    m.alltoall(&world, blocks, p.alltoall_bytes).await;
+                    complex_phase(&m, &world, &node, &p).await;
 
                     // HSCP in place on the Xeons.
                     let per_iter = hscp_kernel(&p, size).scaled(1.0 / p.hscp_iters as f64);
@@ -244,15 +234,13 @@ pub fn run_on_pure_cluster(seed: u64, n_nodes: u32, p: CoupledParams) -> Coupled
                             .await;
                     }
                 }
-                if m.rank() == 0 {
-                    *out.borrow_mut() = Some(m.sim().now() - t_start);
-                }
-            })
+                m.sim().now() - t_start
+            }
         },
     );
     sim.run().assert_completed();
 
-    let elapsed = out.borrow_mut().take().expect("rank 0 reported");
+    let elapsed = ranks[0].try_result().expect("rank 0 reported");
     let energy = energy_of(n_nodes, &node, elapsed, SimDuration::ZERO, 1.0);
     CoupledReport {
         arch: "pure-cluster".into(),
@@ -278,15 +266,12 @@ pub fn run_on_accelerated(seed: u64, n_nodes: u32, p: CoupledParams) -> CoupledR
     ));
     let host = NodeModel::xeon_cluster_node();
     let host2 = host.clone();
-    let out: Rc<RefCell<Option<(SimDuration, SimDuration)>>> = Rc::new(RefCell::new(None));
-    let out2 = out.clone();
     let ac2 = ac.clone();
 
-    launch_world(&ac.universe, "coupled-accel", ac.eps(), move |m| {
-        let out = out2.clone();
+    let ranks = launch_world(&ac.universe, "coupled-accel", ac.eps(), move |m| {
         let host = host2.clone();
         let ac = ac2.clone();
-        Box::pin(async move {
+        async move {
             let world = m.world().clone();
             let size = world.size();
             let my_gpu = ac.nodes[m.rank() as usize].clone();
@@ -294,11 +279,7 @@ pub fn run_on_accelerated(seed: u64, n_nodes: u32, p: CoupledParams) -> CoupledR
             let mut t_gpu_busy = SimDuration::ZERO;
             for _ in 0..p.steps {
                 // Complex main() part, identical to the other machines.
-                let ck = cluster_kernel(&p);
-                let t = roofline::exec_time_with_mode(&host, &ck, host.cores, false);
-                m.sim().sleep(t.time).await;
-                let blocks = (0..size).map(|_| Value::Unit).collect();
-                m.alltoall(&world, blocks, p.alltoall_bytes).await;
+                complex_phase(&m, &world, &host, &p).await;
 
                 // HSCP on the GPU: ship input, iterate with staged halos,
                 // ship output (slide 7: "communication via main memory").
@@ -316,14 +297,12 @@ pub fn run_on_accelerated(seed: u64, n_nodes: u32, p: CoupledParams) -> CoupledR
                 }
                 my_gpu.d2h(p.offload_out_bytes).await;
             }
-            if m.rank() == 0 {
-                *out.borrow_mut() = Some((m.sim().now() - t_start, t_gpu_busy));
-            }
-        })
+            (m.sim().now() - t_start, t_gpu_busy)
+        }
     });
     sim.run().assert_completed();
 
-    let (elapsed, gpu_busy) = out.borrow_mut().take().expect("rank 0 reported");
+    let (elapsed, gpu_busy) = ranks[0].try_result().expect("rank 0 reported");
     let traffic = ac.total_acc_traffic();
     let energy = energy_of(n_nodes, &host, elapsed, SimDuration::ZERO, 0.9)
         + energy_of(

@@ -30,21 +30,22 @@
 //!
 //! let mut sim = Simulation::new(42);
 //! let machine = DeepMachine::build(&sim.handle(), DeepConfig::small());
-//! machine.launch_cluster_app("hello", |mpi| {
-//!     Box::pin(async move {
-//!         let world = mpi.world().clone();
-//!         // Spawn the whole booster and tear it down again.
-//!         let inter = mpi
-//!             .comm_spawn(&world, OFFLOAD_SERVER, 8, BOOSTER_POOL, 0)
-//!             .await
-//!             .unwrap();
-//!         assert_eq!(inter.remote_size(), 8);
-//!         let off = deep_ompss::Offloader::new(inter);
-//!         let block = deep_ompss::booster_block(mpi.rank(), mpi.size(), 8);
-//!         off.shutdown(&mpi, block).await;
-//!     })
+//! let ranks = machine.launch_cluster_app("hello", |mpi| async move {
+//!     let world = mpi.world().clone();
+//!     // Spawn the whole booster and tear it down again.
+//!     let inter = mpi
+//!         .comm_spawn(&world, OFFLOAD_SERVER, 8, BOOSTER_POOL, 0)
+//!         .await
+//!         .unwrap();
+//!     let booster_ranks = inter.remote_size();
+//!     let off = deep_ompss::Offloader::new(inter);
+//!     let block = deep_ompss::booster_block(mpi.rank(), mpi.size(), 8);
+//!     off.shutdown(&mpi, block).await;
+//!     booster_ranks
 //! });
 //! sim.run().assert_completed();
+//! // Each rank's return value, in rank order.
+//! assert_eq!(ranks[0].try_result(), Some(8));
 //! ```
 
 #![warn(missing_docs)]

@@ -4,13 +4,14 @@
 //! servers on the cluster fabric, node-local NVM, multi-level
 //! checkpointing).
 
+use std::future::Future;
 use std::rc::Rc;
 
 use deep_cbp::{CbpConfig, CbpWire, CbpWireHandle};
 use deep_fabric::{ExtollFabric, IbFabric, NodeId};
 use deep_io::{BridgeNode, CheckpointManager, FileLayer, ParallelFs};
 use deep_ompss::offload_server;
-use deep_psmpi::{launch_world, EpId, LocalBoxFuture, MpiCtx, Universe};
+use deep_psmpi::{launch_world, EpId, MpiCtx, Universe};
 use deep_simkit::{ProcHandle, Sim};
 
 use crate::config::DeepConfig;
@@ -167,12 +168,18 @@ impl DeepMachine {
     }
 
     /// Launch the cluster-side application across all cluster nodes
-    /// (the `mpiexec` analogue of slide 21's `main()` part).
-    pub fn launch_cluster_app(
+    /// (the `mpiexec` analogue of slide 21's `main()` part), one rank per
+    /// cluster node. Each rank's body returns its result, read after the
+    /// run from `handles[rank].try_result()` (see [`launch_world`]).
+    pub fn launch_cluster_app<T, Fut>(
         &self,
         name: &str,
-        f: impl Fn(MpiCtx) -> LocalBoxFuture<'static, ()> + 'static,
-    ) -> Vec<ProcHandle<()>> {
+        f: impl Fn(MpiCtx) -> Fut + 'static,
+    ) -> Vec<ProcHandle<T>>
+    where
+        Fut: Future<Output = T> + 'static,
+        T: 'static,
+    {
         launch_world(&self.universe, name, self.cluster_eps(), f)
     }
 }
@@ -200,31 +207,29 @@ mod tests {
         let ctx = sim.handle();
         let m = DeepMachine::build(&ctx, DeepConfig::small());
         let cbp = m.cbp().clone();
-        m.launch_cluster_app("main", move |mpi| {
-            Box::pin(async move {
-                let world = mpi.world().clone();
-                // Spawn the whole booster (slide 21: collective spawn of
-                // the highly scalable code part).
-                let inter = mpi
-                    .comm_spawn(&world, OFFLOAD_SERVER, 8, BOOSTER_POOL, 0)
-                    .await
-                    .expect("booster spawn");
-                let off = Offloader::new(inter);
-                let block = booster_block(mpi.rank(), mpi.size(), 8);
-                let spec = OffloadSpec {
-                    in_bytes: 256 << 10,
-                    out_bytes: 256 << 10,
-                    kernel: deep_hw::KernelProfile::stencil2d(1 << 20),
-                    cores: 60,
-                    iters: 4,
-                    internal_msg_bytes: 1024,
-                };
-                off.run(&mpi, &spec, block.clone()).await;
-                // A cluster-side collective still works afterwards.
-                let s = mpi.allreduce(&world, ReduceOp::Sum, Value::U64(1), 8).await;
-                assert_eq!(s.as_u64(), 4);
-                off.shutdown(&mpi, block).await;
-            })
+        m.launch_cluster_app("main", move |mpi| async move {
+            let world = mpi.world().clone();
+            // Spawn the whole booster (slide 21: collective spawn of
+            // the highly scalable code part).
+            let inter = mpi
+                .comm_spawn(&world, OFFLOAD_SERVER, 8, BOOSTER_POOL, 0)
+                .await
+                .expect("booster spawn");
+            let off = Offloader::new(inter);
+            let block = booster_block(mpi.rank(), mpi.size(), 8);
+            let spec = OffloadSpec {
+                in_bytes: 256 << 10,
+                out_bytes: 256 << 10,
+                kernel: deep_hw::KernelProfile::stencil2d(1 << 20),
+                cores: 60,
+                iters: 4,
+                internal_msg_bytes: 1024,
+            };
+            off.run(&mpi, &spec, block.clone()).await;
+            // A cluster-side collective still works afterwards.
+            let s = mpi.allreduce(&world, ReduceOp::Sum, Value::U64(1), 8).await;
+            assert_eq!(s.as_u64(), 4);
+            off.shutdown(&mpi, block).await;
         });
         sim.run().assert_completed();
         let traffic = cbp.bridged_traffic();

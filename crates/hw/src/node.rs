@@ -22,8 +22,6 @@ pub enum NodeClass {
     Booster,
     /// PCIe-attached accelerator card hosted by a cluster node.
     Accelerator,
-    /// Booster-interface bridge node.
-    BoosterInterface,
 }
 
 /// A single core: clock and per-cycle floating-point throughput.
@@ -143,28 +141,6 @@ impl NodeModel {
             power: PowerModel {
                 idle_w: 25.0,
                 peak_w: 250.0,
-            },
-            year: 2012,
-        }
-    }
-
-    /// Booster-interface node: a lean Xeon host bridging InfiniBand and
-    /// EXTOLL; compute hardly matters, forwarding does.
-    pub fn booster_interface_node() -> NodeModel {
-        NodeModel {
-            name: "Booster Interface node".into(),
-            class: NodeClass::BoosterInterface,
-            cores: 8,
-            core: CoreModel {
-                clock_hz: 2.4e9,
-                flops_per_cycle: 8.0,
-                scalar_fraction_of_peak: 0.25,
-            },
-            mem_bw_bps: 51e9,
-            mem_capacity: 32 << 30,
-            power: PowerModel {
-                idle_w: 80.0,
-                peak_w: 220.0,
             },
             year: 2012,
         }

@@ -293,7 +293,6 @@ mod tests {
     use super::*;
     use deep_psmpi::{launch_world, EpId, IdealWire, MpiParams, Universe};
     use deep_simkit::Simulation;
-    use std::cell::Cell;
 
     fn knc() -> NodeModel {
         NodeModel::xeon_phi_knc()
@@ -306,11 +305,11 @@ mod tests {
         let uni = Universe::new(&ctx, wire, 2 + n_booster as usize, MpiParams::default());
         uni.add_pool("booster", (2..2 + n_booster).map(EpId).collect());
         uni.register_app("server", offload_server(knc()));
-        let out = Rc::new(Cell::new(0.0f64));
-        let out2 = out.clone();
-        launch_world(&uni, "cluster", vec![EpId(0), EpId(1)], move |m| {
-            let out = out2.clone();
-            Box::pin(async move {
+        let ranks = launch_world(
+            &uni,
+            "cluster",
+            vec![EpId(0), EpId(1)],
+            move |m| async move {
                 let world = m.world().clone();
                 let inter = m
                     .comm_spawn(&world, "server", n_booster, "booster", 0)
@@ -319,15 +318,13 @@ mod tests {
                 let off = Offloader::new(inter);
                 let my_block = booster_block(m.rank(), m.size(), n_booster);
                 let rep = off.run(&m, &spec, my_block.clone()).await;
-                if m.rank() == 0 {
-                    out.set(rep.elapsed.as_secs_f64());
-                }
                 m.barrier(&world).await;
                 off.shutdown(&m, my_block).await;
-            })
-        });
+                rep.elapsed.as_secs_f64()
+            },
+        );
         sim.run().assert_completed();
-        out.get()
+        ranks[0].try_result().expect("rank 0 finished")
     }
 
     fn base_spec() -> OffloadSpec {
@@ -393,7 +390,6 @@ mod tests {
     fn all_host_graph_traces_identically_through_both_dataflow_entries() {
         use crate::graph::{Access, RegionId};
         use crate::runtime::run_dataflow;
-        use std::cell::RefCell;
 
         // Chains of uneven length over four regions plus independent
         // fillers: enough contention on 3 workers that any difference
@@ -414,25 +410,20 @@ mod tests {
         let uni = Universe::new(&ctx, wire, 3, MpiParams::default());
         uni.add_pool("booster", vec![EpId(1), EpId(2)]);
         uni.register_app("server", offload_server(knc()));
-        let hybrid = Rc::new(RefCell::new(None));
-        let out = hybrid.clone();
-        launch_world(&uni, "cluster", vec![EpId(0)], move |m| {
-            let out = out.clone();
-            Box::pin(async move {
-                let world = m.world().clone();
-                let inter = m
-                    .comm_spawn(&world, "server", 2, "booster", 0)
-                    .await
-                    .unwrap();
-                let off = Rc::new(Offloader::new(inter));
-                let started = m.sim().now();
-                let report = run_hybrid_dataflow(&m, off.clone(), 0..2, graph(), &knc(), 3).await;
-                *out.borrow_mut() = Some((started, report));
-                off.shutdown(&m, 0..2).await;
-            })
+        let ranks = launch_world(&uni, "cluster", vec![EpId(0)], |m| async move {
+            let world = m.world().clone();
+            let inter = m
+                .comm_spawn(&world, "server", 2, "booster", 0)
+                .await
+                .unwrap();
+            let off = Rc::new(Offloader::new(inter));
+            let started = m.sim().now();
+            let report = run_hybrid_dataflow(&m, off.clone(), 0..2, graph(), &knc(), 3).await;
+            off.shutdown(&m, 0..2).await;
+            (started, report)
         });
         sim.run().assert_completed();
-        let (started, hybrid) = hybrid.borrow_mut().take().expect("cluster rank ran");
+        let (started, hybrid) = ranks[0].try_result().expect("cluster rank ran");
 
         let mut sim = Simulation::new(5);
         let ctx = sim.handle();

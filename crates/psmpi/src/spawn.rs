@@ -12,6 +12,7 @@
 //! `O(log p)` + per-process scaling measured by experiment F21.
 
 use std::cell::Cell;
+use std::future::Future;
 use std::rc::Rc;
 
 use deep_simkit::{OneShot, ProcHandle};
@@ -44,13 +45,19 @@ pub enum SpawnError {
 }
 
 /// Start an initial world (the `mpiexec` analogue): one rank process per
-/// endpoint, each running `f` with its [`MpiCtx`].
-pub fn launch_world(
+/// endpoint, named `{name}[{rank}]`, each running `f` with its
+/// [`MpiCtx`]. A rank's result is its body's return value: once the
+/// simulation has run, `handles[r].try_result()` yields rank `r`'s.
+pub fn launch_world<T, Fut>(
     uni: &Rc<Universe>,
     name: &str,
     eps: Vec<EpId>,
-    f: impl Fn(MpiCtx) -> LocalBoxFuture<'static, ()> + 'static,
-) -> Vec<ProcHandle<()>> {
+    f: impl Fn(MpiCtx) -> Fut + 'static,
+) -> Vec<ProcHandle<T>>
+where
+    Fut: Future<Output = T> + 'static,
+    T: 'static,
+{
     let context = uni.alloc_context();
     let members = Rc::new(eps);
     let mut handles = Vec::with_capacity(members.len());
@@ -302,22 +309,20 @@ mod tests {
             }),
         );
 
-        let parent = |m: MpiCtx| -> LocalBoxFuture<'static, ()> {
-            Box::pin(async move {
-                let world = m.world().clone();
-                let inter = m
-                    .comm_spawn(&world, "hscp", 8, "booster", 0)
-                    .await
-                    .expect("spawn succeeds");
-                assert_eq!(inter.remote_size(), 8);
-                assert!(inter.is_inter());
-                if m.rank() == 0 {
-                    let msg = m.recv(&inter, Some(0), Some(7)).await;
-                    // Sum of 0..8 = 28; size 8.
-                    assert_eq!(msg.value.as_u64(), 28 * 100 + 8);
-                }
-                m.barrier(&world).await;
-            })
+        let parent = |m: MpiCtx| async move {
+            let world = m.world().clone();
+            let inter = m
+                .comm_spawn(&world, "hscp", 8, "booster", 0)
+                .await
+                .expect("spawn succeeds");
+            assert_eq!(inter.remote_size(), 8);
+            assert!(inter.is_inter());
+            if m.rank() == 0 {
+                let msg = m.recv(&inter, Some(0), Some(7)).await;
+                // Sum of 0..8 = 28; size 8.
+                assert_eq!(msg.value.as_u64(), 28 * 100 + 8);
+            }
+            m.barrier(&world).await;
         };
         let handles = launch_world(&uni, "cluster", (0..4).map(EpId).collect(), parent);
         sim.run().assert_completed();
@@ -335,8 +340,11 @@ mod tests {
         let uni = universe(&ctx, 6);
         uni.add_pool("booster", vec![EpId(4), EpId(5)]);
         uni.register_app("hscp", Rc::new(|_m| Box::pin(async {})));
-        let handles = launch_world(&uni, "cluster", (0..2).map(EpId).collect(), |m| {
-            Box::pin(async move {
+        let handles = launch_world(
+            &uni,
+            "cluster",
+            (0..2).map(EpId).collect(),
+            |m| async move {
                 let world = m.world().clone();
                 let err = m
                     .comm_spawn(&world, "hscp", 4, "booster", 0)
@@ -357,8 +365,8 @@ mod tests {
                     }
                     other => panic!("unexpected error {other:?}"),
                 }
-            })
-        });
+            },
+        );
         sim.run().assert_completed();
         for h in handles {
             assert!(h.is_finished());
@@ -373,15 +381,13 @@ mod tests {
         let ctx = sim.handle();
         let uni = universe(&ctx, 4);
         uni.add_pool("booster", vec![EpId(2), EpId(3)]);
-        launch_world(&uni, "cluster", vec![EpId(0)], |m| {
-            Box::pin(async move {
-                let world = m.world().clone();
-                let err = m
-                    .comm_spawn(&world, "nope", 1, "booster", 0)
-                    .await
-                    .unwrap_err();
-                assert_eq!(err, SpawnError::UnknownCommand("nope".into()));
-            })
+        launch_world(&uni, "cluster", vec![EpId(0)], |m| async move {
+            let world = m.world().clone();
+            let err = m
+                .comm_spawn(&world, "nope", 1, "booster", 0)
+                .await
+                .unwrap_err();
+            assert_eq!(err, SpawnError::UnknownCommand("nope".into()));
         });
         sim.run().assert_completed();
     }
@@ -394,21 +400,16 @@ mod tests {
             let uni = universe(&ctx, 2 + nchildren as usize);
             uni.add_pool("booster", (2..2 + nchildren).map(EpId).collect());
             uni.register_app("hscp", Rc::new(|_m| Box::pin(async {})));
-            let out = Rc::new(Cell::new(0u64));
-            let out2 = out.clone();
-            launch_world(&uni, "cluster", vec![EpId(0)], move |m| {
-                let out = out2.clone();
-                Box::pin(async move {
-                    let world = m.world().clone();
-                    let t0 = m.sim().now();
-                    m.comm_spawn(&world, "hscp", nchildren, "booster", 0)
-                        .await
-                        .unwrap();
-                    out.set((m.sim().now() - t0).as_nanos());
-                })
+            let handles = launch_world(&uni, "cluster", vec![EpId(0)], move |m| async move {
+                let world = m.world().clone();
+                let t0 = m.sim().now();
+                m.comm_spawn(&world, "hscp", nchildren, "booster", 0)
+                    .await
+                    .unwrap();
+                (m.sim().now() - t0).as_nanos()
             });
             sim.run().assert_completed();
-            out.get()
+            handles[0].try_result().expect("rank 0 finished")
         }
 
         let t16 = spawn_time(16);
@@ -420,5 +421,23 @@ mod tests {
             t256 < t16 * 8,
             "fan-out must be sublinear: t16={t16} t256={t256}"
         );
+    }
+
+    #[test]
+    fn launch_world_returns_each_rank_value_in_rank_order() {
+        let mut sim = Simulation::new(1);
+        let ctx = sim.handle();
+        let uni = universe(&ctx, 5);
+        let handles = launch_world(&uni, "w", (0..5).map(EpId).collect(), |m| async move {
+            let world = m.world().clone();
+            let total = m
+                .allreduce(&world, ReduceOp::Sum, Value::U64(m.rank() as u64), 8)
+                .await;
+            assert_eq!(total.as_u64(), 10);
+            m.rank() * 10
+        });
+        sim.run().assert_completed();
+        let got: Vec<Option<u32>> = handles.iter().map(|h| h.try_result()).collect();
+        assert_eq!(got, [0, 10, 20, 30, 40].map(Some));
     }
 }

@@ -3,16 +3,17 @@
 //! payloads — and must book exactly the same messages at the same
 //! simulated times whether it carries that payload or only its size.
 
-use std::cell::RefCell;
+use std::future::Future;
 use std::rc::Rc;
 
 use deep_psmpi::{launch_world, EpId, IdealWire, MpiCtx, MpiParams, ReduceOp, Universe, Value};
 use deep_simkit::{SimDuration, Simulation};
 use proptest::prelude::*;
 
-type RankFuture<T> = std::pin::Pin<Box<dyn std::future::Future<Output = T>>>;
-
-fn run_ranks<T: Clone + 'static>(n: u32, f: impl Fn(MpiCtx) -> RankFuture<T> + 'static) -> Vec<T> {
+fn run_ranks<T: 'static, Fut: Future<Output = T> + 'static>(
+    n: u32,
+    f: impl Fn(MpiCtx) -> Fut + 'static,
+) -> Vec<T> {
     run_ranks_with(n, MpiParams::default(), f).0
 }
 
@@ -21,33 +22,18 @@ fn run_ranks<T: Clone + 'static>(n: u32, f: impl Fn(MpiCtx) -> RankFuture<T> + '
 type Cost = [u64; 4];
 
 /// Per-rank results and what the run cost.
-fn run_ranks_with<T: Clone + 'static>(
+fn run_ranks_with<T: 'static, Fut: Future<Output = T> + 'static>(
     n: u32,
     params: MpiParams,
-    f: impl Fn(MpiCtx) -> RankFuture<T> + 'static,
+    f: impl Fn(MpiCtx) -> Fut + 'static,
 ) -> (Vec<T>, Cost) {
     let mut sim = Simulation::new(9);
     let ctx = sim.handle();
     let wire = Rc::new(IdealWire::new(&ctx, SimDuration::micros(1), 5e9));
     let uni = Universe::new(&ctx, wire, n as usize, params);
-    let results: Rc<RefCell<Vec<Option<T>>>> = Rc::new(RefCell::new(vec![None; n as usize]));
-    let r2 = results.clone();
-    let f = Rc::new(f);
-    launch_world(&uni, "t", (0..n).map(EpId).collect(), move |m| {
-        let results = r2.clone();
-        let f = f.clone();
-        Box::pin(async move {
-            let rank = m.rank() as usize;
-            let v = f(m).await;
-            results.borrow_mut()[rank] = Some(v);
-        })
-    });
+    let ranks = launch_world(&uni, "t", (0..n).map(EpId).collect(), f);
     sim.run().assert_completed();
-    let out = results
-        .borrow_mut()
-        .iter_mut()
-        .map(|v| v.take().unwrap())
-        .collect();
+    let out = ranks.iter().map(|h| h.try_result().unwrap()).collect();
     let t = uni.traffic();
     let cost = [sim.now().as_nanos(), t.messages, t.bytes, t.rendezvous];
     (out, cost)
@@ -91,45 +77,43 @@ fn cost_of(which: Collective, n: u32, len: usize, content: bool) -> Cost {
         },
         ..MpiParams::default()
     };
-    let (_, cost) = run_ranks_with(n, params, move |m| {
-        Box::pin(async move {
-            let world = m.world().clone();
-            let bytes = 8 * len as u64;
-            let root = n / 2;
-            let payload = || {
-                if content {
-                    Value::vec(vec![m.rank() as f64 + 0.25; len])
-                } else {
-                    Value::Unit
-                }
-            };
-            match which {
-                Collective::AllreduceNoRing | Collective::AllreduceRingFirst => {
-                    m.allreduce(&world, ReduceOp::Sum, payload(), bytes).await;
-                }
-                Collective::AllreduceRing if content => {
-                    m.allreduce_ring(&world, ReduceOp::Sum, vec![1.5; len])
-                        .await;
-                }
-                Collective::AllreduceRing => {
-                    m.allreduce(&world, ReduceOp::Sum, Value::Unit, bytes).await;
-                }
-                Collective::Reduce => {
-                    m.reduce(&world, root, ReduceOp::Sum, payload(), bytes)
-                        .await;
-                }
-                Collective::Bcast => {
-                    m.bcast(&world, root, payload(), bytes).await;
-                }
-                Collective::Alltoall => {
-                    let blocks = (0..n).map(|_| payload()).collect();
-                    m.alltoall(&world, blocks, bytes).await;
-                }
-                Collective::Allgather => {
-                    m.allgather(&world, payload(), bytes).await;
-                }
+    let (_, cost) = run_ranks_with(n, params, move |m| async move {
+        let world = m.world().clone();
+        let bytes = 8 * len as u64;
+        let root = n / 2;
+        let payload = || {
+            if content {
+                Value::vec(vec![m.rank() as f64 + 0.25; len])
+            } else {
+                Value::Unit
             }
-        })
+        };
+        match which {
+            Collective::AllreduceNoRing | Collective::AllreduceRingFirst => {
+                m.allreduce(&world, ReduceOp::Sum, payload(), bytes).await;
+            }
+            Collective::AllreduceRing if content => {
+                m.allreduce_ring(&world, ReduceOp::Sum, vec![1.5; len])
+                    .await;
+            }
+            Collective::AllreduceRing => {
+                m.allreduce(&world, ReduceOp::Sum, Value::Unit, bytes).await;
+            }
+            Collective::Reduce => {
+                m.reduce(&world, root, ReduceOp::Sum, payload(), bytes)
+                    .await;
+            }
+            Collective::Bcast => {
+                m.bcast(&world, root, payload(), bytes).await;
+            }
+            Collective::Alltoall => {
+                let blocks = (0..n).map(|_| payload()).collect();
+                m.alltoall(&world, blocks, bytes).await;
+            }
+            Collective::Allgather => {
+                m.allgather(&world, payload(), bytes).await;
+            }
+        }
     });
     cost
 }
@@ -180,11 +164,11 @@ proptest! {
         let data2 = data.clone();
         let res = run_ranks(n, move |m| {
             let mine = data2[m.rank() as usize].clone();
-            Box::pin(async move {
+            async move {
                 let world = m.world().clone();
                 m.allreduce(&world, ReduceOp::Sum, Value::vec(mine), 8 * len as u64)
                     .await
-            })
+            }
         });
         for v in res {
             let got = v.as_vec();
@@ -198,16 +182,14 @@ proptest! {
     #[test]
     fn bcast_any_root(n in 1u32..12, root_pick in 0u32..12, len in 1usize..16) {
         let root = root_pick % n;
-        let res = run_ranks(n, move |m| {
-            Box::pin(async move {
-                let world = m.world().clone();
-                let payload = if m.rank() == root {
-                    Value::vec((0..len).map(|i| i as f64 + 0.5).collect())
-                } else {
-                    Value::Unit
-                };
-                m.bcast(&world, root, payload, 8 * len as u64).await
-            })
+        let res = run_ranks(n, move |m| async move {
+            let world = m.world().clone();
+            let payload = if m.rank() == root {
+                Value::vec((0..len).map(|i| i as f64 + 0.5).collect())
+            } else {
+                Value::Unit
+            };
+            m.bcast(&world, root, payload, 8 * len as u64).await
         });
         let expect: Vec<f64> = (0..len).map(|i| i as f64 + 0.5).collect();
         for v in res {
@@ -219,11 +201,9 @@ proptest! {
     #[test]
     fn gather_any_root(n in 1u32..12, root_pick in 0u32..12) {
         let root = root_pick % n;
-        let res = run_ranks(n, move |m| {
-            Box::pin(async move {
-                let world = m.world().clone();
-                m.gather(&world, root, Value::U64(m.rank() as u64 * 3 + 1), 8).await
-            })
+        let res = run_ranks(n, move |m| async move {
+            let world = m.world().clone();
+            m.gather(&world, root, Value::U64(m.rank() as u64 * 3 + 1), 8).await
         });
         for (r, v) in res.iter().enumerate() {
             if r as u32 == root {
@@ -239,14 +219,12 @@ proptest! {
     /// alltoall is an exact transpose for arbitrary group sizes.
     #[test]
     fn alltoall_transposes(n in 1u32..10) {
-        let res = run_ranks(n, move |m| {
-            Box::pin(async move {
-                let world = m.world().clone();
-                let blocks = (0..m.size())
-                    .map(|d| Value::U64((m.rank() as u64) << 16 | d as u64))
-                    .collect();
-                m.alltoall(&world, blocks, 8).await
-            })
+        let res = run_ranks(n, move |m| async move {
+            let world = m.world().clone();
+            let blocks = (0..m.size())
+                .map(|d| Value::U64((m.rank() as u64) << 16 | d as u64))
+                .collect();
+            m.alltoall(&world, blocks, 8).await
         });
         for (r, blocks) in res.iter().enumerate() {
             for (s, v) in blocks.iter().enumerate() {
@@ -258,17 +236,15 @@ proptest! {
     /// comm_split groups are exact partitions and sub-collectives work.
     #[test]
     fn comm_split_partitions(n in 2u32..12, colors in 1u32..4) {
-        let res = run_ranks(n, move |m| {
-            Box::pin(async move {
-                let world = m.world().clone();
-                let color = m.rank() % colors;
-                let sub = m.comm_split(&world, color, m.rank()).await;
-                let total = m
-                    .allreduce(&sub, ReduceOp::Sum, Value::U64(1), 8)
-                    .await
-                    .as_u64();
-                (color, sub.size(), total)
-            })
+        let res = run_ranks(n, move |m| async move {
+            let world = m.world().clone();
+            let color = m.rank() % colors;
+            let sub = m.comm_split(&world, color, m.rank()).await;
+            let total = m
+                .allreduce(&sub, ReduceOp::Sum, Value::U64(1), 8)
+                .await
+                .as_u64();
+            (color, sub.size(), total)
         });
         for (r, &(color, size, total)) in res.iter().enumerate() {
             let expect = (0..n).filter(|x| x % colors == r as u32 % colors).count() as u32;

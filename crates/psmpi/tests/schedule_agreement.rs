@@ -97,7 +97,7 @@ fn per_rank(s: Schedule, params: MpiParams) -> (SimTime, u64, Vec<(u32, u32, u64
     };
     let uni = Universe::new(&ctx, wire.clone(), s.n as usize, params);
     launch_world(&uni, "s", (0..s.n).map(EpId).collect(), move |m| {
-        Box::pin(run_rank(m, s))
+        run_rank(m, s)
     });
     sim.run().assert_completed();
     (sim.now(), uni.traffic().messages, wire.log.take())

@@ -101,11 +101,6 @@ impl JobRecord {
     pub fn wait(&self) -> SimDuration {
         self.started - self.submitted
     }
-
-    /// End-to-end turnaround.
-    pub fn turnaround(&self) -> SimDuration {
-        self.finished - self.submitted
-    }
 }
 
 /// Instantaneous occupancy snapshot, as returned by

@@ -25,62 +25,60 @@ fn main() {
     );
 
     let machine = DeepMachine::build(&sim.handle(), config);
-    machine.launch_cluster_app("main", move |mpi| {
-        Box::pin(async move {
-            let world = mpi.world().clone();
-            if mpi.rank() == 0 {
-                println!(
-                    "[{}] cluster world of {} ranks up",
-                    mpi.sim().now(),
-                    mpi.size()
-                );
-            }
-
-            // Slide 21: the main() part collectively spawns the highly
-            // scalable code part onto the booster via MPI_Comm_spawn.
-            let inter = mpi
-                .comm_spawn(&world, OFFLOAD_SERVER, n_booster, BOOSTER_POOL, 0)
-                .await
-                .expect("booster spawn");
-            if mpi.rank() == 0 {
-                println!(
-                    "[{}] booster world of {} ranks spawned; intercommunicator ready",
-                    mpi.sim().now(),
-                    inter.remote_size()
-                );
-            }
-
-            // Offload one stencil-like kernel, data in and out.
-            let off = Offloader::new(inter);
-            let block = booster_block(mpi.rank(), mpi.size(), n_booster);
-            let spec = OffloadSpec {
-                in_bytes: 2 << 20,
-                out_bytes: 2 << 20,
-                kernel: KernelProfile::stencil2d(8 << 20),
-                cores: u32::MAX,
-                iters: 8,
-                internal_msg_bytes: 32 << 10,
-            };
-            let report = off.run(&mpi, &spec, block.clone()).await;
+    machine.launch_cluster_app("main", move |mpi| async move {
+        let world = mpi.world().clone();
+        if mpi.rank() == 0 {
             println!(
-                "[{}] rank {}: offloaded kernel over booster ranks {:?} in {}",
+                "[{}] cluster world of {} ranks up",
                 mpi.sim().now(),
-                mpi.rank(),
-                block,
-                report.elapsed
+                mpi.size()
             );
+        }
 
-            // A cluster-side collective for good measure.
-            let total = mpi.allreduce(&world, ReduceOp::Sum, Value::U64(1), 8).await;
-            if mpi.rank() == 0 {
-                println!(
-                    "[{}] allreduce says {} cluster ranks are alive",
-                    mpi.sim().now(),
-                    total.as_u64()
-                );
-            }
-            off.shutdown(&mpi, block).await;
-        })
+        // Slide 21: the main() part collectively spawns the highly
+        // scalable code part onto the booster via MPI_Comm_spawn.
+        let inter = mpi
+            .comm_spawn(&world, OFFLOAD_SERVER, n_booster, BOOSTER_POOL, 0)
+            .await
+            .expect("booster spawn");
+        if mpi.rank() == 0 {
+            println!(
+                "[{}] booster world of {} ranks spawned; intercommunicator ready",
+                mpi.sim().now(),
+                inter.remote_size()
+            );
+        }
+
+        // Offload one stencil-like kernel, data in and out.
+        let off = Offloader::new(inter);
+        let block = booster_block(mpi.rank(), mpi.size(), n_booster);
+        let spec = OffloadSpec {
+            in_bytes: 2 << 20,
+            out_bytes: 2 << 20,
+            kernel: KernelProfile::stencil2d(8 << 20),
+            cores: u32::MAX,
+            iters: 8,
+            internal_msg_bytes: 32 << 10,
+        };
+        let report = off.run(&mpi, &spec, block.clone()).await;
+        println!(
+            "[{}] rank {}: offloaded kernel over booster ranks {:?} in {}",
+            mpi.sim().now(),
+            mpi.rank(),
+            block,
+            report.elapsed
+        );
+
+        // A cluster-side collective for good measure.
+        let total = mpi.allreduce(&world, ReduceOp::Sum, Value::U64(1), 8).await;
+        if mpi.rank() == 0 {
+            println!(
+                "[{}] allreduce says {} cluster ranks are alive",
+                mpi.sim().now(),
+                total.as_u64()
+            );
+        }
+        off.shutdown(&mpi, block).await;
     });
 
     sim.run().assert_completed();

@@ -37,12 +37,13 @@ step "cargo doc (deny warnings)" \
 # so a change that moves one fails here and not in the pipeline. All
 # five workloads at toy size, then one full-size repetition each of
 # mpi_rank_1k, whose 12 455 027-poll pin every per-message change is
-# judged by; des_a2a_4k, the only full-size pin of the batched
-# irregular (all-to-all) path; and des_spmv_262k, whose golden row
-# (digest, 20 971 520 messages, 364 109 kernel events) is the one a
+# judged by (`cargo test` pins only its 54 846-poll `@smoke` row, in
+# tests/process_table_bound.rs); des_a2a_4k, the only full-size pin of the
+# batched irregular (all-to-all) path; and des_spmv_262k, whose golden
+# row (digest, 20 971 520 messages, 364 109 kernel events) is the one a
 # fabric layout change must not move — `cargo test` pins the two
-# `@smoke` rows and a one-iteration 262k digest, not this row (a few
-# seconds each once the harness is built; it shares target/). A
+# `des_*@smoke` rows and a one-iteration 262k digest, not this row (a
+# few seconds each once the harness is built; it shares target/). A
 # passing run shows only its result line.
 bench() {
     local out

@@ -366,7 +366,6 @@ fn f16_extoll_engine_shapes() {
 #[test]
 fn f21_spawn_sublinear() {
     use deep_psmpi::{launch_world, EpId, IdealWire, MpiParams, Universe};
-    use std::cell::Cell;
     use std::rc::Rc;
 
     fn spawn_time(n: u32) -> f64 {
@@ -380,19 +379,14 @@ fn f21_spawn_sublinear() {
         let uni = Universe::new(&ctx, wire, 1 + n as usize, MpiParams::default());
         uni.add_pool("b", (1..=n).map(EpId).collect());
         uni.register_app("noop", Rc::new(|_m| Box::pin(async {})));
-        let out = Rc::new(Cell::new(0.0));
-        let out2 = out.clone();
-        launch_world(&uni, "p", vec![EpId(0)], move |m| {
-            let out = out2.clone();
-            Box::pin(async move {
-                let world = m.world().clone();
-                let t0 = m.sim().now();
-                m.comm_spawn(&world, "noop", n, "b", 0).await.unwrap();
-                out.set((m.sim().now() - t0).as_secs_f64());
-            })
+        let ranks = launch_world(&uni, "p", vec![EpId(0)], move |m| async move {
+            let world = m.world().clone();
+            let t0 = m.sim().now();
+            m.comm_spawn(&world, "noop", n, "b", 0).await.unwrap();
+            (m.sim().now() - t0).as_secs_f64()
         });
         sim.run().assert_completed();
-        out.get()
+        ranks[0].try_result().unwrap()
     }
     let t32 = spawn_time(32);
     let t512 = spawn_time(512);

@@ -2,7 +2,6 @@
 //! booster, booster interfaces, global MPI, offload runtime — exercised
 //! end to end with numerically verified results.
 
-use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use deep_core::{DeepConfig, DeepMachine, BOOSTER_POOL, OFFLOAD_SERVER};
@@ -15,38 +14,30 @@ fn boot_spawn_compute_teardown() {
     let mut sim = Simulation::new(1);
     let ctx = sim.handle();
     let machine = DeepMachine::build(&ctx, DeepConfig::small());
-    let done = Rc::new(Cell::new(false));
-    let done2 = done.clone();
-    machine.launch_cluster_app("app", move |m| {
-        let done = done2.clone();
-        Box::pin(async move {
-            let world = m.world().clone();
-            let inter = m
-                .comm_spawn(&world, OFFLOAD_SERVER, 8, BOOSTER_POOL, 0)
-                .await
-                .unwrap();
-            let off = Offloader::new(inter);
-            let block = booster_block(m.rank(), m.size(), 8);
-            let spec = OffloadSpec {
-                in_bytes: 1 << 20,
-                out_bytes: 1 << 20,
-                kernel: deep_hw::KernelProfile::stencil2d(1 << 22),
-                cores: u32::MAX,
-                iters: 3,
-                internal_msg_bytes: 4096,
-            };
-            for _ in 0..3 {
-                off.run(&m, &spec, block.clone()).await;
-            }
-            m.barrier(&world).await;
-            off.shutdown(&m, block).await;
-            if m.rank() == 0 {
-                done.set(true);
-            }
-        })
+    let ranks = machine.launch_cluster_app("app", |m| async move {
+        let world = m.world().clone();
+        let inter = m
+            .comm_spawn(&world, OFFLOAD_SERVER, 8, BOOSTER_POOL, 0)
+            .await
+            .unwrap();
+        let off = Offloader::new(inter);
+        let block = booster_block(m.rank(), m.size(), 8);
+        let spec = OffloadSpec {
+            in_bytes: 1 << 20,
+            out_bytes: 1 << 20,
+            kernel: deep_hw::KernelProfile::stencil2d(1 << 22),
+            cores: u32::MAX,
+            iters: 3,
+            internal_msg_bytes: 4096,
+        };
+        for _ in 0..3 {
+            off.run(&m, &spec, block.clone()).await;
+        }
+        m.barrier(&world).await;
+        off.shutdown(&m, block).await;
     });
     sim.run().assert_completed();
-    assert!(done.get());
+    assert!(ranks[0].try_result().is_some(), "rank 0 ran to the end");
     // Pool fully drained by the spawn; bridge saw the offload payloads.
     assert_eq!(machine.universe().pool_available(BOOSTER_POOL), 0);
     assert!(machine.cbp().bridged_traffic().bytes > 3 * 8 * (2 << 20) - 1);
@@ -81,30 +72,24 @@ fn numeric_payloads_cross_the_bridge_intact() {
             })
         }),
     );
-    let ok = Rc::new(Cell::new(false));
-    let ok2 = ok.clone();
-    machine.launch_cluster_app("main", move |m| {
-        let ok = ok2.clone();
-        Box::pin(async move {
-            let world = m.world().clone();
-            let inter = m
-                .comm_spawn(&world, "doubler", 4, BOOSTER_POOL, 0)
-                .await
-                .unwrap();
-            if m.rank() == 0 {
-                let data = vec![1.5, -2.0, 4.25];
-                m.send_val(&inter, 0, 5, Value::vec(data.clone())).await;
-                let back = m.recv(&inter, Some(0), Some(6)).await;
-                assert_eq!(back.value.as_vec(), &[3.0, -4.0, 8.5]);
-                let total = m.recv(&inter, Some(0), Some(7)).await;
-                assert_eq!(total.value.as_f64(), 7.5);
-                ok.set(true);
-            }
-            m.barrier(&world).await;
-        })
+    let ranks = machine.launch_cluster_app("main", |m| async move {
+        let world = m.world().clone();
+        let inter = m
+            .comm_spawn(&world, "doubler", 4, BOOSTER_POOL, 0)
+            .await
+            .unwrap();
+        if m.rank() == 0 {
+            let data = vec![1.5, -2.0, 4.25];
+            m.send_val(&inter, 0, 5, Value::vec(data.clone())).await;
+            let back = m.recv(&inter, Some(0), Some(6)).await;
+            assert_eq!(back.value.as_vec(), &[3.0, -4.0, 8.5]);
+            let total = m.recv(&inter, Some(0), Some(7)).await;
+            assert_eq!(total.value.as_f64(), 7.5);
+        }
+        m.barrier(&world).await;
     });
     sim.run().assert_completed();
-    assert!(ok.get());
+    assert!(ranks[0].try_result().is_some(), "rank 0 ran to the end");
 }
 
 #[test]
@@ -113,27 +98,25 @@ fn whole_machine_run_is_deterministic() {
         let mut sim = Simulation::new(seed);
         let ctx = sim.handle();
         let machine = DeepMachine::build(&ctx, DeepConfig::small());
-        machine.launch_cluster_app("app", move |m| {
-            Box::pin(async move {
-                let world = m.world().clone();
-                let inter = m
-                    .comm_spawn(&world, OFFLOAD_SERVER, 8, BOOSTER_POOL, 0)
-                    .await
-                    .unwrap();
-                let off = Offloader::new(inter);
-                let block = booster_block(m.rank(), m.size(), 8);
-                let spec = OffloadSpec {
-                    in_bytes: 256 << 10,
-                    out_bytes: 256 << 10,
-                    kernel: deep_hw::KernelProfile::dgemm(512),
-                    cores: u32::MAX,
-                    iters: 2,
-                    internal_msg_bytes: 1024,
-                };
-                off.run(&m, &spec, block.clone()).await;
-                m.barrier(&world).await;
-                off.shutdown(&m, block).await;
-            })
+        machine.launch_cluster_app("app", move |m| async move {
+            let world = m.world().clone();
+            let inter = m
+                .comm_spawn(&world, OFFLOAD_SERVER, 8, BOOSTER_POOL, 0)
+                .await
+                .unwrap();
+            let off = Offloader::new(inter);
+            let block = booster_block(m.rank(), m.size(), 8);
+            let spec = OffloadSpec {
+                in_bytes: 256 << 10,
+                out_bytes: 256 << 10,
+                kernel: deep_hw::KernelProfile::dgemm(512),
+                cores: u32::MAX,
+                iters: 2,
+                internal_msg_bytes: 1024,
+            };
+            off.run(&m, &spec, block.clone()).await;
+            m.barrier(&world).await;
+            off.shutdown(&m, block).await;
         });
         sim.run().assert_completed();
         (sim.now().as_nanos(), machine.cbp().bridged_traffic().bytes)
@@ -165,26 +148,26 @@ fn distributed_cg_runs_on_the_booster_world() {
             })
         }),
     );
-    let checksum = Rc::new(Cell::new(f64::NAN));
-    let cs2 = checksum.clone();
-    machine.launch_cluster_app("main", move |m| {
-        let cs = cs2.clone();
-        Box::pin(async move {
-            let world = m.world().clone();
-            let _inter = m
-                .comm_spawn(&world, "cg-solver", 8, BOOSTER_POOL, 0)
-                .await
-                .unwrap();
-            if m.rank() == 0 {
-                let msg = m.recv(&_inter, Some(0), Some(9)).await;
-                cs.set(msg.value.as_f64());
-            }
-            m.barrier(&world).await;
-        })
+    let ranks = machine.launch_cluster_app("main", |m| async move {
+        let world = m.world().clone();
+        let _inter = m
+            .comm_spawn(&world, "cg-solver", 8, BOOSTER_POOL, 0)
+            .await
+            .unwrap();
+        let mut checksum = None;
+        if m.rank() == 0 {
+            let msg = m.recv(&_inter, Some(0), Some(9)).await;
+            checksum = Some(msg.value.as_f64());
+        }
+        m.barrier(&world).await;
+        checksum
     });
     sim.run().assert_completed();
     let serial = deep_apps::cg_reference(16, 16, 400, 1e-8);
-    let got = checksum.get();
+    let got = ranks[0]
+        .try_result()
+        .flatten()
+        .expect("rank 0 got the checksum");
     assert!(
         (got - serial.checksum).abs() < 1e-6 * serial.checksum.abs(),
         "booster CG checksum {got} vs serial {}",
@@ -213,33 +196,34 @@ fn two_apps_share_the_booster_pool() {
             })
         }),
     );
-    let results: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-    let r2 = results.clone();
-    machine.launch_cluster_app("main", move |m| {
-        let results = r2.clone();
-        Box::pin(async move {
-            let world = m.world().clone();
-            let a = m
-                .comm_spawn(&world, "worker", 5, BOOSTER_POOL, 0)
-                .await
-                .unwrap();
-            let b = m
-                .comm_spawn(&world, "worker", 3, BOOSTER_POOL, 0)
-                .await
-                .unwrap();
-            // A third spawn must fail: the pool is empty.
-            let err = m.comm_spawn(&world, "worker", 1, BOOSTER_POOL, 0).await;
-            assert!(err.is_err(), "pool must be exhausted");
-            if m.rank() == 0 {
-                let ra = m.recv(&a, Some(0), Some(3)).await.value.as_u64();
-                let rb = m.recv(&b, Some(0), Some(3)).await.value.as_u64();
-                results.borrow_mut().extend([ra, rb]);
-            }
-            m.barrier(&world).await;
-        })
+    let ranks = machine.launch_cluster_app("main", |m| async move {
+        let world = m.world().clone();
+        let a = m
+            .comm_spawn(&world, "worker", 5, BOOSTER_POOL, 0)
+            .await
+            .unwrap();
+        let b = m
+            .comm_spawn(&world, "worker", 3, BOOSTER_POOL, 0)
+            .await
+            .unwrap();
+        // A third spawn must fail: the pool is empty.
+        let err = m.comm_spawn(&world, "worker", 1, BOOSTER_POOL, 0).await;
+        assert!(err.is_err(), "pool must be exhausted");
+        let mut results = Vec::new();
+        if m.rank() == 0 {
+            let ra = m.recv(&a, Some(0), Some(3)).await.value.as_u64();
+            let rb = m.recv(&b, Some(0), Some(3)).await.value.as_u64();
+            results.extend([ra, rb]);
+        }
+        m.barrier(&world).await;
+        results
     });
     sim.run().assert_completed();
-    assert_eq!(*results.borrow(), vec![5, 3], "worlds are isolated");
+    assert_eq!(
+        ranks[0].try_result().unwrap(),
+        vec![5, 3],
+        "worlds are isolated"
+    );
 }
 
 #[test]
@@ -253,27 +237,25 @@ fn machine_survives_injected_link_errors() {
         let mut cfg = DeepConfig::small();
         cfg.booster_link_error_rate = error_rate;
         let machine = DeepMachine::build(&ctx, cfg);
-        machine.launch_cluster_app("app", move |m| {
-            Box::pin(async move {
-                let world = m.world().clone();
-                let inter = m
-                    .comm_spawn(&world, OFFLOAD_SERVER, 8, BOOSTER_POOL, 0)
-                    .await
-                    .unwrap();
-                let off = Offloader::new(inter);
-                let block = booster_block(m.rank(), m.size(), 8);
-                let spec = OffloadSpec {
-                    in_bytes: 8 << 20,
-                    out_bytes: 8 << 20,
-                    kernel: deep_hw::KernelProfile::stencil2d(1 << 22),
-                    cores: u32::MAX,
-                    iters: 4,
-                    internal_msg_bytes: 64 << 10,
-                };
-                off.run(&m, &spec, block.clone()).await;
-                m.barrier(&world).await;
-                off.shutdown(&m, block).await;
-            })
+        machine.launch_cluster_app("app", move |m| async move {
+            let world = m.world().clone();
+            let inter = m
+                .comm_spawn(&world, OFFLOAD_SERVER, 8, BOOSTER_POOL, 0)
+                .await
+                .unwrap();
+            let off = Offloader::new(inter);
+            let block = booster_block(m.rank(), m.size(), 8);
+            let spec = OffloadSpec {
+                in_bytes: 8 << 20,
+                out_bytes: 8 << 20,
+                kernel: deep_hw::KernelProfile::stencil2d(1 << 22),
+                cores: u32::MAX,
+                iters: 4,
+                internal_msg_bytes: 64 << 10,
+            };
+            off.run(&m, &spec, block.clone()).await;
+            m.barrier(&world).await;
+            off.shutdown(&m, block).await;
         });
         sim.run().assert_completed();
         sim.now().as_nanos()
@@ -300,75 +282,68 @@ fn hybrid_dataflow_offloads_booster_tasks_through_the_machine() {
     let ctx = sim.handle();
     let machine = DeepMachine::build(&ctx, DeepConfig::small());
     let cbp = machine.cbp().clone();
-    let out: Rc<RefCell<Option<(usize, u64)>>> = Rc::new(RefCell::new(None));
-    let out2 = out.clone();
-    machine.launch_cluster_app("hybrid", move |m| {
-        let out = out2.clone();
-        Box::pin(async move {
-            let world = m.world().clone();
-            let inter = m
-                .comm_spawn(&world, OFFLOAD_SERVER, 8, BOOSTER_POOL, 0)
-                .await
-                .unwrap();
-            let off = Rc::new(Offloader::new(inter));
-            let block = booster_block(m.rank(), m.size(), 8);
+    let ranks = machine.launch_cluster_app("hybrid", |m| async move {
+        let world = m.world().clone();
+        let inter = m
+            .comm_spawn(&world, OFFLOAD_SERVER, 8, BOOSTER_POOL, 0)
+            .await
+            .unwrap();
+        let off = Rc::new(Offloader::new(inter));
+        let block = booster_block(m.rank(), m.size(), 8);
 
-            // Build a per-rank graph: host preprocessing feeds a booster
-            // kernel, whose output feeds host postprocessing; plus
-            // independent host tasks that should overlap the offload.
-            let mut g = TaskGraph::new();
-            let pre = g.add_task(
-                "pre",
-                &[(RegionId(1), Access::Out)],
-                TaskCost::Fixed(SimDuration::micros(50)),
+        // Build a per-rank graph: host preprocessing feeds a booster
+        // kernel, whose output feeds host postprocessing; plus
+        // independent host tasks that should overlap the offload.
+        let mut g = TaskGraph::new();
+        let pre = g.add_task(
+            "pre",
+            &[(RegionId(1), Access::Out)],
+            TaskCost::Fixed(SimDuration::micros(50)),
+            0,
+            None,
+        );
+        let kernel = g.add_task(
+            "hscp",
+            &[(RegionId(1), Access::In), (RegionId(2), Access::Out)],
+            TaskCost::Kernel {
+                profile: deep_hw::KernelProfile::stencil2d(1 << 22),
+                cores: u32::MAX,
+            },
+            1,
+            None,
+        );
+        g.set_device(
+            kernel,
+            Device::Booster {
+                in_bytes: 1 << 20,
+                out_bytes: 1 << 20,
+            },
+        );
+        let post = g.add_task(
+            "post",
+            &[(RegionId(2), Access::In)],
+            TaskCost::Fixed(SimDuration::micros(50)),
+            2,
+            None,
+        );
+        for i in 0..6u64 {
+            g.add_task(
+                "host-side",
+                &[(RegionId(100 + i), Access::InOut)],
+                TaskCost::Fixed(SimDuration::micros(200)),
                 0,
                 None,
             );
-            let kernel = g.add_task(
-                "hscp",
-                &[(RegionId(1), Access::In), (RegionId(2), Access::Out)],
-                TaskCost::Kernel {
-                    profile: deep_hw::KernelProfile::stencil2d(1 << 22),
-                    cores: u32::MAX,
-                },
-                1,
-                None,
-            );
-            g.set_device(
-                kernel,
-                Device::Booster {
-                    in_bytes: 1 << 20,
-                    out_bytes: 1 << 20,
-                },
-            );
-            let post = g.add_task(
-                "post",
-                &[(RegionId(2), Access::In)],
-                TaskCost::Fixed(SimDuration::micros(50)),
-                2,
-                None,
-            );
-            for i in 0..6u64 {
-                g.add_task(
-                    "host-side",
-                    &[(RegionId(100 + i), Access::InOut)],
-                    TaskCost::Fixed(SimDuration::micros(200)),
-                    0,
-                    None,
-                );
-            }
-            let _ = (pre, post);
-            let node = deep_hw::NodeModel::xeon_cluster_node();
-            let report = run_hybrid_dataflow(&m, off.clone(), block.clone(), g, &node, 2).await;
-            m.barrier(&world).await;
-            off.shutdown(&m, block).await;
-            if m.rank() == 0 {
-                *out.borrow_mut() = Some((report.tasks, report.makespan.as_nanos()));
-            }
-        })
+        }
+        let _ = (pre, post);
+        let node = deep_hw::NodeModel::xeon_cluster_node();
+        let report = run_hybrid_dataflow(&m, off.clone(), block.clone(), g, &node, 2).await;
+        m.barrier(&world).await;
+        off.shutdown(&m, block).await;
+        (report.tasks, report.makespan.as_nanos())
     });
     sim.run().assert_completed();
-    let (tasks, makespan) = out.borrow_mut().take().unwrap();
+    let (tasks, makespan) = ranks[0].try_result().unwrap();
     assert_eq!(tasks, 9);
     assert!(makespan > 0);
     // The kernel payloads crossed the bridge (4 ranks × 2 MiB ≥ 8 MiB).

@@ -3,9 +3,6 @@
 //! end: PFS writes running concurrently with a bulk allreduce slow BOTH
 //! down compared to either running in isolation.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use deep_core::{DeepConfig, DeepMachine};
 use deep_fabric::NodeId;
 use deep_psmpi::{ReduceOp, Value};
@@ -30,15 +27,11 @@ fn run(with_io: bool, with_mpi: bool, seed: u64) -> (f64, f64) {
     cfg.storage.pfs.server_device.write_bps = 5e9;
     cfg.storage.pfs.server_device.latency = deep_simkit::SimDuration::micros(100);
     let machine = DeepMachine::build(&ctx, cfg);
-    let io_elapsed = Rc::new(Cell::new(0.0f64));
-    let mpi_elapsed = Rc::new(Cell::new(0.0f64));
-
-    if with_io {
-        // Every cluster node streams a checkpoint-sized file to the PFS
-        // over its own IB host link.
+    // Every cluster node streams a checkpoint-sized file to the PFS over
+    // its own IB host link.
+    let io = with_io.then(|| {
         let pfs = machine.pfs().clone();
         let sim2 = ctx.clone();
-        let out = io_elapsed.clone();
         sim.spawn("pfs-writers", async move {
             let start = sim2.now();
             let handles: Vec<_> = (0..WRITERS)
@@ -50,30 +43,27 @@ fn run(with_io: bool, with_mpi: bool, seed: u64) -> (f64, f64) {
                 })
                 .collect();
             join_all(handles).await;
-            out.set((sim2.now() - start).as_secs_f64());
-        });
-    }
+            (sim2.now() - start).as_secs_f64()
+        })
+    });
 
-    if with_mpi {
-        let out = mpi_elapsed.clone();
-        machine.launch_cluster_app("allreduce-loop", move |m| {
-            let out = out.clone();
-            Box::pin(async move {
-                let world = m.world().clone();
-                let start = m.sim().now();
-                for _ in 0..ALLREDUCE_ROUNDS {
-                    m.allreduce(&world, ReduceOp::Sum, Value::F64(1.0), ALLREDUCE_BYTES)
-                        .await;
-                }
-                if m.rank() == 0 {
-                    out.set((m.sim().now() - start).as_secs_f64());
-                }
-            })
-        });
-    }
+    let mpi = with_mpi.then(|| {
+        machine.launch_cluster_app("allreduce-loop", |m| async move {
+            let world = m.world().clone();
+            let start = m.sim().now();
+            for _ in 0..ALLREDUCE_ROUNDS {
+                m.allreduce(&world, ReduceOp::Sum, Value::F64(1.0), ALLREDUCE_BYTES)
+                    .await;
+            }
+            (m.sim().now() - start).as_secs_f64()
+        })
+    });
 
     sim.run().assert_completed();
-    (io_elapsed.get(), mpi_elapsed.get())
+    (
+        io.map_or(0.0, |h| h.try_result().unwrap()),
+        mpi.map_or(0.0, |ranks| ranks[0].try_result().unwrap()),
+    )
 }
 
 #[test]
