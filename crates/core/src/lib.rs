@@ -44,7 +44,7 @@
 //!     booster_ranks
 //! });
 //! sim.run().assert_completed();
-//! // Each rank's return value, in rank order.
+//! // Rank 0's return value.
 //! assert_eq!(ranks[0].try_result(), Some(8));
 //! ```
 
