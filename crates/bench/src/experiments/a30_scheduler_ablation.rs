@@ -2,10 +2,8 @@
 //! critical-path-first list scheduling, on the tiled Cholesky and on an
 //! adversarial chain-plus-swarm DAG.
 
-use std::fmt::Write as _;
-
 use deep_apps::cholesky::{cholesky_graph, spd_matrix, TiledMatrix};
-use deep_core::{fmt_f, Table};
+use deep_core::{Cell, Table};
 use deep_hw::NodeModel;
 use deep_ompss::{run_dataflow_policy, Access, RegionId, SchedPolicy, TaskCost, TaskGraph};
 use deep_simkit::{SimDuration, Simulation};
@@ -52,7 +50,7 @@ fn chain_plus_swarm() -> TaskGraph {
     g
 }
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let mut t = Table::new(
         "A30",
         "dataflow ready-queue policy ablation (makespan, µs)",
@@ -103,21 +101,20 @@ pub fn run(out: &mut String) {
     for (case_idx, &(name, _, workers)) in cases.iter().enumerate() {
         let (fifo, cp_bound) = runs[case_idx * 2];
         let (cpf, _) = runs[case_idx * 2 + 1];
-        t.row(&[
+        t.row([
             name.into(),
-            workers.to_string(),
-            fmt_f(fifo * 1e6),
-            fmt_f(cpf * 1e6),
-            format!("{:.2}x", fifo / cpf),
-            fmt_f(cp_bound * 1e6),
+            workers.into(),
+            Cell::f(fifo * 1e6),
+            Cell::f(cpf * 1e6),
+            Cell::x(fifo / cpf),
+            Cell::f(cp_bound * 1e6),
         ]);
     }
-    t.write_into(out);
-    let _ = writeln!(
-        out,
+    t.note(
         "shape: priority scheduling matters when wide cheap parallelism can\n\
          starve the critical chain (chain+swarm); on Cholesky the dependence\n\
          structure already orders the panel factorisations, so the gain is\n\
-         small — evidence for the paper's choice of a simple runtime."
+         small — evidence for the paper's choice of a simple runtime.",
     );
+    vec![t]
 }

@@ -2,12 +2,10 @@
 //! Cluster–Booster Protocol: static flow hashing vs least-loaded
 //! (credit-based) selection, under skewed flow mixes.
 
-use std::fmt::Write as _;
-
 use std::rc::Rc;
 
 use deep_cbp::{BiSelect, CbpConfig, CbpWire, CbpWireHandle};
-use deep_core::{fmt_f, Table};
+use deep_core::{Cell, Table};
 use deep_fabric::{ExtollFabric, IbFabric};
 use deep_psmpi::Wire;
 use deep_simkit::{Sim, Simulation};
@@ -45,7 +43,7 @@ fn run_mix(select: BiSelect, n_bi: u32, seed: u64) -> (f64, f64) {
     (sim.now().as_secs_f64(), max / mean.max(1.0))
 }
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let mut t = Table::new(
         "A31",
         "BI selection ablation: 16 skewed flows",
@@ -86,21 +84,20 @@ pub fn run(out: &mut String) {
             time += t_;
             imb += i_;
         }
-        t.row(&[
-            n_bi.to_string(),
+        t.row([
+            n_bi.into(),
             name.into(),
-            fmt_f(time / 3.0 * 1e3),
-            fmt_f(imb / 3.0),
+            Cell::f(time / 3.0 * 1e3),
+            Cell::f(imb / 3.0),
         ]);
     }
-    t.write_into(out);
-    let _ = writeln!(
-        out,
+    t.note(
         "shape: with few BIs every interface is saturated anyway and the\n\
          policies tie; with many BIs static hashing strands capacity (up to\n\
          ~2.3x byte imbalance at 8 BIs) while least-loaded selection\n\
          flattens it and trims the tail completion by ~20%. DEEP's actual\n\
          answer — few BIs plus striping of bulk transfers — avoids needing\n\
-         adaptive selection at all."
+         adaptive selection at all.",
     );
+    vec![t]
 }

@@ -5,11 +5,9 @@
 //! completion semantics. Sweeps the threshold against a halo-exchange
 //! workload and a one-sided stream of mixed sizes.
 
-use std::fmt::Write as _;
-
 use std::rc::Rc;
 
-use deep_core::{fmt_bytes, fmt_f, Table};
+use deep_core::{Cell, Table};
 use deep_fabric::IbFabric;
 use deep_psmpi::{launch_world, EpId, IbWire, MpiParams, Universe, Value};
 use deep_simkit::Simulation;
@@ -43,7 +41,7 @@ fn halo_time(threshold: u64, msg: u64) -> f64 {
     sim.now().as_secs_f64()
 }
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let sizes: [u64; 4] = [1 << 10, 16 << 10, 128 << 10, 1 << 20];
     let thresholds: [u64; 5] = [0, 4 << 10, 16 << 10, 128 << 10, 8 << 20];
     let mut t = Table::new(
@@ -66,18 +64,15 @@ pub fn run(out: &mut String) {
             grid.push((msg, thr));
         }
     }
-    let cells = crate::sweep::par_sweep(&grid, |_, &(msg, thr)| fmt_f(halo_time(thr, msg) * 1e3));
-    for (i, msg) in sizes.iter().enumerate() {
-        let mut row = vec![fmt_bytes(*msg)];
-        row.extend_from_slice(&cells[i * thresholds.len()..(i + 1) * thresholds.len()]);
-        t.row(&row);
+    let cells = crate::sweep::par_sweep(&grid, |_, &(msg, thr)| Cell::f(halo_time(thr, msg) * 1e3));
+    for (msg, row) in sizes.iter().zip(cells.chunks(thresholds.len())) {
+        t.row(std::iter::once(Cell::bytes(*msg)).chain(row.iter().cloned()));
     }
-    t.write_into(out);
-    let _ = writeln!(
-        out,
+    t.note(
         "shape: for small messages the all-rendezvous column pays an extra\n\
          round trip per message (~2x); for bulk messages eager-everything\n\
          costs an extra buffer copy and hides no latency. The 16-64 KiB\n\
-         default used by ParaStation-class MPIs sits at the sweet spot."
+         default used by ParaStation-class MPIs sits at the sweet spot.",
     );
+    vec![t]
 }

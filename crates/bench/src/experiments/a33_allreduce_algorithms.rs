@@ -7,11 +7,9 @@
 //! an 8 MB row books the messages of 16 × 1 Mi doubles without
 //! allocating or summing one of them.
 
-use std::fmt::Write as _;
-
 use std::rc::Rc;
 
-use deep_core::{fmt_bytes, fmt_f, Table};
+use deep_core::{Cell, Table};
 use deep_fabric::IbFabric;
 use deep_psmpi::{launch_world, EpId, IbWire, MpiParams, ReduceOp, Universe, Value};
 use deep_simkit::Simulation;
@@ -55,36 +53,7 @@ fn run_case(algo: Algo, ranks: u32, doubles: usize) -> f64 {
     sim.now().as_secs_f64() / 5.0
 }
 
-/// One payload: seconds per operation by recursive doubling, ring and
-/// reduce+bcast, in that order.
-pub struct Row {
-    pub bytes: u64,
-    pub secs: [f64; 3],
-}
-
-/// The five payloads, 128 B to 8 MiB, at 16 ranks.
-pub fn rows() -> Vec<Row> {
-    // The 5×3 (payload × algorithm) grid is the heaviest sweep in the
-    // suite; flatten it so all 15 simulations fan out, then fold each
-    // payload's three timings back in algorithm order.
-    let payloads = [16usize, 1024, 32_768, 262_144, 1_048_576];
-    let algos = [Algo::RecursiveDoubling, Algo::Ring, Algo::ReduceBcast];
-    let grid: Vec<(usize, Algo)> = payloads
-        .iter()
-        .flat_map(|&doubles| algos.map(|algo| (doubles, algo)))
-        .collect();
-    let times = crate::sweep::par_sweep(&grid, |_, &(doubles, algo)| run_case(algo, 16, doubles));
-    payloads
-        .iter()
-        .zip(times.chunks(3))
-        .map(|(&doubles, t)| Row {
-            bytes: 8 * doubles as u64,
-            secs: [t[0], t[1], t[2]],
-        })
-        .collect()
-}
-
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let mut t = Table::new(
         "A33",
         "allreduce algorithm ablation: time per operation [µs], 16 ranks on IB",
@@ -96,21 +65,30 @@ pub fn run(out: &mut String) {
             "best",
         ],
     );
-    for r in rows() {
+    // The 5×3 (payload × algorithm) grid is the heaviest sweep in the
+    // suite; flatten it so all 15 simulations fan out, then fold each
+    // payload's three timings back in algorithm order.
+    let payloads = [16usize, 1024, 32_768, 262_144, 1_048_576];
+    let algos = [Algo::RecursiveDoubling, Algo::Ring, Algo::ReduceBcast];
+    let grid: Vec<(usize, Algo)> = payloads
+        .iter()
+        .flat_map(|&doubles| algos.map(|algo| (doubles, algo)))
+        .collect();
+    let times = crate::sweep::par_sweep(&grid, |_, &(doubles, algo)| run_case(algo, 16, doubles));
+    for (&doubles, secs) in payloads.iter().zip(times.chunks(3)) {
         // The first of the fastest.
-        let best = (1..3).fold(0, |b, i| if r.secs[i] < r.secs[b] { i } else { b });
-        let mut cells = vec![fmt_bytes(r.bytes)];
-        cells.extend(r.secs.map(|s| fmt_f(s * 1e6)));
+        let best = (1..3).fold(0, |b, i| if secs[i] < secs[b] { i } else { b });
+        let mut cells = vec![Cell::bytes(8 * doubles as u64)];
+        cells.extend(secs.iter().map(|s| Cell::f(s * 1e6)));
         cells.push(["rec-doubling", "ring", "reduce+bcast"][best].into());
-        t.row(&cells);
+        t.row(cells);
     }
-    t.write_into(out);
-    let _ = writeln!(
-        out,
+    t.note(
         "shape: latency-bound small payloads favour the log-depth recursive\n\
          doubling; bandwidth-bound large payloads favour the ring, which\n\
          moves 2(n-1)/n of the data per rank instead of log2(n) full copies.\n\
          This crossover is exactly why the MPI layer selects by size\n\
-         (MpiParams::allreduce_ring_threshold)."
+         (MpiParams::allreduce_ring_threshold).",
     );
+    vec![t]
 }

@@ -10,16 +10,13 @@
 //! failure-severity mix: L1-only (fast but fragile) against the SCR-style
 //! L1/L2/L3 rotation.
 
-use std::fmt::Write as _;
-
 use deep_apps::StencilState;
 use deep_core::{
-    fmt_bytes, fmt_f, mean_multilevel_efficiency, measure_level_costs, DeepConfig,
-    MultiLevelParams, Table,
+    mean_multilevel_efficiency, measure_level_costs, Cell, DeepConfig, MultiLevelParams, Table,
 };
 use deep_io::CkptLevel;
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let cfg = DeepConfig::small();
     let ranks = 8u32;
     // Job state sized from the application hook: a 4096² Jacobi field
@@ -35,15 +32,14 @@ pub fn run(out: &mut String) {
         &["level", "state/rank", "write [ms]", "restore [ms]", "vs L1"],
     );
     for (i, level) in CkptLevel::ALL.into_iter().enumerate() {
-        t.row(&[
-            level.name().to_string(),
-            fmt_bytes(bytes_per_rank),
-            fmt_f(costs[i].write_s * 1e3),
-            fmt_f(costs[i].restore_s * 1e3),
-            fmt_f(costs[i].write_s / costs[0].write_s),
+        t.row([
+            level.name().into(),
+            Cell::bytes(bytes_per_rank),
+            Cell::f(costs[i].write_s * 1e3),
+            Cell::f(costs[i].restore_s * 1e3),
+            Cell::f(costs[i].write_s / costs[0].write_s),
         ]);
     }
-    t.write_into(out);
 
     // Part 2: feed the measured costs into the resilience model. Flaky
     // machine (system MTBF ~ 1.7 h) with a severity mix in which 10% of
@@ -60,7 +56,7 @@ pub fn run(out: &mut String) {
         severity_weights: [0.6, 0.3, 0.1],
     };
 
-    let mut t = Table::new(
+    let mut t2 = Table::new(
         "ER01b",
         "checkpoint policy under a failure-severity mix (measured level costs)",
         &["policy", "efficiency", "truncated runs"],
@@ -71,16 +67,9 @@ pub fn run(out: &mut String) {
         ("L1+L2+L3 rotation", base),
     ] {
         let m = mean_multilevel_efficiency(&p, 7, 16);
-        t.row(&[
-            name.to_string(),
-            fmt_f(m.efficiency),
-            m.truncated_runs.to_string(),
-        ]);
+        t2.row([name.into(), Cell::f(m.efficiency), m.truncated_runs.into()]);
     }
-    t.write_into(out);
-
-    let _ = writeln!(
-        out,
+    t2.note(
         "shape: the local NVM checkpoint is an order of magnitude cheaper\n\
          than draining the same state through the BI bridges onto the PFS\n\
          (ER01a), so the rotation policy checkpoints almost as cheaply as\n\
@@ -88,6 +77,7 @@ pub fn run(out: &mut String) {
          levels L2/L3 still hold a copy: L1-only loses all progress at\n\
          every multi-node event while the rotation recovers and finishes\n\
          (ER01b). Multi-level checkpointing buys PFS-grade durability at\n\
-         near-NVM cost — the DEEP-ER resiliency argument, quantified."
+         near-NVM cost — the DEEP-ER resiliency argument, quantified.",
     );
+    vec![t, t2]
 }

@@ -8,9 +8,7 @@
 //! collapses and why SIONlib restores N-N performance from a single
 //! shared container.
 
-use std::fmt::Write as _;
-
-use deep_core::{fmt_bytes, fmt_f, DeepConfig, DeepMachine, Table};
+use deep_core::{fmt_bytes, Cell, DeepConfig, DeepMachine, Table};
 use deep_fabric::NodeId;
 use deep_io::{FileLayerParams, WritePattern};
 use deep_simkit::Simulation;
@@ -44,7 +42,7 @@ fn run_phase(ranks: u32, bytes_per_rank: u64, pattern: WritePattern) -> (f64, u6
     )
 }
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let bytes_per_rank = 16u64 << 20;
     let patterns = [
         WritePattern::TaskLocal,
@@ -66,19 +64,16 @@ pub fn run(out: &mut String) {
     for ranks in [4u32, 8, 16] {
         for pattern in patterns {
             let (goodput, meta, physical, payload) = run_phase(ranks, bytes_per_rank, pattern);
-            t.row(&[
-                ranks.to_string(),
-                pattern.name().to_string(),
-                fmt_f(goodput / 1e9),
-                meta.to_string(),
-                fmt_f(physical as f64 / payload as f64),
+            t.row([
+                ranks.into(),
+                pattern.name().into(),
+                Cell::f(goodput / 1e9),
+                meta.into(),
+                Cell::f(physical as f64 / payload as f64),
             ]);
         }
     }
-    t.write_into(out);
-
-    let _ = writeln!(
-        out,
+    t.note(&format!(
         "payload {} per rank; shape: task-local writes stream at the PFS\n\
          servers' aggregate bandwidth but cost one metadata create per\n\
          rank; the shared file serialises a lock grant per block on the\n\
@@ -87,5 +82,6 @@ pub fn run(out: &mut String) {
          collectively and then matches task-local streaming — N-N\n\
          performance from one file, the SIONlib claim.",
         fmt_bytes(bytes_per_rank)
-    );
+    ));
+    vec![t]
 }

@@ -11,12 +11,10 @@
 //! large design-space sweeps — and the DES fault machinery is pinned to
 //! an independent implementation of the same physics.
 
-use std::fmt::Write as _;
-
-use deep_core::{fmt_f, Table};
+use deep_core::{fmt_f, Cell, Table};
 use deep_faults::{er03_params, fault_sweep};
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let (config, ranks, bytes_per_rank, base) = er03_params();
     // From "a failure every few minutes" to "failures are rare at this
     // job scale" (system MTBF = node MTBF / 8).
@@ -51,20 +49,17 @@ pub fn run(out: &mut String) {
     for pt in &points {
         let gap = (pt.des.efficiency - pt.mc.efficiency).abs();
         worst_gap = worst_gap.max(gap);
-        t.row(&[
-            fmt_f(pt.mtbf_node_s),
-            fmt_f(pt.mtbf_node_s / ranks as f64),
-            fmt_f(pt.des.efficiency),
-            fmt_f(pt.mc.efficiency),
-            fmt_f(gap),
-            pt.des.truncated_runs.to_string(),
-            pt.mc.truncated_runs.to_string(),
+        t.row([
+            Cell::f(pt.mtbf_node_s),
+            Cell::f(pt.mtbf_node_s / ranks as f64),
+            Cell::f(pt.des.efficiency),
+            Cell::f(pt.mc.efficiency),
+            Cell::f(gap),
+            pt.des.truncated_runs.into(),
+            pt.mc.truncated_runs.into(),
         ]);
     }
-    t.write_into(out);
-
-    let _ = writeln!(
-        out,
+    t.note(&format!(
         "shape: both curves climb monotonically with node MTBF — frequent\n\
          failures burn wall time in restarts and lost segments, rare ones\n\
          leave only the checkpoint overhead — and the discrete-event run\n\
@@ -74,5 +69,6 @@ pub fn run(out: &mut String) {
          state-dependent I/O timing. Agreement across the sweep is the\n\
          ER03 acceptance criterion, asserted in tests/experiment_shapes.rs.",
         fmt_f(worst_gap)
-    );
+    ));
+    vec![t]
 }

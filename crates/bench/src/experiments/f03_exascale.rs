@@ -4,12 +4,10 @@
 //! from each node type of the 2012/2013 era, the arithmetic behind the
 //! paper's exascale anxiety.
 
-use std::fmt::Write as _;
-
-use deep_core::{fmt_f, Table};
+use deep_core::{Cell, Table};
 use deep_hw::NodeModel;
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let exa = 1e18;
     let mut t = Table::new(
         "F03",
@@ -31,19 +29,18 @@ pub fn run(out: &mut String) {
     ] {
         let nodes = exa / node.peak_flops();
         let mw = nodes * node.power.peak_w / 1e6;
-        t.row(&[
-            node.name.clone(),
-            fmt_f(node.peak_flops() / 1e9),
-            fmt_f(node.peak_gflops_per_watt()),
-            format!("{:.2e}", nodes),
-            fmt_f(mw),
+        t.row([
+            node.name.as_str().into(),
+            Cell::f(node.peak_flops() / 1e9),
+            Cell::f(node.peak_gflops_per_watt()),
+            Cell::Num(nodes, |v| format!("{v:.2e}")),
+            Cell::f(mw),
         ]);
     }
-    t.write_into(out);
-    let _ = writeln!(
-        out,
+    t.note(
         "even the booster silicon of 2012 needs ~200 MW for an exaflop —\n\
          double the \"are ~100 MW acceptable?\" line of slide 3; Xeon-only\n\
-         needs ~1 GW. Heterogeneity is not optional at exascale."
+         needs ~1 GW. Heterogeneity is not optional at exascale.",
     );
+    vec![t]
 }

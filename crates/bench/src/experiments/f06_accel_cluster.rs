@@ -5,12 +5,10 @@
 //! 2. GPU↔GPU cross-node transfer: D2H + IB + H2D staging vs a single
 //!    direct-fabric hop (the "communication so far via main memory" cost).
 
-use std::fmt::Write as _;
-
 use crate::{probe_fabric, size_label};
-use deep_core::{fmt_f, Table};
+use deep_core::{Cell, Table};
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let mut t = Table::new(
         "F06",
         "offload data path: host-staged PCIe vs direct fabric [µs]",
@@ -20,14 +18,13 @@ pub fn run(out: &mut String) {
         let bytes = 1u64 << shift;
         let p = probe_fabric("pcie-driver", bytes);
         let e = probe_fabric("extoll", bytes);
-        t.row(&[
-            size_label(bytes),
-            fmt_f(p * 1e6),
-            fmt_f(e * 1e6),
-            fmt_f(e / p),
+        t.row([
+            size_label(bytes).into(),
+            Cell::f(p * 1e6),
+            Cell::f(e * 1e6),
+            Cell::f(e / p),
         ]);
     }
-    t.write_into(out);
 
     // Cross-node accelerator-to-accelerator exchange.
     let mut t2 = Table::new(
@@ -46,19 +43,18 @@ pub fn run(out: &mut String) {
             + probe_fabric("ib", bytes)
             + probe_fabric("pcie-driver", bytes);
         let direct = probe_fabric("extoll", bytes);
-        t2.row(&[
-            size_label(bytes),
-            fmt_f(staged * 1e6),
-            fmt_f(direct * 1e6),
-            format!("{:.2}x", staged / direct),
+        t2.row([
+            size_label(bytes).into(),
+            Cell::f(staged * 1e6),
+            Cell::f(direct * 1e6),
+            Cell::x(staged / direct),
         ]);
     }
-    t2.write_into(out);
-    let _ = writeln!(
-        out,
+    t2.note(
         "shape: small transfers pay ~3 software/DMA overheads when staged\n\
          through the host; bulk transfers pay ~3 serializations. A directly\n\
          attached accelerator (cluster of accelerators, slide 7) removes both,\n\
-         which is the architectural case for the booster."
+         which is the architectural case for the booster.",
     );
+    vec![t, t2]
 }

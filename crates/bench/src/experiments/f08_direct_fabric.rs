@@ -5,12 +5,10 @@
 //! verbs path and the EXTOLL path, reporting where the network fabrics
 //! reach ≥90 % of PCIe's effective bandwidth.
 
-use std::fmt::Write as _;
-
 use crate::{probe_fabric, size_label};
-use deep_core::{fmt_f, Table};
+use deep_core::{Cell, Table};
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let mut t = Table::new(
         "F08",
         "effective bandwidth [GB/s] vs message size",
@@ -37,25 +35,23 @@ pub fn run(out: &mut String) {
         if ex_cross.is_none() && e >= 0.9 * p {
             ex_cross = Some(bytes);
         }
-        t.row(&[
-            size_label(bytes),
-            fmt_f(p),
-            fmt_f(i),
-            fmt_f(e),
-            fmt_f(i / p),
-            fmt_f(e / p),
+        t.row([
+            size_label(bytes).into(),
+            Cell::f(p),
+            Cell::f(i),
+            Cell::f(e),
+            Cell::f(i / p),
+            Cell::f(e / p),
         ]);
     }
-    t.write_into(out);
-    let _ = writeln!(
-        out,
+    t.note(&format!(
         "IB reaches >=90% of PCIe bandwidth from {} payloads; EXTOLL from {}.",
         ib_cross.map(size_label).unwrap_or_else(|| "-".into()),
         ex_cross.map(size_label).unwrap_or_else(|| "-".into()),
-    );
-    let _ = writeln!(
-        out,
+    ));
+    t.note(
         "below that, latency dominates — exactly the slide-8 claim: offload\n\
-         *larger, less frequent* messages and the fabric is as good as the bus."
+         *larger, less frequent* messages and the fabric is as good as the bus.",
     );
+    vec![t]
 }

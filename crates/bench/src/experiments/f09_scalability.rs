@@ -24,10 +24,9 @@
 //! all-to-all queues on the fat tree's spine trunks — contention the
 //! closed-form model cannot see.
 
-use std::fmt::Write as _;
 use std::rc::Rc;
 
-use deep_core::{fmt_f, Table};
+use deep_core::{Cell, Table};
 use deep_fabric::IbFabric;
 use deep_psmpi::{launch_world, EpId, IbWire, MpiParams, NetModel, ReduceOp, Universe, Value};
 use deep_simkit::Simulation;
@@ -113,7 +112,7 @@ fn measure(u: &Unit) -> (f64, Option<des_scaling::DesScalingResult>) {
 const SPMV_RANKS: u32 = 1 << 18;
 const CPLX_RANKS: u32 = 1 << 12;
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let m = NetModel::ib_fdr();
     let analytic = |n: u64, complex: bool| des_scaling::analytic_iter(&m, n, complex).as_secs_f64();
     let base_spmv = analytic(1, false);
@@ -164,34 +163,32 @@ pub fn run(out: &mut String) {
         let cplx_eff = base_cplx / analytic(n, true);
         let (mut spmv_des, mut cplx_des) = match mpi_points.iter().position(|&d| d as u64 == n) {
             Some(i) => (
-                fmt_f(base_spmv / measured[2 + i * 2].0),
-                fmt_f(base_cplx / measured[2 + i * 2 + 1].0),
+                Cell::f(base_spmv / measured[2 + i * 2].0),
+                Cell::f(base_cplx / measured[2 + i * 2 + 1].0),
             ),
             None => ("-".into(), "-".into()),
         };
         if n == SPMV_RANKS as u64 {
-            spmv_des = fmt_f(base_spmv / spmv_full.iter_s);
+            spmv_des = Cell::f(base_spmv / spmv_full.iter_s);
         }
         if n == CPLX_RANKS as u64 {
-            cplx_des = fmt_f(base_cplx / cplx_full.iter_s);
+            cplx_des = Cell::f(base_cplx / cplx_full.iter_s);
         }
-        t.row(&[
-            n.to_string(),
-            fmt_f(spmv_eff),
+        t.row([
+            n.into(),
+            Cell::f(spmv_eff),
             spmv_des,
-            fmt_f(cplx_eff),
+            Cell::f(cplx_eff),
             cplx_des,
         ]);
     }
-    t.write_into(out);
 
     // The headline points, with the LogGP prediction as the delta
     // column: DES-measured µs/iter vs model µs/iter.
     for (label, r) in [("SpMV", &spmv_full), ("complex", &cplx_full)] {
         let model = analytic(r.ranks as u64, r.ranks == CPLX_RANKS);
         let delta = (r.iter_s - model) / model * 100.0;
-        let _ = writeln!(
-            out,
+        t.note(&format!(
             "des {label} @ {} ranks: {:.1} us/iter vs model {:.1} us (delta {delta:+.1}%) — \
              {} segments, {} messages, {} kernel events",
             r.ranks,
@@ -200,13 +197,12 @@ pub fn run(out: &mut String) {
             r.segments,
             r.messages,
             r.kernel_events,
-        );
+        ));
     }
 
     let spmv_262k = base_spmv / spmv_full.iter_s;
     let cplx_4k = base_cplx / cplx_full.iter_s;
-    let _ = writeln!(
-        out,
+    t.note(&format!(
         "shape: measured end-to-end on the DES, the SpMV class holds {:.0}%\n\
          efficiency at 262,144 ranks (the LogGP model agrees to {:+.1}%); the\n\
          complex class is already down to {:.0}% at 4,096 ranks — {:.0}% *below*\n\
@@ -220,5 +216,6 @@ pub fn run(out: &mut String) {
             * 100.0,
         cplx_4k * 100.0,
         (1.0 - analytic(CPLX_RANKS as u64, true) / cplx_full.iter_s) * 100.0,
-    );
+    ));
+    vec![t]
 }

@@ -11,10 +11,8 @@
 //! from the roofline model of a KNC booster node. Total = compute + comm,
 //! exactly how the machine would spend its time.
 
-use std::fmt::Write as _;
-
 use deep_apps::{run_cg_ideal, run_fft_ideal};
-use deep_core::{fmt_f, Table};
+use deep_core::{Cell, Table};
 use deep_hw::{exec_time, KernelProfile, NodeModel};
 
 /// One rank count of the strong-scaling table: the printed columns,
@@ -94,7 +92,7 @@ pub fn rows(cg_n: usize, fft_n: usize, cg_iters: u32) -> [Row; RANK_COUNTS.len()
     })
 }
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let mut t = Table::new(
         "F09b",
         "strong scaling with real kernels on KNC nodes: FFT (alltoall) vs CG (halo)",
@@ -111,23 +109,22 @@ pub fn run(out: &mut String) {
     // FFT transpose: 2 MiB over p^2 messages per step; CG halo: 8 KiB
     // rows + 8 B allreduces.
     for r in rows(1024, 256, 60) {
-        t.row(&[
-            r.ranks.to_string(),
-            fmt_f(r.fft_total_s * 1e6),
-            fmt_f(r.fft_comm_share),
-            format!("{:.2}x", r.fft_speedup),
-            fmt_f(r.cg_total_s * 1e3),
-            fmt_f(r.cg_comm_share),
-            format!("{:.2}x", r.cg_speedup),
+        t.row([
+            r.ranks.into(),
+            Cell::f(r.fft_total_s * 1e6),
+            Cell::f(r.fft_comm_share),
+            Cell::x(r.fft_speedup),
+            Cell::f(r.cg_total_s * 1e3),
+            Cell::f(r.cg_comm_share),
+            Cell::x(r.cg_speedup),
         ]);
     }
-    t.write_into(out);
-    let _ = writeln!(
-        out,
+    t.note(
         "shape: CG's halo/allreduce pattern keeps most of its time in\n\
          compute and keeps speeding up; the FFT's transpose floods the\n\
          fabric with p^2 messages per step — its communication share grows\n\
          with rank count until scaling flattens and reverses. Slide 9's\n\
-         two classes, measured rather than asserted."
+         two classes, measured rather than asserted.",
     );
+    vec![t]
 }

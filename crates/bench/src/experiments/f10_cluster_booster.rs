@@ -5,14 +5,11 @@
 //! PCIe-accelerated cluster and the DEEP cluster-booster, sized for
 //! comparable accelerator silicon.
 
-use std::fmt::Write as _;
-
 use deep_core::{
-    fmt_bytes, fmt_f, run_on_accelerated, run_on_deep, run_on_pure_cluster, CoupledParams,
-    DeepConfig, Table,
+    run_on_accelerated, run_on_deep, run_on_pure_cluster, Cell, CoupledParams, DeepConfig, Table,
 };
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let p = CoupledParams::default();
     let reports = [
         run_on_pure_cluster(1, 16, p),
@@ -33,29 +30,27 @@ pub fn run(out: &mut String) {
     );
     for r in &reports {
         let per_unit = if r.acc_units > 0 {
-            fmt_f(r.acc_messages as f64 / r.acc_units as f64)
+            Cell::f(r.acc_messages as f64 / r.acc_units as f64)
         } else {
             "-".into()
         };
         let avg = r
             .acc_bytes
             .checked_div(r.acc_messages)
-            .map_or_else(|| "-".into(), fmt_bytes);
-        t.row(&[
-            r.arch.clone(),
-            format!("{}", r.elapsed),
-            fmt_f(r.energy_joules / 1e3),
+            .map_or_else(|| "-".into(), Cell::bytes);
+        t.row([
+            (&r.arch).into(),
+            Cell::secs(r.elapsed),
+            Cell::f(r.energy_joules / 1e3),
             per_unit,
             avg,
         ]);
     }
-    t.write_into(out);
 
     let pure = &reports[0];
     let accel = &reports[1];
     let deep = &reports[2];
-    let _ = writeln!(
-        out,
+    t.note(&format!(
         "cluster-booster vs accelerated cluster: {:.2}x faster, {:.2}x less\n\
          energy, {:.1}x fewer and {:.1}x larger CPU<->accelerator messages;\n\
          vs pure cluster: {:.2}x faster. The booster executes the whole\n\
@@ -68,5 +63,6 @@ pub fn run(out: &mut String) {
         (deep.acc_bytes as f64 / deep.acc_messages as f64)
             / (accel.acc_bytes as f64 / accel.acc_messages as f64),
         pure.elapsed.as_secs_f64() / deep.elapsed.as_secs_f64(),
-    );
+    ));
+    vec![t]
 }

@@ -4,11 +4,9 @@
 //! counts, fabric shapes, aggregate peaks and power — the numbers behind
 //! the architecture diagram.
 
-use std::fmt::Write as _;
+use deep_core::{Cell, DeepConfig, Table};
 
-use deep_core::{fmt_f, DeepConfig, Table};
-
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let mut t = Table::new(
         "F14",
         "DEEP machine inventory",
@@ -37,28 +35,21 @@ pub fn run(out: &mut String) {
             16 => "medium (benches)",
             _ => "DEEP prototype",
         };
-        t.row(&[
+        let (x, y, z) = cfg.booster_dims;
+        t.row([
             name.into(),
-            cfg.n_cluster.to_string(),
-            format!(
-                "{} ({}x{}x{})",
-                cfg.n_booster(),
-                cfg.booster_dims.0,
-                cfg.booster_dims.1,
-                cfg.booster_dims.2
-            ),
-            cfg.n_bi.to_string(),
-            fmt_f(peak_tf),
-            format!("{:.0}%", booster_share * 100.0),
-            fmt_f(kw),
-            fmt_f(cfg.peak_flops() / 1e9 / cfg.peak_power_w()),
+            cfg.n_cluster.into(),
+            format!("{} ({x}x{y}x{z})", cfg.n_booster()).into(),
+            cfg.n_bi.into(),
+            Cell::f(peak_tf),
+            Cell::Num(booster_share * 100.0, |v| format!("{v:.0}%")),
+            Cell::f(kw),
+            Cell::f(cfg.peak_flops() / 1e9 / cfg.peak_power_w()),
         ]);
     }
-    t.write_into(out);
 
     let proto = DeepConfig::prototype();
-    let _ = writeln!(
-        out,
+    t.note(&format!(
         "the prototype: {} Xeon cluster nodes on an FDR fat tree + a {}-node\n\
          KNC booster on an 8x8x8 EXTOLL torus bridged by {} BIs — ~{:.0} TF\n\
          peak at ~{:.0} kW, with {:.0}% of the flops in the booster. That\n\
@@ -70,5 +61,6 @@ pub fn run(out: &mut String) {
         proto.peak_flops() / 1e12,
         proto.peak_power_w() / 1e3,
         proto.n_booster() as f64 * proto.booster_node.peak_flops() / proto.peak_flops() * 100.0
-    );
+    ));
+    vec![t]
 }

@@ -4,12 +4,10 @@
 //! cluster node and the booster node, reporting sustained performance and
 //! achieved energy efficiency from the power model.
 
-use std::fmt::Write as _;
-
-use deep_core::{fmt_f, Table};
+use deep_core::{Cell, Table};
 use deep_hw::{exec_time, EnergyMeter, KernelProfile, NodeModel};
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let nodes = [NodeModel::xeon_cluster_node(), NodeModel::xeon_phi_knc()];
     let kernels: [(&str, KernelProfile); 2] = [
         ("DGEMM n=4096", KernelProfile::dgemm(4096)),
@@ -35,23 +33,21 @@ pub fn run(out: &mut String) {
             let mut meter = EnergyMeter::new();
             meter.record(&node.power, pt.time, 1.0);
             let eff = meter.gflops_per_watt(k.flops);
-            t.row(&[
-                node.name.clone(),
+            t.row([
+                (&node.name).into(),
                 (*name).into(),
-                format!("{}", pt.time),
-                fmt_f(pt.sustained_flops / 1e9),
+                Cell::secs(pt.time),
+                Cell::f(pt.sustained_flops / 1e9),
                 if pt.memory_bound { "memory" } else { "compute" }.into(),
-                fmt_f(eff),
-                fmt_f(node.peak_gflops_per_watt()),
+                Cell::f(eff),
+                Cell::f(node.peak_gflops_per_watt()),
             ]);
         }
     }
-    t.write_into(out);
 
     let xeon = &nodes[0];
     let knc = &nodes[1];
-    let _ = writeln!(
-        out,
+    t.note(&format!(
         "peak efficiency: KNC {:.2} GF/W vs Xeon node {:.2} GF/W — factor\n\
          {:.1}, reproducing the slide-15 \"5 GFlop/W\" claim (peak/TDP).\n\
          Note the flip side the paper also acknowledges: on memory-bound or\n\
@@ -60,5 +56,6 @@ pub fn run(out: &mut String) {
         knc.peak_gflops_per_watt(),
         xeon.peak_gflops_per_watt(),
         knc.peak_gflops_per_watt() / xeon.peak_gflops_per_watt()
-    );
+    ));
+    vec![t]
 }

@@ -5,16 +5,14 @@
 //! * per-hop latency scaling on the 3-D torus (6-link router);
 //! * CRC + link-level retransmission under injected bit errors (RAS).
 
-use std::fmt::Write as _;
-
 use std::rc::Rc;
 
 use crate::size_label;
-use deep_core::{fmt_f, Table};
+use deep_core::{Cell, Table};
 use deep_fabric::{ExtollFabric, FaultModel, NodeId};
 use deep_simkit::Simulation;
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     // --- VELO latency + RMA bandwidth --------------------------------
     let mut t = Table::new(
         "F16a",
@@ -29,19 +27,18 @@ pub fn run(out: &mut String) {
     for shift in [3u32, 6, 9, 12, 13, 16, 20, 24] {
         let bytes = 1u64 << shift;
         let velo = if bytes <= 8192 {
-            fmt_f(crate::probe_fabric("extoll-velo", bytes) * 1e6)
+            Cell::f(crate::probe_fabric("extoll-velo", bytes) * 1e6)
         } else {
             "-".into() // beyond the VELO engine limit
         };
         let rma = crate::probe_fabric("extoll-rma", bytes);
-        t.row(&[
-            size_label(bytes),
+        t.row([
+            size_label(bytes).into(),
             velo,
-            fmt_f(rma * 1e6),
-            fmt_f(bytes as f64 / rma / 1e9),
+            Cell::f(rma * 1e6),
+            Cell::f(bytes as f64 / rma / 1e9),
         ]);
     }
-    t.write_into(out);
 
     // --- Torus hop scaling -------------------------------------------
     let mut t2 = Table::new(
@@ -65,12 +62,11 @@ pub fn run(out: &mut String) {
             e.velo_send(NodeId(0), dst, 8).await.unwrap().elapsed
         });
         sim.run().assert_completed();
-        t2.row(&[
-            hops.to_string(),
-            fmt_f(h.try_result().unwrap().as_nanos() as f64 / 1e3),
+        t2.row([
+            hops.into(),
+            Cell::f(h.try_result().unwrap().as_nanos() as f64 / 1e3),
         ]);
     }
-    t2.write_into(out);
 
     // --- RAS: goodput under injected CRC errors ----------------------
     let mut t3 = Table::new(
@@ -109,19 +105,18 @@ pub fn run(out: &mut String) {
         });
         sim.run().assert_completed();
         let st = h.try_result().unwrap();
-        t3.row(&[
-            format!("{rate:.0e}"),
-            st.retransmissions.to_string(),
-            fmt_f(st.goodput_bps() / 1e9),
-            fmt_f(st.goodput_bps() / clean),
+        t3.row([
+            Cell::Num(rate, |v| format!("{v:.0e}")),
+            st.retransmissions.into(),
+            Cell::f(st.goodput_bps() / 1e9),
+            Cell::f(st.goodput_bps() / clean),
         ]);
     }
-    t3.write_into(out);
-    let _ = writeln!(
-        out,
+    t3.note(
         "shape: sub-µs VELO latency for small messages; RMA saturates the\n\
          ~7 GB/s link for bulk; latency grows by one 60 ns router hop per\n\
          torus step; CRC retransmission degrades goodput gracefully instead\n\
-         of failing — the RAS behaviour slide 16 advertises."
+         of failing — the RAS behaviour slide 16 advertises.",
     );
+    vec![t, t2, t3]
 }

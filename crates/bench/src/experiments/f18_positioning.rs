@@ -7,9 +7,7 @@
 //! codes, and the DEEP machine spans both because each part of an
 //! application runs on the side that suits it.
 
-use std::fmt::Write as _;
-
-use deep_core::{fmt_f, Table};
+use deep_core::{Cell, Table};
 use deep_hw::{exec_time, exec_time_with_mode, KernelProfile, NodeModel};
 use deep_psmpi::NetModel;
 
@@ -26,15 +24,7 @@ struct AppClass {
     complex: bool,
 }
 
-/// One application class: sustained TFlop/s per MW on the BG/Q-like
-/// machine, the Xeon cluster and DEEP, in that order.
-pub struct Row {
-    pub class: &'static str,
-    pub tf_per_mw: [f64; 3],
-}
-
-/// The table's rows: regular sparse, dense vector, complex multiphysics.
-pub fn rows() -> Vec<Row> {
+pub fn tables() -> Vec<Table> {
     let apps = [
         AppClass {
             name: "regular sparse (HSCP)",
@@ -80,7 +70,12 @@ pub fn rows() -> Vec<Row> {
         ),
     ];
 
-    let class_row = |app: &AppClass| {
+    let mut t = Table::new(
+        "F18",
+        "sustained Gflop/s per MW by application class (weak-scaled to ~1 MW)",
+        &["application class", "BG/Q-like", "Xeon cluster", "DEEP"],
+    );
+    for app in &apps {
         let mut tf_per_mw = [0.0; 3];
         for (mi, (_, node, net)) in machines.iter().enumerate() {
             // DEEP runs complex code on its Xeon side, regular on booster.
@@ -103,31 +98,13 @@ pub fn rows() -> Vec<Row> {
             let sustained_per_mw = p.sustained_flops * eff * nodes_per_mw as f64 / 1e9;
             tf_per_mw[mi] = sustained_per_mw / 1e3;
         }
-        Row {
-            class: app.name,
-            tf_per_mw,
-        }
-    };
-    apps.iter().map(class_row).collect()
-}
-
-pub fn run(out: &mut String) {
-    let mut t = Table::new(
-        "F18",
-        "sustained Gflop/s per MW by application class (weak-scaled to ~1 MW)",
-        &["application class", "BG/Q-like", "Xeon cluster", "DEEP"],
-    );
-    for r in rows() {
-        let mut cells = vec![r.class.to_string()];
-        cells.extend(r.tf_per_mw.map(fmt_f));
-        t.row(&cells);
+        t.row(std::iter::once(app.name.into()).chain(tf_per_mw.map(Cell::f)));
     }
-    t.write_into(out);
-    let _ = writeln!(
-        out,
+    t.note(
         "(values in TFlop/s per MW.) shape: the BG-like machine and the DEEP\n\
          booster dominate on regular/vectorisable classes; the Xeon cluster\n\
          wins on complex scalar code; only DEEP is near the top of *both*\n\
-         rows — the dual positioning of slide 18."
+         rows — the dual positioning of slide 18.",
     );
+    vec![t]
 }

@@ -6,9 +6,7 @@
 //! out over the EXTOLL torus as a binomial tree) and verifies the
 //! O(log p) + per-process shape.
 
-use std::fmt::Write as _;
-
-use deep_core::{fmt_f, DeepConfig, DeepMachine, Table, BOOSTER_POOL, OFFLOAD_SERVER};
+use deep_core::{Cell, DeepConfig, DeepMachine, Table, BOOSTER_POOL, OFFLOAD_SERVER};
 use deep_ompss::{booster_block, Offloader};
 use deep_simkit::Simulation;
 
@@ -41,7 +39,7 @@ fn spawn_cost(dims: (u32, u32, u32), n_procs: u32) -> (f64, u32) {
     ranks[0].try_result().expect("rank 0 finished")
 }
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let mut t = Table::new(
         "F21",
         "collective MPI_Comm_spawn cost vs booster process count",
@@ -65,24 +63,23 @@ pub fn run(out: &mut String) {
         let (cost, remote) = spawn_cost(dims, n);
         assert_eq!(remote, n, "intercommunicator wired to all children");
         series.push((n, cost));
-        t.row(&[
-            n.to_string(),
-            format!("{}x{}x{}", dims.0, dims.1, dims.2),
-            fmt_f(cost * 1e3),
-            fmt_f(cost / n as f64 * 1e6),
+        t.row([
+            n.into(),
+            format!("{}x{}x{}", dims.0, dims.1, dims.2).into(),
+            Cell::f(cost * 1e3),
+            Cell::f(cost / n as f64 * 1e6),
         ]);
     }
-    t.write_into(out);
 
     let (n0, c0) = series[0];
     let (n1, c1) = *series.last().unwrap();
-    let _ = writeln!(
-        out,
+    t.note(&format!(
         "scaling: {}x more processes cost {:.1}x more time — far below linear\n\
          (binomial fan-out over the booster fabric) with a fixed ~2 ms process-\n\
          manager negotiation floor. Children get their own MPI_COMM_WORLD and\n\
          the parent an intercommunicator, as slides 26-27 describe.",
         n1 / n0,
         c1 / c0
-    );
+    ));
+    vec![t]
 }

@@ -1,14 +1,12 @@
 //! F22 — slide 21 (resource management): static vs dynamic booster
 //! assignment, plus EASY backfill, on synthetic heterogeneous job mixes.
 
-use std::fmt::Write as _;
-
 use deep_apps::{generate_mix, MixParams};
-use deep_core::{fmt_f, Table};
+use deep_core::{Cell, Table};
 use deep_resmgr::{run_workload, Policy, WorkloadReport};
 use rayon::prelude::*;
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     // A contended machine: plenty of cluster nodes, scarce boosters —
     // the regime where assignment policy matters.
     let machine = (12u32, 16u32); // 12 CN, 16 BN
@@ -91,27 +89,26 @@ pub fn run(out: &mut String) {
             } else if policy == Policy::DynamicFcfs {
                 speedups.push(static_makespan / makespan);
             }
-            t.row(&[
-                seed.to_string(),
-                format!("{policy:?}"),
-                fmt_f(makespan),
-                fmt_f(rep.bn_utilization),
-                fmt_f(rep.bn_allocated),
-                fmt_f(mean_wait),
-                fmt_f(mean_bn_wait),
+            t.row([
+                seed.into(),
+                format!("{policy:?}").into(),
+                Cell::f(makespan),
+                Cell::f(rep.bn_utilization),
+                Cell::f(rep.bn_allocated),
+                Cell::f(mean_wait),
+                Cell::f(mean_bn_wait),
             ]);
         }
     }
-    t.write_into(out);
 
     let avg: f64 = speedups.iter().sum::<f64>() / speedups.len() as f64;
-    let _ = writeln!(
-        out,
+    t.note(&format!(
         "shape: dynamic assignment shortens the makespan by ~{:.0}% on average\n\
          and raises *useful* booster utilisation, while static assignment\n\
          shows the accelerated-cluster pathology — near-total allocation with\n\
          idle accelerators (slide 6: \"static assignment of accelerators to\n\
          CPUs\"). Backfill further trims queue waits.",
         (avg - 1.0) * 100.0
-    );
+    ));
+    vec![t]
 }

@@ -5,10 +5,8 @@
 //! baseline, across worker counts and tile grids, on the booster node
 //! model. Results are verified numerically against a serial reference.
 
-use std::fmt::Write as _;
-
 use deep_apps::cholesky::{cholesky_graph, factorisation_error, spd_matrix, TiledMatrix};
-use deep_core::{fmt_f, Table};
+use deep_core::{Cell, Table};
 use deep_hw::NodeModel;
 use deep_ompss::{run_dataflow, run_fork_join, RunReport};
 use deep_simkit::Simulation;
@@ -33,7 +31,7 @@ fn run_case(nt: usize, ts: usize, workers: u32, dataflow: bool) -> (RunReport, f
     (h.try_result().unwrap(), err)
 }
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let ts = 16;
     let mut t = Table::new(
         "F23",
@@ -52,30 +50,27 @@ pub fn run(out: &mut String) {
     );
     for nt in [8usize, 12, 16] {
         for workers in [4u32, 16, 60] {
-            let (df, err) = run_case(nt, ts, workers, true);
-            let (fj, _) = run_case(nt, ts, workers, false);
-            t.row(&[
-                format!("{nt}x{nt}"),
-                df.tasks.to_string(),
-                workers.to_string(),
-                format!("{}", df.makespan),
-                format!("{}", fj.makespan),
-                format!(
-                    "{:.2}x",
-                    fj.makespan.as_secs_f64() / df.makespan.as_secs_f64()
-                ),
-                fmt_f(df.efficiency()),
-                format!("{}", df.critical_path),
-                format!("{err:.1e}"),
+            let (df, df_err) = run_case(nt, ts, workers, true);
+            let (fj, fj_err) = run_case(nt, ts, workers, false);
+            t.row([
+                format!("{nt}x{nt}").into(),
+                df.tasks.into(),
+                workers.into(),
+                Cell::secs(df.makespan),
+                Cell::secs(fj.makespan),
+                Cell::x(fj.makespan.as_secs_f64() / df.makespan.as_secs_f64()),
+                Cell::f(df.efficiency()),
+                Cell::secs(df.critical_path),
+                // The worse of the two schedules' factors.
+                Cell::Num(df_err.max(fj_err), |v| format!("{v:.1e}")),
             ]);
         }
     }
-    t.write_into(out);
-    let _ = writeln!(
-        out,
+    t.note(
         "shape: the dataflow schedule consistently beats the barrier schedule\n\
          (tasks of iteration k+1 start while iteration k's trailing update is\n\
          still running), the gap widening with workers until the critical path\n\
-         binds; every run factorises the matrix exactly (error ~1e-13)."
+         binds; every run factorises the matrix exactly (error ~1e-13).",
     );
+    vec![t]
 }

@@ -6,12 +6,10 @@
 //! bulk-synchronous formulation saturates quickly — the reason OmpSs-style
 //! dependence-driven execution (F23) matters in the first place.
 
-use std::fmt::Write as _;
-
 use deep_apps::run_dcholesky_ideal;
-use deep_core::{fmt_f, Table};
+use deep_core::{Cell, Table};
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let (nt, ts) = (12usize, 64usize);
     let mut t = Table::new(
         "F23b",
@@ -30,21 +28,20 @@ pub fn run(out: &mut String) {
     for (&ranks, (res, ns)) in rank_counts.iter().zip(&runs) {
         let ms = *ns as f64 / 1e6;
         let b = *base.get_or_insert(ms);
-        t.row(&[
-            ranks.to_string(),
-            fmt_f(ms),
-            format!("{:.2}x", b / ms),
-            fmt_f(b / ms / ranks as f64),
-            format!("{:.1e}", res.max_error),
+        t.row([
+            ranks.into(),
+            Cell::f(ms),
+            Cell::x(b / ms),
+            Cell::f(b / ms / ranks as f64),
+            Cell::Num(res.max_error, |v| format!("{v:.1e}")),
         ]);
     }
-    t.write_into(out);
-    let _ = writeln!(
-        out,
+    t.note(
         "shape: the trailing update parallelises but every panel\n\
          factorisation serialises at its owner, so the bulk-synchronous\n\
          1-D formulation saturates around 2-3x regardless of rank count.\n\
          Compare F23: dependence-driven execution of the same kernel keeps\n\
-         workers busy through the panel — the paper's case for OmpSs."
+         workers busy through the panel — the paper's case for OmpSs.",
     );
+    vec![t]
 }

@@ -6,9 +6,7 @@
 //! latency-bound — quantifying "which data is to be copied before/after a
 //! booster code part" and the paper's preference for coarse kernels.
 
-use std::fmt::Write as _;
-
-use deep_core::{fmt_f, DeepConfig, DeepMachine, Table, BOOSTER_POOL, OFFLOAD_SERVER};
+use deep_core::{Cell, DeepConfig, DeepMachine, Table, BOOSTER_POOL, OFFLOAD_SERVER};
 use deep_hw::KernelProfile;
 use deep_ompss::{booster_block, OffloadSpec, Offloader};
 use deep_simkit::Simulation;
@@ -61,7 +59,7 @@ fn granularity_run(k: u32) -> (f64, u64) {
     (dt, machine.cbp().bridged_traffic().messages)
 }
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let mut t = Table::new(
         "F25",
         "offload granularity: fixed work, K invocations (per cluster rank)",
@@ -82,20 +80,19 @@ pub fn run(out: &mut String) {
     let mut baseline = None;
     for (&k, &(dt, msgs)) in ks.iter().zip(&runs) {
         let base = *baseline.get_or_insert(dt);
-        t.row(&[
-            k.to_string(),
-            deep_core::fmt_bytes((16 << 20) / k as u64),
-            fmt_f(dt * 1e3),
-            msgs.to_string(),
-            format!("{:.2}x", dt / base),
+        t.row([
+            k.into(),
+            Cell::bytes((16 << 20) / k as u64),
+            Cell::f(dt * 1e3),
+            msgs.into(),
+            Cell::x(dt / base),
         ]);
     }
-    t.write_into(out);
-    let _ = writeln!(
-        out,
+    t.note(
         "shape: elapsed time is roughly flat while invocations stay coarse\n\
          (bandwidth-bound), then climbs as per-invocation latency and protocol\n\
          overhead dominate — the quantitative case for offloading *complete*\n\
-         parallel kernels rather than inner loops (slides 8, 25)."
+         parallel kernels rather than inner loops (slides 8, 25).",
     );
+    vec![t]
 }

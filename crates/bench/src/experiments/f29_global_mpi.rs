@@ -6,12 +6,10 @@
 //! BIs under a many-flow load, and (b) the per-message latency overhead
 //! of crossing the bridge vs staying inside one fabric.
 
-use std::fmt::Write as _;
-
 use std::rc::Rc;
 
 use deep_cbp::{CbpConfig, CbpWire, CbpWireHandle};
-use deep_core::{fmt_f, Table};
+use deep_core::{Cell, Table};
 use deep_fabric::{ExtollFabric, IbFabric};
 use deep_psmpi::Wire;
 use deep_simkit::{Sim, Simulation};
@@ -93,7 +91,7 @@ fn latencies() -> (f64, f64, f64) {
     )
 }
 
-pub fn run(out: &mut String) {
+pub fn tables() -> Vec<Table> {
     let mut t = Table::new(
         "F29a",
         "aggregate cluster->booster throughput vs booster interfaces (16 flows)",
@@ -103,9 +101,8 @@ pub fn run(out: &mut String) {
     for n_bi in [1u32, 2, 4, 8, 16] {
         let bw = aggregate_bw(n_bi);
         let b = *base.get_or_insert(bw);
-        t.row(&[n_bi.to_string(), fmt_f(bw / 1e9), format!("{:.2}x", bw / b)]);
+        t.row([n_bi.into(), Cell::f(bw / 1e9), Cell::x(bw / b)]);
     }
-    t.write_into(out);
 
     let (cc, bb, cb) = latencies();
     let mut t2 = Table::new(
@@ -113,17 +110,16 @@ pub fn run(out: &mut String) {
         "64 B message latency by path",
         &["path", "latency [µs]"],
     );
-    t2.row(&["cluster -> cluster (IB)".into(), fmt_f(cc * 1e6)]);
-    t2.row(&["booster -> booster (EXTOLL)".into(), fmt_f(bb * 1e6)]);
-    t2.row(&["cluster -> booster (CBP bridge)".into(), fmt_f(cb * 1e6)]);
-    t2.write_into(out);
-    let _ = writeln!(
-        out,
+    t2.row(["cluster -> cluster (IB)".into(), Cell::f(cc * 1e6)]);
+    t2.row(["booster -> booster (EXTOLL)".into(), Cell::f(bb * 1e6)]);
+    t2.row(["cluster -> booster (CBP bridge)".into(), Cell::f(cb * 1e6)]);
+    t2.note(&format!(
         "shape: aggregate inter-world bandwidth scales with the BI count until\n\
          the 16 source NICs saturate; a bridged small message costs roughly\n\
          one IB + one EXTOLL traversal + the SMFU translation ({:.1}x a plain\n\
          IB message). Global MPI pays the bridge only on the comparatively\n\
          rare cluster<->booster messages (slides 8, 29).",
         cb / cc
-    );
+    ));
+    vec![t, t2]
 }

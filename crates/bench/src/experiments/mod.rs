@@ -1,5 +1,11 @@
 //! Experiment registry: every figure-regeneration experiment as a
-//! library function rendering into a caller-owned buffer.
+//! library function computing its tables once, and the registry entry
+//! rendering them into a caller-owned buffer.
+//!
+//! Each module's `tables()` returns typed [`Table`]s (the prose printed
+//! after a table rides on it as notes). The registry's `run` only
+//! renders them, so the byte pin in `docs/experiments/<id>.md` and the
+//! claims of `tests/experiment_shapes.rs` read one and the same run.
 //!
 //! Rendering into a `String` (instead of straight to stdout) is what
 //! lets the `run_experiments` driver execute many experiments
@@ -9,32 +15,7 @@
 //! [`ALL`] is the single source of truth for "every experiment": the
 //! driver, the daemon and the benchmark all iterate it.
 
-pub mod a30_scheduler_ablation;
-pub mod a31_bi_selection;
-pub mod a32_eager_threshold;
-pub mod a33_allreduce_algorithms;
-pub mod er01_checkpoint_levels;
-pub mod er02_io_patterns;
-pub mod er03_fault_sweep;
-pub mod f02_evolution;
-pub mod f03_exascale;
-pub mod f03b_resilience;
-pub mod f05_rationale;
-pub mod f06_accel_cluster;
-pub mod f08_direct_fabric;
-pub mod f09_scalability;
-pub mod f09b_fft;
-pub mod f10_cluster_booster;
-pub mod f14_architecture;
-pub mod f15_energy;
-pub mod f16_extoll;
-pub mod f18_positioning;
-pub mod f21_spawn;
-pub mod f22_resmgr;
-pub mod f23_cholesky;
-pub mod f23b_dcholesky;
-pub mod f25_offload;
-pub mod f29_global_mpi;
+use deep_core::Table;
 
 /// One registered experiment.
 pub struct Experiment {
@@ -53,144 +34,62 @@ pub struct Experiment {
     pub weight: u32,
 }
 
-/// Every experiment, in registry (= alphabetical = docs) order.
-pub const ALL: &[Experiment] = &[
-    Experiment {
-        name: "a30_scheduler_ablation",
-        run: a30_scheduler_ablation::run,
-        weight: 15,
-    },
-    Experiment {
-        name: "a31_bi_selection",
-        run: a31_bi_selection::run,
-        weight: 7,
-    },
-    Experiment {
-        name: "a32_eager_threshold",
-        run: a32_eager_threshold::run,
-        weight: 18,
-    },
-    Experiment {
-        name: "a33_allreduce_algorithms",
-        run: a33_allreduce_algorithms::run,
-        // Measures ≈ 20 since its payloads became cost-only. Held at
-        // 100 because the benchmark harness takes `weight < 100` as
-        // "light" — its set-up warm-up and smoke set — and moving a33
-        // in there would change what `setup_s` measures; a benchmark
-        // PR re-baselines that, then this becomes 20.
-        weight: 100,
-    },
-    Experiment {
-        name: "er01_checkpoint_levels",
-        run: er01_checkpoint_levels::run,
-        weight: 2,
-    },
-    Experiment {
-        name: "er02_io_patterns",
-        run: er02_io_patterns::run,
-        weight: 2,
-    },
-    Experiment {
-        name: "er03_fault_sweep",
-        run: er03_fault_sweep::run,
-        weight: 12,
-    },
-    Experiment {
-        name: "f02_evolution",
-        run: f02_evolution::run,
-        weight: 1,
-    },
-    Experiment {
-        name: "f03_exascale",
-        run: f03_exascale::run,
-        weight: 1,
-    },
-    Experiment {
-        name: "f03b_resilience",
-        run: f03b_resilience::run,
-        weight: 140,
-    },
-    Experiment {
-        name: "f05_rationale",
-        run: f05_rationale::run,
-        weight: 1,
-    },
-    Experiment {
-        name: "f06_accel_cluster",
-        run: f06_accel_cluster::run,
-        weight: 1,
-    },
-    Experiment {
-        name: "f08_direct_fabric",
-        run: f08_direct_fabric::run,
-        weight: 1,
-    },
-    Experiment {
-        name: "f09_scalability",
-        run: f09_scalability::run,
-        weight: 1900,
-    },
-    Experiment {
-        name: "f09b_fft",
-        run: f09b_fft::run,
-        weight: 2250,
-    },
-    Experiment {
-        name: "f10_cluster_booster",
-        run: f10_cluster_booster::run,
-        weight: 66,
-    },
-    Experiment {
-        name: "f14_architecture",
-        run: f14_architecture::run,
-        weight: 1,
-    },
-    Experiment {
-        name: "f15_energy",
-        run: f15_energy::run,
-        weight: 1,
-    },
-    Experiment {
-        name: "f16_extoll",
-        run: f16_extoll::run,
-        weight: 1,
-    },
-    Experiment {
-        name: "f18_positioning",
-        run: f18_positioning::run,
-        weight: 1,
-    },
-    Experiment {
-        name: "f21_spawn",
-        run: f21_spawn::run,
-        weight: 6,
-    },
-    Experiment {
-        name: "f22_resmgr",
-        run: f22_resmgr::run,
-        weight: 10,
-    },
-    Experiment {
-        name: "f23_cholesky",
-        run: f23_cholesky::run,
-        weight: 70,
-    },
-    Experiment {
-        name: "f23b_dcholesky",
-        run: f23b_dcholesky::run,
-        weight: 350,
-    },
-    Experiment {
-        name: "f25_offload",
-        run: f25_offload::run,
-        weight: 350,
-    },
-    Experiment {
-        name: "f29_global_mpi",
-        run: f29_global_mpi::run,
-        weight: 2,
-    },
-];
+/// Render tables as the experiment's stdout: each table's Markdown, a
+/// blank line, then its notes.
+pub fn render(tables: &[Table], out: &mut String) {
+    for t in tables {
+        t.write_into(out);
+    }
+}
+
+/// Declares each experiment module and its [`ALL`] entry, whose `run`
+/// renders the module's `tables()`.
+macro_rules! registry {
+    ($($name:ident: $weight:expr,)*) => {
+        $(pub mod $name;)*
+
+        /// Every experiment, in registry (= alphabetical = docs) order.
+        pub const ALL: &[Experiment] = &[$(Experiment {
+            name: stringify!($name),
+            run: |out| render(&$name::tables(), out),
+            weight: $weight,
+        }),*];
+    };
+}
+
+registry! {
+    a30_scheduler_ablation: 15,
+    a31_bi_selection: 7,
+    a32_eager_threshold: 18,
+    // Measures ≈ 20 since its payloads became cost-only. Held at 100
+    // because the benchmark harness takes `weight < 100` as "light" —
+    // its set-up warm-up and smoke set — and moving a33 in there would
+    // change what `setup_s` measures; a benchmark PR re-baselines that,
+    // then this becomes 20.
+    a33_allreduce_algorithms: 100,
+    er01_checkpoint_levels: 2,
+    er02_io_patterns: 2,
+    er03_fault_sweep: 12,
+    f02_evolution: 1,
+    f03_exascale: 1,
+    f03b_resilience: 140,
+    f05_rationale: 1,
+    f06_accel_cluster: 1,
+    f08_direct_fabric: 1,
+    f09_scalability: 1900,
+    f09b_fft: 2250,
+    f10_cluster_booster: 66,
+    f14_architecture: 1,
+    f15_energy: 1,
+    f16_extoll: 1,
+    f18_positioning: 1,
+    f21_spawn: 6,
+    f22_resmgr: 10,
+    f23_cholesky: 70,
+    f23b_dcholesky: 350,
+    f25_offload: 350,
+    f29_global_mpi: 2,
+}
 
 /// Look up an experiment by name.
 pub fn find(name: &str) -> Option<&'static Experiment> {

@@ -254,7 +254,7 @@ impl CbpWire {
     }
 
     /// True if BI `i` is currently usable (neither of its nodes down).
-    pub fn bi_healthy(&self, i: usize) -> bool {
+    fn bi_healthy(&self, i: usize) -> bool {
         let bi = &self.bis[i];
         !self.ib.is_node_down(bi.ib_host) && !self.extoll.is_node_down(bi.entry)
     }

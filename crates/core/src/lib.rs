@@ -64,7 +64,7 @@ pub use coupled::{
     run_on_accelerated, run_on_deep, run_on_pure_cluster, CoupledParams, CoupledReport,
 };
 pub use machine::{DeepMachine, BOOSTER_POOL, OFFLOAD_SERVER};
-pub use report::{fmt_bytes, fmt_f, Table};
+pub use report::{fmt_bytes, fmt_f, Cell, Table};
 pub use resilience::{
     daly_optimum, mark_of, mean_efficiency, mean_efficiency_batch, mean_multilevel_efficiency,
     mean_multilevel_efficiency_batch, mean_multilevel_over_replicas, simulate_multilevel,

@@ -54,7 +54,8 @@ impl EnergyMeter {
     }
 
     /// Total busy time accounted.
-    pub fn busy_time(&self) -> SimDuration {
+    #[cfg(test)]
+    fn busy_time(&self) -> SimDuration {
         self.busy
     }
 

@@ -113,8 +113,9 @@ impl CheckpointManager {
         self.bridges[rank % self.bridges.len()]
     }
 
-    /// The rank's node-local device (for external inspection).
-    pub fn local_device(&self, rank: usize) -> &Rc<BlockDevice> {
+    /// The rank's node-local device.
+    #[cfg(test)]
+    fn local_device(&self, rank: usize) -> &Rc<BlockDevice> {
         &self.locals[rank]
     }
 

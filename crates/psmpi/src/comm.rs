@@ -105,7 +105,7 @@ impl Comm {
 
     /// The endpoint that p2p rank `r` addresses: remote group on an
     /// inter-communicator, local group otherwise.
-    pub fn peer_ep(&self, r: u32) -> EpId {
+    fn peer_ep(&self, r: u32) -> EpId {
         match &self.remote {
             Some(remote) => remote[r as usize],
             None => self.members[r as usize],

@@ -17,12 +17,10 @@ use std::rc::Rc;
 
 use deep_simkit::{OneShot, ProcHandle};
 
-use crate::comm::{Comm, MpiCtx, TAG_INTERNAL_BASE};
+use crate::comm::{Comm, MpiCtx};
 use crate::universe::Universe;
 use crate::value::Value;
 use crate::wire::{EpId, LocalBoxFuture};
-
-const TAG_SPAWN: u32 = TAG_INTERNAL_BASE + 64;
 
 /// What the root learns from the process manager: the inter-communicator
 /// context id plus the endpoints of the spawned world.
@@ -42,6 +40,47 @@ pub enum SpawnError {
     },
     /// No application registered under the command name.
     UnknownCommand(String),
+    /// `maxprocs` was 0: there is nothing to spawn.
+    NoProcesses,
+}
+
+impl SpawnError {
+    /// The error as the root broadcasts it: `[kind, name, requested,
+    /// available]`, kind 0 being reserved for success.
+    fn to_value(&self) -> Value {
+        let (kind, name, requested, available) = match self {
+            SpawnError::PoolExhausted {
+                pool,
+                requested,
+                available,
+            } => (1, pool.as_str(), *requested, *available),
+            SpawnError::UnknownCommand(command) => (2, command.as_str(), 0, 0),
+            SpawnError::NoProcesses => (3, "", 0, 0),
+        };
+        let name = Value::Bytes(Rc::new(name.as_bytes().to_vec()));
+        let counts = [requested, available].map(|n| Value::U64(n.into()));
+        Value::List(Rc::new(
+            [Value::U64(kind), name].into_iter().chain(counts).collect(),
+        ))
+    }
+
+    /// The inverse of [`SpawnError::to_value`].
+    fn from_value(items: &[Value]) -> SpawnError {
+        let Value::Bytes(name) = &items[1] else {
+            panic!("spawn error without a name: {items:?}")
+        };
+        let name = String::from_utf8_lossy(name).into_owned();
+        let count = |i: usize| items[i].as_u64() as u32;
+        match items[0].as_u64() {
+            1 => SpawnError::PoolExhausted {
+                pool: name,
+                requested: count(2),
+                available: count(3),
+            },
+            2 => SpawnError::UnknownCommand(name),
+            _ => SpawnError::NoProcesses,
+        }
+    }
 }
 
 /// Start an initial world (the `mpiexec` analogue): one rank process per
@@ -130,6 +169,9 @@ impl MpiCtx {
     /// All members of `comm` must call; `root` performs the process-manager
     /// work and broadcasts the outcome (matching the real API, where the
     /// `command/argv/maxprocs/info` arguments are significant at root only).
+    /// A failure is the root's error on every rank. `maxprocs = 0` fails
+    /// with [`SpawnError::NoProcesses`] after the negotiation cost, before
+    /// any endpoint is drawn or any daemon launched.
     pub async fn comm_spawn(
         &self,
         comm: &Comm,
@@ -138,38 +180,25 @@ impl MpiCtx {
         pool: &str,
         root: u32,
     ) -> Result<Comm, SpawnError> {
-        let uni = self.universe().clone();
-        let mut outcome: Option<SpawnOutcome> = None;
-
-        if comm.rank() == root {
-            outcome = Some(self.spawn_at_root(comm, command, maxprocs, pool).await);
-        }
-
-        // Broadcast the outcome: [status, inter_ctx, ep...] as a List.
-        let payload = match &outcome {
-            Some(Ok((ctx_id, eps))) => {
-                let mut items = vec![Value::U64(0), Value::U64(*ctx_id)];
-                items.extend(eps.iter().map(|e| Value::U64(e.0 as u64)));
-                Value::List(Rc::new(items))
+        // Broadcast the outcome: [0, inter_ctx, ep...] or the error.
+        let payload = if comm.rank() == root {
+            match self.spawn_at_root(comm, command, maxprocs, pool).await {
+                Ok((ctx_id, eps)) => {
+                    let mut items = vec![Value::U64(0), Value::U64(ctx_id)];
+                    items.extend(eps.iter().map(|e| Value::U64(e.0 as u64)));
+                    Value::List(Rc::new(items))
+                }
+                Err(e) => e.to_value(),
             }
-            Some(Err(_)) => Value::List(Rc::new(vec![Value::U64(1)])),
-            None => Value::Unit, // placeholder at non-root
+        } else {
+            Value::Unit // placeholder at non-root
         };
         let bytes = 16 + 8 * maxprocs as u64;
         let decided = self.bcast(comm, root, payload, bytes).await;
 
         let items = decided.as_list();
         if items[0].as_u64() != 0 {
-            // Root already owns the precise error; reconstruct a generic
-            // one elsewhere.
-            return match outcome {
-                Some(Err(e)) => Err(e),
-                _ => Err(SpawnError::PoolExhausted {
-                    pool: pool.to_string(),
-                    requested: maxprocs,
-                    available: uni.pool_available(pool) as u32,
-                }),
-            };
+            return Err(SpawnError::from_value(items));
         }
         let inter_ctx = items[1].as_u64();
         let children: Rc<Vec<EpId>> =
@@ -202,6 +231,9 @@ impl MpiCtx {
                 None => return Err(SpawnError::UnknownCommand(command.to_string())),
             }
         };
+        if maxprocs == 0 {
+            return Err(SpawnError::NoProcesses);
+        }
         let children: Rc<Vec<EpId>> = {
             let mut inner = uni.inner.borrow_mut();
             let free = inner.pools.entry(pool.to_string()).or_default();
@@ -238,7 +270,6 @@ impl MpiCtx {
         let child_world_ctx = uni.alloc_context();
         let inter_ctx = uni.alloc_context();
         let parent_members = comm.members().clone();
-        let parent_rank_of_root = comm.rank();
         for (i, &ep) in children.iter().enumerate() {
             let child_world = Comm::intra(child_world_ctx, children.clone(), i as u32);
             let parent_inter = Comm::inter(
@@ -251,14 +282,12 @@ impl MpiCtx {
             let fut = app(ctx);
             uni.sim().spawn(format!("{command}[{i}]"), fut);
         }
-        let _ = parent_rank_of_root;
         // Children acknowledge startup to the root (modelled as one
         // aggregated control message from the first child).
         uni.wire
             .transfer(children[0], self.ep(), 128)
             .await
             .expect("spawn ack failed");
-        let _ = TAG_SPAWN;
         Ok((inter_ctx, children))
     }
 }
@@ -333,63 +362,55 @@ mod tests {
         assert_eq!(uni.pool_available("booster"), 0);
     }
 
-    #[test]
-    fn spawn_fails_cleanly_when_pool_exhausted() {
+    /// Every rank's `comm_spawn` error from a `ranks`-wide world asking
+    /// for `maxprocs` of `command` from a pool of 2 free endpoints; the
+    /// pool must be whole again afterwards.
+    fn spawn_errors(ranks: u32, command: &'static str, maxprocs: u32) -> Vec<SpawnError> {
         let mut sim = Simulation::new(1);
         let ctx = sim.handle();
-        let uni = universe(&ctx, 6);
-        uni.add_pool("booster", vec![EpId(4), EpId(5)]);
+        let uni = universe(&ctx, ranks as usize + 2);
+        uni.add_pool("booster", vec![EpId(ranks), EpId(ranks + 1)]);
         uni.register_app("hscp", Rc::new(|_m| Box::pin(async {})));
         let handles = launch_world(
             &uni,
             "cluster",
-            (0..2).map(EpId).collect(),
-            |m| async move {
+            (0..ranks).map(EpId).collect(),
+            move |m| async move {
                 let world = m.world().clone();
-                let err = m
-                    .comm_spawn(&world, "hscp", 4, "booster", 0)
+                m.comm_spawn(&world, command, maxprocs, "booster", 0)
                     .await
-                    .unwrap_err();
-                match err {
-                    SpawnError::PoolExhausted {
-                        requested,
-                        available,
-                        ..
-                    } => {
-                        assert_eq!(requested, 4);
-                        // Non-root ranks may not know the precise count;
-                        // root must.
-                        if m.rank() == 0 {
-                            assert_eq!(available, 2);
-                        }
-                    }
-                    other => panic!("unexpected error {other:?}"),
-                }
+                    .unwrap_err()
             },
         );
         sim.run().assert_completed();
-        for h in handles {
-            assert!(h.is_finished());
-        }
-        // Failed spawn must not leak pool slots.
+        // A failed spawn must not leak pool slots.
         assert_eq!(uni.pool_available("booster"), 2);
+        handles.iter().map(|h| h.try_result().unwrap()).collect()
+    }
+
+    #[test]
+    fn spawn_fails_cleanly_when_pool_exhausted() {
+        let errs = spawn_errors(2, "hscp", 4);
+        assert_eq!(
+            errs[0],
+            SpawnError::PoolExhausted {
+                pool: "booster".into(),
+                requested: 4,
+                available: 2,
+            }
+        );
+        assert!(errs.iter().all(|e| *e == errs[0]), "{errs:?}");
     }
 
     #[test]
     fn unknown_command_is_reported() {
-        let mut sim = Simulation::new(1);
-        let ctx = sim.handle();
-        let uni = universe(&ctx, 4);
-        uni.add_pool("booster", vec![EpId(2), EpId(3)]);
-        launch_world(&uni, "cluster", vec![EpId(0)], |m| async move {
-            let world = m.world().clone();
-            let err = m
-                .comm_spawn(&world, "nope", 1, "booster", 0)
-                .await
-                .unwrap_err();
-            assert_eq!(err, SpawnError::UnknownCommand("nope".into()));
-        });
-        sim.run().assert_completed();
+        let errs = spawn_errors(2, "nope", 1);
+        assert_eq!(errs, vec![SpawnError::UnknownCommand("nope".into()); 2]);
+    }
+
+    #[test]
+    fn spawning_zero_processes_fails_on_every_rank() {
+        assert_eq!(spawn_errors(3, "hscp", 0), vec![SpawnError::NoProcesses; 3]);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// Peak booster demand across phases.
-    pub fn bn_peak(&self) -> u32 {
+    fn bn_peak(&self) -> u32 {
         self.phases.iter().map(|p| p.bn_needed).max().unwrap_or(0)
     }
 
@@ -66,12 +66,12 @@ pub enum Policy {
 
 impl Policy {
     /// True if boosters are held for the whole job.
-    pub fn is_static(self) -> bool {
+    fn is_static(self) -> bool {
         matches!(self, Policy::StaticFcfs)
     }
 
     /// True if later jobs may overtake a blocked queue head.
-    pub fn backfills(self) -> bool {
+    fn backfills(self) -> bool {
         matches!(self, Policy::DynamicBackfill)
     }
 }

@@ -161,7 +161,8 @@ impl<T> Sender<T> {
 
 impl<T> Receiver<T> {
     /// Take a queued value without waiting.
-    pub fn try_recv(&self) -> Option<T> {
+    #[cfg(test)]
+    fn try_recv(&self) -> Option<T> {
         let mut st = self.state.borrow_mut();
         let v = st.queue.pop_front();
         if v.is_some() {

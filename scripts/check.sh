@@ -60,8 +60,8 @@ step "benchmark des_a2a_4k (full size)" bench --workload des_a2a_4k --seconds 1
 step "benchmark des_spmv_262k (full size)" bench --workload des_spmv_262k --seconds 1
 
 # Every registry experiment against its committed table: `cargo test`
-# compares none of the six heavy ones and the benchmark's --smoke only
-# those of weight < 100.
+# (tests/experiment_shapes.rs) compares all but f09, f09b and f23b, and
+# the benchmark's --smoke those of weight < 100.
 experiment_outputs() {
     local target="${CARGO_TARGET_DIR:-target}"
     cargo build -q --release -p deep-bench --bin run_experiments
