@@ -7,8 +7,6 @@
 //! global dot products (allreduce) — exactly the regular pattern that
 //! scales on a torus.
 
-use std::rc::Rc;
-
 use deep_psmpi::{Comm, MpiCtx, ReduceOp, Value};
 
 const TAG_HALO_UP: u32 = 2001;
@@ -144,11 +142,12 @@ fn update_direction(beta: f64, r: &[f64], p: &mut [f64]) {
 /// Exchange stripe boundary rows with the neighbours. `active` is the
 /// number of ranks that actually own rows (ranks beyond it sit out —
 /// they exist when the grid has fewer rows than the communicator has
-/// ranks). Returns the neighbours' rows as received, to be borrowed.
+/// ranks). `v` is the stripe, or `None` for cost-only rows of the same
+/// bytes. Returns the neighbours' rows as received, to be borrowed.
 async fn halo_exchange(
     m: &MpiCtx,
     comm: &Comm,
-    v: &[f64],
+    v: Option<&[f64]>,
     nx: usize,
     rows: usize,
     active: u32,
@@ -158,6 +157,11 @@ async fn halo_exchange(
         return (None, None);
     }
     let row_bytes = 8 * nx as u64;
+    let row = |r: usize| {
+        v.map_or(Value::Unit, |v| {
+            Value::vec(v[r * nx..(r + 1) * nx].to_vec())
+        })
+    };
     let mut up = None;
     let mut down = None;
 
@@ -165,26 +169,11 @@ async fn halo_exchange(
     let recv_up = (rank > 0).then(|| m.irecv(comm, Some(rank - 1), Some(TAG_HALO_DOWN)));
     let recv_down = (rank + 1 < active).then(|| m.irecv(comm, Some(rank + 1), Some(TAG_HALO_UP)));
     if rank > 0 {
-        let first_row: Vec<f64> = v[..nx].to_vec();
-        m.send(
-            comm,
-            rank - 1,
-            TAG_HALO_UP,
-            Value::vec(first_row),
-            row_bytes,
-        )
-        .await;
+        m.send(comm, rank - 1, TAG_HALO_UP, row(0), row_bytes).await;
     }
     if rank + 1 < active {
-        let last_row: Vec<f64> = v[(rows - 1) * nx..rows * nx].to_vec();
-        m.send(
-            comm,
-            rank + 1,
-            TAG_HALO_DOWN,
-            Value::vec(last_row),
-            row_bytes,
-        )
-        .await;
+        m.send(comm, rank + 1, TAG_HALO_DOWN, row(rows - 1), row_bytes)
+            .await;
     }
     if let Some(r) = recv_up {
         up = Some(r.wait().await.value);
@@ -195,11 +184,27 @@ async fn halo_exchange(
     (up, down)
 }
 
+/// Bytes of one rank's contribution to a CG global sum: one `f64`.
+const SUM_BYTES: u64 = 8;
+
 /// Global sum of one `f64` per rank via allreduce.
 async fn global_sum(m: &MpiCtx, comm: &Comm, local: f64) -> f64 {
-    m.allreduce(comm, ReduceOp::Sum, Value::F64(local), 8)
+    m.allreduce(comm, ReduceOp::Sum, Value::F64(local), SUM_BYTES)
         .await
         .as_f64()
+}
+
+/// The messages of [`global_sum`], cost-only.
+async fn global_sum_cost(m: &MpiCtx, comm: &Comm) {
+    m.allreduce(comm, ReduceOp::Sum, Value::Unit, SUM_BYTES)
+        .await;
+}
+
+/// Rows `rank` owns, and how many ranks own at least one: trailing
+/// ranks own none when the communicator is larger than the grid.
+fn stripe(comm: &Comm, ny: usize) -> (usize, u32) {
+    let size = comm.size();
+    (my_rows(comm.rank(), size, ny).len(), size.min(ny as u32))
 }
 
 /// Solve `A·x = 1` on an `nx × ny` 5-point Laplacian with plain CG.
@@ -212,12 +217,7 @@ pub async fn cg_solve(
     max_iters: u32,
     tol: f64,
 ) -> CgResult {
-    let rank = comm.rank();
-    let size = comm.size();
-    let rows = my_rows(rank, size, ny).len();
-    // Ranks that own at least one row; trailing ranks may own none when
-    // the communicator is larger than the grid.
-    let active = size.min(ny as u32);
+    let (rows, active) = stripe(comm, ny);
     let n_local = rows * nx;
 
     let mut x = vec![0.0f64; n_local];
@@ -228,7 +228,7 @@ pub async fn cg_solve(
     let mut iters = 0;
 
     while iters < max_iters && rr.sqrt() > tol {
-        let (up, down) = halo_exchange(m, comm, &p, nx, rows, active).await;
+        let (up, down) = halo_exchange(m, comm, Some(&p), nx, rows, active).await;
         let (up, down) = (
             up.as_ref().map(Value::as_vec),
             down.as_ref().map(Value::as_vec),
@@ -276,6 +276,20 @@ pub fn cg_reference(nx: usize, ny: usize, max_iters: u32, tol: f64) -> CgResult 
     }
 }
 
+/// The messages [`cg_solve`] sends over `iterations` iterations, with
+/// cost-only payloads of the same bytes: the initial residual sum, per
+/// iteration one halo exchange and two global sums, then the checksum.
+async fn cg_skeleton(m: &MpiCtx, comm: &Comm, nx: usize, ny: usize, iterations: u32) {
+    let (rows, active) = stripe(comm, ny);
+    global_sum_cost(m, comm).await;
+    for _ in 0..iterations {
+        halo_exchange(m, comm, None, nx, rows, active).await;
+        global_sum_cost(m, comm).await;
+        global_sum_cost(m, comm).await;
+    }
+    global_sum_cost(m, comm).await;
+}
+
 /// Convenience: run the distributed CG on `n_ranks` over an ideal wire and
 /// return rank 0's result (used by tests and benches).
 pub fn run_cg_ideal(
@@ -286,28 +300,26 @@ pub fn run_cg_ideal(
     max_iters: u32,
     tol: f64,
 ) -> (CgResult, u64) {
-    use deep_psmpi::{launch_world, EpId, IdealWire, MpiParams, Universe};
+    crate::run_ideal(seed, n_ranks, "cg", move |m, comm| async move {
+        cg_solve(&m, &comm, nx, ny, max_iters, tol).await
+    })
+}
 
-    let mut sim = deep_simkit::Simulation::new(seed);
-    let ctx = sim.handle();
-    let wire = Rc::new(IdealWire::new(
-        &ctx,
-        deep_simkit::SimDuration::micros(1),
-        6e9,
-    ));
-    let uni = Universe::new(&ctx, wire, n_ranks as usize, MpiParams::default());
-    let ranks = launch_world(
-        &uni,
-        "cg",
-        (0..n_ranks).map(EpId).collect(),
-        move |m| async move {
-            let comm = m.world().clone();
-            cg_solve(&m, &comm, nx, ny, max_iters, tol).await
-        },
-    );
-    sim.run().assert_completed();
-    let res = ranks[0].try_result().expect("rank 0 finished");
-    (res, sim.now().as_nanos())
+/// The messages [`cg_solve`] sends over `iterations` iterations, with
+/// cost-only payloads, on `n_ranks` over the same ideal wire as
+/// [`run_cg_ideal`]; returns the elapsed virtual ns — the solve's own
+/// when `iterations` is its iteration count.
+pub fn run_cg_skeleton_ideal(
+    seed: u64,
+    n_ranks: u32,
+    nx: usize,
+    ny: usize,
+    iterations: u32,
+) -> u64 {
+    crate::run_ideal(seed, n_ranks, "cg", move |m, comm| async move {
+        cg_skeleton(&m, &comm, nx, ny, iterations).await
+    })
+    .1
 }
 
 #[cfg(test)]
@@ -361,6 +373,42 @@ mod tests {
         let (a, _) = run_cg_ideal(1, 2, 24, 24, 300, 1e-7);
         let (b, _) = run_cg_ideal(1, 6, 24, 24, 300, 1e-7);
         assert!((a.checksum - b.checksum).abs() < 1e-5 * a.checksum.abs());
+    }
+
+    /// The skeleton, given the solve's iteration count, takes exactly the
+    /// solve's simulated time; returns that count.
+    fn assert_skeleton_times_like_solve(
+        ranks: u32,
+        nx: usize,
+        ny: usize,
+        max_iters: u32,
+        tol: f64,
+    ) -> u32 {
+        let (res, ns) = run_cg_ideal(1, ranks, nx, ny, max_iters, tol);
+        let skeleton = run_cg_skeleton_ideal(1, ranks, nx, ny, res.iterations);
+        assert_eq!(
+            skeleton, ns,
+            "ranks={ranks} nx={nx} ny={ny} max_iters={max_iters} tol={tol}: {} iterations",
+            res.iterations
+        );
+        res.iterations
+    }
+
+    #[test]
+    fn skeleton_times_like_solve_at_every_rank_count() {
+        // Ranks 1..=17 take every allreduce path (recursive doubling at
+        // powers of two, reduce + bcast otherwise); 5 and 3 rows leave
+        // ranks without a row; nx = 1 is a one-column grid.
+        for ranks in 1..=17 {
+            for (nx, ny) in [(6, 9), (1, 20), (4, 5), (3, 3)] {
+                assert!(assert_skeleton_times_like_solve(ranks, nx, ny, 6, 1e-12) > 0);
+            }
+            // No iteration: ‖r₀‖ = √(nx·ny) = 4 is already below tol.
+            assert_eq!(assert_skeleton_times_like_solve(ranks, 4, 4, 30, 5.0), 0);
+            assert_eq!(assert_skeleton_times_like_solve(ranks, 4, 4, 0, 1e-12), 0);
+            // Early convergence, well before max_iters.
+            assert!(assert_skeleton_times_like_solve(ranks, 6, 6, 100, 1e-6) < 100);
+        }
     }
 
     /// The unfused kernels as they stood before PR 23 — a branchy SpMV,
@@ -477,6 +525,17 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn skeleton_times_like_solve(
+            ranks in 1u32..=17,
+            nx in 1usize..10,
+            ny in 1usize..24,
+            max_iters in 0u32..12,
+            tol in 0usize..4,
+        ) {
+            assert_skeleton_times_like_solve(ranks, nx, ny, max_iters, [1e-12, 1e-2, 0.5, 3.0][tol]);
+        }
 
         #[test]
         fn fused_kernels_match_unfused_bit_for_bit(

@@ -170,29 +170,9 @@ pub fn run_dcholesky_ideal(
     nt: usize,
     ts: usize,
 ) -> (DCholeskyResult, u64) {
-    use deep_psmpi::{launch_world, EpId, IdealWire, MpiParams, Universe};
-
-    let mut sim = deep_simkit::Simulation::new(seed);
-    let ctx = sim.handle();
-    let wire = Rc::new(IdealWire::new(
-        &ctx,
-        deep_simkit::SimDuration::micros(1),
-        6e9,
-    ));
-    let uni = Universe::new(&ctx, wire, n_ranks as usize, MpiParams::default());
-    let ranks = launch_world(
-        &uni,
-        "dchol",
-        (0..n_ranks).map(EpId).collect(),
-        move |m| async move {
-            let comm = m.world().clone();
-            let node = NodeModel::xeon_phi_knc();
-            cholesky_distributed(&m, &comm, nt, ts, &node).await
-        },
-    );
-    sim.run().assert_completed();
-    let res = ranks[0].try_result().expect("rank 0 finished");
-    (res, sim.now().as_nanos())
+    crate::run_ideal(seed, n_ranks, "dchol", move |m, comm| async move {
+        cholesky_distributed(&m, &comm, nt, ts, &NodeModel::xeon_phi_knc()).await
+    })
 }
 
 #[cfg(test)]

@@ -8,8 +8,6 @@
 //! complex data, the transpose moves actual values through the simulated
 //! alltoall, and small grids are verified against a direct O(n²) DFT.
 
-use std::rc::Rc;
-
 use deep_psmpi::{Comm, MpiCtx, ReduceOp, Value};
 
 /// A complex number as a pair (re, im).
@@ -207,35 +205,14 @@ pub async fn fft2d_distributed(
 /// Driver: run the distributed FFT of a deterministic test pattern over
 /// an ideal wire; returns (result, elapsed virtual ns).
 pub fn run_fft_ideal(seed: u64, n_ranks: u32, n: usize) -> (FftResult, u64) {
-    use deep_psmpi::{launch_world, EpId, IdealWire, MpiParams, Universe};
-
-    let mut sim = deep_simkit::Simulation::new(seed);
-    let ctx = sim.handle();
-    let wire = Rc::new(IdealWire::new(
-        &ctx,
-        deep_simkit::SimDuration::micros(1),
-        6e9,
-    ));
-    let uni = Universe::new(&ctx, wire, n_ranks as usize, MpiParams::default());
-    let ranks = launch_world(
-        &uni,
-        "fft",
-        (0..n_ranks).map(EpId).collect(),
-        move |m| async move {
-            let comm = m.world().clone();
-            let size = comm.size() as usize;
-            let rows_per = n / size;
-            let first = m.rank() as usize * rows_per;
-            let rows: Vec<Vec<Cpx>> = (0..rows_per)
-                .map(|i| (0..n).map(|j| test_pattern(first + i, j, n)).collect())
-                .collect();
-            let (_, res) = fft2d_distributed(&m, &comm, rows, n).await;
-            res
-        },
-    );
-    sim.run().assert_completed();
-    let res = ranks[0].try_result().expect("rank 0 finished");
-    (res, sim.now().as_nanos())
+    crate::run_ideal(seed, n_ranks, "fft", move |m, comm| async move {
+        let rows_per = n / comm.size() as usize;
+        let first = m.rank() as usize * rows_per;
+        let rows: Vec<Vec<Cpx>> = (0..rows_per)
+            .map(|i| (0..n).map(|j| test_pattern(first + i, j, n)).collect())
+            .collect();
+        fft2d_distributed(&m, &comm, rows, n).await.1
+    })
 }
 
 /// The deterministic input pattern used by driver and tests.

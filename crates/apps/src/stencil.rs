@@ -6,8 +6,6 @@
 //! boundary values (left edge hot, right edge cold), stripes of rows per
 //! rank, halo exchange each sweep.
 
-use std::rc::Rc;
-
 use deep_psmpi::{Comm, MpiCtx, ReduceOp, Value};
 
 use crate::cg::my_rows;
@@ -151,28 +149,9 @@ pub fn run_jacobi_ideal(
     max_sweeps: u32,
     tol: f64,
 ) -> (StencilResult, u64) {
-    use deep_psmpi::{launch_world, EpId, IdealWire, MpiParams, Universe};
-
-    let mut sim = deep_simkit::Simulation::new(seed);
-    let ctx = sim.handle();
-    let wire = Rc::new(IdealWire::new(
-        &ctx,
-        deep_simkit::SimDuration::micros(1),
-        6e9,
-    ));
-    let uni = Universe::new(&ctx, wire, n_ranks as usize, MpiParams::default());
-    let ranks = launch_world(
-        &uni,
-        "jacobi",
-        (0..n_ranks).map(EpId).collect(),
-        move |m| async move {
-            let comm = m.world().clone();
-            jacobi(&m, &comm, nx, ny, max_sweeps, tol).await
-        },
-    );
-    sim.run().assert_completed();
-    let res = ranks[0].try_result().expect("rank 0 finished");
-    (res, sim.now().as_nanos())
+    crate::run_ideal(seed, n_ranks, "jacobi", move |m, comm| async move {
+        jacobi(&m, &comm, nx, ny, max_sweeps, tol).await
+    })
 }
 
 #[cfg(test)]

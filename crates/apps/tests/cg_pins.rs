@@ -44,3 +44,14 @@ fn one_rank_is_the_serial_reference_bit_for_bit() {
         );
     }
 }
+
+/// F09b prints the time of a cost-only CG of 60 iterations on a 1024²
+/// grid (`crates/bench/src/experiments/f09b_fft.rs`): the real solve at
+/// tolerance 1e-12 must run exactly that many. About 0.6 s in release,
+/// so only a release build runs it (`scripts/check.sh` does).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "release only; scripts/check.sh runs it")]
+fn f09b_registered_solve_runs_all_60_iterations() {
+    let res = cg_reference(1024, 1024, 60, 1e-12);
+    assert_eq!(res.iterations, 60, "residual {}", res.residual);
+}

@@ -27,6 +27,11 @@ step "cargo clippy (deny warnings)" \
 
 step "cargo test (workspace)" cargo test -q
 
+# F09b prints a cost-only CG of 60 iterations; this proves the real
+# 1024² solve runs exactly 60 (too slow for the debug Tier-1 run).
+step "cg_pins in release (F09b's iteration count)" \
+    cargo test -q --release -p deep-apps --test cg_pins
+
 # Rustdoc with warnings denied: deleting or privatising a documented
 # item cannot leave a dangling intra-doc link behind.
 step "cargo doc (deny warnings)" \
@@ -60,8 +65,8 @@ step "benchmark des_a2a_4k (full size)" bench --workload des_a2a_4k --seconds 1
 step "benchmark des_spmv_262k (full size)" bench --workload des_spmv_262k --seconds 1
 
 # Every registry experiment against its committed table: `cargo test`
-# (tests/experiment_shapes.rs) compares all but f09, f09b and f23b, and
-# the benchmark's --smoke those of weight < 100.
+# (tests/experiment_shapes.rs) compares all but f09 and f23b, and the
+# benchmark's --smoke those of weight < 100.
 experiment_outputs() {
     local target="${CARGO_TARGET_DIR:-target}"
     cargo build -q --release -p deep-bench --bin run_experiments

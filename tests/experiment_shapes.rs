@@ -3,9 +3,9 @@
 //! registered size, checks the qualitative result the paper claims (who
 //! wins, by roughly what factor, where crossovers fall) as predicates on
 //! the typed cells, and pins the rendering byte for byte against
-//! `docs/experiments/<id>.md`. f09, f09b and f23b are too heavy for a
-//! debug build at their registered size: f09 and f09b are asserted at
-//! reduced size, and `scripts/check.sh` pins all 26 outputs.
+//! `docs/experiments/<id>.md`. f09 and f23b are too heavy for a debug
+//! build at their registered size: f09 is asserted at reduced size, and
+//! `scripts/check.sh` pins all 26 outputs.
 
 use deep_bench::experiments::render;
 use deep_core::{mean_multilevel_efficiency, LevelCost, MultiLevelParams, Table};
@@ -150,7 +150,14 @@ fn er01_multilevel_survives_what_l1_only_cannot() {
         b.get(rotation, "efficiency"),
         b.get("L1 only", "efficiency"),
     );
-    assert!(rot > 1.5 * l1, "rotation {rot} must dominate L1-only {l1}");
+    // A thin margin: the registered run holds it by 0.14 % (0.9475
+    // against 1.5 × 0.6308 = 0.9462), so a change to the level costs or
+    // the replica count may flip it without anything being broken.
+    assert!(
+        rot > 1.5 * l1,
+        "rotation {rot} must dominate L1-only {l1} by 1.5x (registered run: \
+         0.9475 vs 0.9462, a known 0.14 % margin)"
+    );
 
     let levels = ["L1 local NVM", "L2 buddy", "L3 PFS"].map(|l| LevelCost {
         write_s: a.get(l, "write [ms]") / 1e3,
@@ -379,48 +386,40 @@ fn f09_des_matches_analytic_tail() {
 /// "complex" class does not. CG on a 1024² grid keeps speeding up over
 /// 1 → 16 ranks; the pencil FFT's transpose makes its communication
 /// share grow with every doubling, above CG's at every rank count, and
-/// two ranks are slower than one. (The registered experiment prints the
-/// same rows at 60 CG iterations and a 256² FFT; the iteration count
-/// scales CG's compute and communication alike, the 128² FFT keeps a
-/// debug build under a second.)
+/// two ranks are slower than one.
 #[test]
 fn f09b_regular_scales_complex_does_not() {
-    let rows = deep_bench::experiments::f09b_fft::rows(1024, 128, 4);
-    assert_eq!(
-        rows.iter().map(|r| r.ranks).collect::<Vec<_>>(),
-        [1, 2, 4, 8, 16]
+    let [t] = pinned!(f09b_fft);
+    let ranks = column(&t, "ranks");
+    assert_eq!(ranks, [1.0, 2.0, 4.0, 8.0, 16.0]);
+    let (cg_speedup, fft_share, cg_share) = (
+        column(&t, "CG speedup"),
+        column(&t, "FFT comm share"),
+        column(&t, "CG comm share"),
     );
-    for w in rows.windows(2) {
-        let (a, b) = (&w[0], &w[1]);
+    for i in 1..ranks.len() {
+        let ranks = ranks[i];
         assert!(
-            b.cg_speedup > a.cg_speedup,
-            "CG speedup {} -> {} ranks: {} -> {}",
-            a.ranks,
-            b.ranks,
-            a.cg_speedup,
-            b.cg_speedup
+            cg_speedup[i] > cg_speedup[i - 1],
+            "CG speedup at {ranks} ranks: {} after {}",
+            cg_speedup[i],
+            cg_speedup[i - 1]
         );
         assert!(
-            b.fft_comm_share > a.fft_comm_share,
-            "FFT comm share {} -> {} ranks: {} -> {}",
-            a.ranks,
-            b.ranks,
-            a.fft_comm_share,
-            b.fft_comm_share
+            fft_share[i] > fft_share[i - 1],
+            "FFT comm share at {ranks} ranks: {} after {}",
+            fft_share[i],
+            fft_share[i - 1]
         );
         assert!(
-            b.fft_comm_share > b.cg_comm_share,
-            "{} ranks: FFT comm share {} vs CG {}",
-            b.ranks,
-            b.fft_comm_share,
-            b.cg_comm_share
+            fft_share[i] > cg_share[i],
+            "{ranks} ranks: FFT comm share {} vs CG {}",
+            fft_share[i],
+            cg_share[i]
         );
     }
-    assert!(
-        rows[1].fft_speedup < 1.0,
-        "FFT on 2 ranks: {}x",
-        rows[1].fft_speedup
-    );
+    let two = t.get("2", "FFT speedup");
+    assert!(two < 1.0, "FFT on 2 ranks: {two}x");
 }
 
 /// F10: on the coupled proxy the cluster-booster wins time and energy
