@@ -1,10 +1,11 @@
 //! Determinism guard for the full-DES weak-scaling skeleton: a golden
 //! digest for the headline 262,144-rank SpMV run, the benchmark's two
-//! `@smoke` rows at the harness's shape, and the halo exchange at its
-//! edge sizes. The summary digest (per-iteration end instants + message
-//! count) is pinned, and the CI determinism matrix runs this same test
-//! under `RAYON_NUM_THREADS=1` and `=4`, so the value is asserted
-//! thread-invariant as well as stable across kernel changes.
+//! `@smoke` rows at the harness's shape, the halo exchange at its edge
+//! sizes, and runs of 1 to 8 iterations. The summary digest
+//! (per-iteration end instants + message count) is pinned, and the CI
+//! determinism matrix runs this same test under `RAYON_NUM_THREADS=1`
+//! and `=4`, so the value is asserted thread-invariant as well as
+//! stable across kernel changes.
 
 use deep_bench::des_scaling::{self, DesScalingConfig};
 
@@ -87,4 +88,123 @@ fn halo_exchange_edge_sizes_are_pinned() {
             0.002103197,
         ),
     ]);
+}
+
+/// `(ranks, complex, iters)`, then the digest, messages, hops and kernel
+/// events and the `sim_s` of a seed-1 run.
+type IterPin = ((u32, bool, u32), [u64; 4], f64);
+
+/// Runs of 1 to 8 iterations at both classes, from the edge sizes up to
+/// 16 384 ranks, captured while every iteration still booked its own
+/// messages. A wrong offset in carrying one iteration's trajectory to
+/// the next shows in the digest and `sim_s` from the third iteration on.
+#[test]
+fn multi_iteration_runs_are_pinned() {
+    let pins: &[IterPin] = &[
+        ((2, false, 1), [0xbe7b97ebe60a1550, 6, 12, 10], 0.002022997),
+        ((2, false, 3), [0xcdb90847f0971cba, 18, 36, 26], 0.006068991),
+        ((2, false, 5), [0x10182c1eaf7c7a6c, 30, 60, 42], 0.010114985),
+        ((2, false, 8), [0x2f1f974bae20cc59, 48, 96, 66], 0.016183976),
+        (
+            (32, false, 1),
+            [0x3021a6f6b8ac1c99, 224, 536, 17],
+            0.002030001,
+        ),
+        (
+            (32, false, 3),
+            [0x8f97de1816daae69, 672, 1608, 45],
+            0.006090003,
+        ),
+        (
+            (32, false, 5),
+            [0x935a0a3060ee0001, 1120, 2680, 73],
+            0.010150005,
+        ),
+        (
+            (32, false, 8),
+            [0x42b7784aaa88c1af, 1792, 4288, 115],
+            0.016240008,
+        ),
+        (
+            (64, false, 1),
+            [0xfc49167f2f80c51a, 512, 1376, 31],
+            0.002032284,
+        ),
+        (
+            (64, false, 3),
+            [0x440572b407aa762f, 1536, 4128, 83],
+            0.006096852,
+        ),
+        (
+            (64, false, 5),
+            [0xfff3b30ace8506f5, 2560, 6880, 135],
+            0.01016142,
+        ),
+        (
+            (64, false, 8),
+            [0xb0eb9eb836aa69cb, 4096, 11008, 213],
+            0.016258272,
+        ),
+        (
+            (1024, false, 1),
+            [0x17cf478fe1a95ccc, 12288, 38436, 402],
+            0.002039014,
+        ),
+        (
+            (1024, false, 3),
+            [0xd78aeeac26858d2c, 36864, 115308, 1090],
+            0.006117042,
+        ),
+        (
+            (1024, false, 5),
+            [0xcba66beff733ae94, 61440, 192180, 1778],
+            0.01019507,
+        ),
+        (
+            (1024, false, 8),
+            [0xc4ea08dec3906b90, 98304, 307488, 2810],
+            0.016312112,
+        ),
+        (
+            (16384, false, 4),
+            [0x9b5845cd1a58876d, 1048576, 3509936, 22784],
+            0.00818298,
+        ),
+        ((2, true, 3), [0x21e9414142f962ce, 24, 48, 26], 0.006074517),
+        ((2, true, 8), [0x99d64e64432dfce7, 64, 128, 66], 0.016198712),
+        (
+            (32, true, 3),
+            [0x92565d985e9bbd39, 3648, 10584, 45],
+            0.006309591,
+        ),
+        (
+            (32, true, 8),
+            [0x94c2f60df25282ae, 9728, 28224, 115],
+            0.016825576,
+        ),
+        (
+            (256, true, 3),
+            [0xbc23c9901d27fd9b, 203520, 780372, 292],
+            0.008413524,
+        ),
+        (
+            (256, true, 8),
+            [0xbcf4ed330cfaa161, 542720, 2080992, 752],
+            0.022436064,
+        ),
+    ];
+    for &((ranks, complex, iters), counts, sim_s) in pins {
+        let r = des_scaling::run(DesScalingConfig {
+            ranks,
+            iters,
+            complex,
+            seed: 1,
+        });
+        let got = ([r.digest, r.messages, r.hops, r.kernel_events], r.sim_s);
+        assert_eq!(
+            got,
+            (counts, sim_s),
+            "{ranks} ranks, complex = {complex}, {iters} iterations"
+        );
+    }
 }
