@@ -4,7 +4,7 @@
 //! communication skeletons `f09_scalability` models analytically —
 //! **SpMV** (ring halo + small allreduce) and **complex** (SpMV plus a
 //! pairwise all-to-all) — actually simulated over a full-size IB fat
-//! tree, at rank counts up to and beyond 262 144. Three mechanisms make
+//! tree, at rank counts up to and beyond 262 144. Four mechanisms make
 //! that feasible where a naive one-process-per-rank, one-event-per-
 //! message simulation is not:
 //!
@@ -21,6 +21,14 @@
 //!   kernel event — per-message `earliest` times carry each rank's skew
 //!   through the phases, so virtual time only needs to advance once per
 //!   iteration.
+//! * **Stationary-iteration replay**: only iteration 1 is booked. Every
+//!   rank enters each iteration at the same instant (the end of its
+//!   compute sleep), the skeleton draws no randomness, and no link stays
+//!   busy past the iteration's end (asserted through
+//!   [`deep_fabric::Network::horizon`]), so each later iteration is
+//!   iteration 1 translated in time: the driver ends it iteration 1's
+//!   length after its compute sleep. Every sleep and barrier wait still
+//!   runs, so the kernel executes the same events.
 //!
 //! What an iteration exchanges is [`Skeleton`], the one definition that
 //! the driver runs, [`analytic_iter`] prices, `f18` and the scenario
@@ -126,11 +134,13 @@ pub struct DesScalingResult {
     pub iter_s: f64,
     /// Total simulated seconds.
     pub sim_s: f64,
-    /// Logical point-to-point messages booked into the fabric, as
-    /// [`deep_fabric::Network::booked`] counts them (the run asserts it
-    /// equals [`Skeleton::messages_per_iter`] × iterations).
+    /// Logical point-to-point messages of the run: iteration 1's booked
+    /// count, as [`deep_fabric::Network::booked`] counts it, × iters
+    /// (the run asserts iteration 1 booked exactly
+    /// [`Skeleton::messages_per_iter`]).
     pub messages: u64,
-    /// Link traversals those messages booked.
+    /// Link traversals of those messages: iteration 1's booked count ×
+    /// iters.
     pub hops: u64,
     /// Kernel events (process polls) the run executed.
     pub kernel_events: u64,
@@ -168,8 +178,9 @@ fn fnv_fold(mut h: u64, v: u64) -> u64 {
     h
 }
 
-/// One fabric segment: owns ranks `lo..hi`, runs the compute sleep and
-/// schedules the two halo directions for its ranks each iteration.
+/// One fabric segment: owns ranks `lo..hi`, runs the compute sleep each
+/// iteration and, in iteration 1, schedules the two halo directions for
+/// its ranks.
 // A coroutine entry point, not an API: its "arguments" are the spawn
 // environment, and bundling them into a struct would only move the list.
 #[allow(clippy::too_many_arguments)]
@@ -183,16 +194,22 @@ async fn segment(
     skeleton: Rc<Skeleton>,
     iters: u32,
 ) {
-    let (send_ov, recv_ov) = (ib.params().send_overhead, ib.params().recv_overhead);
-    for _ in 0..iters {
+    for iter in 0..iters {
         ctx.sleep(COMPUTE).await;
+        // Iterations 2… are the driver's replay of the first: the same
+        // sleep and waits (so the kernel runs the same events), nothing
+        // booked or merged.
+        let book = iter == 0;
         // Every access to `shared` sits between barrier.wait() pairs:
         // the phases are globally sequenced, so no two segments touch
         // it at the same (at,seq).
-        shared.borrow_mut().ready[lo..hi].fill(ctx.now());
+        if book {
+            shared.borrow_mut().ready[lo..hi].fill(ctx.now());
+        }
         // The ring sendrecv pair: send right, then send left.
         for halo in &skeleton.halos {
-            {
+            if book {
+                let (send_ov, recv_ov) = (ib.params().send_overhead, ib.params().recv_overhead);
                 let sh = &mut *shared.borrow_mut();
                 let ready = &sh.ready[lo..hi];
                 let msgs = (lo..hi).zip(ready).map(|(r, &t)| BatchMsg {
@@ -210,7 +227,7 @@ async fn segment(
             }
             // Everyone has scheduled; arrivals are final.
             barrier.wait().await;
-            {
+            if book {
                 let sh = &mut *shared.borrow_mut();
                 for r in lo..hi {
                     sh.ready[r] = sh.send_done[r].max(sh.inbox[r]);
@@ -228,7 +245,8 @@ async fn segment(
 
 /// The driver: lockstep with the segments through the halo phases, then
 /// books the skeleton's collective rounds as global batches and carries
-/// virtual time to the iteration end.
+/// virtual time to the iteration end. Iteration 1 is booked; every later
+/// one replays it, ending its length after its own compute sleep.
 async fn driver(
     ctx: Sim,
     ib: Rc<IbFabric>,
@@ -237,30 +255,54 @@ async fn driver(
     skeleton: Rc<Skeleton>,
     iters: u32,
 ) {
+    // Iteration 1's length, from the end of its compute sleep.
+    let mut span = None;
     for _ in 0..iters {
         ctx.sleep(COMPUTE).await;
+        let start = ctx.now();
         for _ in &skeleton.halos {
             barrier.wait().await; // segments scheduled
             barrier.wait().await; // segments merged
         }
-        let t_end = {
-            // The collective rounds run after the "segments merged"
-            // barrier; only the driver is live until it sleeps to the
-            // iteration end. Per-message `earliest` times carry every
-            // rank's skew, so no virtual time passes while the rounds
-            // are laid into the fabric.
-            let sh = &mut *shared.borrow_mut();
-            for round in skeleton.collectives.iter().flat_map(|s| s.rounds()) {
-                book_round(&ib, round, &mut sh.ready, &mut sh.done);
+        let t_end = match span {
+            Some(d) => start + d,
+            None => {
+                let t_end = book_collectives(&ib, &skeleton, &mut shared.borrow_mut(), start);
+                span = Some(t_end - start);
+                t_end
             }
-            let t_end = sh.ready.iter().copied().max().unwrap_or_else(|| ctx.now());
-            sh.digest = fnv_fold(sh.digest, t_end.as_nanos());
-            t_end
         };
+        let digest = fnv_fold(shared.borrow().digest, t_end.as_nanos());
+        shared.borrow_mut().digest = digest;
         ctx.sleep_until(t_end).await;
         // Release the segments into the next iteration at t_end.
         barrier.wait().await;
     }
+}
+
+/// Book iteration 1's collective rounds from the ranks' readiness after
+/// the halos at `start`, and return the iteration's end.
+fn book_collectives(
+    ib: &IbFabric,
+    skeleton: &Skeleton,
+    sh: &mut Shared,
+    start: SimTime,
+) -> SimTime {
+    // The collective rounds run after the "segments merged" barrier;
+    // only the driver is live until it sleeps to the iteration end.
+    // Per-message `earliest` times carry every rank's skew, so no
+    // virtual time passes while the rounds are laid into the fabric.
+    for round in skeleton.collectives.iter().flat_map(|s| s.rounds()) {
+        book_round(ib, round, &mut sh.ready, &mut sh.done);
+    }
+    let t_end = sh.ready.iter().copied().max().unwrap_or(start);
+    // The replay's precondition: no link stays busy past the iteration,
+    // so the next one starts on an idle fabric.
+    assert!(
+        ib.network().horizon() <= t_end,
+        "a link outlives the iteration; it cannot be replayed"
+    );
+    t_end
 }
 
 /// Run the skeleton. Single-threaded and deterministic: the result
@@ -286,7 +328,7 @@ pub fn run(cfg: DesScalingConfig) -> DesScalingResult {
     }));
     let barrier = Barrier::new(&ctx, segments as usize + 1);
     let skeleton = Rc::new(Skeleton::new(cfg.ranks, cfg.complex));
-    let expected_messages = skeleton.messages_per_iter() * u64::from(cfg.iters);
+    let expected_messages = skeleton.messages_per_iter();
     for s in 0..segments {
         let lo = (s * NODES_PER_LEAF) as usize;
         let hi = (((s + 1) * NODES_PER_LEAF).min(cfg.ranks)) as usize;
@@ -317,18 +359,20 @@ pub fn run(cfg: DesScalingConfig) -> DesScalingResult {
     let booked = ib.network().booked();
     assert_eq!(
         booked.messages, expected_messages,
-        "the run must book exactly the skeleton's messages"
+        "iteration 1 must book exactly the skeleton's messages"
     );
+    let iters = u64::from(cfg.iters);
+    let (messages, hops) = (booked.messages * iters, booked.hops * iters);
     let sim_s = sim.now().as_secs_f64();
-    let digest = fnv_fold(shared.borrow().digest, booked.messages);
+    let digest = fnv_fold(shared.borrow().digest, messages);
     DesScalingResult {
         ranks: cfg.ranks,
         iters: cfg.iters,
         segments,
         iter_s: sim_s / cfg.iters as f64,
         sim_s,
-        messages: booked.messages,
-        hops: booked.hops,
+        messages,
+        hops,
         kernel_events: sim.events_processed(),
         digest,
     }

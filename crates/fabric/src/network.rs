@@ -284,6 +284,18 @@ impl<T: Topology + ?Sized> Network<T> {
         self.links.borrow().booked
     }
 
+    /// The latest link horizon: the instant the last booked occupancy on
+    /// any link ends, `ZERO` on a fresh fabric. One pass over the links.
+    pub fn horizon(&self) -> SimTime {
+        let links = self.links.borrow();
+        links
+            .busy_until
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or(SimTime::ZERO)
+    }
+
     /// Carry `bytes` from `src` to `dst`, suspending until the last byte
     /// (plus endpoint overheads) has arrived. Returns transfer statistics
     /// or a [`LinkFailure`] if injected errors exhausted the retry budget.
@@ -1218,6 +1230,27 @@ mod tests {
         assert_eq!(book(2), want);
         let idle = vec![SimTime::ZERO; want.3.len()];
         assert_eq!(book(3), (SimTime::ZERO, vec![], Booked::default(), idle));
+    }
+
+    /// `horizon` is `ZERO` on a fresh fabric; after a batch it is the
+    /// latest link's `busy_until`, no later than the batch's overall
+    /// completion.
+    #[test]
+    fn horizon_is_the_latest_link_and_within_the_batch() {
+        let sim = Simulation::new(1);
+        let ib = crate::IbFabric::new(&sim.handle(), 64);
+        let net = ib.network();
+        assert_eq!(net.horizon(), SimTime::ZERO);
+        let msgs = (0..64).map(|r: u32| BatchMsg {
+            src: NodeId(r),
+            dst: NodeId((r * 7 + 3) % 64),
+            bytes: 65_536,
+            earliest: SimTime(u64::from(r) * 100),
+        });
+        let overall = net.schedule_batch(msgs, &mut Vec::new());
+        let horizon = net.horizon();
+        assert!(SimTime::ZERO < horizon && horizon <= overall);
+        assert!(net.links.borrow().busy_until.iter().all(|&b| b <= horizon));
     }
 
     #[test]

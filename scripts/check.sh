@@ -32,6 +32,11 @@ step "cargo test (workspace)" cargo test -q
 step "cg_pins in release (F09b's iteration count)" \
     cargo test -q --release -p deep-apps --test cg_pins
 
+# F23b's saturation claim holds only at its registered 12x12 tiles,
+# about 12 s in a debug build, where the test is ignored.
+step "f23b shape claim in release" \
+    cargo test -q --release --test experiment_shapes f23b
+
 # Rustdoc with warnings denied: deleting or privatising a documented
 # item cannot leave a dangling intra-doc link behind.
 step "cargo doc (deny warnings)" \
@@ -46,8 +51,10 @@ step "cargo doc (deny warnings)" \
 # tests/process_table_bound.rs); des_a2a_4k, the only full-size pin of the
 # batched irregular (all-to-all) path; and des_spmv_262k, whose golden
 # row (digest, 20 971 520 messages, 364 109 kernel events) is the one a
-# fabric layout change must not move — `cargo test` pins the two
-# `des_*@smoke` rows and a one-iteration 262k digest, not this row (a
+# fabric layout change must not move, and which also guards the replay
+# of its iterations 2-4 from the booked first one at full size —
+# `cargo test` pins the two `des_*@smoke` rows, a one-iteration 262k
+# digest and multi-iteration runs up to 16 384 ranks, not this row (a
 # few seconds each once the harness is built; it shares target/). A
 # passing run shows only its result line.
 bench() {
