@@ -267,7 +267,7 @@ async fn driver(
         let t_end = match span {
             Some(d) => start + d,
             None => {
-                let t_end = book_collectives(&ib, &skeleton, &mut shared.borrow_mut(), start);
+                let t_end = book_collectives(&ib, &skeleton, &mut shared.borrow_mut());
                 span = Some(t_end - start);
                 t_end
             }
@@ -281,13 +281,8 @@ async fn driver(
 }
 
 /// Book iteration 1's collective rounds from the ranks' readiness after
-/// the halos at `start`, and return the iteration's end.
-fn book_collectives(
-    ib: &IbFabric,
-    skeleton: &Skeleton,
-    sh: &mut Shared,
-    start: SimTime,
-) -> SimTime {
+/// the halos, and return the iteration's end.
+fn book_collectives(ib: &IbFabric, skeleton: &Skeleton, sh: &mut Shared) -> SimTime {
     // The collective rounds run after the "segments merged" barrier;
     // only the driver is live until it sleeps to the iteration end.
     // Per-message `earliest` times carry every rank's skew, so no
@@ -295,7 +290,7 @@ fn book_collectives(
     for round in skeleton.collectives.iter().flat_map(|s| s.rounds()) {
         book_round(ib, round, &mut sh.ready, &mut sh.done);
     }
-    let t_end = sh.ready.iter().copied().max().unwrap_or(start);
+    let t_end = sh.ready.iter().copied().max().expect("ranks >= 2");
     // The replay's precondition: no link stays busy past the iteration,
     // so the next one starts on an idle fabric.
     assert!(

@@ -561,7 +561,8 @@ fn f23_dataflow_beats_fork_join() {
 /// up from 1 to 4 ranks, then saturates — 12 ranks within 5 % of 6 and
 /// below 3×, since every panel serialises at its owner. Release only:
 /// the registered run takes about 12 s in a debug build, and reduced
-/// tile grids lose the shape (at 8×16 tiles no rank count beats one).
+/// tile grids lose the shape (at 8×8 tiles of 16×16 no rank count
+/// beats one).
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn f23b_bulk_synchronous_cholesky_saturates() {
