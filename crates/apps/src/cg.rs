@@ -418,7 +418,7 @@ mod tests {
     /// 17 / 20 test-only references) once `spmv_dot` / `axpy_norm` are
     /// no longer being changed; `tests/cg_pins.rs` then owns the bits.
     mod unfused {
-        pub fn local_spmv(
+        pub(super) fn local_spmv(
             v: &[f64],
             halo_up: Option<&[f64]>,
             halo_down: Option<&[f64]>,
@@ -451,11 +451,11 @@ mod tests {
             }
         }
 
-        pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+        pub(super) fn dot(a: &[f64], b: &[f64]) -> f64 {
             a.iter().zip(b).map(|(x, y)| x * y).sum()
         }
 
-        pub fn axpy(alpha: f64, p: &[f64], ap: &[f64], x: &mut [f64], r: &mut [f64]) {
+        pub(super) fn axpy(alpha: f64, p: &[f64], ap: &[f64], x: &mut [f64], r: &mut [f64]) {
             for i in 0..p.len() {
                 x[i] += alpha * p[i];
                 r[i] -= alpha * ap[i];

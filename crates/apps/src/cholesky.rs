@@ -256,7 +256,7 @@ pub fn kernel_profile(kind: &str, ts: usize) -> KernelProfile {
 }
 
 /// Cost profiles for the four kernels on `ts × ts` tiles.
-pub fn kernel_cost(kind: &str, ts: usize) -> TaskCost {
+fn kernel_cost(kind: &str, ts: usize) -> TaskCost {
     TaskCost::Kernel {
         profile: kernel_profile(kind, ts),
         cores: 1,

@@ -31,7 +31,7 @@ pub struct StencilState {
 
 impl StencilState {
     /// State of `rank` of `size` on an `nx × ny` grid, before any sweep.
-    pub fn of_rank(rank: u32, size: u32, nx: usize, ny: usize) -> StencilState {
+    fn of_rank(rank: u32, size: u32, nx: usize, ny: usize) -> StencilState {
         StencilState {
             nx,
             rows: my_rows(rank, size, ny).len(),
@@ -82,7 +82,7 @@ pub struct DCholeskyState {
 impl DCholeskyState {
     /// State of `rank` of `p` for an `nt × nt`-tile factorisation with
     /// `ts × ts` tiles under 1-D block-cyclic column distribution.
-    pub fn of_rank(rank: u32, p: u32, nt: usize, ts: usize) -> DCholeskyState {
+    fn of_rank(rank: u32, p: u32, nt: usize, ts: usize) -> DCholeskyState {
         let owned_tiles = (0..nt)
             .filter(|&j| column_owner(j, p) == rank)
             .map(|j| nt - j) // lower-triangle tiles i ∈ [j, nt)

@@ -65,7 +65,8 @@ pub fn fft_inplace(data: &mut [Cpx]) {
 }
 
 /// Direct O(n²) DFT, the verification reference.
-pub fn dft_reference(input: &[Cpx]) -> Vec<Cpx> {
+#[cfg(test)]
+fn dft_reference(input: &[Cpx]) -> Vec<Cpx> {
     let n = input.len();
     (0..n)
         .map(|k| {
@@ -216,7 +217,7 @@ pub fn run_fft_ideal(seed: u64, n_ranks: u32, n: usize) -> (FftResult, u64) {
 }
 
 /// The deterministic input pattern used by driver and tests.
-pub fn test_pattern(r: usize, c: usize, n: usize) -> Cpx {
+fn test_pattern(r: usize, c: usize, n: usize) -> Cpx {
     let x = (r * 31 + c * 17) % n;
     ((x as f64 / n as f64) - 0.5, ((r + c) % 3) as f64 * 0.25)
 }

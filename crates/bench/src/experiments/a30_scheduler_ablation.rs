@@ -95,7 +95,7 @@ pub fn tables() -> Vec<Table> {
                 .map(move |policy| (wl, workers, policy))
         })
         .collect();
-    let runs = crate::sweep::par_sweep(&units, |_, &(wl, workers, policy)| {
+    let runs = crate::sweep::par_sweep(&units, |&(wl, workers, policy)| {
         run_case(build(wl), workers, policy)
     });
     for (case_idx, &(name, _, workers)) in cases.iter().enumerate() {

@@ -75,7 +75,7 @@ pub fn tables() -> Vec<Table> {
         .iter()
         .flat_map(|&(n_bi, _, sel)| (1..=SEEDS).map(move |seed| (n_bi, sel, seed)))
         .collect();
-    let mixes = crate::sweep::par_sweep(&units, |_, &(n_bi, sel, seed)| run_mix(sel, n_bi, seed));
+    let mixes = crate::sweep::par_sweep(&units, |&(n_bi, sel, seed)| run_mix(sel, n_bi, seed));
     for (case_idx, &(n_bi, name, _)) in cases.iter().enumerate() {
         // Average over the 3 flow layouts, in seed order.
         let mut time = 0.0;

@@ -64,7 +64,7 @@ pub fn tables() -> Vec<Table> {
             grid.push((msg, thr));
         }
     }
-    let cells = crate::sweep::par_sweep(&grid, |_, &(msg, thr)| Cell::f(halo_time(thr, msg) * 1e3));
+    let cells = crate::sweep::par_sweep(&grid, |&(msg, thr)| Cell::f(halo_time(thr, msg) * 1e3));
     for (msg, row) in sizes.iter().zip(cells.chunks(thresholds.len())) {
         t.row(std::iter::once(Cell::bytes(*msg)).chain(row.iter().cloned()));
     }

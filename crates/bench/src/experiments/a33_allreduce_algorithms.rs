@@ -74,7 +74,7 @@ pub fn tables() -> Vec<Table> {
         .iter()
         .flat_map(|&doubles| algos.map(|algo| (doubles, algo)))
         .collect();
-    let times = crate::sweep::par_sweep(&grid, |_, &(doubles, algo)| run_case(algo, 16, doubles));
+    let times = crate::sweep::par_sweep(&grid, |&(doubles, algo)| run_case(algo, 16, doubles));
     for (&doubles, secs) in payloads.iter().zip(times.chunks(3)) {
         // The first of the fastest.
         let best = (1..3).fold(0, |b, i| if secs[i] < secs[b] { i } else { b });

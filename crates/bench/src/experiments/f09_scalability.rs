@@ -141,7 +141,7 @@ pub fn tables() -> Vec<Table> {
             .flat_map(|&n| [(n, false), (n, true)])
             .map(|(n, complex)| Unit::Mpi { n, complex }),
     );
-    let measured = crate::sweep::par_sweep(&units, |_, u| measure(u));
+    let measured = crate::sweep::par_sweep(&units, measure);
     let spmv_full = measured[0].1.expect("unit 0 is the full SpMV run");
     let cplx_full = measured[1].1.expect("unit 1 is the full complex run");
 

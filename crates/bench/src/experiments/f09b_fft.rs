@@ -55,7 +55,7 @@ pub fn tables() -> Vec<Table> {
         .iter()
         .flat_map(|&ranks| [(ranks, false), (ranks, true)])
         .collect();
-    let comm_ns = crate::sweep::par_sweep(&units, |_, &(ranks, cg)| {
+    let comm_ns = crate::sweep::par_sweep(&units, |&(ranks, cg)| {
         if cg {
             run_cg_skeleton_ideal(1, ranks, CG_N, CG_N, CG_ITERS)
         } else {

@@ -76,7 +76,7 @@ pub fn tables() -> Vec<Table> {
     // coarsest-invocation baseline folds in afterwards from the
     // index-ordered results.
     let ks = [1u32, 4, 16, 64, 256, 1024, 4096];
-    let runs = crate::sweep::par_sweep(&ks, |_, &k| granularity_run(k));
+    let runs = crate::sweep::par_sweep(&ks, |&k| granularity_run(k));
     let mut baseline = None;
     for (&k, &(dt, msgs)) in ks.iter().zip(&runs) {
         let base = *baseline.get_or_insert(dt);

@@ -2,7 +2,7 @@
 //!
 //! An experiment sweep is a list of independent parameter points, each
 //! evaluated by a pure, deterministic function (usually one simulator
-//! run seeded from the point's index). [`par_sweep`] fans the points
+//! run seeded from the point itself). [`par_sweep`] fans the points
 //! across the rayon pool and returns results **in input order**, so a
 //! sweep's output is a pure function of its inputs — bit-identical for
 //! any `RAYON_NUM_THREADS`, including 1.
@@ -10,17 +10,15 @@
 //! Determinism is by construction, not by luck:
 //! * results come back in index order whichever thread claimed which
 //!   chunk (see `vendor/rayon`);
-//! * each point derives its RNG stream from its *index*
-//!   ([`index_stream`] + `SimRng::from_seed_stream`), so no draw depends
-//!   on which worker ran which point;
+//! * each point carries whatever seeds its run, so no draw depends on
+//!   which worker ran which point;
 //! * results land in index-ordered slots and any reduction happens
 //!   after the barrier, on the caller's thread.
 
 use rayon::prelude::*;
 
 /// Evaluate `f` at every point, in parallel; results are returned in
-/// input order. `f` gets the point's index alongside the point so it
-/// can derive a per-point RNG stream.
+/// input order.
 ///
 /// Sweep points are *coarse* work units — whole simulations or table
 /// rows, micro- to milliseconds each — so the chunk size is capped at 1:
@@ -33,20 +31,13 @@ pub fn par_sweep<P, R, F>(points: &[P], f: F) -> Vec<R>
 where
     P: Sync,
     R: Send,
-    F: Fn(usize, &P) -> R + Sync + Send,
+    F: Fn(&P) -> R + Sync + Send,
 {
     (0..points.len())
         .into_par_iter()
         .with_max_len(1)
-        .map(|i| f(i, &points[i]))
+        .map(|i| f(&points[i]))
         .collect()
-}
-
-/// The RNG stream id for sweep point `index` under base stream `base` —
-/// the additive convention the resilience models already use
-/// (`0xE401 + r`). Wrapping add, so any base is safe.
-pub fn index_stream(base: u64, index: usize) -> u64 {
-    base.wrapping_add(index as u64)
 }
 
 #[cfg(test)]
@@ -57,11 +48,9 @@ mod tests {
     #[test]
     fn results_come_back_in_input_order() {
         let points: Vec<u64> = (0..100).rev().collect();
-        let out = par_sweep(&points, |i, &p| (i, p * 2));
-        for (i, &(idx, doubled)) in out.iter().enumerate() {
-            assert_eq!(idx, i);
-            assert_eq!(doubled, points[i] * 2);
-        }
+        let out = par_sweep(&points, |&p| p * 2);
+        let want: Vec<u64> = points.iter().map(|p| p * 2).collect();
+        assert_eq!(out, want);
     }
 
     #[test]
@@ -69,14 +58,14 @@ mod tests {
         // A draw-heavy float workload whose result would differ under
         // any reordering of draws or of the final accumulation.
         let points: Vec<u64> = (0..40).collect();
-        let eval = |i: usize, &p: &u64| -> f64 {
-            let mut rng = SimRng::from_seed_stream(7, index_stream(0x5EED, i));
+        let eval = |&p: &u64| -> f64 {
+            let mut rng = SimRng::from_seed_stream(7, 0x5EED + p);
             (0..200)
                 .map(|_| rng.gen_range(0..p + 1) as f64)
                 .sum::<f64>()
                 / 200.0
         };
-        let serial: Vec<f64> = points.iter().enumerate().map(|(i, p)| eval(i, p)).collect();
+        let serial: Vec<f64> = points.iter().map(eval).collect();
         for threads in [1usize, 2, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
@@ -89,12 +78,5 @@ mod tests {
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "sweep diverged at {threads} threads");
         }
-    }
-
-    #[test]
-    fn index_stream_is_the_additive_convention() {
-        assert_eq!(index_stream(0xE401, 0), 0xE401);
-        assert_eq!(index_stream(0xE401, 3), 0xE404);
-        assert_eq!(index_stream(u64::MAX, 1), 0); // wraps, never panics
     }
 }

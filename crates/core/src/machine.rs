@@ -156,7 +156,7 @@ impl DeepMachine {
     }
 
     /// Endpoints of the cluster nodes.
-    pub fn cluster_eps(&self) -> Vec<EpId> {
+    fn cluster_eps(&self) -> Vec<EpId> {
         (0..self.config.n_cluster)
             .map(|i| self.cbp.cluster_ep(i))
             .collect()

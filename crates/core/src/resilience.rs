@@ -535,32 +535,6 @@ impl MultiLevelParams {
         self.l3_every = 0;
         self
     }
-
-    /// The level the `count`-th checkpoint is written at under the
-    /// rotation (L3 takes precedence over L2 when both divide `count`).
-    pub fn level_for(&self, count: u64) -> CkptLevel {
-        if self.l3_every > 0 && count.is_multiple_of(self.l3_every as u64) {
-            CkptLevel::L3Pfs
-        } else if self.l2_every > 0 && count.is_multiple_of(self.l2_every as u64) {
-            CkptLevel::L2Partner
-        } else {
-            CkptLevel::L1Local
-        }
-    }
-
-    /// Draw a failure severity from the configured weight mix.
-    pub fn draw_severity(&self, rng: &mut SimRng) -> FailureSeverity {
-        let total: f64 = self.severity_weights.iter().sum();
-        assert!(total > 0.0, "severity weights must not all be zero");
-        let mut u = rng.gen_f64() * total;
-        for (i, &w) in self.severity_weights.iter().enumerate() {
-            u -= w;
-            if u < 0.0 {
-                return FailureSeverity::ALL[i];
-            }
-        }
-        FailureSeverity::MultiNodeLoss
-    }
 }
 
 fn level_index(level: CkptLevel) -> usize {
@@ -597,7 +571,7 @@ pub fn simulate_multilevel(p: &MultiLevelParams, rng: &mut SimRng) -> Resilience
     while done < p.work_s && wall < wall_cap {
         let segment = p.interval_s.min(p.work_s - done);
         let last = done + segment >= p.work_s;
-        let level = p.level_for(checkpoints + 1);
+        let level = CkptLevel::rotation(checkpoints + 1, p.l2_every, p.l3_every);
         let attempt = segment
             + if last {
                 0.0
@@ -613,7 +587,7 @@ pub fn simulate_multilevel(p: &MultiLevelParams, rng: &mut SimRng) -> Resilience
             }
         } else {
             failures += 1;
-            let severity = p.draw_severity(rng);
+            let severity = FailureSeverity::draw(rng, p.severity_weights);
             log.fail(severity);
             wall = next_failure + p.restart_s;
             match log.best() {

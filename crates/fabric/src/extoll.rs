@@ -152,7 +152,8 @@ impl ExtollFabric {
 
     /// One-sided bulk get: a request traversal precedes the data flowing
     /// back, so small gets pay roughly one extra network latency.
-    pub async fn rma_get(
+    #[cfg(test)]
+    async fn rma_get(
         &self,
         initiator: NodeId,
         target: NodeId,

@@ -47,7 +47,7 @@ impl Torus3D {
     }
 
     /// Coordinates of a node id.
-    pub fn coords(&self, n: NodeId) -> (u32, u32, u32) {
+    fn coords(&self, n: NodeId) -> (u32, u32, u32) {
         let (dx, dy, _) = self.dims;
         let x = n.0 % dx;
         let y = (n.0 / dx) % dy;
@@ -56,14 +56,15 @@ impl Torus3D {
     }
 
     /// Node id of coordinates.
-    pub fn node_at(&self, x: u32, y: u32, z: u32) -> NodeId {
+    fn node_at(&self, x: u32, y: u32, z: u32) -> NodeId {
         let (dx, dy, dz) = self.dims;
         assert!(x < dx && y < dy && z < dz);
         NodeId(x + dx * (y + dy * z))
     }
 
     /// The outgoing link of `n` in direction `dir`.
-    pub fn link_of(&self, n: NodeId, dir: TorusDir) -> LinkId {
+    #[cfg(test)]
+    fn link_of(&self, n: NodeId, dir: TorusDir) -> LinkId {
         LinkId(n.0 * 6 + dir as u32)
     }
 

@@ -158,7 +158,7 @@ impl FaultPlan {
         let mut t = rng.gen_exp(system_mtbf);
         while t < horizon_s {
             let node = rng.gen_range(0..n_nodes);
-            let severity = draw_weighted_severity(&mut rng, severity_weights);
+            let severity = FailureSeverity::draw(&mut rng, severity_weights);
             events.push(FaultEvent {
                 at: SimDuration::from_secs_f64(t),
                 kind: FaultKind::NodeCrash {
@@ -196,21 +196,6 @@ impl FaultPlan {
             .collect();
         FaultPlan::new(events)
     }
-}
-
-/// Weighted severity draw, mirroring the analytic model's mix
-/// ([transient, node loss, multi-node loss]).
-fn draw_weighted_severity(rng: &mut SimRng, weights: [f64; 3]) -> FailureSeverity {
-    let total: f64 = weights.iter().sum();
-    assert!(total > 0.0, "severity weights must not all be zero");
-    let mut u = rng.gen_f64() * total;
-    for (i, &w) in weights.iter().enumerate() {
-        u -= w;
-        if u < 0.0 {
-            return FailureSeverity::ALL[i];
-        }
-    }
-    FailureSeverity::MultiNodeLoss
 }
 
 #[cfg(test)]

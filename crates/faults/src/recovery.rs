@@ -77,17 +77,6 @@ pub struct RecoveryOutcome {
     pub restores: Vec<Option<(CkptLevel, u64)>>,
 }
 
-/// The driver's rotation (same shape as the analytic model's).
-fn rotation(count: u64, l2_every: u32, l3_every: u32) -> CkptLevel {
-    if l3_every > 0 && count.is_multiple_of(l3_every as u64) {
-        CkptLevel::L3Pfs
-    } else if l2_every > 0 && count.is_multiple_of(l2_every as u64) {
-        CkptLevel::L2Partner
-    } else {
-        CkptLevel::L1Local
-    }
-}
-
 /// Factor panel `k` of the tiled matrix in place (right-looking).
 fn factor_panel(m: &TiledMatrix, k: usize) {
     let (nt, ts) = (m.nt, m.ts);
@@ -180,7 +169,7 @@ pub fn run_cholesky_with_recovery(
                 k += 1;
                 if k < p.nt && p.ckpt_every > 0 && k.is_multiple_of(p.ckpt_every) {
                     checkpoints += 1;
-                    let level = rotation(checkpoints, p.l2_every, p.l3_every);
+                    let level = CkptLevel::rotation(checkpoints, p.l2_every, p.l3_every);
                     mgr.checkpoint(level, p.bytes_per_rank, k as u64).await;
                     snapshots.insert(k as u64, snapshot(&m));
                 }
@@ -219,6 +208,7 @@ mod tests {
 
     #[test]
     fn rotation_matches_the_analytic_shape() {
+        let rotation = CkptLevel::rotation;
         assert_eq!(rotation(1, 2, 4), CkptLevel::L1Local);
         assert_eq!(rotation(2, 2, 4), CkptLevel::L2Partner);
         assert_eq!(rotation(4, 2, 4), CkptLevel::L3Pfs);

@@ -19,6 +19,7 @@ use deep_core::{
     mark_of, mean_multilevel_over_replicas, measure_level_costs, DeepConfig, DeepMachine,
     MeanEfficiency, MultiLevelParams, ResilienceOutcome,
 };
+use deep_io::{CkptLevel, FailureSeverity};
 use deep_simkit::{Either, SimDuration, SimRng, Simulation};
 
 /// One DES replica of the multi-level scenario. Deterministic in
@@ -60,7 +61,7 @@ pub fn des_multilevel_run(
             while done < p.work_s && (ctx.now() - t0).as_secs_f64() < wall_cap {
                 let segment = p.interval_s.min(p.work_s - done);
                 let last = done + segment >= p.work_s;
-                let level = p.level_for(checkpoints + 1);
+                let level = CkptLevel::rotation(checkpoints + 1, p.l2_every, p.l3_every);
                 let mark = mark_of(done + segment);
                 // The attempt: compute the segment, then commit its
                 // checkpoint through the real storage hierarchy.
@@ -90,7 +91,7 @@ pub fn des_multilevel_run(
                     }
                     Either::Right(()) => {
                         failures += 1;
-                        let severity = p.draw_severity(&mut rng);
+                        let severity = FailureSeverity::draw(&mut rng, p.severity_weights);
                         mgr.fail(severity);
                         ctx.sleep(SimDuration::from_secs_f64(p.restart_s)).await;
                         done = match mgr.restore(bytes_per_rank).await {

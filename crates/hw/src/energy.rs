@@ -18,7 +18,7 @@ pub struct PowerModel {
 
 impl PowerModel {
     /// Power at a utilisation in [0, 1].
-    pub fn power_at(&self, utilisation: f64) -> f64 {
+    fn power_at(&self, utilisation: f64) -> f64 {
         let u = utilisation.clamp(0.0, 1.0);
         self.idle_w + (self.peak_w - self.idle_w) * u
     }
@@ -60,7 +60,8 @@ impl EnergyMeter {
     }
 
     /// Total idle time accounted.
-    pub fn idle_time(&self) -> SimDuration {
+    #[cfg(test)]
+    fn idle_time(&self) -> SimDuration {
         self.idle
     }
 

@@ -5,6 +5,8 @@
 //! level that *survives* a failure severity must be recoverable after any
 //! sequence of failures of at most that severity.
 
+use deep_simkit::SimRng;
+
 /// Where a checkpoint's replica lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CkptLevel {
@@ -31,6 +33,19 @@ impl CkptLevel {
 
     fn index(&self) -> usize {
         *self as usize
+    }
+
+    /// The level the `count`-th checkpoint is written at when every
+    /// `l2_every`-th goes to L2 and every `l3_every`-th to L3 (0 = never;
+    /// L3 takes precedence when both divide `count`).
+    pub fn rotation(count: u64, l2_every: u32, l3_every: u32) -> CkptLevel {
+        if l3_every > 0 && count.is_multiple_of(l3_every as u64) {
+            CkptLevel::L3Pfs
+        } else if l2_every > 0 && count.is_multiple_of(l2_every as u64) {
+            CkptLevel::L2Partner
+        } else {
+            CkptLevel::L1Local
+        }
     }
 
     /// Does a replica at this level survive a failure of this severity?
@@ -67,6 +82,21 @@ impl FailureSeverity {
         FailureSeverity::NodeLoss,
         FailureSeverity::MultiNodeLoss,
     ];
+
+    /// Draw a severity with odds proportional to `weights` ([transient,
+    /// node loss, multi-node loss]), one `gen_f64` per draw.
+    pub fn draw(rng: &mut SimRng, weights: [f64; 3]) -> FailureSeverity {
+        let total: f64 = weights.iter().sum();
+        assert!(total > 0.0, "severity weights must not all be zero");
+        let mut u = rng.gen_f64() * total;
+        for (i, &w) in weights.iter().enumerate() {
+            u -= w;
+            if u < 0.0 {
+                return FailureSeverity::ALL[i];
+            }
+        }
+        FailureSeverity::MultiNodeLoss
+    }
 }
 
 /// Tracks, per level, the newest committed checkpoint's work mark.

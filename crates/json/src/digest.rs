@@ -2,7 +2,7 @@
 //!
 //! Two syntactically different documents that mean the same config —
 //! members in a different order, redundant whitespace — must address
-//! the same cached result. [`canonical_json`] renders a [`Value`] into
+//! the same cached result. `canonical_json` renders a [`Value`] into
 //! a normal form (object members sorted by key at every level, compact
 //! separators, the workspace's deterministic number formatting) and
 //! [`digest`] hashes those bytes with FNV-1a 64. The digest is a pure
@@ -30,7 +30,7 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 
 /// Render `v` in canonical form: compact, object members sorted by key
 /// (byte order, stable for duplicate keys) at every nesting level.
-pub fn canonical_json(v: &Value) -> String {
+fn canonical_json(v: &Value) -> String {
     let mut out = String::new();
     write_canonical(v, &mut out);
     out

@@ -374,7 +374,7 @@ impl<T: 'static> Request<T> {
 
     /// Wait for completion (`MPI_Wait`).
     pub async fn wait(self) -> T {
-        self.handle.await.expect("request process was killed")
+        self.handle.await
     }
 }
 

@@ -48,7 +48,7 @@ impl JobSpec {
     }
 
     /// Runtime estimate ignoring queueing (used by backfill).
-    pub fn estimated_duration(&self) -> SimDuration {
+    fn estimated_duration(&self) -> SimDuration {
         self.phases.iter().map(|p| p.cn_time + p.bn_time).sum()
     }
 }

@@ -75,7 +75,7 @@ pub fn execute(sc: &Scenario) -> Value {
 /// determinism goldens pin).
 fn run_scalability_sweep(sc: &Scenario, app: &ScalabilityApp) -> Value {
     let model = deep_psmpi::NetModel::ib_fdr();
-    let rows = deep_bench::sweep::par_sweep(&app.ranks, |_, &ranks| {
+    let rows = deep_bench::sweep::par_sweep(&app.ranks, |&ranks| {
         let r = des_scaling::run(DesScalingConfig {
             ranks,
             iters: app.iters,

@@ -17,8 +17,13 @@
 //! dotted keys on the left of `=`. Every error message is of the form
 //! `line N: <what>` and is asserted verbatim by the scenario
 //! conformance corpus in `tests/scenario_fixtures/`.
+//!
+//! Nesting is capped at [`MAX_DEPTH`] levels, both arrays and inline
+//! tables inside one value and keys in one table header: the value
+//! parser recurses once per level, and the tree it builds is dropped
+//! and validated recursively.
 
-use deep_json::Value;
+use deep_json::{Value, MAX_DEPTH};
 
 /// Parse a TOML-subset document into an object [`Value`].
 pub fn parse(input: &str) -> Result<Value, String> {
@@ -26,6 +31,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
         src: input.as_bytes(),
         pos: 0,
         line: 1,
+        depth: 0,
     };
     let mut root = Value::Object(Vec::new());
     // Paths of explicitly declared `[table]` headers, to reject
@@ -161,6 +167,8 @@ struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
     line: usize,
+    /// Arrays and inline tables open around the value being parsed.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -264,6 +272,12 @@ impl<'a> Parser<'a> {
         loop {
             self.skip_inline_ws();
             if self.peek() == Some(b'.') {
+                if path.len() == MAX_DEPTH {
+                    return Err(format!(
+                        "line {}: table header deeper than {MAX_DEPTH} keys",
+                        self.line
+                    ));
+                }
                 self.bump();
                 path.push(self.parse_key()?);
             } else {
@@ -336,67 +350,85 @@ impl<'a> Parser<'a> {
                 "line {}: literal ('-quoted) strings are not supported",
                 self.line
             )),
-            Some(b'[') => {
-                self.bump();
-                let mut items = Vec::new();
-                loop {
-                    self.skip_trivia();
-                    if self.peek() == Some(b']') {
-                        self.bump();
-                        return Ok(Value::Array(items));
-                    }
-                    items.push(self.parse_value()?);
-                    self.skip_trivia();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.bump();
-                        }
-                        Some(b']') => {
-                            self.bump();
-                            return Ok(Value::Array(items));
-                        }
-                        _ => {
-                            return Err(format!("line {}: expected ',' or ']' in array", self.line))
-                        }
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.bump();
-                let mut kv: Vec<(String, Value)> = Vec::new();
-                loop {
-                    self.skip_trivia();
-                    if self.peek() == Some(b'}') {
-                        self.bump();
-                        return Ok(Value::Object(kv));
-                    }
-                    let key = self.parse_key()?;
-                    self.expect_byte(b'=')?;
-                    self.skip_inline_ws();
-                    let value = self.parse_value()?;
-                    if kv.iter().any(|(k, _)| k == &key) {
-                        return Err(format!("line {}: duplicate key '{}'", self.line, key));
-                    }
-                    kv.push((key, value));
-                    self.skip_trivia();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.bump();
-                        }
-                        Some(b'}') => {
-                            self.bump();
-                            return Ok(Value::Object(kv));
-                        }
-                        _ => {
-                            return Err(format!(
-                                "line {}: expected ',' or '}}' in inline table",
-                                self.line
-                            ))
-                        }
-                    }
-                }
-            }
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_inline_table),
             _ => self.parse_bare(),
+        }
+    }
+
+    /// Parse an array or inline table one level deeper, refusing to go
+    /// past [`MAX_DEPTH`] levels.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "line {}: nesting deeper than {MAX_DEPTH} levels",
+                self.line
+            ));
+        }
+        self.bump();
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
+    /// The rest of an array, after its `[`.
+    fn parse_array(&mut self) -> Result<Value, String> {
+        let mut items = Vec::new();
+        loop {
+            self.skip_trivia();
+            if self.peek() == Some(b']') {
+                self.bump();
+                return Ok(Value::Array(items));
+            }
+            items.push(self.parse_value()?);
+            self.skip_trivia();
+            match self.peek() {
+                Some(b',') => {
+                    self.bump();
+                }
+                Some(b']') => {
+                    self.bump();
+                    return Ok(Value::Array(items));
+                }
+                _ => return Err(format!("line {}: expected ',' or ']' in array", self.line)),
+            }
+        }
+    }
+
+    /// The rest of an inline table, after its `{`.
+    fn parse_inline_table(&mut self) -> Result<Value, String> {
+        let mut kv: Vec<(String, Value)> = Vec::new();
+        loop {
+            self.skip_trivia();
+            if self.peek() == Some(b'}') {
+                self.bump();
+                return Ok(Value::Object(kv));
+            }
+            let key = self.parse_key()?;
+            self.expect_byte(b'=')?;
+            self.skip_inline_ws();
+            let value = self.parse_value()?;
+            if kv.iter().any(|(k, _)| k == &key) {
+                return Err(format!("line {}: duplicate key '{}'", self.line, key));
+            }
+            kv.push((key, value));
+            self.skip_trivia();
+            match self.peek() {
+                Some(b',') => {
+                    self.bump();
+                }
+                Some(b'}') => {
+                    self.bump();
+                    return Ok(Value::Object(kv));
+                }
+                _ => {
+                    return Err(format!(
+                        "line {}: expected ',' or '}}' in inline table",
+                        self.line
+                    ))
+                }
+            }
         }
     }
 
@@ -647,6 +679,21 @@ mod tests {
         ];
         for (src, want) in cases {
             assert_eq!(parse(src).unwrap_err(), want, "for input {src:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_an_error_not_a_stack_overflow() {
+        let arrays: fn(usize) -> String = |n| format!("a = {}{}\n", "[".repeat(n), "]".repeat(n));
+        let tables: fn(usize) -> String =
+            |n| format!("a = {}1{}\n", "{ b = ".repeat(n), " }".repeat(n));
+        let header: fn(usize) -> String = |n| format!("[{}]\n", vec!["a"; n].join("."));
+        let nesting = format!("line 1: nesting deeper than {MAX_DEPTH} levels");
+        let too_long = format!("line 1: table header deeper than {MAX_DEPTH} keys");
+        for (doc, err) in [(arrays, &nesting), (tables, &nesting), (header, &too_long)] {
+            assert!(parse(&doc(MAX_DEPTH)).is_ok());
+            assert_eq!(parse(&doc(MAX_DEPTH + 1)).unwrap_err(), *err);
+            assert_eq!(parse(&doc(200_000)).unwrap_err(), *err);
         }
     }
 

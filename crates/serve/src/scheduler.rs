@@ -568,9 +568,9 @@ impl Scheduler {
         st.drained()
     }
 
-    /// Block until every admitted job reached a terminal state (used
-    /// by SIGTERM handling after [`Scheduler::drain`]).
-    pub fn wait_idle(&self) {
+    /// Block until every admitted job reached a terminal state
+    /// ([`Scheduler::shutdown`]'s wait after its drain).
+    fn wait_idle(&self) {
         let mut st = unpoisoned(self.inner.state.lock());
         while st.queued > 0 || st.running > 0 {
             st = unpoisoned(self.inner.update.wait(st));

@@ -4,11 +4,9 @@
 //! time** — they are a programming primitive, not a network model. Network
 //! crates layer transport delays on top by sleeping before `send`.
 //!
-//! Two flavours:
-//! * [`channel`] — unbounded MPSC-ish queue (any number of senders and
-//!   receivers is allowed; receivers compete for items, FIFO).
-//! * [`bounded`] — capacity-limited; `send` suspends while full, which is
-//!   what NIC injection queues and credit-based protocols are built from.
+//! A [`channel`] is an unbounded queue: any number of senders and
+//! receivers is allowed, and receivers compete for items in FIFO order.
+//! Sending never waits; receiving waits while the queue is empty.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -22,9 +20,7 @@ use crate::sim::Sim;
 
 struct ChanState<T> {
     queue: VecDeque<T>,
-    capacity: usize, // usize::MAX for unbounded
     recv_waiters: VecDeque<ProcId>,
-    send_waiters: VecDeque<ProcId>,
     senders: usize,
     receivers: usize,
 }
@@ -51,16 +47,9 @@ pub struct RecvError;
 
 /// Create an unbounded channel.
 pub fn channel<T>(sim: &Sim) -> (Sender<T>, Receiver<T>) {
-    bounded(sim, usize::MAX)
-}
-
-/// Create a channel holding at most `capacity` queued items.
-pub fn bounded<T>(sim: &Sim, capacity: usize) -> (Sender<T>, Receiver<T>) {
     let state = Rc::new(RefCell::new(ChanState {
         queue: VecDeque::new(),
-        capacity,
         recv_waiters: VecDeque::new(),
-        send_waiters: VecDeque::new(),
         senders: 1,
         receivers: 1,
     }));
@@ -114,22 +103,16 @@ impl<T> Clone for Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut st = self.state.borrow_mut();
-        st.receivers -= 1;
-        if st.receivers == 0 {
-            while let Some(w) = st.send_waiters.pop_front() {
-                self.sim.kernel().make_ready(w);
-            }
-        }
+        self.state.borrow_mut().receivers -= 1;
     }
 }
 
 impl<T> Sender<T> {
-    /// Queue a value without waiting. Fails if the channel is at capacity
-    /// or all receivers are gone.
+    /// Queue a value without waiting. Fails only if all receivers are
+    /// gone.
     pub fn try_send(&self, value: T) -> Result<(), T> {
         let mut st = self.state.borrow_mut();
-        if st.receivers == 0 || st.queue.len() >= st.capacity {
+        if st.receivers == 0 {
             return Err(value);
         }
         st.queue.push_back(value);
@@ -139,112 +122,19 @@ impl<T> Sender<T> {
         Ok(())
     }
 
-    /// Send, suspending while the channel is full.
-    pub fn send(&self, value: T) -> SendFut<'_, T> {
-        SendFut {
-            chan: self,
-            value: Some(value),
-            queued: None,
-        }
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
-
-    /// True if no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// Send: [`Sender::try_send`] as a future, which never waits.
+    pub async fn send(&self, value: T) -> Result<(), SendError> {
+        self.try_send(value).map_err(|_| SendError)
     }
 }
 
 impl<T> Receiver<T> {
-    /// Take a queued value without waiting.
-    #[cfg(test)]
-    fn try_recv(&self) -> Option<T> {
-        let mut st = self.state.borrow_mut();
-        let v = st.queue.pop_front();
-        if v.is_some() {
-            if let Some(w) = st.send_waiters.pop_front() {
-                self.sim.kernel().make_ready(w);
-            }
-        }
-        v
-    }
-
     /// Receive, suspending while the channel is empty. Resolves to
     /// `Err(RecvError)` once the channel is empty *and* all senders dropped.
     pub fn recv(&self) -> RecvFut<'_, T> {
         RecvFut {
             chan: self,
             queued: None,
-        }
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        self.state.borrow().queue.len()
-    }
-
-    /// True if no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Future returned by [`Sender::send`].
-pub struct SendFut<'a, T> {
-    chan: &'a Sender<T>,
-    value: Option<T>,
-    /// Our id from our first `Pending` until the value is queued: what
-    /// `Drop` withdraws.
-    queued: Option<ProcId>,
-}
-
-// The payload is owned by value and never pinned-projected, so moving the
-// future is always sound regardless of `T`.
-impl<T> Unpin for SendFut<'_, T> {}
-
-impl<T> Future for SendFut<'_, T> {
-    type Output = Result<(), SendError>;
-
-    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
-        // SAFETY-free pinning: we never move out of a pinned field that
-        // needs pinning; T is owned in an Option.
-        let this = &mut *self;
-        let mut st = this.chan.state.borrow_mut();
-        if st.receivers == 0 {
-            return Poll::Ready(Err(SendError));
-        }
-        if st.queue.len() < st.capacity {
-            st.queue
-                .push_back(this.value.take().expect("SendFut polled after ready"));
-            if let Some(w) = st.recv_waiters.pop_front() {
-                this.chan.sim.kernel().make_ready(w);
-            }
-            this.queued = None;
-            Poll::Ready(Ok(()))
-        } else {
-            let me = this.chan.sim.current_proc();
-            if !st.send_waiters.contains(&me) {
-                st.send_waiters.push_back(me);
-            }
-            this.queued = Some(me);
-            Poll::Pending
-        }
-    }
-}
-
-impl<T> Drop for SendFut<'_, T> {
-    /// An abandoned send (timed out, lost a race) withdraws from the
-    /// wait list; if a receive already popped it for a wake it never
-    /// used, the wake passes to the next sender while there is room.
-    fn drop(&mut self) {
-        if let Some(me) = self.queued {
-            let mut st = self.chan.state.borrow_mut();
-            let room = st.receivers > 0 && st.queue.len() < st.capacity;
-            withdraw(&self.chan.sim, &mut st.send_waiters, me, room);
         }
     }
 }
@@ -264,9 +154,6 @@ impl<T> Future for RecvFut<'_, T> {
         let this = &mut *self;
         let mut st = this.chan.state.borrow_mut();
         if let Some(v) = st.queue.pop_front() {
-            if let Some(w) = st.send_waiters.pop_front() {
-                this.chan.sim.kernel().make_ready(w);
-            }
             this.queued = None;
             return Poll::Ready(Ok(v));
         }
@@ -289,21 +176,13 @@ impl<T> Drop for RecvFut<'_, T> {
     fn drop(&mut self) {
         if let Some(me) = self.queued {
             let mut st = self.chan.state.borrow_mut();
-            let ready = !st.queue.is_empty();
-            withdraw(&self.chan.sim, &mut st.recv_waiters, me, ready);
-        }
-    }
-}
-
-/// Take `me` off `waiters`, or — if a wake already popped it — hand
-/// that wake to the next waiter when `pass` says there is something
-/// for it to take.
-fn withdraw(sim: &Sim, waiters: &mut VecDeque<ProcId>, me: ProcId, pass: bool) {
-    if let Some(pos) = waiters.iter().position(|&w| w == me) {
-        waiters.remove(pos);
-    } else if pass {
-        if let Some(w) = waiters.pop_front() {
-            sim.kernel().make_ready(w);
+            if let Some(pos) = st.recv_waiters.iter().position(|&w| w == me) {
+                st.recv_waiters.remove(pos);
+            } else if !st.queue.is_empty() {
+                if let Some(w) = st.recv_waiters.pop_front() {
+                    self.chan.sim.kernel().make_ready(w);
+                }
+            }
         }
     }
 }
@@ -311,8 +190,9 @@ fn withdraw(sim: &Sim, waiters: &mut VecDeque<ProcId>, me: ProcId, pass: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::race::Either;
     use crate::sim::Simulation;
-    use crate::time::SimDuration;
+    use crate::time::{SimDuration, SimTime};
 
     #[test]
     fn unbounded_send_recv_fifo() {
@@ -338,32 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_backpressure_blocks_sender() {
-        let mut sim = Simulation::new(1);
-        let ctx = sim.handle();
-        let (tx, rx) = bounded::<u32>(&ctx, 2);
-        let c = ctx.clone();
-        sim.spawn("producer", async move {
-            for i in 0..4 {
-                tx.send(i).await.unwrap();
-            }
-            // Queue cap 2 and consumer drains one item per microsecond
-            // starting at t=10us, so the last send completes at ~12us.
-            assert!(c.now().as_micros() >= 10);
-        });
-        let c2 = ctx.clone();
-        sim.spawn("consumer", async move {
-            c2.sleep(SimDuration::micros(10)).await;
-            for expect in 0..4 {
-                let v = rx.recv().await.unwrap();
-                assert_eq!(v, expect);
-                c2.sleep(SimDuration::micros(1)).await;
-            }
-        });
-        sim.run().assert_completed();
-    }
-
-    #[test]
     fn recv_on_disconnected_errors() {
         let mut sim = Simulation::new(1);
         let ctx = sim.handle();
@@ -383,32 +237,19 @@ mod tests {
     fn send_on_disconnected_errors() {
         let mut sim = Simulation::new(1);
         let ctx = sim.handle();
-        let (tx, rx) = bounded::<u8>(&ctx, 1);
+        let (tx, rx) = channel::<u8>(&ctx);
         let c = ctx.clone();
         sim.spawn("producer", async move {
             tx.send(1).await.unwrap();
             // Receiver will drop without draining; second send must fail.
             c.sleep(SimDuration::micros(2)).await;
             assert_eq!(tx.send(2).await, Err(SendError));
+            assert_eq!(tx.try_send(3), Err(3));
         });
         let c2 = ctx.clone();
         sim.spawn("consumer", async move {
             c2.sleep(SimDuration::micros(1)).await;
             drop(rx);
-        });
-        sim.run().assert_completed();
-    }
-
-    #[test]
-    fn try_send_respects_capacity() {
-        let mut sim = Simulation::new(1);
-        let ctx = sim.handle();
-        let (tx, rx) = bounded::<u8>(&ctx, 1);
-        sim.spawn("p", async move {
-            assert!(tx.try_send(1).is_ok());
-            assert_eq!(tx.try_send(2), Err(2));
-            assert_eq!(rx.try_recv(), Some(1));
-            assert_eq!(rx.try_recv(), None);
         });
         sim.run().assert_completed();
     }
@@ -445,34 +286,33 @@ mod tests {
 
     #[test]
     fn an_unused_wake_passes_to_the_next_waiter() {
-        // A wake that pops a waiter which is killed before it runs must
-        // reach the next waiter at once: receivers P then Q on one
-        // channel, senders B then C on a full bounded one.
+        // At 1 µs the sender (its timer armed first) sends and pops P,
+        // whose race then resolves on its sleep at that same instant: the
+        // wake P never uses must reach Q at once, although the sender
+        // holds the channel open until 1 001 µs.
         let mut sim = Simulation::new(1);
         let ctx = sim.handle();
+        let at = SimTime::ZERO + SimDuration::micros(1);
         let (tx, rx) = channel::<u32>(&ctx);
-        let (btx, brx) = bounded::<u32>(&ctx, 1);
-        btx.try_send(1).unwrap();
-        let rx_q = rx.clone();
-        let p = sim.spawn("p", async move { rx.recv().await.unwrap() });
-        let q = sim.spawn("q", async move { rx_q.recv().await.unwrap() });
-        let btx_c = btx.clone();
-        let b = sim.spawn("b", async move { btx.send(2).await.unwrap() });
-        let c = sim.spawn("c", async move { btx_c.send(3).await.unwrap() });
-        let ctx2 = ctx.clone();
-        sim.spawn("driver", async move {
-            ctx2.yield_now().await; // everyone is queued now
-            tx.send(7).await.unwrap(); // wakes P …
-            ctx2.kill(p.id()); // … which dies before it runs
-            assert_eq!(brx.try_recv(), Some(1)); // wakes B …
-            ctx2.kill(b.id()); // … likewise
-            ctx2.sleep(SimDuration::micros(1)).await;
-            assert_eq!(q.try_result(), Some(7));
-            assert!(c.is_finished());
-            assert_eq!(brx.try_recv(), Some(3));
+        let c = ctx.clone();
+        sim.spawn("sender", async move {
+            c.sleep_until(at).await;
+            tx.send(7).await.unwrap();
+            c.sleep(SimDuration::micros(1_000)).await;
             drop(tx);
         });
+        let (rx_q, c) = (rx.clone(), ctx.clone());
+        let p = sim.spawn(
+            "p",
+            async move { c.race(c.sleep_until(at), rx.recv()).await },
+        );
+        let q = sim.spawn("q", async move {
+            let v = rx_q.recv().await.unwrap();
+            (v, ctx.now())
+        });
         sim.run().assert_completed();
+        assert_eq!(p.try_result(), Some(Either::Left(())));
+        assert_eq!(q.try_result(), Some((7, at)));
     }
 
     #[test]

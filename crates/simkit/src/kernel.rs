@@ -49,19 +49,13 @@ type CancelledSet = std::collections::HashSet<u64>;
 /// Identifier of a simulated process: its slot in the process table plus
 /// the slot's generation at spawn. The slot is reused once the process
 /// has finished; an id held past that is *stale* and names a finished
-/// process (waking or killing it is a no-op, joining it resolves at
-/// once). The generation wraps after 2³² reuses of one slot: an id kept
-/// across exactly that many would be taken for the new occupant (ABA).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ProcId {
+/// process (waking it is a no-op, joining it resolves at once). The
+/// generation wraps after 2³² reuses of one slot: an id kept across
+/// exactly that many would be taken for the new occupant (ABA).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ProcId {
     index: u32,
     generation: u32,
-}
-
-impl fmt::Display for ProcId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "P{}.{}", self.index, self.generation)
-    }
 }
 
 /// A future pinned on the heap, as stored in the process table.
@@ -257,8 +251,6 @@ impl TimerWheel {
 pub enum RunOutcome {
     /// All processes finished and the event queue drained.
     Completed,
-    /// The time horizon passed to `run_until` was reached.
-    HorizonReached,
     /// Live processes remain but none can ever make progress.
     /// Contains the names of the blocked processes (up to a small cap).
     Deadlock(Vec<String>),
@@ -363,16 +355,6 @@ impl Kernel {
         }
     }
 
-    /// `yield_now`: queue the process being polled once more, even if a
-    /// wake during this poll already queued it.
-    pub(crate) fn requeue_current(&mut self) {
-        let me = self.current_proc();
-        if !self.is_finished(me) {
-            self.procs[me.index as usize].queued = false;
-            self.make_ready(me);
-        }
-    }
-
     /// Pop the next runnable process and take its future for polling.
     /// Sets `current`; the caller must hand the future back through
     /// [`Kernel::finish_poll`]. One kernel borrow instead of three.
@@ -395,19 +377,10 @@ impl Kernel {
 
     /// Store the future back after a pending poll (single kernel borrow).
     /// Completed futures are instead reported via [`Kernel::finish_proc`].
-    /// If the process killed itself during the poll the future comes back:
-    /// like a completed one, the caller drops it *outside* the kernel
-    /// borrow, because dropping a future can re-enter the kernel (e.g.
-    /// `Sleep` cancels its timer).
     #[inline]
-    #[must_use = "drop the returned future outside the kernel borrow"]
-    pub(crate) fn finish_poll(&mut self, pid: ProcId, fut: BoxedProc) -> Option<BoxedProc> {
+    pub(crate) fn finish_poll(&mut self, pid: ProcId, fut: BoxedProc) {
         self.current = None;
-        if self.is_finished(pid) {
-            return Some(fut);
-        }
         self.procs[pid.index as usize].fut = Some(fut);
-        None
     }
 
     /// Schedule a wake-up for `proc` at absolute time `at`.
@@ -510,25 +483,12 @@ impl Kernel {
         }
     }
 
-    /// The poll returned `Ready`: end the process, unless it killed itself
-    /// during that poll and has ended already.
+    /// The poll returned `Ready`: end the process. Its ids go stale, its
+    /// joiners wake, its slot is free and nameless. The poll loop holds
+    /// the finished future and drops it outside the kernel borrow.
     pub(crate) fn finish_proc(&mut self, id: ProcId) {
         self.current = None;
-        let _ = self.kill_proc(id); // `None`: the poll loop holds the future
-    }
-
-    /// End a process, forcibly unless called by [`Kernel::finish_proc`];
-    /// no-op if it has ended. Its ids go stale, its joiners wake, its slot
-    /// is free and nameless. Returns the process's future so the *caller*
-    /// can drop it outside the kernel borrow (dropping it may re-enter
-    /// the kernel, e.g. to cancel a pending sleep timer).
-    #[must_use = "drop the returned future outside the kernel borrow"]
-    pub(crate) fn kill_proc(&mut self, id: ProcId) -> Option<BoxedProc> {
-        if self.is_finished(id) {
-            return None;
-        }
         let slot = &mut self.procs[id.index as usize];
-        let fut = slot.fut.take();
         slot.generation = slot.generation.wrapping_add(1);
         slot.queued = false;
         self.live -= 1;
@@ -541,10 +501,9 @@ impl Kernel {
         self.meta[id.index as usize].joiners = joiners;
         #[cfg(test)]
         if self.never_reuse {
-            return fut;
+            return;
         }
         self.free.push(id.index);
-        fut
     }
 
     /// True if `id` has finished; else it wakes the polled process when it does.
@@ -558,7 +517,7 @@ impl Kernel {
         finished
     }
 
-    /// True if the process has terminated (normally or by kill).
+    /// True if the process has terminated.
     #[inline]
     pub(crate) fn is_finished(&self, id: ProcId) -> bool {
         self.procs[id.index as usize].generation != id.generation
@@ -590,10 +549,7 @@ mod tests {
         let c = ctx.clone();
         sim.spawn("driver", async move {
             for i in 0..1_000u32 {
-                assert_eq!(
-                    c.spawn(format!("helper-{i}"), async move { i }).await,
-                    Some(i)
-                );
+                assert_eq!(c.spawn(format!("helper-{i}"), async move { i }).await, i);
             }
         });
         sim.spawn("stuck-b", std::future::pending::<()>());
@@ -703,46 +659,5 @@ mod tests {
         let order = ["h1", "h0", "w1", "w0"].map(|name| (name, due));
         assert_eq!(*woken.borrow(), order);
         assert_eq!(sim.now(), at(5_001));
-    }
-
-    #[test]
-    fn self_kill_then_return_completes() {
-        let mut sim = Simulation::new(1);
-        let ctx = sim.handle();
-        let c = ctx.clone();
-        let suicide = sim.spawn("suicide", async move {
-            c.kill(c.current_proc());
-            7u32
-        });
-        sim.spawn("sleeper", async move {
-            ctx.sleep(SimDuration::micros(1)).await;
-        });
-        let joined = sim.spawn("joiner", suicide);
-        assert_eq!(sim.run(), RunOutcome::Completed);
-        assert_eq!(joined.try_result(), Some(None), "killed means no result");
-        assert_eq!(sim.now().as_micros(), 1);
-    }
-
-    #[test]
-    fn self_kill_then_await_ends_the_process_at_the_kill() {
-        let mut sim = Simulation::new(1);
-        let ctx = sim.handle();
-        let suicide = sim.spawn("suicide", async move {
-            ctx.kill(ctx.current_proc());
-            // The slot is free already: the child takes it over while
-            // its previous occupant is still inside its last poll.
-            let c = ctx.clone();
-            ctx.spawn("heir", async move {
-                c.sleep(SimDuration::micros(2)).await;
-            });
-            // An armed timer at the moment the future is dropped.
-            ctx.sleep(SimDuration::secs(1)).await;
-            unreachable!("a killed process is never polled again");
-        });
-        assert_eq!(sim.run(), RunOutcome::Completed);
-        assert!(suicide.is_finished());
-        assert_eq!(suicide.try_result(), None);
-        assert_eq!(sim.now().as_micros(), 2, "the 1 s timer was cancelled");
-        assert_eq!(sim.process_slots(), 1);
     }
 }

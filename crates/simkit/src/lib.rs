@@ -10,6 +10,8 @@
 //! * A process is any `Future` spawned onto the [`Simulation`]; it suspends
 //!   by awaiting kernel futures ([`Sim::sleep`], channel `recv`, semaphore
 //!   `acquire`, …) and never blocks an OS thread.
+//! * A process ends only by returning: awaiting its [`ProcHandle`] yields
+//!   the value it returned.
 //! * Events that fire at the same instant are ordered by a monotone
 //!   sequence number, and every wait-list is FIFO, so a run is a pure
 //!   function of (program, seed).
@@ -57,21 +59,20 @@ mod sync;
 mod time;
 mod trace;
 
-pub use channel::{bounded, channel, Receiver, RecvError, RecvFut, SendError, SendFut, Sender};
-pub use kernel::{ProcId, RunOutcome};
+pub use channel::{channel, Receiver, RecvError, RecvFut, SendError, Sender};
+pub use kernel::RunOutcome;
 pub use race::{Either, Race};
 pub use rng::SimRng;
-pub use sim::{ProcHandle, Sim, Simulation, Sleep, YieldNow};
+pub use sim::{ProcHandle, Sim, Simulation, Sleep};
 pub use sync::{Barrier, BarrierWait, OneShot, OneShotWait, SemGuard, Semaphore};
 pub use time::{SimDuration, SimTime};
 pub use trace::TraceEvent;
 
 /// Await several process handles, collecting their results in order.
-/// Panics if any process was killed.
 pub async fn join_all<T: 'static>(handles: Vec<ProcHandle<T>>) -> Vec<T> {
     let mut out = Vec::with_capacity(handles.len());
     for h in handles {
-        out.push(h.await.expect("joined process was killed"));
+        out.push(h.await);
     }
     out
 }

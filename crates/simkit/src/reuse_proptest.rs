@@ -1,12 +1,12 @@
 //! Slot reuse must be invisible. Random programs — nested spawns, joins,
-//! kills (of finished processes, ancestors and the caller itself),
-//! sleeps on both timer structures, `race`, `timeout`, `OneShot`s,
-//! channels, `yield_now` — run once on the kernel as shipped and once on
-//! the never-reusing reference ([`Simulation::new_never_reusing`]), and
-//! must agree on everything observable: outcome (deadlock names
-//! included), typed trace, poll count, final time, every handle's result.
+//! sleeps on both timer structures, `race`, `timeout`, `OneShot`s and
+//! channels, whose abandoned waits leave stale ids behind — run once on
+//! the kernel as shipped and once on the never-reusing reference
+//! ([`Simulation::new_never_reusing`]), and must agree on everything
+//! observable: outcome (deadlock names included), typed trace, poll
+//! count, final time, every handle's result.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -14,7 +14,7 @@ use std::rc::Rc;
 use proptest::prelude::*;
 
 use crate::{
-    channel, OneShot, ProcHandle, ProcId, Receiver, RunOutcome, Sender, Sim, SimDuration, SimTime,
+    channel, OneShot, ProcHandle, Receiver, RunOutcome, Sender, Sim, SimDuration, SimTime,
     Simulation, TraceEvent,
 };
 
@@ -24,15 +24,10 @@ const CHANNELS: u64 = 2;
 #[derive(Debug, Clone)]
 enum Op {
     Sleep(u64),
-    Yield,
     /// Spawn a child and let it run on its own.
     Spawn(Vec<Op>),
     /// Spawn a child and await its handle.
     Join(Vec<Op>),
-    /// Spawn a child, sleep, kill it (it may have finished), await it.
-    KillAfter(u64, Vec<Op>),
-    /// Kill the n-th process spawned so far, whoever that is.
-    KillNth(u64),
     /// Run the ops inline, racing a sleep.
     Race(u64, Vec<Op>),
     /// Run the ops inline under a deadline.
@@ -75,18 +70,15 @@ fn deadline(rng: &mut TestRng) -> Option<u64> {
 
 /// Nesting stops at depth 3; about half of the ops above it spawn.
 fn op(rng: &mut TestRng, depth: u32) -> Op {
-    match rng.below(if depth < 3 { 17 } else { 8 }) {
+    match rng.below(if depth < 3 { 14 } else { 6 }) {
         0 | 1 => Op::Sleep(delay(rng)),
-        2 => Op::Yield,
-        3 => Op::Set(rng.below(EVENTS)),
-        4 => Op::Wait(rng.below(EVENTS), deadline(rng)),
-        5 => Op::Send(rng.below(CHANNELS)),
-        6 => Op::Recv(rng.below(CHANNELS), deadline(rng)),
-        7 => Op::KillNth(rng.below(64)),
-        8..=10 => Op::Spawn(ops(rng, depth + 1)),
-        11 | 12 => Op::Join(ops(rng, depth + 1)),
-        13 | 14 => Op::KillAfter(delay(rng), ops(rng, depth + 1)),
-        15 => Op::Race(delay(rng), ops(rng, depth + 1)),
+        2 => Op::Set(rng.below(EVENTS)),
+        3 => Op::Wait(rng.below(EVENTS), deadline(rng)),
+        4 => Op::Send(rng.below(CHANNELS)),
+        5 => Op::Recv(rng.below(CHANNELS), deadline(rng)),
+        6..=8 => Op::Spawn(ops(rng, depth + 1)),
+        9..=11 => Op::Join(ops(rng, depth + 1)),
+        12 => Op::Race(delay(rng), ops(rng, depth + 1)),
         _ => Op::Timeout(delay(rng), ops(rng, depth + 1)),
     }
 }
@@ -96,9 +88,9 @@ struct World {
     sim: Sim,
     events: Vec<OneShot<u64>>,
     channels: Vec<(Sender<u64>, Receiver<u64>)>,
-    /// Every process spawned, in spawn order: kill targets, and the
-    /// handles whose results are compared at the end.
-    ids: RefCell<Vec<ProcId>>,
+    /// Processes spawned so far.
+    spawned: Cell<u32>,
+    /// The handles whose results are compared at the end.
     detached: RefCell<Vec<ProcHandle<u64>>>,
 }
 
@@ -108,15 +100,14 @@ impl World {
     /// Spawn `body` as the next process, cycling through every spawn
     /// entry point and name kind.
     fn spawn(self: &Rc<Self>, body: Vec<Op>) -> ProcHandle<u64> {
-        let n = self.ids.borrow().len() as u32;
+        let n = self.spawned.get();
+        self.spawned.set(n + 1);
         let fut = run_ops(self.clone(), format!("p{n}"), body);
-        let h = match n % 3 {
+        match n % 3 {
             0 => self.sim.spawn(format!("owned-{n}"), fut),
             1 => self.sim.spawn_fmt(format_args!("formatted-{n}"), fut),
             _ => self.sim.spawn_fmt(format_args!("literal"), fut),
-        };
-        self.ids.borrow_mut().push(h.id());
-        h
+        }
     }
 }
 
@@ -132,30 +123,12 @@ fn run_ops(w: Rc<World>, me: String, ops: Vec<Op>) -> OpsFuture {
                     w.sim.sleep(ns(d)).await;
                     0
                 }
-                Op::Yield => {
-                    w.sim.yield_now().await;
-                    0
-                }
                 Op::Spawn(body) => {
                     let h = w.spawn(body);
                     w.detached.borrow_mut().push(h);
                     0
                 }
-                Op::Join(body) => w.spawn(body).await.map_or(1, |v| v + 2),
-                Op::KillAfter(d, body) => {
-                    let h = w.spawn(body);
-                    w.sim.sleep(ns(d)).await;
-                    w.sim.kill(h.id());
-                    h.await.map_or(1, |v| v + 2)
-                }
-                Op::KillNth(n) => {
-                    let id = {
-                        let ids = w.ids.borrow();
-                        ids[n as usize % ids.len()]
-                    };
-                    w.sim.kill(id);
-                    0
-                }
+                Op::Join(body) => w.spawn(body).await + 2,
                 Op::Race(d, body) => {
                     let inline = run_ops(w.clone(), format!("{me}.{i}r"), body);
                     let r = w.sim.race(inline, w.sim.sleep(ns(d))).await;
@@ -216,7 +189,7 @@ fn observe(mut sim: Simulation, program: &[Op]) -> (Observed, usize, usize) {
         events: (0..EVENTS).map(|_| OneShot::new(&ctx)).collect(),
         channels: (0..CHANNELS).map(|_| channel(&ctx)).collect(),
         sim: ctx,
-        ids: RefCell::default(),
+        spawned: Cell::default(),
         detached: RefCell::default(),
     });
     let root = world.spawn(program.to_vec());
@@ -235,7 +208,7 @@ fn observe(mut sim: Simulation, program: &[Op]) -> (Observed, usize, usize) {
         end: sim.now(),
         results,
     };
-    let spawned = world.ids.borrow().len();
+    let spawned = world.spawned.get() as usize;
     (observed, sim.process_slots(), spawned)
 }
 

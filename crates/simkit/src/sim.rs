@@ -99,11 +99,6 @@ impl Simulation {
 
     /// Run until every process finished (or deadlock).
     pub fn run(&mut self) -> RunOutcome {
-        self.run_until(SimTime::MAX)
-    }
-
-    /// Run until the horizon, completion, or deadlock — whichever first.
-    pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
         let waker = Waker::noop();
         let mut cx = Context::from_waker(waker);
         loop {
@@ -115,10 +110,11 @@ impl Simulation {
                 };
                 if fut.as_mut().poll(&mut cx).is_ready() {
                     self.sim.kernel().finish_proc(pid);
-                    // `fut` dropped here, outside the kernel borrow.
+                    // `fut` dropped here, outside the kernel borrow: its
+                    // destructors may re-enter the kernel (e.g. a `Sleep`
+                    // cancels its timer).
                 } else {
-                    let killed = self.sim.kernel().finish_poll(pid, fut);
-                    drop(killed); // likewise outside the borrow
+                    self.sim.kernel().finish_poll(pid, fut);
                 }
             }
 
@@ -131,10 +127,6 @@ impl Simulation {
                     } else {
                         RunOutcome::Deadlock(k.blocked_proc_names(16))
                     };
-                }
-                Some(at) if at > horizon => {
-                    k.now = horizon;
-                    return RunOutcome::HorizonReached;
                 }
                 Some(at) => k.fire_timers_at(at),
             }
@@ -228,21 +220,16 @@ impl Sim {
     }
 
     /// The one spawn path: box the future so that its output lands in a
-    /// cell shared with the handle — unless the process killed itself
-    /// during its last poll: killed means `None`, however it ended.
+    /// cell shared with the handle.
     fn spawn_named<F, T>(&self, name: ProcName<'_>, fut: F) -> ProcHandle<T>
     where
         F: Future<Output = T> + 'static,
         T: 'static,
     {
         let result: Rc<RefCell<Option<T>>> = Rc::new(RefCell::new(None));
-        let (cell, sim) = (result.clone(), self.clone());
+        let cell = result.clone();
         let wrapped = Box::pin(async move {
-            let v = fut.await;
-            let me = sim.current_proc();
-            if !sim.kernel().is_finished(me) {
-                *cell.borrow_mut() = Some(v);
-            }
+            *cell.borrow_mut() = Some(fut.await);
         });
         let id = self.kernel().add_proc(name, wrapped);
         ProcHandle {
@@ -272,25 +259,6 @@ impl Sim {
         }
     }
 
-    /// Yield to let other ready processes run at the same instant.
-    /// Unlike `sleep(ZERO)` (which completes immediately), this puts the
-    /// caller at the back of the ready list exactly once.
-    pub fn yield_now(&self) -> YieldNow {
-        YieldNow {
-            sim: self.clone(),
-            yielded: false,
-        }
-    }
-
-    /// Forcibly terminate a process. Joiners are woken; the handle reports
-    /// `None` as its result.
-    pub fn kill(&self, id: ProcId) {
-        let fut = self.kernel().kill_proc(id);
-        // Drop outside the borrow: the future's destructors may re-enter
-        // the kernel (e.g. a pending `Sleep` cancels its timer).
-        drop(fut);
-    }
-
     /// Record a [`TraceEvent`] (no-op unless tracing is enabled). The
     /// payload closure is only evaluated when tracing is on, so a
     /// disabled tracer costs one flag test.
@@ -311,7 +279,7 @@ impl Sim {
     }
 
     /// The id of the process currently being polled. Panics outside a poll.
-    pub fn current_proc(&self) -> ProcId {
+    pub(crate) fn current_proc(&self) -> ProcId {
         self.kernel().current_proc()
     }
 
@@ -322,8 +290,7 @@ impl Sim {
     }
 }
 
-/// Handle to a spawned process; awaiting it yields `Some(result)` or
-/// `None` if the process was killed.
+/// Handle to a spawned process; awaiting it yields the process's result.
 pub struct ProcHandle<T> {
     sim: Sim,
     id: ProcId,
@@ -331,28 +298,25 @@ pub struct ProcHandle<T> {
 }
 
 impl<T> ProcHandle<T> {
-    /// Kernel id of the process.
-    pub fn id(&self) -> ProcId {
-        self.id
-    }
-
     /// True once the process has terminated.
     pub fn is_finished(&self) -> bool {
         self.sim.kernel().is_finished(self.id)
     }
 
-    /// Take the result without awaiting (None if still running or killed).
+    /// Take the result without awaiting (`None` while still running, or
+    /// once taken).
     pub fn try_result(&self) -> Option<T> {
         self.result.borrow_mut().take()
     }
 }
 
 impl<T> Future for ProcHandle<T> {
-    type Output = Option<T>;
+    type Output = T;
 
-    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Self::Output> {
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
         if self.sim.kernel().join(self.id) {
-            Poll::Ready(self.result.borrow_mut().take())
+            let result = self.result.borrow_mut().take();
+            Poll::Ready(result.expect("a process's result is taken once"))
         } else {
             Poll::Pending
         }
@@ -407,32 +371,11 @@ impl Drop for Sleep {
     }
 }
 
-/// Future returned by [`Sim::yield_now`].
-pub struct YieldNow {
-    sim: Sim,
-    yielded: bool,
-}
-
-impl Future for YieldNow {
-    type Output = ();
-
-    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        if self.yielded {
-            return Poll::Ready(());
-        }
-        self.yielded = true;
-        // Re-queue ourselves behind everything already runnable.
-        self.sim.kernel().requeue_current();
-        Poll::Pending
-    }
-}
-
 impl RunOutcome {
     /// Panic unless the run completed normally.
     pub fn assert_completed(&self) {
         match self {
             RunOutcome::Completed => {}
-            RunOutcome::HorizonReached => panic!("simulation hit its horizon before completing"),
             RunOutcome::Deadlock(names) => {
                 panic!("simulation deadlocked; blocked processes: {names:?}")
             }
@@ -498,8 +441,7 @@ mod tests {
                 c2.sleep(SimDuration::micros(1)).await;
                 1234u64
             });
-            let v = child.await;
-            assert_eq!(v, Some(1234));
+            assert_eq!(child.await, 1234);
             assert_eq!(ctx.now().as_micros(), 1);
         });
         sim.run().assert_completed();
@@ -513,7 +455,7 @@ mod tests {
             let child = ctx.spawn("child", async move { 7u32 });
             ctx.sleep(SimDuration::micros(1)).await;
             assert!(child.is_finished());
-            assert_eq!(child.await, Some(7));
+            assert_eq!(child.await, 7);
         });
         sim.run().assert_completed();
     }
@@ -529,27 +471,8 @@ mod tests {
                     c.sleep(SimDuration::nanos(1)).await;
                     i
                 });
-                assert_eq!(h.await, Some(i));
+                assert_eq!(h.await, i);
             }
-        });
-        sim.run().assert_completed();
-    }
-
-    #[test]
-    fn kill_wakes_joiner_with_none() {
-        let mut sim = Simulation::new(1);
-        let ctx = sim.handle();
-        sim.spawn("parent", async move {
-            let c2 = ctx.clone();
-            let child = ctx.spawn("victim", async move {
-                c2.sleep(SimDuration::secs(1000)).await;
-                1u8
-            });
-            ctx.sleep(SimDuration::micros(1)).await;
-            ctx.kill(child.id());
-            assert_eq!(child.await, None);
-            // Killed long before its sleep would have expired.
-            assert!(ctx.now().as_secs_f64() < 1.0);
         });
         sim.run().assert_completed();
     }
@@ -558,14 +481,17 @@ mod tests {
     fn a_handle_outlives_its_slot() {
         // Results live in the handle's cell, not in the slot: a handle
         // awaited after its slot went to another process still yields
-        // its own process's result, `None` if that one was killed.
+        // its own process's result.
         let mut sim = Simulation::new(1);
         let ctx = sim.handle();
         sim.spawn("driver", async move {
             let done = ctx.spawn("done", async { 1u32 });
-            let victim = ctx.spawn("victim", std::future::pending::<u32>());
-            ctx.yield_now().await; // "done" runs to completion
-            ctx.kill(victim.id());
+            let c = ctx.clone();
+            let later = ctx.spawn("later", async move {
+                c.sleep(SimDuration::nanos(1)).await;
+                4u32
+            });
+            ctx.sleep(SimDuration::micros(1)).await;
             // Both slots are free; the next two spawns take them over.
             let c = ctx.clone();
             let heir_a = ctx.spawn("heir-a", async move {
@@ -574,41 +500,16 @@ mod tests {
             });
             let heir_b = ctx.spawn("heir-b", async { 3u32 });
             ctx.sleep(SimDuration::micros(1)).await;
-            assert!(done.is_finished() && victim.is_finished() && heir_b.is_finished());
+            assert!(done.is_finished() && later.is_finished() && heir_b.is_finished());
             assert!(!heir_a.is_finished());
-            assert_eq!(done.await, Some(1));
-            assert_eq!(victim.await, None);
-            assert_eq!(heir_b.await, Some(3));
-            assert_eq!(heir_a.await, Some(2));
-            assert_eq!(ctx.now().as_micros(), 3);
+            assert_eq!(done.await, 1);
+            assert_eq!(later.await, 4);
+            assert_eq!(heir_b.await, 3);
+            assert_eq!(heir_a.await, 2);
+            assert_eq!(ctx.now().as_micros(), 4);
         });
         sim.run().assert_completed();
         assert_eq!(sim.process_slots(), 3, "driver + two recycled slots");
-    }
-
-    #[test]
-    fn killing_a_stale_id_is_a_no_op() {
-        let mut sim = Simulation::new(1);
-        let ctx = sim.handle();
-        sim.spawn("driver", async move {
-            let stale = ctx.spawn("short-lived", async {}).id();
-            ctx.yield_now().await;
-            let c = ctx.clone();
-            let heir = ctx.spawn("heir", async move {
-                c.sleep(SimDuration::micros(1)).await;
-                9u8
-            });
-            assert_ne!(heir.id(), stale);
-            ctx.kill(stale); // names a finished process, not the heir
-            ctx.kill(stale);
-            assert_eq!(heir.await, Some(9));
-        });
-        sim.run().assert_completed();
-        assert_eq!(
-            sim.process_slots(),
-            2,
-            "the heir did take the stale id's slot"
-        );
     }
 
     #[test]
@@ -616,15 +517,8 @@ mod tests {
         let mut sim = Simulation::new(1);
         let ctx = sim.handle();
         sim.spawn("waiter", async move {
-            // Join a process that never finishes and is never killed.
-            let c2 = ctx.clone();
-            let stuck = ctx.spawn("stuck", async move {
-                // Wait on a process handle that nobody completes: itself via
-                // an event that never fires. Simplest: join parent's handle —
-                // but we don't have it. Use an empty never-ready future.
-                std::future::pending::<()>().await;
-                drop(c2);
-            });
+            // Join a process that never finishes.
+            let stuck = ctx.spawn("stuck", std::future::pending::<()>());
             stuck.await;
         });
         match sim.run() {
@@ -634,18 +528,6 @@ mod tests {
             }
             other => panic!("expected deadlock, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn run_until_horizon_stops_early() {
-        let mut sim = Simulation::new(1);
-        let ctx = sim.handle();
-        sim.spawn("late", async move {
-            ctx.sleep(SimDuration::secs(10)).await;
-        });
-        let out = sim.run_until(SimTime::ZERO + SimDuration::secs(1));
-        assert_eq!(out, RunOutcome::HorizonReached);
-        assert_eq!(sim.now(), SimTime::ZERO + SimDuration::secs(1));
     }
 
     #[test]

@@ -75,7 +75,7 @@ impl Semaphore {
     }
 
     /// Return `n` permits and wake eligible waiters in FIFO order.
-    pub fn release_many(&self, n: u64) {
+    fn release_many(&self, n: u64) {
         let mut st = self.state.borrow_mut();
         st.permits += n;
         // Strict FIFO: stop at the first waiter that still cannot be
@@ -480,19 +480,22 @@ mod tests {
         assert_eq!(*woken.borrow(), vec![1, 2, 3, 4, 5]);
     }
 
-    /// A victim blocks in `blocked`, is killed, and an heir that sleeps
-    /// 10 µs takes over its slot; `release` then wakes whoever the wait
-    /// list still names. Returns (polls, table length).
-    fn wake_after_the_waiter_died(
+    /// A victim gives up on `blocked` after 1 µs and returns, an heir
+    /// that sleeps 10 µs takes over its slot, and `release` then wakes
+    /// whoever the wait list still names. Returns (polls, table length).
+    fn wake_after_the_waiter_left(
         mut sim: Simulation,
         blocked: impl Future<Output = ()> + 'static,
         release: impl FnOnce() + 'static,
     ) -> (u64, usize) {
         let ctx = sim.handle();
         sim.spawn("driver", async move {
-            let victim = ctx.spawn("victim", blocked);
-            ctx.sleep(SimDuration::micros(1)).await;
-            ctx.kill(victim.id());
+            let c = ctx.clone();
+            let victim = ctx.spawn("victim", async move {
+                c.timeout(SimDuration::micros(1), blocked).await
+            });
+            ctx.sleep(SimDuration::micros(2)).await;
+            assert_eq!(victim.await, None, "the victim timed out");
             let c = ctx.clone();
             let heir = ctx.spawn("heir", async move {
                 c.sleep(SimDuration::micros(10)).await;
@@ -507,28 +510,29 @@ mod tests {
 
     #[test]
     fn a_dead_waiters_id_does_not_wake_its_slots_new_occupant() {
-        // driver ×4 (start, kill + respawn, release + join, joined),
-        // victim ×1, heir ×2 (arm its sleep, wake at 11 µs): a wake that
-        // reached the heir through the victim's id would be an 8th poll.
+        // driver ×4 (start, respawn, release + join, joined), victim ×2
+        // (wait, time out), heir ×2 (arm its sleep, wake at 12 µs): a
+        // wake that reached the heir through the victim's id would be a
+        // 9th poll.
         let oneshot = |sim: Simulation| {
             let ev: OneShot<()> = OneShot::new(&sim.handle());
             let ev2 = ev.clone();
-            wake_after_the_waiter_died(sim, async move { ev2.wait().await }, move || ev.set(()))
+            wake_after_the_waiter_left(sim, async move { ev2.wait().await }, move || ev.set(()))
         };
-        assert_eq!(oneshot(Simulation::new(1)), (7, 2));
-        assert_eq!(oneshot(Simulation::new_never_reusing(1)), (7, 3));
+        assert_eq!(oneshot(Simulation::new(1)), (8, 2));
+        assert_eq!(oneshot(Simulation::new_never_reusing(1)), (8, 3));
 
-        // A killed acquirer withdraws from the queue when its future is
-        // dropped; the release must find neither it nor the heir.
+        // A timed-out acquirer withdraws from the queue when its future
+        // is dropped; the release must find neither it nor the heir.
         let semaphore = |sim: Simulation| {
             let sem = Semaphore::new(&sim.handle(), 0);
             let sem2 = sem.clone();
-            wake_after_the_waiter_died(sim, async move { drop(sem2.acquire().await) }, move || {
+            wake_after_the_waiter_left(sim, async move { drop(sem2.acquire().await) }, move || {
                 sem.release_many(1)
             })
         };
-        assert_eq!(semaphore(Simulation::new(1)), (7, 2));
-        assert_eq!(semaphore(Simulation::new_never_reusing(1)), (7, 3));
+        assert_eq!(semaphore(Simulation::new(1)), (8, 2));
+        assert_eq!(semaphore(Simulation::new_never_reusing(1)), (8, 3));
     }
 
     #[test]
