@@ -10,17 +10,21 @@
 //!
 //! * **One process per fabric segment** (leaf switch): 2¹⁸ ranks become
 //!   ~14.5 k processes, so an iteration's compute phase is ~14.5 k
-//!   far-horizon timers and not 2¹⁸.
-//! * **SoA per-rank state**: rank readiness, inbox arrival and send
-//!   completion times are three flat `Vec<SimTime>`s shared by every
-//!   segment, beside one completion scratch — no per-rank objects, no
-//!   per-rank futures.
-//! * **Batched transfers** (`Network::schedule_batch`): each phase of
-//!   an iteration (halo direction, collective round) is one batch over
-//!   the contention engine, its messages built as they are booked, one
-//!   kernel event — per-message `earliest` times carry each rank's skew
-//!   through the phases, so virtual time only needs to advance once per
-//!   iteration.
+//!   far-horizon timers and not 2¹⁸. A leaf books nothing and touches
+//!   no shared state; it keeps its compute sleep and its 2·halos + 1
+//!   barrier waits per iteration because they are the per-leaf timers
+//!   and the kernel events a run executes (`kernel_events`, pinned by
+//!   the benchmark's golden rows).
+//! * **One `SimTime` per rank**: the driver's `ready`, when each rank
+//!   may start its next phase. Every phase is a permutation, so
+//!   [`book_round`] merges each rank's incoming arrival into `ready` in
+//!   place — no inbox, send-completion or completion arrays.
+//! * **Batched transfers** (`Network::schedule_batch_with`): each phase
+//!   of an iteration (halo direction, collective round) is one batch
+//!   over the contention engine, its messages built as they are booked,
+//!   no kernel event — per-message `earliest` times carry each rank's
+//!   skew through the phases, so virtual time only needs to advance
+//!   once per iteration.
 //! * **Stationary-iteration replay**: only iteration 1 is booked. Every
 //!   rank enters each iteration at the same instant (the end of its
 //!   compute sleep), the skeleton draws no randomness, and no link stays
@@ -34,19 +38,18 @@
 //! the driver runs, [`analytic_iter`] prices, `f18` and the scenario
 //! message budget read.
 //!
-//! The protocol is barrier-sequenced: every segment schedules its own
-//! ranks' messages into the fabric, a zero-time barrier separates
-//! "everyone has scheduled" from "everyone reads the arrivals", and the
-//! driver process runs the global collective rounds before sleeping the
-//! whole machine to the iteration's end. All cross-segment data flows
-//! through the SoA arrays in rank order, and batches hit the link
-//! horizons in segment order — a pure function of the configuration,
-//! so the run (and its summary digest) is bit-identical everywhere.
+//! The protocol is barrier-sequenced: at the end of iteration 1's
+//! compute sleep the driver fills `ready` with `now` and books both
+//! halo shifts and every collective round in order, each in rank order;
+//! the leaves' zero-time halo waits then pass, and the driver sleeps the
+//! whole machine to the iteration's end and releases the leaves into
+//! the next one. The batches hit the link horizons in a pure function
+//! of the configuration, so the run (and its summary digest) is
+//! bit-identical everywhere.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
-use deep_fabric::{BatchMsg, IbFabric, NodeId};
+use deep_fabric::IbFabric;
 use deep_psmpi::schedule::{book_round, Kind, Peer, Round, Schedule};
 use deep_psmpi::NetModel;
 use deep_simkit::{Barrier, Sim, SimDuration, SimTime, Simulation};
@@ -66,10 +69,9 @@ const NODES_PER_LEAF: u32 = 18;
 pub struct Skeleton {
     /// Rank count.
     pub n: u32,
-    /// Ring halo shifts of [`HALO_BYTES`], right then left; booked per
-    /// segment.
+    /// Ring halo shifts of [`HALO_BYTES`], right then left.
     pub halos: [Round; 2],
-    /// Booked globally, one round at a time: the 8-byte dot-product
+    /// Booked after the halos, one round at a time: the 8-byte dot-product
     /// allreduce and, for the complex class, the pairwise all-to-all of
     /// [`A2A_BLOCK`] — the linear-in-ranks phase that collapses it.
     pub collectives: Vec<Schedule>,
@@ -149,23 +151,6 @@ pub struct DesScalingResult {
     pub digest: u64,
 }
 
-/// Shared SoA state: one slot per rank in every array. Segments write
-/// only their own ranks' `ready`/`send_done` slots and max-merge into
-/// destinations' `inbox` slots; the barriers sequence the phases.
-struct Shared {
-    /// When each rank is ready to start its next communication step.
-    ready: Vec<SimTime>,
-    /// Latest incoming last-byte arrival (+ recv overhead) per rank in
-    /// the current phase; reset to ZERO after each merge.
-    inbox: Vec<SimTime>,
-    /// Sender-side completion per rank in the current phase.
-    send_done: Vec<SimTime>,
-    /// Completion scratch for [`deep_fabric::Network::schedule_batch`].
-    done: Vec<SimTime>,
-    /// Running FNV-1a 64 digest of the virtual-time trajectory.
-    digest: u64,
-}
-
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -178,119 +163,59 @@ fn fnv_fold(mut h: u64, v: u64) -> u64 {
     h
 }
 
-/// One fabric segment: owns ranks `lo..hi`, runs the compute sleep each
-/// iteration and, in iteration 1, schedules the two halo directions for
-/// its ranks.
-// A coroutine entry point, not an API: its "arguments" are the spawn
-// environment, and bundling them into a struct would only move the list.
-#[allow(clippy::too_many_arguments)]
-async fn segment(
-    ctx: Sim,
-    ib: Rc<IbFabric>,
-    shared: Rc<RefCell<Shared>>,
-    barrier: Barrier,
-    lo: usize,
-    hi: usize,
-    skeleton: Rc<Skeleton>,
-    iters: u32,
-) {
-    for iter in 0..iters {
+/// One fabric segment: the compute sleep and the barrier waits of every
+/// iteration, nothing else.
+async fn leaf(ctx: Sim, barrier: Barrier, waits: usize, iters: u32) {
+    for _ in 0..iters {
         ctx.sleep(COMPUTE).await;
-        // Iterations 2… are the driver's replay of the first: the same
-        // sleep and waits (so the kernel runs the same events), nothing
-        // booked or merged.
-        let book = iter == 0;
-        // Every access to `shared` sits between barrier.wait() pairs:
-        // the phases are globally sequenced, so no two segments touch
-        // it at the same (at,seq).
-        if book {
-            shared.borrow_mut().ready[lo..hi].fill(ctx.now());
-        }
-        // The ring sendrecv pair: send right, then send left.
-        for halo in &skeleton.halos {
-            if book {
-                let (send_ov, recv_ov) = (ib.params().send_overhead, ib.params().recv_overhead);
-                let sh = &mut *shared.borrow_mut();
-                let ready = &sh.ready[lo..hi];
-                let msgs = (lo..hi).zip(ready).map(|(r, &t)| BatchMsg {
-                    src: NodeId(r as u32),
-                    dst: NodeId(halo.peer.dst(r as u32, skeleton.n)),
-                    bytes: halo.bytes,
-                    earliest: t + send_ov,
-                });
-                ib.network().schedule_batch(msgs, &mut sh.done);
-                for (r, &t) in (lo..hi).zip(&sh.done) {
-                    sh.send_done[r] = t;
-                    let dst = halo.peer.dst(r as u32, skeleton.n) as usize;
-                    sh.inbox[dst] = sh.inbox[dst].max(t + recv_ov);
-                }
-            }
-            // Everyone has scheduled; arrivals are final.
-            barrier.wait().await;
-            if book {
-                let sh = &mut *shared.borrow_mut();
-                for r in lo..hi {
-                    sh.ready[r] = sh.send_done[r].max(sh.inbox[r]);
-                    sh.inbox[r] = SimTime::ZERO;
-                }
-            }
-            // Everyone has merged; next phase may schedule.
+        for _ in 0..waits {
             barrier.wait().await;
         }
-        // The driver runs the collective rounds and sleeps the machine
-        // to the iteration end; this wait returns at that instant.
-        barrier.wait().await;
     }
 }
 
-/// The driver: lockstep with the segments through the halo phases, then
-/// books the skeleton's collective rounds as global batches and carries
-/// virtual time to the iteration end. Iteration 1 is booked; every later
-/// one replays it, ending its length after its own compute sleep.
+/// The driver: books iteration 1 at the end of its compute sleep, then
+/// waits with the leaves through the halo phases and carries virtual
+/// time to the iteration end. Every later iteration replays the first,
+/// ending its length after its own compute sleep. Returns the digest of
+/// the iteration ends.
 async fn driver(
     ctx: Sim,
     ib: Rc<IbFabric>,
-    shared: Rc<RefCell<Shared>>,
     barrier: Barrier,
-    skeleton: Rc<Skeleton>,
+    skeleton: Skeleton,
     iters: u32,
-) {
+) -> u64 {
+    let mut digest = fnv_fold(FNV_OFFSET, u64::from(skeleton.n));
     // Iteration 1's length, from the end of its compute sleep.
     let mut span = None;
     for _ in 0..iters {
         ctx.sleep(COMPUTE).await;
         let start = ctx.now();
+        let t_end = start + *span.get_or_insert_with(|| book(&ib, &skeleton, start) - start);
         for _ in &skeleton.halos {
-            barrier.wait().await; // segments scheduled
-            barrier.wait().await; // segments merged
+            barrier.wait().await; // the leaves' two waits per halo
+            barrier.wait().await;
         }
-        let t_end = match span {
-            Some(d) => start + d,
-            None => {
-                let t_end = book_collectives(&ib, &skeleton, &mut shared.borrow_mut());
-                span = Some(t_end - start);
-                t_end
-            }
-        };
-        let digest = fnv_fold(shared.borrow().digest, t_end.as_nanos());
-        shared.borrow_mut().digest = digest;
+        digest = fnv_fold(digest, t_end.as_nanos());
         ctx.sleep_until(t_end).await;
         // Release the segments into the next iteration at t_end.
         barrier.wait().await;
     }
+    digest
 }
 
-/// Book iteration 1's collective rounds from the ranks' readiness after
-/// the halos, and return the iteration's end.
-fn book_collectives(ib: &IbFabric, skeleton: &Skeleton, sh: &mut Shared) -> SimTime {
-    // The collective rounds run after the "segments merged" barrier;
-    // only the driver is live until it sleeps to the iteration end.
+/// Book iteration 1 for ranks that are all ready at `start`: the halo
+/// shifts, then the collective rounds. Returns the iteration's end.
+fn book(ib: &IbFabric, skeleton: &Skeleton, start: SimTime) -> SimTime {
     // Per-message `earliest` times carry every rank's skew, so no
-    // virtual time passes while the rounds are laid into the fabric.
-    for round in skeleton.collectives.iter().flat_map(|s| s.rounds()) {
-        book_round(ib, round, &mut sh.ready, &mut sh.done);
+    // virtual time passes while the phases are laid into the fabric.
+    let mut ready = vec![start; skeleton.n as usize];
+    let collectives = skeleton.collectives.iter().flat_map(|s| s.rounds());
+    for round in skeleton.halos.iter().copied().chain(collectives) {
+        book_round(ib, round, &mut ready);
     }
-    let t_end = sh.ready.iter().copied().max().expect("ranks >= 2");
+    let t_end = ready.iter().copied().max().expect("ranks >= 2");
     // The replay's precondition: no link stays busy past the iteration,
     // so the next one starts on an idle fabric.
     assert!(
@@ -312,44 +237,17 @@ pub fn run(cfg: DesScalingConfig) -> DesScalingResult {
     let mut sim = Simulation::new(cfg.seed);
     let ctx = sim.handle();
     let ib = Rc::new(IbFabric::new(&ctx, cfg.ranks));
-    let n = cfg.ranks as usize;
     let segments = cfg.ranks.div_ceil(NODES_PER_LEAF);
-    let shared = Rc::new(RefCell::new(Shared {
-        ready: vec![SimTime::ZERO; n],
-        inbox: vec![SimTime::ZERO; n],
-        send_done: vec![SimTime::ZERO; n],
-        done: Vec::with_capacity(n),
-        digest: fnv_fold(FNV_OFFSET, cfg.ranks as u64),
-    }));
     let barrier = Barrier::new(&ctx, segments as usize + 1);
-    let skeleton = Rc::new(Skeleton::new(cfg.ranks, cfg.complex));
+    let skeleton = Skeleton::new(cfg.ranks, cfg.complex);
     let expected_messages = skeleton.messages_per_iter();
+    let waits = 2 * skeleton.halos.len() + 1;
     for s in 0..segments {
-        let lo = (s * NODES_PER_LEAF) as usize;
-        let hi = (((s + 1) * NODES_PER_LEAF).min(cfg.ranks)) as usize;
-        let fut = segment(
-            ctx.clone(),
-            ib.clone(),
-            shared.clone(),
-            barrier.clone(),
-            lo,
-            hi,
-            skeleton.clone(),
-            cfg.iters,
-        );
+        let fut = leaf(ctx.clone(), barrier.clone(), waits, cfg.iters);
         ctx.spawn_fmt(format_args!("leaf-{s}"), fut);
     }
-    {
-        let fut = driver(
-            ctx.clone(),
-            ib.clone(),
-            shared.clone(),
-            barrier.clone(),
-            skeleton,
-            cfg.iters,
-        );
-        ctx.spawn("driver", fut);
-    }
+    let fut = driver(ctx.clone(), ib.clone(), barrier, skeleton, cfg.iters);
+    let driver = ctx.spawn("driver", fut);
     sim.run().assert_completed();
     let booked = ib.network().booked();
     assert_eq!(
@@ -359,7 +257,7 @@ pub fn run(cfg: DesScalingConfig) -> DesScalingResult {
     let iters = u64::from(cfg.iters);
     let (messages, hops) = (booked.messages * iters, booked.hops * iters);
     let sim_s = sim.now().as_secs_f64();
-    let digest = fnv_fold(shared.borrow().digest, messages);
+    let digest = fnv_fold(driver.try_result().expect("the driver finished"), messages);
     DesScalingResult {
         ranks: cfg.ranks,
         iters: cfg.iters,

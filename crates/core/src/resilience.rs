@@ -537,14 +537,6 @@ impl MultiLevelParams {
     }
 }
 
-fn level_index(level: CkptLevel) -> usize {
-    match level {
-        CkptLevel::L1Local => 0,
-        CkptLevel::L2Partner => 1,
-        CkptLevel::L3Pfs => 2,
-    }
-}
-
 /// Work marks are stored in the [`CommitLog`] in milliseconds.
 pub fn mark_of(done_s: f64) -> u64 {
     (done_s * 1e3).round() as u64
@@ -576,7 +568,7 @@ pub fn simulate_multilevel(p: &MultiLevelParams, rng: &mut SimRng) -> Resilience
             + if last {
                 0.0
             } else {
-                p.levels[level_index(level)].write_s
+                p.levels[level.index()].write_s
             };
         if wall + attempt <= next_failure {
             wall += attempt;
@@ -592,7 +584,7 @@ pub fn simulate_multilevel(p: &MultiLevelParams, rng: &mut SimRng) -> Resilience
             wall = next_failure + p.restart_s;
             match log.best() {
                 Some((level, mark)) => {
-                    wall += p.levels[level_index(level)].restore_s;
+                    wall += p.levels[level.index()].restore_s;
                     done = mark as f64 / 1e3;
                 }
                 None => {

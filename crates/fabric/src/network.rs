@@ -36,7 +36,7 @@
 //! ## Booking one hop
 //!
 //! `occupy_route` is the one kernel under both [`Network::transfer`] and
-//! [`Network::schedule_batch`]. Its caller writes the route into the
+//! [`Network::schedule_batch_with`]. Its caller writes the route into the
 //! scratch ([`Topology::hops`]) and reprices the classes only when the
 //! size differs from the last message's: `LinkSpec::serialization` runs
 //! once per class per size change, never per hop. A hop is then its
@@ -426,10 +426,12 @@ impl<T: Topology + ?Sized> Network<T> {
     }
 
     /// Sample how many segment retransmissions a message of `segments`
-    /// segments suffers over `hops` links: geometric retries per traversal
-    /// (segment × link), or — for large counts, to keep the draw count
-    /// bounded — the binomial mean with a Gaussian-like spread. `None`
-    /// when one traversal exhausts the retry budget.
+    /// segments suffers over `hops` links: up to 1 024 traversals (segment
+    /// × link), geometric retries per traversal, `None` when one exhausts
+    /// the retry budget. Above that, to bound the draw count, it draws the
+    /// mean t·p/(1−p) plus a uniform ±√mean: variance mean/3, not the
+    /// geometric sum's mean/(1−p), and never `None`, however high `p`.
+    /// ROADMAP item 15 replaces that branch.
     fn sample_retransmissions(&self, fault: FaultModel, segments: u64, hops: usize) -> Option<f64> {
         let mut rng = self.rng.borrow_mut();
         let traversals = segments as f64 * hops as f64;
@@ -454,15 +456,26 @@ impl<T: Topology + ?Sized> Network<T> {
         }
     }
 
+    /// [`Network::schedule_batch_with`] into a vector: `completions` is
+    /// cleared, then receives message `i`'s last-byte arrival at index `i`.
+    pub fn schedule_batch<M: Borrow<BatchMsg>>(
+        &self,
+        msgs: impl IntoIterator<Item = M>,
+        completions: &mut Vec<SimTime>,
+    ) -> SimTime {
+        completions.clear();
+        self.schedule_batch_with(msgs, |t| completions.push(t))
+    }
+
     /// Simulate a batch of independent same-epoch transfers in one call,
     /// without suspending: link occupancies are advanced message by
     /// message **in iteration order** (so the schedule is a pure function
     /// of the batch, bit-identical on every run). `msgs` yields messages
     /// or references to them — a slice, or a lazy `map` that builds each
-    /// one as it is booked; `completions` is cleared, then receives
-    /// message `i`'s last-byte arrival at index `i`. Returns the overall
-    /// latest completion, the one instant a caller sleeps until: one
-    /// kernel event for the whole batch.
+    /// one as it is booked; `on_done` receives each message's last-byte
+    /// arrival as soon as it is booked, before the next message is built.
+    /// Returns the overall latest completion, the one instant a caller
+    /// sleeps until: one kernel event for the whole batch.
     ///
     /// This is the scaling path for fabric-wide phases (halo exchanges,
     /// collective rounds at 10⁵ ranks): semantics match issuing the
@@ -477,10 +490,10 @@ impl<T: Topology + ?Sized> Network<T> {
     /// In every build profile, if a fault model or a node fault is
     /// active: a batch booked on a faulted fabric would otherwise return
     /// clean timings. The two checks run once per batch, not per message.
-    pub fn schedule_batch<M: Borrow<BatchMsg>>(
+    pub fn schedule_batch_with<M: Borrow<BatchMsg>>(
         &self,
         msgs: impl IntoIterator<Item = M>,
-        completions: &mut Vec<SimTime>,
+        mut on_done: impl FnMut(SimTime),
     ) -> SimTime {
         let now = self.sim.now();
         assert_eq!(
@@ -493,12 +506,9 @@ impl<T: Topology + ?Sized> Network<T> {
             0,
             "schedule_batch does not model node faults"
         );
-        let msgs = msgs.into_iter();
-        completions.clear();
-        completions.reserve(msgs.size_hint().0);
         let links = &mut *self.links.borrow_mut();
         let classes = self.topo.classes();
-        let mut overall = now;
+        let (mut overall, mut count) = (now, 0);
         for m in msgs {
             let m = m.borrow();
             debug_assert!(m.earliest >= now, "batch message scheduled in the past");
@@ -511,10 +521,11 @@ impl<T: Topology + ?Sized> Network<T> {
                 let prices = links.prices.of(classes, m.bytes.max(1));
                 occupy_route(&mut links.busy_until, prices, &links.route[..n], head)
             };
-            completions.push(done);
+            count += 1;
+            on_done(done);
             overall = overall.max(done);
         }
-        links.booked.messages += completions.len() as u64;
+        links.booked.messages += count;
         overall
     }
 }

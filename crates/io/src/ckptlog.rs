@@ -31,7 +31,8 @@ impl CkptLevel {
         }
     }
 
-    fn index(&self) -> usize {
+    /// Position in [`CkptLevel::ALL`], cheapest first.
+    pub fn index(&self) -> usize {
         *self as usize
     }
 

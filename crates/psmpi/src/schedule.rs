@@ -10,7 +10,8 @@
 //!   `sendrecv`; the barrier, allreduce, ring, allgather and alltoall
 //!   loops of [`crate::collectives`] are built on it;
 //! * **batched** — [`book_round`] books one round for every rank as one
-//!   `Network::schedule_batch` (the `des_scaling` driver);
+//!   `Network::schedule_batch_with`, in place on one readiness time per
+//!   rank (the `des_scaling` driver books every phase with it);
 //! * **closed form** — [`NetModel::time`] prices a schedule as its round
 //!   count × one point-to-point message, for rank counts beyond the DES.
 //!
@@ -20,6 +21,7 @@
 //! `tests/schedule_agreement.rs` checks the interpreters against each
 //! other.
 
+use std::cell::Cell;
 use std::future::Future;
 
 use deep_fabric::{BatchMsg, IbFabric, NodeId};
@@ -165,24 +167,65 @@ impl MpiCtx {
     }
 }
 
-/// One round for all `ready.len()` ranks as one `schedule_batch` on
-/// `ib`: rank r's message is built as it is booked and enters the
-/// fabric at `ready[r]` + the send overhead; `done[r]` receives its
-/// arrival, and `ready[r]` becomes the later of that arrival and the
-/// arrival of r's incoming one + the receive overhead. No virtual time
-/// passes.
-pub fn book_round(ib: &IbFabric, round: Round, ready: &mut [SimTime], done: &mut Vec<SimTime>) {
+/// One round for all `ready.len()` ranks as one batch on `ib`, in
+/// place: rank r's message is built as it is booked and enters the
+/// fabric at `ready[r]` + the send overhead, and its arrival `done[r]`
+/// overwrites `ready[r]`. Then each rank takes the later of its own
+/// arrival and its incoming one + the receive overhead,
+/// `ready[r] = max(done[r], done[src(r)] + recv_ov)`, merged along the
+/// round's permutation: an XOR round swaps within each pair, a shift
+/// round walks its gcd(n, k) cycles carrying the previous pre-merge
+/// value. No virtual time passes.
+///
+/// # Panics
+///
+/// Before booking anything, if some rank's peer lies outside `0..n`.
+pub fn book_round(ib: &IbFabric, round: Round, ready: &mut [SimTime]) {
     let (send_ov, recv_ov) = (ib.params().send_overhead, ib.params().recv_overhead);
     let n = ready.len() as u32;
-    let msgs = (0..n).zip(ready.iter()).map(|(r, &t)| BatchMsg {
+    let top = (0..n).map(|r| round.peer.dst(r, n)).max();
+    assert!(top < Some(n), "{round:?} sends to {top:?}, outside 0..{n}");
+    let cells = Cell::from_mut(ready).as_slice_of_cells();
+    let msgs = (0..n).zip(cells).map(|(r, t)| BatchMsg {
         src: NodeId(r),
         dst: NodeId(round.peer.dst(r, n)),
         bytes: round.bytes,
-        earliest: t + send_ov,
+        earliest: t.get() + send_ov,
     });
-    ib.network().schedule_batch(msgs, done);
-    for (r, t) in (0..n).zip(ready.iter_mut()) {
-        *t = done[r as usize].max(done[round.peer.src(r, n) as usize] + recv_ov);
+    let mut arrivals = cells.iter();
+    ib.network()
+        .schedule_batch_with(msgs, |t| arrivals.next().expect("one per rank").set(t));
+    let n = n as usize;
+    match round.peer {
+        Peer::Xor(k) => {
+            for (r, p) in (0..n).map(|r| (r, r ^ k as usize)).filter(|&(r, p)| r <= p) {
+                let (a, b) = (ready[r], ready[p]);
+                (ready[r], ready[p]) = (a.max(b + recv_ov), b.max(a + recv_ov));
+            }
+        }
+        Peer::Shift(k) => {
+            let k = k as usize % n.max(1);
+            for start in 0..gcd(n, k) {
+                let (mut r, mut carry) = (start, ready[(start + n - k) % n]);
+                loop {
+                    let own = ready[r];
+                    ready[r] = own.max(carry + recv_ov);
+                    carry = own;
+                    r = if r + k >= n { r + k - n } else { r + k };
+                    if r == start {
+                        break;
+                    }
+                }
+            }
+        }
+    }
+}
+
+fn gcd(a: usize, b: usize) -> usize {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
     }
 }
 

@@ -23,13 +23,15 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use deep_fabric::{IbFabric, LinkFailure, TransferStats};
-use deep_psmpi::schedule::{book_round, Kind, Peer, Schedule};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use deep_fabric::{BatchMsg, Booked, IbFabric, LinkFailure, NodeId, TransferStats};
+use deep_psmpi::schedule::{book_round, Kind, Peer, Round, Schedule};
 use deep_psmpi::{
     launch_world, EpId, IbWire, LocalBoxFuture, MpiCtx, MpiParams, NetModel, ReduceOp, Universe,
     Value, Wire,
 };
-use deep_simkit::{SimTime, Simulation};
+use deep_simkit::{SimDuration, SimTime, Simulation};
 
 /// An IB wire that logs every transfer `(src, dst, bytes)` in call order.
 struct Recording {
@@ -109,9 +111,8 @@ fn batched(s: Schedule) -> SimTime {
     let sim = Simulation::new(1);
     let ib = IbFabric::new(&sim.handle(), s.n);
     let mut ready = vec![SimTime::ZERO; s.n as usize];
-    let mut done = Vec::new();
     for round in s.rounds() {
-        book_round(&ib, round, &mut ready, &mut done);
+        book_round(&ib, round, &mut ready);
     }
     ready.into_iter().max().unwrap_or(SimTime::ZERO)
 }
@@ -192,6 +193,74 @@ fn per_rank_batched_and_closed_form_times_agree() {
                 assert!(t_model <= t_batch, "{why}");
             }
         }
+    }
+}
+
+/// `book_round` merges in place exactly what the two-array rule gives:
+/// the same messages booked into a completion vector on a twin fabric,
+/// then `ready[r] = max(done[r], done[src(r)] + recv_ov)`. Bit for bit on
+/// every rank after every round, for every kind at n ∈ 2..=40 ∪ {64, 100}
+/// (powers of two for the XOR kinds; shifts with gcd(n, k) > 1 and
+/// partial last leaves included), from readiness skewed by up to 5 µs so
+/// that both sides of every `max` win somewhere.
+#[test]
+fn in_place_booking_matches_the_two_array_rule() {
+    let kinds = [
+        Kind::Barrier,
+        Kind::RecursiveDoubling,
+        Kind::RingAllreduce,
+        Kind::RingAllgather,
+        Kind::PairwiseShift,
+        Kind::PairwiseXor,
+    ];
+    for kind in kinds {
+        let xor = matches!(kind, Kind::RecursiveDoubling | Kind::PairwiseXor);
+        let sizes = (2..=40u32).chain([64, 100]);
+        for n in sizes.filter(|n| !xor || n.is_power_of_two()) {
+            let s = Schedule::new(kind, n, 4 << 10);
+            let sim = Simulation::new(1);
+            let ctx = sim.handle();
+            let (ib, twin) = (IbFabric::new(&ctx, n), IbFabric::new(&ctx, n));
+            let (send_ov, recv_ov) = (ib.params().send_overhead, ib.params().recv_overhead);
+            let skew = |r: u32| SimTime::ZERO + SimDuration::nanos(u64::from(r * 7_919 % 5_000));
+            let mut ready: Vec<SimTime> = (0..n).map(skew).collect();
+            let (mut want, mut done) = (ready.clone(), Vec::new());
+            for round in s.rounds() {
+                book_round(&ib, round, &mut ready);
+                let msgs = (0..n).map(|r| BatchMsg {
+                    src: NodeId(r),
+                    dst: NodeId(round.peer.dst(r, n)),
+                    bytes: round.bytes,
+                    earliest: want[r as usize] + send_ov,
+                });
+                twin.network().schedule_batch(msgs, &mut done);
+                for r in 0..n {
+                    let incoming = done[round.peer.src(r, n) as usize] + recv_ov;
+                    want[r as usize] = done[r as usize].max(incoming);
+                }
+                assert_eq!(ready, want, "{s:?}, {round:?}");
+            }
+            assert_eq!(ib.network().booked(), twin.network().booked(), "{s:?}");
+            assert_eq!(ib.network().horizon(), twin.network().horizon(), "{s:?}");
+        }
+    }
+}
+
+/// A round whose peer leaves `0..n` for some rank panics before it
+/// books a single message.
+#[test]
+fn a_peer_outside_the_group_panics_before_booking() {
+    let sim = Simulation::new(1);
+    let ib = IbFabric::new(&sim.handle(), 24);
+    // Ranks 0..8 of each have a peer inside the group; rank 8 (XOR) or
+    // rank 23 (shift) is the first outside.
+    for peer in [Peer::Xor(16), Peer::Xor(32), Peer::Shift(25)] {
+        let mut ready = vec![SimTime::ZERO; 24];
+        let round = Round { peer, bytes: 8 };
+        let booking = catch_unwind(AssertUnwindSafe(|| book_round(&ib, round, &mut ready)));
+        assert!(booking.is_err(), "{peer:?} must panic");
+        assert_eq!(ib.network().booked(), Booked::default(), "{peer:?}");
+        assert_eq!(ib.network().horizon(), SimTime::ZERO, "{peer:?}");
     }
 }
 

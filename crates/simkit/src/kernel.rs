@@ -111,6 +111,15 @@ impl Waiters {
         }
     }
 
+    /// Remove `id` if it waits, keeping the others in arrival order.
+    pub(crate) fn remove(&mut self, id: ProcId) {
+        if self.first == Some(id) {
+            self.first = (!self.rest.is_empty()).then(|| self.rest.remove(0));
+        } else if let Some(i) = self.rest.iter().position(|&p| p == id) {
+            self.rest.remove(i);
+        }
+    }
+
     /// Remove every waiter, yielding them in arrival order.
     pub(crate) fn drain(&mut self) -> impl Iterator<Item = ProcId> + '_ {
         self.first.take().into_iter().chain(self.rest.drain(..))
@@ -540,6 +549,24 @@ impl Kernel {
 mod tests {
     use super::*;
     use crate::{SimDuration, Simulation};
+
+    #[test]
+    fn waiters_remove_keeps_arrival_order() {
+        let id = |index| ProcId {
+            index,
+            generation: 0,
+        };
+        let ids: Vec<ProcId> = (0..4).map(id).collect();
+        for gone in ids.iter().copied().chain([id(9)]) {
+            let mut w = Waiters::default();
+            ids.iter().for_each(|&i| w.insert(i));
+            w.remove(gone);
+            w.insert(id(7)); // a later arrival still queues last
+            let mut left: Vec<ProcId> = ids.iter().copied().filter(|&i| i != gone).collect();
+            left.push(id(7));
+            assert_eq!(w.drain().collect::<Vec<_>>(), left);
+        }
+    }
 
     #[test]
     fn finished_processes_hold_no_name_storage() {

@@ -250,25 +250,44 @@ impl<T: Clone> OneShot<T> {
 
     /// Wait for the event; resolves immediately if already fired.
     pub fn wait(&self) -> OneShotWait<'_, T> {
-        OneShotWait { event: self }
+        OneShotWait {
+            event: self,
+            me: None,
+        }
     }
 }
 
 /// Future returned by [`OneShot::wait`].
 pub struct OneShotWait<'a, T: Clone> {
     event: &'a OneShot<T>,
+    /// Our ProcId once registered; needed to withdraw on drop.
+    me: Option<ProcId>,
 }
 
 impl<T: Clone> Future for OneShotWait<'_, T> {
     type Output = T;
 
-    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
-        let mut st = self.event.state.borrow_mut();
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
+        let this = &mut *self;
+        let mut st = this.event.state.borrow_mut();
         if st.fired {
             Poll::Ready(st.value.clone().expect("fired OneShot holds a value"))
         } else {
-            st.waiters.insert(self.event.sim.current_proc());
+            let me = this.event.sim.current_proc();
+            st.waiters.insert(me);
+            this.me = Some(me);
             Poll::Pending
+        }
+    }
+}
+
+impl<T: Clone> Drop for OneShotWait<'_, T> {
+    /// An abandoned wait (timed out, lost a race) withdraws its id, so a
+    /// long-lived event does not collect the ids of processes that
+    /// stopped waiting. After `set` the list is empty and this is a no-op.
+    fn drop(&mut self) {
+        if let Some(me) = self.me {
+            self.event.state.borrow_mut().waiters.remove(me);
         }
     }
 }
@@ -533,6 +552,27 @@ mod tests {
         };
         assert_eq!(semaphore(Simulation::new(1)), (8, 2));
         assert_eq!(semaphore(Simulation::new_never_reusing(1)), (8, 3));
+    }
+
+    #[test]
+    fn timed_out_oneshot_waits_leave_no_ids_behind() {
+        // k victims give up on one long-lived event at staggered times;
+        // every abandoned wait must withdraw its id, the inline first
+        // one and the spilled rest alike.
+        let mut sim = Simulation::new(1);
+        let ctx = sim.handle();
+        let ev: OneShot<()> = OneShot::new(&ctx);
+        let k = 5;
+        for i in 0..k {
+            let (ctx, ev) = (ctx.clone(), ev.clone());
+            sim.spawn(format!("victim{i}"), async move {
+                let patience = SimDuration::micros(i + 1);
+                assert_eq!(ctx.timeout(patience, ev.wait()).await, None);
+            });
+        }
+        sim.run().assert_completed();
+        assert!(!ev.is_set());
+        assert_eq!(ev.state.borrow_mut().waiters.drain().count(), 0);
     }
 
     #[test]
