@@ -18,7 +18,7 @@
 //! * **One `SimTime` per rank**: the driver's `ready`, when each rank
 //!   may start its next phase. Every phase is a permutation, so
 //!   [`book_round`] merges each rank's incoming arrival into `ready` in
-//!   place — no inbox, send-completion or completion arrays.
+//!   place, and no second per-rank array is needed.
 //! * **Batched transfers** (`Network::schedule_batch_with`): each phase
 //!   of an iteration (halo direction, collective round) is one batch
 //!   over the contention engine, its messages built as they are booked,

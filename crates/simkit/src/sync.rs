@@ -271,6 +271,8 @@ impl<T: Clone> Future for OneShotWait<'_, T> {
         let this = &mut *self;
         let mut st = this.event.state.borrow_mut();
         if st.fired {
+            // `set` drained the list: a resolved wait has nothing to withdraw.
+            this.me = None;
             Poll::Ready(st.value.clone().expect("fired OneShot holds a value"))
         } else {
             let me = this.event.sim.current_proc();
@@ -284,7 +286,7 @@ impl<T: Clone> Future for OneShotWait<'_, T> {
 impl<T: Clone> Drop for OneShotWait<'_, T> {
     /// An abandoned wait (timed out, lost a race) withdraws its id, so a
     /// long-lived event does not collect the ids of processes that
-    /// stopped waiting. After `set` the list is empty and this is a no-op.
+    /// stopped waiting.
     fn drop(&mut self) {
         if let Some(me) = self.me {
             self.event.state.borrow_mut().waiters.remove(me);
